@@ -123,9 +123,11 @@ REPLICATION_COUNTERS = (
     "net.suspicions",
     "sched.queued_updates",
     "sched.deadline_rejects",
-    # Write scale-out counters: all zero on legacy single-master runs.
+    # Commit epochs sealed / update commits that rode them (every update
+    # commit is an epoch member; equal when no epoch batched).
     "engine.epochs",
     "engine.epoch_batched_commits",
+    # Dynamic conflict-class counters: all zero with static classes.
     "sched.class_rehomes",
     "sched.class_splits",
     "sched.class_merges",

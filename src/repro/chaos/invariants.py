@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.counters import Counters
 
@@ -95,12 +95,18 @@ def check_durable_commits(cluster) -> InvariantResult:
     """Every scheduler-confirmed commit survives on every alive replica."""
     nodes = _checked_nodes(cluster)
     missing: List[str] = []
+    # The cluster is quiescent, so one watermark scan per (node, table)
+    # serves every logged commit.
+    marks: Dict[Tuple[str, str], int] = {}
     for master_id, txn_id, versions in cluster.commit_log:
         for node in nodes:
             for table, version in versions.items():
                 if not _covers(cluster, node, table):
                     continue
-                have = _table_watermark(node, table)
+                key = (node.node_id, table)
+                have = marks.get(key)
+                if have is None:
+                    have = marks[key] = _table_watermark(node, table)
                 if have < version:
                     missing.append(
                         f"txn {txn_id} ({master_id}, {table}=v{version}) "

@@ -99,16 +99,14 @@ class CostConfig:
     #: locks, which reproduces the pre-OCC counter fingerprints bit-for-bit).
     read_concurrency: str = "occ"
     # -- write-path scale-out (epoch commit + dynamic conflict classes) -----------------------
-    #: Commits admitted into one commit epoch before it seals.  1 (the
-    #: default) is the legacy per-transaction commit path, reproduced
-    #: bit-for-bit; >1 enables epoch-batched version-vector advancement:
-    #: N commits share one vector advance, one WAL force and one broadcast
-    #: barrier.
+    #: Commits admitted into one commit epoch before it seals.  Every
+    #: update commit is an epoch member: the members of one epoch share
+    #: one version-vector advance, one WAL force and one broadcast
+    #: barrier.  1 (the default) is the smallest epoch.
     epoch_max_txns: int = 1
     #: Epoch timer in milliseconds: an open epoch seals after this long even
-    #: if not full.  0 with ``epoch_max_txns > 1`` seals each epoch as soon
-    #: as its first member reaches the barrier (batching only same-instant
-    #: arrivals).
+    #: if not full.  0 seals each epoch as soon as its first member finishes
+    #: pre-commit (batching only the members that joined meanwhile).
     epoch_ms: float = 0.0
     #: Per-master update admission limit (multiprogramming level).  Bounds
     #: the number of update transactions concurrently *executing* on one

@@ -613,26 +613,26 @@ class ReplicationChannel:
 
 
 class _CommitEpoch:
-    """One open commit epoch on one master (epoch-batched commit mode).
+    """One commit epoch on one master — the unit of every update commit.
 
     Members join while the epoch is open (per-txn OCC validation, shared
-    per-table epoch versions, early lock release); the epoch seals when it
-    is full or its timer fires, publishing one concatenated write-set
-    through one broadcast + ack barrier.  ``done`` resolves True once the
-    epoch is confirmed to the scheduler, False if the master died first.
+    per-table epoch versions, page locks released at join); the epoch
+    seals when it is full or its timer fires, publishing one concatenated
+    write-set through one broadcast + ack barrier.  ``done`` resolves True
+    once the epoch is confirmed to the scheduler, False if the master died
+    first.
     """
 
-    __slots__ = ("ops", "versions", "members", "done", "sealed", "opened_at")
+    __slots__ = ("ops", "versions", "members", "done", "sealed")
 
-    def __init__(self, now: float, done) -> None:
+    def __init__(self, done) -> None:
         self.ops: List = []
         #: table -> version reserved for this epoch (one advance per table).
         self.versions: Dict[str, int] = {}
-        #: (txn_id, commit_versions, queries, started_at) per member.
+        #: (txn_id, commit_versions, queries, root_span) per member.
         self.members: List[Tuple] = []
         self.done = done
         self.sealed = False
-        self.opened_at = now
 
 
 class SimDmvCluster:
@@ -837,7 +837,8 @@ class SimDmvCluster:
         #: (node_id, crash_time, confirmed-at-crash dict) per completed
         #: restart-from-own-disk recovery.
         self._restart_audits: List[Tuple[str, float, Dict[str, int]]] = []
-        #: Open commit epochs per master (``epoch_max_txns > 1`` only).
+        #: Latest commit epoch per master (open, or sealed and awaiting its
+        #: successor).
         self._epochs: Dict[str, _CommitEpoch] = {}
         #: Per-master update-admission semaphores (``update_mpl > 0`` only;
         #: created lazily so the legacy configuration allocates nothing).
@@ -1412,24 +1413,23 @@ class SimDmvCluster:
     def commit_update(
         self, node: InMemoryDbNode, txn, queries, mpl_slot=None, deadline=None
     ):
-        """Master pre-commit + eager broadcast + ack barrier (Figure 2).
+        """Master pre-commit (Figure 2): join an epoch, seal it, wait for it.
+
+        Every update commit is a member of a commit epoch; the default
+        ``epoch_max_txns=1`` is simply the smallest one.  OCC validation
+        runs per transaction at epoch *join*, and the member's page locks
+        are released there (safe because OCC page stamps advance at write
+        time, and an unpublished epoch only dies with the whole master),
+        while the version-vector advance, the WAL force, the broadcast and
+        the ack barrier are paid once per sealed epoch.
 
         This job owns the transaction's root span from the moment the
         connection spawns it: whatever path the commit takes (success,
         master death mid-broadcast, interrupt), the root is closed here
         with a terminal ``status`` tag.  It also owns the update-admission
         slot (``update_mpl > 0``), released on every exit path.
-
-        With ``epoch_max_txns > 1`` the commit takes the epoch-batched
-        path instead: N commits share one version-vector advance, one WAL
-        force and one broadcast barrier.
         """
         cfg = self.cost.config
-        if cfg.epoch_max_txns > 1:
-            result = yield from self._commit_update_epoch(
-                node, txn, queries, mpl_slot, deadline
-            )
-            return result
         root = getattr(txn, "obs_span", NULL_SPAN)
         committed = False
         started = self.sim.now()
@@ -1445,19 +1445,20 @@ class SimDmvCluster:
                     "request deadline expired at commit", reason="deadline"
                 )
             yield from node.cpu.acquire()
-            write_set = None
             pre = (
                 root.child("precommit", node=node.node_id)
                 if root.recording
                 else NULL_SPAN
             )
+            epoch = self._open_epoch(node)
+            ops = None
             try:
                 if pre.recording:
-                    # pre_commit annotates txn.obs_span with the commit
+                    # join_epoch annotates txn.obs_span with the commit
                     # version vector and dirtied page ids (see MasterReplica).
                     txn.obs_span = pre
                 try:
-                    write_set = node.master.pre_commit(txn)
+                    ops, commit_versions = node.master.join_epoch(txn, epoch.versions)
                 except TransactionAborted as exc:
                     # OCC read-set validation failed: the transaction is
                     # still ACTIVE and revertible, and the connection has
@@ -1469,73 +1470,33 @@ class SimDmvCluster:
                 finally:
                     if pre.recording:
                         txn.obs_span = root
-                if write_set is not None:
-                    # Durable mode: the pre-commit record is on the master's
-                    # own log before any ack can exist (write-ahead rule).
-                    node.log_write_set(write_set)
-                    service = self.cost.precommit_cpu(len(write_set.ops))
-                    if node.durable:
-                        service += cfg.wal_fsync_time
-                    yield self.sim.timeout(service)
+                if ops is not None:
+                    node.master.finalize(txn)
+                    epoch.ops.extend(ops)
+                    epoch.members.append((txn.txn_id, commit_versions, queries, root))
+                    yield self.sim.timeout(self.cost.precommit_cpu(len(ops)))
             finally:
                 node.cpu.release()
-                if write_set is not None:
-                    pre.finish(status="ok", ops=len(write_set.ops), seq=write_set.seq)
+                if ops is not None:
+                    pre.finish(
+                        status="ok", ops=len(ops), epoch_members=len(epoch.members)
+                    )
                 else:
                     pre.finish(status="read-only")
-            if write_set is not None:
-                retain = (self.straggler_active and self._demoted) or (
-                    self.durability_active and self._any_node_down()
-                )
-                if retain:
-                    # Demoted (or crashed-but-restartable) nodes miss this
-                    # broadcast entirely; retain it for gap replay at their
-                    # rejoin/restart.
-                    self._replay_log[write_set.dedup_key()] = write_set
-                elif self._replay_log:
-                    self._replay_log.clear()
-                sends = self._broadcast_write_set(node, write_set, parent_span=root)
-                acks = [ack for _target, _frame, ack in sends]
-                if self.straggler_active and self._demoted:
-                    excluded = sum(
-                        1
-                        for node_id in self._demoted
-                        if (peer := self.nodes.get(node_id)) is not None and peer.alive
+            if ops is not None:
+                if len(epoch.members) >= cfg.epoch_max_txns or cfg.epoch_ms <= 0:
+                    yield from self._seal_epoch(node, epoch)
+                yield epoch.done
+                if not epoch.done.value:
+                    # Master died before the epoch was confirmed to the
+                    # scheduler: recovery discards these partially
+                    # propagated modifications (paper §4.2).
+                    raise NodeUnavailable(
+                        f"master {node.node_id} failed during commit"
                     )
-                    if excluded:
-                        self.counters.add("net.acks_skipped_demoted", excluded)
-                if acks:
-                    ack_span = (
-                        root.child("ack", node=node.node_id, replicas=len(acks))
-                        if root.recording
-                        else NULL_SPAN
-                    )
-                    try:
-                        yield from self._ack_barrier(acks)
-                    finally:
-                        if ack_span.recording:
-                            ack_span.finish(
-                                acked=sum(1 for a in acks if a.triggered and a.value)
-                            )
-                if not node.alive:
-                    # Master died mid-broadcast: the commit was never confirmed
-                    # to the scheduler, so recovery will discard these
-                    # partially propagated modifications (paper §4.2).
-                    raise NodeUnavailable(f"master {node.node_id} failed during commit")
-                primary = self.scheduler
-                primary.on_master_commit(node.node_id, write_set.versions, queries, txn.txn_id)
-                # Scheduler-confirmed == fully replicated: this is the durable
-                # history the chaos durability invariant audits survivors for.
-                self.commit_log.append((node.node_id, txn.txn_id, dict(write_set.versions)))
-                if self.interest.partial_active:
-                    self._note_partial_freshness(sends)
-                self._replicate_scheduler_state(primary)
-                node.master.finalize(txn)
-                if self.rebalancer_active:
-                    self._note_class_commits(write_set.versions, 1)
             yield self.sim.timeout(cfg.rtt())
             committed = True
-            if write_set is not None:
+            if ops is not None:
                 self.metrics.commit_latency.record(self.sim.now() - started)
             return None
         finally:
@@ -1553,11 +1514,10 @@ class SimDmvCluster:
             return
         self._class_commits[cls] = self._class_commits.get(cls, 0) + count
 
-    # -- epoch-batched commit (epoch_max_txns > 1) ---------------------------------------------
     def _open_epoch(self, node: InMemoryDbNode) -> _CommitEpoch:
         epoch = self._epochs.get(node.node_id)
         if epoch is None or epoch.sealed:
-            epoch = _CommitEpoch(self.sim.now(), self.sim.event())
+            epoch = _CommitEpoch(self.sim.event())
             self._epochs[node.node_id] = epoch
             if self.cost.config.epoch_ms > 0:
                 self.sim.spawn(self._epoch_timer(node, epoch), name="epoch-timer")
@@ -1577,85 +1537,6 @@ class SimDmvCluster:
             if not epoch.done.triggered:
                 epoch.done.succeed(False)
 
-    def _commit_update_epoch(
-        self, node: InMemoryDbNode, txn, queries, mpl_slot=None, deadline=None
-    ):
-        """Epoch-batched variant of :meth:`commit_update`.
-
-        OCC validation runs per transaction at epoch *join* (with early
-        lock release — safe because OCC page stamps advance at write time,
-        and an unpublished epoch only dies with the whole master), while
-        version-vector advancement, the WAL force, the broadcast and the
-        ack barrier are amortized over the sealed epoch.
-        """
-        cfg = self.cost.config
-        root = getattr(txn, "obs_span", NULL_SPAN)
-        committed = False
-        started = self.sim.now()
-        try:
-            if not node.alive or not txn.active:
-                raise NodeUnavailable(f"master {node.node_id} failed before commit")
-            if deadline is not None and self.sim.now() >= deadline:
-                node.engine.abort(txn, reason="deadline")
-                self.counters.add("sched.deadline_cancels")
-                raise TransactionAborted(
-                    "request deadline expired at commit", reason="deadline"
-                )
-            yield from node.cpu.acquire()
-            pre = (
-                root.child("precommit", node=node.node_id)
-                if root.recording
-                else NULL_SPAN
-            )
-            epoch = None
-            ops = None
-            try:
-                epoch = self._open_epoch(node)
-                if pre.recording:
-                    txn.obs_span = pre
-                try:
-                    ops, commit_versions = node.master.pre_commit_epoch(
-                        txn, epoch.versions
-                    )
-                except TransactionAborted as exc:
-                    if node.alive and txn.active:
-                        node.engine.abort(txn, reason=getattr(exc, "reason", "abort"))
-                    raise
-                finally:
-                    if pre.recording:
-                        txn.obs_span = root
-                if ops is not None:
-                    epoch.ops.extend(ops)
-                    epoch.members.append((txn.txn_id, commit_versions, queries, started))
-                    yield self.sim.timeout(self.cost.precommit_cpu(len(ops)))
-            finally:
-                node.cpu.release()
-                if ops is not None:
-                    pre.finish(
-                        status="ok", ops=len(ops), epoch_members=len(epoch.members)
-                    )
-                else:
-                    pre.finish(status="read-only")
-            if ops is None:
-                yield self.sim.timeout(cfg.rtt())
-                committed = True
-                return None
-            if len(epoch.members) >= cfg.epoch_max_txns or cfg.epoch_ms <= 0:
-                yield from self._seal_epoch(node, epoch)
-            yield epoch.done
-            if not epoch.done.value:
-                raise NodeUnavailable(
-                    f"master {node.node_id} failed during epoch commit"
-                )
-            yield self.sim.timeout(cfg.rtt())
-            committed = True
-            self.metrics.commit_latency.record(self.sim.now() - started)
-            return None
-        finally:
-            if mpl_slot is not None:
-                mpl_slot.release()
-            root.finish(status="committed" if committed else "aborted")
-
     def _seal_epoch(self, node: InMemoryDbNode, epoch: _CommitEpoch):
         """Close one epoch: one write-set, one WAL force, one ack barrier.
 
@@ -1671,23 +1552,27 @@ class SimDmvCluster:
         try:
             if not node.alive or not epoch.members:
                 return
-            write_set = node.master.seal_epoch(
-                epoch.members[0][0], tuple(epoch.ops), epoch.versions,
-                len(epoch.members),
-            )
+            # The first member names the write-set, so its root span is
+            # the parent of the broadcast (and retransmit) spans.
+            first_txn_id, _versions, _queries, first_root = epoch.members[0]
+            write_set = node.master.seal_epoch(first_txn_id, epoch.ops, epoch.versions)
+            # Durable mode: the write-set is on the master's own log before
+            # any ack can exist (write-ahead rule); one group force covers
+            # every member.
             node.log_write_set(write_set)
             if node.durable:
-                # One group force covers every member — the durable-mode
-                # amortization the epoch exists for.
                 yield self.sim.timeout(cfg.wal_fsync_time)
             retain = (self.straggler_active and self._demoted) or (
                 self.durability_active and self._any_node_down()
             )
             if retain:
+                # Demoted (or crashed-but-restartable) nodes miss this
+                # broadcast entirely; retain it for gap replay at their
+                # rejoin/restart.
                 self._replay_log[write_set.dedup_key()] = write_set
             elif self._replay_log:
                 self._replay_log.clear()
-            sends = self._broadcast_write_set(node, write_set)
+            sends = self._broadcast_write_set(node, write_set, parent_span=first_root)
             acks = [ack for _target, _frame, ack in sends]
             if self.straggler_active and self._demoted:
                 excluded = sum(
@@ -1698,12 +1583,35 @@ class SimDmvCluster:
                 if excluded:
                     self.counters.add("net.acks_skipped_demoted", excluded)
             if acks:
-                yield from self._ack_barrier(acks)
+                # Every member waits out the same barrier, so each root
+                # gets its own ``ack`` span over it.
+                ack_spans = (
+                    [
+                        root.child(
+                            "ack",
+                            node=node.node_id,
+                            seq=write_set.seq,
+                            replicas=len(acks),
+                        )
+                        for _txn_id, _versions, _queries, root in epoch.members
+                    ]
+                    if self.tracer.enabled
+                    else ()
+                )
+                try:
+                    yield from self._ack_barrier(acks)
+                finally:
+                    if ack_spans:
+                        acked = sum(1 for a in acks if a.triggered and a.value)
+                        for span in ack_spans:
+                            span.finish(acked=acked)
             if not node.alive:
                 return
             primary = self.scheduler
-            for txn_id, versions, queries, _started in epoch.members:
+            for txn_id, versions, queries, _root in epoch.members:
                 primary.on_master_commit(node.node_id, versions, queries, txn_id)
+                # Scheduler-confirmed == fully replicated: this is the durable
+                # history the chaos durability invariant audits survivors for.
                 self.commit_log.append((node.node_id, txn_id, dict(versions)))
             if self.interest.partial_active:
                 self._note_partial_freshness(sends)

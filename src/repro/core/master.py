@@ -8,12 +8,16 @@ Implements the paper's Figure 2::
         for each replica R: SendUpdate(R, WS, DBVerVector); WaitForAck(R)
         return DBVerVector
 
-The transport (waiting for acks) is the cluster layer's job; this class
-provides the atomic increment + write-set construction
-(:meth:`pre_commit`), the local commit after acks (:meth:`finalize`), and
-abort paths.  The master's engine runs page-granular two-phase locking, so
-non-conflicting update transactions execute concurrently and the 2PL order
-is the serialization order the version vector names.
+The commit unit is the *epoch*: one or more transactions that share one
+version-vector advance, one write-set and one broadcast.  This class
+provides the per-member validation + atomic increment + stamping
+(:meth:`join_epoch`), the write-set construction (:meth:`seal_epoch`) and
+the local commit that releases a member's locks (:meth:`finalize`);
+:meth:`pre_commit` is the epoch of one the inline drivers use.  The
+transport (waiting for acks) is the cluster layer's job.  The master's
+engine runs page-granular two-phase locking on writes, so non-conflicting
+update transactions execute concurrently and the lock-grant order is the
+serialization order the version vector names.
 """
 
 from __future__ import annotations
@@ -61,66 +65,24 @@ class MasterReplica:
         """Reads on the master see current state (tables outside its class)."""
         return self.engine.begin(TxnMode.READ_ONLY)
 
-    def pre_commit(self, txn: Transaction) -> Optional[WriteSet]:
-        """Figure 2 lines 2-3: freeze the write-set, increment DBVersion.
+    def join_epoch(self, txn: Transaction, epoch_versions: Dict[str, int]):
+        """Figure 2 lines 2-3 for one member of a commit epoch.
 
-        Returns ``None`` for transactions with an empty write-set (nothing
-        to replicate; the caller commits locally and skips the broadcast).
-        The version increment and the write-set construction happen in one
-        synchronous step, so write-sets from this master carry per-table
-        versions in send order — the slave-side per-page queues rely on it.
-        """
-        ops = self.engine.prepare_commit(txn)
-        if not ops:
-            self.engine.stamp_commit(txn, {})
-            self.engine.finish_commit(txn)
-            return None
-        self.engine.versions.increment(txn.tables_written)
-        commit_versions: Dict[str, int] = {
-            table: self.engine.versions.get(table) for table in txn.tables_written
-        }
-        self.engine.stamp_commit(txn, commit_versions)
-        self.counters.add("master.write_sets")
-        self.counters.add("master.ops_replicated", len(ops))
-        self.broadcast_seq += 1
-        span = getattr(txn, "obs_span", None)
-        if span is not None and span.recording:
-            # The commit's identity for the trace: which versions this
-            # transaction produced and which pages it dirtied (capped so a
-            # bulk update cannot bloat one span's tags).
-            pages = sorted({op.page_id for op in ops})
-            span.annotate(
-                versions=dict(commit_versions),
-                pages=pages[:32],
-                page_count=len(pages),
-            )
-        return WriteSet(
-            self.node_id, txn.txn_id, tuple(ops), commit_versions, seq=self.broadcast_seq
-        )
-
-    def finalize(self, txn: Transaction) -> None:
-        """Commit locally after all replicas acknowledged (releases locks)."""
-        self.engine.finish_commit(txn)
-
-    # -- epoch-batched commit ------------------------------------------------------
-    def pre_commit_epoch(self, txn, epoch_versions):
-        """Join one commit epoch: per-txn OCC validation, shared versions.
-
-        Like :meth:`pre_commit`, but the version-vector advance is
-        amortized across the epoch: each written table's version is
-        incremented once per epoch (on the first member that writes it,
-        recorded in the caller-owned ``epoch_versions`` dict) and every
-        member writing that table commits at the shared epoch version.
-        Validation (``prepare_commit``) still runs per transaction, and
-        the member's locks are released immediately (early lock release):
-        OCC page stamps advance at write time, not commit time, so a later
-        reader validates against the already-stamped pages, and an
-        unpublished epoch dies only with the whole master — taking every
-        dependent local commit with it, exactly like a mid-broadcast
-        master crash on the legacy path.
+        Validates the transaction (``prepare_commit`` — the OCC read-set
+        check runs here and may raise :class:`TransactionAborted`, leaving
+        the transaction ACTIVE and revertible), then stamps it with the
+        epoch's versions.  Each written table's version is incremented
+        once per epoch — on the first member that writes it, recorded in
+        the caller-owned ``epoch_versions`` dict — and every member writing
+        that table commits at the shared epoch version.  The increment and
+        the stamping happen in one synchronous step, so write-sets from
+        this master carry per-table versions in seal order — the
+        slave-side per-page queues rely on it.
 
         Returns ``(ops, commit_versions)``; ``ops`` is ``None`` for an
         empty write-set (the txn committed locally, nothing to publish).
+        Otherwise the member's page locks stay held until the caller's
+        :meth:`finalize`.
         """
         ops = self.engine.prepare_commit(txn)
         if not ops:
@@ -139,30 +101,48 @@ class MasterReplica:
         self.counters.add("engine.epoch_batched_commits")
         span = getattr(txn, "obs_span", None)
         if span is not None and span.recording:
+            # The commit's identity for the trace: which versions this
+            # transaction produced and which pages it dirtied (capped so a
+            # bulk update cannot bloat one span's tags).
             pages = sorted({op.page_id for op in ops})
             span.annotate(
                 versions=dict(commit_versions),
                 pages=pages[:32],
                 page_count=len(pages),
-                epoch_member=True,
             )
-        self.engine.finish_commit(txn)
         return ops, commit_versions
 
-    def seal_epoch(self, txn_id, ops, epoch_versions, members: int) -> WriteSet:
+    def seal_epoch(self, txn_id: int, ops, epoch_versions: Dict[str, int]) -> WriteSet:
         """Close one epoch into a single write-set: one seq, one broadcast.
 
         ``ops`` is the concatenation of every member's ops in commit
         (lock-grant) order, so slave-side last-writer-wins coalescing
-        applies them exactly as the master serialized them.
+        applies them exactly as the master serialized them.  ``txn_id``
+        (the first member's) names the write-set.
         """
         self.counters.add("engine.epochs")
         self.counters.add("master.write_sets")
         self.counters.add("master.ops_replicated", len(ops))
         self.broadcast_seq += 1
         return WriteSet(
-            self.node_id, txn_id, tuple(ops), dict(epoch_versions), seq=self.broadcast_seq
+            self.node_id, txn_id, tuple(ops), epoch_versions, seq=self.broadcast_seq
         )
+
+    def pre_commit(self, txn: Transaction) -> Optional[WriteSet]:
+        """An epoch of one: join, then seal.
+
+        Returns ``None`` for transactions with an empty write-set (nothing
+        to replicate; the caller commits locally and skips the broadcast).
+        """
+        versions: Dict[str, int] = {}
+        ops, _ = self.join_epoch(txn, versions)
+        if ops is None:
+            return None
+        return self.seal_epoch(txn.txn_id, ops, versions)
+
+    def finalize(self, txn: Transaction) -> None:
+        """Commit a joined transaction locally (releases its page locks)."""
+        self.engine.finish_commit(txn)
 
     def abort(self, txn: Transaction, reason: str = "abort") -> None:
         self.engine.abort(txn, reason=reason)

@@ -17,6 +17,7 @@ from repro.chaos import (
     check_counter_conservation,
     check_durable_commits,
     default_chaos_plan,
+    invariants,
     run_chaos_scenario,
 )
 from repro.cluster.simcluster import SimDmvCluster
@@ -244,6 +245,46 @@ class TestInvariants:
         assert check_durable_commits(cluster).ok
         cluster.commit_log.append(("m0", 10**9, {"item": 10**9}))
         assert not check_durable_commits(cluster).ok
+
+    @staticmethod
+    def _quiesced_cluster_with_long_log():
+        cluster = build_tpcw_cluster()
+        cluster.start_browsers(16, MIXES["ordering"], SCALE, think_time_mean=0.1)
+        cluster.run(until=25.0)
+        cluster.stop_browsers()
+        cluster.run(until=35.0)
+        assert len(cluster.commit_log) >= 300
+        return cluster
+
+    def test_durability_checker_scans_each_watermark_once(self, monkeypatch):
+        """One watermark scan per (node, table), however long the log."""
+        cluster = self._quiesced_cluster_with_long_log()
+        calls = []
+        real = invariants._table_watermark
+
+        def counting(node, table):
+            calls.append((node.node_id, table))
+            return real(node, table)
+
+        monkeypatch.setattr(invariants, "_table_watermark", counting)
+        assert check_durable_commits(cluster).ok
+        replicas = [n for n in cluster.nodes.values() if n.slave is not None]
+        assert 0 < len(calls) <= len(replicas) * len(TPCW_SCHEMAS)
+        assert len(calls) == len(set(calls))
+
+    def test_durability_checker_reports_commit_planted_mid_log(self):
+        """A missing commit between hundreds of present ones is reported
+        against the watermark the replica really holds."""
+        cluster = self._quiesced_cluster_with_long_log()
+        have = invariants._table_watermark(cluster.nodes["s0"], "item")
+        cluster.commit_log.insert(
+            len(cluster.commit_log) // 2, ("m0", 424242, {"item": have + 1})
+        )
+        result = check_durable_commits(cluster)
+        assert not result.ok
+        assert result.detail.startswith(
+            f"txn 424242 (m0, item=v{have + 1}) absent on s0 (at v{have})"
+        )
 
     def test_conservation_checker_catches_imbalance(self):
         cluster = build_tpcw_cluster()

@@ -1,8 +1,8 @@
-"""Epoch-batched version-vector commit: batching, liveness, admission.
+"""Epoch commit: batching, liveness, admission.
 
-``epoch_max_txns > 1`` lets N update commits on a master share one
-version-vector advance, one WAL force and one broadcast/ack barrier.
-These tests pin the observable contract:
+Every update commit is a member of a commit epoch; ``epoch_max_txns``
+members share one version-vector advance, one WAL force and one
+broadcast/ack barrier.  These tests pin the observable contract:
 
 * under load, epochs actually batch (``engine.epoch_batched_commits``
   strictly exceeds ``engine.epochs``) and every batched commit is still
@@ -11,12 +11,20 @@ These tests pin the observable contract:
   no commit ever hangs waiting for co-members that never arrive;
 * ``update_mpl`` admission keeps the per-master update multiprogramming
   level at or below the configured bound throughout the run;
-* the legacy configuration (``epoch_max_txns == 1``) never touches the
-  epoch machinery at all.
+* the default configuration (``epoch_max_txns == 1``) is the smallest
+  epoch: one epoch, one write-set and one logged commit per transaction.
 """
 
 from dataclasses import replace
 
+import pytest
+
+from repro.chaos import (
+    default_chaos_plan,
+    durability_chaos_plan,
+    run_chaos_scenario,
+    straggler_chaos_plan,
+)
 from repro.chaos.invariants import check_all_invariants
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
@@ -90,15 +98,20 @@ class TestEpochBatching:
         assert epochs > 0
         _quiesce_and_check(cluster)
 
-    def test_legacy_single_txn_epochs_bypass_machinery(self):
+    def test_default_config_commits_size_one_epochs(self):
         cluster = _make_cluster(CostConfig())
         cluster.start_browsers(8, MIXES["ordering"], SCALE, think_time_mean=0.2)
         cluster.run(until=15.0)
-        epochs, batched = _epoch_totals(cluster)
-        assert epochs == 0 and batched == 0
-        assert cluster._epochs == {}
-        assert len(cluster.commit_log) > 0
         _quiesce_and_check(cluster)
+        epochs, batched = _epoch_totals(cluster)
+        write_sets = sum(
+            node.counters.snapshot().get("master.write_sets", 0)
+            for node in cluster.nodes.values()
+        )
+        assert len(cluster.commit_log) > 0
+        assert epochs == write_sets
+        assert batched == len(cluster.commit_log)
+        assert all(epoch.sealed for epoch in cluster._epochs.values())
 
 
 class TestAdmissionControl:
@@ -115,3 +128,48 @@ class TestAdmissionControl:
         # The load was heavy enough that the bound actually bit.
         assert peak == EPOCH_COST.update_mpl
         _quiesce_and_check(cluster)
+
+
+# name -> (plan builder, durable WAL + checkpoints, ack policy): every
+# replication feature that used to be exercised only at epoch size one,
+# composed with batching epochs.
+COMPOSED_PLANS = {
+    "default": (default_chaos_plan, False, "all"),
+    "durability": (durability_chaos_plan, True, "all"),
+    "straggler-quorum": (straggler_chaos_plan, False, "quorum"),
+}
+
+
+def _composed_run(plan_name, epoch_max_txns, seed, duration=60.0):
+    builder, durable, ack_policy = COMPOSED_PLANS[plan_name]
+    cost = replace(
+        CostConfig(),
+        durable_wal=durable,
+        epoch_max_txns=epoch_max_txns,
+        epoch_ms=5.0 if epoch_max_txns > 1 else 0.0,
+    )
+    return run_chaos_scenario(
+        seed=seed,
+        plan=builder(seed, duration),
+        duration=duration,
+        settle=15.0,
+        browsers=12,
+        cost_config=cost,
+        checkpoint_period=duration / 10.0 if durable else 0.0,
+        ack_policy=ack_policy,
+    )
+
+
+class TestEpochComposition:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("epoch_max_txns", [1, 4])
+    @pytest.mark.parametrize("plan_name", sorted(COMPOSED_PLANS))
+    def test_invariants_and_determinism(self, plan_name, epoch_max_txns, seed):
+        report = _composed_run(plan_name, epoch_max_txns, seed)
+        assert report.ok(), [str(r) for r in report.invariants if not r.ok]
+        assert report.completed > 0
+        epochs = report.counters.get("engine.epochs", 0)
+        batched = report.counters.get("engine.epoch_batched_commits", 0)
+        assert 0 < epochs <= batched
+        again = _composed_run(plan_name, epoch_max_txns, seed)
+        assert again.fingerprint == report.fingerprint

@@ -7,11 +7,14 @@ parent links, abort hygiene by terminal span states — properties that
 counter totals cannot express.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos.faults import FaultPlan, LinkFault
 from repro.chaos.invariants import check_trace_hygiene
 from repro.chaos.scenario import run_chaos_scenario
+from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimConnection, SimDmvCluster
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
 from tests.obs import (
@@ -22,6 +25,14 @@ from tests.obs import (
 )
 
 SCALE = TpcwScale(num_items=80, num_customers=230)
+
+#: The smallest epoch (sealed by its only member) and a batching one that
+#: a lone transaction can only leave through the ``epoch_ms`` timer.
+EPOCH_SIZES = pytest.mark.parametrize("epoch_max_txns", [1, 8])
+
+
+def epoch_cost(epoch_max_txns):
+    return replace(CostConfig(), epoch_max_txns=epoch_max_txns, epoch_ms=5.0)
 
 
 def build_cluster(**kwargs):
@@ -61,11 +72,12 @@ def scripted_read(cluster, item_id, delay=0.0, sink=None):
 
 
 class TestLazyApplyTiming:
-    def test_apply_spans_start_after_reader_arrival(self):
+    @EPOCH_SIZES
+    def test_apply_spans_start_after_reader_arrival(self, epoch_max_txns):
         """The write-set is broadcast eagerly at ~t=0, but the slave's apply
         span must start only once the tagged reader shows up at t=10 —
         the lazy half of Dynamic Multiversioning, proven by span timing."""
-        cluster = build_cluster()
+        cluster = build_cluster(cost_config=epoch_cost(epoch_max_txns))
         cluster.sim.spawn(scripted_update(cluster, 1), name="upd")
         readers = []
         cluster.sim.spawn(
@@ -91,10 +103,11 @@ class TestLazyApplyTiming:
         assert apply_children
         assert apply_children[0].tags["popped"] >= 1
 
-    def test_update_txn_span_order(self):
+    @EPOCH_SIZES
+    def test_update_txn_span_order(self, epoch_max_txns):
         """An update commit walks schedule -> execute -> precommit ->
         broadcast -> ack, in that causal order."""
-        cluster = build_cluster()
+        cluster = build_cluster(cost_config=epoch_cost(epoch_max_txns))
         cluster.sim.spawn(scripted_update(cluster, 2), name="upd")
         cluster.run(until=20.0)
         tracer = cluster.tracer
@@ -125,7 +138,8 @@ class TestLazyApplyTiming:
 
 
 class TestRetransmitNesting:
-    def test_retransmit_spans_nest_under_their_broadcast(self):
+    @EPOCH_SIZES
+    def test_retransmit_spans_nest_under_their_broadcast(self, epoch_max_txns):
         """Under a lossy link, every retransmit span is a child of the
         broadcast span whose ack never arrived — and sits inside its
         parent's time window."""
@@ -135,6 +149,7 @@ class TestRetransmitNesting:
         report = run_chaos_scenario(
             seed=5, plan=plan, duration=60.0, settle=15.0, browsers=8,
             mix_name="ordering", trace=True,
+            cost_config=epoch_cost(epoch_max_txns),
         )
         assert report.counters.get("net.retransmits", 0) > 0
         tracer = report.tracer
@@ -148,6 +163,21 @@ class TestRetransmitNesting:
             assert parent.start <= retry.start
             assert retry.end <= parent.end
             assert retry.tags["attempt"] >= 1
+        # The Fig.6 stage table has both replication stages at any epoch size.
+        assert tracer.stages.get("broadcast").count > 0
+        assert tracer.stages.get("ack").count > 0
+        # Every member of an epoch, sealing or not, waits out the one ack
+        # barrier of its write-set: its ack span ends when the last
+        # broadcast of that write-set resolves.
+        barrier_end = {}
+        for span in broadcasts.values():
+            key = (span.tags["node"], span.tags["seq"])
+            barrier_end[key] = max(barrier_end.get(key, 0.0), span.end)
+        acks = tracer.spans_named("ack")
+        for ack in acks:
+            assert ack.end == barrier_end[(ack.tags["node"], ack.tags["seq"])]
+        if epoch_max_txns > 1:
+            assert len(acks) > len(barrier_end), "no epoch had a second member"
 
     def test_trace_hygiene_invariant_in_report(self):
         plan = FaultPlan(
