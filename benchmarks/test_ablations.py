@@ -14,11 +14,12 @@ predicts:
 """
 
 from repro.bench.calibration import BENCH_COST, BENCH_ROWS_PER_PAGE, BENCH_SCALE
-from repro.bench.harness import _load_cluster
+from repro.bench.harness import cached_rows
 from repro.bench.report import format_table
 from repro.cluster.simcluster import SimDmvCluster
 from repro.common.versions import VersionVector
 from repro.core import MasterReplica, SlaveReplica
+from repro.engine import bulk_load_replicas
 from repro.sql import SqlExecutor
 from repro.tpcw import MIXES, TPCW_SCHEMAS, tpcw_conflict_map
 
@@ -43,9 +44,10 @@ def _run_with_affinity(enabled: bool, rounds: int = 200):
     master = MasterReplica("m0")
     slaves = [SlaveReplica(f"s{i}") for i in range(2)]
     rows = [{"i_id": i, "i_stock": 10} for i in range(64)]
-    for engine in [master.engine] + [s.engine for s in slaves]:
+    engines = [master.engine] + [s.engine for s in slaves]
+    for engine in engines:
         engine.create_table(schema)
-        engine.bulk_load("item", rows)
+    bulk_load_replicas(engines, "item", rows)
     msql = SqlExecutor(master.engine)
     ssqls = {s.node_id: SqlExecutor(s.engine) for s in slaves}
     last_tag = {s.node_id: VersionVector() for s in slaves}
@@ -140,7 +142,7 @@ def _replication_pair():
     rows = [{"i_id": i, "i_stock": 10} for i in range(ITEM_ROWS)]
     for engine in (master.engine, slave.engine):
         engine.create_table(schema)
-        engine.bulk_load("item", rows)
+    bulk_load_replicas((master.engine, slave.engine), "item", rows)
     return master, slave
 
 
@@ -197,7 +199,7 @@ def test_ablation_multi_master_conflict_classes(benchmark, figure_report):
             rows_per_page=BENCH_ROWS_PER_PAGE,
             seed=7,
         )
-        _load_cluster(cluster, BENCH_SCALE, 42)
+        cluster.load_tables(cached_rows(BENCH_SCALE))
         cluster.warm_all_caches()
         cluster.start_browsers(220, MIXES["ordering"], BENCH_SCALE, think_time_mean=1.0)
         cluster.run(until=60.0)

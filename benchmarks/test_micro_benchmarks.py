@@ -10,7 +10,14 @@ import pytest
 
 from repro.common.versions import VersionVector
 from repro.core import MasterReplica, SlaveReplica
-from repro.engine import Column, HeapEngine, IndexDef, TableSchema, TxnMode
+from repro.engine import (
+    Column,
+    HeapEngine,
+    IndexDef,
+    TableSchema,
+    TxnMode,
+    bulk_load_replicas,
+)
 from repro.engine.rbtree import RedBlackTree
 from repro.failover.reintegration import integrate_stale_node
 from repro.sql import SqlExecutor
@@ -40,7 +47,7 @@ def make_pair(rows=2000):
     ]
     for node in (master.engine, slave.engine):
         node.create_table(ITEM)
-        node.bulk_load("item", data)
+    bulk_load_replicas((master.engine, slave.engine), "item", data)
     return master, slave
 
 
@@ -249,7 +256,6 @@ def test_bench_deep_queue_materialise_coalesced_vs_sequential(benchmark, figure_
     """Materialising a deep pending queue: coalesced vs one-op-at-a-time."""
     from collections import deque
 
-    from repro.common.counters import Counters
     from repro.common.ids import PageId
     from repro.storage.ops import apply_op, delta_update_op
     from repro.storage.page import Page
@@ -280,8 +286,8 @@ def test_bench_deep_queue_materialise_coalesced_vs_sequential(benchmark, figure_
 
     def coalesced():
         page = base.snapshot()
-        slave = SlaveReplica.__new__(SlaveReplica)
-        slave.counters = Counters()
+        slave = SlaveReplica("bench")
+        slave.pending_ops = len(queue)  # as if the queue had been received
         plan, top, popped = slave._coalesce(deque(queue), None)
         slave._apply_plan(page, plan, top, popped)
         return page

@@ -18,7 +18,7 @@ from repro.bench.calibration import (
     BENCH_THINK_TIME,
     bench_cost,
 )
-from repro.bench.harness import _load_cluster
+from repro.bench.harness import cached_rows
 from repro.bench.report import format_table
 from repro.cluster.simcluster import SimDmvCluster
 from repro.tpcw.mixes import MIXES
@@ -38,7 +38,7 @@ def _run(mechanism: str):
         seed=0,
         checkpoint_period=20.0,
     )
-    _load_cluster(cluster, BENCH_SCALE, 42)
+    cluster.load_tables(cached_rows(BENCH_SCALE))
     cluster.warm_all_caches()
     cluster.start_browsers(
         40, MIXES["ordering"], BENCH_SCALE, think_time_mean=BENCH_THINK_TIME

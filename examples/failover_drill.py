@@ -24,12 +24,7 @@ def main() -> None:
         rows_per_page=BENCH_ROWS_PER_PAGE,
         checkpoint_period=30.0,
     )
-    for table, rows in cached_rows(BENCH_SCALE):
-        for node in cluster.nodes.values():
-            node.engine.bulk_load(table, rows)
-    for node in cluster.nodes.values():
-        node.sql.invalidate_plans()
-        node.checkpoint()
+    cluster.load_tables(cached_rows(BENCH_SCALE))
     cluster.warm_all_caches()
 
     cluster.start_browsers(80, MIXES["shopping"], BENCH_SCALE, think_time_mean=1.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.calibration import BENCH_COST, BENCH_ROWS_PER_PAGE, BENCH_SCALE
-from repro.bench.harness import _load_cluster, _measure
+from repro.bench.harness import _measure, cached_rows
 from repro.chaos.invariants import check_all_invariants
 from repro.chaos.scenario import partial_interest_sets
 from repro.cluster.costs import CostConfig
@@ -160,7 +160,7 @@ def run_capacity_point(
         min_replication_factor=2,
         slave_cache_pages=budget_pages,
     )
-    _load_cluster(cluster, scale, 42)
+    cluster.load_tables(cached_rows(scale))
     # Warm through the budgeted LRU: with a finite budget only the most
     # recently touched pages stay resident — the sweep's cold tier.
     cluster.warm_all_caches()

@@ -22,6 +22,7 @@ from repro.bench.calibration import (
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
 from repro.cluster.simdisk import SimDiskCluster
+from repro.cluster.sync import datagen_tables
 from repro.sim.stats import TimeSeries
 from repro.tpcw.datagen import TpcwDataGenerator
 from repro.tpcw.mixes import MIXES
@@ -36,24 +37,9 @@ def cached_rows(scale: TpcwScale, seed: int = 42) -> List[Tuple[str, list]]:
     key = (scale.num_items, scale.num_customers, seed)
     rows = _ROW_CACHE.get(key)
     if rows is None:
-        from repro.cluster.sync import datagen_tables
-
         rows = [(t, list(r)) for t, r in datagen_tables(TpcwDataGenerator(scale, seed))]
         _ROW_CACHE[key] = rows
     return rows
-
-
-def _load_cluster(cluster, scale: TpcwScale, seed: int) -> None:
-    for table, rows in cached_rows(scale, seed):
-        for node in cluster.nodes.values():
-            engine = node.engine if hasattr(node, "engine") else node.db.engine
-            engine.bulk_load(table, rows)
-    for node in cluster.nodes.values():
-        if hasattr(node, "sql"):
-            node.sql.invalidate_plans()
-            node.checkpoint()
-        else:
-            node.db.sql.invalidate_plans()
 
 
 def total_pages(scale: TpcwScale, seed: int = 42) -> int:
@@ -221,7 +207,7 @@ def run_dmv_throughput(
         ack_policy=ack_policy,
         quorum_k=quorum_k,
     )
-    _load_cluster(cluster, scale, 42)
+    cluster.load_tables(cached_rows(scale))
     cluster.warm_all_caches()
     if straggler is not None:
         cluster.sim.schedule(
@@ -343,7 +329,7 @@ def run_profile(
         rows_per_page=BENCH_ROWS_PER_PAGE,
         seed=seed,
     )
-    _load_cluster(cluster, scale, 42)
+    cluster.load_tables(cached_rows(scale))
     cluster.warm_all_caches()
     cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
     run_start = time.perf_counter()
@@ -458,7 +444,7 @@ def run_innodb_throughput(
         cost_config=cost,
         seed=seed,
     )
-    _load_cluster(cluster, scale, 42)
+    cluster.load_tables(cached_rows(scale))
     cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
     wips, lat = _measure(cluster, duration)
     return ThroughputRun(
@@ -555,7 +541,7 @@ def run_dmv_failover(
         pageid_ship_every=pageid_ship_every,
         checkpoint_period=checkpoint_period,
     )
-    _load_cluster(cluster, scale, 42)
+    cluster.load_tables(cached_rows(scale))
     cluster.warm_all_caches()
     for i in range(num_spares):
         spare_id = f"spare{i}"
@@ -601,7 +587,7 @@ def run_innodb_failover(
         refresh_interval=refresh_interval,
         seed=seed,
     )
-    _load_cluster(cluster, scale, 42)
+    cluster.load_tables(cached_rows(scale))
     cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
     cluster.kill_node_at("d0", kill_at)
     cluster.run(until=duration)
@@ -638,7 +624,7 @@ def run_reintegration(
         seed=seed,
         checkpoint_period=checkpoint_period,
     )
-    _load_cluster(cluster, scale, 42)
+    cluster.load_tables(cached_rows(scale))
     cluster.warm_all_caches()
     cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
     cluster.kill_node_at("m0", kill_at)

@@ -20,8 +20,10 @@ from repro.cluster.costs import CostConfig, CostModel
 from repro.cluster.interest import InterestRegistry, InterestSet
 from repro.cluster.simnodes import DiskDbNode, InMemoryDbNode, SimNode
 from repro.cluster.straggler import ClassWriteRates, LaggardDetector
+from repro.cluster.sync import datagen_tables
 from repro.core.conflictclass import ConflictClassMap
 from repro.core.dual import DualController
+from repro.engine.engine import bulk_load_replicas
 from repro.engine.schema import TableSchema
 from repro.engine.txn import TxnMode
 from repro.sim.resources import Resource
@@ -1038,20 +1040,27 @@ class SimDmvCluster:
         return node
 
     def load(self, datagen) -> None:
-        """Populate every node identically (instant: pre-experiment setup).
+        """Populate every node identically (instant: pre-experiment setup)."""
+        self.load_tables(datagen_tables(datagen))
 
-        Each node also snapshots the initial image into its stable store —
-        the "mmap an on-disk database" starting point, which is what bounds
-        worst-case migration to the modifications made since the run began.
+    def load_tables(self, tables) -> None:
+        """:meth:`load` from ``(table, rows)`` pairs already generated.
+
+        The nodes start as replicas of one image — the paper's "mmap an
+        on-disk database" — so it is built once: the first node loads the
+        rows and checkpoints them into its stable store (which is what
+        bounds worst-case migration to the modifications made since the run
+        began); every other node copies its tables and its checkpoint.
         """
-        from repro.cluster.sync import datagen_tables
-
-        for table, rows in datagen_tables(datagen):
-            for node in self.nodes.values():
-                node.engine.bulk_load(table, rows)
-        for node in self.nodes.values():
+        first, *rest = self.nodes.values()
+        engines = [node.engine for node in self.nodes.values()]
+        for table, rows in tables:
+            bulk_load_replicas(engines, table, rows)
+        first.sql.invalidate_plans()
+        first.checkpoint()
+        for node in rest:
             node.sql.invalidate_plans()
-            node.checkpoint()
+            node.copy_checkpoint_from(first)
 
     def make_stale_backup(self, node_id: str) -> None:
         """Unsubscribe a spare from replication (the Figure 5 stale backup)."""

@@ -23,6 +23,8 @@ from repro.common.rng import RngStream
 from repro.cluster.costs import CostConfig, CostModel
 from repro.cluster.simcluster import Metrics
 from repro.cluster.simnodes import DiskDbNode
+from repro.cluster.sync import datagen_tables
+from repro.engine.engine import bulk_load_replicas
 from repro.engine.schema import TableSchema
 from repro.scheduler.conflictaware import ConflictAwareScheduler
 from repro.sim.kernel import Simulator
@@ -210,11 +212,13 @@ class SimDiskCluster:
 
     # -- loading ------------------------------------------------------------------------
     def load(self, datagen) -> None:
-        from repro.cluster.sync import datagen_tables
+        self.load_tables(datagen_tables(datagen))
 
-        for table, rows in datagen_tables(datagen):
-            for node in self.nodes.values():
-                node.db.bulk_load(table, rows)
+    def load_tables(self, tables) -> None:
+        """:meth:`load` from ``(table, rows)`` pairs already generated."""
+        engines = [node.db.engine for node in self.nodes.values()]
+        for table, rows in tables:
+            bulk_load_replicas(engines, table, rows)
         for node in self.nodes.values():
             node.db.sql.invalidate_plans()
 

@@ -301,6 +301,13 @@ class InMemoryDbNode(SimNode):
             self.wal.truncate_for_checkpoint(self.checkpoint_floor())
         return pages
 
+    def copy_checkpoint_from(self, source: "InMemoryDbNode") -> int:
+        """Take ``source``'s checkpoint of the identical database as this node's."""
+        with self.tracer.span("flush", node=self.node_id, kind="checkpoint") as span:
+            pages = self.checkpointer.copy_from(source.checkpointer)
+            span.annotate(pages=pages)
+        return pages
+
     def checkpoint_floor(self) -> Dict[str, int]:
         """Per-table version the checkpoint provably covers for every page.
 

@@ -24,7 +24,7 @@ from repro.core.dual import DualController
 from repro.core.master import MasterReplica
 from repro.core.slave import SlaveReplica
 from repro.disk.database import DiskDatabase
-from repro.engine.engine import HeapEngine, LockWait, make_update_controller
+from repro.engine.engine import HeapEngine, LockWait, bulk_load_replicas, make_update_controller
 from repro.engine.schema import TableSchema
 from repro.failover.recovery import (
     cleanup_after_master_failure,
@@ -239,19 +239,14 @@ class SyncDmvCluster:
 
     # -- data loading -------------------------------------------------------------------
     def bulk_load(self, table: str, rows) -> int:
-        rows = list(rows)
-        count = 0
-        for handle in self.nodes.values():
-            count = handle.engine.bulk_load(table, rows)
-        for db in self.disk_backends:
-            db.bulk_load(table, rows)
-        return count
+        engines = [handle.engine for handle in self.nodes.values()]
+        engines += [db.engine for db in self.disk_backends]
+        return bulk_load_replicas(engines, table, rows)
 
     def load(self, datagen) -> Dict[str, int]:
         """Populate every replica identically from a data generator."""
         counts: Dict[str, int] = {}
-        for table_rows in datagen_tables(datagen):
-            table, rows = table_rows
+        for table, rows in datagen_tables(datagen):
             counts[table] = self.bulk_load(table, rows)
         return counts
 

@@ -14,6 +14,7 @@ application.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -23,7 +24,7 @@ from repro.common.rng import RngStream
 from repro.core.conflictclass import ConflictClassMap
 from repro.core.master import MasterReplica
 from repro.core.slave import SlaveReplica
-from repro.engine.engine import HeapEngine, LockWait, TwoPhaseLocking
+from repro.engine.engine import HeapEngine, LockWait, TwoPhaseLocking, bulk_load_replicas
 from repro.engine.schema import TableSchema
 from repro.scheduler.versionaware import VersionAwareScheduler
 from repro.sql.executor import ResultSet, SqlExecutor
@@ -190,12 +191,11 @@ class ThreadedDmvCluster:
         return ThreadedConnection(self)
 
     def bulk_load(self, table: str, rows) -> int:
-        rows = list(rows)
-        count = 0
-        for node in self.nodes.values():
-            with node.mutex:
-                count = node.engine.bulk_load(table, rows)
-        return count
+        with contextlib.ExitStack() as held:
+            for node in self.nodes.values():
+                held.enter_context(node.mutex)
+            engines = [node.engine for node in self.nodes.values()]
+            return bulk_load_replicas(engines, table, rows)
 
     # -- replication -------------------------------------------------------------------
     def commit_update(self, node: ThreadedNode, txn, queries) -> None:

@@ -46,6 +46,7 @@ class RngStream:
         self.uniform = rng.uniform
         self.choice = rng.choice
         self.shuffle = rng.shuffle
+        self.getrandbits = rng.getrandbits
 
     def child(self, *names: str) -> "RngStream":
         """Derive a sub-stream; children are independent of the parent draws."""

@@ -400,18 +400,13 @@ class SlaveReplica:
         """Inverse of the eager index maintenance done in :meth:`receive`."""
         table = self.engine.table(op.page_id.table)
         loc = (op.page_id, op.slot)
-        schema = table.schema
         if op.kind is OpKind.INSERT:
-            table.pk_index.remove_committed(schema.pk_of(op.row), loc, version)
-            for name, cols in table._index_cols.items():
-                table.indexes[name].remove_committed(schema.key_of(op.row, cols), loc, version)
+            for index, key in table.index_keys(op.row):
+                index.remove_committed(key, loc, version)
             table.row_count -= 1
         elif op.kind is OpKind.DELETE:
-            table.pk_index.unmark_delete_committed(schema.pk_of(op.before), loc, version)
-            for name, cols in table._index_cols.items():
-                table.indexes[name].unmark_delete_committed(
-                    schema.key_of(op.before, cols), loc, version
-                )
+            for index, key in table.index_keys(op.before):
+                index.unmark_delete_committed(key, loc, version)
             table.row_count += 1
         else:
             for name, old_key, new_key in table.update_index_keys(op):

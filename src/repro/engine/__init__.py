@@ -27,6 +27,7 @@ from repro.engine.engine import (
     OccReadValidation,
     PassThroughController,
     TwoPhaseLocking,
+    bulk_load_replicas,
     make_update_controller,
 )
 
@@ -48,6 +49,7 @@ __all__ = [
     "TwoPhaseLocking",
     "OccReadValidation",
     "make_update_controller",
+    "bulk_load_replicas",
     "LockWait",
     "IndexEntry",
     "VersionedHashIndex",

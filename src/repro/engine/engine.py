@@ -19,7 +19,7 @@ vector.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.counters import Counters
 from repro.common.errors import SchemaError, TransactionAborted
@@ -457,3 +457,27 @@ class HeapEngine:
 
     def row_counts(self) -> Dict[str, int]:
         return {name: table.row_count for name, table in self.tables.items()}
+
+
+def bulk_load_replicas(engines: Sequence[HeapEngine], table: str, rows, version: int = 0) -> int:
+    """Bulk-load ``rows`` into ``table`` on identical replicas; returns the count.
+
+    The paper's replicas all map one on-disk image, so the image is built
+    once: the first engine loads the rows, the others copy its table.  That
+    equals loading each only if every replica holds the same committed
+    table before the load, which is checked, not assumed.
+    """
+    first, *rest = engines
+    if rest and any(engine._active for engine in engines):
+        raise RuntimeError("cannot copy a table with active transactions")
+    extent = first.table(table).extent()
+    for engine in rest:
+        if engine.table(table).extent() != extent:
+            raise SchemaError(
+                f"{table} holds (rows, pages, rows/page) {engine.table(table).extent()} on "
+                f"{engine.name} but {extent} on {first.name}: not replicas of one image"
+            )
+    count = first.bulk_load(table, rows, version)
+    for engine in rest:
+        engine.table(table).copy_from(first.table(table))
+    return count

@@ -64,6 +64,11 @@ class IndexEntry:
         return True
 
 
+def _copy_bucket(bucket: List[IndexEntry]) -> List[IndexEntry]:
+    """Entries are mutated in place (delete stamps), so a copy owns its own."""
+    return [IndexEntry(e.loc, e.insert_v, e.delete_v, e.writer) for e in bucket]
+
+
 def encode_key(key: Key) -> Key:
     """Make keys totally ordered even when components are NULL.
 
@@ -262,6 +267,11 @@ class VersionedHashIndex(_BucketOps):
     def _drop_bucket(self, key: Key) -> None:
         self._buckets.pop(encode_key(key), None)
 
+    def copy_from(self, source: "VersionedHashIndex") -> None:
+        """Become a copy of ``source``: same buckets in the same order."""
+        self._buckets = {key: _copy_bucket(b) for key, b in source._buckets.items()}
+        self.entry_count = source.entry_count
+
     def gc(self, watermark: int) -> int:
         removed = 0
         for key in list(self._buckets):
@@ -300,6 +310,18 @@ class VersionedTreeIndex(_BucketOps):
         before = self._tree.rotations
         self._tree.delete(encode_key(key))
         rotations = self._tree.rotations - before
+        if rotations:
+            self.counters.add("index.rotations", rotations)
+
+    def copy_from(self, source: "VersionedTreeIndex") -> None:
+        """Become a copy of ``source``, tree shape included.
+
+        The rotations that built the tree are charged here as building it
+        here would have charged them.
+        """
+        rotations = source._tree.rotations - self._tree.rotations
+        self._tree = source._tree.copy(_copy_bucket)
+        self.entry_count = source.entry_count
         if rotations:
             self.counters.add("index.rotations", rotations)
 

@@ -335,6 +335,38 @@ class RedBlackTree:
             node = node.right
         return node.key, node.value
 
+    # -- structural copy ------------------------------------------------------
+    def copy(self, copy_value: Callable[[Any], Any]) -> "RedBlackTree":
+        """A tree of the same shape, colours, ``rotations`` and ``node_visits``.
+
+        Node for node, so it behaves from here on exactly like a tree that
+        saw the same insert/delete history.  Keys are shared; every payload
+        goes through ``copy_value``.
+        """
+        twin = RedBlackTree()
+        twin.size = self.size
+        twin.rotations = self.rotations
+        twin.node_visits = self.node_visits
+        nil, twin_nil = self.nil, twin.nil
+
+        def clone(node: "_Node", twin_parent: "_Node") -> "_Node":
+            twin_node = _Node(node.key, copy_value(node.value), node.color, twin_nil)
+            twin_node.parent = twin_parent
+            return twin_node
+
+        if self.root is not nil:
+            twin.root = clone(self.root, twin_nil)
+            stack = [(self.root, twin.root)]
+            while stack:
+                node, twin_node = stack.pop()
+                if node.left is not nil:
+                    twin_node.left = clone(node.left, twin_node)
+                    stack.append((node.left, twin_node.left))
+                if node.right is not nil:
+                    twin_node.right = clone(node.right, twin_node)
+                    stack.append((node.right, twin_node.right))
+        return twin
+
     # -- invariant checking (used by tests) -----------------------------------
     def check_invariants(self) -> None:
         """Raise AssertionError if red-black invariants are violated."""

@@ -16,6 +16,14 @@ from repro.common.errors import SchemaError
 COLUMN_TYPES = ("int", "float", "str")
 
 _PYTHON_TYPES = {"int": int, "float": (int, float), "str": str}
+#: A value of exactly this type is already in its column's stored form, so
+#: :meth:`TableSchema.row_from_dict` keeps it without calling ``check``.
+_STORED_TYPES = {"int": int, "float": float, "str": str}
+
+
+def key_at(row: Sequence, positions: Sequence[int]) -> Tuple:
+    """The key tuple of ``row`` at pre-resolved column positions."""
+    return tuple([row[p] for p in positions])
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,8 @@ class TableSchema:
             for col in index.columns:
                 if col not in self._positions:
                     raise SchemaError(f"index {index.name} references unknown column {col}")
+        self._pk_positions = self.positions_of(self.primary_key)
+        self._row_plan = [(c.name, _STORED_TYPES[c.type], c.check) for c in self.columns]
 
     # -- column helpers ------------------------------------------------------
     def position(self, column: str) -> int:
@@ -95,6 +105,10 @@ class TableSchema:
             return self._positions[column]
         except KeyError:
             raise SchemaError(f"no column {column!r} in table {self.name}") from None
+
+    def positions_of(self, columns: Sequence[str]) -> Tuple[int, ...]:
+        """Resolve key columns to row positions once, for :func:`key_at`."""
+        return tuple(self.position(c) for c in columns)
 
     def has_column(self, column: str) -> bool:
         return column in self._positions
@@ -105,12 +119,14 @@ class TableSchema:
     # -- row conversions -----------------------------------------------------
     def row_from_dict(self, values: Dict[str, object]) -> Tuple:
         """Build a validated row tuple; missing columns become NULL."""
-        unknown = set(values) - set(self._positions)
-        if unknown:
-            raise SchemaError(f"unknown columns for {self.name}: {sorted(unknown)}")
-        return tuple(
-            col.check(values.get(col.name)) for col in self.columns
-        )
+        if not values.keys() <= self._positions.keys():
+            unknown = sorted(values.keys() - self._positions.keys())
+            raise SchemaError(f"unknown columns for {self.name}: {unknown}")
+        get = values.get
+        return tuple([
+            value if type(value := get(name)) is stored else check(value)
+            for name, stored, check in self._row_plan
+        ])
 
     def row_to_dict(self, row: Sequence) -> Dict[str, object]:
         return {col.name: row[i] for i, col in enumerate(self.columns)}
@@ -124,11 +140,8 @@ class TableSchema:
         return tuple(out)
 
     # -- keys ------------------------------------------------------------------
-    def key_of(self, row: Sequence, columns: Sequence[str]) -> Tuple:
-        return tuple(row[self.position(c)] for c in columns)
-
     def pk_of(self, row: Sequence) -> Tuple:
-        return self.key_of(row, self.primary_key)
+        return key_at(row, self._pk_positions)
 
     def index_by_name(self, name: str) -> Optional[IndexDef]:
         for index in self.indexes:

@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKIN
 from repro.common.errors import SchemaError, TransactionAborted
 from repro.common.ids import PageId
 from repro.engine.indexes import Key, Loc, VersionedHashIndex, VersionedTreeIndex
-from repro.engine.schema import TableSchema
+from repro.engine.schema import TableSchema, key_at
 from repro.engine.txn import Transaction, UndoRecord
 from repro.storage.ops import OpKind, PageOp, delta_update_op
 from repro.storage.page import Page, Row
@@ -34,7 +34,6 @@ class Table:
         "counters",
         "pk_index",
         "indexes",
-        "_index_cols",
         "_index_positions",
         "row_count",
         "_nonfull",
@@ -51,20 +50,23 @@ class Table:
             idx.name: VersionedTreeIndex(idx.name, self.name, self.counters)
             for idx in schema.indexes
         }
-        self._index_cols: Dict[str, Tuple[str, ...]] = {
-            idx.name: idx.columns for idx in schema.indexes
-        }
-        #: Column positions per secondary index (delta-encoding fast path).
+        #: Key column positions per secondary index, resolved once.
         self._index_positions: Dict[str, Tuple[int, ...]] = {
-            idx.name: tuple(schema.position(c) for c in idx.columns)
-            for idx in schema.indexes
+            idx.name: schema.positions_of(idx.columns) for idx in schema.indexes
         }
         self.row_count = 0
         self._nonfull: List[Page] = []
 
-    # -- version tag helper ----------------------------------------------------
+    # -- version tag / key helpers ----------------------------------------------
     def _tag_v(self, txn: Transaction) -> Optional[int]:
         return txn.tag.get(self.name) if txn.tag is not None else None
+
+    def index_keys(self, row: Row) -> list:
+        """Every index of the table with ``row``'s key in it, primary first."""
+        keyed = [(self.pk_index, self.schema.pk_of(row))]
+        for name, positions in self._index_positions.items():
+            keyed.append((self.indexes[name], key_at(row, positions)))
+        return keyed
 
     # -- write path (masters and stand-alone engines) ---------------------------
     def insert_row(self, txn: Transaction, values: Dict[str, object]) -> Loc:
@@ -82,9 +84,8 @@ class Table:
         txn.journal.append(UndoRecord(self.name, page.page_id, slot, None, row))
         txn.redo.append(PageOp(page.page_id, OpKind.INSERT, slot, row))
         txn.tables_written.add(self.name)
-        self.pk_index.add_pending(pk, loc, txn.txn_id)
-        for name, cols in self._index_cols.items():
-            self.indexes[name].add_pending(self.schema.key_of(row, cols), loc, txn.txn_id)
+        for index, key in self.index_keys(row):
+            index.add_pending(key, loc, txn.txn_id)
         self.row_count += 1
         self.counters.add("engine.rows_inserted")
         return loc
@@ -106,9 +107,9 @@ class Table:
             delta_update_op(loc[0], loc[1], before, after, self._index_positions.values())
         )
         txn.tables_written.add(self.name)
-        for name, cols in self._index_cols.items():
-            old_key = self.schema.key_of(before, cols)
-            new_key = self.schema.key_of(after, cols)
+        for name, positions in self._index_positions.items():
+            old_key = key_at(before, positions)
+            new_key = key_at(after, positions)
             if old_key != new_key:
                 self.indexes[name].mark_delete_pending(old_key, loc, txn.txn_id)
                 self.indexes[name].add_pending(new_key, loc, txn.txn_id)
@@ -125,11 +126,8 @@ class Table:
         txn.journal.append(UndoRecord(self.name, loc[0], loc[1], before, None))
         txn.redo.append(PageOp(loc[0], OpKind.DELETE, loc[1], None, before))
         txn.tables_written.add(self.name)
-        self.pk_index.mark_delete_pending(self.schema.pk_of(before), loc, txn.txn_id)
-        for name, cols in self._index_cols.items():
-            self.indexes[name].mark_delete_pending(
-                self.schema.key_of(before, cols), loc, txn.txn_id
-            )
+        for index, key in self.index_keys(before):
+            index.mark_delete_pending(key, loc, txn.txn_id)
         self.row_count -= 1
         self._remember_nonfull(page)
         self.counters.add("engine.rows_deleted")
@@ -253,21 +251,15 @@ class Table:
         for record in records:
             loc: Loc = (record.page_id, record.slot)
             if record.before is None and record.after is not None:
-                self.pk_index.stamp_insert(self.schema.pk_of(record.after), loc, version)
-                for name, cols in self._index_cols.items():
-                    self.indexes[name].stamp_insert(
-                        self.schema.key_of(record.after, cols), loc, version
-                    )
+                for index, key in self.index_keys(record.after):
+                    index.stamp_insert(key, loc, version)
             elif record.after is None and record.before is not None:
-                self.pk_index.stamp_delete(self.schema.pk_of(record.before), loc, version)
-                for name, cols in self._index_cols.items():
-                    self.indexes[name].stamp_delete(
-                        self.schema.key_of(record.before, cols), loc, version
-                    )
+                for index, key in self.index_keys(record.before):
+                    index.stamp_delete(key, loc, version)
             else:
-                for name, cols in self._index_cols.items():
-                    old_key = self.schema.key_of(record.before, cols)
-                    new_key = self.schema.key_of(record.after, cols)
+                for name, positions in self._index_positions.items():
+                    old_key = key_at(record.before, positions)
+                    new_key = key_at(record.after, positions)
                     if old_key != new_key:
                         self.indexes[name].stamp_delete(old_key, loc, version)
                         self.indexes[name].stamp_insert(new_key, loc, version)
@@ -278,20 +270,18 @@ class Table:
         page.put(record.slot, record.before)
         loc: Loc = (record.page_id, record.slot)
         if record.before is None and record.after is not None:
-            self.pk_index.revert_insert(self.schema.pk_of(record.after), loc)
-            for name, cols in self._index_cols.items():
-                self.indexes[name].revert_insert(self.schema.key_of(record.after, cols), loc)
+            for index, key in self.index_keys(record.after):
+                index.revert_insert(key, loc)
             self.row_count -= 1
             self._remember_nonfull(page)
         elif record.after is None and record.before is not None:
-            self.pk_index.revert_delete(self.schema.pk_of(record.before), loc)
-            for name, cols in self._index_cols.items():
-                self.indexes[name].revert_delete(self.schema.key_of(record.before, cols), loc)
+            for index, key in self.index_keys(record.before):
+                index.revert_delete(key, loc)
             self.row_count += 1
         else:
-            for name, cols in self._index_cols.items():
-                old_key = self.schema.key_of(record.before, cols)
-                new_key = self.schema.key_of(record.after, cols)
+            for name, positions in self._index_positions.items():
+                old_key = key_at(record.before, positions)
+                new_key = key_at(record.after, positions)
                 if old_key != new_key:
                     self.indexes[name].revert_insert(new_key, loc)
                     self.indexes[name].revert_delete(old_key, loc)
@@ -317,9 +307,9 @@ class Table:
                 if old_key != new_key:
                     changed.append((name, old_key, new_key))
         else:
-            for name, cols in self._index_cols.items():
-                old_key = self.schema.key_of(op.before, cols)
-                new_key = self.schema.key_of(op.row, cols)
+            for name, positions in self._index_positions.items():
+                old_key = key_at(op.before, positions)
+                new_key = key_at(op.row, positions)
                 if old_key != new_key:
                     changed.append((name, old_key, new_key))
         return changed
@@ -328,16 +318,12 @@ class Table:
         """Eager index maintenance for one committed replicated op."""
         loc: Loc = (op.page_id, op.slot)
         if op.kind is OpKind.INSERT:
-            self.pk_index.add_committed(self.schema.pk_of(op.row), loc, version)
-            for name, cols in self._index_cols.items():
-                self.indexes[name].add_committed(self.schema.key_of(op.row, cols), loc, version)
+            for index, key in self.index_keys(op.row):
+                index.add_committed(key, loc, version)
             self.row_count += 1
         elif op.kind is OpKind.DELETE:
-            self.pk_index.mark_delete_committed(self.schema.pk_of(op.before), loc, version)
-            for name, cols in self._index_cols.items():
-                self.indexes[name].mark_delete_committed(
-                    self.schema.key_of(op.before, cols), loc, version
-                )
+            for index, key in self.index_keys(op.before):
+                index.mark_delete_committed(key, loc, version)
             self.row_count -= 1
         else:
             for name, old_key, new_key in self.update_index_keys(op):
@@ -358,12 +344,30 @@ class Table:
             page.put(slot, row)
             page.version = max(page.version, version)
             loc: Loc = (page.page_id, slot)
-            self.pk_index.add_committed(self.schema.pk_of(row), loc, version)
-            for name, cols in self._index_cols.items():
-                self.indexes[name].add_committed(self.schema.key_of(row, cols), loc, version)
+            for index, key in self.index_keys(row):
+                index.add_committed(key, loc, version)
             count += 1
         self.row_count += count
         return count
+
+    def extent(self) -> Tuple[int, int, int]:
+        """``(rows, pages, rows per page)``: what two replicas of a table must
+        agree on for one to take the other's next bulk load as a copy."""
+        return self.row_count, len(self.store.pages_of(self.name)), self.store.rows_per_page
+
+    def copy_from(self, source: "Table") -> None:
+        """Become what ``source`` is: pages, indexes, counts, insert pages.
+
+        Rows, encoded keys and locations are immutable and stay shared;
+        everything a replica mutates later (slot lists, index entries,
+        buckets, tree nodes) is copied, in ``source``'s order and shape.
+        """
+        self.store.copy_table_from(source.store, self.name)
+        self.pk_index.copy_from(source.pk_index)
+        for name, index in self.indexes.items():
+            index.copy_from(source.indexes[name])
+        self.row_count = source.row_count
+        self._nonfull = [self.store.get(page.page_id) for page in source._nonfull]
 
     def _bulk_slot(self) -> Tuple[Page, int]:
         while self._nonfull:
@@ -385,16 +389,15 @@ class Table:
         self.pk_index = VersionedHashIndex(f"{self.name}.pk", self.name, self.counters)
         self.indexes = {
             name: VersionedTreeIndex(name, self.name, self.counters)
-            for name in self._index_cols
+            for name in self._index_positions
         }
         self.row_count = 0
         self._nonfull = []
         for page in self.store.pages_of(self.name):
             for slot, row in page.iter_live():
                 loc: Loc = (page.page_id, slot)
-                self.pk_index.add_committed(self.schema.pk_of(row), loc, 0)
-                for name, cols in self._index_cols.items():
-                    self.indexes[name].add_committed(self.schema.key_of(row, cols), loc, 0)
+                for index, key in self.index_keys(row):
+                    index.add_committed(key, loc, 0)
                 self.row_count += 1
             if not page.full:
                 self._nonfull.append(page)

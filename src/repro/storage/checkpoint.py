@@ -84,6 +84,27 @@ class StableStore:
         self.counters.add("checkpoint.pages_flushed")
         self.counters.add("checkpoint.bytes", snapshot.byte_size())
 
+    def copy_from(self, source: "StableStore") -> int:
+        """An empty store adopts ``source``'s images as if it had flushed them.
+
+        For a replica set up as a copy of ``source``'s node: images are
+        copied (``corrupt_page`` mutates them) around shared page snapshots
+        (never mutated), in ``source``'s order, and this store's counters
+        move as ``source``'s flushes moved its own.  Returns the flush count.
+        """
+        if self._images or self._previous or self.flushes:
+            raise ValueError("only an empty stable store can adopt another's images")
+        for ours, theirs in ((self._images, source._images), (self._previous, source._previous)):
+            ours.update(
+                (pid, PageImage(pid, image.version, image.page, image.checksum))
+                for pid, image in theirs.items()
+            )
+        self.flushes = source.flushes
+        if self.flushes:
+            for name in ("checkpoint.pages_flushed", "checkpoint.bytes"):
+                self.counters.add(name, source.counters.get(name))
+        return self.flushes
+
     def load(self, page_id: PageId) -> Optional[PageImage]:
         return self._images.get(page_id)
 
@@ -262,6 +283,11 @@ class FuzzyCheckpointer:
             self.stable.flush_page(page)
             flushed += 1
         return flushed, skipped
+
+    def copy_from(self, source: "FuzzyCheckpointer") -> int:
+        """Adopt the checkpoint ``source`` took of an identical page store."""
+        self._cursor = list(source._cursor)
+        return self.stable.copy_from(source.stable)
 
     def full_checkpoint(self, skip_page) -> int:
         """Flush every eligible page once; returns pages flushed."""

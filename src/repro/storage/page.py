@@ -86,10 +86,15 @@ class Page:
 
     # -- whole-page operations (migration / checkpoint) -----------------------
     def snapshot(self) -> "Page":
-        """Deep-enough copy: rows are immutable tuples so slot copy suffices."""
-        copy = Page(self.page_id, self.capacity, self.version)
-        copy.slots = list(self.slots)
+        """Exact copy: rows are immutable tuples, so a slot-list copy suffices."""
+        copy = Page.__new__(Page)
+        copy.page_id = self.page_id
+        copy.capacity = self.capacity
+        copy.slots = self.slots[:]
+        copy.version = self.version
+        copy.stamp = self.stamp
         copy.live_rows = self.live_rows
+        copy._free_hint = self._free_hint
         return copy
 
     def load_from(self, other: "Page") -> None:
@@ -162,6 +167,18 @@ class PageStore:
         while page_id not in self._pages:
             self.allocate(page_id.table)
         return self._pages[page_id]
+
+    def copy_table_from(self, source: "PageStore", table: str) -> None:
+        """Make this store's pages of ``table`` exact copies of ``source``'s.
+
+        The caller guarantees both stores held the same pages of ``table``
+        before ``source`` grew, so new pages land in ``_pages`` in the order
+        an independent load here would have allocated them.
+        """
+        pages = [page.snapshot() for page in source.pages_of(table)]
+        if pages:
+            self._per_table[table] = pages
+            self._pages.update((page.page_id, page) for page in pages)
 
     def contains(self, page_id: PageId) -> bool:
         return page_id in self._pages

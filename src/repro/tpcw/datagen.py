@@ -16,6 +16,7 @@ from repro.tpcw.schema import SUBJECTS, TPCW_SCHEMAS, TpcwScale
 
 _EPOCH_2000 = 946_684_800.0
 _DAY = 86_400.0
+_LETTERS = string.ascii_uppercase
 
 
 class TpcwDataGenerator:
@@ -53,8 +54,17 @@ class TpcwDataGenerator:
 
     @staticmethod
     def _string(rng: RngStream, lo: int, hi: int) -> str:
-        length = rng.randint(lo, hi)
-        return "".join(rng.choice(string.ascii_uppercase) for _ in range(length))
+        """``length`` letters, each drawn as ``rng.choice(ascii_uppercase)``
+        draws it — five random bits, redrawn while they name no letter — so
+        the stream consumed is the same, without a Python frame per letter."""
+        getrandbits = rng.getrandbits
+        letters = []
+        for _ in range(rng.randint(lo, hi)):
+            index = getrandbits(5)
+            while index >= 26:
+                index = getrandbits(5)
+            letters.append(_LETTERS[index])
+        return "".join(letters)
 
     @staticmethod
     def uname_of(c_id: int) -> str:

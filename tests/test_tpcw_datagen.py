@@ -1,7 +1,11 @@
 """Unit tests for TPC-W schema, scale, mixes and data generation."""
 
+import hashlib
+
 import pytest
 
+from repro.bench.calibration import BENCH_SCALE
+from repro.cluster.sync import datagen_tables
 from repro.engine import HeapEngine
 from repro.common.rng import RngStream
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale, tpcw_conflict_map
@@ -114,3 +118,24 @@ class TestDataGen:
 
     def test_usernames_deterministic(self):
         assert TpcwDataGenerator.uname_of(42) == "USER00000042"
+
+    @pytest.mark.parametrize(
+        "scale,expected",
+        [
+            (BENCH_SCALE, "c9efeb08fc49e122"),
+            # The benchmark's 40-item hot scale (``hot_scaleout``).
+            (TpcwScale(num_items=40, num_customers=144), "9deb8457bd7cc615"),
+        ],
+    )
+    def test_dataset_digest_pinned(self, scale, expected):
+        """Every value of every row of every table, seed 42.
+
+        Recorded before ``_string`` stopped drawing through ``rng.choice``:
+        a faster generator must consume the identical random stream.
+        """
+        digest = hashlib.sha256()
+        for table, rows in datagen_tables(TpcwDataGenerator(scale, seed=42)):
+            digest.update(f"{table}:".encode())
+            for row in rows:
+                digest.update(repr(sorted(row.items())).encode())
+        assert digest.hexdigest()[:16] == expected
