@@ -308,6 +308,7 @@ def test_bench_deep_queue_materialise_coalesced_vs_sequential(benchmark, figure_
 
 def test_bench_batched_vs_unbatched_broadcast(figure_report):
     """Simulated network time for bursty broadcast: batched vs per-message."""
+    from repro.cluster.channel import NET_ACK_BYTES
     from repro.cluster.costs import CostConfig
 
     master, slave = make_pair(rows=200)
@@ -324,14 +325,14 @@ def test_bench_batched_vs_unbatched_broadcast(figure_report):
     cfg = CostConfig()
     burst = 10  # concurrent pre-commits per group-commit window
     unbatched = sum(
-        cfg.net_delay(ws.byte_size()) + cfg.net_delay(cfg.net_ack_bytes)
+        cfg.net_delay(ws.byte_size()) + cfg.net_delay(NET_ACK_BYTES)
         for ws in write_sets
     )
     batched = 0.0
     for i in range(0, len(write_sets), burst):
         group = write_sets[i : i + burst]
         payload = sum(ws.byte_size() for ws in group)
-        batched += cfg.batch_delay(payload, len(group)) + cfg.net_delay(cfg.net_ack_bytes)
+        batched += cfg.batch_delay(payload, len(group)) + cfg.net_delay(NET_ACK_BYTES)
 
     assert batched < unbatched
     figure_report(

@@ -222,7 +222,7 @@ def check_buffer_bounds(cluster) -> InvariantResult:
     """
     cfg = cluster.cost.config
     cap = getattr(cfg, "slave_buffer_max_ops", 0)
-    slack = getattr(cluster, "_max_ws_ops", 0)
+    slack = cluster.pipeline.max_ws_ops
     problems: List[str] = []
     audited = 0
     for node in cluster.nodes.values():
@@ -258,7 +258,7 @@ def check_rejoin_convergence(cluster) -> InvariantResult:
     or have a standing excuse: it crashed, or its slowdown fault is still
     in force.  A healthy, alive node stuck demoted means rejoin wedged.
     """
-    ever = getattr(cluster, "_ever_demoted", set())
+    ever = cluster.stragglers.ever_demoted
     if not ever:
         return InvariantResult("rejoin-convergence", True, "no demotions occurred")
     stuck: List[str] = []
@@ -382,7 +382,7 @@ def check_durable_prefix(cluster) -> InvariantResult:
     up holding all of it.  Nodes that re-crashed or are still mid-recovery
     carry no obligation (their next restart will).
     """
-    audits = getattr(cluster, "_restart_audits", [])
+    audits = cluster.migration.restart_audits
     if not audits:
         return InvariantResult("durable-prefix", True, "no restarts from disk")
     problems: List[str] = []
@@ -428,7 +428,7 @@ def check_no_ghost_commits(cluster) -> InvariantResult:
     one into a replica's duplicate filter, where it would shadow the real
     commit that later claimed the same versions.
     """
-    ghosts = getattr(cluster, "_ghosts", [])
+    ghosts = cluster.failover.ghosts
     if not ghosts:
         return InvariantResult("no-ghost-commits", True, "no ghost candidates recorded")
     confirmed_ids = {

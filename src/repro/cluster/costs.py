@@ -20,6 +20,18 @@ from typing import Dict, Mapping
 from repro.disk.diskmodel import DiskModel
 
 
+#: Per-write-set framing overhead inside a batched replication message.
+NET_FRAME_BYTES = 24
+#: Disk I/Os charged per page *written* on the on-disk tier (dirty-page
+#: write-back competing with reads for the spindle).
+DISK_WRITEBACK_FACTOR = 1.0
+
+
+def batch_bytes(payload_bytes: int, messages: int) -> int:
+    """Wire size of ``messages`` write-sets framed into one batch."""
+    return payload_bytes + NET_FRAME_BYTES * messages
+
+
 @dataclass(frozen=True)
 class CostConfig:
     """All service-time knobs, in (virtual) seconds."""
@@ -40,57 +52,15 @@ class CostConfig:
     # -- network ----------------------------------------------------------------------------
     net_latency: float = 0.0002          # one-way LAN latency
     net_bandwidth: float = 100e6         # bytes/second
-    #: Per-write-set framing overhead inside a batched replication message.
-    net_frame_bytes: int = 24
-    #: Size of the (piggybacked) per-batch acknowledgement frame.
-    net_ack_bytes: int = 64
-    # -- lossy-network recovery (chaos layer) ------------------------------------------------
-    #: First master-side ack timeout; doubles per retransmission attempt.
-    #: Must exceed a healthy batch round trip or clean links would spuriously
-    #: retransmit.
-    ack_timeout_base: float = 0.1
-    #: Ceiling on the exponential ack-timeout/backoff growth.
-    retransmit_backoff_cap: float = 2.0
-    #: Send attempts per write-set before the unreachable slave is suspected
-    #: failed and evicted (fail-stop suspicion).
-    retransmit_limit: int = 10
-    #: Graceful degradation: how long an update transaction may queue while
-    #: its conflict class's master is being reconfigured before it is
-    #: rejected with a deadline error.
-    update_queue_deadline: float = 15.0
+    # -- graceful degradation (updates queue through reconfigurations) ------------------------
     #: Backpressure: maximum updates parked on the reconfiguration waiter
     #: queue per master before further arrivals are shed with a retryable
     #: ``queue-shed`` rejection (0 = unbounded, today's behaviour).
     update_queue_limit: int = 0
     # -- straggler tolerance (laggard demotion; active when ack_policy != "all") ------
-    #: Unacked write-sets queued on one master->slave channel before the
-    #: target is considered a laggard (backlog high watermark, entries).
-    laggard_backlog_entries: int = 64
-    #: Unacked bytes queued on one channel before laggard demotion (backlog
-    #: high watermark, bytes).
-    laggard_backlog_bytes: int = 1 << 20
-    #: A slave's ack-latency EWMA must exceed the cluster-wide EWMA by this
-    #: factor to count as an outlier sample.
-    laggard_ack_factor: float = 4.0
-    #: Consecutive outlier samples before a slave is demoted (sustained
-    #: outlier, not one slow ack).
-    laggard_sustain: int = 8
     #: Slave-side buffer cap: pending (buffered, unapplied) ops on one
     #: replica before it is demoted to catch-up mode (0 = unbounded).
     slave_buffer_max_ops: int = 0
-    #: Health-probe period of the laggard monitor (also paces rejoin).
-    laggard_probe_interval: float = 1.0
-    #: Op count of one synthetic health probe (sized like a small batch).
-    laggard_probe_ops: int = 8
-    #: Consecutive healthy probes before a demoted node is re-integrated.
-    rejoin_probes: int = 3
-    #: A probe is healthy when its service time is below this multiple of
-    #: the undegraded probe cost.
-    rejoin_health_factor: float = 2.0
-    #: Browser retry backoff: first delay and ceiling of the per-browser
-    #: jittered exponential backoff.
-    browser_backoff_base: float = 0.05
-    browser_backoff_cap: float = 5.0
     # -- node shape --------------------------------------------------------------------------
     cores_per_node: int = 2
     # -- concurrency control ----------------------------------------------------------------
@@ -120,20 +90,6 @@ class CostConfig:
     #: Rebalancer sampling period (seconds of virtual time); 0 disables the
     #: daemon even when ``dynamic_classes`` is set.
     rebalance_interval: float = 0.0
-    #: A class is only worth moving when its write-rate EWMA exceeds this
-    #: many commits/second — below it, imbalance is noise.
-    rebalance_min_rate: float = 2.0
-    #: Re-home triggers when the hottest master's EWMA load exceeds the
-    #: coolest master's by this factor.
-    rebalance_imbalance: float = 2.0
-    #: Minimum virtual seconds between re-homes (anti-thrash hysteresis).
-    rebalance_cooldown: float = 10.0
-    #: EWMA smoothing factor for per-class write rates (same machinery as
-    #: the straggler detector's ack-latency EWMAs).
-    class_rate_alpha: float = 0.2
-    #: A re-home drain barrier that cannot quiesce the moving class within
-    #: this long aborts the handoff and leaves ownership untouched.
-    rehome_drain_timeout: float = 5.0
     #: Fixed coordination overhead of one class re-home (ownership flip
     #: broadcast + scheduler table update).  The historical model priced
     #: class->master assignment as free because it could never change;
@@ -149,9 +105,6 @@ class CostConfig:
     recovery_overhead: float = 2.0
     # -- disk (on-disk tier) ---------------------------------------------------------------------
     disk: DiskModel = field(default_factory=DiskModel)
-    #: Disk I/Os charged per page *written* on the on-disk tier (dirty-page
-    #: write-back competing with reads for the spindle).
-    disk_writeback_factor: float = 1.0
     # -- durability (in-memory tier) --------------------------------------------------------------
     #: When True every in-memory node appends write-sets to a local
     #: content-carrying WAL and forces it before acking, enabling
@@ -159,9 +112,6 @@ class CostConfig:
     #: default: the durable path moves extra counters and sim events, so
     #: legacy seeded fingerprints require it disabled.
     durable_wal: bool = False
-    #: Service time of one WAL group force on the in-memory tier
-    #: (battery-backed/NVMe log device, not the cold-tier spindle model).
-    wal_fsync_time: float = 0.0005
     # -- overload robustness (admission control, deadlines, retry budgets) --------------------
     # All default-off: the admission controller, deadline propagation and
     # client retry budgets move counters when active, so legacy seeded
@@ -174,20 +124,9 @@ class CostConfig:
     admission_burst: float = 0.0
     #: Queue-delay watermark (seconds of scheduler/admission queueing,
     #: EWMA-smoothed) above which new arrivals are shed, cheapest-to-retry
-    #: first: reads shed at the watermark, updates only above
-    #: ``watermark * admission_shed_update_factor``.  0 disables.
+    #: first: reads shed at the watermark, updates only well above it
+    #: (``repro.scheduler.admission.SHED_UPDATE_FACTOR``).  0 disables.
     admission_queue_watermark: float = 0.0
-    #: Updates are shed only when the queue-delay EWMA exceeds the
-    #: watermark by this factor (reads are cheaper to retry: any fresh
-    #: replica can serve the retry, so they shed first).
-    admission_shed_update_factor: float = 2.0
-    #: EWMA smoothing factor for the admission queue-delay estimate.
-    admission_delay_alpha: float = 0.2
-    #: Half-life (seconds) of the queue-delay signal with no fresh
-    #: observations.  Without decay the watermark latches: a congested
-    #: EWMA sheds everything at the door, no update is ever admitted to
-    #: observe the (now idle) queue, and shedding never stops.
-    admission_delay_halflife: float = 5.0
     #: Default request deadline stamped at arrival (seconds); propagated
     #: through routing -> execute -> commit so doomed work is cancelled at
     #: every stage instead of completed late.  0 = no deadlines.
@@ -203,23 +142,13 @@ class CostConfig:
     #: window that opens the breaker (requests are then shed client-side
     #: without touching the cluster).  0 disables the breaker.
     breaker_failure_threshold: float = 0.0
-    #: Rolling outcome-window size (last N request outcomes) the breaker
-    #: judges, and the minimum volume before it may open.
-    breaker_window: int = 20
-    #: Seconds an open breaker waits before letting one half-open probe
-    #: through; a successful probe closes it, a failed one re-opens it.
-    breaker_cooldown: float = 5.0
 
     def net_delay(self, nbytes: int) -> float:
         return self.net_latency + nbytes / self.net_bandwidth
 
-    def batch_bytes(self, payload_bytes: int, messages: int) -> int:
-        """Wire size of ``messages`` write-sets framed into one batch."""
-        return payload_bytes + self.net_frame_bytes * messages
-
     def batch_delay(self, payload_bytes: int, messages: int) -> float:
         """Group-commit batching: one latency charge, bandwidth per byte."""
-        return self.net_delay(self.batch_bytes(payload_bytes, messages))
+        return self.net_delay(batch_bytes(payload_bytes, messages))
 
     def rtt(self, nbytes: int = 256) -> float:
         """Request/response round trip through the scheduler."""
@@ -258,7 +187,7 @@ class CostModel:
     def disk_time(self, delta: Mapping[str, float]) -> float:
         """Disk seconds for an on-disk node: misses, write-back, log forces."""
         disk = self.config.disk
-        ios = delta.get("cache.misses", 0) + self.config.disk_writeback_factor * delta.get(
+        ios = delta.get("cache.misses", 0) + DISK_WRITEBACK_FACTOR * delta.get(
             "engine.pages_written", 0
         )
         return disk.random_read_cost(int(ios)) + disk.fsync_cost(

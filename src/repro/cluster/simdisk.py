@@ -15,13 +15,15 @@ Two configurations, exactly as the paper evaluates them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import NodeUnavailable, TransactionAborted
+from repro.common.counters import Counters
+from repro.common.errors import NodeUnavailable
 from repro.common.rng import RngStream
+from repro.cluster.clients import BrowserPool, Metrics
 from repro.cluster.costs import CostConfig, CostModel
-from repro.cluster.simcluster import Metrics
 from repro.cluster.simnodes import DiskDbNode
 from repro.cluster.sync import datagen_tables
 from repro.engine.engine import bulk_load_replicas
@@ -29,11 +31,11 @@ from repro.engine.schema import TableSchema
 from repro.scheduler.conflictaware import ConflictAwareScheduler
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
+from repro.sql import is_write_statement
 from repro.tpcw.connection import Connection
 from repro.tpcw.interactions import SharedSequences
 from repro.tpcw.mixes import Mix
 from repro.tpcw.schema import TpcwScale
-from repro.tpcw.session import EmulatedBrowser
 
 
 class DiskConnection(Connection):
@@ -80,7 +82,7 @@ class DiskConnection(Connection):
         cfg = self.cluster.cost.config
         if any(not node.alive or not txn.active for node, txn in zip(targets, txns)):
             raise NodeUnavailable("replica failed mid-transaction")
-        if self._is_update and not sql.lstrip().lower().startswith("select"):
+        if self._is_update and is_write_statement(sql):
             self._queries.append((sql, tuple(params)))
 
         def effect():
@@ -188,11 +190,16 @@ class SimDiskCluster:
         self.update_ticket = Resource(self.sim, 1) if serialize_updates else None
         self.refresh_interval = refresh_interval
         self.metrics = Metrics()
+        #: Cluster-level counters (client retry-budget exhaustion).
+        self.counters = Counters()
         self.timelines: List[DiskFailoverTimeline] = []
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
         self._handled_failures: set = set()
-        self._browsers: List[EmulatedBrowser] = []
+        self.clients = BrowserPool(
+            self.sim, self.rng, self.cost.config, self.metrics, self.counters,
+            connect=partial(DiskConnection, self),
+        )
         self.sim.spawn(self._failure_detector(), name="disk-failure-detector")
         if num_passive:
             self.sim.spawn(self._refresh_daemon(), name="backup-refresh")
@@ -225,10 +232,6 @@ class SimDiskCluster:
     def warm_all_pools(self) -> None:
         for node in self.nodes.values():
             node.db.pool.warm(p.page_id for p in node.db.engine.store.all_pages())
-
-    # -- logged updates (real queries captured at commit) -----------------------------------
-    def log_committed_queries(self, queries: Sequence[Tuple[str, Tuple]]) -> None:
-        self.scheduler.log_update(queries)
 
     # -- background daemons --------------------------------------------------------------------
     def _refresh_daemon(self):
@@ -305,59 +308,7 @@ class SimDiskCluster:
         think_time_mean: float = 7.0,
         max_retries: int = 8,
     ) -> None:
-        sequences = sequences if sequences is not None else SharedSequences(scale)
-        base = len(self._browsers)
-        for i in range(count):
-            browser = EmulatedBrowser(
-                browser_id=base + i,
-                mix=mix,
-                scale=scale,
-                sequences=sequences,
-                rng=self.rng.child(f"eb{base + i}"),
-                now=self.sim.now,
-                think_time_mean=think_time_mean,
-            )
-            self._browsers.append(browser)
-            self.sim.spawn(self._browser_loop(browser, max_retries), name=f"disk-eb{base + i}")
-
-    def _browser_loop(self, browser: EmulatedBrowser, max_retries: int):
-        from repro.tpcw.interactions import INTERACTIONS
-
-        while True:
-            name = browser.pick()
-            start = self.sim.now()
-            attempts = 0
-            while True:
-                conn = DiskConnection(self)
-                gen = browser.start(name, conn)
-                try:
-                    yield from self._drive(gen)
-                    self.metrics.record_completion(self.sim.now(), self.sim.now() - start)
-                    break
-                except (TransactionAborted, NodeUnavailable) as exc:
-                    gen.close()
-                    conn.cleanup()
-                    self.metrics.record_retry(getattr(exc, "reason", "node-failure"))
-                    attempts += 1
-                    if attempts > max_retries:
-                        self.metrics.failed += 1
-                        break
-                    cfg = self.cost.config
-                    yield self.sim.timeout(
-                        browser.retry_backoff(
-                            attempts, cfg.browser_backoff_base, cfg.browser_backoff_cap
-                        )
-                    )
-            yield self.sim.timeout(browser.think_time())
-
-    def _drive(self, gen):
-        value = None
-        while True:
-            try:
-                effect = gen.send(value)
-            except StopIteration as stop:
-                return stop.value
-            value = yield effect
+        self.clients.start(count, mix, scale, sequences, think_time_mean, max_retries)
 
     def run(self, until: float) -> float:
         return self.sim.run(until=until)

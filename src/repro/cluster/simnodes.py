@@ -14,24 +14,19 @@ path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set
 
-from repro.common.counters import Counters
 from repro.common.errors import NodeUnavailable, TransactionAborted
 from repro.cluster.costs import CostModel
-from repro.core.master import MasterReplica
-from repro.core.slave import SlaveReplica
+from repro.cluster.node import ReplicaNode
 from repro.core.writeset import WriteSet
 from repro.disk.database import DiskDatabase
-from repro.disk.wal import WriteAheadLog
-from repro.engine.engine import HeapEngine, LockWait, make_update_controller
+from repro.disk.wal import WAL_FSYNC_TIME, WriteAheadLog
+from repro.engine.engine import LockWait
 from repro.engine.schema import TableSchema
 from repro.obs import NULL_SPAN, NULL_TRACER, Tracer
 from repro.sim.kernel import Interrupt, Process, Simulator
 from repro.sim.resources import Resource
-from repro.sql.executor import SqlExecutor
-from repro.storage.cache import PageCache
-from repro.storage.checkpoint import FuzzyCheckpointer, StableStore
 
 
 class SimNode:
@@ -79,8 +74,9 @@ class SimNode:
         self.alive = True
 
 
-class InMemoryDbNode(SimNode):
-    """One replica of the in-memory DMV tier."""
+class InMemoryDbNode(SimNode, ReplicaNode):
+    """One replica of the in-memory DMV tier: a :class:`ReplicaNode` with a
+    CPU, a cache model, a durable log and failure semantics."""
 
     def __init__(
         self,
@@ -93,21 +89,12 @@ class InMemoryDbNode(SimNode):
         tracer: Tracer = NULL_TRACER,
         durable: bool = False,
     ) -> None:
-        super().__init__(sim, node_id, cost)
-        self.tracer = tracer
-        self.counters = Counters()
-        self.cache = PageCache(cache_pages, self.counters)
-        self.engine = HeapEngine(
-            counters=self.counters, cache=self.cache, name=node_id,
+        SimNode.__init__(self, sim, node_id, cost)
+        ReplicaNode.__init__(
+            self, node_id, schemas, now=sim.now, cache_pages=cache_pages,
             rows_per_page=rows_per_page,
         )
-        for schema in schemas:
-            self.engine.create_table(schema)
-        self.sql = SqlExecutor(self.engine, now=sim.now)
-        self.master: Optional[MasterReplica] = None
-        self.slave: Optional[SlaveReplica] = None
-        self.stable = StableStore(self.counters)
-        self.checkpointer = FuzzyCheckpointer(self.engine.store, self.stable)
+        self.tracer = tracer
         #: Durable-WAL mode: write-sets this node broadcasts or receives are
         #: appended to a local content-carrying redo log and forced before
         #: the ack, enabling restart-from-own-disk recovery.  The log object
@@ -115,31 +102,8 @@ class InMemoryDbNode(SimNode):
         #: and recovery helpers need no None checks.
         self.durable = durable
         self.wal = WriteAheadLog(self.counters, tracer=tracer)
-        #: Subscribed nodes receive the masters' write-set broadcasts; a
-        #: *stale backup* (Figure 5) is deliberately unsubscribed.
-        self.subscribed = True
         #: Set by the cluster's failure injection (for timeline reporting).
         self.failed_at: Optional[float] = None
-
-    # -- role setup -------------------------------------------------------------------
-    def make_master(self, read_concurrency: str = "occ") -> None:
-        self.engine.set_controller(make_update_controller(read_concurrency))
-        self.master = MasterReplica(self.node_id, engine=self.engine, counters=self.counters)
-        self.slave = None
-
-    def make_slave(self) -> None:
-        self.slave = SlaveReplica(self.node_id, engine=self.engine, counters=self.counters)
-        self.master = None
-
-    def make_dual_master(self, owned_tables, read_concurrency: str = "occ") -> None:
-        """Multi-master role: master for ``owned_tables``, slave for the rest."""
-        from repro.core.dual import DualController
-
-        self.slave = SlaveReplica(self.node_id, engine=self.engine, counters=self.counters)
-        self.engine.set_controller(
-            DualController(set(owned_tables), self.slave, read_concurrency=read_concurrency)
-        )
-        self.master = MasterReplica(self.node_id, engine=self.engine, counters=self.counters)
 
     # -- statement execution (job generator) -----------------------------------------------
     def exec_statement(self, txn, sql: str, params: Sequence):
@@ -252,39 +216,22 @@ class InMemoryDbNode(SimNode):
         return self.wal.crash()
 
     def receive_cost(self, op_count: int):
-        """The replication thread's CPU charge for one received write-set."""
+        """The replication thread's CPU charge for one received write-set.
+
+        The replication thread interleaves with query execution rather than
+        queueing behind whole statements — so the cost is charged as elapsed
+        time without occupying a query core.  (Acks must return promptly or
+        every master commit would stall behind the slowest slave's
+        longest-running query.)
+        """
         service = self.cost.receive_cpu(op_count) * self.slowdown
         if self.durable:
-            service += self.cost.config.wal_fsync_time
+            service += WAL_FSYNC_TIME
         yield self.sim.timeout(service)
 
     def apply_cost(self, op_count: int):
         """CPU charge for eagerly applying buffered ops (forced drain)."""
         yield self.sim.timeout(self.cost.apply_cpu(op_count) * self.slowdown)
-
-    def receive_write_set(self, write_set: WriteSet):
-        """Eager receive path.
-
-        Runs on the replication thread, which interleaves with query
-        execution rather than queueing behind whole statements — so the
-        receive cost is charged as elapsed time without occupying a query
-        core.  (Acks must return promptly or every master commit would
-        stall behind the slowest slave's longest-running query.)
-        """
-        self.deliver_write_set(write_set)
-        yield from self.receive_cost(len(write_set.ops))
-
-    def touch_pages_job(self, page_ids):
-        """Page-id warm-up: touch shipped pages (fault them in)."""
-        yield from self.cpu.acquire()
-        try:
-            new = self.cache.warm(page_ids)
-            # Faulting the pages in costs page-in time, but off the critical
-            # path of any request; charge it on the CPU at full rate.
-            yield self.sim.timeout(new * self.cost.config.page_fault_cost)
-            return new
-        finally:
-            self.cpu.release()
 
     def fail(self) -> None:
         super().fail()
@@ -324,11 +271,6 @@ class InMemoryDbNode(SimNode):
             if self.stable.load(page.page_id) is None:
                 floor[page.page_id.table] = 0
         return floor
-
-    def warm_fraction(self) -> float:
-        resident = self.cache.resident_count()
-        total = max(1, self.engine.store.page_count())
-        return min(1.0, resident / total)
 
 
 class DiskDbNode(SimNode):

@@ -1,4 +1,4 @@
-"""Laggard detection for straggler-tolerant replication.
+"""Laggard detection, demotion and rejoin for straggler-tolerant replication.
 
 The paper's failure model is strictly fail-stop: a node either answers
 heartbeats or it is dead.  A *gray* failure — degraded disk, saturated
@@ -18,16 +18,44 @@ for two symptoms and flags the target for demotion to catch-up mode:
   samples and could mask it entirely.
 
 The detector is pure bookkeeping — no events, no RNG, no counters — so
-instantiating it never perturbs a seeded run; only the cluster's
-*reaction* to a verdict (demotion) touches the kernel, and that is gated
-on a non-default ack policy.
+instantiating it never perturbs a seeded run; only the *reaction* to a
+verdict touches the kernel, and that is gated on a non-default ack
+policy.  The reaction is the :class:`LaggardMonitor`'s: it demotes the
+laggard out of the ack set, probes it while demoted and re-integrates it
+through a drain barrier + data migration once it is healthy again.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from repro.cluster.costs import CostConfig
+from repro.common.errors import NodeUnavailable, TransactionAborted
+from repro.cluster.migration import FailoverTimeline
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.simcluster import SimDmvCluster
+
+#: Unacked write-sets queued on one master->slave channel before the
+#: target is considered a laggard (backlog high watermark, entries).
+LAGGARD_BACKLOG_ENTRIES = 64
+#: Unacked bytes queued on one channel before laggard demotion (backlog
+#: high watermark, bytes).
+LAGGARD_BACKLOG_BYTES = 1 << 20
+#: A slave's ack-latency EWMA must exceed the cluster-wide EWMA by this
+#: factor to count as an outlier sample.
+LAGGARD_ACK_FACTOR = 4.0
+#: Consecutive outlier samples before a slave is demoted (sustained
+#: outlier, not one slow ack).
+LAGGARD_SUSTAIN = 8
+#: Health-probe period of the laggard monitor (also paces rejoin).
+LAGGARD_PROBE_INTERVAL = 1.0
+#: Op count of one synthetic health probe (sized like a small batch).
+LAGGARD_PROBE_OPS = 8
+#: Consecutive healthy probes before a demoted node is re-integrated.
+REJOIN_PROBES = 3
+#: A probe is healthy when its service time is below this multiple of
+#: the undegraded probe cost.
+REJOIN_HEALTH_FACTOR = 2.0
 
 
 class AckLatencyEwma:
@@ -49,60 +77,10 @@ class AckLatencyEwma:
         return self.value
 
 
-class ClassWriteRates:
-    """Per-conflict-class commit-rate EWMAs for the rebalancer.
-
-    The rebalancer daemon samples per-class commit counts on a fixed
-    period and feeds the rates through the same EWMA machinery the
-    laggard detector uses for ack latencies.  Pure bookkeeping — no
-    events, no RNG, no counters — so instantiating it never perturbs a
-    seeded run; only the cluster's *reaction* (a re-home) touches the
-    kernel, and that is gated on ``dynamic_classes``.
-    """
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        self.alpha = alpha
-        #: Per-class commits/second EWMA.
-        self.per_class: Dict[int, AckLatencyEwma] = {}
-
-    def observe_tick(self, counts: Dict[int, int], interval: float) -> None:
-        """Fold one sampling period's per-class commit counts into the EWMAs."""
-        if interval <= 0:
-            return
-        for class_id in set(self.per_class) | set(counts):
-            ewma = self.per_class.get(class_id)
-            if ewma is None:
-                ewma = self.per_class[class_id] = AckLatencyEwma(self.alpha)
-            ewma.observe(counts.get(class_id, 0) / interval)
-
-    def rate(self, class_id: int) -> float:
-        ewma = self.per_class.get(class_id)
-        return ewma.value if ewma is not None else 0.0
-
-    def forget(self, class_id: int) -> None:
-        """Drop a class's history (after a merge retired its id)."""
-        self.per_class.pop(class_id, None)
-
-    def migrate(self, old_id: int, new_id: int, fraction: float = 0.5) -> None:
-        """Seed a freshly split-off class with a share of its parent's rate.
-
-        Without this the child would start at rate 0 and the parent keep
-        the whole load for several sampling periods, re-triggering the
-        imbalance check against stale numbers.
-        """
-        parent = self.per_class.get(old_id)
-        if parent is None or parent.samples == 0:
-            return
-        child = self.per_class[new_id] = AckLatencyEwma(self.alpha)
-        child.observe(parent.value * fraction)
-        parent.value *= 1.0 - fraction
-
-
 class LaggardDetector:
     """Per-target straggler verdicts from channel backlog + ack latency."""
 
-    def __init__(self, config: CostConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         #: Per-slave ack-latency EWMA (one per broadcast target).
         self.per_target: Dict[str, AckLatencyEwma] = {}
         #: Cluster-wide ack-latency EWMA (the healthy baseline).
@@ -118,11 +96,11 @@ class LaggardDetector:
         ewma.observe(latency)
         self.global_ewma.observe(latency)
         # Warm-up: with few samples the baseline is the target itself.
-        if self.global_ewma.samples < 2 * self.config.laggard_sustain:
+        if self.global_ewma.samples < 2 * LAGGARD_SUSTAIN:
             self.outlier_streak[target_id] = 0
             return
         baseline = self._baseline(target_id)
-        if baseline > 0 and ewma.value > self.config.laggard_ack_factor * baseline:
+        if baseline > 0 and ewma.value > LAGGARD_ACK_FACTOR * baseline:
             self.outlier_streak[target_id] = self.outlier_streak.get(target_id, 0) + 1
         else:
             self.outlier_streak[target_id] = 0
@@ -143,16 +121,169 @@ class LaggardDetector:
 
     def ack_latency_verdict(self, target_id: str) -> bool:
         """True when the target's outlier streak crossed the sustain bar."""
-        return self.outlier_streak.get(target_id, 0) >= self.config.laggard_sustain
+        return self.outlier_streak.get(target_id, 0) >= LAGGARD_SUSTAIN
 
     def backlog_verdict(self, entries: int, nbytes: int) -> bool:
         """True when one channel's unacked backlog crossed a watermark."""
-        cfg = self.config
-        if cfg.laggard_backlog_entries and entries >= cfg.laggard_backlog_entries:
-            return True
-        return bool(cfg.laggard_backlog_bytes and nbytes >= cfg.laggard_backlog_bytes)
+        return entries >= LAGGARD_BACKLOG_ENTRIES or nbytes >= LAGGARD_BACKLOG_BYTES
 
     def forget(self, target_id: str) -> None:
         """Reset one target's history (after demotion or rejoin)."""
         self.per_target.pop(target_id, None)
         self.outlier_streak.pop(target_id, None)
+
+
+class LaggardMonitor:
+    """Demotes stragglers out of the ack set, probes them, rejoins them.
+
+    Owns the demoted set, the audit set of every node ever demoted and the
+    detector; the probe daemon runs only under a non-default ack policy.
+    """
+
+    def __init__(self, cluster: "SimDmvCluster") -> None:
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.cost = cluster.cost
+        self.counters = cluster.counters
+        #: Laggard bookkeeping.  The detector is pure state (no events, no
+        #: counters), so constructing it never perturbs a seeded run; the
+        #: monitor daemon that acts on it is spawned only for non-default
+        #: ack policies to keep the ``all`` event stream bit-identical.
+        self.detector = LaggardDetector()
+        #: node_id -> open ``demote`` span for currently demoted slaves.
+        self.demoted: Dict[str, object] = {}
+        #: Every node that was ever demoted (rejoin-convergence invariant).
+        self.ever_demoted: set = set()
+
+    def is_demoted(self, node_id: str) -> bool:
+        return node_id in self.demoted
+
+    def demote(self, node_id: str, reason: str = "laggard") -> bool:
+        """Demote a laggard slave to catch-up mode (out of the ack set).
+
+        The demoted replica stays alive and keeps answering heartbeats —
+        this is the gray-failure path, distinct from fail-stop.  Its
+        buffered-but-unconfirmed tail is discarded (rejoin re-fetches
+        everything via page migration), it is unsubscribed from the
+        broadcast, and the scheduler stops routing fresh-version reads to
+        it.  Refused when it is the last subscribed slave: the cluster
+        must always keep a failover candidate.
+        """
+        node = self.cluster.nodes.get(node_id)
+        if (
+            node is None
+            or not node.alive
+            or node.slave is None
+            or node.master is not None
+            or node_id in self.demoted
+            or node.slave.catching_up
+            or not node.subscribed
+        ):
+            return False
+        others = [
+            n
+            for n in self.cluster.nodes.values()
+            if n.node_id != node_id
+            and n.alive
+            and n.slave is not None
+            and n.master is None
+            and n.subscribed
+            and not n.slave.catching_up
+        ]
+        if not others:
+            self.counters.add("slave.demotions_vetoed")
+            return False
+        try:
+            confirmed = self.cluster.scheduler.latest
+        except NodeUnavailable:
+            return False
+        # Everything left buffered after this is confirmed history, so a
+        # later rejoin can safely apply it; the unconfirmed tail returns
+        # via migrated pages instead.
+        node.slave.discard_above(confirmed)
+        node.subscribed = False
+        for agent in self.cluster.alive_scheduler_agents():
+            agent.scheduler.set_demoted(node_id, True)
+        self.detector.forget(node_id)
+        self.demoted[node_id] = self.cluster.tracer.span(
+            "demote", node=node_id, reason=reason
+        )
+        self.ever_demoted.add(node_id)
+        self.counters.add("slave.demotions")
+        return True
+
+    def monitor_loop(self):
+        """Probe demoted slaves and re-integrate the ones that recovered.
+
+        Each period every demoted, still-alive slave gets one synthetic
+        receive-sized health probe; its service time reflects the node's
+        current degradation.  ``REJOIN_PROBES`` consecutive healthy probes
+        trigger rejoin through a drain barrier + data migration.
+        """
+        healthy: Dict[str, int] = {}
+        while True:
+            yield self.sim.timeout(LAGGARD_PROBE_INTERVAL)
+            for node_id in list(self.demoted):
+                node = self.cluster.nodes.get(node_id)
+                if node is None or not node.alive or node.slave is None:
+                    # Crashed (or promoted) while demoted: the heartbeat
+                    # detector owns it now.
+                    healthy.pop(node_id, None)
+                    continue
+                baseline = self.cost.receive_cpu(LAGGARD_PROBE_OPS)
+                start = self.sim.now()
+                try:
+                    yield node.job(node.receive_cost(LAGGARD_PROBE_OPS), "probe")
+                except (NodeUnavailable, TransactionAborted):
+                    healthy.pop(node_id, None)
+                    continue
+                took = self.sim.now() - start
+                if took <= baseline * REJOIN_HEALTH_FACTOR:
+                    healthy[node_id] = healthy.get(node_id, 0) + 1
+                else:
+                    healthy[node_id] = 0
+                if healthy.get(node_id, 0) >= REJOIN_PROBES:
+                    healthy.pop(node_id, None)
+                    yield from self._rejoin(node_id)
+
+    def _rejoin(self, node_id: str):
+        """Re-integrate a recovered laggard: drain barrier + migration."""
+        node = self.cluster.nodes.get(node_id)
+        if (
+            node is None
+            or not node.alive
+            or node.slave is None
+            or node_id not in self.demoted
+        ):
+            return
+        # Drain barrier: while demoted the channels to this node fast-fail,
+        # so their outboxes empty quickly; wait for them to go idle so no
+        # stale pre-demotion send can land behind the catch-up stream.
+        channels = self.cluster.pipeline.channels_to
+        while not all(channel.idle for channel in channels(node_id)):
+            yield self.sim.timeout(LAGGARD_PROBE_INTERVAL)
+        if not node.alive or node.slave is None:
+            return
+        timeline = FailoverTimeline(
+            failure_time=self.sim.now(), detection_time=self.sim.now()
+        )
+        # No yield between leaving the demoted set and subscribing in
+        # catch-up mode (migrate_into's synchronous prefix), so there
+        # is no window where a broadcast could slip past both states.
+        span = self.demoted.pop(node_id)
+        yield from self.cluster.migration.migrate_into(node, timeline)
+        timeline.migration_done = self.sim.now()
+        self.cluster.timelines.append(timeline)
+        for agent in self.cluster.alive_scheduler_agents():
+            agent.scheduler.set_demoted(node_id, False)
+        self.counters.add("slave.rejoins")
+        span.finish(status="rejoined")
+
+    def close_demotion(self, node_id: str) -> None:
+        """A node that crashed while demoted re-enters through the normal
+        reintegration path: close out its demotion record."""
+        stale_span = self.demoted.pop(node_id, None)
+        if stale_span is not None:
+            stale_span.finish(status="crashed")
+        for agent in self.cluster.alive_scheduler_agents():
+            agent.scheduler.set_demoted(node_id, False)

@@ -13,50 +13,35 @@ without the simulator::
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.counters import Counters
 from repro.common.errors import NodeUnavailable, TransactionAborted
 from repro.common.rng import RngStream
 from repro.common.versions import VersionVector
-from repro.core.conflictclass import ConflictClassMap
-from repro.core.dual import DualController
-from repro.core.master import MasterReplica
-from repro.core.slave import SlaveReplica
-from repro.disk.database import DiskDatabase
-from repro.engine.engine import HeapEngine, LockWait, bulk_load_replicas, make_update_controller
-from repro.engine.schema import TableSchema
-from repro.failover.recovery import (
-    cleanup_after_master_failure,
-    elect_new_master,
-    promote_slave_to_master,
+from repro.cluster.interest import InterestRegistry
+from repro.cluster.node import ReplicaNode
+from repro.cluster.protocol import (
+    account_batch,
+    assign_masters,
+    assign_roles,
+    cleanup_scope,
+    fan_out,
+    inherited_tables,
+    promote,
+    successor_candidates,
 )
-from repro.failover.reintegration import integrate_stale_node
+from repro.core.conflictclass import ConflictClassMap
+from repro.disk.database import DiskDatabase
+from repro.engine.engine import LockWait, bulk_load_replicas
+from repro.engine.schema import TableSchema
+from repro.failover.recovery import cleanup_after_master_failure, elect_new_master
+from repro.failover.reintegration import integrate_stale_node, restore_from_checkpoint
 from repro.scheduler.versionaware import VersionAwareScheduler
-from repro.sql.executor import ResultSet, SqlExecutor
+from repro.sql.executor import ResultSet, is_write_statement
 from repro.storage.checkpoint import FuzzyCheckpointer, StableStore
 from repro.tpcw.connection import Connection, Immediate
-
-
-class NodeHandle:
-    """One in-memory replica: engine + optional master/slave roles."""
-
-    def __init__(self, node_id: str, schemas: Sequence[TableSchema], now: Callable[[], float]) -> None:
-        self.node_id = node_id
-        self.counters = Counters()
-        self.engine = HeapEngine(counters=self.counters, name=node_id)
-        for schema in schemas:
-            self.engine.create_table(schema)
-        self.sql = SqlExecutor(self.engine, now=now)
-        self.master: Optional[MasterReplica] = None
-        self.slave: Optional[SlaveReplica] = None
-        self.stable = StableStore(self.counters)
-        self.checkpointer = FuzzyCheckpointer(self.engine.store, self.stable)
-        self.alive = True
-
-    def checkpoint(self) -> int:
-        """Run one full fuzzy checkpoint (skipping uncommitted pages)."""
-        return self.checkpointer.full_checkpoint(self.engine.page_is_dirty)
 
 
 class SyncConnection(Connection):
@@ -64,7 +49,7 @@ class SyncConnection(Connection):
 
     def __init__(self, cluster: "SyncDmvCluster") -> None:
         self.cluster = cluster
-        self._node: Optional[NodeHandle] = None
+        self._node: Optional[ReplicaNode] = None
         self._txn = None
         self._is_update = False
         self._queries: List[Tuple[str, Tuple]] = []
@@ -94,11 +79,28 @@ class SyncConnection(Connection):
         self._txn = node.master.begin_update(write_tables=tables)
         return Immediate(None)
 
-    def query(self, sql: str, params: Sequence = ()) -> Immediate:
+    def _execute(self, sql: str, params: Sequence) -> ResultSet:
+        """One statement attempt.  A page-lock conflict undoes the attempt
+        and raises :class:`LockWait`; any other abort rolls the whole
+        transaction back so its locks are released."""
         if self._txn is None:
             raise RuntimeError("no open transaction")
+        savepoint = self._txn.savepoint()
         try:
             result = self._node.sql.execute(self._txn, sql, tuple(params))
+        except LockWait:
+            self._node.engine.rollback_to(self._txn, savepoint)
+            raise
+        except TransactionAborted:
+            self._abort_silently()
+            raise
+        if self._is_update and is_write_statement(sql):
+            self._queries.append((sql, tuple(params)))
+        return result
+
+    def query(self, sql: str, params: Sequence = ()) -> Immediate:
+        try:
+            return Immediate(self._execute(sql, params))
         except LockWait:
             # Synchronous mode cannot suspend: surface as a retriable abort.
             self._abort_silently()
@@ -106,12 +108,6 @@ class SyncConnection(Connection):
                 "lock conflict in embedded mode (another connection holds the page)",
                 reason="lock-wait",
             )
-        except TransactionAborted:
-            self._abort_silently()
-            raise
-        if self._is_update and not sql.lstrip().lower().startswith("select"):
-            self._queries.append((sql, tuple(params)))
-        return Immediate(result)
 
     def commit(self) -> Immediate:
         if self._txn is None:
@@ -142,12 +138,12 @@ class SyncConnection(Connection):
         self._abort_silently()
         return Immediate(None)
 
-    def _abort_silently(self) -> None:
+    def _abort_silently(self, reason: str = "abort") -> None:
         if self._txn is None:
             return
         node, txn = self._node, self._txn
         self._node = self._txn = None
-        node.engine.abort(txn)
+        node.engine.abort(txn, reason=reason)
         if not self._is_update:
             self.cluster.scheduler.note_read_done(node.node_id)
 
@@ -177,65 +173,40 @@ class SyncDmvCluster:
         #: (where the perf matters) defaults to OCC via its cost config.
         self.read_concurrency = read_concurrency
         #: Pre-commit acknowledgement policy.  Embedded replication is
-        #: inline (there is no ack to wait for), so the policy governs the
-        #: *membership* semantics: under ``all`` a demoted slave still
-        #: receives every write-set; under ``quorum``/``all-healthy`` a
-        #: demoted slave is skipped entirely and must re-integrate via
-        #: data migration (:meth:`rejoin_slave`).
+        #: inline (there is no ack to wait for), so the policy is recorded
+        #: for parity with the simulated cluster only: whatever it says, a
+        #: demoted slave is skipped entirely and must re-integrate via data
+        #: migration (:meth:`rejoin_slave`).
         self.ack_policy = ack_policy
         self.quorum_k = max(1, quorum_k)
         self.counters = Counters()
-        self._demoted: set = set()
         self.schemas = list(schemas)
         # Embedded clusters default to wall-clock time so date-ordered
         # application queries (e.g. "most recent order") behave naturally.
-        import time
-
         self.now = now if now is not None else time.time
-        self.nodes: Dict[str, NodeHandle] = {}
         table_names = [s.name for s in self.schemas]
         if conflict_map is None:
             conflict_map = ConflictClassMap.single_class(table_names)
         self.conflict_map = conflict_map
-        num_masters = min(conflict_map.num_classes, 2) if multi_master else 1
-        master_ids = [f"m{i}" for i in range(num_masters)]
-        conflict_map.assign_masters(master_ids)
+        master_ids = assign_masters(conflict_map, multi_master)
         self.scheduler = VersionAwareScheduler(
             "sched0", conflict_map, rng=RngStream(seed, "scheduler")
         )
-        for master_id in master_ids:
-            handle = NodeHandle(master_id, self.schemas, self.now)
-            owned = {
-                t for t in table_names
-                if conflict_map.master_of_class(conflict_map.class_of(t)) == master_id
-            }
-            if multi_master and len(master_ids) > 1:
-                slave = SlaveReplica(master_id, engine=handle.engine, counters=handle.counters)
-                handle.engine.set_controller(
-                    DualController(owned, slave, read_concurrency=read_concurrency)
-                )
-                handle.slave = slave
-            else:
-                handle.engine.set_controller(make_update_controller(read_concurrency))
-            handle.master = MasterReplica(master_id, engine=handle.engine, counters=handle.counters)
-            self.nodes[master_id] = handle
-        for i in range(num_slaves):
-            self._add_slave(f"s{i}", spare=False)
-        for i in range(num_spares):
-            self._add_slave(f"spare{i}", spare=True)
+        #: Interest sets are a simulated-cluster feature; embedded replicas
+        #: all subscribe to everything.
+        self.interest = InterestRegistry()
+        self.nodes: Dict[str, ReplicaNode] = assign_roles(
+            conflict_map, table_names, master_ids, num_slaves, num_spares,
+            read_concurrency,
+            lambda node_id, _role: ReplicaNode(node_id, self.schemas, now=self.now),
+            [self.scheduler],
+        )
         self.disk_backends: List[DiskDatabase] = []
         for i in range(num_disk_backends):
             db = DiskDatabase(f"disk{i}", now=self.now)
             for schema in self.schemas:
                 db.create_table(schema)
             self.disk_backends.append(db)
-
-    def _add_slave(self, node_id: str, spare: bool) -> NodeHandle:
-        handle = NodeHandle(node_id, self.schemas, self.now)
-        handle.slave = SlaveReplica(node_id, engine=handle.engine, counters=handle.counters)
-        self.nodes[node_id] = handle
-        self.scheduler.add_slave(node_id, spare=spare)
-        return handle
 
     # -- data loading -------------------------------------------------------------------
     def bulk_load(self, table: str, rows) -> int:
@@ -254,7 +225,7 @@ class SyncDmvCluster:
     def connect(self) -> SyncConnection:
         return SyncConnection(self)
 
-    def node(self, node_id: str) -> NodeHandle:
+    def node(self, node_id: str) -> ReplicaNode:
         handle = self.nodes.get(node_id)
         if handle is None or not handle.alive:
             raise NodeUnavailable(f"node {node_id} is unavailable")
@@ -262,27 +233,19 @@ class SyncDmvCluster:
 
     # -- replication plumbing ---------------------------------------------------------------
     def broadcast(self, write_set, exclude: str) -> None:
-        """Deliver one pre-commit write-set to every live slave.
+        """Deliver one pre-commit write-set to every target the shared
+        fan-out rule names (:func:`~repro.cluster.protocol.fan_out`).
 
         Embedded mode has no wire, but the accounting matches the simulated
-        tier: one framed batch per slave per commit, with the (memoized)
-        write-set size computed once for the whole broadcast rather than
-        re-encoded per hop.
+        tier: one framed batch per slave per commit.
         """
-        size = write_set.byte_size()
-        saved = write_set.bytes_saved()
-        for handle in self.nodes.values():
-            if handle.node_id == exclude or not handle.alive or handle.slave is None:
-                continue
-            if handle.node_id in self._demoted:
-                self.counters.add("net.acks_skipped_demoted")
-                continue
-            handle.slave.receive(write_set)
-            handle.counters.add("net.batches")
-            handle.counters.add("net.write_sets_sent")
-            handle.counters.add("net.bytes_shipped", size)
-            if saved:
-                handle.counters.add("net.bytes_saved_delta", saved)
+        for target, frame in fan_out(self.nodes, exclude, write_set, self.interest):
+            target.slave.receive(frame)
+            target.counters.add("net.write_sets_sent")
+            account_batch(target.counters, [frame])
+        demoted = sum(1 for node in self.nodes.values() if self._is_demoted(node))
+        if demoted:
+            self.counters.add("net.acks_skipped_demoted", demoted)
 
     def persist(self) -> None:
         """Drain the scheduler's query log onto the on-disk backends.
@@ -305,12 +268,9 @@ class SyncDmvCluster:
     def run_read(self, sql: str, params: Sequence = (), tables: Sequence[str] = ()) -> ResultSet:
         conn = self.connect()
         conn.begin_read(list(tables) or [s.name for s in self.schemas])
-        try:
-            result = conn.query(sql, params).value
-            conn.commit()
-            return result
-        except TransactionAborted:
-            raise
+        result = conn.query(sql, params).value
+        conn.commit()
+        return result
 
     def run_update(self, statements: Sequence[Tuple[str, Sequence]], tables: Sequence[str]) -> None:
         conn = self.connect()
@@ -339,29 +299,23 @@ class SyncDmvCluster:
             raise NodeUnavailable(f"{master_id} is not a master")
         handle.alive = False
         handle.engine.abort_all_active(reason="node-failure")
-        survivors = [
-            h.slave
-            for h in self.nodes.values()
-            if h.alive and h.slave is not None and h.master is None
-            and not self._is_spare(h.node_id)
-            and h.node_id not in self._demoted
-        ]
         confirmed = self.scheduler.latest.copy()
+        cleanup_vector, failed_tables = cleanup_scope(
+            self.conflict_map, master_id, confirmed
+        )
+        survivors = [n for n in self.nodes.values() if n.alive and n.slave is not None]
         cleanup_after_master_failure(
-            [
-                h.slave
-                for h in self.nodes.values()
-                if h.alive and h.slave is not None
-                and h.node_id not in self._demoted
-            ],
+            [n.slave for n in survivors if n.subscribed], cleanup_vector
+        )
+        new_slave = elect_new_master(
+            successor_candidates(survivors, failed_tables, self.interest, self._is_spare)
+        )
+        promote(
+            self.nodes[new_slave.node_id],
             confirmed,
+            inherited_tables(self.nodes, self.conflict_map, master_id),
+            self.read_concurrency,
         )
-        new_slave = elect_new_master(survivors)
-        new_handle = self.nodes[new_slave.node_id]
-        new_handle.master = promote_slave_to_master(
-            new_slave, confirmed, read_concurrency=self.read_concurrency
-        )
-        new_handle.slave = None
         self.scheduler.on_master_failure(master_id, new_slave.node_id)
         return new_slave.node_id
 
@@ -386,35 +340,45 @@ class SyncDmvCluster:
         handle = self.node(node_id)
         if handle.slave is None or handle.master is not None:
             raise NodeUnavailable(f"{node_id} is not a pure slave")
-        if node_id in self._demoted:
+        if not handle.subscribed:
             return
-        peers = [
-            h
+        if not any(
+            h.node_id != node_id and h.master is None and self._is_support(h)
             for h in self.nodes.values()
-            if h.alive and h.slave is not None and h.master is None
-            and h.node_id != node_id and h.node_id not in self._demoted
-        ]
-        if not peers:
+        ):
             raise NodeUnavailable(f"cannot demote {node_id}: no other slave remains")
         handle.slave.discard_above(self.scheduler.latest)
-        self._demoted.add(node_id)
+        handle.subscribed = False
         self.scheduler.set_demoted(node_id, True)
         self.counters.add("slave.demotions")
 
-    def rejoin_slave(self, node_id: str, support_id: Optional[str] = None) -> None:
-        """Re-integrate a demoted slave via §4.4 data migration."""
-        handle = self.node(node_id)
-        if node_id not in self._demoted:
-            return
+    @staticmethod
+    def _is_demoted(node: ReplicaNode) -> bool:
+        """Embedded replicas have no stale-backup role: an alive slave that
+        is unsubscribed is a demoted one."""
+        return node.alive and node.slave is not None and not node.subscribed
+
+    @staticmethod
+    def _is_support(node: ReplicaNode) -> bool:
+        """Holds the full replication stream: can feed a data migration."""
+        return node.alive and node.slave is not None and node.subscribed
+
+    def _support(self, support_id: Optional[str], joiner_id: str) -> ReplicaNode:
         if support_id is None:
             support_id = next(
                 h.node_id
                 for h in self.nodes.values()
-                if h.alive and h.slave is not None and h.node_id != node_id
-                and h.node_id not in self._demoted
+                if h.node_id != joiner_id and self._is_support(h)
             )
-        support = self.node(support_id)
-        self._demoted.discard(node_id)
+        return self.node(support_id)
+
+    def rejoin_slave(self, node_id: str, support_id: Optional[str] = None) -> None:
+        """Re-integrate a demoted slave via §4.4 data migration."""
+        handle = self.node(node_id)
+        if not self._is_demoted(handle):
+            return
+        support = self._support(support_id, node_id)
+        handle.subscribed = True
         handle.slave.catching_up = True
         integrate_stale_node(handle.slave, support.slave)
         self.scheduler.set_demoted(node_id, False)
@@ -423,22 +387,13 @@ class SyncDmvCluster:
     def reintegrate(self, node_id: str, support_id: Optional[str] = None, spare: bool = False):
         """Bring a failed node back as a slave via data migration."""
         handle = self.nodes[node_id]
-        if support_id is None:
-            support_id = next(
-                h.node_id
-                for h in self.nodes.values()
-                if h.alive and h.slave is not None and h.node_id != node_id
-            )
-        support = self.node(support_id)
+        support = self._support(support_id, node_id)
         handle.alive = True
         # Reboot: fresh engine state rebuilt from the node's checkpoint.
-        slave = SlaveReplica(node_id, engine=handle.engine, counters=handle.counters)
-        handle.slave = slave
-        handle.master = None
-        from repro.failover.reintegration import restore_from_checkpoint
-
-        restore_from_checkpoint(slave, handle.stable)
-        stats = integrate_stale_node(slave, support.slave)
+        handle.make_slave()
+        handle.subscribed = True
+        restore_from_checkpoint(handle.slave, handle.stable)
+        stats = integrate_stale_node(handle.slave, support.slave)
         self.scheduler.add_slave(node_id, spare=spare)
         return stats
 
@@ -456,8 +411,6 @@ class SyncDmvCluster:
     def reintegrate_from_file(self, node_id: str, path: str, support_id: Optional[str] = None):
         """Reintegrate a node whose checkpoint was saved with
         :meth:`save_node_checkpoint` (possibly by a previous process)."""
-        from repro.storage.checkpoint import StableStore
-
         handle = self.nodes[node_id]
         handle.stable = StableStore.load_from(path)
         handle.checkpointer = FuzzyCheckpointer(handle.engine.store, handle.stable)

@@ -21,7 +21,7 @@ from repro.engine.locks import LockManager
 from repro.engine.schema import TableSchema
 from repro.engine.txn import Transaction, TxnMode
 from repro.scheduler.querylog import LoggedUpdate
-from repro.sql.executor import ResultSet, SqlExecutor
+from repro.sql.executor import ResultSet, SqlExecutor, is_write_statement
 from repro.storage.cache import PageCache
 
 
@@ -88,7 +88,7 @@ class DiskDatabase:
 
     def execute(self, txn: Transaction, sql: str, params: Sequence = ()) -> ResultSet:
         result = self.sql.execute(txn, sql, params)
-        if not txn.read_only and not sql.lstrip().lower().startswith("select"):
+        if not txn.read_only and is_write_statement(sql):
             self._txn_queries[txn.txn_id].append((sql, tuple(params)))
         return result
 

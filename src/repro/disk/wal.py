@@ -35,6 +35,10 @@ from repro.common.counters import Counters
 from repro.obs import NULL_TRACER, Tracer
 from repro.storage.ops import PageOp, ops_size
 
+#: Service time of one WAL group force on the in-memory tier
+#: (battery-backed/NVMe log device, not the cold-tier spindle model).
+WAL_FSYNC_TIME = 0.0005
+
 VersionsArg = Union[Mapping[str, int], Sequence[Tuple[str, int]]]
 
 

@@ -14,7 +14,7 @@ MPL token.  Two independent signals, both default-off:
   the master-admission queueing delay.  When it exceeds the watermark the
   cluster is already bufferbloated — serving more arrivals only grows the
   queue — so new work is shed, cheapest-to-retry first: reads shed at the
-  watermark, updates only at ``watermark * admission_shed_update_factor``
+  watermark, updates only at ``watermark * SHED_UPDATE_FACTOR``
   (aborted updates waste master work; rejected reads retry against an
   untouched cluster).
 
@@ -26,6 +26,18 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+#: Updates are shed only when the queue-delay EWMA exceeds the
+#: watermark by this factor (reads are cheaper to retry: any fresh
+#: replica can serve the retry, so they shed first).
+SHED_UPDATE_FACTOR = 2.0
+#: EWMA smoothing factor for the admission queue-delay estimate.
+DELAY_ALPHA = 0.2
+#: Half-life (seconds) of the queue-delay signal with no fresh
+#: observations.  Without decay the watermark latches: a congested
+#: EWMA sheds everything at the door, no update is ever admitted to
+#: observe the (now idle) queue, and shedding never stops.
+DELAY_HALFLIFE = 5.0
+
 
 class AdmissionController:
     """Decides admit/shed per request from config knobs (all default-off)."""
@@ -34,9 +46,6 @@ class AdmissionController:
         self.rate = config.admission_rate
         self.burst = config.admission_burst if config.admission_burst > 0 else self.rate
         self.watermark = config.admission_queue_watermark
-        self.update_factor = max(1.0, config.admission_shed_update_factor)
-        self.alpha = config.admission_delay_alpha
-        self.halflife = config.admission_delay_halflife
         #: EWMA of observed master-admission queueing delay (seconds).
         self.queue_delay = 0.0
         self._delay_stamp = 0.0
@@ -50,14 +59,14 @@ class AdmissionController:
         # delay observation would ever pull the EWMA back down and the
         # controller would latch shut forever (a self-inflicted metastable
         # state).  Exponential decay between observations breaks the latch.
-        if self.halflife > 0 and now > self._delay_stamp:
-            self.queue_delay *= 0.5 ** ((now - self._delay_stamp) / self.halflife)
+        if now > self._delay_stamp:
+            self.queue_delay *= 0.5 ** ((now - self._delay_stamp) / DELAY_HALFLIFE)
         self._delay_stamp = max(self._delay_stamp, now)
 
     def observe_queue_delay(self, delay: float, now: float) -> None:
         """Feed one measured admission-queue delay into the EWMA."""
         self._decay(now)
-        self.queue_delay += self.alpha * (delay - self.queue_delay)
+        self.queue_delay += DELAY_ALPHA * (delay - self.queue_delay)
 
     def _spend_token(self, tenant: str, now: float) -> bool:
         tokens, last = self._buckets.get(tenant, (self.burst, now))
@@ -78,7 +87,7 @@ class AdmissionController:
         if self.rate > 0 and not self._spend_token(tenant, now):
             cause = "token-bucket"
         elif self.watermark > 0:
-            threshold = self.watermark * (self.update_factor if kind == "update" else 1.0)
+            threshold = self.watermark * (SHED_UPDATE_FACTOR if kind == "update" else 1.0)
             if self.queue_delay > threshold:
                 cause = "queue-delay"
         if cause is not None:

@@ -9,12 +9,13 @@ in projections and SET clauses, and ``?`` parameters — over the
 from repro.sql.ast_nodes import Statement
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse_statement
-from repro.sql.executor import ResultSet, SqlExecutor, parse_cached
+from repro.sql.executor import ResultSet, SqlExecutor, is_write_statement, parse_cached
 
 __all__ = [
     "tokenize",
     "parse_statement",
     "parse_cached",
+    "is_write_statement",
     "Statement",
     "SqlExecutor",
     "ResultSet",

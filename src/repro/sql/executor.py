@@ -765,6 +765,12 @@ def parse_cached(sql: str) -> Statement:
     return stmt
 
 
+def is_write_statement(sql: str) -> bool:
+    """True unless ``sql`` is a SELECT: the statements an update transaction
+    records for the query log the on-disk tier replays."""
+    return not sql.lstrip().lower().startswith("select")
+
+
 class SqlExecutor:
     """Parse/plan-once, execute-many SQL front end for one engine."""
 

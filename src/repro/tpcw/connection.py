@@ -14,7 +14,7 @@ This keeps the fourteen interactions written exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Sequence
+from typing import Any, Generator, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,11 @@ class Connection:
     Methods return effects to be ``yield``-ed.  One interaction may open
     several transactions in sequence, but never more than one at a time.
     """
+
+    #: Absolute virtual-clock deadline stamped at arrival, or None.
+    #: Drivers that propagate it through routing, execution and commit
+    #: cancel doomed work at each stage instead of finishing it.
+    deadline: Optional[float] = None
 
     def begin_read(self, tables: Sequence[str]):
         """Open a read-only transaction touching ``tables``."""

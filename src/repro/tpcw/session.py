@@ -19,6 +19,10 @@ from repro.tpcw.schema import TpcwScale
 #: TPC-W think time: exponential with mean 7 s, capped at 70 s.
 THINK_TIME_MEAN = 7.0
 THINK_TIME_CAP = 70.0
+#: Browser retry backoff: first delay and ceiling of the per-browser
+#: jittered exponential backoff.
+RETRY_BACKOFF_BASE = 0.05
+RETRY_BACKOFF_CAP = 5.0
 
 
 @dataclass
@@ -58,13 +62,13 @@ class EmulatedBrowser:
     def think_time(self) -> float:
         return min(self.rng.expovariate(self.think_time_mean), THINK_TIME_CAP)
 
-    def retry_backoff(self, attempts: int, base: float = 0.05, cap: float = 5.0) -> float:
+    def retry_backoff(self, attempts: int) -> float:
         """Jittered exponential backoff before retry number ``attempts``.
 
         Drawn from this browser's own deterministic stream, so a mass abort
         (node failure) de-synchronises instead of producing lock-step retry
-        waves: each browser sleeps ``base * 2^(attempts-1)`` (capped)
-        scaled by an independent uniform [0.5, 1.5) jitter.
+        waves: each browser sleeps ``RETRY_BACKOFF_BASE * 2^(attempts-1)``
+        (capped) scaled by an independent uniform [0.5, 1.5) jitter.
         """
-        delay = min(base * (2 ** (max(1, attempts) - 1)), cap)
+        delay = min(RETRY_BACKOFF_BASE * (2 ** (max(1, attempts) - 1)), RETRY_BACKOFF_CAP)
         return delay * self.rng.uniform(0.5, 1.5)

@@ -21,6 +21,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
+#: Rolling outcome-window size (last N request outcomes) the breaker
+#: judges, and the minimum volume before it may open.
+BREAKER_WINDOW = 20
+#: Seconds an open breaker waits before letting one half-open probe
+#: through; a successful probe closes it, a failed one re-opens it.
+BREAKER_COOLDOWN = 5.0
+
 
 class RetryBudget:
     """Token bucket limiting the *rate* of retries a client may issue."""
@@ -61,8 +68,8 @@ class CircuitBreaker:
     def __init__(
         self,
         failure_threshold: float,
-        window: int = 20,
-        cooldown: float = 5.0,
+        window: int = BREAKER_WINDOW,
+        cooldown: float = BREAKER_COOLDOWN,
     ) -> None:
         if not 0 < failure_threshold <= 1:
             raise ValueError("failure threshold must be in (0, 1]")

@@ -247,11 +247,7 @@ class _Tenant:
             else None
         )
         self.breaker = (
-            CircuitBreaker(
-                cfg.breaker_failure_threshold,
-                window=cfg.breaker_window,
-                cooldown=cfg.breaker_cooldown,
-            )
+            CircuitBreaker(cfg.breaker_failure_threshold)
             if cfg.breaker_failure_threshold > 0
             else None
         )
@@ -318,12 +314,11 @@ class OpenLoopEngine:
             )
 
     def _request(self, tenant: _Tenant, scheduled_at: float):
-        from repro.cluster.simcluster import SimConnection
+        from repro.cluster.clients import SimConnection, drive
         from repro.common.errors import NodeUnavailable, TransactionAborted
 
         cluster = self.cluster
         sim = cluster.sim
-        cfg = cluster.cost.config
         stats = tenant.stats
         spec = tenant.spec
         stats.injected += 1
@@ -350,7 +345,7 @@ class OpenLoopEngine:
                 conn.deadline = deadline
                 gen = session.start(name, conn)
                 try:
-                    yield from cluster._drive(gen, conn)
+                    yield from drive(gen)
                     done = sim.now()
                     latency = done - scheduled_at
                     stats.completed += 1
@@ -398,11 +393,7 @@ class OpenLoopEngine:
                         stats.note_shed("retry-budget")
                         cluster.counters.add("traffic.retry_budget_exhausted")
                         return
-                    yield sim.timeout(
-                        session.retry_backoff(
-                            attempts, cfg.browser_backoff_base, cfg.browser_backoff_cap
-                        )
-                    )
+                    yield sim.timeout(session.retry_backoff(attempts))
         finally:
             stats.in_flight -= 1
 

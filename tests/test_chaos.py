@@ -20,6 +20,7 @@ from repro.chaos import (
     invariants,
     run_chaos_scenario,
 )
+from repro.cluster.channel import ACK_TIMEOUT_BASE, RETRANSMIT_BACKOFF_CAP, RETRANSMIT_LIMIT
 from repro.cluster.simcluster import SimDmvCluster
 from repro.common.rng import RngStream
 from repro.core import MasterReplica, SlaveReplica
@@ -134,7 +135,7 @@ class TestRetransmission:
         target = cluster.nodes["s0"]
         cluster.net.set_fault("m0", "s0", drop_p=1.0)
         ws = one_write_set(master)
-        ack = cluster._channel("m0", target).send(ws)
+        ack = cluster.pipeline.channel("m0", target).send(ws)
         cluster.run(until=0.5)
         assert target.counters.get("net.drops") >= 2
         assert target.counters.get("net.retransmits") >= 1
@@ -152,7 +153,7 @@ class TestRetransmission:
         target = cluster.nodes["s0"]
         cluster.net.set_fault("s0", "m0", drop_p=1.0)  # acks vanish
         ws = one_write_set(master)
-        ack = cluster._channel("m0", target).send(ws)
+        ack = cluster.pipeline.channel("m0", target).send(ws)
         cluster.run(until=0.5)
         assert target.counters.get("net.retransmits") >= 1
         assert target.counters.get("net.dups_ignored") >= 1
@@ -169,22 +170,20 @@ class TestRetransmission:
         master = cluster.nodes["m0"].master
         target = cluster.nodes["s0"]
         cluster.net.set_fault("m0", "s0", drop_p=1.0)
-        ack = cluster._channel("m0", target).send(one_write_set(master))
+        ack = cluster.pipeline.channel("m0", target).send(one_write_set(master))
         cluster.run(until=30.0)
         assert ack.triggered and ack.value is False
         assert not target.alive
         assert cluster.counters.get("net.suspicions") >= 1
-        limit = cluster.cost.config.retransmit_limit
-        assert target.counters.get("net.retransmits") == limit - 1
+        assert target.counters.get("net.retransmits") == RETRANSMIT_LIMIT - 1
 
     def test_backoff_schedule_doubles_then_caps(self):
         cluster = build_item_cluster()
-        channel = cluster._channel("m0", cluster.nodes["s0"])
-        cfg = cluster.cost.config
+        channel = cluster.pipeline.channel("m0", cluster.nodes["s0"])
         delays = [channel._ack_timeout(a) for a in range(1, 8)]
-        assert delays[0] == cfg.ack_timeout_base
-        assert delays[1] == 2 * cfg.ack_timeout_base
-        assert delays[-1] == cfg.retransmit_backoff_cap
+        assert delays[0] == ACK_TIMEOUT_BASE
+        assert delays[1] == 2 * ACK_TIMEOUT_BASE
+        assert delays[-1] == RETRANSMIT_BACKOFF_CAP
         assert all(b >= a for a, b in zip(delays, delays[1:]))
 
 
@@ -344,12 +343,12 @@ class TestRepeatFailureDetection:
         cluster.reintegrate("s0")
         cluster.run(until=30.0)
         assert "s0" in [s.node_id for s in cluster.scheduler.active_slaves()]
-        assert "s0" not in cluster._handled_failures
+        assert "s0" not in cluster.failover.handled_failures
         cluster.kill_node("s0")
         cluster.run(until=45.0)
         # Second failure of the same node is detected and handled again.
         assert "s0" not in [s.node_id for s in cluster.scheduler.active_slaves()]
-        assert "s0" in cluster._handled_failures
+        assert "s0" in cluster.failover.handled_failures
 
 
 class TestChaosScenario:

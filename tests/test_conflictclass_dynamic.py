@@ -255,7 +255,7 @@ class TestDrainedRehomeReplay:
             cls = cmap.class_of("customer")
             src = cmap.master_of_class(cls)
             dst = next(
-                n.node_id for n in cluster._class_masters() if n.node_id != src
+                n.node_id for n in cluster.rebalancer.class_masters() if n.node_id != src
             )
             cluster.rehome_table_to("customer", dst)
 
@@ -270,7 +270,7 @@ class TestDrainedRehomeReplay:
         for class_id in cmap.class_ids():
             owner = cmap.master_of_class(class_id)
             tables = set(cmap.tables_of_class(class_id))
-            for node in cluster._class_masters():
+            for node in cluster.rebalancer.class_masters():
                 owned = node.engine.controller.owned
                 if node.node_id == owner:
                     assert tables <= owned

@@ -88,7 +88,7 @@ class TestStaticClusterNeverPaysRehome:
         cluster.start_browsers(8, MIXES["ordering"], scale, think_time_mean=0.3)
         cluster.run(until=15.0)
         assert not cluster.rebalancer_active
-        assert cluster._update_slots == {}           # no MPL admission
+        assert cluster.router.update_slots == {}           # no MPL admission
         snap = cluster.counters.snapshot()
         assert snap.get("sched.class_rehomes", 0) == 0
         assert snap.get("sched.class_splits", 0) == 0

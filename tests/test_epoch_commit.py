@@ -111,7 +111,7 @@ class TestEpochBatching:
         assert len(cluster.commit_log) > 0
         assert epochs == write_sets
         assert batched == len(cluster.commit_log)
-        assert all(epoch.sealed for epoch in cluster._epochs.values())
+        assert all(epoch.sealed for epoch in cluster.pipeline.epochs.values())
 
 
 class TestAdmissionControl:
@@ -121,7 +121,7 @@ class TestAdmissionControl:
         peak = 0
         for step in range(1, 81):
             cluster.run(until=step * 0.25)
-            for slot in cluster._update_slots.values():
+            for slot in cluster.router.update_slots.values():
                 assert slot.capacity == EPOCH_COST.update_mpl
                 assert slot.in_use <= slot.capacity
                 peak = max(peak, slot.in_use)

@@ -173,7 +173,7 @@ class TestGroupCommitBatching:
         cluster = self._cluster()
         master = cluster.nodes["m0"].master
         target = cluster.nodes["s0"]
-        channel = cluster._channel("m0", target)
+        channel = cluster.pipeline.channel("m0", target)
         write_sets = [self._write_set(master, i) for i in range(4)]
         acks = []
 
@@ -197,7 +197,7 @@ class TestGroupCommitBatching:
         cluster = self._cluster()
         master = cluster.nodes["m0"].master
         target = cluster.nodes["s0"]
-        channel = cluster._channel("m0", target)
+        channel = cluster.pipeline.channel("m0", target)
         write_sets = [self._write_set(master, i) for i in range(4)]
         acks = []
 
@@ -219,7 +219,7 @@ class TestGroupCommitBatching:
         cluster = self._cluster()
         master = cluster.nodes["m0"].master
         target = cluster.nodes["s0"]
-        channel = cluster._channel("m0", target)
+        channel = cluster.pipeline.channel("m0", target)
         ws = self._write_set(master, 1)
         target.alive = False
         acks = []
@@ -241,7 +241,7 @@ class TestGroupCommitBatching:
 
         def driver():
             yield cluster.sim.spawn(
-                cluster.commit_update(node, txn, [("UPDATE ...", ())]), name="commit"
+                cluster.pipeline.commit_update(node, txn, [("UPDATE ...", ())]), name="commit"
             )
 
         cluster.sim.spawn(driver(), name="driver")

@@ -15,7 +15,8 @@ from repro.chaos.faults import FaultPlan, LinkFault
 from repro.chaos.invariants import check_trace_hygiene
 from repro.chaos.scenario import run_chaos_scenario
 from repro.cluster.costs import CostConfig
-from repro.cluster.simcluster import SimConnection, SimDmvCluster
+from repro.cluster.clients import SimConnection
+from repro.cluster.simcluster import SimDmvCluster
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
 from tests.obs import (
     assert_all_closed,

@@ -125,6 +125,35 @@ class TestRestartFromDisk:
         assert check_no_ghost_commits(cluster).ok
 
 
+class TestPlantedDurabilityViolations:
+    """The durability checkers read the owning components' audit state: a
+    planted violation must fail them (a checker of an empty list is vacuous)."""
+
+    def test_resurfaced_ghost_write_set_is_caught(self):
+        cluster = build_cluster()
+        run_with_browsers(cluster, until=30.0, stop_at=20.0)
+        ghost_key = ("m0", 10**6, (("item", 10**6),))
+        cluster.failover.ghosts.append((ghost_key, "m0", 10**6))  # never confirmed
+        result = check_no_ghost_commits(cluster)
+        assert result.ok and "1 true ghost" in result.detail
+        cluster.nodes["s1"].slave._seen_write_sets.add(ghost_key)
+        result = check_no_ghost_commits(cluster)
+        assert not result.ok and "resurfaced on s1" in result.detail
+
+    def test_restart_below_its_durable_prefix_is_caught(self):
+        cluster = build_cluster()
+        cluster.kill_node_at("s0", 15.0)
+        cluster.restart_node_at("s0", 30.0)
+        run_with_browsers(cluster, until=70.0, stop_at=50.0)
+        assert len(cluster.migration.restart_audits) == 1
+        assert check_durable_prefix(cluster).ok
+        node_id, crash_time, confirmed = cluster.migration.restart_audits[0]
+        have = cluster.nodes[node_id].slave.received_versions.get("item")
+        confirmed["item"] = have + 1_000  # claims more than the restart recovered
+        result = check_durable_prefix(cluster)
+        assert not result.ok and "item" in result.detail
+
+
 class TestDurabilityScenario:
     def _run(self, seed=7):
         return run_chaos_scenario(

@@ -55,8 +55,8 @@ class TestSchedulerFailover:
         cluster.kill_scheduler_at("sched0", 20.0)
         cluster.run(until=80.0)
         # Takeover happened and was fast (heartbeat + two RPC rounds).
-        assert len(cluster.scheduler_takeovers) == 1
-        detected, done = cluster.scheduler_takeovers[0]
+        assert len(cluster.failover.scheduler_takeovers) == 1
+        detected, done = cluster.failover.scheduler_takeovers[0]
         assert done - detected < 2.0
         # Service continued afterwards.
         late = cluster.metrics.wips.series(end=80.0).between(50.0, 80.0)
@@ -87,7 +87,7 @@ class TestSchedulerFailover:
         cluster.start_browsers(6, MIXES["shopping"], SCALE, think_time_mean=0.5)
         cluster.kill_scheduler_at("sched1", 20.0)
         cluster.run(until=60.0)
-        assert not cluster.scheduler_takeovers  # primary never changed
+        assert not cluster.failover.scheduler_takeovers  # primary never changed
         assert cluster.metrics.completed > 50
 
     def test_scheduler_and_master_failures_combined(self):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cluster.costs import CostConfig
+from repro.cluster.clients import SimConnection
 from repro.cluster.simcluster import SimDmvCluster
+from repro.common.errors import NodeUnavailable
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
 
 SCALE = TpcwScale(num_items=80, num_customers=230)
@@ -127,6 +129,48 @@ class TestMasterFailover:
             if node.alive and node.slave is not None:
                 assert node.slave.received_versions.dominates(cluster.scheduler.latest) or \
                     cluster.scheduler.latest.dominates(node.slave.received_versions)
+
+    def test_master_killed_while_commit_queued_for_its_cpu(self):
+        """The crash lands in ``commit_update``'s CPU wait: the engine has
+        rolled the transaction back by the time the core is granted, so the
+        commit must fail like any other commit on a dead master (the client
+        sees ``NodeUnavailable`` and retries) instead of joining an epoch
+        with an aborted transaction."""
+        cluster = build_cluster(num_slaves=2)
+        sim, master = cluster.sim, cluster.nodes["m0"]
+        outcomes = []
+
+        def hold_core():
+            yield from master.cpu.acquire()
+            try:
+                yield sim.timeout(5.0)
+            finally:
+                master.cpu.release()
+
+        def attempt(block_and_kill):
+            conn = SimConnection(cluster)
+            try:
+                yield conn.begin_update(["item"])
+                yield conn.query("UPDATE item SET i_stock = i_stock - 1 WHERE i_id = 1")
+                if block_and_kill:
+                    for _ in range(cluster.cost.config.cores_per_node):
+                        master.job(hold_core(), "blocker")
+                    yield sim.timeout(0.01)  # both cores are now held
+                    cluster.kill_node_at("m0", sim.now() + 0.1)
+                yield conn.commit()
+                outcomes.append("committed")
+            except NodeUnavailable:
+                conn.cleanup()
+                outcomes.append("unavailable")
+
+        def browser():
+            yield from attempt(block_and_kill=True)
+            yield from attempt(block_and_kill=False)  # queues through the failover
+
+        sim.spawn(browser(), name="scripted-browser")
+        cluster.run(until=30.0)  # nothing may raise out of the event loop
+        assert outcomes == ["unavailable", "committed"]
+        assert cluster.nodes["s0"].master is not None
 
 
 class TestReintegration:

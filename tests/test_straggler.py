@@ -21,7 +21,13 @@ from repro.chaos import (
 )
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
-from repro.cluster.straggler import AckLatencyEwma, LaggardDetector
+from repro.cluster.straggler import (
+    LAGGARD_BACKLOG_BYTES,
+    LAGGARD_BACKLOG_ENTRIES,
+    LAGGARD_SUSTAIN,
+    AckLatencyEwma,
+    LaggardDetector,
+)
 from repro.cluster.sync import SyncDmvCluster
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
 
@@ -61,10 +67,9 @@ class TestDetectorUnits:
         assert ewma.samples == 200
 
     def test_detector_flags_sustained_outlier_only(self):
-        cfg = CostConfig()
-        detector = LaggardDetector(cfg)
+        detector = LaggardDetector()
         # Warm-up: everyone healthy at 1ms.
-        for _ in range(4 * cfg.laggard_sustain):
+        for _ in range(4 * LAGGARD_SUSTAIN):
             for target in ("s0", "s1", "s2"):
                 detector.observe_ack(target, 0.001)
         assert not detector.ack_latency_verdict("s2")
@@ -72,7 +77,7 @@ class TestDetectorUnits:
         detector.observe_ack("s2", 1.0)
         assert not detector.ack_latency_verdict("s2")
         # Sustained inflation is.
-        for _ in range(10 * cfg.laggard_sustain):
+        for _ in range(10 * LAGGARD_SUSTAIN):
             detector.observe_ack("s2", 0.012)
             detector.observe_ack("s0", 0.001)
             detector.observe_ack("s1", 0.001)
@@ -82,11 +87,10 @@ class TestDetectorUnits:
         assert not detector.ack_latency_verdict("s2")
 
     def test_backlog_verdict_watermarks(self):
-        cfg = CostConfig()
-        detector = LaggardDetector(cfg)
+        detector = LaggardDetector()
         assert not detector.backlog_verdict(1, 100)
-        assert detector.backlog_verdict(cfg.laggard_backlog_entries + 1, 100)
-        assert detector.backlog_verdict(1, cfg.laggard_backlog_bytes + 1)
+        assert detector.backlog_verdict(LAGGARD_BACKLOG_ENTRIES + 1, 100)
+        assert detector.backlog_verdict(1, LAGGARD_BACKLOG_BYTES + 1)
 
     def test_ack_policy_validation(self):
         with pytest.raises(ValueError):
@@ -119,7 +123,7 @@ class TestQuorumAcks:
             "slave.rejoins",
         ):
             assert merged_counter(cluster, name) == 0
-        assert not cluster._ever_demoted
+        assert not cluster.stragglers.ever_demoted
 
     def test_commit_p99_stays_near_baseline_under_quorum(self):
         def commit_p99(ack_policy, straggle):
@@ -147,7 +151,7 @@ class TestDemotionAndRejoin:
         run_workload(cluster, duration=80.0, settle=20.0)
         assert merged_counter(cluster, "slave.demotions") >= 1
         assert merged_counter(cluster, "slave.rejoins") >= 1
-        assert "s2" in cluster._ever_demoted
+        assert "s2" in cluster.stragglers.ever_demoted
         node = cluster.nodes["s2"]
         assert node.alive and node.subscribed and not node.slave.catching_up
         assert not cluster.is_demoted("s2")
@@ -191,7 +195,7 @@ class TestHeartbeatsWhileDemoted:
         assert node.alive  # gray failure, not fail-stop
         # The failure detector never saw a missed heartbeat: no suspicion,
         # no reconfiguration was ever run for the demoted node.
-        assert "s2" not in cluster._handled_failures
+        assert "s2" not in cluster.failover.handled_failures
         assert merged_counter(cluster, "net.suspicions") == 0
 
     def test_demoted_node_that_crashes_still_reconfigures(self):
@@ -203,7 +207,7 @@ class TestHeartbeatsWhileDemoted:
         assert not node.alive
         # The crash of an (already demoted) node goes through the normal
         # heartbeat -> reconfiguration path.
-        assert "s2" in cluster._handled_failures
+        assert "s2" in cluster.failover.handled_failures
         results = check_all_invariants(cluster)
         assert all(r.ok for r in results), [str(r) for r in results]
 
@@ -221,7 +225,24 @@ class TestBoundedBuffers:
         assert result.ok, str(result)
         for node in cluster.nodes.values():
             if node.alive and node.slave is not None:
-                assert node.slave.pending_ops_peak <= 24 + cluster._max_ws_ops
+                assert node.slave.pending_ops_peak <= 24 + cluster.pipeline.max_ws_ops
+
+    def test_buffer_over_cap_plus_slack_is_caught(self):
+        """Planted violation: the slack is the pipeline's real audit value,
+        so a peak one op beyond cap + slack must fail the checker."""
+        cfg = CostConfig(slave_buffer_max_ops=24)
+        cluster = build_cluster(
+            seed=6, ack_policy="quorum", quorum_k=1, cost_config=cfg
+        )
+        run_workload(cluster, duration=20.0, settle=8.0)
+        slack = cluster.pipeline.max_ws_ops
+        assert slack > 0
+        slave = cluster.nodes["s1"].slave
+        slave.pending_ops_peak = 24 + slack
+        assert check_buffer_bounds(cluster).ok
+        slave.pending_ops_peak = 24 + slack + 1
+        result = check_buffer_bounds(cluster)
+        assert not result.ok and "exceeded cap 24" in result.detail
 
     def test_pending_ops_counter_never_drifts(self):
         cluster = build_cluster(seed=9, ack_policy="quorum", quorum_k=1)

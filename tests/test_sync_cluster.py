@@ -4,6 +4,9 @@ import pytest
 
 from repro.common.rng import RngStream
 from repro.cluster import SyncDmvCluster
+from repro.cluster.protocol import fan_out
+from repro.core import ConflictClassMap
+from repro.engine import Column, TableSchema
 from repro.tpcw import (
     INTERACTIONS,
     InteractionContext,
@@ -225,6 +228,48 @@ class TestFailover:
         cluster.promote_spare("spare0")
         rs = cluster.run_read("SELECT COUNT(*) FROM item", tables=["item"])
         assert rs.scalar() == SCALE.num_items
+
+
+    def test_multi_master_promotee_keeps_its_slave_role(self):
+        """Two conflict classes on two masters: the slave promoted in place
+        of ``m0`` stays a slave for ``m1``'s class — it keeps receiving
+        ``m1``'s write-sets and its update transactions read them."""
+        a, b = (
+            TableSchema(name, [Column("k", "int", nullable=False), Column("v", "int")],
+                        primary_key=("k",))
+            for name in ("a", "b")
+        )
+        cluster = SyncDmvCluster(
+            [a, b], num_slaves=2, multi_master=True,
+            conflict_map=ConflictClassMap(["a", "b"]),
+        )
+        for table in ("a", "b"):
+            cluster.bulk_load(table, [{"k": 1, "v": 0}])
+        assert cluster.conflict_map.master_for_tables(["a"]) == "m0"
+        promotee = cluster.kill_master("m0")
+        node = cluster.node(promotee)
+        assert node.master is not None and node.slave is not None
+        cluster.run_update([("UPDATE b SET v = 7 WHERE k = 1", ())], tables=["b"])  # on m1
+        # Still in the broadcast fan-out ...
+        assert promotee in {
+            target.node_id
+            for target, _frame in fan_out(cluster.nodes, "m1", None, cluster.interest)
+        }
+        # ... so an update transaction on it (class a) sees m1's commit.
+        conn = cluster.connect()
+        run_sync(self._read_b_then_write_a(conn))
+        assert conn.seen == 7
+        for slave_id in cluster.slave_ids():
+            handle = cluster.node(slave_id)
+            txn = handle.slave.begin_read_only(cluster.latest_versions())
+            assert handle.sql.execute(txn, "SELECT v FROM b WHERE k = 1").scalar() == 7
+
+    @staticmethod
+    def _read_b_then_write_a(conn):
+        yield conn.begin_update(["a"])
+        conn.seen = (yield conn.query("SELECT v FROM b WHERE k = 1")).scalar()
+        yield conn.query("UPDATE a SET v = ? WHERE k = 1", (conn.seen,))
+        yield conn.commit()
 
 
 class TestCheckpointPersistence:

@@ -128,7 +128,7 @@ class TestConcurrency:
         for node in cluster.nodes.values():
             if node.slave is None:
                 continue
-            with node.mutex:
+            with cluster.mutex:
                 node.slave.apply_all_pending()
                 from repro.engine import TxnMode
 
