@@ -9,38 +9,27 @@ replication protocol.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 NodeId = str
 TxnId = int
 
 
-@dataclass(frozen=True, order=True)
-class PageId:
-    """Address of one storage page: a table name plus a page number."""
+class PageId(NamedTuple):
+    """Address of one storage page: a table name plus a page number.
+
+    A named tuple, so hashing, equality and ordering run at C speed — page
+    ids are hashed several times on every page touch — and the hash is
+    ``hash((table, number))``: dict and set iteration orders over page ids
+    (and with them replay determinism) do not depend on how the type is
+    spelled.
+    """
 
     table: str
     number: int
-    #: Precomputed ``hash((table, number))`` — identical to the value the
-    #: dataclass-generated ``__hash__`` returns, so dict/set iteration
-    #: orders (and therefore replay determinism) are unchanged; page ids
-    #: are hashed on every page touch, so recomputing was measurable.
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.table, self.number)))
-
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
+    def __str__(self) -> str:
         return f"{self.table}#{self.number}"
-
-
-def _pageid_hash(self: PageId) -> int:
-    return self._hash
-
-
-# Installed after class creation: @dataclass(frozen=True) would otherwise
-# overwrite an in-class __hash__ with the tuple-recomputing generated one.
-PageId.__hash__ = _pageid_hash  # type: ignore[method-assign]
 
 
 class IdAllocator:

@@ -40,9 +40,18 @@ class SlaveController(AccessController):
 
     def __init__(self, slave: "SlaveReplica") -> None:
         self.slave = slave
+        self.pending = slave.pending  # mutated in place, never replaced
 
     def before_read(self, txn: Transaction, page: Page) -> None:
         self.slave.materialize(page, txn)
+
+    def read_gate(self, txn: Transaction, page: Page, tag_v: Optional[int]) -> None:
+        """Enter :meth:`SlaveReplica.materialize` only when it has work:
+        ops queued for the page, or a page already past the reader's tag
+        (which it turns into the version abort).  The common read — page at
+        or below the tag, nothing pending — costs this one test."""
+        if page.page_id in self.pending or (tag_v is not None and page.version > tag_v):
+            self.slave.materialize(page, txn)
 
     def before_write(self, txn: Transaction, page: Page) -> None:
         raise VersionInconsistency(
@@ -64,9 +73,9 @@ class SlaveReplica:
         if engine is None:
             engine = HeapEngine(counters=self.counters, name=f"slave:{node_id}")
         self.engine = engine
-        self.engine.set_controller(SlaveController(self))
         #: page -> ordered queue of (version, PageOp) not yet applied.
         self.pending: Dict[PageId, Deque[Tuple[int, object]]] = {}
+        self.engine.set_controller(SlaveController(self))
         #: Highest versions received from masters (per table).
         self.received_versions = VersionVector()
         #: Duplicate filter over write-set identities (idempotent receive).

@@ -19,19 +19,20 @@ vector.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.common.counters import Counters
 from repro.common.errors import SchemaError, TransactionAborted
 from repro.common.ids import IdAllocator, TxnId
 from repro.common.versions import VersionVector
+from repro.engine.indexes import Loc
 from repro.engine.locks import LockManager, LockMode, LockRequest
 from repro.engine.schema import TableSchema
 from repro.engine.table import Table
 from repro.engine.txn import Savepoint, Transaction, TxnMode, TxnState
 from repro.storage.cache import PageCache
 from repro.storage.ops import PageOp
-from repro.storage.page import Page, PageStore
+from repro.storage.page import Page, PageStore, Row
 
 
 class LockWait(Exception):
@@ -65,6 +66,17 @@ class AccessController:
 
     def before_read(self, txn: Transaction, page: Page) -> None:
         pass
+
+    def read_gate(self, txn: Transaction, page: Page, tag_v: Optional[int]) -> None:
+        """:meth:`before_read` in the form the read funnel calls per row.
+
+        ``tag_v`` is the transaction's version tag for the page's table
+        (``None`` when untagged).  The funnel resolves it once per
+        statement, so a controller whose check needs it overrides this
+        method instead of looking it up again on every row; the default
+        needs nothing per (transaction, table) and ignores it.
+        """
+        self.before_read(txn, page)
 
     def before_write(self, txn: Transaction, page: Page) -> None:
         pass
@@ -259,6 +271,7 @@ class HeapEngine:
         self.cache = cache  # optional residency model; None = always resident
         self.controller = controller if controller is not None else PassThroughController()
         self.controller.attach(self)
+        self._build_read_funnel()
         self.tables: Dict[str, Table] = {}
         self.versions = VersionVector()
         self._txn_ids = IdAllocator()
@@ -393,19 +406,95 @@ class HeapEngine:
         return len(txns)
 
     # -- page access funnels --------------------------------------------------------
-    def touch_read(self, txn: Transaction, page: Page) -> None:
-        if not txn.active:
-            # A statement may still be executing when its transaction is
-            # aborted out from under it (node reconfiguration).  Stop it at
-            # the next page access — before it acquires any more locks.
-            raise TransactionAborted(
-                f"txn {txn.txn_id} is no longer active", reason="txn-inactive"
-            )
-        if self.cache is not None:
-            self.cache.touch(page.page_id)
-        self.controller.before_read(txn, page)
-        txn.pages_read.add(page.page_id)
-        self.counters.add("engine.pages_read")
+    def _build_read_funnel(self) -> None:
+        """Build :attr:`read_row`, :attr:`scan_rows` and :attr:`flush_reads`.
+
+        Every row a transaction reads goes through ``read_row``, in one
+        frame.  What is fixed for the engine is bound here, once per
+        controller: the page map, the LRU order, the controller's gate, the
+        counter bags.  What is fixed for a statement — the transaction and
+        its version tag for the table — the caller resolves once and passes
+        in.  Left per row, in this order: the page lookup, the
+        transaction-still-active check, the LRU touch, the gate, the slot.
+        That order is simulated behaviour (it is the cache's recency order,
+        and it decides which counters a statement that raises half-way has
+        moved), so nothing here may be reordered or batched across rows.
+
+        ``cache.hits``, ``engine.pages_read`` and ``engine.rows_read`` are
+        counted here and added to the counter bags by ``flush_reads``, once
+        per statement instead of once per row; whoever drives the funnel
+        calls it in a ``finally`` so the totals are in the bags before
+        anyone can take a delta.
+        """
+        pages = self.store.page_map()
+        gate = self.controller.read_gate
+        add = self.counters.add
+        cache = self.cache
+        if cache is not None:
+            lru = cache.lru_order()
+            promote = lru.move_to_end
+            add_cache = cache.counters.add
+        active = TxnState.ACTIVE
+        pages_read = rows_read = hits = 0
+
+        def read_row(
+            txn: Transaction, tag_v: Optional[int], loc: Loc
+        ) -> Union[Row, Page, None]:
+            """Row at ``loc`` (None for a dead slot); with a slot of None,
+            the page itself, for a scan that walks the slots on its own."""
+            nonlocal pages_read, rows_read, hits
+            page_id, slot = loc
+            try:
+                page = pages[page_id]
+            except KeyError:
+                raise SchemaError(f"no such page: {page_id}") from None
+            if txn.state is not active:
+                # A statement may still be executing when its transaction is
+                # aborted out from under it (node reconfiguration).  Stop it at
+                # the next page access — before it acquires any more locks.
+                raise TransactionAborted(
+                    f"txn {txn.txn_id} is no longer active", reason="txn-inactive"
+                )
+            if cache is not None:
+                if page_id in lru:
+                    promote(page_id)
+                    hits += 1
+                else:
+                    cache.touch(page_id)
+            gate(txn, page, tag_v)
+            pages_read += 1
+            if slot is None:
+                return page
+            rows_read += 1
+            return page.slots[slot]
+
+        def scan_rows(
+            txn: Transaction, tag_v: Optional[int], table_pages: Iterable[Page]
+        ) -> Iterator[Tuple[Loc, Row]]:
+            """``(loc, row)`` of every live row of the pages, in page order."""
+            nonlocal rows_read
+            for page in table_pages:
+                page_id = page.page_id
+                read_row(txn, tag_v, (page_id, None))
+                for slot, row in page.iter_live():
+                    rows_read += 1
+                    yield (page_id, slot), row
+
+        def flush_reads() -> None:
+            nonlocal pages_read, rows_read, hits
+            if pages_read:
+                add("engine.pages_read", pages_read)
+                pages_read = 0
+            if rows_read:
+                add("engine.rows_read", rows_read)
+                rows_read = 0
+            if hits:
+                add_cache("cache.hits", hits)
+                hits = 0
+
+        self.read_row = read_row
+        self.scan_rows = scan_rows
+        self.flush_reads = flush_reads
 
     def touch_write(self, txn: Transaction, page: Page) -> None:
         if not txn.active:
@@ -438,6 +527,8 @@ class HeapEngine:
             raise RuntimeError("cannot swap controller with active transactions")
         self.controller = controller
         controller.attach(self)
+        self.flush_reads()
+        self._build_read_funnel()
 
     def bulk_load(self, table: str, rows, version: int = 0) -> int:
         """Load committed rows directly (initial population, migrations)."""

@@ -69,6 +69,10 @@ def _copy_bucket(bucket: List[IndexEntry]) -> List[IndexEntry]:
     return [IndexEntry(e.loc, e.insert_v, e.delete_v, e.writer) for e in bucket]
 
 
+#: The encoded NULL key component; sorts before every typed one.
+_NULL = (0, "")
+
+
 def encode_key(key: Key) -> Key:
     """Make keys totally ordered even when components are NULL.
 
@@ -77,7 +81,7 @@ def encode_key(key: Key) -> Key:
     :data:`COMPONENT_MAX` sorts after every encoded component, which lets
     range planners build exclusive/inclusive prefix bounds.
     """
-    return tuple((0, "") if v is None else (1, v) for v in key)
+    return tuple([_NULL if v is None else (1, v) for v in key])
 
 
 #: Sorts after every encoded key component; used to build prefix bounds.
@@ -97,7 +101,12 @@ def prefix_bounds(
     """
     prefix_enc = encode_key(eq_prefix)
     if low is None:
-        lo = prefix_enc if (eq_prefix or high is not None) else None
+        if high is not None:
+            # Bounded above only: start past the NULLs of the range
+            # component, which sort first and satisfy no comparison.
+            lo = prefix_enc + (_NULL, COMPONENT_MAX)
+        else:
+            lo = prefix_enc if eq_prefix else None
     else:
         value, inclusive = low
         lo = prefix_enc + (encode_key((value,))[0],)
@@ -121,6 +130,9 @@ class _BucketOps:
         self.table = table
         self.counters = counters
         self.entry_count = 0
+        #: Entries whose ``delete_v`` is a commit version — the only ones
+        #: :meth:`gc` can ever remove, so it walks nothing while this is 0.
+        self.committed_deletes = 0
 
     # Subclasses provide _bucket(key, create) and _drop_bucket(key).
 
@@ -172,6 +184,7 @@ class _BucketOps:
             raise SchemaError(f"{self.name}: no pending delete for {key}/{loc}")
         entry.delete_v = version
         entry.writer = None
+        self.committed_deletes += 1
 
     def revert_insert(self, key: Key, loc: Loc) -> None:
         bucket = self._bucket(key, create=False)
@@ -199,6 +212,7 @@ class _BucketOps:
     def mark_delete_committed(self, key: Key, loc: Loc, version: int) -> None:
         entry = self._live_entry(key, loc)
         entry.delete_v = version
+        self.committed_deletes += 1
 
     def remove_committed(self, key: Key, loc: Loc, version: int) -> None:
         """Undo an :meth:`add_committed` (master-failure write-set discard)."""
@@ -218,6 +232,7 @@ class _BucketOps:
         for entry in bucket or ():
             if entry.loc == loc and entry.delete_v == version:
                 entry.delete_v = None
+                self.committed_deletes -= 1
                 return
         raise SchemaError(f"{self.name}: no committed delete v{version} for {key}/{loc}")
 
@@ -248,6 +263,7 @@ class _BucketOps:
         ]
         removed = before - len(bucket)
         self.entry_count -= removed
+        self.committed_deletes -= removed
         return removed
 
 
@@ -271,8 +287,11 @@ class VersionedHashIndex(_BucketOps):
         """Become a copy of ``source``: same buckets in the same order."""
         self._buckets = {key: _copy_bucket(b) for key, b in source._buckets.items()}
         self.entry_count = source.entry_count
+        self.committed_deletes = source.committed_deletes
 
     def gc(self, watermark: int) -> int:
+        if not self.committed_deletes:
+            return 0
         removed = 0
         for key in list(self._buckets):
             bucket = self._buckets[key]
@@ -322,6 +341,7 @@ class VersionedTreeIndex(_BucketOps):
         rotations = source._tree.rotations - self._tree.rotations
         self._tree = source._tree.copy(_copy_bucket)
         self.entry_count = source.entry_count
+        self.committed_deletes = source.committed_deletes
         if rotations:
             self.counters.add("index.rotations", rotations)
 
@@ -341,7 +361,7 @@ class VersionedTreeIndex(_BucketOps):
         """
         lo_enc = encode_key(lo) if lo is not None else None
         hi_enc = encode_key(hi) if hi is not None else None
-        yield from self.range_lookup_encoded(lo_enc, hi_enc, reader, tag_v, reverse)
+        return self.range_lookup_encoded(lo_enc, hi_enc, reader, tag_v, reverse)
 
     def range_lookup_encoded(
         self,
@@ -351,19 +371,38 @@ class VersionedTreeIndex(_BucketOps):
         tag_v: Optional[int],
         reverse: bool = False,
     ) -> Iterator[Loc]:
-        """Range scan with pre-encoded bounds (see :func:`prefix_bounds`)."""
+        """Range scan with pre-encoded bounds (see :func:`prefix_bounds`).
+
+        The per-entry test is :meth:`IndexEntry.visible` inlined — this is
+        the one loop that runs per row of every listing.  Which of its two
+        cases applies is fixed for the scan, and ``delete_v`` is None,
+        PENDING or an int, so "is an int" needs no ``isinstance``.
+        """
         self.counters.add("index.range_scans")
-        for _key, bucket in self._tree.range_items(lo_enc, hi_enc, reverse=reverse):
-            for entry in bucket:
-                if entry.visible(reader, tag_v):
-                    yield entry.loc
+        buckets = self._tree.range_items(lo_enc, hi_enc, reverse=reverse)
+        if tag_v is None:
+            for _key, bucket in buckets:
+                for e in bucket:
+                    if e.delete_v is None or (e.delete_v is PENDING and e.writer != reader):
+                        yield e.loc
+        else:
+            for _key, bucket in buckets:
+                for e in bucket:
+                    if (
+                        e.insert_v is not None
+                        and e.insert_v <= tag_v
+                        and (e.delete_v is None or e.delete_v is PENDING or e.delete_v > tag_v)
+                    ):
+                        yield e.loc
 
     def scan_all(
         self, reader: Optional[TxnId], tag_v: Optional[int], reverse: bool = False
     ) -> Iterator[Loc]:
-        yield from self.range_lookup(None, None, reader, tag_v, reverse=reverse)
+        return self.range_lookup(None, None, reader, tag_v, reverse=reverse)
 
     def gc(self, watermark: int) -> int:
+        if not self.committed_deletes:
+            return 0
         removed = 0
         empty_keys = []
         for key, bucket in self._tree.items():

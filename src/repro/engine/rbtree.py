@@ -278,48 +278,56 @@ class RedBlackTree:
         ``None`` bounds are open.  Runs in O(log n + matches).
         """
         if reverse:
-            yield from self._range_desc(self.root, lo, hi)
-        else:
-            yield from self._range_asc(self.root, lo, hi)
+            return self._range_desc(self.root, lo, hi)
+        return self._range_asc(self.root, lo, hi)
 
     def _range_asc(self, node: "_Node", lo: Any, hi: Any) -> Iterator[Tuple[Any, Any]]:
+        nil = self.nil
         stack = []
         current = node
-        while stack or current is not self.nil:
-            while current is not self.nil:
-                self.node_visits += 1
-                if lo is not None and current.key < lo:
-                    current = current.right
-                    continue
-                stack.append(current)
-                current = current.left
-            if not stack:
-                return
-            current = stack.pop()
-            if hi is not None and not current.key < hi:
-                return
-            if lo is None or not current.key < lo:
+        visits = 0
+        try:
+            while stack or current is not nil:
+                while current is not nil:
+                    visits += 1
+                    if lo is not None and current.key < lo:
+                        current = current.right
+                        continue
+                    stack.append(current)  # only nodes at or above lo get here
+                    current = current.left
+                if not stack:
+                    return
+                current = stack.pop()
+                if hi is not None and not current.key < hi:
+                    return
                 yield current.key, current.value
-            current = current.right
+                current = current.right
+        finally:
+            self.node_visits += visits  # once per scan, however it ends
 
     def _range_desc(self, node: "_Node", lo: Any, hi: Any) -> Iterator[Tuple[Any, Any]]:
+        nil = self.nil
         stack = []
         current = node
-        while stack or current is not self.nil:
-            while current is not self.nil:
-                self.node_visits += 1
-                if hi is not None and not current.key < hi:
-                    current = current.left
-                    continue
-                stack.append(current)
-                current = current.right
-            if not stack:
-                return
-            current = stack.pop()
-            if lo is not None and current.key < lo:
-                return
-            yield current.key, current.value
-            current = current.left
+        visits = 0
+        try:
+            while stack or current is not nil:
+                while current is not nil:
+                    visits += 1
+                    if hi is not None and not current.key < hi:
+                        current = current.left
+                        continue
+                    stack.append(current)
+                    current = current.right
+                if not stack:
+                    return
+                current = stack.pop()
+                if lo is not None and current.key < lo:
+                    return
+                yield current.key, current.value
+                current = current.left
+        finally:
+            self.node_visits += visits
 
     def min_item(self) -> Optional[Tuple[Any, Any]]:
         if self.root is self.nil:

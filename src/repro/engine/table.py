@@ -58,7 +58,12 @@ class Table:
         self._nonfull: List[Page] = []
 
     # -- version tag / key helpers ----------------------------------------------
-    def _tag_v(self, txn: Transaction) -> Optional[int]:
+    def tag_v(self, txn: Transaction) -> Optional[int]:
+        """The version of this table ``txn`` reads at; None = current state.
+
+        Fixed for a statement: the read path resolves it once and hands it
+        to every index probe and row read of the statement.
+        """
         return txn.tag.get(self.name) if txn.tag is not None else None
 
     def index_keys(self, row: Row) -> list:
@@ -182,10 +187,11 @@ class Table:
     # -- read path -----------------------------------------------------------------
     def fetch(self, txn: Transaction, loc: Loc) -> Optional[Row]:
         """Row at ``loc``, or None for a dead slot (stale index entry)."""
-        page = self.store.get(loc[0])
-        self.engine.touch_read(txn, page)
-        self.counters.add("engine.rows_read")
-        return page.get(loc[1])
+        engine = self.engine
+        try:
+            return engine.read_row(txn, self.tag_v(txn), loc)
+        finally:
+            engine.flush_reads()
 
     def fetch_for_update(self, txn: Transaction, loc: Loc) -> Optional[Row]:
         """Fetch taking the write lock immediately (UPDATE/DELETE scans).
@@ -201,18 +207,20 @@ class Table:
     def scan(self, txn: Transaction) -> Iterator[Tuple[Loc, Row]]:
         """Full table scan in page order."""
         self.counters.add("engine.table_scans")
-        for page in list(self.store.pages_of(self.name)):
-            self.engine.touch_read(txn, page)
-            for slot, row in page.iter_live():
-                self.counters.add("engine.rows_read")
-                yield (page.page_id, slot), row
+        engine = self.engine
+        try:
+            yield from engine.scan_rows(
+                txn, self.tag_v(txn), list(self.store.pages_of(self.name))
+            )
+        finally:
+            engine.flush_reads()
 
     def pk_lookup(self, txn: Transaction, key: Key) -> List[Loc]:
-        return self.pk_index.lookup(key, txn.txn_id, self._tag_v(txn))
+        return self.pk_index.lookup(key, txn.txn_id, self.tag_v(txn))
 
     def index_lookup(self, txn: Transaction, index_name: str, key: Key) -> List[Loc]:
-        index = self._index(index_name)
-        return index.lookup(key, txn.txn_id, self._tag_v(txn))
+        index = self.index(index_name)
+        return index.lookup(key, txn.txn_id, self.tag_v(txn))
 
     def index_range(
         self,
@@ -222,24 +230,10 @@ class Table:
         hi: Optional[Key],
         reverse: bool = False,
     ) -> Iterator[Loc]:
-        index = self._index(index_name)
-        return index.range_lookup(lo, hi, txn.txn_id, self._tag_v(txn), reverse=reverse)
+        index = self.index(index_name)
+        return index.range_lookup(lo, hi, txn.txn_id, self.tag_v(txn), reverse=reverse)
 
-    def index_range_encoded(
-        self,
-        txn: Transaction,
-        index_name: str,
-        lo_enc,
-        hi_enc,
-        reverse: bool = False,
-    ) -> Iterator[Loc]:
-        """Range scan with pre-encoded bounds (SQL planner fast path)."""
-        index = self._index(index_name)
-        return index.range_lookup_encoded(
-            lo_enc, hi_enc, txn.txn_id, self._tag_v(txn), reverse=reverse
-        )
-
-    def _index(self, name: str) -> VersionedTreeIndex:
+    def index(self, name: str) -> VersionedTreeIndex:
         try:
             return self.indexes[name]
         except KeyError:

@@ -66,7 +66,6 @@ class Transaction:
     journal: List[UndoRecord] = field(default_factory=list)
     redo: List[PageOp] = field(default_factory=list)
     tables_written: Set[str] = field(default_factory=set)
-    pages_read: Set[PageId] = field(default_factory=set)
     #: OCC read-set: page -> mutation stamp observed at *first* read.  Only
     #: populated when the engine's controller is optimistic; 2PL leaves it
     #: empty.

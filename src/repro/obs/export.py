@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Union
 
+from repro.common.ids import PageId
 from repro.obs.trace import Span, Tracer
 
 #: Sequence-type tag values are truncated to this many elements so one
@@ -26,6 +27,8 @@ def _json_safe(value: Any) -> Any:
         return value
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
+    if isinstance(value, PageId):
+        return repr(value)  # one address, not a two-element sequence
     if isinstance(value, (list, tuple, set, frozenset)):
         items = [_json_safe(v) for v in list(value)[:MAX_TAG_ITEMS]]
         if len(value) > MAX_TAG_ITEMS:

@@ -9,11 +9,15 @@ to closures ``fn(env, ctx)``; ``env`` maps table bindings to row tuples,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from itertools import chain
+from operator import itemgetter
+from types import CodeType, FunctionType
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SqlError
 from repro.engine.engine import HeapEngine
-from repro.engine.indexes import prefix_bounds
+from repro.engine.indexes import Loc, prefix_bounds
 from repro.engine.table import Table
 from repro.engine.txn import Transaction
 from repro.sql.ast_nodes import (
@@ -29,7 +33,6 @@ from repro.sql.ast_nodes import (
     IsNull,
     Like,
     Literal,
-    OrderItem,
     Param,
     Select,
     SelectItem,
@@ -42,7 +45,6 @@ from repro.sql.functions import like_match, like_range, sql_arith, sql_compare
 from repro.sql.parser import parse_statement
 from repro.sql.planner import (
     Binding,
-    FullScanAccess,
     IndexAccess,
     PkEqAccess,
     Resolver,
@@ -267,24 +269,134 @@ def compile_agg_expr(expr: Expr, resolver: Resolver, agg_slots: Dict[int, int]) 
 # -- compiled plans --------------------------------------------------------------------
 @dataclass
 class _TableStep:
+    """One table of a plan: how its rows are found, what they must pass."""
+
     binding: str
-    table_name: str
-    access: object
+    table: Table
     filter_fns: List[EvalFn]
-    # Compiled access inputs:
+    # Compiled access inputs; all None means a full scan.
     key_fns: Optional[List[EvalFn]] = None
+    index_name: Optional[str] = None
     eq_fns: Optional[List[EvalFn]] = None
     low: Optional[Tuple[EvalFn, bool]] = None
     high: Optional[Tuple[EvalFn, bool]] = None
     like_fn: Optional[EvalFn] = None
     in_fns: Optional[List[EvalFn]] = None
-    index_name: Optional[str] = None
+
+    @classmethod
+    def compile(
+        cls, engine: HeapEngine, binding: Binding, access: object,
+        filters: Sequence[Expr], resolver: Resolver,
+    ) -> "_TableStep":
+        step = cls(
+            binding=binding.name,
+            table=engine.table(binding.ref.table),
+            filter_fns=[compile_expr(f, resolver) for f in filters],
+        )
+        if isinstance(access, PkEqAccess):
+            step.key_fns = [compile_expr(e, resolver) for e in access.key_exprs]
+        elif isinstance(access, IndexAccess):
+            step.index_name = access.index_name
+            step.eq_fns = [compile_expr(e, resolver) for e in access.eq_exprs]
+            if access.low is not None:
+                step.low = (compile_expr(access.low[0], resolver), access.low[1])
+            if access.high is not None:
+                step.high = (compile_expr(access.high[0], resolver), access.high[1])
+            if access.like_pattern is not None:
+                step.like_fn = compile_expr(access.like_pattern, resolver)
+            if access.in_exprs is not None:
+                step.in_fns = [compile_expr(e, resolver) for e in access.in_exprs]
+        return step
+
+    def locs(
+        self, txn_id: int, tag_v: Optional[int], env: Env, ctx: ExecContext
+    ) -> Optional[Iterable[Loc]]:
+        """Locations this probe visits, in visit order; None for a full scan.
+
+        The one access dispatch, shared by SELECT joins and UPDATE/DELETE
+        row selection.  ``env`` holds the rows of the steps outside this
+        one, which the key expressions of a join probe read.
+        """
+        if self.key_fns is not None:
+            key = tuple([fn(env, ctx) for fn in self.key_fns])
+            return self.table.pk_index.lookup(key, txn_id, tag_v)
+        if self.index_name is None:
+            return None
+        index = self.table.index(self.index_name)
+        eq_vals = tuple([fn(env, ctx) for fn in self.eq_fns])
+        if None in eq_vals:
+            return ()  # comparing with NULL is never true: nothing to visit
+        if self.in_fns is not None:
+            # IN-list: a union of point prefixes.  Dedup the evaluated
+            # values — repeated list members must not emit a row twice.
+            in_vals = dict.fromkeys([fn(env, ctx) for fn in self.in_fns])
+            in_vals.pop(None, None)
+            return chain.from_iterable(
+                index.range_lookup_encoded(*prefix_bounds(eq_vals + (value,)), txn_id, tag_v)
+                for value in in_vals
+            )
+        low = high = None
+        if self.low is not None:
+            low = (self.low[0](env, ctx), self.low[1])
+        if self.high is not None:
+            high = (self.high[0](env, ctx), self.high[1])
+        if (low and low[0] is None) or (high and high[0] is None):
+            return ()
+        if self.like_fn is not None:
+            bounds = like_range(self.like_fn(env, ctx))
+            if bounds is not None:
+                low, high = (bounds[0], True), (bounds[1], True)
+        lo_enc, hi_enc = prefix_bounds(eq_vals, low, high)
+        return index.range_lookup_encoded(lo_enc, hi_enc, txn_id, tag_v)
 
 
-@dataclass
-class _OrderKey:
-    fn: EvalFn
-    descending: bool
+def _tuple_source(
+    exprs: Sequence[Optional[Expr]],
+    compile_one: Callable[[Expr], EvalFn],
+    resolver: Resolver,
+    namespace: Dict[str, EvalFn],
+) -> str:
+    """Source of a tuple display that evaluates ``exprs`` on ``env, ctx``.
+
+    A column reference is read in place and ``None`` stays None; anything
+    else calls its own compiled closure, which is put into ``namespace``.
+    Inside one :func:`_lambda`, the display builds a whole projection row
+    or GROUP BY key in a single frame.
+    """
+    parts = []
+    for expr in exprs:
+        if expr is None:
+            parts.append("None")
+        elif isinstance(expr, ColumnRef):
+            binding, position = resolver.resolve(expr)
+            parts.append(f"env[{binding!r}][{position}]")
+        else:
+            name = f"fn{len(namespace)}"
+            namespace[name] = compile_one(expr)
+            parts.append(f"{name}(env, ctx)")
+    return "(" + "".join(part + ", " for part in parts) + ")"
+
+
+@lru_cache(maxsize=4096)
+def _lambda_code(source: str) -> CodeType:
+    """Code of ``lambda env, ctx: <source>``: one object per distinct source.
+
+    Filed under this module and named after its source.  Profilers key a
+    function by (file, line, name) and keep one of those that collide, so
+    the plans every engine compiles from one statement share a code object
+    and different sources never share a name.
+    """
+    code = eval(compile(f"lambda env, ctx: {source}", __file__, "eval")).__code__
+    return code.replace(co_name=f"<{source}>")
+
+
+def _lambda(source: str, namespace: Dict[str, EvalFn]) -> EvalFn:
+    """``lambda env, ctx: <source>`` with ``namespace`` as its globals."""
+    return FunctionType(_lambda_code(source), namespace)
+
+
+#: The row of a ``(loc, row)`` pair, as a table scan yields them.
+_ROW = itemgetter(1)
 
 
 class _CompiledSelect:
@@ -298,28 +410,10 @@ class _CompiledSelect:
         row_counts = {b.ref.table: engine.table(b.ref.table).row_count for b in bindings}
         ordered = order_tables(bindings, conjuncts, self.resolver, row_counts)
         per_step_filters = assign_filters(ordered, conjuncts, self.resolver)
-        self.steps: List[_TableStep] = []
-        for (binding, access), filters in zip(ordered, per_step_filters):
-            step = _TableStep(
-                binding=binding.name,
-                table_name=binding.ref.table,
-                access=access,
-                filter_fns=[compile_expr(f, self.resolver) for f in filters],
-            )
-            if isinstance(access, PkEqAccess):
-                step.key_fns = [compile_expr(e, self.resolver) for e in access.key_exprs]
-            elif isinstance(access, IndexAccess):
-                step.index_name = access.index_name
-                step.eq_fns = [compile_expr(e, self.resolver) for e in access.eq_exprs]
-                if access.low is not None:
-                    step.low = (compile_expr(access.low[0], self.resolver), access.low[1])
-                if access.high is not None:
-                    step.high = (compile_expr(access.high[0], self.resolver), access.high[1])
-                if access.like_pattern is not None:
-                    step.like_fn = compile_expr(access.like_pattern, self.resolver)
-                if access.in_exprs is not None:
-                    step.in_fns = [compile_expr(e, self.resolver) for e in access.in_exprs]
-            self.steps.append(step)
+        self.steps: List[_TableStep] = [
+            _TableStep.compile(engine, binding, access, filters, self.resolver)
+            for (binding, access), filters in zip(ordered, per_step_filters)
+        ]
 
         # Projections.
         if stmt.star:
@@ -357,30 +451,24 @@ class _CompiledSelect:
                 for node in agg_nodes
             ]
             agg_slots = {id(node): i for i, node in enumerate(agg_nodes)}
-            self.group_fns = [compile_expr(e, self.resolver) for e in stmt.group_by]
-            self.output_fns = [
-                compile_agg_expr(item.expr, self.resolver, agg_slots)
-                for item in self.select_items
-            ]
+            self.has_group_by = bool(stmt.group_by)
             self.having_fn = (
                 compile_agg_expr(stmt.having, self.resolver, agg_slots)
                 if stmt.having is not None
                 else None
             )
-            order_compile = lambda e: compile_agg_expr(e, self.resolver, agg_slots)
+            compile_output = lambda e: compile_agg_expr(e, self.resolver, agg_slots)
         else:
-            self.agg_specs = []
-            self.group_fns = []
-            self.having_fn = None
-            self.output_fns = [compile_expr(item.expr, self.resolver) for item in self.select_items]
-            order_compile = lambda e: compile_expr(e, self.resolver)
+            compile_output = lambda e: compile_expr(e, self.resolver)
 
-        # ORDER BY: resolve select-alias references to output positions.
+        # ORDER BY: resolve select-alias references to output positions; the
+        # other keys are computed beside the output row.
         alias_pos = {
             item.alias: i for i, item in enumerate(self.select_items) if item.alias
         }
-        self.order_keys: List[_OrderKey] = []
-        self.order_output_positions: List[Tuple[Optional[int], _OrderKey]] = []
+        #: Per ORDER BY item: (output position or None, descending).
+        self.order_by: List[Tuple[Optional[int], bool]] = []
+        key_exprs: List[Optional[Expr]] = []
         for order in stmt.order_by:
             position = None
             if isinstance(order.expr, ColumnRef) and order.expr.table is None:
@@ -391,17 +479,36 @@ class _CompiledSelect:
                         if item.expr == order.expr:
                             position = i
                             break
-            key = _OrderKey(
-                order_compile(order.expr) if position is None else None,
-                order.descending,
-            )
-            self.order_output_positions.append((position, key))
+            self.order_by.append((position, order.descending))
+            key_exprs.append(order.expr if position is None else None)
+
+        # What the innermost loop captures of a joined row, and what becomes
+        # of it: ``(output row, sort keys)`` straight away, or — under
+        # aggregation — ``(group key, the row's env)`` first and the same
+        # pair per group afterwards.  One closure, one frame, each.
+        namespace: Dict[str, EvalFn] = {}
+        output = "({}, {})".format(
+            _tuple_source(
+                [item.expr for item in self.select_items], compile_output,
+                self.resolver, namespace,
+            ),
+            _tuple_source(key_exprs, compile_output, self.resolver, namespace),
+        )
+        group_key = _tuple_source(
+            stmt.group_by, lambda e: compile_expr(e, self.resolver), self.resolver, namespace
+        )
+        self.output_fn = _lambda(output, namespace)
+        self.capture = (
+            _lambda(f"({group_key}, dict(env))", namespace)
+            if self.is_aggregate
+            else self.output_fn
+        )
         self.distinct = stmt.distinct
         self.limit_fn = compile_expr(stmt.limit, self.resolver) if stmt.limit else None
         self.offset_fn = compile_expr(stmt.offset, self.resolver) if stmt.offset else None
-        self.minmax = self._minmax_shortcut(engine, stmt)
+        self.minmax = self._minmax_shortcut(stmt)
 
-    def _minmax_shortcut(self, engine: HeapEngine, stmt: Select):
+    def _minmax_shortcut(self, stmt: Select):
         """Detect ``SELECT MAX(col) FROM t`` answerable from an index edge.
 
         Returns ``(table, index_name, column_position, reverse)`` or None.
@@ -423,16 +530,15 @@ class _CompiledSelect:
         ):
             return None
         step = self.steps[0]
-        if step.filter_fns or not isinstance(step.access, FullScanAccess):
-            return None
-        table = engine.table(step.table_name)
+        if step.filter_fns or step.key_fns is not None or step.index_name is not None:
+            return None  # not a bare full scan
+        table = step.table
         column = expr.args[0].column
         if not table.schema.has_column(column):
             return None
         for index in table.schema.indexes:
             if index.columns[0] == column:
-                return (step.table_name, index.name, table.schema.position(column),
-                        expr.name == "max")
+                return (table, index.name, table.schema.position(column), expr.name == "max")
         return None
 
     @staticmethod
@@ -446,86 +552,61 @@ class _CompiledSelect:
         return "expr"
 
     # -- runtime -----------------------------------------------------------------
-    def _iter_step(
-        self, engine: HeapEngine, txn: Transaction, step: _TableStep, env: Env, ctx: ExecContext
-    ) -> Iterator[tuple]:
-        table = engine.table(step.table_name)
-        access = step.access
-        if isinstance(access, PkEqAccess):
-            key = tuple(fn(env, ctx) for fn in step.key_fns)
-            for loc in table.pk_lookup(txn, key):
-                row = table.fetch(txn, loc)
-                if row is not None:
-                    yield row
-            return
-        if isinstance(access, IndexAccess):
-            eq_vals = tuple(fn(env, ctx) for fn in step.eq_fns)
-            if step.in_fns is not None:
-                # IN-list: a union of point prefixes.  Dedup the evaluated
-                # values — repeated list members must not emit a row twice.
-                in_vals = dict.fromkeys(fn(env, ctx) for fn in step.in_fns)
-                for value in in_vals:
-                    lo_enc, hi_enc = prefix_bounds(eq_vals + (value,))
-                    for loc in table.index_range_encoded(txn, step.index_name, lo_enc, hi_enc):
-                        row = table.fetch(txn, loc)
-                        if row is not None:
-                            yield row
-                return
-            low = high = None
-            if step.low is not None:
-                low = (step.low[0](env, ctx), step.low[1])
-            if step.high is not None:
-                high = (step.high[0](env, ctx), step.high[1])
-            if step.like_fn is not None:
-                bounds = like_range(step.like_fn(env, ctx))
-                if bounds is not None:
-                    low, high = (bounds[0], True), (bounds[1], True)
-            lo_enc, hi_enc = prefix_bounds(eq_vals, low, high)
-            for loc in table.index_range_encoded(txn, step.index_name, lo_enc, hi_enc):
-                row = table.fetch(txn, loc)
-                if row is not None:
-                    yield row
-            return
-        for _loc, row in table.scan(txn):
-            yield row
+    def _nested_loops(
+        self, depth: int, bound: list, txn: Transaction, env: Env, ctx: ExecContext,
+        joined: list,
+    ) -> None:
+        """Join the steps from ``depth`` inward under the rows ``env`` holds.
 
-    def _join(
-        self, engine: HeapEngine, txn: Transaction, ctx: ExecContext
-    ) -> Iterator[Env]:
-        def recurse(step_index: int, env: Env) -> Iterator[Env]:
-            if step_index == len(self.steps):
-                yield dict(env)
-                return
-            step = self.steps[step_index]
-            for row in self._iter_step(engine, txn, step, env, ctx):
-                env[step.binding] = row
-                if all(_truthy(fn(env, ctx)) for fn in step.filter_fns):
-                    yield from recurse(step_index + 1, env)
-            env.pop(step.binding, None)
-
-        yield from recurse(0, {})
+        Plain nested loops: one call per probe, none per row but the read
+        and the filters.  The inner probes of an outer row run between two
+        reads of the outer step, so pages are touched in exactly the order
+        the rows of the join come out.
+        """
+        step, tag_v, read = bound[depth]
+        locs = step.locs(txn.txn_id, tag_v, env, ctx)
+        rows = map(read, locs) if locs is not None else map(_ROW, step.table.scan(txn))
+        binding = step.binding
+        filters = step.filter_fns
+        inner = depth + 1
+        innermost = inner == len(bound)
+        keep = joined.append
+        capture = self.capture
+        for row in rows:
+            if row is None:
+                continue  # dead slot behind a stale index entry
+            env[binding] = row
+            for passes in filters:
+                if passes(env, ctx) is not True:  # NULL is not true
+                    break
+            else:
+                if innermost:
+                    keep(capture(env, ctx))
+                else:
+                    self._nested_loops(inner, bound, txn, env, ctx, joined)
 
     def run(self, engine: HeapEngine, txn: Transaction, ctx: ExecContext) -> ResultSet:
+        read_row = engine.read_row
         if self.minmax is not None:
-            table_name, index_name, position, reverse = self.minmax
-            table = engine.table(table_name)
-            for loc in table.index_range_encoded(txn, index_name, None, None, reverse=reverse):
-                row = table.fetch(txn, loc)
+            table, index_name, position, reverse = self.minmax
+            tag_v = table.tag_v(txn)
+            for loc in table.index(index_name).range_lookup_encoded(
+                None, None, txn.txn_id, tag_v, reverse=reverse
+            ):
+                row = read_row(txn, tag_v, loc)
                 if row is not None and row[position] is not None:
                     return ResultSet(self.columns, [(row[position],)], rowcount=1)
             return ResultSet(self.columns, [(None,)], rowcount=1)
-        envs = self._join(engine, txn, ctx)
+        # Per statement and step: the version the step's table is read at,
+        # and the engine's row read bound to it.
+        bound = []
+        for step in self.steps:
+            tag_v = step.table.tag_v(txn)
+            bound.append((step, tag_v, partial(read_row, txn, tag_v)))
+        outputs: List[Tuple[tuple, tuple]] = []
+        self._nested_loops(0, bound, txn, {}, ctx, outputs)
         if self.is_aggregate:
-            outputs = self._run_aggregate(envs, ctx)
-        else:
-            outputs = []
-            for env in envs:
-                row = tuple(fn(env, ctx) for fn in self.output_fns)
-                keys = tuple(
-                    None if pos is not None else key.fn(env, ctx)
-                    for pos, key in self.order_output_positions
-                )
-                outputs.append((row, keys))
+            outputs = self._run_aggregate(outputs, ctx)
         if self.distinct:
             seen = set()
             deduped = []
@@ -539,41 +620,35 @@ class _CompiledSelect:
         rows = self._apply_limit(rows, ctx)
         return ResultSet(self.columns, rows, rowcount=len(rows))
 
-    def _run_aggregate(self, envs: Iterator[Env], ctx: ExecContext) -> List[tuple]:
+    def _run_aggregate(
+        self, joined: List[Tuple[tuple, Env]], ctx: ExecContext
+    ) -> List[Tuple[tuple, tuple]]:
         groups: Dict[tuple, List[Env]] = {}
-        for env in envs:
-            key = tuple(_hashable(fn(env, ctx)) for fn in self.group_fns)
+        for key, env in joined:
             groups.setdefault(key, []).append(env)
-        if not groups and not self.group_fns:
+        if not groups and not self.has_group_by:
             groups[()] = []  # global aggregate over empty input
         outputs = []
-        for key, group_envs in groups.items():
+        for group_envs in groups.values():
             agg_values = [spec.compute(group_envs, ctx) for spec in self.agg_specs]
             rep = dict(group_envs[0]) if group_envs else {}
             rep["__agg__"] = agg_values
             if self.having_fn is not None and not _truthy(self.having_fn(rep, ctx)):
                 continue
-            row = tuple(fn(rep, ctx) for fn in self.output_fns)
-            keys = tuple(
-                None if pos is not None else k.fn(rep, ctx)
-                for pos, k in self.order_output_positions
-            )
-            outputs.append((row, keys))
+            outputs.append(self.output_fn(rep, ctx))
         return outputs
 
     def _sort(self, outputs: List[Tuple[tuple, tuple]]) -> List[Tuple[tuple, tuple]]:
-        if not self.order_output_positions:
-            return outputs
         # Stable multi-key sort: apply keys right-to-left.
-        for key_index in range(len(self.order_output_positions) - 1, -1, -1):
-            position, key = self.order_output_positions[key_index]
+        for key_index in range(len(self.order_by) - 1, -1, -1):
+            position, descending = self.order_by[key_index]
 
             def sort_key(item, position=position, key_index=key_index):
                 row, keys = item
                 value = row[position] if position is not None else keys[key_index]
                 return (value is None, value)  # NULLs last ascending
 
-            outputs.sort(key=sort_key, reverse=key.descending)
+            outputs.sort(key=sort_key, reverse=descending)
         return outputs
 
     def _apply_limit(self, rows: List[tuple], ctx: ExecContext) -> List[tuple]:
@@ -583,10 +658,6 @@ class _CompiledSelect:
         if self.limit_fn is not None:
             rows = rows[: int(self.limit_fn({}, ctx))]
         return rows
-
-
-def _hashable(value: object) -> object:
-    return value
 
 
 class _CompiledInsert:
@@ -624,86 +695,33 @@ class _CompiledDml:
         ordered = order_tables([ref_binding], conjuncts, self.resolver, {table_name: table.row_count})
         filters = assign_filters(ordered, conjuncts, self.resolver)
         (binding, access), step_filters = ordered[0], filters[0]
-        step = _TableStep(
-            binding=binding.name,
-            table_name=table_name,
-            access=access,
-            filter_fns=[compile_expr(f, self.resolver) for f in step_filters],
-        )
-        if isinstance(access, PkEqAccess):
-            step.key_fns = [compile_expr(e, self.resolver) for e in access.key_exprs]
-        elif isinstance(access, IndexAccess):
-            step.index_name = access.index_name
-            step.eq_fns = [compile_expr(e, self.resolver) for e in access.eq_exprs]
-            if access.low is not None:
-                step.low = (compile_expr(access.low[0], self.resolver), access.low[1])
-            if access.high is not None:
-                step.high = (compile_expr(access.high[0], self.resolver), access.high[1])
-            if access.like_pattern is not None:
-                step.like_fn = compile_expr(access.like_pattern, self.resolver)
-        self.step = step
+        self.step = _TableStep.compile(engine, binding, access, step_filters, self.resolver)
         self.binding = binding.name
-        self.table_name = table_name
+        self.table = table
 
-    def matching_locs(
-        self, engine: HeapEngine, txn: Transaction, ctx: ExecContext
-    ) -> List[Tuple[object, tuple]]:
+    def matching_locs(self, txn: Transaction, ctx: ExecContext) -> List[Tuple[Loc, tuple]]:
         """Materialise (loc, row) matches before mutating anything.
 
         Rows are fetched with the write lock held from the start
         (lock-for-update), preventing S->X upgrade deadlocks between
         concurrent DML statements.
         """
-        table = engine.table(self.table_name)
-        matches: List[Tuple[object, tuple]] = []
+        table = self.table
         env: Env = {}
-        access = self.step.access
-        if isinstance(access, PkEqAccess):
-            key = tuple(fn(env, ctx) for fn in self.step.key_fns)
-            candidates = [
-                (loc, table.fetch_for_update(txn, loc)) for loc in table.pk_lookup(txn, key)
-            ]
-        elif isinstance(access, IndexAccess):
-            eq_vals = tuple(fn(env, ctx) for fn in self.step.eq_fns)
-            if self.step.in_fns is not None:
-                candidates = []
-                in_vals = dict.fromkeys(fn(env, ctx) for fn in self.step.in_fns)
-                for value in in_vals:
-                    lo_enc, hi_enc = prefix_bounds(eq_vals + (value,))
-                    candidates.extend(
-                        (loc, table.fetch_for_update(txn, loc))
-                        for loc in list(
-                            table.index_range_encoded(txn, self.step.index_name, lo_enc, hi_enc)
-                        )
-                    )
-                for loc, row in candidates:
-                    if row is None:
-                        continue
-                    env = {self.binding: row}
-                    if all(_truthy(fn(env, ctx)) for fn in self.step.filter_fns):
-                        matches.append((loc, row))
-                return matches
-            low = high = None
-            if self.step.low is not None:
-                low = (self.step.low[0](env, ctx), self.step.low[1])
-            if self.step.high is not None:
-                high = (self.step.high[0](env, ctx), self.step.high[1])
-            if self.step.like_fn is not None:
-                bounds = like_range(self.step.like_fn(env, ctx))
-                if bounds is not None:
-                    low, high = (bounds[0], True), (bounds[1], True)
-            lo_enc, hi_enc = prefix_bounds(eq_vals, low, high)
-            candidates = [
-                (loc, table.fetch_for_update(txn, loc))
-                for loc in list(table.index_range_encoded(txn, self.step.index_name, lo_enc, hi_enc))
-            ]
-        else:
+        locs = self.step.locs(txn.txn_id, table.tag_v(txn), env, ctx)
+        if locs is None:
             candidates = list(table.scan(txn))
+        else:
+            candidates = [(loc, table.fetch_for_update(txn, loc)) for loc in list(locs)]
+        matches: List[Tuple[Loc, tuple]] = []
         for loc, row in candidates:
             if row is None:
                 continue
-            env = {self.binding: row}
-            if all(_truthy(fn(env, ctx)) for fn in self.step.filter_fns):
+            env[self.binding] = row
+            for passes in self.step.filter_fns:
+                if passes(env, ctx) is not True:
+                    break
+            else:
                 matches.append((loc, row))
         return matches
 
@@ -716,12 +734,11 @@ class _CompiledUpdate(_CompiledDml):
         ]
 
     def run(self, engine: HeapEngine, txn: Transaction, ctx: ExecContext) -> ResultSet:
-        table = engine.table(self.table_name)
-        matches = self.matching_locs(engine, txn, ctx)
+        matches = self.matching_locs(txn, ctx)
         for loc, row in matches:
             env = {self.binding: row}
             changes = {column: fn(env, ctx) for column, fn in self.assign_fns}
-            table.update_row(txn, loc, changes)
+            self.table.update_row(txn, loc, changes)
         return ResultSet([], [], rowcount=len(matches))
 
 
@@ -730,10 +747,9 @@ class _CompiledDelete(_CompiledDml):
         super().__init__(engine, stmt.table, stmt.where)
 
     def run(self, engine: HeapEngine, txn: Transaction, ctx: ExecContext) -> ResultSet:
-        table = engine.table(self.table_name)
-        matches = self.matching_locs(engine, txn, ctx)
+        matches = self.matching_locs(txn, ctx)
         for loc, _row in matches:
-            table.delete_row(txn, loc)
+            self.table.delete_row(txn, loc)
         return ResultSet([], [], rowcount=len(matches))
 
 
@@ -800,7 +816,12 @@ class SqlExecutor:
             if engine.controller.emits_occ_counters:
                 engine.counters.add("engine.plan_cache_hits")
         ctx = ExecContext(params, self.now)
-        return plan.run(self.engine, txn, ctx)
+        try:
+            return plan.run(self.engine, txn, ctx)
+        finally:
+            # The statement's read counts reach the counter bag before the
+            # caller can take a delta, whether it returns or raises.
+            self.engine.flush_reads()
 
     def _compile(self, sql: str):
         stmt = parse_cached(sql)

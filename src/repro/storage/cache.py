@@ -39,6 +39,16 @@ class PageCache:
         self._admit(page_id)
         return False
 
+    def lru_order(self) -> "OrderedDict[PageId, None]":
+        """The live LRU order itself (coldest first), not a copy.
+
+        The engine's read funnel inlines :meth:`touch`'s hit branch on it
+        (``in`` + ``move_to_end``) and counts the hits of a statement in
+        one ``cache.hits`` add; a miss still goes through :meth:`touch`.
+        Only ever mutated in place, never replaced.
+        """
+        return self._lru
+
     def _admit(self, page_id: PageId) -> None:
         self._lru[page_id] = None
         while len(self._lru) > self.capacity_pages:

@@ -157,6 +157,16 @@ class PageStore:
         except KeyError:
             raise SchemaError(f"no such page: {page_id}") from None
 
+    def page_map(self) -> Dict[PageId, Page]:
+        """The live ``page id -> page`` dict itself, not a copy.
+
+        For the engine's read funnel, which looks a page up per row read
+        and cannot afford a call for it.  The dict is only ever mutated in
+        place, never replaced, so a reference stays valid for the store's
+        lifetime; holders must not write to it.
+        """
+        return self._pages
+
     def get_or_allocate(self, page_id: PageId) -> Page:
         """Fetch a page, allocating (densely) up to it if missing.
 

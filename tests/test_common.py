@@ -57,6 +57,39 @@ class TestIds:
 
     def test_page_id_str(self):
         assert str(PageId("orders", 7)) == "orders#7"
+        assert f"{PageId('orders', 7)}" == "orders#7"
+        assert repr(PageId("orders", 7)) == "PageId(table='orders', number=7)"
+
+    def test_page_id_hashes_as_its_tuple(self):
+        # Dict and set iteration orders over page ids — and with them every
+        # replayed run — depend on this value, not only on its stability.
+        for table, number in [("item", 0), ("order_line", 12345), ("", -1)]:
+            assert hash(PageId(table, number)) == hash((table, number))
+
+    def test_page_id_construction_and_fields(self):
+        by_position = PageId("item", 3)
+        assert by_position == PageId(table="item", number=3) == PageId(number=3, table="item")
+        assert (by_position.table, by_position.number) == ("item", 3)
+        table, number = by_position
+        assert (table, number) == ("item", 3)
+        with pytest.raises(AttributeError):
+            by_position.number = 4
+        assert sorted([PageId("b", 0), PageId("a", 2), PageId("a", 10)]) == [
+            PageId("a", 2), PageId("a", 10), PageId("b", 0)
+        ]
+        assert PageId("a", 1) != PageId("a", 2) and PageId("a", 1) != PageId("b", 1)
+
+    def test_page_id_span_tag_exports_as_a_string(self):
+        import json
+
+        from repro.obs.export import span_to_event
+        from repro.obs.trace import Tracer
+
+        span = Tracer().span("apply", node="s0", page=PageId("item", 3), pages=[PageId("a", 1)])
+        args = span_to_event(span.finish())["args"]
+        assert args["page"] == "PageId(table='item', number=3)"
+        assert args["pages"] == ["PageId(table='a', number=1)"]
+        json.dumps(args)
 
 
 class TestRng:

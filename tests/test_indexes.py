@@ -10,6 +10,7 @@ from repro.engine.indexes import (
     VersionedHashIndex,
     VersionedTreeIndex,
     encode_key,
+    prefix_bounds,
 )
 
 LOC = (PageId("item", 0), 0)
@@ -51,7 +52,40 @@ class TestVisibility:
         assert e.visible(7, 5)
 
 
+    def test_range_scan_filter_agrees_with_visible_in_every_state(self):
+        # Range scans inline the visibility test; the method above stays
+        # the definition they must agree with.
+        states = [
+            (insert_v, delete_v, writer)
+            for insert_v in (None, 0, 3, 5)
+            for delete_v in (None, PENDING, 0, 3, 5, 8)
+            for writer in (None, 7, 9)
+        ]
+        idx = VersionedTreeIndex("ix", "item")
+        entries = []
+        for slot, state in enumerate(states):
+            entry = IndexEntry((PageId("item", 0), slot), *state)
+            idx._tree.setdefault(encode_key((slot % 5,)), list).append(entry)
+            entries.append(entry)
+        for reader in (None, 7, 9):
+            for tag_v in (None, 0, 2, 3, 4, 5, 9):
+                expected = {e.loc for e in entries if e.visible(reader, tag_v)}
+                for reverse in (False, True):
+                    found = list(idx.range_lookup(None, None, reader, tag_v, reverse=reverse))
+                    assert len(found) == len(expected) and set(found) == expected, (reader, tag_v)
+
+
 class TestEncodeKey:
+    def test_upper_bounded_range_starts_past_the_nulls(self):
+        idx = VersionedTreeIndex("ix", "item")
+        for slot, key in enumerate([(None,), (1,), (5,), (9,)]):
+            idx.add_committed(key, (PageId("item", 0), slot), 0)
+        lo, hi = prefix_bounds((), None, (5, True))
+        assert [slot for _page, slot in idx.range_lookup_encoded(lo, hi, None, None)] == [1, 2]
+        lo, hi = prefix_bounds((), (1, False), None)
+        assert [slot for _page, slot in idx.range_lookup_encoded(lo, hi, None, None)] == [2, 3]
+        assert prefix_bounds(()) == (None, None)
+
     def test_null_sorts_first(self):
         assert encode_key((None,)) < encode_key((0,))
         assert encode_key((None, "b")) < encode_key((1, "a"))

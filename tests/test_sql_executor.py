@@ -309,6 +309,43 @@ class TestDml:
         assert rs.rowcount == 2
         engine.commit(txn)
 
+    def test_in_list_on_an_index_selects_only_the_listed_values(self, db):
+        # UPDATE/DELETE find their rows through the same probe routine as
+        # SELECT: an IN-list on an indexed column is a union of points, not
+        # the whole index with the list forgotten.
+        engine, sql = db
+        txn = engine.begin()
+        rs = sql.execute(
+            txn, "UPDATE item SET i_stock = 0 WHERE i_subject IN ('ARTS', 'ARTS', 'NOPE')"
+        )
+        assert rs.rowcount == 10
+        rs = sql.execute(txn, "DELETE FROM order_line WHERE ol_o_id IN (0, 2)")
+        assert rs.rowcount == 6
+        engine.commit(txn)
+        assert sql.execute(ro(engine), "SELECT COUNT(*) FROM item WHERE i_stock = 0").scalar() == 10
+        assert sql.execute(ro(engine), "SELECT COUNT(*) FROM order_line").scalar() == 24
+
+    def test_null_probe_keys_match_nothing(self, db):
+        engine, sql = db
+        txn = engine.begin()
+        sql.execute(
+            txn, "INSERT INTO item (i_id, i_title, i_subject, i_pub_date) VALUES (99, 'x', NULL, NULL)"
+        )
+        sql.execute(txn, "INSERT INTO item (i_id, i_subject, i_pub_date) VALUES (98, 'ARTS', NULL)")
+        for where, params in [
+            ("i_subject = ?", (None,)),
+            ("i_subject IN (?)", (None,)),
+            ("i_title > ?", (None,)),
+            ("i_title BETWEEN ? AND 'zzz'", (None,)),
+        ]:
+            assert sql.execute(txn, f"SELECT i_id FROM item WHERE {where}", params).rows == []
+            assert sql.execute(txn, f"UPDATE item SET i_stock = 1 WHERE {where}", params).rowcount == 0
+        # Bounded above only: the NULL dates of the range column sort first
+        # in the index and still satisfy no comparison.
+        rs = sql.execute(txn, "SELECT i_id FROM item WHERE i_subject = 'ARTS' AND i_pub_date < 980")
+        assert sorted(rs.rows) == [(21,), (24,), (27,)]
+        assert sql.execute(txn, "SELECT i_id FROM item WHERE i_title < 'Title 001'").rows == [(0,)]
+
     def test_update_index_maintained(self, db):
         engine, sql = db
         txn = engine.begin()

@@ -31,9 +31,9 @@ WORDS = ["alpha", "beta", "gamma", "delta", "epsilon"]
 
 rows_strategy = st.lists(
     st.tuples(
-        st.integers(min_value=-20, max_value=20),            # a
+        st.one_of(st.none(), st.integers(min_value=-20, max_value=20)),  # a
         st.one_of(st.none(), st.sampled_from(WORDS)),        # b
-        st.integers(min_value=-5, max_value=5),              # c
+        st.one_of(st.none(), st.integers(min_value=-5, max_value=5)),    # c
     ),
     min_size=0,
     max_size=40,
@@ -164,3 +164,132 @@ def _oracle_sort(rows, column, descending):
         non_null_desc = sorted(non_null, key=lambda p: (-p[1], p[0]))
         return nulls + non_null_desc if nulls else non_null_desc
     return non_null + nulls
+
+
+# -- joins -----------------------------------------------------------------------------
+# The join loop is nested loops driven by calls; these differentials run
+# two- and three-table equi-joins — PK and secondary-index inner steps, a
+# residual filter, NULLs in the join columns, GROUP BY with SUM/COUNT,
+# ORDER BY + LIMIT — against brute-force nested loops over ``Table.scan``.
+U_SCHEMA = TableSchema(
+    "u",
+    [
+        Column("pk", "int", nullable=False),
+        Column("t_pk", "int"),   # joins t's primary key
+        Column("ta", "int"),     # joins t.a, indexed on both sides
+        Column("x", "int"),
+    ],
+    primary_key=("pk",),
+    indexes=[IndexDef("ix_u_ta", ("ta",))],
+)
+V_SCHEMA = TableSchema(
+    "v",
+    [Column("pk", "int", nullable=False), Column("ux", "int"), Column("y", "int")],
+    primary_key=("pk",),
+    indexes=[IndexDef("ix_v_ux", ("ux",))],
+)
+
+small = st.one_of(st.none(), st.integers(min_value=0, max_value=6))
+t_rows = st.lists(
+    st.tuples(small, st.one_of(st.none(), st.sampled_from(WORDS[:3])), small), max_size=10
+)
+u_rows = st.lists(st.tuples(small, small, small), max_size=14)
+v_rows = st.lists(st.tuples(small, small), max_size=14)
+
+JOINS = {
+    # name: (FROM list, join conjuncts as (left, right) column pairs)
+    "pk_inner": ("t, u", [("t.pk", "u.t_pk")]),
+    "index_inner": ("t, u", [("t.a", "u.ta")]),
+    "three_tables": ("t, u, v", [("t.a", "u.ta"), ("u.x", "v.ux")]),
+    "three_tables_pk": ("t, u, v", [("u.t_pk", "t.pk"), ("v.ux", "u.x")]),
+}
+RESIDUALS = [None, ("t.c", "<", "u.x"), ("u.x", ">=", 3), ("t.a", "<>", "u.x")]
+
+
+def _load_join_tables(t_data, u_data, v_data):
+    engine = HeapEngine(rows_per_page=4)
+    for schema in (SCHEMA, U_SCHEMA, V_SCHEMA):
+        engine.create_table(schema)
+    engine.bulk_load("t", [{"pk": i, "a": a, "b": b, "c": c} for i, (a, b, c) in enumerate(t_data)])
+    engine.bulk_load(
+        "u", [{"pk": i, "t_pk": p, "ta": a, "x": x} for i, (p, a, x) in enumerate(u_data)]
+    )
+    engine.bulk_load("v", [{"pk": i, "ux": ux, "y": y} for i, (ux, y) in enumerate(v_data)])
+    return engine
+
+
+def _oracle_join(engine, txn, tables, conjuncts, residual):
+    """Brute-force nested loops over full scans; NULL never compares true."""
+    schemas = {"t": SCHEMA, "u": U_SCHEMA, "v": V_SCHEMA}
+    scans = {name: [row for _loc, row in engine.table(name).scan(txn)] for name in tables}
+
+    def value(env, term):
+        if not isinstance(term, str):
+            return term
+        table, column = term.split(".")
+        return env[table][schemas[table].position(column)]
+
+    def holds(env, left, op, right):
+        l, r = value(env, left), value(env, right)
+        if l is None or r is None:
+            return False
+        return {"=": l == r, "<": l < r, ">=": l >= r, "<>": l != r}[op]
+
+    envs = [{}]
+    for name in tables:
+        envs = [{**env, name: row} for env in envs for row in scans[name]]
+    checks = [(left, "=", right) for left, right in conjuncts]
+    if residual is not None:
+        checks.append(residual)
+    return [env for env in envs if all(holds(env, *check) for check in checks)]
+
+
+def _where(conjuncts, residual):
+    parts = [f"{left} = {right}" for left, right in conjuncts]
+    if residual is not None:
+        parts.append("{} {} {}".format(*residual))
+    return " AND ".join(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_rows, u_rows, v_rows, st.sampled_from(sorted(JOINS)), st.sampled_from(RESIDUALS),
+       st.integers(min_value=0, max_value=12))
+def test_join_agrees_with_nested_loop_oracle(t_data, u_data, v_data, shape, residual, limit):
+    engine = _load_join_tables(t_data, u_data, v_data)
+    sql = SqlExecutor(engine)
+    from_list, conjuncts = JOINS[shape]
+    tables = from_list.split(", ")
+    txn = engine.begin(TxnMode.READ_ONLY)
+    pks = ", ".join(f"{name}.pk" for name in tables)
+    statement = (
+        f"SELECT {pks}, u.x FROM {from_list} WHERE {_where(conjuncts, residual)} "
+        f"ORDER BY {pks} LIMIT {limit}"
+    )
+    result = sql.execute(txn, statement).rows
+    oracle = _oracle_join(engine, txn, tables, conjuncts, residual)
+    expected = sorted(tuple(env[name][0] for name in tables) + (env["u"][3],) for env in oracle)
+    assert result == expected[:limit], statement
+
+
+@settings(max_examples=100, deadline=None)
+@given(t_rows, u_rows, v_rows, st.sampled_from(sorted(JOINS)), st.sampled_from(RESIDUALS))
+def test_grouped_join_agrees_with_oracle(t_data, u_data, v_data, shape, residual):
+    engine = _load_join_tables(t_data, u_data, v_data)
+    sql = SqlExecutor(engine)
+    from_list, conjuncts = JOINS[shape]
+    tables = from_list.split(", ")
+    txn = engine.begin(TxnMode.READ_ONLY)
+    statement = (
+        f"SELECT t.b, t.c, SUM(u.x) AS total, COUNT(*) AS n FROM {from_list} "
+        f"WHERE {_where(conjuncts, residual)} GROUP BY t.b, t.c"
+    )
+    result = sql.execute(txn, statement).rows
+    groups = {}
+    for env in _oracle_join(engine, txn, tables, conjuncts, residual):
+        groups.setdefault((env["t"][2], env["t"][3]), []).append(env["u"][3])
+    expected = [
+        (b, c, sum(x for x in xs if x is not None) if any(x is not None for x in xs) else None,
+         len(xs))
+        for (b, c), xs in groups.items()
+    ]
+    assert sorted(result, key=repr) == sorted(expected, key=repr), statement
