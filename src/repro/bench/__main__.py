@@ -5,6 +5,12 @@ the paper-style summary line.  With ``--trace`` the run also records the
 transaction-lifecycle spans: the per-stage p50/p95/p99 latency table (the
 shape of the paper's Fig. 6 breakdown) is printed and a Chrome-trace JSON
 is written for Perfetto / ``chrome://tracing``.
+
+This is the one thing the module does.  Host-time measurement is
+``benchmarks/perf/run.py``; named fault scenarios are ``python -m
+repro.chaos --plan NAME``; the capacity sweep and the overload comparison
+are functions (:mod:`repro.bench.capacity`, :mod:`repro.bench.overload`)
+that tests call.
 """
 
 from __future__ import annotations
@@ -12,11 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.harness import (
-    run_dmv_throughput,
-    run_profile,
-    run_straggler_comparison,
-)
+from repro.bench.harness import run_dmv_throughput
+from repro.obs import write_chrome_trace
 from repro.tpcw.mixes import MIXES
 
 
@@ -24,96 +27,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench", description="Run one DMV throughput measurement."
     )
-    # Defaults resolve per sub-command: the throughput run measures the
-    # modelled system (shopping mix, 30 clients, 2 slaves, 60 sim-s), the
-    # hot-path profile measures the simulator itself on its reference
-    # configuration (ordering mix, 100 clients, 4 slaves, 30 sim-s).
     parser.add_argument(
-        "--mix", default=None, choices=sorted(MIXES), help="TPC-W mix"
+        "--mix", default="shopping", choices=sorted(MIXES), help="TPC-W mix"
     )
-    parser.add_argument("--clients", type=int, default=None, help="emulated browsers")
-    parser.add_argument("--slaves", type=int, default=None, help="slave replicas")
-    parser.add_argument("--duration", type=float, default=None, help="virtual seconds")
+    parser.add_argument("--clients", type=int, default=30, help="emulated browsers")
+    parser.add_argument("--slaves", type=int, default=2, help="slave replicas")
+    parser.add_argument("--duration", type=float, default=60.0, help="virtual seconds")
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="wall-clock engine hot-path profile: reports simulated WIPS per "
-        "wall-second (setup and measured run timed separately) and writes "
-        "BENCH_engine_hotpath.json",
-    )
-    parser.add_argument(
-        "--profile-out",
-        default="benchmarks/results/BENCH_engine_hotpath.json",
-        metavar="PATH",
-        help="result file for --profile",
-    )
-    parser.add_argument(
-        "--read-concurrency",
-        choices=("occ", "2pl"),
-        default="occ",
-        help="master read/validation path for --profile runs",
-    )
-    parser.add_argument(
-        "--min-wips-per-wall",
-        type=float,
-        default=0.0,
-        metavar="X",
-        help="with --profile: exit non-zero unless simulated-WIPS-per-wall-second "
-        ">= X (the CI perf-smoke regression gate)",
-    )
-    parser.add_argument(
-        "--capacity-sweep",
-        action="store_true",
-        help="partial-replication capacity sweep (Fig. 3 shape): step the "
-        "per-slave resident-page budget down to a fraction of the dataset "
-        "and report throughput + invariant verdicts per point",
-    )
-    parser.add_argument(
-        "--capacity-out",
-        default="benchmarks/results/partial_capacity_sweep.json",
-        metavar="PATH",
-        help="result file for --capacity-sweep",
-    )
-    parser.add_argument(
-        "--budgets",
-        default=None,
-        metavar="N,N,...",
-        help="explicit per-slave page budgets for --capacity-sweep "
-        "('none' = uncapped); default derives a grid from the dataset size",
-    )
-    parser.add_argument(
-        "--overload-compare",
-        action="store_true",
-        help="run the flash-crowd metastability demo (defenses OFF vs ON on "
-        "the same seed and server shape) and gate on the OFF arm staying "
-        "SLO-degraded >= --min-degraded-ratio x longer than ON",
-    )
-    parser.add_argument(
-        "--overload-out",
-        default="benchmarks/results/BENCH_overload.json",
-        metavar="PATH",
-        help="result file for --overload-compare",
-    )
-    parser.add_argument(
-        "--min-degraded-ratio",
-        type=float,
-        default=2.0,
-        metavar="X",
-        help="with --overload-compare: required OFF/ON degraded-duration ratio",
-    )
-    parser.add_argument(
-        "--straggler-compare",
-        action="store_true",
-        help="run the (ack policy) x (straggler) commit-latency matrix and "
-        "write the table to benchmarks/results/straggler_ack_policies.txt",
-    )
-    parser.add_argument(
-        "--out",
-        default="benchmarks/results/straggler_ack_policies.txt",
-        metavar="PATH",
-        help="result file for --straggler-compare",
-    )
     parser.add_argument(
         "--trace",
         action="store_true",
@@ -128,157 +48,21 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.profile:
-        import json
-        import os
-
-        run = run_profile(
-            mix_name=args.mix if args.mix is not None else "ordering",
-            num_slaves=args.slaves if args.slaves is not None else 4,
-            clients=args.clients if args.clients is not None else 100,
-            duration=args.duration if args.duration is not None else 30.0,
-            seed=args.seed,
-            read_concurrency=args.read_concurrency,
-        )
-        print(
-            f"engine hotpath profile mix={run.mix} slaves={run.slaves} "
-            f"clients={run.clients} duration={run.duration:g}s "
-            f"read_concurrency={run.read_concurrency}:"
-        )
-        print(
-            f"  setup_wall={run.setup_wall_s:.3f}s run_wall={run.run_wall_s:.3f}s "
-            f"wips={run.wips:.2f} completed={run.completed}"
-        )
-        print(
-            f"  wips_per_wall_second={run.wips_per_wall_second:.2f} "
-            f"completed_per_wall_second={run.completed_per_wall_second:.1f} "
-            f"occ_abort_fraction={run.occ_abort_fraction * 100:.2f}%"
-        )
-        os.makedirs(os.path.dirname(args.profile_out) or ".", exist_ok=True)
-        with open(args.profile_out, "w") as fh:
-            json.dump(run.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"results -> {args.profile_out}")
-        if args.min_wips_per_wall and run.wips_per_wall_second < args.min_wips_per_wall:
-            print(
-                f"FAIL: wips_per_wall_second {run.wips_per_wall_second:.2f} "
-                f"< required {args.min_wips_per_wall:g}"
-            )
-            return 1
-        return 0
-
-    mix = args.mix if args.mix is not None else "shopping"
-    clients = args.clients if args.clients is not None else 30
-    slaves = args.slaves if args.slaves is not None else 2
-    duration = args.duration if args.duration is not None else 60.0
-
-    if args.capacity_sweep:
-        import json
-        import os
-
-        from repro.bench.capacity import run_capacity_sweep
-
-        budgets = None
-        if args.budgets:
-            budgets = [
-                None if tok.strip().lower() in ("none", "uncapped") else int(tok)
-                for tok in args.budgets.split(",")
-            ]
-        sweep = run_capacity_sweep(
-            budgets=budgets,
-            mix_name=mix,
-            clients=args.clients if args.clients is not None else 24,
-            duration=args.duration if args.duration is not None else 40.0,
-            seed=args.seed,
-        )
-        print(
-            f"partial-replication capacity sweep mix={sweep.mix} "
-            f"clients={sweep.clients} duration={sweep.duration:g}s "
-            f"seed={sweep.seed} dataset={sweep.dataset_pages} pages:"
-        )
-        print(sweep.table())
-        accept = sweep.acceptance_point
-        if accept is not None:
-            print(
-                f"acceptance: budget={accept.budget_pages} pages serves "
-                f"{accept.capacity_ratio:.1f}x its resident set "
-                f"(completed={accept.completed}, invariants "
-                f"{'OK' if accept.invariants_ok else 'FAIL'})"
-            )
-        os.makedirs(os.path.dirname(args.capacity_out) or ".", exist_ok=True)
-        with open(args.capacity_out, "w") as fh:
-            json.dump(sweep.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"results -> {args.capacity_out}")
-        if not sweep.ok:
-            for point in sweep.points:
-                for failure in point.invariant_failures:
-                    print(f"FAIL [budget={point.budget_pages}]: {failure}")
-            return 1
-        if accept is None:
-            print("FAIL: no measured point had dataset >= 2x the slave budget")
-            return 1
-        return 0
-
-    if args.overload_compare:
-        import json
-        import os
-
-        from repro.bench.overload import run_overload_comparison
-
-        comparison = run_overload_comparison(
-            seed=args.seed,
-            duration=args.duration if args.duration is not None else 200.0,
-            min_ratio=args.min_degraded_ratio,
-        )
-        print(comparison.summary())
-        os.makedirs(os.path.dirname(args.overload_out) or ".", exist_ok=True)
-        with open(args.overload_out, "w") as fh:
-            json.dump(comparison.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"results -> {args.overload_out}")
-        return 0 if comparison.ok else 1
-
-    if args.straggler_compare:
-        import os
-
-        comparison = run_straggler_comparison(
-            mix_name="ordering" if mix == "shopping" else mix,
-            num_slaves=max(3, slaves),
-            clients=clients,
-            duration=duration,
-            seed=args.seed,
-        )
-        table = comparison.table()
-        print(table)
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.write(
-                "Commit latency under one straggler: ack policy comparison\n"
-                f"(mix=ordering slaves={max(3, slaves)} clients={clients} "
-                f"duration={duration:g}s seed={args.seed}; straggler=s2 x12)\n\n"
-            )
-            fh.write(table + "\n")
-        print(f"results -> {args.out}")
-        return 0
-
     run = run_dmv_throughput(
-        mix,
-        num_slaves=slaves,
-        clients=clients,
-        duration=duration,
+        args.mix,
+        num_slaves=args.slaves,
+        clients=args.clients,
+        duration=args.duration,
         seed=args.seed,
         trace=args.trace,
     )
     print(
-        f"dmv mix={mix} slaves={slaves} clients={run.clients}: "
+        f"dmv mix={args.mix} slaves={args.slaves} clients={run.clients}: "
         f"wips={run.wips:.2f} p95={run.latency_p95 * 1e3:.1f}ms "
         f"commit_p99={run.commit_p99 * 1e3:.2f}ms "
         f"aborts={run.abort_rate * 100:.2f}% completed={run.completed}"
     )
-    if args.trace and run.tracer is not None:
-        from repro.obs import write_chrome_trace
-
+    if args.trace:
         print("per-stage latency breakdown (virtual clock):")
         print(run.stage_table())
         events = write_chrome_trace(args.trace_out, run.tracer)

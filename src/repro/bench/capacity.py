@@ -22,14 +22,14 @@ from typing import Dict, List, Optional, Sequence
 from repro.bench.calibration import BENCH_COST, BENCH_ROWS_PER_PAGE, BENCH_SCALE
 from repro.bench.harness import _measure, cached_rows
 from repro.chaos.invariants import check_all_invariants
-from repro.chaos.scenario import partial_interest_sets
+from repro.chaos.plans import PLANS
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
 from repro.common.counters import Counters
 from repro.tpcw.mixes import MIXES
 from repro.tpcw.schema import TPCW_SCHEMAS, TpcwScale
 
-#: Counters worth carrying into the artifact: partial-replication traffic
+#: Counters recorded per point: partial-replication traffic
 #: savings, coverage routing decisions and the tiering churn that proves
 #: cold pages actually spilled.
 CAPACITY_COUNTERS = (
@@ -66,19 +66,6 @@ class CapacityPoint:
             return 1.0
         return self.dataset_pages / self.budget_pages
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "budget_pages": self.budget_pages,
-            "wips": self.wips,
-            "latency_p95": self.latency_p95,
-            "completed": self.completed,
-            "dataset_pages": self.dataset_pages,
-            "capacity_ratio": self.capacity_ratio,
-            "invariants_ok": self.invariants_ok,
-            "invariant_failures": list(self.invariant_failures),
-            "counters": dict(self.counters),
-        }
-
 
 @dataclass
 class CapacitySweep:
@@ -99,35 +86,6 @@ class CapacitySweep:
         eligible = [p for p in self.points if p.budget_pages and p.capacity_ratio >= 2.0]
         return min(eligible, key=lambda p: p.budget_pages) if eligible else None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "mix": self.mix,
-            "clients": self.clients,
-            "duration": self.duration,
-            "seed": self.seed,
-            "dataset_pages": self.dataset_pages,
-            "ok": self.ok,
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    def table(self) -> str:
-        header = (
-            f"{'budget':>9} {'x-dataset':>9} {'wips':>8} {'p95(ms)':>8} "
-            f"{'completed':>9} {'evictions':>9} {'cov.rejects':>11} {'invariants':>10}"
-        )
-        lines = [header]
-        for p in self.points:
-            budget = "uncapped" if not p.budget_pages else str(p.budget_pages)
-            ratio = "-" if not p.budget_pages else f"{p.capacity_ratio:.1f}x"
-            lines.append(
-                f"{budget:>9} {ratio:>9} {p.wips:>8.2f} "
-                f"{p.latency_p95 * 1e3:>8.1f} {p.completed:>9d} "
-                f"{int(p.counters.get('cache.evictions', 0)):>9d} "
-                f"{int(p.counters.get('sched.coverage_rejects', 0)):>11d} "
-                f"{'OK' if p.invariants_ok else 'FAIL':>10}"
-            )
-        return "\n".join(lines)
-
 
 def _merged_counters(cluster) -> Counters:
     sources = [node.counters for node in cluster.nodes.values()]
@@ -144,21 +102,18 @@ def run_capacity_point(
     scale: TpcwScale = BENCH_SCALE,
     rows_per_page: int = BENCH_ROWS_PER_PAGE,
     cost: CostConfig = BENCH_COST,
-    interest_sets: Optional[Dict[str, Optional[Sequence[str]]]] = None,
-    num_slaves: int = 3,
 ) -> CapacityPoint:
-    """Measure one budget point of the partial-replication capacity sweep."""
+    """Measure one budget point of the partial-replication capacity sweep:
+    the ``partial`` plan's cluster shape (interest sets over 3 slaves,
+    replication factor 2) with the resident budget under test."""
+    shape = dict(PLANS["partial"].cluster(duration), slave_cache_pages=budget_pages)
     cluster = SimDmvCluster(
         TPCW_SCHEMAS,
-        num_slaves=num_slaves,
+        num_slaves=3,
         cost_config=cost,
         rows_per_page=rows_per_page,
         seed=seed,
-        interest_sets=(
-            interest_sets if interest_sets is not None else partial_interest_sets()
-        ),
-        min_replication_factor=2,
-        slave_cache_pages=budget_pages,
+        **shape,
     )
     cluster.load_tables(cached_rows(scale))
     # Warm through the budgeted LRU: with a finite budget only the most

@@ -72,10 +72,6 @@ class ThroughputRun:
     commit_p95: float = 0.0
     commit_p99: float = 0.0
 
-    def stage_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-stage latency summaries (empty without tracing)."""
-        return self.tracer.stages.summary() if self.tracer is not None else {}
-
     def stage_table(self) -> str:
         """Per-stage p50/p95/p99 table (empty string without tracing)."""
         return self.tracer.stage_table() if self.tracer is not None else ""
@@ -176,20 +172,11 @@ def run_dmv_throughput(
     think_time: float = BENCH_THINK_TIME,
     seed: int = 0,
     trace: bool = False,
-    ack_policy: str = "all",
-    quorum_k: int = 1,
-    straggler: Optional[str] = None,
-    straggler_factor: float = 8.0,
-    straggler_at: float = 0.0,
-    multi_master: bool = False,
-    num_masters: Optional[int] = None,
-    conflict_map=None,
+    **cluster_kwargs,
 ) -> ThroughputRun:
-    """One DMV throughput step, optionally with an injected straggler.
+    """One DMV throughput step.
 
-    ``straggler`` names a node whose service times are inflated by
-    ``straggler_factor`` from ``straggler_at`` onward — the gray-failure
-    setup the ack-policy comparison (§ straggler tolerance) measures.
+    ``cluster_kwargs`` go to :class:`SimDmvCluster` verbatim —
     ``multi_master``/``num_masters``/``conflict_map`` select the write
     scale-out shape (the write-path scaling figure); the defaults keep the
     legacy single-master cluster.
@@ -197,22 +184,14 @@ def run_dmv_throughput(
     cluster = SimDmvCluster(
         TPCW_SCHEMAS,
         num_slaves=num_slaves,
-        conflict_map=conflict_map,
-        multi_master=multi_master,
-        num_masters=num_masters,
         cost_config=cost,
         rows_per_page=BENCH_ROWS_PER_PAGE,
         seed=seed,
         trace=trace,
-        ack_policy=ack_policy,
-        quorum_k=quorum_k,
+        **cluster_kwargs,
     )
     cluster.load_tables(cached_rows(scale))
     cluster.warm_all_caches()
-    if straggler is not None:
-        cluster.sim.schedule(
-            straggler_at, cluster.set_slowdown, straggler, straggler_factor
-        )
     cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
     wips, lat = _measure(cluster, duration)
     commits = cluster.metrics.commit_latency
@@ -224,204 +203,6 @@ def run_dmv_throughput(
         commit_p50=commits.percentile(50),
         commit_p95=commits.percentile(95),
         commit_p99=commits.percentile(99),
-    )
-
-
-@dataclass
-class ProfileRun:
-    """Wall-clock profile: how much simulated work one real second buys.
-
-    Simulated WIPS measures the *modelled* system; this measures the
-    simulator itself — the engine hot path (event kernel, lock manager,
-    page reads, SQL plan cache) is what burns host CPU.  ``setup`` (build,
-    load, warm) and the measured run are timed separately so data-generation
-    cost does not dilute the hot-path number.
-    """
-
-    mix: str
-    slaves: int
-    clients: int
-    duration: float
-    seed: int
-    read_concurrency: str
-    setup_wall_s: float
-    run_wall_s: float
-    wips: float
-    completed: int
-    abort_rate: float
-    retries_by_reason: Dict[str, int] = field(default_factory=dict)
-    #: Hot-path instrumentation: ``kernel.fast_resumes`` plus the merged
-    #: ``engine.occ_*`` / ``engine.plan_cache_hits`` / ``engine.lock_fast_grants``
-    #: counters (all zero when profiling the legacy 2PL path).
-    hotpath_counters: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def wips_per_wall_second(self) -> float:
-        return self.wips / self.run_wall_s if self.run_wall_s else 0.0
-
-    @property
-    def completed_per_wall_second(self) -> float:
-        return self.completed / self.run_wall_s if self.run_wall_s else 0.0
-
-    @property
-    def occ_abort_fraction(self) -> float:
-        """occ-conflict aborts per validation (the <5 % acceptance gate)."""
-        validations = self.hotpath_counters.get("engine.occ_validations", 0.0)
-        aborts = self.hotpath_counters.get("engine.occ_aborts", 0.0)
-        return aborts / validations if validations else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "benchmark": "engine_hotpath",
-            "config": {
-                "mix": self.mix,
-                "slaves": self.slaves,
-                "clients": self.clients,
-                "duration_sim_s": self.duration,
-                "seed": self.seed,
-                "read_concurrency": self.read_concurrency,
-            },
-            "setup_wall_s": round(self.setup_wall_s, 3),
-            "run_wall_s": round(self.run_wall_s, 3),
-            "wips": round(self.wips, 2),
-            "wips_per_wall_second": round(self.wips_per_wall_second, 2),
-            "completed": self.completed,
-            "completed_per_wall_second": round(self.completed_per_wall_second, 1),
-            "abort_rate": round(self.abort_rate, 4),
-            "occ_abort_fraction": round(self.occ_abort_fraction, 4),
-            "retries_by_reason": dict(self.retries_by_reason),
-            "hotpath_counters": {
-                k: int(v) for k, v in sorted(self.hotpath_counters.items())
-            },
-        }
-
-
-HOTPATH_COUNTERS = (
-    "engine.occ_validations",
-    "engine.occ_aborts",
-    "engine.plan_cache_hits",
-    "engine.lock_fast_grants",
-)
-
-
-def run_profile(
-    mix_name: str = "ordering",
-    num_slaves: int = 4,
-    clients: int = 100,
-    duration: float = 30.0,
-    seed: int = 0,
-    read_concurrency: str = "occ",
-    scale: TpcwScale = BENCH_SCALE,
-    think_time: float = BENCH_THINK_TIME,
-) -> ProfileRun:
-    """Measure simulated-WIPS-per-wall-second on the DMV engine hot path."""
-    import time
-    from dataclasses import replace
-
-    from repro.common.counters import Counters
-
-    cost = replace(BENCH_COST, read_concurrency=read_concurrency)
-    setup_start = time.perf_counter()
-    cluster = SimDmvCluster(
-        TPCW_SCHEMAS,
-        num_slaves=num_slaves,
-        cost_config=cost,
-        rows_per_page=BENCH_ROWS_PER_PAGE,
-        seed=seed,
-    )
-    cluster.load_tables(cached_rows(scale))
-    cluster.warm_all_caches()
-    cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
-    run_start = time.perf_counter()
-    wips, _lat = _measure(cluster, duration)
-    run_wall = time.perf_counter() - run_start
-    merged = Counters.merged([node.counters for node in cluster.nodes.values()])
-    hotpath = {name: merged.get(name) for name in HOTPATH_COUNTERS}
-    hotpath["kernel.fast_resumes"] = float(cluster.sim.fast_resumes)
-    return ProfileRun(
-        mix=mix_name,
-        slaves=num_slaves,
-        clients=clients,
-        duration=duration,
-        seed=seed,
-        read_concurrency=read_concurrency,
-        setup_wall_s=run_start - setup_start,
-        run_wall_s=run_wall,
-        wips=wips,
-        completed=cluster.metrics.completed,
-        abort_rate=cluster.metrics.abort_rate(),
-        retries_by_reason=dict(cluster.metrics.aborts_by_reason),
-        hotpath_counters=hotpath,
-    )
-
-
-@dataclass
-class StragglerComparison:
-    """Commit-latency matrix: (ack policy) x (straggler injected or not)."""
-
-    baseline: ThroughputRun          # all acks, healthy cluster
-    all_straggler: ThroughputRun     # all acks, one slow slave
-    quorum_baseline: ThroughputRun   # quorum acks, healthy cluster
-    quorum_straggler: ThroughputRun  # quorum acks, one slow slave
-
-    def table(self) -> str:
-        header = (
-            f"{'configuration':<26} {'wips':>8} {'commit p50':>12} "
-            f"{'commit p95':>12} {'commit p99':>12} {'p99 vs base':>12}"
-        )
-        base = self.baseline.commit_p99 or 1e-12
-        rows = [header, "-" * len(header)]
-        for label, run in (
-            ("all / healthy", self.baseline),
-            ("all / straggler", self.all_straggler),
-            ("quorum / healthy", self.quorum_baseline),
-            ("quorum / straggler", self.quorum_straggler),
-        ):
-            rows.append(
-                f"{label:<26} {run.wips:>8.1f} {run.commit_p50 * 1000:>10.3f}ms "
-                f"{run.commit_p95 * 1000:>10.3f}ms {run.commit_p99 * 1000:>10.3f}ms "
-                f"{run.commit_p99 / base:>11.2f}x"
-            )
-        return "\n".join(rows)
-
-
-def run_straggler_comparison(
-    mix_name: str = "ordering",
-    num_slaves: int = 3,
-    clients: int = 40,
-    duration: float = 60.0,
-    straggler: str = "s2",
-    straggler_factor: float = 12.0,
-    quorum_k: int = 1,
-    scale: TpcwScale = BENCH_SCALE,
-    cost: CostConfig = BENCH_COST,
-    think_time: float = BENCH_THINK_TIME,
-    seed: int = 0,
-) -> StragglerComparison:
-    """The straggler-tolerance experiment: does one slow slave drag commits?
-
-    Under ``all`` acks every update commit waits for the slowest replica,
-    so commit p99 tracks the straggler's inflation.  Under ``quorum`` acks
-    the laggard is demoted out of the ack set and commit latency stays at
-    the healthy baseline.
-    """
-    common = dict(
-        mix_name=mix_name, num_slaves=num_slaves, clients=clients,
-        duration=duration, scale=scale, cost=cost,
-        think_time=think_time, seed=seed,
-    )
-    return StragglerComparison(
-        baseline=run_dmv_throughput(**common),
-        all_straggler=run_dmv_throughput(
-            **common, straggler=straggler, straggler_factor=straggler_factor
-        ),
-        quorum_baseline=run_dmv_throughput(
-            **common, ack_policy="quorum", quorum_k=quorum_k
-        ),
-        quorum_straggler=run_dmv_throughput(
-            **common, ack_policy="quorum", quorum_k=quorum_k,
-            straggler=straggler, straggler_factor=straggler_factor,
-        ),
     )
 
 

@@ -1,11 +1,10 @@
 """The metastability demo: defenses-OFF vs defenses-ON under a flash crowd.
 
-Both arms run the *same* seeded open-loop flash-crowd scenario on the
-*same* server shape (:func:`repro.traffic.scenario.overload_base_config`:
-bounded update MPL + epoch commit on a deliberately slow cost model); the
-only difference is the defense stack
-(:func:`repro.traffic.scenario.overload_defense_config`: admission
-control, request deadlines, retry budgets, circuit breaking).
+The arms are the ``overload-undefended`` and ``overload`` plans of
+:data:`repro.chaos.plans.PLANS`: the *same* seeded open-loop flash-crowd
+scenario on the *same* server shape (bounded update MPL + epoch commit on
+a deliberately slow cost model); the only difference is the defense stack
+(admission control, request deadlines, retry budgets, circuit breaking).
 
 The headline number is **SLO-goodput degraded duration** after the burst
 ends: with defenses off the burst's backlog and retry amplification keep
@@ -19,14 +18,10 @@ degraded at least ``min_ratio`` (default 2x) longer than ON.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.chaos.scenario import overload_chaos_plan, run_chaos_scenario
-from repro.traffic.scenario import (
-    flash_crowd_scenario,
-    overload_base_config,
-    overload_defense_config,
-)
+from repro.chaos.plans import DEFENSE_COUNTERS, PLANS
+from repro.chaos.scenario import run_plan
 
 
 @dataclass
@@ -42,21 +37,6 @@ class OverloadArm:
     degraded_duration: float
     slo_attainment: float
     counters: Dict[str, float]
-    traffic: Dict[str, object]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "defenses": self.defenses,
-            "fingerprint": self.fingerprint,
-            "invariants_ok": self.invariants_ok,
-            "invariant_failures": list(self.invariant_failures),
-            "pre_burst_rate": self.pre_burst_rate,
-            "recovered": self.recovered,
-            "degraded_duration": self.degraded_duration,
-            "slo_attainment": self.slo_attainment,
-            "counters": self.counters,
-            "traffic": self.traffic,
-        }
 
 
 @dataclass
@@ -114,25 +94,10 @@ class OverloadComparison:
             ]
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        ratio = self.ratio
-        return {
-            "bench": "overload_metastability",
-            "seed": self.seed,
-            "duration": self.duration,
-            "min_ratio": self.min_ratio,
-            "ratio": None if ratio == float("inf") else ratio,
-            "ok": self.ok,
-            "arms": {"off": self.off.to_dict(), "on": self.on.to_dict()},
-        }
 
-
-#: Counters worth carrying into the bench artifact (the CI smoke greps
-#: the first three from the chaos run; the artifact records both arms).
-_ARM_COUNTERS = (
-    "sched.admission_rejects",
-    "sched.deadline_cancels",
-    "traffic.retry_budget_exhausted",
+#: Counters recorded per arm: the defense counters (they fire with the
+#: defenses on and stay zero with them off) and the client-side totals.
+_ARM_COUNTERS = DEFENSE_COUNTERS + (
     "traffic.breaker_short_circuits",
     "traffic.requests_injected",
     "bench.retries_exhausted",
@@ -140,16 +105,8 @@ _ARM_COUNTERS = (
 
 
 def _run_arm(defenses: str, seed: int, duration: float) -> OverloadArm:
-    cost_config = (
-        overload_defense_config() if defenses == "on" else overload_base_config()
-    )
-    scenario = flash_crowd_scenario(duration=duration, seed=seed)
-    report = run_chaos_scenario(
-        seed=seed,
-        plan=overload_chaos_plan(seed, duration),
-        cost_config=cost_config,
-        traffic=scenario,
-    )
+    plan = PLANS["overload" if defenses == "on" else "overload-undefended"]
+    report = run_plan(plan, seed=seed, duration=duration)
     recovery = report.traffic.burst_recovery()
     pre_rate, recovered_at, degraded = recovery if recovery else (0.0, None, 0.0)
     totals = report.traffic.totals()
@@ -167,7 +124,6 @@ def _run_arm(defenses: str, seed: int, duration: float) -> OverloadArm:
         counters={
             name: report.counters.get(name, 0) for name in _ARM_COUNTERS
         },
-        traffic=report.traffic.to_json(),
     )
 
 

@@ -13,6 +13,9 @@ under *messy* failures, not just clean scheduled kills.  This package adds:
 * :mod:`repro.chaos.invariants` — Jepsen-lite post-quiescence checkers
   (durability, version convergence, snapshot consistency, write-set
   conservation, durable-prefix / no-ghost-commits on durable clusters);
+* :mod:`repro.chaos.plans` — the registry of named scenarios: each plan's
+  fault schedule, cluster shape, cost configuration and expectations,
+  declared once;
 * :mod:`repro.chaos.scenario` — the seeded end-to-end chaos scenario runner
   whose metric fingerprint replays identically from its printed seed.
 """
@@ -48,16 +51,18 @@ from repro.chaos.invariants import (
     check_snapshot_consistency,
 )
 from repro.chaos.network import ANY, LinkState, NetworkModel
-from repro.chaos.scenario import (
-    ChaosReport,
+from repro.chaos.plans import (
+    PLANS,
+    Plan,
     default_chaos_plan,
     durability_chaos_plan,
+    overload_chaos_plan,
     partial_chaos_plan,
     partial_interest_sets,
-    run_chaos_scenario,
     straggler_chaos_plan,
     write_scaleout_chaos_plan,
 )
+from repro.chaos.scenario import ChaosReport, run_chaos_scenario, run_plan
 
 __all__ = [
     "ANY",
@@ -72,7 +77,9 @@ __all__ = [
     "LinkFault",
     "LinkState",
     "NetworkModel",
+    "PLANS",
     "Partition",
+    "Plan",
     "Rehome",
     "ReintegrateNode",
     "RestartNode",
@@ -92,9 +99,11 @@ __all__ = [
     "check_snapshot_consistency",
     "default_chaos_plan",
     "durability_chaos_plan",
+    "overload_chaos_plan",
     "partial_chaos_plan",
     "partial_interest_sets",
     "run_chaos_scenario",
+    "run_plan",
     "straggler_chaos_plan",
     "write_scaleout_chaos_plan",
 ]

@@ -1,8 +1,12 @@
-"""CLI entry point: ``PYTHONPATH=src python -m repro.chaos [--seed N]``.
+"""CLI entry point: ``PYTHONPATH=src python -m repro.chaos --plan NAME``.
 
-Runs one seeded chaos scenario, prints the report (fault plan, client
-metrics, chaos counters, invariant verdicts, fingerprint) and exits
-non-zero if any invariant failed — the CI chaos-smoke contract.
+Runs one plan of :data:`repro.chaos.plans.PLANS` at its declared seed and
+length, prints the report (fault plan, client metrics, chaos counters,
+invariant verdicts, fingerprint) and exits non-zero if the run failed any
+of the plan's expectations: an invariant, the commit floor, a counter that
+had to fire or stay zero.  With ``--trace`` the plan runs twice — untraced,
+then traced — and the traced run must reproduce the untraced fingerprint;
+this one invocation is the whole CI ``soak`` contract.
 """
 
 from __future__ import annotations
@@ -10,87 +14,30 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.chaos.scenario import (
-    default_chaos_plan,
-    durability_chaos_plan,
-    overload_chaos_plan,
-    partial_chaos_plan,
-    partial_interest_sets,
-    run_chaos_scenario,
-    straggler_chaos_plan,
-    write_scaleout_chaos_plan,
-)
+from repro.chaos.plans import PLANS
+from repro.chaos.scenario import run_plan
+from repro.obs import write_chrome_trace
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro.chaos", description="Run one seeded chaos scenario."
+        prog="repro.chaos", description="Run one named, seeded chaos plan."
     )
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument("--duration", type=float, default=200.0, help="virtual seconds")
-    parser.add_argument("--browsers", type=int, default=16, help="emulated browsers")
-    parser.add_argument("--mix", default="ordering", help="TPC-W mix name")
     parser.add_argument(
         "--plan",
-        choices=(
-            "default", "straggler", "durability", "write-scaleout", "partial",
-            "overload",
-        ),
+        choices=sorted(PLANS),
         default="default",
-        help="fault plan: 'default' (loss + partition + master crash), "
-        "'straggler' (lossy fabric + one slow-but-alive slave), "
-        "'durability' (durable WAL, storage faults, restart-from-own-disk), "
-        "'write-scaleout' (two masters, flash write load, forced class "
-        "re-homes, master kill during handoff), 'partial' (interest-set "
-        "partial replication + hot/cold tiering, crash of a range's sole "
-        "extra replica) or 'overload' (open-loop flash-crowd traffic with "
-        "admission control, request deadlines and retry budgets on)",
+        help="named scenario (README 'Plans' has the table)",
     )
     parser.add_argument(
-        "--interest",
+        "--seed", type=int, default=None, help="experiment seed (default: the plan's)"
+    )
+    parser.add_argument(
+        "--duration",
+        type=float,
         default=None,
-        metavar="SPEC",
-        help="interest-set spec 'node=t1,t2;node=*' (partial replication; "
-        "--plan partial supplies its canonical assignment when omitted)",
-    )
-    parser.add_argument(
-        "--min-replication-factor",
-        type=int,
-        default=None,
-        help="alive covering nodes required per table by the "
-        "interest-coverage invariant (default: 1; --plan partial: 2)",
-    )
-    parser.add_argument(
-        "--slave-cache-pages",
-        type=int,
-        default=None,
-        help="resident-page budget per slave (hot/cold tiering; subscribed "
-        "but cold pages spill and re-fault; --plan partial: 16)",
-    )
-    parser.add_argument(
-        "--ack-policy",
-        choices=("all", "quorum", "all-healthy"),
-        default="all",
-        help="pre-commit ack policy (non-default policies enable laggard demotion)",
-    )
-    parser.add_argument(
-        "--quorum-k",
-        type=int,
-        default=1,
-        help="slave acks required per commit under --ack-policy quorum",
-    )
-    parser.add_argument(
-        "--read-concurrency",
-        choices=("occ", "2pl"),
-        default="occ",
-        help="master read/validation path: optimistic read validation (default) "
-        "or legacy shared-mode 2PL (reproduces pre-OCC fingerprints)",
-    )
-    parser.add_argument(
-        "--min-commits",
-        type=int,
-        default=0,
-        help="fail unless at least this many interactions completed",
+        help="virtual seconds (default: the plan's; its expectations are "
+        "calibrated for that length)",
     )
     parser.add_argument(
         "--expect-fingerprint",
@@ -100,8 +47,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="record transaction spans; prints the per-stage latency table "
-        "and writes a Chrome-trace JSON (see --trace-out)",
+        help="re-run with transaction spans recorded: must reproduce the "
+        "untraced fingerprint; prints the per-stage latency table and "
+        "writes a Chrome-trace JSON (see --trace-out)",
     )
     parser.add_argument(
         "--trace-out",
@@ -112,106 +60,30 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    plan_builder = {
-        "default": default_chaos_plan,
-        "straggler": straggler_chaos_plan,
-        "durability": durability_chaos_plan,
-        "write-scaleout": write_scaleout_chaos_plan,
-        "partial": partial_chaos_plan,
-        "overload": overload_chaos_plan,
-    }[args.plan]
-    from repro.cluster.costs import CostConfig
-
-    durable = args.plan == "durability"
-    scaleout = args.plan == "write-scaleout"
-    partial = args.plan == "partial"
-    overload = args.plan == "overload"
-    multi_master_kwargs = {}
-    if scaleout:
-        from repro.tpcw.schema import tpcw_conflict_map
-
-        multi_master_kwargs = dict(
-            multi_master=True,
-            num_masters=2,
-            conflict_map=tpcw_conflict_map(multi_master=True),
-        )
-    interest_sets = None
-    if args.interest:
-        from repro.cluster.interest import parse_interest_spec
-
-        interest_sets = parse_interest_spec(args.interest)
-    elif partial:
-        interest_sets = partial_interest_sets()
-    min_rf = args.min_replication_factor
-    if min_rf is None:
-        min_rf = 2 if partial else 1
-    slave_cache_pages = args.slave_cache_pages
-    if slave_cache_pages is None and partial:
-        # Tighter than the ~35-page TPC-W base image: the aggregate
-        # dataset exceeds 2x one slave's budget, so subscribed-but-cold
-        # pages must spill and re-fault (the tiering model under test).
-        slave_cache_pages = 16
-    traffic = None
-    if overload:
-        # Open-loop flash crowd with the full defense stack on, layered on
-        # the bounded-MPL + epoch-commit server shape; the OFF comparison
-        # lives in the bench harness (--overload-compare).
-        from repro.traffic.scenario import (
-            flash_crowd_scenario,
-            overload_defense_config,
-        )
-
-        traffic = flash_crowd_scenario(duration=args.duration, seed=args.seed)
-        cost_config = overload_defense_config(read_concurrency=args.read_concurrency)
-    else:
-        cost_config = CostConfig(
-            read_concurrency=args.read_concurrency,
-            durable_wal=durable,
-            update_mpl=4 if scaleout else 0,
-            epoch_max_txns=4 if scaleout else 1,
-            epoch_ms=5.0 if scaleout else 0.0,
-            dynamic_classes=scaleout,
-            rebalance_interval=5.0 if scaleout else 0.0,
-        )
-    report = run_chaos_scenario(
-        seed=args.seed,
-        plan=plan_builder(args.seed, args.duration),
-        duration=args.duration,
-        browsers=args.browsers,
-        mix_name=args.mix,
-        trace=args.trace,
-        ack_policy=args.ack_policy,
-        quorum_k=args.quorum_k,
-        cost_config=cost_config,
-        checkpoint_period=args.duration / 10.0 if durable else 0.0,
-        interest_sets=interest_sets,
-        min_replication_factor=min_rf,
-        slave_cache_pages=slave_cache_pages,
-        traffic=traffic,
-        **multi_master_kwargs,
+    plan = PLANS[args.plan]
+    untraced = run_plan(plan, seed=args.seed, duration=args.duration)
+    report = (
+        run_plan(plan, seed=args.seed, duration=args.duration, trace=True)
+        if args.trace
+        else untraced
     )
     print(report.summary())
-    if args.trace and report.tracer is not None:
-        from repro.obs import write_chrome_trace
-
+    if args.trace:
         events = write_chrome_trace(args.trace_out, report.tracer)
         print(f"trace: {events} events -> {args.trace_out}")
-    ok = report.ok()
-    if args.min_commits and report.completed < args.min_commits:
-        print(f"FAIL: only {report.completed} commits (< {args.min_commits})")
-        ok = False
-    if report.counters.get("net.retransmits", 0) <= 0:
-        print("FAIL: chaos run exercised no retransmissions")
-        ok = False
-    if report.counters.get("net.dups_ignored", 0) <= 0:
-        print("FAIL: chaos run exercised no duplicate filtering")
-        ok = False
-    if args.expect_fingerprint and report.fingerprint != args.expect_fingerprint:
-        print(
-            f"FAIL: fingerprint {report.fingerprint} != expected {args.expect_fingerprint}"
+    failures = plan.failures(report)
+    if report.fingerprint != untraced.fingerprint:
+        failures.append(
+            f"traced fingerprint {report.fingerprint} != untraced {untraced.fingerprint}"
         )
-        ok = False
-    return 0 if ok else 1
+    if args.expect_fingerprint and report.fingerprint != args.expect_fingerprint:
+        failures.append(
+            f"fingerprint {report.fingerprint} != expected {args.expect_fingerprint}"
+        )
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    print(f"plan {plan.name}: " + ("FAIL" if failures else "PASS"))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

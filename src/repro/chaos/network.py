@@ -144,11 +144,6 @@ class NetworkModel:
             if _crosses(src, dst, *pair) and state.partitions > 0:
                 state.partitions -= 1
 
-    def any_lossy(self) -> bool:
-        return any(state.lossy for state in self._links.values()) or bool(
-            self._rules or self._partitions
-        )
-
 
 def _matches(pattern: str, endpoint: str) -> bool:
     return pattern == ANY or pattern == endpoint

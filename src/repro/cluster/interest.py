@@ -138,26 +138,3 @@ class InterestRegistry:
 
 _FULL = InterestSet.full()
 
-
-def parse_interest_spec(spec: str) -> Dict[str, Optional[Iterable[str]]]:
-    """Parse a CLI interest spec like ``"s0=*;s1=item,author;s2=orders"``.
-
-    ``*`` (or an empty table list) declares full interest.  Returns the
-    ``interest_sets`` mapping :class:`~repro.cluster.simcluster.SimDmvCluster`
-    accepts: node id -> table tuple, or ``None`` for full replication.
-    """
-    out: Dict[str, Optional[Iterable[str]]] = {}
-    for entry in spec.split(";"):
-        entry = entry.strip()
-        if not entry:
-            continue
-        if "=" not in entry:
-            raise ValueError(f"bad interest entry {entry!r} (want node=t1,t2 or node=*)")
-        node_id, _, tables = entry.partition("=")
-        node_id = node_id.strip()
-        tables = tables.strip()
-        if tables in ("*", ""):
-            out[node_id] = None
-        else:
-            out[node_id] = tuple(t.strip() for t in tables.split(",") if t.strip())
-    return out

@@ -154,9 +154,3 @@ class MasterReplica:
     def abort_all_active(self) -> int:
         """Scheduler-failure cleanup: abort every in-flight transaction."""
         return self.engine.abort_all_active(reason="scheduler-failure")
-
-    def ensure_can_commit(self, txn: Transaction) -> None:
-        if not txn.active:
-            raise TransactionAborted(
-                f"txn {txn.txn_id} is {txn.state.value}", reason="not-active"
-            )

@@ -136,16 +136,12 @@ class SlaveReplica:
             self._seen_write_sets.add(key)
             return
         self._seen_write_sets.add(key)
+        store = self.engine.store
         for op in write_set.ops:
             version = write_set.versions[op.page_id.table]
-            page = self.engine.store.get_or_allocate(op.page_id)
-            queue = self.pending.get(op.page_id)
-            if queue is None:
-                queue = self.pending[op.page_id] = deque()
-            queue.append((version, op))
-            if not self.catching_up:
-                self.engine.table(op.page_id.table).index_apply_committed(op, version)
-            _ = page  # page allocated so scans see it before materialisation
+            # Allocated on receipt so scans see the page before materialisation.
+            store.get_or_allocate(op.page_id)
+            self._enqueue(op, version)
         self.received_versions.merge(VersionVector(write_set.versions))
         self.pending_ops += len(write_set.ops)
         if not self.catching_up and self.pending_ops > self.pending_ops_peak:
@@ -176,16 +172,21 @@ class SlaveReplica:
             page = store.get_or_allocate(op.page_id)
             if version <= page.version:
                 continue  # checkpoint image already contains this op
-            queue = self.pending.get(op.page_id)
-            if queue is None:
-                queue = self.pending[op.page_id] = deque()
-            queue.append((version, op))
+            self._enqueue(op, version)
             buffered += 1
-            if not self.catching_up:
-                self.engine.table(op.page_id.table).index_apply_committed(op, version)
         self.received_versions.merge(VersionVector(write_set.versions))
         self.pending_ops += buffered
         return buffered
+
+    def _enqueue(self, op: PageOp, version: int) -> None:
+        """Queue one committed op behind its page; maintain indexes eagerly
+        unless catching up (``finish_catchup`` rebuilds them from pages)."""
+        queue = self.pending.get(op.page_id)
+        if queue is None:
+            queue = self.pending[op.page_id] = deque()
+        queue.append((version, op))
+        if not self.catching_up:
+            self.engine.table(op.page_id.table).index_apply_committed(op, version)
 
     # -- lazy materialisation ----------------------------------------------------------
     #
@@ -257,6 +258,21 @@ class SlaveReplica:
         if popped > len(plan):
             self.counters.add("slave.ops_coalesced", popped - len(plan))
 
+    def _apply_queue(
+        self, page: Page, queue: Deque[Tuple[int, PageOp]], target: Optional[int]
+    ) -> Tuple[int, int]:
+        """The one apply step: coalesce ``page``'s ``queue`` up to ``target``
+        (``None`` = everything), write the plan, drop the queue once empty.
+
+        Returns ``(ops consumed, slot writes performed)``.
+        """
+        plan, top, popped = self._coalesce(queue, target)
+        if popped:
+            self._apply_plan(page, plan, top, popped)
+        if not queue:
+            del self.pending[page.page_id]
+        return popped, len(plan)
+
     def materialize(self, page: Page, txn: Transaction) -> None:
         """Bring ``page`` to the version ``txn`` must read.
 
@@ -287,16 +303,12 @@ class SlaveReplica:
                 target=target if target is not None else -1,
                 queued=len(queue),
             )
-        plan, top, popped = self._coalesce(queue, target)
-        if popped:
-            self._apply_plan(page, plan, top, popped)
-        if not queue:
-            del self.pending[page.page_id]
+        popped, applied = self._apply_queue(page, queue, target)
         if span is not None:
             span.finish(
                 popped=popped,
-                applied=len(plan) if popped else 0,
-                coalesced=max(0, popped - len(plan)),
+                applied=applied,
+                coalesced=popped - applied,
                 status="applied" if popped else "noop",
             )
 
@@ -306,14 +318,11 @@ class SlaveReplica:
         Returns the number of buffered ops consumed (coalesced-away ops
         included — callers size promotion work by queue depth).
         """
-        consumed = 0
-        for page_id in list(self.pending):
-            page = self.engine.store.get(page_id)
-            queue = self.pending.pop(page_id)
-            plan, top, popped = self._coalesce(queue, None)
-            self._apply_plan(page, plan, top, popped)
-            consumed += popped
-        return consumed
+        store = self.engine.store
+        return sum(
+            self._apply_queue(store.get(page_id), self.pending[page_id], None)[0]
+            for page_id in list(self.pending)
+        )
 
     def drain_to(self, versions: VersionVector) -> int:
         """Eagerly apply the confirmed prefix of every pending queue.
@@ -334,21 +343,15 @@ class SlaveReplica:
             if not queue or queue[0][0] > target:
                 continue
             page = self.engine.store.get(page_id)
-            plan, top, popped = self._coalesce(queue, target)
-            if popped:
-                self._apply_plan(page, plan, top, popped)
-            if not queue:
-                del self.pending[page_id]
-            consumed += popped
+            consumed += self._apply_queue(page, queue, target)[0]
         return consumed
 
     def materialize_fully(self, page_id: PageId) -> Page:
         """Apply all pending ops of one page (migration snapshot source)."""
         page = self.engine.store.get(page_id)
-        queue = self.pending.pop(page_id, None)
+        queue = self.pending.get(page_id)
         if queue:
-            plan, top, popped = self._coalesce(queue, None)
-            self._apply_plan(page, plan, top, popped)
+            self._apply_queue(page, queue, None)
         return page
 
     # -- transactions --------------------------------------------------------------------

@@ -8,7 +8,7 @@ write path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import SchemaError
 
@@ -113,9 +113,6 @@ class TableSchema:
     def has_column(self, column: str) -> bool:
         return column in self._positions
 
-    def column_names(self) -> List[str]:
-        return [c.name for c in self.columns]
-
     # -- row conversions -----------------------------------------------------
     def row_from_dict(self, values: Dict[str, object]) -> Tuple:
         """Build a validated row tuple; missing columns become NULL."""
@@ -142,9 +139,3 @@ class TableSchema:
     # -- keys ------------------------------------------------------------------
     def pk_of(self, row: Sequence) -> Tuple:
         return key_at(row, self._pk_positions)
-
-    def index_by_name(self, name: str) -> Optional[IndexDef]:
-        for index in self.indexes:
-            if index.name == name:
-                return index
-        return None

@@ -218,10 +218,6 @@ class Table:
     def pk_lookup(self, txn: Transaction, key: Key) -> List[Loc]:
         return self.pk_index.lookup(key, txn.txn_id, self.tag_v(txn))
 
-    def index_lookup(self, txn: Transaction, index_name: str, key: Key) -> List[Loc]:
-        index = self.index(index_name)
-        return index.lookup(key, txn.txn_id, self.tag_v(txn))
-
     def index_range(
         self,
         txn: Transaction,

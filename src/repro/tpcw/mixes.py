@@ -87,12 +87,6 @@ class Mix:
         updates = sum(w for n, w in self.weights if n in UPDATE_INTERACTIONS)
         return updates / total
 
-    def weight_of(self, interaction: str) -> float:
-        for name, weight in self.weights:
-            if name == interaction:
-                return weight
-        return 0.0
-
 
 MIXES: Dict[str, Mix] = {
     "browsing": Mix("browsing", tuple(_BROWSING)),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.core.conflictclass import ConflictClassMap
 from repro.engine.schema import Column, IndexDef, TableSchema
@@ -259,7 +259,3 @@ def tpcw_conflict_map(multi_master: bool = False) -> ConflictClassMap:
     if multi_master:
         return ConflictClassMap(TABLE_NAMES, UPDATE_TEMPLATES)
     return ConflictClassMap.single_class(TABLE_NAMES)
-
-
-def schema_by_name() -> Dict[str, TableSchema]:
-    return {schema.name: schema for schema in TPCW_SCHEMAS}

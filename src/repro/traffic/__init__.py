@@ -14,7 +14,8 @@ Entry points:
 * :mod:`repro.traffic.scenario` — the scenario DSL (tenants + shapes +
   an optional chaos :class:`~repro.chaos.faults.FaultPlan`).
 * :mod:`repro.traffic.engine` — the open-loop injector.
-* ``python -m repro.traffic`` — run a named scenario from the CLI.
+* ``python -m repro.chaos --plan overload`` (or ``overload-undefended``,
+  ``diurnal``, ``multi-tenant``) — run one of the named scenarios.
 """
 
 from repro.traffic.arrivals import (
@@ -33,7 +34,6 @@ from repro.traffic.scenario import (
     diurnal_scenario,
     flash_crowd_scenario,
     multi_tenant_scenario,
-    overload_defense_config,
 )
 
 __all__ = [
@@ -53,5 +53,4 @@ __all__ = [
     "flash_crowd_scenario",
     "iter_arrivals",
     "multi_tenant_scenario",
-    "overload_defense_config",
 ]

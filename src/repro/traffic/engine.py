@@ -183,35 +183,6 @@ class TrafficStats:
                 )
         return "\n".join(lines)
 
-    def to_json(self) -> Dict[str, object]:
-        recovery = self.burst_recovery()
-        out: Dict[str, object] = {
-            "scenario": self.scenario.name,
-            "tenants": {
-                name: {
-                    "injected": stats.injected,
-                    "completed": stats.completed,
-                    "failed": stats.failed,
-                    "shed": stats.shed,
-                    "retried": stats.retried,
-                    "slo_attainment": stats.slo_attainment(),
-                    "shed_ratio": stats.shed_ratio(),
-                    "shed_by_cause": dict(stats.shed_by_cause),
-                    "latency": stats.latency.summary(),
-                }
-                for name, stats in self.tenants.items()
-            },
-        }
-        if recovery is not None:
-            pre_rate, recovered_at, degraded = recovery
-            out["burst_recovery"] = {
-                "pre_burst_rate": pre_rate,
-                "recovered_at": recovered_at,
-                "degraded_duration": degraded,
-                "recovered": recovered_at is not None,
-            }
-        return out
-
 
 class _Tenant:
     """Runtime state for one tenant: rng, session pool, defenses, stats."""

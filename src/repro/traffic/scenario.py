@@ -21,24 +21,25 @@ conflict class while a slave is demoted" is one literal::
         faults=FaultPlan(seed=7, events=(Slowdown(at=40.0, node_id="s2", factor=12.0),)),
     )
 
-The builders below are the canonical examples the README quickstart,
-the chaos ``--plan overload`` wiring and the overload bench share.
+The builders below are the load shapes of the open-loop entries of
+:data:`repro.chaos.plans.PLANS` (which pair each with a fault schedule and
+a cost configuration); they carry no fault plan of their own.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.chaos.faults import FaultPlan, LinkFault
-from repro.cluster.costs import CostConfig
 from repro.traffic.arrivals import (
     BurstRate,
     ConstantRate,
     DiurnalRate,
     RateShape,
 )
+
+if TYPE_CHECKING:  # a runtime import would cycle: repro.chaos.plans imports this module
+    from repro.chaos.faults import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -115,75 +116,12 @@ class TrafficScenario:
         return f"traffic scenario {self.name!r} ({'; '.join(parts)})"
 
 
-def overload_defense_config(
-    base: Optional[CostConfig] = None, **overrides
-) -> CostConfig:
-    """The canonical defenses-ON configuration for overload scenarios.
-
-    Layered on the write scale-out server shape (bounded update MPL +
-    epoch commit) it adds the full client/scheduler defense stack:
-    per-tenant token buckets, queue-delay watermark shedding, request
-    deadlines, retry budgets and circuit breaking.  The OFF arm of the
-    metastability demo uses :func:`overload_base_config` — identical
-    except for the defense knobs — so the comparison isolates them.
-    """
-    if base is None:
-        base = overload_base_config()
-    values = dict(
-        admission_rate=30.0,
-        admission_burst=90.0,
-        admission_queue_watermark=0.6,
-        request_deadline=1.5,
-        retry_budget_rate=1.5,
-        retry_budget_burst=8.0,
-        breaker_failure_threshold=0.5,
-    )
-    values.update(overrides)
-    return dataclasses.replace(base, **values)
-
-
-def overload_base_config(**overrides) -> CostConfig:
-    """Server shape shared by both arms of the overload comparison.
-
-    Bounded update MPL + epoch commit, on a deliberately *slow* cost
-    model (~30x the default CPU costs): the flash-crowd peak must exceed
-    the cluster's service capacity for overload behaviour to exist at
-    all — at the default costs the simulated cluster absorbs hundreds of
-    requests per second without queueing and both arms look identical.
-    """
-    values = dict(
-        update_mpl=4,
-        epoch_max_txns=4,
-        epoch_ms=5.0,
-        cpu_per_statement=0.01,
-        cpu_per_row_read=0.0005,
-        cpu_per_page_touch=0.0002,
-        cpu_per_row_write=0.002,
-        cpu_per_index_rotation=0.004,
-        cpu_per_op_precommit=0.001,
-    )
-    values.update(overrides)
-    return CostConfig(**values)
-
-
-def _lossy_fabric(seed: int, duration: float) -> FaultPlan:
-    """Mild loss/duplication fabric-wide, cleared before quiescence."""
-    return FaultPlan(
-        seed=seed,
-        events=(
-            LinkFault(at=0.0, drop_p=0.02, dup_p=0.005, until=round(duration * 0.75, 3)),
-        ),
-    )
-
-
 def flash_crowd_scenario(
     duration: float = 200.0,
-    seed: int = 0,
     base_rate: float = 12.0,
     burst_extra: float = 120.0,
     burst_start_frac: float = 0.3,
     burst_frac: float = 0.15,
-    faults: Optional[FaultPlan] = None,
     deadline: float = 0.0,
 ) -> TrafficScenario:
     """The metastability demo: a Zipf-hot web tenant flash-crowds while a
@@ -197,11 +135,6 @@ def flash_crowd_scenario(
     """
     burst_start = round(duration * burst_start_frac, 3)
     burst_len = round(duration * burst_frac, 3)
-    if faults is None:
-        # Default to the mild lossy fabric (same shape as the chaos
-        # ``overload`` plan): the demo isolates overload behaviour, so no
-        # crash/partition unless the caller asks for one.
-        faults = _lossy_fabric(seed, duration)
     return TrafficScenario(
         name="flash-crowd",
         duration=duration,
@@ -224,13 +157,11 @@ def flash_crowd_scenario(
                 slo_latency=2.0,
             ),
         ),
-        faults=faults,
     )
 
 
 def diurnal_scenario(
     duration: float = 240.0,
-    seed: int = 0,
     base_rate: float = 10.0,
     amplitude: float = 0.6,
 ) -> TrafficScenario:
@@ -245,14 +176,10 @@ def diurnal_scenario(
                 mix="shopping",
             ),
         ),
-        faults=_lossy_fabric(seed, duration),
     )
 
 
-def multi_tenant_scenario(
-    duration: float = 200.0,
-    seed: int = 0,
-) -> TrafficScenario:
+def multi_tenant_scenario(duration: float = 200.0) -> TrafficScenario:
     """Three tenants with distinct mixes, processes and skew: the tenant
     isolation question (does one tenant's burst starve the others?)."""
     burst_start = round(duration * 0.35, 3)
@@ -276,12 +203,4 @@ def multi_tenant_scenario(
                 slo_latency=3.0,
             ),
         ),
-        faults=_lossy_fabric(seed, duration),
     )
-
-
-SCENARIOS = {
-    "flash-crowd": flash_crowd_scenario,
-    "diurnal": diurnal_scenario,
-    "multi-tenant": multi_tenant_scenario,
-}

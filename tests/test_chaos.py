@@ -4,10 +4,13 @@ satellite edge cases (total-slave loss, total-scheduler loss,
 repeat-failure detection after reintegration).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (
     ANY,
+    PLANS,
     CrashNode,
     FaultPlan,
     LinkFault,
@@ -19,6 +22,7 @@ from repro.chaos import (
     default_chaos_plan,
     invariants,
     run_chaos_scenario,
+    run_plan,
 )
 from repro.cluster.channel import ACK_TIMEOUT_BASE, RETRANSMIT_BACKOFF_CAP, RETRANSMIT_LIMIT
 from repro.cluster.simcluster import SimDmvCluster
@@ -382,31 +386,8 @@ class TestWriteScaleoutPlan:
 
     @staticmethod
     def _run(seed=7, duration=80.0):
-        from dataclasses import replace
-
-        from repro.chaos import write_scaleout_chaos_plan
-        from repro.cluster.costs import CostConfig
-        from repro.tpcw import tpcw_conflict_map
-
-        cost = replace(
-            CostConfig(),
-            update_mpl=4,
-            epoch_max_txns=4,
-            epoch_ms=5.0,
-            dynamic_classes=True,
-            rebalance_interval=5.0,
-        )
-        return run_chaos_scenario(
-            seed=seed,
-            plan=write_scaleout_chaos_plan(seed, duration),
-            duration=duration,
-            settle=20.0,
-            browsers=8,
-            cost_config=cost,
-            multi_master=True,
-            num_masters=2,
-            conflict_map=tpcw_conflict_map(multi_master=True),
-        )
+        plan = replace(PLANS["write-scaleout"], settle=20.0, browsers=8)
+        return run_plan(plan, seed=seed, duration=duration)
 
     def test_plan_survives_rehomes_and_master_kill(self):
         report = self._run()

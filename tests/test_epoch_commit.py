@@ -19,12 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import (
-    default_chaos_plan,
-    durability_chaos_plan,
-    run_chaos_scenario,
-    straggler_chaos_plan,
-)
+from repro.chaos import PLANS, run_plan
 from repro.chaos.invariants import check_all_invariants
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
@@ -130,34 +125,24 @@ class TestAdmissionControl:
         _quiesce_and_check(cluster)
 
 
-# name -> (plan builder, durable WAL + checkpoints, ack policy): every
-# replication feature that used to be exercised only at epoch size one,
-# composed with batching epochs.
+# test id -> registered plan: every replication feature that used to be
+# exercised only at epoch size one, composed with batching epochs.
 COMPOSED_PLANS = {
-    "default": (default_chaos_plan, False, "all"),
-    "durability": (durability_chaos_plan, True, "all"),
-    "straggler-quorum": (straggler_chaos_plan, False, "quorum"),
+    "default": "default",
+    "durability": "durability",
+    "straggler-quorum": "straggler",
 }
 
 
 def _composed_run(plan_name, epoch_max_txns, seed, duration=60.0):
-    builder, durable, ack_policy = COMPOSED_PLANS[plan_name]
+    plan = PLANS[COMPOSED_PLANS[plan_name]]
     cost = replace(
-        CostConfig(),
-        durable_wal=durable,
+        plan.cost,
         epoch_max_txns=epoch_max_txns,
         epoch_ms=5.0 if epoch_max_txns > 1 else 0.0,
     )
-    return run_chaos_scenario(
-        seed=seed,
-        plan=builder(seed, duration),
-        duration=duration,
-        settle=15.0,
-        browsers=12,
-        cost_config=cost,
-        checkpoint_period=duration / 10.0 if durable else 0.0,
-        ack_policy=ack_policy,
-    )
+    plan = replace(plan, cost=cost, settle=15.0, browsers=12)
+    return run_plan(plan, seed=seed, duration=duration)
 
 
 class TestEpochComposition:

@@ -1,63 +1,85 @@
-"""Pinned chaos counter fingerprints — the single source CI reads too.
+"""Every registered plan, pinned: the single source of chaos fingerprints.
 
-Same seed, same counters, same hash: every plan below must reproduce its
-pinned fingerprint bit-for-bit, and a full-replication closed-loop run
-must emit none of the opt-in partial-replication or overload counters.
-The two 200 sim-s runs are the CI chaos-smoke anchors, the 60 sim-s runs
-pin every other plan.
+Same seed, same counters, same hash.  At 60 sim-s every plan of
+:data:`repro.chaos.PLANS` must pass its invariants (all but the one a
+plan exists to violate), keep its must-stay-zero counters at zero,
+reproduce its untraced fingerprint when traced, and hash to its pin.  The
+two 200 sim-s runs are the ``default`` plan at its declared CI setting,
+under the OCC default and under the legacy 2PL read path.
 
 The hashes were re-baselined once, when every update commit became an
 epoch (CHANGES.md PR 13 has the old -> new table); ``write-scaleout-60s``
-already ran the epoch path and kept its hash.
+already ran the epoch path and kept its hash.  The ``partial`` and
+open-loop pins were added with the registry (PR 21): until then CI only
+ever compared those plans to themselves.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.chaos import PLANS, run_plan
 from repro.chaos.__main__ import main as chaos_main
+from repro.cluster.costs import CostConfig
 
-# (cli args, pinned fingerprint)
-BASELINES = {
-    "default-60s": ("--seed 7 --duration 60", "a4dcf51e3c0dd9c8"),
-    "straggler-60s": (
-        "--plan straggler --ack-policy quorum --seed 7 --duration 60",
-        "81a1f6d288e6f08c",
-    ),
-    "durability-60s": (
-        "--plan durability --seed 0 --duration 60",
-        "fed99d8418d4b146",
-    ),
-    "write-scaleout-60s": (
-        "--plan write-scaleout --seed 7 --duration 60",
-        "2317579ec4ec277e",
-    ),
-    "occ-200s": ("--seed 7 --min-commits 500", "7e64d31772f0a2b1"),
-    "2pl-200s": (
-        "--seed 7 --min-commits 500 --read-concurrency 2pl",
-        "545e771dd5436738",
-    ),
+# plan name -> fingerprint of a 60 sim-s run at the plan's declared seed
+PINS_60S = {
+    "default": "a4dcf51e3c0dd9c8",
+    "straggler": "81a1f6d288e6f08c",
+    "durability": "fed99d8418d4b146",
+    "write-scaleout": "2317579ec4ec277e",
+    "partial": "164198733d664e59",
+    "overload": "743a15572deba302",
+    "overload-undefended": "abffc6b3ea5d0da4",
+    "diurnal": "45b08ef84d086911",
+    "multi-tenant": "bcc19dae85eb7da4",
 }
+
+# (plan, duration or None for the declared one, fingerprint)
+BASELINES = {f"{name}-60s": (PLANS[name], 60.0, PINS_60S[name]) for name in PLANS}
+BASELINES["occ-200s"] = (PLANS["default"], None, "7e64d31772f0a2b1")
+BASELINES["2pl-200s"] = (
+    replace(PLANS["default"], cost=CostConfig(read_concurrency="2pl")),
+    None,
+    "545e771dd5436738",
+)
+
+
+def test_every_registered_plan_is_pinned():
+    assert sorted(PINS_60S) == sorted(PLANS)
 
 
 @pytest.mark.parametrize("name", sorted(BASELINES))
-def test_fingerprint_reproduced_bit_for_bit(name, capsys):
-    args, fingerprint = BASELINES[name]
-    rc = chaos_main(args.split() + ["--expect-fingerprint", fingerprint])
+def test_fingerprint_reproduced_bit_for_bit(name):
+    plan, duration, fingerprint = BASELINES[name]
+    report = run_plan(plan, duration=duration)
+    assert report.fingerprint == fingerprint, report.summary()
+    failed = {result.name for result in report.invariants if not result.ok}
+    assert failed == set(plan.must_violate), report.summary()
+    # Opt-in counters (partial replication, overload defenses) must not
+    # exist on a run that did not opt in: they are fingerprinted, so they
+    # would move the hash the moment they were touched.
+    fired = {c for c in plan.must_stay_zero if report.counters.get(c, 0) != 0}
+    assert fired == set(), report.summary()
+    if duration is None:
+        # At its declared length a plan must also show what it exists to show.
+        assert plan.failures(report) == []
+    else:
+        assert run_plan(plan, duration=duration, trace=True).fingerprint == fingerprint
+
+
+def test_cli_names_the_must_fire_counter_that_stayed_zero(monkeypatch, capsys):
+    # A full-replication run never demotes anybody: a plan that claims to
+    # exercise demotion must fail, and say which counter stayed zero.
+    broken = replace(
+        PLANS["default"],
+        duration=40.0,
+        min_commits=1,
+        must_fire=PLANS["default"].must_fire + ("slave.demotions",),
+    )
+    monkeypatch.setitem(PLANS, "default", broken)
+    assert chaos_main(["--plan", "default"]) == 1
     out = capsys.readouterr().out
-    assert rc == 0, out
-    # The partial-mode counters must not exist on a full-replication run
-    # (they would change the fingerprint the moment they were touched).
-    for counter in (
-        "net.bytes_saved_partial",
-        "net.write_sets_filtered",
-        "sched.coverage_rejects",
-        "sched.partial_master_fallbacks",
-        # Overload defenses are opt-in: none of these may fire (or even be
-        # touched) on a closed-loop run with defenses off.
-        "sched.admission_rejects",
-        "sched.deadline_cancels",
-        "bench.retries_exhausted",
-        "traffic.requests_injected",
-        "traffic.retry_budget_exhausted",
-        "traffic.breaker_short_circuits",
-    ):
-        assert f"{counter}=0" in out, f"{counter} fired on a default run"
+    assert "FAIL: counter slave.demotions stayed zero" in out
+    assert "invariants: ALL OK" in out
+    assert out.count("FAIL:") == 1

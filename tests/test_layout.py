@@ -3,7 +3,9 @@
 ``SimDmvCluster`` was once a 2,052-line class with 82 methods; these checks
 keep it a composition root, keep every module of ``repro.cluster`` small,
 keep DESIGN.md §4's module tree and the code from drifting apart, and keep
-policy constants out of ``CostConfig``.
+policy constants out of ``CostConfig``.  The surface ratchets at the end
+keep "what is plan X" in one place: few CLI flags, no per-plan CI shell,
+and a README table that lists exactly the registry.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import repro.cluster.sync
 import repro.cluster.threaded
+from repro.chaos.plans import FABRIC_COUNTERS, PLANS
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
 
@@ -68,3 +71,37 @@ def test_drivers_keep_no_orchestration_of_their_own():
     for call in ("pre_commit(", "slave.receive(", "on_master_commit("):
         assert call not in threaded, call
     assert "_browser_loop" not in (CLUSTER / "simdisk.py").read_text()
+
+
+# -- surface ratchets: one registry of plans, few flags, few CI jobs --------------------
+def _cli_options(package):
+    source = (REPO / "src" / "repro" / package / "__main__.py").read_text()
+    return re.findall(r"add_argument\(\s*\"(--[\w-]+)\"", source)
+
+
+def test_cli_flag_budget():
+    assert 1 <= len(_cli_options("chaos")) <= 6, _cli_options("chaos")
+    assert 1 <= len(_cli_options("bench")) <= 7, _cli_options("bench")
+    assert not (REPO / "src" / "repro" / "traffic" / "__main__.py").exists()
+
+
+def test_ci_is_five_jobs_and_greps_nothing():
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    jobs = re.findall(r"^  ([\w-]+):$", ci[ci.index("\njobs:"):], flags=re.M)
+    assert len(jobs) <= 5, jobs
+    # What a plan must show is declared on the plan and checked by the CLI.
+    assert "grep" not in ci
+
+
+def test_readme_plan_table_matches_the_registry():
+    readme = (REPO / "README.md").read_text()
+    section = readme[readme.index("## Plans"):]
+    section = section[: section.index("\n## ", 1)]
+    rows = {}
+    for line in section.splitlines():
+        match = re.match(r"^\| `([\w-]+)` \|.*\|([^|]*)\|$", line)
+        if match:
+            rows[match.group(1)] = set(re.findall(r"`([\w.]+)`", match.group(2)))
+    assert sorted(rows) == sorted(PLANS)
+    for name, plan in PLANS.items():
+        assert rows[name] == set(plan.must_fire) - set(FABRIC_COUNTERS), name

@@ -8,16 +8,15 @@ defenses-OFF arm staying SLO-degraded long after a flash crowd while the
 defenses-ON arm recovers within seconds on the same seed.
 """
 
+from dataclasses import replace
+
 from repro.bench.overload import run_overload_comparison
-from repro.chaos.scenario import overload_chaos_plan, run_chaos_scenario
+from repro.chaos import PLANS, overload_chaos_plan, run_chaos_scenario, run_plan
+from repro.chaos.plans import DEFENSE_COUNTERS, OVERLOAD_BASE_COST
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
-from repro.traffic.scenario import (
-    flash_crowd_scenario,
-    overload_base_config,
-    overload_defense_config,
-)
+from repro.traffic.scenario import flash_crowd_scenario
 
 SCALE = TpcwScale(num_items=80, num_customers=230)
 
@@ -94,8 +93,8 @@ class TestDeadlinePropagation:
         # outlive a tight deadline, are cancelled *inside* the admission
         # wait (counted as sched.deadline_cancels) and the run still
         # drains cleanly — cancelled waiters must not leak MPL slots.
-        scenario = flash_crowd_scenario(duration=60.0, seed=5, deadline=0.4)
-        cfg = overload_base_config(update_mpl=1, request_deadline=0.4)
+        scenario = flash_crowd_scenario(duration=60.0, deadline=0.4)
+        cfg = replace(OVERLOAD_BASE_COST, update_mpl=1, request_deadline=0.4)
         report = run_chaos_scenario(
             seed=5,
             plan=overload_chaos_plan(5, 60.0),
@@ -112,11 +111,11 @@ class TestDeadlinePropagation:
         # attempt count, no completion may be recorded later than
         # deadline + one interaction's worth of service; a per-attempt
         # deadline would let retries push latency far past it.
-        scenario = flash_crowd_scenario(duration=60.0, seed=2, deadline=1.0)
+        scenario = flash_crowd_scenario(duration=60.0, deadline=1.0)
         report = run_chaos_scenario(
             seed=2,
             plan=overload_chaos_plan(2, 60.0),
-            cost_config=overload_base_config(request_deadline=1.0),
+            cost_config=replace(OVERLOAD_BASE_COST, request_deadline=1.0),
             traffic=scenario,
         )
         for stats in report.traffic.tenants.values():
@@ -143,23 +142,11 @@ class TestMetastabilityDemo:
     def test_defense_counters_fire_only_on_the_on_arm(self):
         comparison = run_overload_comparison(seed=7, duration=120.0)
         on, off = comparison.on.counters, comparison.off.counters
-        for counter in (
-            "sched.admission_rejects",
-            "sched.deadline_cancels",
-            "traffic.retry_budget_exhausted",
-        ):
+        for counter in DEFENSE_COUNTERS:
             assert on[counter] > 0, counter
             assert off[counter] == 0, counter
 
     def test_overload_chaos_run_fingerprint_is_reproducible(self):
-        def once():
-            return run_chaos_scenario(
-                seed=11,
-                plan=overload_chaos_plan(11, 60.0),
-                cost_config=overload_defense_config(),
-                traffic=flash_crowd_scenario(duration=60.0, seed=11),
-            )
-
-        a, b = once(), once()
+        a, b = (run_plan(PLANS["overload"], seed=11, duration=60.0) for _ in range(2))
         assert a.fingerprint == b.fingerprint
         assert a.counters == b.counters

@@ -4,17 +4,12 @@ invariant, and the capacity-sweep bench harness.
 """
 
 import os
+from dataclasses import replace
 
 import pytest
 
-from repro.chaos import (
-    check_all_invariants,
-    check_interest_coverage,
-    partial_chaos_plan,
-    partial_interest_sets,
-    run_chaos_scenario,
-)
-from repro.cluster.interest import InterestRegistry, InterestSet, parse_interest_spec
+from repro.chaos import PLANS, check_all_invariants, check_interest_coverage, run_plan
+from repro.cluster.interest import InterestRegistry, InterestSet
 from repro.cluster.simcluster import SimDmvCluster
 from repro.common.errors import ConfigError, NodeUnavailable
 from repro.common.versions import VersionVector
@@ -128,14 +123,6 @@ class TestInterestSet:
         once = iset.restrict(ws)
         twice = iset.restrict(once)
         assert twice.dedup_key() == once.dedup_key()
-
-    def test_parse_interest_spec(self):
-        spec = parse_interest_spec("s0=*;s1=item,author; s2 = customer")
-        assert spec["s0"] is None
-        assert spec["s1"] == ("item", "author")
-        assert spec["s2"] == ("customer",)
-        with pytest.raises(ValueError):
-            parse_interest_spec("s0")
 
 
 class TestInterestRegistry:
@@ -339,16 +326,8 @@ class TestClusterPartial:
 
 class TestPartialChaosPlan:
     def _run(self, seed=7, duration=60.0):
-        return run_chaos_scenario(
-            seed=seed,
-            plan=partial_chaos_plan(seed, duration),
-            duration=duration,
-            settle=15.0,
-            browsers=8,
-            interest_sets=partial_interest_sets(),
-            min_replication_factor=2,
-            slave_cache_pages=16,
-        )
+        plan = replace(PLANS["partial"], settle=15.0, browsers=8)
+        return run_plan(plan, seed=seed, duration=duration)
 
     def test_plan_survives_sole_extra_replica_crash(self):
         report = self._run()

@@ -11,9 +11,12 @@ the durability chaos plan, and pin that the machinery is invisible
 (events, counters, fingerprints) when the flag is off.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (
+    PLANS,
     BitFlip,
     CrashNode,
     FaultPlan,
@@ -21,8 +24,8 @@ from repro.chaos import (
     check_all_invariants,
     check_durable_prefix,
     check_no_ghost_commits,
-    durability_chaos_plan,
     run_chaos_scenario,
+    run_plan,
 )
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
@@ -156,15 +159,7 @@ class TestPlantedDurabilityViolations:
 
 class TestDurabilityScenario:
     def _run(self, seed=7):
-        return run_chaos_scenario(
-            seed=seed,
-            plan=durability_chaos_plan(seed, 120.0),
-            duration=120.0,
-            settle=25.0,
-            browsers=8,
-            cost_config=CostConfig(durable_wal=True),
-            checkpoint_period=12.0,
-        )
+        return run_plan(replace(PLANS["durability"], browsers=8), seed=seed, duration=120.0)
 
     def test_durability_plan_passes_all_invariants(self):
         report = self._run()

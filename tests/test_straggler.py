@@ -8,16 +8,18 @@ through data migration once it recovers — all while the default ``all``
 policy remains event-for-event identical to the seed behaviour.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (
+    PLANS,
     FaultPlan,
     Slowdown,
     check_all_invariants,
     check_buffer_bounds,
     check_rejoin_convergence,
-    run_chaos_scenario,
-    straggler_chaos_plan,
+    run_plan,
 )
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
@@ -281,17 +283,8 @@ class TestQuorumCorrectness:
         assert all(r.ok for r in results), [str(r) for r in results]
 
     def test_straggler_scenario_fingerprint_is_reproducible(self):
-        def once():
-            return run_chaos_scenario(
-                seed=13,
-                plan=straggler_chaos_plan(13, 90.0),
-                duration=90.0,
-                browsers=8,
-                ack_policy="quorum",
-                quorum_k=1,
-            )
-
-        a, b = once(), once()
+        plan = replace(PLANS["straggler"], browsers=8)
+        a, b = (run_plan(plan, seed=13, duration=90.0) for _ in range(2))
         assert a.fingerprint == b.fingerprint
         assert a.ok(), [str(r) for r in a.invariants]
         assert a.counters.get("slave.demotions", 0) >= 1

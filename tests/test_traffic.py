@@ -7,9 +7,12 @@ scheduled arrival time, so queueing a closed-loop client would absorb
 shows up in the histogram).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos.faults import FaultPlan
+from repro.chaos.plans import OVERLOAD_BASE_COST, OVERLOAD_DEFENSE_COST
 from repro.chaos.scenario import run_chaos_scenario
 from repro.cluster.costs import CostConfig
 from repro.common.rng import RngStream
@@ -22,12 +25,7 @@ from repro.traffic.arrivals import (
     uniform_arrivals,
 )
 from repro.traffic.budget import CircuitBreaker, RetryBudget
-from repro.traffic.scenario import (
-    TenantSpec,
-    TrafficScenario,
-    overload_base_config,
-    overload_defense_config,
-)
+from repro.traffic.scenario import TenantSpec, TrafficScenario
 
 
 class TestRateShapes:
@@ -181,7 +179,7 @@ class TestOpenLoopEngine:
         # (the coordinated-omission fix; a closed-loop client would have
         # silently injected less and reported rosy latencies).
         fast = _run(_quiet_scenario())
-        slow = _run(_quiet_scenario(), cost_config=overload_base_config())
+        slow = _run(_quiet_scenario(), cost_config=OVERLOAD_BASE_COST)
         f, s = fast.traffic.tenants["web"], slow.traffic.tenants["web"]
         assert f.injected == s.injected
         assert s.latency.percentile(99) > 2.0 * f.latency.percentile(99)
@@ -196,7 +194,7 @@ class TestOpenLoopEngine:
     def test_admission_rejects_are_counted_and_shed(self):
         # A 2/s bucket under 6/s offered load must shed; sheds are cheap
         # (no server work) and show up in both counters and tenant stats.
-        cfg = overload_base_config(admission_rate=2.0, admission_burst=2.0)
+        cfg = replace(OVERLOAD_BASE_COST, admission_rate=2.0, admission_burst=2.0)
         report = _run(_quiet_scenario(), cost_config=cfg)
         assert report.counters.get("sched.admission_rejects", 0) > 0
         stats = report.traffic.tenants["web"]
@@ -208,7 +206,7 @@ class TestOpenLoopEngine:
         # multi-statement interactions: the server cancels mid-flight
         # (sched.deadline_cancels) and the client records a terminal
         # failure instead of retrying doomed work.
-        cfg = overload_base_config(request_deadline=0.06)
+        cfg = replace(OVERLOAD_BASE_COST, request_deadline=0.06)
         report = _run(_quiet_scenario(), cost_config=cfg)
         assert report.counters.get("sched.deadline_cancels", 0) > 0
         stats = report.traffic.tenants["web"]
@@ -222,7 +220,7 @@ class TestOpenLoopEngine:
         assert cfg.request_deadline == 0
         assert cfg.retry_budget_rate == 0
         assert cfg.breaker_failure_threshold == 0
-        on = overload_defense_config()
+        on = OVERLOAD_DEFENSE_COST
         assert on.admission_rate > 0
         assert on.request_deadline > 0
         assert on.retry_budget_rate > 0
