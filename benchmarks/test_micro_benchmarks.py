@@ -306,6 +306,71 @@ def test_bench_deep_queue_materialise_coalesced_vs_sequential(benchmark, figure_
     )
 
 
+def test_bench_receive_fan_in(benchmark, figure_report):
+    """One write-set stream into 1 vs 8 slaves: buffered ops/s per slave.
+
+    The master derives each op's index delta once; a slave's receive is a
+    queue append plus a loop over that shared tuple, so what eight slaves
+    cost is eight times the loop, not eight times the key derivation.
+    """
+    master = MasterReplica("m0")
+    template = HeapEngine()
+    for engine in (master.engine, template):
+        engine.create_table(ITEM)
+    rows = [
+        {"i_id": i, "i_title": f"b{i:06d}", "i_subject": SUBJECTS[i % 4], "i_stock": 10}
+        for i in range(2000)
+    ]
+    bulk_load_replicas((master.engine, template), "item", rows)
+    sql = SqlExecutor(master.engine)
+    write_sets = []
+    for i in range(300):
+        txn = master.begin_update()
+        sql.execute(txn, "UPDATE item SET i_subject = 'MOVED' WHERE i_id = ?", (i,))
+        sql.execute(txn, "UPDATE item SET i_stock = i_stock - 1 WHERE i_id = ?", (i + 300,))
+        sql.execute(txn, "DELETE FROM item WHERE i_id = ?", (i + 600,))
+        sql.execute(
+            txn, "INSERT INTO item (i_id, i_title, i_subject, i_stock) VALUES (?, 'new', 'ARTS', 1)",
+            (5000 + i,),
+        )
+        write_sets.append(master.pre_commit(txn))
+        master.finalize(txn)
+    ops = sum(len(ws.ops) for ws in write_sets)
+
+    def fresh_slaves(count):
+        slaves = [SlaveReplica(f"s{i}") for i in range(count)]
+        for slave in slaves:
+            slave.engine.create_table(ITEM).copy_from(template.table("item"))
+        return slaves
+
+    def fan_in(slaves):
+        for ws in write_sets:
+            for slave in slaves:
+                slave.receive(ws)
+        return slaves
+
+    def best_seconds(count, repeats=3):
+        import time
+
+        best = float("inf")
+        for _ in range(repeats):
+            slaves = fresh_slaves(count)  # a receive is not repeatable: dedup
+            t0 = time.perf_counter()
+            fan_in(slaves)
+            best = min(best, time.perf_counter() - t0)
+            assert all(slave.pending_ops == ops for slave in slaves)
+        return best
+
+    one, eight = best_seconds(1), best_seconds(8)
+    benchmark.pedantic(fan_in, setup=lambda: ((fresh_slaves(8),), {}), rounds=3, iterations=1)
+    figure_report(
+        "micro_receive_fan_in",
+        f"receive fan-in: {len(write_sets)} write-sets, {ops} ops, index deltas derived once\n"
+        f"  1 slave  : {ops / one:10.0f} ops/s per slave\n"
+        f"  8 slaves : {ops / (eight / 8):10.0f} ops/s per slave",
+    )
+
+
 def test_bench_batched_vs_unbatched_broadcast(figure_report):
     """Simulated network time for bursty broadcast: batched vs per-message."""
     from repro.cluster.channel import NET_ACK_BYTES

@@ -187,7 +187,7 @@ class InMemoryDbNode(SimNode, ReplicaNode):
         if self.slave.is_duplicate(write_set):
             self.counters.add("net.dups_ignored")
             return "dup"
-        self.slave.receive(write_set)
+        self.slave.receive_new(write_set)
         self.log_write_set(write_set)
         return "ok"
 

@@ -130,24 +130,19 @@ class SlaveReplica:
         (ack lost → master retransmitted, or the link duplicated the
         message) is dropped without touching queues or indexes.
         """
-        key = write_set.dedup_key()
-        if self.is_duplicate(write_set):
-            self.counters.add("net.dups_ignored")
-            self._seen_write_sets.add(key)
-            return
-        self._seen_write_sets.add(key)
-        store = self.engine.store
-        for op in write_set.ops:
-            version = write_set.versions[op.page_id.table]
-            # Allocated on receipt so scans see the page before materialisation.
-            store.get_or_allocate(op.page_id)
-            self._enqueue(op, version)
-        self.received_versions.merge(VersionVector(write_set.versions))
-        self.pending_ops += len(write_set.ops)
+        if not self.is_duplicate(write_set):
+            return self.receive_new(write_set)
+        self.counters.add("net.dups_ignored")
+        self._seen_write_sets.add(write_set.dedup_key())
+
+    def receive_new(self, write_set: WriteSet) -> None:
+        """:meth:`receive` for a caller that ran :meth:`is_duplicate` itself and
+        got False (the cluster node, reporting to the channel): one filter pass."""
+        buffered = self._buffer(write_set, skip_covered=False)
         if not self.catching_up and self.pending_ops > self.pending_ops_peak:
             self.pending_ops_peak = self.pending_ops
         self.counters.add("slave.write_sets_received")
-        self.counters.add("slave.ops_buffered", len(write_set.ops))
+        self.counters.add("slave.ops_buffered", buffered)
 
     def restore_write_set(self, write_set: WriteSet) -> int:
         """WAL-redo receive (restart-from-own-disk path); returns ops buffered.
@@ -163,30 +158,37 @@ class SlaveReplica:
         dedup identity is always recorded and the watermark always merged —
         the durable state covers the record either way.
         """
-        key = write_set.dedup_key()
-        self._seen_write_sets.add(key)
-        store = self.engine.store
+        return self._buffer(write_set, skip_covered=True)
+
+    def _buffer(self, write_set: WriteSet, skip_covered: bool) -> int:
+        """The receive funnel; returns ops buffered.  What is fixed for a
+        write-set (versions, store, pending map, table lookup, catch-up
+        flag) is resolved once; per op there is the page, its queue and a
+        loop over the op's shared index delta — none while catching up
+        (``finish_catchup`` rebuilds the indexes from pages)."""
+        self._seen_write_sets.add(write_set.dedup_key())
+        versions = write_set.versions
+        get_or_allocate = self.engine.store.get_or_allocate
+        pending = self.pending
+        table_of = None if self.catching_up else self.engine.table
         buffered = 0
         for op in write_set.ops:
-            version = write_set.versions[op.page_id.table]
-            page = store.get_or_allocate(op.page_id)
-            if version <= page.version:
+            page_id = op.page_id
+            version = versions[page_id.table]
+            # Allocated on receipt so scans see the page before materialisation.
+            page = get_or_allocate(page_id)
+            if skip_covered and version <= page.version:
                 continue  # checkpoint image already contains this op
-            self._enqueue(op, version)
+            queue = pending.get(page_id)
+            if queue is None:
+                queue = pending[page_id] = deque()
+            queue.append((version, op))
+            if table_of is not None:
+                table_of(page_id.table).index_apply_committed(op, version)
             buffered += 1
-        self.received_versions.merge(VersionVector(write_set.versions))
+        self.received_versions.merge(VersionVector(versions))
         self.pending_ops += buffered
         return buffered
-
-    def _enqueue(self, op: PageOp, version: int) -> None:
-        """Queue one committed op behind its page; maintain indexes eagerly
-        unless catching up (``finish_catchup`` rebuilds them from pages)."""
-        queue = self.pending.get(op.page_id)
-        if queue is None:
-            queue = self.pending[op.page_id] = deque()
-        queue.append((version, op))
-        if not self.catching_up:
-            self.engine.table(op.page_id.table).index_apply_committed(op, version)
 
     # -- lazy materialisation ----------------------------------------------------------
     #
@@ -384,7 +386,7 @@ class SlaveReplica:
             # is nothing to revert (finish_catchup rebuilds from pages).
             if not self.catching_up:
                 for version, op in reversed(dropped):
-                    self._revert_index_entries(op, version)
+                    self.engine.table(page_id.table).index_revert_committed(op, version)
             discarded += len(dropped)
             if keep:
                 self.pending[page_id] = keep
@@ -407,23 +409,6 @@ class SlaveReplica:
         if discarded:
             self.counters.add("slave.ops_discarded", discarded)
         return discarded
-
-    def _revert_index_entries(self, op, version: int) -> None:
-        """Inverse of the eager index maintenance done in :meth:`receive`."""
-        table = self.engine.table(op.page_id.table)
-        loc = (op.page_id, op.slot)
-        if op.kind is OpKind.INSERT:
-            for index, key in table.index_keys(op.row):
-                index.remove_committed(key, loc, version)
-            table.row_count -= 1
-        elif op.kind is OpKind.DELETE:
-            for index, key in table.index_keys(op.before):
-                index.unmark_delete_committed(key, loc, version)
-            table.row_count += 1
-        else:
-            for name, old_key, new_key in table.update_index_keys(op):
-                table.indexes[name].remove_committed(new_key, loc, version)
-                table.indexes[name].unmark_delete_committed(old_key, loc, version)
 
     # -- data migration support ------------------------------------------------------------
     def page_versions(self) -> Dict[PageId, int]:

@@ -41,9 +41,13 @@ class WriteSet:
         The commit versions are included alongside ``(master, seq)`` so a
         promoted master whose sequence counter restarts can never collide
         with a retired master's history — per-table versions only move
-        forward across reconfigurations.
+        forward across reconfigurations.  Memoized: every slave asks.
         """
-        return (self.master_id, self.seq, tuple(sorted(self.versions.items())))
+        cached = self.__dict__.get("_dedup_key")
+        if cached is None:
+            cached = (self.master_id, self.seq, tuple(sorted(self.versions.items())))
+            object.__setattr__(self, "_dedup_key", cached)
+        return cached
 
     def byte_size(self) -> int:
         """Approximate wire size (network cost accounting); memoized."""

@@ -323,17 +323,13 @@ class HeapEngine:
         """Stamp index entries and page versions with the commit versions."""
         if txn.state is not TxnState.PREPARED:
             raise RuntimeError("stamp_commit requires a prepared transaction")
-        per_table: Dict[str, list] = {}
         for record in txn.journal:
-            per_table.setdefault(record.table, []).append(record)
-        for table_name, records in per_table.items():
-            version = versions.get(table_name)
+            version = versions.get(record.table)
             if version is None:
-                raise SchemaError(f"missing commit version for table {table_name}")
-            self.table(table_name).stamp_commit(records, version)
-        for op in txn.redo:
-            page = self.store.get(op.page_id)
-            page.version = max(page.version, versions[op.page_id.table])
+                raise SchemaError(f"missing commit version for table {record.table}")
+            self.table(record.table).stamp_commit(record, version)
+            page = self.store.get(record.page_id)
+            page.version = max(page.version, version)
 
     def finish_commit(self, txn: Transaction) -> None:
         if txn.state is not TxnState.PREPARED:

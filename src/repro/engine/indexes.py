@@ -123,7 +123,11 @@ def prefix_bounds(
 
 
 class _BucketOps:
-    """Shared bucket manipulation for both index flavours."""
+    """Shared bucket manipulation for both index flavours.
+
+    Write-side methods take the key already encoded (``Table.index_delta`` does
+    it once, for every replica); :meth:`lookup` and ``range_lookup`` a plain key.
+    """
 
     def __init__(self, name: str, table: str, counters: Counters) -> None:
         self.name = name
@@ -134,9 +138,9 @@ class _BucketOps:
         #: :meth:`gc` can ever remove, so it walks nothing while this is 0.
         self.committed_deletes = 0
 
-    # Subclasses provide _bucket(key, create) and _drop_bucket(key).
+    # Subclasses provide _bucket(key, create) and _drop_bucket(key) (encoded keys).
 
-    def _find(self, bucket, loc: Loc, state: str) -> Optional[IndexEntry]:
+    def _find(self, bucket, loc: Loc, state: str, undo: bool = False) -> Optional[IndexEntry]:
         """Find the entry at ``loc`` in the given lifecycle state.
 
         Slot reuse means several entries (dead, live, pending) can share a
@@ -145,8 +149,13 @@ class _BucketOps:
         * ``"pending-insert"`` — insert_v is None,
         * ``"pending-delete"`` — delete_v is PENDING,
         * ``"live"`` — committed insert, no delete in progress.
+
+        One transaction can leave two entries in the *same* state (delete,
+        reuse the slot under the same key, delete again): forward steps run
+        in journal order and consume the oldest match, ``undo`` steps run
+        in reverse and take the newest.
         """
-        for entry in bucket or ():
+        for entry in reversed(bucket or ()) if undo else bucket or ():
             if entry.loc != loc:
                 continue
             if state == "pending-insert" and entry.insert_v is None:
@@ -188,7 +197,7 @@ class _BucketOps:
 
     def revert_insert(self, key: Key, loc: Loc) -> None:
         bucket = self._bucket(key, create=False)
-        entry = self._find(bucket, loc, "pending-insert")
+        entry = self._find(bucket, loc, "pending-insert", undo=True)
         if entry is None:
             raise SchemaError(f"{self.name}: no entry to revert for {key}/{loc}")
         bucket.remove(entry)
@@ -197,7 +206,7 @@ class _BucketOps:
             self._drop_bucket(key)
 
     def revert_delete(self, key: Key, loc: Loc) -> None:
-        entry = self._find(self._bucket(key, create=False), loc, "pending-delete")
+        entry = self._find(self._bucket(key, create=False), loc, "pending-delete", undo=True)
         if entry is None:
             raise SchemaError(f"{self.name}: no pending delete to revert for {key}/{loc}")
         entry.delete_v = None
@@ -217,7 +226,7 @@ class _BucketOps:
     def remove_committed(self, key: Key, loc: Loc, version: int) -> None:
         """Undo an :meth:`add_committed` (master-failure write-set discard)."""
         bucket = self._bucket(key, create=False)
-        for entry in bucket or ():
+        for entry in reversed(bucket or ()):  # an undo step: newest first (see _find)
             if entry.loc == loc and entry.insert_v == version:
                 bucket.remove(entry)
                 self.entry_count -= 1
@@ -229,7 +238,7 @@ class _BucketOps:
     def unmark_delete_committed(self, key: Key, loc: Loc, version: int) -> None:
         """Undo a :meth:`mark_delete_committed` (write-set discard)."""
         bucket = self._bucket(key, create=False)
-        for entry in bucket or ():
+        for entry in reversed(bucket or ()):
             if entry.loc == loc and entry.delete_v == version:
                 entry.delete_v = None
                 self.committed_deletes -= 1
@@ -245,7 +254,7 @@ class _BucketOps:
     # -- reads -------------------------------------------------------------------
     def lookup(self, key: Key, reader: Optional[TxnId], tag_v: Optional[int]) -> List[Loc]:
         self.counters.add("index.lookups")
-        bucket = self._bucket(key, create=False)
+        bucket = self._bucket(encode_key(key), create=False)
         if not bucket:
             return []
         return [e.loc for e in bucket if e.visible(reader, tag_v)]
@@ -275,13 +284,12 @@ class VersionedHashIndex(_BucketOps):
         self._buckets: Dict[Key, List[IndexEntry]] = {}
 
     def _bucket(self, key: Key, create: bool) -> Optional[List[IndexEntry]]:
-        key = encode_key(key)
         if create:
             return self._buckets.setdefault(key, [])
         return self._buckets.get(key)
 
     def _drop_bucket(self, key: Key) -> None:
-        self._buckets.pop(encode_key(key), None)
+        self._buckets.pop(key, None)
 
     def copy_from(self, source: "VersionedHashIndex") -> None:
         """Become a copy of ``source``: same buckets in the same order."""
@@ -314,7 +322,6 @@ class VersionedTreeIndex(_BucketOps):
         self._tree = RedBlackTree()
 
     def _bucket(self, key: Key, create: bool) -> Optional[List[IndexEntry]]:
-        key = encode_key(key)
         before = self._tree.rotations
         if create:
             bucket = self._tree.setdefault(key, list)
@@ -327,7 +334,7 @@ class VersionedTreeIndex(_BucketOps):
 
     def _drop_bucket(self, key: Key) -> None:
         before = self._tree.rotations
-        self._tree.delete(encode_key(key))
+        self._tree.delete(key)
         rotations = self._tree.rotations - before
         if rotations:
             self.counters.add("index.rotations", rotations)

@@ -62,12 +62,17 @@ class RedBlackTree:
         return self.size
 
     def setdefault(self, key: Any, factory: Callable[[], Any]) -> Any:
-        """Get the payload for ``key``, inserting ``factory()`` if absent."""
-        node = self._find(key)
-        if node is not self.nil:
-            return node.value
+        """Payload for ``key``; a miss links ``factory()`` where the search ended."""
+        parent = self.nil
+        node = self.root
+        while node is not self.nil:
+            self.node_visits += 1
+            if key == node.key:
+                return node.value
+            parent = node
+            node = node.left if key < node.key else node.right
         value = factory()
-        self.insert(key, value)
+        self._link(key, value, parent)
         return value
 
     # -- rotations ----------------------------------------------------------
@@ -115,6 +120,10 @@ class RedBlackTree:
                 node.value = value
                 return
             node = node.left if key < node.key else node.right
+        self._link(key, value, parent)
+
+    def _link(self, key: Any, value: Any, parent: "_Node") -> None:
+        """Hang absent ``key`` under ``parent``, where its search ended; rebalance."""
         fresh = _Node(key, value, RED, self.nil)
         fresh.parent = parent
         if parent is self.nil:

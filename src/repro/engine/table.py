@@ -9,14 +9,15 @@ lives in :mod:`repro.core.slave`; it calls back into
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.common.errors import SchemaError, TransactionAborted
 from repro.common.ids import PageId
-from repro.engine.indexes import Key, Loc, VersionedHashIndex, VersionedTreeIndex
+from repro.engine.indexes import Key, Loc, VersionedHashIndex, VersionedTreeIndex, encode_key
+from repro.engine.indexes import _BucketOps as _Index
 from repro.engine.schema import TableSchema, key_at
 from repro.engine.txn import Transaction, UndoRecord
-from repro.storage.ops import OpKind, PageOp, delta_update_op
+from repro.storage.ops import ENCODE_STATS, OpKind, PageOp, delta_update_op
 from repro.storage.page import Page, Row
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -34,6 +35,7 @@ class Table:
         "counters",
         "pk_index",
         "indexes",
+        "_by_slot",
         "_index_positions",
         "row_count",
         "_nonfull",
@@ -45,15 +47,21 @@ class Table:
         self.engine = engine
         self.store = engine.store
         self.counters = engine.counters
-        self.pk_index = VersionedHashIndex(f"{self.name}.pk", self.name, self.counters)
-        self.indexes: Dict[str, VersionedTreeIndex] = {
-            idx.name: VersionedTreeIndex(idx.name, self.name, self.counters)
-            for idx in schema.indexes
-        }
         #: Key column positions per secondary index, resolved once.
         self._index_positions: Dict[str, Tuple[int, ...]] = {
             idx.name: schema.positions_of(idx.columns) for idx in schema.indexes
         }
+        self._reset_indexes()
+
+    def _reset_indexes(self) -> None:
+        """Empty index structures, row count and insert pages."""
+        self.pk_index = VersionedHashIndex(f"{self.name}.pk", self.name, self.counters)
+        self.indexes: Dict[str, VersionedTreeIndex] = {
+            name: VersionedTreeIndex(name, self.name, self.counters)
+            for name in self._index_positions
+        }
+        #: Every index by its slot in :meth:`index_delta`.
+        self._by_slot = (self.pk_index, *self.indexes.values())
         self.row_count = 0
         self._nonfull: List[Page] = []
 
@@ -66,12 +74,49 @@ class Table:
         """
         return txn.tag.get(self.name) if txn.tag is not None else None
 
-    def index_keys(self, row: Row) -> list:
-        """Every index of the table with ``row``'s key in it, primary first."""
-        keyed = [(self.pk_index, self.schema.pk_of(row))]
-        for name, positions in self._index_positions.items():
-            keyed.append((self.indexes[name], key_at(row, positions)))
-        return keyed
+    def index_keys(self, row: Row) -> List[Key]:
+        """``row``'s encoded key in every index, by slot (primary first)."""
+        keys = [encode_key(self.schema.pk_of(row))]
+        for positions in self._index_positions.values():
+            keys.append(encode_key(key_at(row, positions)))
+        return keys
+
+    def index_delta(self, op: PageOp) -> Tuple[Tuple[int, Optional[Key], Optional[Key]], ...]:
+        """The index maintenance ``op`` implies: ``(slot, old key | None, new
+        key | None)`` per index it touches — slot 0 the primary index, then
+        schema order; keys encoded; immutable, so replicas share it.
+
+        The one place that knows the INSERT / DELETE / UPDATE three-way and
+        both UPDATE encodings.  Cached on the op like its wire size (not a
+        field: the size is unchanged): derived by the master when it builds
+        the redo op, or here on first use (WAL restore, hand-built op); the
+        master's pending entries, stamp and revert and every slave's apply
+        and discard loop over the same tuple.
+        """
+        delta = op.__dict__.get("_index_delta")
+        if delta is not None:
+            return delta
+        ENCODE_STATS["index_deltas"] += 1
+        if op.kind is OpKind.INSERT:
+            delta = tuple((slot, None, key) for slot, key in enumerate(self.index_keys(op.row)))
+        elif op.kind is OpKind.DELETE:
+            delta = tuple((slot, key, None) for slot, key in enumerate(self.index_keys(op.before)))
+        else:
+            if op.is_delta:
+                before = dict(op.index_before or ())
+                after = {**before, **dict(op.delta_items())}
+            else:
+                before, after = op.before, op.row
+            moved = []
+            for slot, positions in enumerate(self._index_positions.values(), 1):
+                if op.is_delta and not any((op.delta_mask >> p) & 1 for p in positions):
+                    continue  # no key column changed: keys are equal
+                old_key, new_key = key_at(before, positions), key_at(after, positions)
+                if old_key != new_key:
+                    moved.append((slot, encode_key(old_key), encode_key(new_key)))
+            delta = tuple(moved)
+        object.__setattr__(op, "_index_delta", delta)
+        return delta
 
     # -- write path (masters and stand-alone engines) ---------------------------
     def insert_row(self, txn: Transaction, values: Dict[str, object]) -> Loc:
@@ -86,11 +131,7 @@ class Table:
         page, slot = self._allocate_slot(txn)
         loc: Loc = (page.page_id, slot)
         page.put(slot, row)
-        txn.journal.append(UndoRecord(self.name, page.page_id, slot, None, row))
-        txn.redo.append(PageOp(page.page_id, OpKind.INSERT, slot, row))
-        txn.tables_written.add(self.name)
-        for index, key in self.index_keys(row):
-            index.add_pending(key, loc, txn.txn_id)
+        self._log_change(txn, PageOp(page.page_id, OpKind.INSERT, slot, row), None, row)
         self.row_count += 1
         self.counters.add("engine.rows_inserted")
         return loc
@@ -107,17 +148,8 @@ class Table:
         if self.schema.pk_of(before) != self.schema.pk_of(after):
             raise SchemaError(f"primary key update unsupported on {self.name}")
         page.put(loc[1], after)
-        txn.journal.append(UndoRecord(self.name, loc[0], loc[1], before, after))
-        txn.redo.append(
-            delta_update_op(loc[0], loc[1], before, after, self._index_positions.values())
-        )
-        txn.tables_written.add(self.name)
-        for name, positions in self._index_positions.items():
-            old_key = key_at(before, positions)
-            new_key = key_at(after, positions)
-            if old_key != new_key:
-                self.indexes[name].mark_delete_pending(old_key, loc, txn.txn_id)
-                self.indexes[name].add_pending(new_key, loc, txn.txn_id)
+        op = delta_update_op(loc[0], loc[1], before, after, self._index_positions.values())
+        self._log_change(txn, op, before, after)
         self.counters.add("engine.rows_updated")
 
     def delete_row(self, txn: Transaction, loc: Loc) -> None:
@@ -128,14 +160,31 @@ class Table:
         if before is None:
             raise SchemaError(f"delete of empty slot {loc} in {self.name}")
         page.put(loc[1], None)
-        txn.journal.append(UndoRecord(self.name, loc[0], loc[1], before, None))
-        txn.redo.append(PageOp(loc[0], OpKind.DELETE, loc[1], None, before))
-        txn.tables_written.add(self.name)
-        for index, key in self.index_keys(before):
-            index.mark_delete_pending(key, loc, txn.txn_id)
+        self._log_change(txn, PageOp(loc[0], OpKind.DELETE, loc[1], None, before), before, None)
         self.row_count -= 1
         self._remember_nonfull(page)
         self.counters.add("engine.rows_deleted")
+
+    def _log_change(
+        self, txn: Transaction, op: PageOp, before: Optional[Row], after: Optional[Row]
+    ) -> None:
+        """Journal one row change, queue its redo op, add its pending index entries."""
+        delta = self.index_delta(op)
+        loc: Loc = (op.page_id, op.slot)
+        txn.journal.append(UndoRecord(self.name, op.page_id, op.slot, before, after, delta))
+        txn.redo.append(op)
+        txn.tables_written.add(self.name)
+        self._each_key(delta, _Index.mark_delete_pending, _Index.add_pending, loc, txn.txn_id)
+
+    def _each_key(self, delta, on_old, on_new, loc: Loc, *arg) -> None:
+        """Walk an :meth:`index_delta`: ``on_old(index, key, loc, *arg)`` for
+        each key a change drops, ``on_new(...)`` for each key it adds."""
+        for slot, old_key, new_key in delta:
+            index = self._by_slot[slot]
+            if old_key is not None:
+                on_old(index, old_key, loc, *arg)
+            if new_key is not None:
+                on_new(index, new_key, loc, *arg)
 
     #: Inserts are striped over several non-full pages.  A single append
     #: page would serialise every concurrent inserting transaction on one
@@ -236,89 +285,43 @@ class Table:
             raise SchemaError(f"no index {name!r} on {self.name}") from None
 
     # -- commit / abort bookkeeping ---------------------------------------------------
-    def stamp_commit(self, records: Sequence[UndoRecord], version: int) -> None:
-        """Stamp this table's pending index entries with the commit version."""
-        for record in records:
-            loc: Loc = (record.page_id, record.slot)
-            if record.before is None and record.after is not None:
-                for index, key in self.index_keys(record.after):
-                    index.stamp_insert(key, loc, version)
-            elif record.after is None and record.before is not None:
-                for index, key in self.index_keys(record.before):
-                    index.stamp_delete(key, loc, version)
-            else:
-                for name, positions in self._index_positions.items():
-                    old_key = key_at(record.before, positions)
-                    new_key = key_at(record.after, positions)
-                    if old_key != new_key:
-                        self.indexes[name].stamp_delete(old_key, loc, version)
-                        self.indexes[name].stamp_insert(new_key, loc, version)
+    def stamp_commit(self, record: UndoRecord, version: int) -> None:
+        """Stamp one change's pending index entries with the commit version."""
+        loc: Loc = (record.page_id, record.slot)
+        self._each_key(record.index_delta, _Index.stamp_delete, _Index.stamp_insert, loc, version)
 
     def revert(self, record: UndoRecord) -> None:
         """Undo one journal record (page slot + index entries)."""
         page = self.store.get(record.page_id)
         page.put(record.slot, record.before)
         loc: Loc = (record.page_id, record.slot)
-        if record.before is None and record.after is not None:
-            for index, key in self.index_keys(record.after):
-                index.revert_insert(key, loc)
+        self._each_key(record.index_delta, _Index.revert_delete, _Index.revert_insert, loc)
+        if record.before is None:
             self.row_count -= 1
             self._remember_nonfull(page)
-        elif record.after is None and record.before is not None:
-            for index, key in self.index_keys(record.before):
-                index.revert_delete(key, loc)
+        elif record.after is None:
             self.row_count += 1
-        else:
-            for name, positions in self._index_positions.items():
-                old_key = key_at(record.before, positions)
-                new_key = key_at(record.after, positions)
-                if old_key != new_key:
-                    self.indexes[name].revert_insert(new_key, loc)
-                    self.indexes[name].revert_delete(old_key, loc)
 
     # -- slave apply path -----------------------------------------------------------
-    def update_index_keys(self, op: PageOp) -> List[Tuple[str, Tuple, Tuple]]:
-        """``(index, old_key, new_key)`` for indexes an UPDATE op changes.
-
-        Works for both full-image ops (before/after rows present) and
-        delta-encoded ops (changed-column bitmap plus index-relevant
-        before-columns) — the single reconstruction point shared by eager
-        index maintenance and master-failure index rollback.
-        """
-        changed: List[Tuple[str, Tuple, Tuple]] = []
-        if op.is_delta:
-            before_values = dict(op.index_before or ())
-            delta_values = dict(op.delta_items())
-            for name, positions in self._index_positions.items():
-                if not any((op.delta_mask >> p) & 1 for p in positions):
-                    continue  # no key column changed: keys are equal
-                old_key = tuple(before_values[p] for p in positions)
-                new_key = tuple(delta_values.get(p, before_values[p]) for p in positions)
-                if old_key != new_key:
-                    changed.append((name, old_key, new_key))
-        else:
-            for name, positions in self._index_positions.items():
-                old_key = key_at(op.before, positions)
-                new_key = key_at(op.row, positions)
-                if old_key != new_key:
-                    changed.append((name, old_key, new_key))
-        return changed
-
     def index_apply_committed(self, op: PageOp, version: int) -> None:
         """Eager index maintenance for one committed replicated op."""
         loc: Loc = (op.page_id, op.slot)
+        delta = self.index_delta(op)
+        self._each_key(delta, _Index.mark_delete_committed, _Index.add_committed, loc, version)
         if op.kind is OpKind.INSERT:
-            for index, key in self.index_keys(op.row):
-                index.add_committed(key, loc, version)
             self.row_count += 1
         elif op.kind is OpKind.DELETE:
-            for index, key in self.index_keys(op.before):
-                index.mark_delete_committed(key, loc, version)
             self.row_count -= 1
-        else:
-            for name, old_key, new_key in self.update_index_keys(op):
-                self.indexes[name].mark_delete_committed(old_key, loc, version)
-                self.indexes[name].add_committed(new_key, loc, version)
+
+    def index_revert_committed(self, op: PageOp, version: int) -> None:
+        """Inverse of :meth:`index_apply_committed` (master-failure discard)."""
+        loc: Loc = (op.page_id, op.slot)
+        delta = self.index_delta(op)
+        self._each_key(delta, _Index.unmark_delete_committed, _Index.remove_committed, loc, version)
+        if op.kind is OpKind.INSERT:
+            self.row_count -= 1
+        elif op.kind is OpKind.DELETE:
+            self.row_count += 1
 
     def bulk_load(self, rows, version: int = 0) -> int:
         """Load committed rows directly, bypassing transaction machinery.
@@ -334,7 +337,7 @@ class Table:
             page.put(slot, row)
             page.version = max(page.version, version)
             loc: Loc = (page.page_id, slot)
-            for index, key in self.index_keys(row):
+            for index, key in zip(self._by_slot, self.index_keys(row)):
                 index.add_committed(key, loc, version)
             count += 1
         self.row_count += count
@@ -376,17 +379,11 @@ class Table:
         Entries get ``insert_v = 0``: correct for a node that will only
         serve tags at or above its catch-up version (reintegration path).
         """
-        self.pk_index = VersionedHashIndex(f"{self.name}.pk", self.name, self.counters)
-        self.indexes = {
-            name: VersionedTreeIndex(name, self.name, self.counters)
-            for name in self._index_positions
-        }
-        self.row_count = 0
-        self._nonfull = []
+        self._reset_indexes()
         for page in self.store.pages_of(self.name):
             for slot, row in page.iter_live():
                 loc: Loc = (page.page_id, slot)
-                for index, key in self.index_keys(row):
+                for index, key in zip(self._by_slot, self.index_keys(row)):
                     index.add_committed(key, loc, 0)
                 self.row_count += 1
             if not page.full:

@@ -39,6 +39,8 @@ class UndoRecord:
     slot: int
     before: Optional[Tuple]
     after: Optional[Tuple]
+    #: ``Table.index_delta`` of the change's redo op: what commit stamps, abort reverts.
+    index_delta: Tuple = ()
 
 
 @dataclass(slots=True)

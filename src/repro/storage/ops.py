@@ -25,10 +25,10 @@ from repro.common.errors import SchemaError
 from repro.common.ids import PageId
 from repro.storage.page import Page, Row, _field_size
 
-#: Encode-work instrumentation: how many times op / write-set wire sizes
-#: were actually *computed* (cache misses).  Tests assert memoization by
-#: snapshotting these around a broadcast.
-ENCODE_STATS: Dict[str, int] = {"op_sizes": 0, "writeset_sizes": 0}
+#: Encode-work instrumentation: how many times op / write-set wire sizes and
+#: ops' index deltas (``Table.index_delta``) were actually *computed* (cache
+#: misses).  Tests assert memoization by snapshotting these around a broadcast.
+ENCODE_STATS: Dict[str, int] = {"op_sizes": 0, "writeset_sizes": 0, "index_deltas": 0}
 
 
 class OpKind(enum.Enum):

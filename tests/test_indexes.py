@@ -1,4 +1,8 @@
-"""Unit tests for version-aware index visibility semantics."""
+"""Unit tests for version-aware index visibility semantics.
+
+The indexes' write-side methods take encoded keys (what ``Table.index_delta``
+hands them); lookups take the plain key.
+"""
 
 import pytest
 
@@ -79,7 +83,7 @@ class TestEncodeKey:
     def test_upper_bounded_range_starts_past_the_nulls(self):
         idx = VersionedTreeIndex("ix", "item")
         for slot, key in enumerate([(None,), (1,), (5,), (9,)]):
-            idx.add_committed(key, (PageId("item", 0), slot), 0)
+            idx.add_committed(encode_key(key), (PageId("item", 0), slot), 0)
         lo, hi = prefix_bounds((), None, (5, True))
         assert [slot for _page, slot in idx.range_lookup_encoded(lo, hi, None, None)] == [1, 2]
         lo, hi = prefix_bounds((), (1, False), None)
@@ -97,55 +101,55 @@ class TestEncodeKey:
 class TestHashIndexLifecycle:
     def test_master_insert_commit_cycle(self):
         idx = VersionedHashIndex("pk", "item")
-        idx.add_pending(("k",), LOC, writer=1)
+        idx.add_pending(encode_key(("k",)), LOC, writer=1)
         assert idx.lookup(("k",), 1, None) == [LOC]
         assert idx.lookup(("k",), 2, 100) == []  # uncommitted, tagged read
-        idx.stamp_insert(("k",), LOC, 7)
+        idx.stamp_insert(encode_key(("k",)), LOC, 7)
         assert idx.lookup(("k",), 2, 7) == [LOC]
         assert idx.lookup(("k",), 2, 6) == []
 
     def test_master_abort_reverts_insert(self):
         idx = VersionedHashIndex("pk", "item")
-        idx.add_pending(("k",), LOC, writer=1)
-        idx.revert_insert(("k",), LOC)
+        idx.add_pending(encode_key(("k",)), LOC, writer=1)
+        idx.revert_insert(encode_key(("k",)), LOC)
         assert idx.lookup(("k",), 1, None) == []
         assert idx.entry_count == 0
 
     def test_master_delete_commit_cycle(self):
         idx = VersionedHashIndex("pk", "item")
-        idx.add_committed(("k",), LOC, 3)
-        idx.mark_delete_pending(("k",), LOC, writer=5)
+        idx.add_committed(encode_key(("k",)), LOC, 3)
+        idx.mark_delete_pending(encode_key(("k",)), LOC, writer=5)
         assert idx.lookup(("k",), 5, None) == []
-        idx.stamp_delete(("k",), LOC, 8)
+        idx.stamp_delete(encode_key(("k",)), LOC, 8)
         assert idx.lookup(("k",), 9, 7) == [LOC]
         assert idx.lookup(("k",), 9, 8) == []
 
     def test_master_delete_abort_restores(self):
         idx = VersionedHashIndex("pk", "item")
-        idx.add_committed(("k",), LOC, 3)
-        idx.mark_delete_pending(("k",), LOC, writer=5)
-        idx.revert_delete(("k",), LOC)
+        idx.add_committed(encode_key(("k",)), LOC, 3)
+        idx.mark_delete_pending(encode_key(("k",)), LOC, writer=5)
+        idx.revert_delete(encode_key(("k",)), LOC)
         assert idx.lookup(("k",), 5, None) == [LOC]
 
     def test_stamp_without_pending_raises(self):
         idx = VersionedHashIndex("pk", "item")
         with pytest.raises(SchemaError):
-            idx.stamp_insert(("k",), LOC, 1)
-        idx.add_committed(("k",), LOC, 1)
+            idx.stamp_insert(encode_key(("k",)), LOC, 1)
+        idx.add_committed(encode_key(("k",)), LOC, 1)
         with pytest.raises(SchemaError):
-            idx.stamp_delete(("k",), LOC, 2)
+            idx.stamp_delete(encode_key(("k",)), LOC, 2)
 
     def test_multiple_locs_per_key(self):
         idx = VersionedHashIndex("ix", "item")
-        idx.add_committed(("k",), LOC, 1)
-        idx.add_committed(("k",), LOC2, 2)
+        idx.add_committed(encode_key(("k",)), LOC, 1)
+        idx.add_committed(encode_key(("k",)), LOC2, 2)
         assert set(idx.lookup(("k",), 9, 2)) == {LOC, LOC2}
         assert idx.lookup(("k",), 9, 1) == [LOC]
 
     def test_gc_removes_dead_entries(self):
         idx = VersionedHashIndex("pk", "item")
-        idx.add_committed(("k",), LOC, 1)
-        idx.mark_delete_committed(("k",), LOC, 4)
+        idx.add_committed(encode_key(("k",)), LOC, 1)
+        idx.mark_delete_committed(encode_key(("k",)), LOC, 4)
         assert idx.gc(3) == 0
         assert idx.gc(4) == 1
         assert idx.lookup(("k",), 9, 2) == []  # old versions gone after GC
@@ -153,7 +157,7 @@ class TestHashIndexLifecycle:
     def test_has_live(self):
         idx = VersionedHashIndex("pk", "item")
         assert not idx.has_live(("k",), 1, None)
-        idx.add_committed(("k",), LOC, 1)
+        idx.add_committed(encode_key(("k",)), LOC, 1)
         assert idx.has_live(("k",), 1, None)
 
 
@@ -161,7 +165,7 @@ class TestTreeIndex:
     def make(self):
         idx = VersionedTreeIndex("ix", "item")
         for i in range(10):
-            idx.add_committed((i,), (PageId("item", i // 4), i % 4), version=i + 1)
+            idx.add_committed(encode_key((i,)), (PageId("item", i // 4), i % 4), version=i + 1)
         return idx
 
     def test_range_respects_versions(self):
@@ -191,16 +195,16 @@ class TestTreeIndex:
 
     def test_delete_and_gc(self):
         idx = self.make()
-        idx.mark_delete_committed((0,), (PageId("item", 0), 0), 20)
+        idx.mark_delete_committed(encode_key((0,)), (PageId("item", 0), 0), 20)
         assert list(idx.range_lookup((0,), (1,), 99, 25)) == []
         assert idx.gc(20) == 1
         assert idx.entry_count == 9
 
     def test_prefix_range(self):
         idx = VersionedTreeIndex("ix", "t")
-        idx.add_committed(("a", 1), LOC, 1)
-        idx.add_committed(("a", 2), LOC2, 1)
-        idx.add_committed(("b", 1), (PageId("t", 9), 0), 1)
+        idx.add_committed(encode_key(("a", 1)), LOC, 1)
+        idx.add_committed(encode_key(("a", 2)), LOC2, 1)
+        idx.add_committed(encode_key(("b", 1)), (PageId("t", 9), 0), 1)
         # Prefix bound: everything with first component == "a".
         locs = list(idx.range_lookup(("a",), ("a", 999999), 9, 10))
         assert len(locs) == 2

@@ -135,3 +135,39 @@ def test_tuple_keys():
     tree.insert((1, "a"), "y")
     tree.insert((0, "z"), "z")
     assert [k for k, _ in tree.items()] == [(0, "z"), (1, "a"), (1, "b")]
+
+
+def shape(tree):
+    """Keys, colours, payloads and parent links of every node, as a nested tuple."""
+    def walk(node, parent):
+        if node is tree.nil:
+            return None
+        assert node.parent is parent
+        return (node.key, node.color, node.value, walk(node.left, node), walk(node.right, node))
+
+    return walk(tree.root, tree.nil)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(st.sampled_from(["set", "set", "set", "del"]), st.integers(0, 60))))
+def test_setdefault_builds_the_tree_find_then_insert_builds(steps):
+    """``setdefault`` descends once; the result is the two-descent tree:
+    same shape and colours, same rotation count, same iteration order."""
+    once, twice = RedBlackTree(), RedBlackTree()
+    for step, key in steps:
+        if step == "del":
+            assert once.delete(key) == twice.delete(key)
+            continue
+        hit = twice._find(key)
+        if hit is twice.nil:
+            twice.insert(key, [])
+            hit = twice._find(key)
+        bucket = once.setdefault(key, list)
+        bucket.append(len(bucket))
+        hit.value.append(len(hit.value))
+        assert once.setdefault(key, list) is bucket  # a hit returns the payload it linked
+    once.check_invariants()
+    assert shape(once) == shape(twice)
+    assert (once.rotations, len(once)) == (twice.rotations, len(twice))
+    assert list(once.items()) == list(twice.items())
+    assert list(once.range_items(reverse=True)) == list(twice.range_items(reverse=True))
