@@ -63,11 +63,6 @@ class CostConfig:
     slave_buffer_max_ops: int = 0
     # -- node shape --------------------------------------------------------------------------
     cores_per_node: int = 2
-    # -- concurrency control ----------------------------------------------------------------
-    #: Master read/validation path: ``"occ"`` (timestamp-ordered optimistic
-    #: read validation, the default) or ``"2pl"`` (legacy shared-mode page
-    #: locks, which reproduces the pre-OCC counter fingerprints bit-for-bit).
-    read_concurrency: str = "occ"
     # -- write-path scale-out (epoch commit + dynamic conflict classes) -----------------------
     #: Commits admitted into one commit epoch before it seals.  Every
     #: update commit is an epoch member: the members of one epoch share

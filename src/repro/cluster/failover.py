@@ -30,20 +30,21 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.simcluster import SchedulerAgent, SimDmvCluster
     from repro.cluster.simnodes import InMemoryDbNode
 
+#: Failure-detector period (virtual seconds) of both simulated tiers.
+HEARTBEAT_INTERVAL = 1.0
+#: Consecutive missed heartbeats after which a node is declared failed.
+HEARTBEAT_MISSES = 2
+
 
 class FailureManager:
     """Detects fail-stop failures and reconfigures the cluster around them."""
 
-    def __init__(
-        self, cluster: "SimDmvCluster", heartbeat_interval: float, heartbeat_misses: int
-    ) -> None:
+    def __init__(self, cluster: "SimDmvCluster") -> None:
         self.cluster = cluster
         self.sim = cluster.sim
         self.cost = cluster.cost
         self.counters = cluster.counters
         self.conflict_map = cluster.conflict_map
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
         self.handled_failures: set = set()
         #: Failure-detector miss counts; cleared when a node reintegrates so
         #: a second failure of the same node is re-detected.
@@ -103,7 +104,7 @@ class FailureManager:
     def detector_loop(self):
         missed = self._missed  # instance state: cleared per-node on reintegration
         while True:
-            yield self.sim.timeout(self.heartbeat_interval)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL)
             for node_id, node in list(self.cluster.nodes.items()):
                 if node.alive:
                     missed[node_id] = 0
@@ -111,7 +112,7 @@ class FailureManager:
                 if node_id in self.handled_failures:
                     continue
                 missed[node_id] = missed.get(node_id, 0) + 1
-                if missed[node_id] >= self.heartbeat_misses:
+                if missed[node_id] >= HEARTBEAT_MISSES:
                     self.handled_failures.add(node_id)
                     self.sim.spawn(self._reconfigure(node_id), name="reconfigure")
             # Peer schedulers watch each other (paper §4.1).
@@ -122,7 +123,7 @@ class FailureManager:
                 if agent.agent_id in self.handled_failures:
                     continue
                 missed[agent.agent_id] = missed.get(agent.agent_id, 0) + 1
-                if missed[agent.agent_id] >= self.heartbeat_misses:
+                if missed[agent.agent_id] >= HEARTBEAT_MISSES:
                     self.handled_failures.add(agent.agent_id)
                     was_primary = all(not a.alive for a in self.cluster.schedulers[:index])
                     successor = next((a for a in self.cluster.schedulers if a.alive), None)
@@ -171,7 +172,7 @@ class FailureManager:
                 break
             # A scheduler takeover is resynchronising; reconfiguration
             # needs its confirmed version vector, so wait it out.
-            yield self.sim.timeout(self.heartbeat_interval)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL)
         if was_master:
             confirmed = cluster.scheduler.latest.copy()
             # Phase 1 (Recovery): ask every replica to discard unconfirmed
@@ -260,7 +261,7 @@ class FailureManager:
         yield from node.cpu.acquire()
         try:
             pending = node.slave.pending_op_count()
-            promote(node, confirmed, owned_tables, self.cost.config.read_concurrency)
+            promote(node, confirmed, owned_tables)
             # Applying the buffered ops costs CPU proportional to their count.
             yield self.sim.timeout(self.cost.apply_cpu(pending))
         finally:

@@ -55,8 +55,8 @@ class ReplicaNode:
         self.subscribed = True
 
     # -- role setup -------------------------------------------------------------------
-    def make_master(self, read_concurrency: str = "occ") -> None:
-        self.engine.set_controller(make_update_controller(read_concurrency))
+    def make_master(self) -> None:
+        self.engine.set_controller(make_update_controller())
         self.master = MasterReplica(self.node_id, engine=self.engine, counters=self.counters)
         self.slave = None
 
@@ -64,12 +64,10 @@ class ReplicaNode:
         self.slave = SlaveReplica(self.node_id, engine=self.engine, counters=self.counters)
         self.master = None
 
-    def make_dual_master(self, owned_tables, read_concurrency: str = "occ") -> None:
+    def make_dual_master(self, owned_tables) -> None:
         """Multi-master role: master for ``owned_tables``, slave for the rest."""
         self.slave = SlaveReplica(self.node_id, engine=self.engine, counters=self.counters)
-        self.engine.set_controller(
-            DualController(set(owned_tables), self.slave, read_concurrency=read_concurrency)
-        )
+        self.engine.set_controller(DualController(set(owned_tables), self.slave))
         self.master = MasterReplica(self.node_id, engine=self.engine, counters=self.counters)
 
     # -- maintenance ----------------------------------------------------------------------

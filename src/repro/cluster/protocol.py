@@ -41,7 +41,6 @@ def assign_roles(
     master_ids: Sequence[str],
     num_slaves: int,
     num_spares: int,
-    read_concurrency: str,
     make_node: Callable[[str, str], ReplicaNode],
     schedulers: Iterable,
 ) -> Dict[str, ReplicaNode]:
@@ -57,11 +56,9 @@ def assign_roles(
     for master_id in master_ids:
         node = nodes[master_id] = make_node(master_id, "master")
         if len(master_ids) > 1:
-            node.make_dual_master(
-                owned_tables(conflict_map, table_names, master_id), read_concurrency
-            )
+            node.make_dual_master(owned_tables(conflict_map, table_names, master_id))
         else:
-            node.make_master(read_concurrency)
+            node.make_master()
     members = [(f"s{i}", "slave") for i in range(num_slaves)]
     members += [(f"spare{i}", "spare") for i in range(num_spares)]
     for node_id, role in members:
@@ -202,21 +199,14 @@ def inherited_tables(
 
 
 def promote(
-    node: ReplicaNode,
-    confirmed: VersionVector,
-    inherited: Optional[Set[str]],
-    read_concurrency: str,
+    node: ReplicaNode, confirmed: VersionVector, inherited: Optional[Set[str]]
 ) -> None:
     """Switch ``node`` from slave to master of ``inherited`` (``None`` = sole
     master); with ``inherited`` it keeps a slave role behind a
     :class:`DualController` for the classes it does not own."""
     slave = node.slave
-    node.master = promote_slave_to_master(
-        slave, confirmed, read_concurrency=read_concurrency
-    )
+    node.master = promote_slave_to_master(slave, confirmed)
     if inherited is not None:
-        node.engine.set_controller(
-            DualController(set(inherited), slave, read_concurrency=read_concurrency)
-        )
+        node.engine.set_controller(DualController(set(inherited), slave))
     else:
         node.slave = None

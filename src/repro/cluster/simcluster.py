@@ -82,13 +82,10 @@ class SimDmvCluster:
         rows_per_page: int = 64,
         seed: int = 0,
         spare_read_fraction: float = 0.0,
-        heartbeat_interval: float = 1.0,
-        heartbeat_misses: int = 2,
         checkpoint_period: float = 0.0,
         pageid_ship_every: float = 0.0,
         gc_period: float = 60.0,
         trace: bool = False,
-        trace_capacity: int = 1 << 16,
         ack_policy: str = "all",
         quorum_k: int = 1,
         interest_sets: Optional[Dict[str, Optional[Sequence[str]]]] = None,
@@ -109,7 +106,7 @@ class SimDmvCluster:
         #: default: the null fast path adds no events to the kernel, so a
         #: traced run and an untraced run of the same seed are identical
         #: (same interleaving, same counters, same fingerprint).
-        self.tracer = Tracer(now=self.sim.now, capacity=trace_capacity, enabled=trace)
+        self.tracer = Tracer(now=self.sim.now, enabled=trace)
         self.schemas = list(schemas)
         self.cost = CostModel(cost_config if cost_config is not None else CostConfig())
         # ``RngStream.child`` consumes a parent draw, so the order of the
@@ -162,8 +159,7 @@ class SimDmvCluster:
             )
 
         self.nodes: Dict[str, InMemoryDbNode] = assign_roles(
-            conflict_map, table_names, master_ids, num_slaves, num_spares,
-            self.cost.config.read_concurrency, make_node,
+            conflict_map, table_names, master_ids, num_slaves, num_spares, make_node,
             [agent.scheduler for agent in self.schedulers],
         )
         #: Interest registry (partial replication).  All-full — the default
@@ -199,7 +195,7 @@ class SimDmvCluster:
         # reaches its siblings through this root when it runs.
         self.pipeline = CommitPipeline(self)
         self.router = UpdateRouter(self)
-        self.failover = FailureManager(self, heartbeat_interval, heartbeat_misses)
+        self.failover = FailureManager(self)
         self.migration = Migrator(self)
         self.stragglers = LaggardMonitor(self)
         self.rebalancer = Rebalancer(self)

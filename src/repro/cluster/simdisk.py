@@ -24,6 +24,7 @@ from repro.common.errors import NodeUnavailable
 from repro.common.rng import RngStream
 from repro.cluster.clients import BrowserPool, Metrics
 from repro.cluster.costs import CostConfig, CostModel
+from repro.cluster.failover import HEARTBEAT_INTERVAL, HEARTBEAT_MISSES
 from repro.cluster.simnodes import DiskDbNode
 from repro.cluster.sync import datagen_tables
 from repro.engine.engine import bulk_load_replicas
@@ -170,8 +171,6 @@ class SimDiskCluster:
         cost_config: Optional[CostConfig] = None,
         seed: int = 0,
         refresh_interval: float = 1800.0,
-        heartbeat_interval: float = 1.0,
-        heartbeat_misses: int = 2,
         serialize_updates: Optional[bool] = None,
     ) -> None:
         self.sim = Simulator()
@@ -193,8 +192,6 @@ class SimDiskCluster:
         #: Cluster-level counters (client retry-budget exhaustion).
         self.counters = Counters()
         self.timelines: List[DiskFailoverTimeline] = []
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
         self._handled_failures: set = set()
         self.clients = BrowserPool(
             self.sim, self.rng, self.cost.config, self.metrics, self.counters,
@@ -249,7 +246,7 @@ class SimDiskCluster:
     def _failure_detector(self):
         missed: Dict[str, int] = {}
         while True:
-            yield self.sim.timeout(self.heartbeat_interval)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL)
             for node_id, node in list(self.nodes.items()):
                 if node.alive:
                     missed[node_id] = 0
@@ -257,7 +254,7 @@ class SimDiskCluster:
                 if node_id in self._handled_failures:
                     continue
                 missed[node_id] = missed.get(node_id, 0) + 1
-                if missed[node_id] >= self.heartbeat_misses:
+                if missed[node_id] >= HEARTBEAT_MISSES:
                     self._handled_failures.add(node_id)
                     self.sim.spawn(self._failover(node_id), name="disk-failover")
 

@@ -118,7 +118,14 @@ class SyncConnection(Connection):
             node.engine.commit(txn)
             self.cluster.scheduler.note_read_done(node.node_id)
             return Immediate(None)
-        write_set = node.master.pre_commit(txn)
+        try:
+            write_set = node.master.pre_commit(txn)
+        except TransactionAborted as exc:
+            # OCC read-set validation failed: the transaction is still
+            # ACTIVE and already detached from this connection — roll it
+            # back here so its X locks are released before the retry.
+            node.engine.abort(txn, reason=exc.reason)
+            raise
         if write_set is not None:
             self.cluster.broadcast(write_set, exclude=node.node_id)
             self.cluster.scheduler.on_master_commit(
@@ -161,24 +168,10 @@ class SyncDmvCluster:
         num_disk_backends: int = 0,
         seed: int = 0,
         now: Optional[Callable[[], float]] = None,
-        ack_policy: str = "all",
-        quorum_k: int = 1,
-        read_concurrency: str = "2pl",
     ) -> None:
-        if ack_policy not in ("all", "quorum", "all-healthy"):
-            raise ValueError(f"unknown ack policy {ack_policy!r}")
-        #: Update-path concurrency control.  The synchronous trampoline has
-        #: no statement-retry loop around pre-commit aborts, so the legacy
-        #: blocking 2PL path stays the default here; the simulated cluster
-        #: (where the perf matters) defaults to OCC via its cost config.
-        self.read_concurrency = read_concurrency
-        #: Pre-commit acknowledgement policy.  Embedded replication is
-        #: inline (there is no ack to wait for), so the policy is recorded
-        #: for parity with the simulated cluster only: whatever it says, a
-        #: demoted slave is skipped entirely and must re-integrate via data
-        #: migration (:meth:`rejoin_slave`).
-        self.ack_policy = ack_policy
-        self.quorum_k = max(1, quorum_k)
+        # Embedded replication is inline, so there is no ack to wait for and
+        # no ack policy to choose: a demoted slave is skipped entirely and
+        # must re-integrate via data migration (:meth:`rejoin_slave`).
         self.counters = Counters()
         self.schemas = list(schemas)
         # Embedded clusters default to wall-clock time so date-ordered
@@ -197,7 +190,6 @@ class SyncDmvCluster:
         self.interest = InterestRegistry()
         self.nodes: Dict[str, ReplicaNode] = assign_roles(
             conflict_map, table_names, master_ids, num_slaves, num_spares,
-            read_concurrency,
             lambda node_id, _role: ReplicaNode(node_id, self.schemas, now=self.now),
             [self.scheduler],
         )
@@ -314,7 +306,6 @@ class SyncDmvCluster:
             self.nodes[new_slave.node_id],
             confirmed,
             inherited_tables(self.nodes, self.conflict_map, master_id),
-            self.read_concurrency,
         )
         self.scheduler.on_master_failure(master_id, new_slave.node_id)
         return new_slave.node_id

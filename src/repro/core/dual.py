@@ -2,8 +2,9 @@
 
 With disjoint conflict classes on multiple masters, each master is also a
 slave for every class it does not own: it receives other masters' write-
-sets and materialises their pages lazily like any slave, while running 2PL
-on its own tables.  This controller dispatches per table.
+sets and materialises their pages lazily like any slave, while running the
+master's update-path concurrency control on its own tables.  This
+controller dispatches per table.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Set, TYPE_CHECKING
 
 from repro.common.errors import VersionInconsistency
-from repro.engine.engine import AccessController, make_update_controller
+from repro.engine.engine import AccessController, OccReadValidation
 from repro.engine.txn import Transaction
 from repro.storage.page import Page
 
@@ -20,36 +21,28 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DualController(AccessController):
-    """Update-path CC for owned tables, lazy slave materialisation for the rest.
+    """OCC read validation for owned tables, lazy slave materialisation for
+    the rest.
 
-    The owned-table side runs whichever controller ``read_concurrency``
-    selects (2PL or OCC read validation); non-owned tables are read through
-    the co-resident slave's version-tagged materialisation, which needs no
-    locks or validation at all.
+    Non-owned tables are read through the co-resident slave's
+    version-tagged materialisation, which needs no locks or validation at
+    all.
     """
 
-    def __init__(
-        self,
-        owned_tables: Set[str],
-        slave: "SlaveReplica",
-        read_concurrency: str = "2pl",
-    ) -> None:
+    emits_occ_counters = True
+
+    def __init__(self, owned_tables: Set[str], slave: "SlaveReplica") -> None:
         self.owned = set(owned_tables)
-        #: Attribute keeps its historical name; it may hold either personality.
-        self.twopl = make_update_controller(read_concurrency)
+        self.occ = OccReadValidation()
         self.slave = slave
 
     def attach(self, engine) -> None:
         super().attach(engine)
-        self.twopl.attach(engine)
-
-    @property
-    def emits_occ_counters(self) -> bool:
-        return self.twopl.emits_occ_counters
+        self.occ.attach(engine)
 
     def before_read(self, txn: Transaction, page: Page) -> None:
         if page.page_id.table in self.owned:
-            self.twopl.before_read(txn, page)
+            self.occ.before_read(txn, page)
         else:
             self.slave.materialize(page, txn)
 
@@ -58,16 +51,16 @@ class DualController(AccessController):
             raise VersionInconsistency(
                 f"table {page.page_id.table} is not owned by this master"
             )
-        self.twopl.before_write(txn, page)
+        self.occ.before_write(txn, page)
 
     def before_prepare(self, txn: Transaction) -> None:
-        self.twopl.before_prepare(txn)
+        self.occ.before_prepare(txn)
 
     def on_finish(self, txn: Transaction) -> None:
-        self.twopl.on_finish(txn)
+        self.occ.on_finish(txn)
 
     def page_is_dirty(self, page: Page) -> bool:
-        return self.twopl.page_is_dirty(page)
+        return self.occ.page_is_dirty(page)
 
     def write_locked_by_other(self, txn: Transaction, page: Page) -> bool:
-        return self.twopl.write_locked_by_other(txn, page)
+        return self.occ.write_locked_by_other(txn, page)

@@ -15,9 +15,10 @@ provides the per-member validation + atomic increment + stamping
 the local commit that releases a member's locks (:meth:`finalize`);
 :meth:`pre_commit` is the epoch of one the inline drivers use.  The
 transport (waiting for acks) is the cluster layer's job.  The master's
-engine runs page-granular two-phase locking on writes, so non-conflicting
-update transactions execute concurrently and the lock-grant order is the
-serialization order the version vector names.
+engine validates reads optimistically and holds page-granular X locks on
+writes to commit, so non-conflicting update transactions execute
+concurrently and the lock-grant order is the serialization order the
+version vector names.
 """
 
 from __future__ import annotations
@@ -41,13 +42,12 @@ class MasterReplica:
         node_id: NodeId,
         engine: Optional[HeapEngine] = None,
         counters: Optional[Counters] = None,
-        read_concurrency: str = "occ",
     ) -> None:
         self.node_id = node_id
         self.counters = counters if counters is not None else Counters()
         if engine is None:
             engine = HeapEngine(
-                controller=make_update_controller(read_concurrency),
+                controller=make_update_controller(),
                 counters=self.counters,
                 name=f"master:{node_id}",
             )

@@ -78,11 +78,10 @@ class WalRecord:
     def verify(self) -> bool:
         """True if the stored checksum matches the record content.
 
-        A zero checksum marks a legacy/unsealed record and always verifies
-        (the disk tier's size-only records predate content checksums).
+        :meth:`WriteAheadLog.append_commit` never seals a record with 0, so
+        an unsealed record (checksum 0) fails and ends the recoverable
+        prefix like any torn one.
         """
-        if self.checksum == 0:
-            return True
         return self.checksum == _record_checksum(
             self.lsn,
             self.txn_id,
@@ -218,7 +217,7 @@ class WriteAheadLog:
         keep_from = 0
         for record in self._records[:boundary]:
             if not record.versions:
-                break  # size-only record: cannot prove coverage
+                break  # the on-disk tier logs no versions: cannot prove coverage
             if all(v <= version_floor.get(t, -1) for t, v in record.versions):
                 keep_from += 1
             else:

@@ -6,11 +6,11 @@ logging.  Concurrency control is pluggable through an
 :class:`~repro.engine.engine.AccessController`:
 
 * masters use timestamp-ordered optimistic read validation
-  (:class:`OccReadValidation`, the default) or page-granular two-phase
-  locking (:class:`TwoPhaseLocking`),
+  (:class:`OccReadValidation`),
 * DMV slaves materialise page versions lazily
   (:class:`repro.core.slave.SlaveController`),
-* the on-disk baseline adds buffer-pool and WAL accounting
+* the on-disk baseline runs page-granular two-phase locking
+  (:class:`TwoPhaseLocking`) and adds buffer-pool and WAL accounting
   (:mod:`repro.disk`).
 """
 

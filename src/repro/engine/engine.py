@@ -5,8 +5,10 @@ Concurrency personalities plug in through :class:`AccessController`:
 
 * :class:`PassThroughController` — no concurrency control (single-user
   embedded usage and unit tests),
-* :class:`TwoPhaseLocking` — page-granular S/X 2PL, used by DMV masters and
-  by the on-disk baseline (where it models InnoDB's serializable mode),
+* :class:`OccReadValidation` — optimistic reads validated at pre-commit,
+  X-locked writes; every DMV master runs it,
+* :class:`TwoPhaseLocking` — page-granular S/X 2PL, used by the on-disk
+  baseline (where it models InnoDB's serializable mode),
 * ``SlaveController`` (in :mod:`repro.core.slave`) — lazy version
   materialisation for DMV slaves.
 
@@ -54,8 +56,9 @@ class AccessController:
 
     #: Whether this controller's engine emits the OCC-era counters
     #: (``engine.occ_*``, ``engine.plan_cache_hits``, ...).  Only the
-    #: optimistic personality sets this: legacy-mode counter fingerprints
-    #: must stay bit-for-bit identical to the pre-OCC engine.
+    #: optimistic personality (masters) sets this: slave and on-disk
+    #: counter fingerprints must stay bit-for-bit identical to the
+    #: pre-OCC engine.
     emits_occ_counters = False
 
     def attach(self, engine: "HeapEngine") -> None:
@@ -235,21 +238,19 @@ class OccReadValidation(AccessController):
         return any(holder != txn.txn_id for holder in holders)
 
 
-#: Valid values for the ``read_concurrency`` configuration knob.
-READ_CONCURRENCY_MODES = ("occ", "2pl")
+def make_update_controller(read_concurrency: str = "occ") -> AccessController:
+    """Build an update-path concurrency controller.
 
-
-def make_update_controller(
-    read_concurrency: str = "occ", manager: Optional[LockManager] = None
-) -> AccessController:
-    """Build the update-path concurrency controller for a master engine."""
+    Every master in every cluster driver runs the default, ``"occ"``;
+    ``"2pl"`` builds the locking controller engine-level tests compare
+    against.
+    """
     if read_concurrency == "occ":
-        return OccReadValidation(manager)
+        return OccReadValidation()
     if read_concurrency == "2pl":
-        return TwoPhaseLocking(manager)
+        return TwoPhaseLocking()
     raise ValueError(
-        f"unknown read_concurrency {read_concurrency!r}; expected one of "
-        f"{READ_CONCURRENCY_MODES}"
+        f"unknown read_concurrency {read_concurrency!r}; expected 'occ' or '2pl'"
     )
 
 

@@ -7,7 +7,8 @@ Upon master failure a scheduler takes charge:
    (cleaning up pre-commit flushes that were never acknowledged);
 2. a new master is elected from the slaves and promoted: it applies all its
    buffered modifications, adopts the confirmed version vector and switches
-   to two-phase-locking mode;
+   to the master's concurrency control (the paper's two-phase locking;
+   here OCC read validation with X-locked writes);
 3. the scheduler repoints the failed master's conflict classes.
 
 Effects of in-flight transactions on the failed master are lost by
@@ -84,22 +85,20 @@ def elect_new_master(candidates: Sequence[SlaveReplica]) -> SlaveReplica:
 
 
 def promote_slave_to_master(
-    slave: SlaveReplica,
-    confirmed: Optional[VersionVector] = None,
-    read_concurrency: str = "occ",
+    slave: SlaveReplica, confirmed: Optional[VersionVector] = None
 ) -> MasterReplica:
     """Step 2: switch a slave into master mode.
 
     The slave applies everything it buffered (all of it is confirmed after
     :func:`cleanup_after_master_failure`), adopts the confirmed version
-    vector, and its engine switches to the configured update-path
+    vector, and its engine switches to the master's update-path
     concurrency controller.  The same engine object keeps serving — its
     warm state is exactly why in-memory failover is fast.
     """
     slave.apply_all_pending()
     engine = slave.engine
     engine.abort_all_active(reason="promotion")
-    engine.set_controller(make_update_controller(read_concurrency))
+    engine.set_controller(make_update_controller())
     if confirmed is not None:
         engine.versions = confirmed.copy()
     else:

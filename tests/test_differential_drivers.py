@@ -7,15 +7,18 @@ interactions must leave both clusters in the same state: same confirmed
 version vector, same page contents on every replica (slaves brought to the
 final vector first), same row counts, same number of write-sets published
 by every master — also when a master is killed in the middle of the stream.
+Both sides run their defaults: every master either driver builds, promotees
+and dual-role masters included, runs OCC read validation.
 """
 
 import pytest
 
 from repro.cluster.clients import SimConnection, drive
-from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
 from repro.cluster.sync import SyncDmvCluster
 from repro.common.rng import RngStream
+from repro.core.dual import DualController
+from repro.engine.engine import OccReadValidation
 from repro.tpcw import (
     INTERACTIONS,
     MIXES,
@@ -30,7 +33,6 @@ from repro.tpcw.interactions import SharedSequences
 
 SCALE = TpcwScale(num_items=60, num_customers=173)
 STREAM_LENGTH = 300
-READ_CONCURRENCY = "occ"
 ROWS_PER_PAGE = 64  # the embedded engines' default
 
 
@@ -58,10 +60,7 @@ def cluster_kwargs(multi_master):
 
 
 def run_on_sync(stream, seed, multi_master, kill_at):
-    cluster = SyncDmvCluster(
-        TPCW_SCHEMAS, now=lambda: 0.0, read_concurrency=READ_CONCURRENCY,
-        **cluster_kwargs(multi_master),
-    )
+    cluster = SyncDmvCluster(TPCW_SCHEMAS, now=lambda: 0.0, **cluster_kwargs(multi_master))
     cluster.load(TpcwDataGenerator(SCALE, seed=11))
     ctx, conn = make_ctx(seed), cluster.connect()
     for index, name in enumerate(stream):
@@ -73,9 +72,7 @@ def run_on_sync(stream, seed, multi_master, kill_at):
 
 def run_on_sim(stream, seed, multi_master, kill_at):
     cluster = SimDmvCluster(
-        TPCW_SCHEMAS, rows_per_page=ROWS_PER_PAGE,
-        cost_config=CostConfig(read_concurrency=READ_CONCURRENCY),
-        **cluster_kwargs(multi_master),
+        TPCW_SCHEMAS, rows_per_page=ROWS_PER_PAGE, **cluster_kwargs(multi_master)
     )
     cluster.load(TpcwDataGenerator(SCALE, seed=11))
     cluster.warm_all_caches()
@@ -152,3 +149,12 @@ def test_sync_and_sim_drivers_agree(multi_master, kill_at):
     assert masters(sim) == masters(sync)
     if kill_at is not None:
         assert "m0" not in masters(sync) and "s0" in masters(sync)
+    # One concurrency control on both sides, or the oracle compares two
+    # configurations: the promotee and every dual-role master included.
+    for cluster in (sync, sim):
+        for node_id in masters(cluster):
+            controller = cluster.nodes[node_id].engine.controller
+            if multi_master:
+                assert isinstance(controller, DualController), node_id
+                controller = controller.occ
+            assert isinstance(controller, OccReadValidation), node_id

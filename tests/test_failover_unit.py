@@ -7,7 +7,7 @@ from repro.common.versions import VersionVector
 from repro.core import MasterReplica, SlaveReplica
 from repro.engine import Column, HeapEngine, TableSchema, TxnMode
 from repro.disk.wal import WriteAheadLog
-from repro.engine.engine import TwoPhaseLocking
+from repro.engine.engine import OccReadValidation
 from repro.failover import (
     cleanup_after_master_failure,
     elect_new_master,
@@ -125,21 +125,11 @@ class TestMasterRecovery:
         assert ws.versions == ghost.versions == {"item": 2}
         assert ws.dedup_key() != ghost.dedup_key() or ws.txn_id != ghost.txn_id
 
-    def test_promotion_honors_read_concurrency_choice(self):
+    def test_promotion_installs_occ(self):
         master, slaves = build(2)
         do_update(master, slaves, 1, 50)
-        new_master = promote_slave_to_master(
-            slaves[0], VersionVector({"item": 1}), read_concurrency="2pl"
-        )
-        assert isinstance(new_master.engine.controller, TwoPhaseLocking)
-
-    def test_promotion_rejects_unknown_concurrency_mode(self):
-        master, slaves = build(1)
-        do_update(master, slaves, 1, 50)
-        with pytest.raises(ValueError):
-            promote_slave_to_master(
-                slaves[0], VersionVector({"item": 1}), read_concurrency="mvcc"
-            )
+        new_master = promote_slave_to_master(slaves[0], VersionVector({"item": 1}))
+        assert isinstance(new_master.engine.controller, OccReadValidation)
 
 
 class TestGhostClassification:

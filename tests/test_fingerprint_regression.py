@@ -4,8 +4,7 @@ Same seed, same counters, same hash.  At 60 sim-s every plan of
 :data:`repro.chaos.PLANS` must pass its invariants (all but the one a
 plan exists to violate), keep its must-stay-zero counters at zero,
 reproduce its untraced fingerprint when traced, and hash to its pin.  The
-two 200 sim-s runs are the ``default`` plan at its declared CI setting,
-under the OCC default and under the legacy 2PL read path.
+200 sim-s run is the ``default`` plan at its declared CI setting.
 
 The hashes were re-baselined once, when every update commit became an
 epoch (CHANGES.md PR 13 has the old -> new table); ``write-scaleout-60s``
@@ -20,7 +19,6 @@ import pytest
 
 from repro.chaos import PLANS, run_plan
 from repro.chaos.__main__ import main as chaos_main
-from repro.cluster.costs import CostConfig
 
 # plan name -> fingerprint of a 60 sim-s run at the plan's declared seed
 PINS_60S = {
@@ -38,11 +36,6 @@ PINS_60S = {
 # (plan, duration or None for the declared one, fingerprint)
 BASELINES = {f"{name}-60s": (PLANS[name], 60.0, PINS_60S[name]) for name in PLANS}
 BASELINES["occ-200s"] = (PLANS["default"], None, "7e64d31772f0a2b1")
-BASELINES["2pl-200s"] = (
-    replace(PLANS["default"], cost=CostConfig(read_concurrency="2pl")),
-    None,
-    "545e771dd5436738",
-)
 
 
 def test_every_registered_plan_is_pinned():

@@ -2,10 +2,11 @@
 
 ``SimDmvCluster`` was once a 2,052-line class with 82 methods; these checks
 keep it a composition root, keep every module of ``repro.cluster`` small,
-keep DESIGN.md §4's module tree and the code from drifting apart, and keep
-policy constants out of ``CostConfig``.  The surface ratchets at the end
-keep "what is plan X" in one place: few CLI flags, no per-plan CI shell,
-and a README table that lists exactly the registry.
+keep DESIGN.md §4's module tree and the code from drifting apart, keep
+policy constants out of ``CostConfig`` and unread knobs off the cluster
+constructors, and keep one master concurrency control.  The surface
+ratchets at the end keep "what is plan X" in one place: few CLI flags, no
+per-plan CI shell, and a README table that lists exactly the registry.
 """
 
 import dataclasses
@@ -18,6 +19,8 @@ import repro.cluster.threaded
 from repro.chaos.plans import FABRIC_COUNTERS, PLANS
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
+from repro.cluster.simdisk import SimDiskCluster
+from repro.cluster.sync import SyncDmvCluster
 
 REPO = Path(__file__).resolve().parents[1]
 CLUSTER = REPO / "src" / "repro" / "cluster"
@@ -58,7 +61,22 @@ def test_design_doc_module_tree_matches_the_code():
 
 
 def test_cost_config_is_a_cost_model_not_a_policy_bag():
-    assert len(dataclasses.fields(CostConfig)) <= 33
+    assert len(dataclasses.fields(CostConfig)) <= 32
+
+
+def test_cluster_constructor_parameter_budgets():
+    budgets = {SimDmvCluster: 21, SyncDmvCluster: 8, SimDiskCluster: 9}
+    for cls, budget in budgets.items():
+        params = list(inspect.signature(cls.__init__).parameters)[1:]  # drop self
+        assert len(params) <= budget, (cls.__name__, params)
+
+
+def test_one_master_concurrency_control_above_the_engine():
+    # Every master runs OCC read validation; no layer above the engine
+    # threads a mode through.
+    for package in ("cluster", "core", "failover"):
+        for path in (REPO / "src" / "repro" / package).rglob("*.py"):
+            assert "read_concurrency" not in path.read_text(), path
 
 
 def test_replica_node_replaced_the_per_driver_node_classes():

@@ -97,8 +97,6 @@ class TestDetectorUnits:
     def test_ack_policy_validation(self):
         with pytest.raises(ValueError):
             SimDmvCluster(TPCW_SCHEMAS, ack_policy="most")
-        with pytest.raises(ValueError):
-            SyncDmvCluster(TPCW_SCHEMAS, ack_policy="some")
 
 
 class TestQuorumAcks:
@@ -292,9 +290,7 @@ class TestQuorumCorrectness:
 
 class TestSyncParity:
     def test_sync_demote_rejoin_roundtrip(self):
-        cluster = SyncDmvCluster(
-            TPCW_SCHEMAS, num_slaves=3, seed=1, ack_policy="quorum", quorum_k=2
-        )
+        cluster = SyncDmvCluster(TPCW_SCHEMAS, num_slaves=3, seed=1)
         cluster.load(TpcwDataGenerator(TpcwScale(num_items=20, num_customers=40), seed=3))
         cluster.demote_slave("s1")
         cluster.run_update(
@@ -315,13 +311,13 @@ class TestSyncParity:
         assert rows["s0"] == rows["s1"]
 
     def test_sync_kill_master_skips_demoted_candidate(self):
-        cluster = SyncDmvCluster(TPCW_SCHEMAS, num_slaves=3, ack_policy="quorum")
+        cluster = SyncDmvCluster(TPCW_SCHEMAS, num_slaves=3)
         cluster.load(TpcwDataGenerator(TpcwScale(num_items=20, num_customers=40), seed=3))
         cluster.demote_slave("s0")  # lowest id, would win an id-only election
         assert cluster.kill_master("m0") != "s0"
 
     def test_sync_refuses_to_demote_last_slave(self):
-        cluster = SyncDmvCluster(TPCW_SCHEMAS, num_slaves=1, ack_policy="quorum")
+        cluster = SyncDmvCluster(TPCW_SCHEMAS, num_slaves=1)
         from repro.common.errors import NodeUnavailable
 
         with pytest.raises(NodeUnavailable):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import TransactionAborted
 from repro.common.rng import RngStream
 from repro.cluster import SyncDmvCluster
 from repro.cluster.protocol import fan_out
@@ -121,6 +122,30 @@ class TestClusterMechanics:
                 "SELECT COUNT(*) FROM country", tables=["country"]
             )
             assert rs.scalar() == 92
+
+    def test_failed_occ_commit_releases_its_transaction(self):
+        # A read-set validation failure at commit must roll the transaction
+        # back: otherwise its X lock on item 1 outlives it and every later
+        # writer of that page aborts with lock-wait.
+        cluster = SyncDmvCluster(TPCW_SCHEMAS, num_slaves=1)
+        cluster.load(TpcwDataGenerator(SCALE, seed=3))
+        conn = cluster.connect()
+        conn.begin_update(["item"])
+        conn.query("SELECT a_lname FROM author WHERE a_id = 1")  # optimistic read
+        cluster.run_update(
+            [("UPDATE author SET a_lname = 'x' WHERE a_id = 1", ())], tables=["author"]
+        )
+        conn.query("UPDATE item SET i_stock = 5 WHERE i_id = 1")
+        with pytest.raises(TransactionAborted) as aborted:
+            conn.commit()
+        assert aborted.value.reason == "occ-conflict"
+        assert cluster.node("m0").engine.active_transactions() == []
+        cluster.run_update(
+            [("UPDATE item SET i_stock = 6 WHERE i_id = 1", ())], tables=["item"]
+        )
+        assert cluster.run_read(
+            "SELECT i_stock FROM item WHERE i_id = 1", tables=["item"]
+        ).scalar() == 6
 
     def test_version_vector_advances(self):
         cluster = SyncDmvCluster(TPCW_SCHEMAS, num_slaves=1)

@@ -13,6 +13,11 @@ ACCOUNTS = TableSchema(
     [Column("id", "int", nullable=False), Column("balance", "int")],
     primary_key=("id",),
 )
+BRANCHES = TableSchema(
+    "branches",
+    [Column("id", "int", nullable=False), Column("name", "str")],
+    primary_key=("id",),
+)
 N_ACCOUNTS = 32
 INITIAL = 100
 
@@ -39,6 +44,32 @@ class TestBasics:
             assert cluster.run_read(
                 "SELECT COUNT(*) FROM accounts", tables=["accounts"]
             ).scalar() == N_ACCOUNTS
+
+    def test_failed_occ_commit_releases_its_transaction(self):
+        # A read-set validation failure at commit must roll the transaction
+        # back: otherwise its X lock on account 0 outlives it and the next
+        # writer of that page blocks until LOCK_WAIT_TIMEOUT.
+        cluster = ThreadedDmvCluster([ACCOUNTS, BRANCHES], num_slaves=1)
+        cluster.bulk_load("accounts", [{"id": i, "balance": INITIAL} for i in range(4)])
+        cluster.bulk_load("branches", [{"id": 0, "name": "main"}])
+        conn = cluster.connect()
+        conn.begin_update(["accounts"])
+        conn.query("SELECT name FROM branches WHERE id = 0")  # optimistic read
+        cluster.run_update(
+            [("UPDATE branches SET name = 'x' WHERE id = 0", ())], tables=["branches"]
+        )
+        conn.query("UPDATE accounts SET balance = 5 WHERE id = 0")
+        with pytest.raises(TransactionAborted) as aborted:
+            conn.commit()
+        assert aborted.value.reason == "occ-conflict"
+        with cluster.mutex:
+            assert cluster.node("m0").engine.active_transactions() == []
+        cluster.run_update(
+            [("UPDATE accounts SET balance = 6 WHERE id = 0", ())], tables=["accounts"]
+        )
+        assert cluster.run_read(
+            "SELECT balance FROM accounts WHERE id = 0", tables=["accounts"]
+        ).scalar() == 6
 
 
 class TestConcurrency:

@@ -81,9 +81,17 @@ class TestWalRecords:
         tampered = dataclasses.replace(record, txn_id=record.txn_id + 1)
         assert not tampered.verify()
 
-    def test_legacy_unsealed_record_always_verifies(self):
-        # The disk tier's size-only records predate content checksums.
-        assert WalRecord(txn_id=1, nbytes=48).verify()
+    def test_unsealed_record_fails_verification(self):
+        # append_commit never seals with 0, so a zero checksum is no seal:
+        # such a record ends the recoverable prefix like a torn one.
+        master, _slave = build_pair()
+        wal = WriteAheadLog()
+        log_write_set(wal, commit_update(master, 5))
+        unsealed = WalRecord(txn_id=9, nbytes=48, lsn=wal.next_lsn)
+        assert not unsealed.verify()
+        wal._records.append(unsealed)
+        valid, truncated = wal.recover_records()
+        assert (len(valid), truncated) == (1, 1)
 
     def test_dedup_key_matches_write_set(self):
         master, _slave = build_pair()
@@ -240,9 +248,11 @@ class TestCheckpointCoordinatedTruncation:
         assert [dict(r.versions)["item"] for r in wal.records_since(0)] == [3, 4]
 
     def test_versionless_record_blocks_truncation(self):
+        # The on-disk tier's record shape: ops and queries, no versions.
+        master, _slave = build_pair()
         wal = WriteAheadLog()
-        wal._records.append(WalRecord(txn_id=1, nbytes=48))  # size-only record
-        wal.synced_through = wal._durable_through = 1
+        wal.append_commit(1, commit_update(master, 1).ops)
+        wal.fsync()
         assert wal.truncate_for_checkpoint({"item": 99}) == 0
 
     def test_unsynced_records_never_truncated(self):
