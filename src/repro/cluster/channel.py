@@ -8,7 +8,8 @@ when the retransmission budget runs out.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from collections import deque
+from typing import TYPE_CHECKING, Deque, List
 
 from repro.common.errors import NodeUnavailable, TransactionAborted
 from repro.cluster.protocol import account_batch
@@ -80,8 +81,9 @@ class ReplicationChannel:
         #: The drain loop moves frames out of ``_outbox`` while they are in
         #: transit or waiting out a retransmission backoff, so this is the
         #: only complete view of what the target may still be missing —
-        #: reintegration's in-flight catch-up reads it.
-        self._unacked: List[PendingSend] = []
+        #: reintegration's in-flight catch-up reads it.  :meth:`_finish` pops
+        #: resolved sends off its head, so it holds what is in flight.
+        self._unacked: Deque[PendingSend] = deque()
 
     def send(self, write_set, parent_span=NULL_SPAN):
         """Queue one write-set; returns the event its ack will trigger.
@@ -123,12 +125,9 @@ class ReplicationChannel:
         """Write-sets sent but not yet acked (nor failed), oldest first.
 
         Covers the outbox, the batch currently in transit, and frames
-        waiting out a retransmission backoff.  Acked/failed entries are
-        pruned lazily here rather than in :meth:`_finish` so the hot ack
-        path stays allocation-free.
+        waiting out a retransmission backoff.
         """
-        self._unacked = [p for p in self._unacked if not p.ack.triggered]
-        return [p.write_set for p in self._unacked]
+        return [p.write_set for p in self._unacked if not p.ack.triggered]
 
     def _kick(self) -> None:
         if not self._busy:
@@ -137,13 +136,15 @@ class ReplicationChannel:
                 self._drain(), name=f"repl:{self.source_id}->{self.target.node_id}"
             )
 
-    @staticmethod
-    def _finish(pending: PendingSend, ok: bool) -> None:
+    def _finish(self, pending: PendingSend, ok: bool) -> None:
         if not pending.ack.triggered:
             pending.ack.succeed(ok)
         pending.retry_span.finish(status="acked" if ok else "failed")
         pending.span.finish(status="acked" if ok else "failed",
                             attempts=pending.attempts + 1)
+        unacked = self._unacked
+        while unacked and unacked[0].ack.triggered:
+            unacked.popleft()
 
     def _drop(self, pending: PendingSend, counters) -> None:
         counters.add("net.drops")

@@ -11,7 +11,7 @@ on the same connection and :func:`drive`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.common.counters import Counters
 from repro.common.errors import NodeUnavailable, TransactionAborted
@@ -21,7 +21,6 @@ from repro.obs import NULL_SPAN
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 from repro.sim.stats import Histogram, TimeSeries, WindowedRate
-from repro.sql import is_write_statement
 from repro.tpcw.connection import Connection
 from repro.tpcw.interactions import SharedSequences
 from repro.tpcw.mixes import Mix
@@ -76,7 +75,6 @@ class SimConnection(Connection):
         self._node: Optional["InMemoryDbNode"] = None
         self._txn = None
         self._is_update = False
-        self._queries: List[Tuple[str, Tuple]] = []
         #: Update-admission slot held while an update executes
         #: (``update_mpl > 0`` only); ownership moves to ``commit_update``
         #: at commit, otherwise :meth:`cleanup` releases it.
@@ -121,7 +119,6 @@ class SimConnection(Connection):
 
     def begin_update(self, tables: Sequence[str]):
         self._is_update = True
-        self._queries = []
         self._root = self.cluster.tracer.span(
             "txn", kind="update", tables=",".join(tables)
         )
@@ -164,8 +161,6 @@ class SimConnection(Connection):
             # Doomed mid-transaction: stop executing statements for it.
             # State stays attached so ``cleanup`` rolls the txn back.
             raise self.cluster.router.deadline_cancel("execute")
-        if self._is_update and is_write_statement(sql):
-            self._queries.append((sql, tuple(params)))
         cfg = self.cluster.cost.config
 
         def effect():
@@ -191,7 +186,6 @@ class SimConnection(Connection):
             root, self._root = self._root, NULL_SPAN
             root.finish(status="committed")
             return self.cluster.sim.timeout(self.cluster.cost.config.rtt())
-        queries, self._queries = self._queries, []
         # Root-span ownership moves to commit_update, which closes it when
         # the replication pipeline resolves (committed or aborted).  So
         # does the admission slot: commit_update holds it through the
@@ -200,7 +194,7 @@ class SimConnection(Connection):
         slot, self._mpl_slot = self._mpl_slot, None
         return self.cluster.sim.spawn(
             self.cluster.pipeline.commit_update(
-                node, txn, queries, mpl_slot=slot, deadline=self.deadline
+                node, txn, mpl_slot=slot, deadline=self.deadline
             ),
             name="commit",
         )

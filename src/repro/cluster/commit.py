@@ -39,7 +39,7 @@ class _CommitEpoch:
         self.ops: List = []
         #: table -> version reserved for this epoch (one advance per table).
         self.versions: Dict[str, int] = {}
-        #: (txn_id, commit_versions, queries, root_span) per member.
+        #: (txn_id, commit_versions, root_span) per member.
         self.members: List[Tuple] = []
         self.done = done
         self.sealed = False
@@ -70,9 +70,7 @@ class CommitPipeline:
         #: bound invariant allows above the configured cap.
         self.max_ws_ops = 0
 
-    def commit_update(
-        self, node: "InMemoryDbNode", txn, queries, mpl_slot=None, deadline=None
-    ):
+    def commit_update(self, node: "InMemoryDbNode", txn, mpl_slot=None, deadline=None):
         """Master pre-commit (Figure 2): join an epoch, seal it, wait for it.
 
         Every update commit is a member of a commit epoch; the default
@@ -137,7 +135,7 @@ class CommitPipeline:
                 if ops is not None:
                     node.master.finalize(txn)
                     epoch.ops.extend(ops)
-                    epoch.members.append((txn.txn_id, commit_versions, queries, root))
+                    epoch.members.append((txn.txn_id, commit_versions, root))
                     yield self.sim.timeout(self.cost.precommit_cpu(len(ops)))
             finally:
                 node.cpu.release()
@@ -208,7 +206,7 @@ class CommitPipeline:
                 return
             # The first member names the write-set, so its root span is
             # the parent of the broadcast (and retransmit) spans.
-            first_txn_id, _versions, _queries, first_root = epoch.members[0]
+            first_txn_id, _versions, first_root = epoch.members[0]
             write_set = node.master.seal_epoch(first_txn_id, epoch.ops, epoch.versions)
             # Durable mode: the write-set is on the master's own log before
             # any ack can exist (write-ahead rule); one group force covers
@@ -247,7 +245,7 @@ class CommitPipeline:
                             seq=write_set.seq,
                             replicas=len(acks),
                         )
-                        for _txn_id, _versions, _queries, root in epoch.members
+                        for _txn_id, _versions, root in epoch.members
                     ]
                     if cluster.tracer.enabled
                     else ()
@@ -262,8 +260,8 @@ class CommitPipeline:
             if not node.alive:
                 return
             primary = cluster.scheduler
-            for txn_id, versions, queries, _root in epoch.members:
-                primary.on_master_commit(node.node_id, versions, queries, txn_id)
+            for txn_id, versions, _root in epoch.members:
+                primary.on_master_commit(node.node_id, versions)
                 # Scheduler-confirmed == fully replicated: this is the durable
                 # history the chaos durability invariant audits survivors for.
                 cluster.commit_log.append((node.node_id, txn_id, dict(versions)))

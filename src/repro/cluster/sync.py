@@ -199,6 +199,7 @@ class SyncDmvCluster:
             for schema in self.schemas:
                 db.create_table(schema)
             self.disk_backends.append(db)
+            self.scheduler.query_log.set_cursor(db.node_id, 0)
 
     # -- data loading -------------------------------------------------------------------
     def bulk_load(self, table: str, rows) -> int:

@@ -9,7 +9,7 @@ replication protocol.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from typing import Dict, NamedTuple, Tuple
 
 NodeId = str
 TxnId = int
@@ -30,6 +30,17 @@ class PageId(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.table}#{self.number}"
+
+
+_PAGE_IDS: Dict[Tuple[str, int], PageId] = {}
+
+
+def page_id_of(table: str, number: int) -> PageId:
+    """The one :class:`PageId` object for ``(table, number)``: page stores
+    allocate through it, so every replica keys a page by the same object
+    whatever order it allocates pages in.  Ids are values, so sharing them
+    process-wide changes identity only (``setdefault``: thread-safe)."""
+    return _PAGE_IDS.setdefault((table, number), PageId(table, number))
 
 
 class IdAllocator:

@@ -162,19 +162,19 @@ class SlaveReplica:
 
     def _buffer(self, write_set: WriteSet, skip_covered: bool) -> int:
         """The receive funnel; returns ops buffered.  What is fixed for a
-        write-set (versions, store, pending map, table lookup, catch-up
-        flag) is resolved once; per op there is the page, its queue and a
-        loop over the op's shared index delta — none while catching up
-        (``finish_catchup`` rebuilds the indexes from pages)."""
+        write-set (store, pending map, table lookup, catch-up flag) is
+        resolved once; per op there is the page, its queue (which takes the
+        write-set's shared ``(version, op)`` entry) and a loop over the op's
+        shared index delta — none while catching up (``finish_catchup``
+        rebuilds the indexes from pages)."""
         self._seen_write_sets.add(write_set.dedup_key())
-        versions = write_set.versions
         get_or_allocate = self.engine.store.get_or_allocate
         pending = self.pending
         table_of = None if self.catching_up else self.engine.table
         buffered = 0
-        for op in write_set.ops:
+        for entry in write_set.queue_entries:
+            version, op = entry
             page_id = op.page_id
-            version = versions[page_id.table]
             # Allocated on receipt so scans see the page before materialisation.
             page = get_or_allocate(page_id)
             if skip_covered and version <= page.version:
@@ -182,11 +182,11 @@ class SlaveReplica:
             queue = pending.get(page_id)
             if queue is None:
                 queue = pending[page_id] = deque()
-            queue.append((version, op))
+            queue.append(entry)
             if table_of is not None:
                 table_of(page_id.table).index_apply_committed(op, version)
             buffered += 1
-        self.received_versions.merge(VersionVector(versions))
+        self.received_versions.merge(VersionVector(write_set.versions))
         self.pending_ops += buffered
         return buffered
 

@@ -34,6 +34,13 @@ class WriteSet:
     #: versions it keys the slaves' duplicate filter, so retransmitted and
     #: link-duplicated write-sets are received idempotently.
     seq: int = 0
+    #: ``(commit version of its table, op)`` per op: what a slave queues per
+    #: page, built once here and shared by every slave's queue.
+    queue_entries: Tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        entries = tuple((self.versions[op.page_id.table], op) for op in self.ops)
+        object.__setattr__(self, "queue_entries", entries)
 
     def dedup_key(self) -> Tuple:
         """Identity of this broadcast for the slave-side duplicate filter.

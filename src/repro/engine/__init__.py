@@ -19,7 +19,7 @@ from repro.engine.rbtree import RedBlackTree
 from repro.engine.locks import LockManager, LockMode
 from repro.engine.txn import Transaction, TxnMode, TxnState
 from repro.engine.table import Table
-from repro.engine.indexes import IndexEntry, Loc, VersionedHashIndex, VersionedTreeIndex
+from repro.engine.indexes import Loc, VersionedHashIndex, VersionedTreeIndex
 from repro.engine.engine import (
     AccessController,
     HeapEngine,
@@ -51,7 +51,6 @@ __all__ = [
     "make_update_controller",
     "bulk_load_replicas",
     "LockWait",
-    "IndexEntry",
     "VersionedHashIndex",
     "VersionedTreeIndex",
 ]

@@ -112,11 +112,24 @@ class PassThroughController(AccessController):
     """No concurrency control: suitable for single-transaction usage."""
 
 
-class TwoPhaseLocking(AccessController):
-    """Strict page-granular 2PL: S on read, X on write, release at finish."""
+class _PageLocks(AccessController):
+    """Page locks in a :class:`LockManager`, released at finish (2PL and OCC)."""
 
     def __init__(self, manager: Optional[LockManager] = None) -> None:
         self.manager = manager if manager is not None else LockManager()
+
+    def on_finish(self, txn: Transaction) -> None:
+        self.manager.release_all(txn.txn_id)
+
+    def page_is_dirty(self, page: Page) -> bool:
+        return self.manager.exclusively_locked(page.page_id)
+
+    def write_locked_by_other(self, txn: Transaction, page: Page) -> bool:
+        return self.manager.held_by_other(page.page_id, txn.txn_id)
+
+
+class TwoPhaseLocking(_PageLocks):
+    """Strict page-granular 2PL: S on read, X on write, release at finish."""
 
     def _acquire(self, txn: Transaction, page: Page, mode: LockMode) -> None:
         request = self.manager.acquire(txn.txn_id, page.page_id, mode)
@@ -135,18 +148,8 @@ class TwoPhaseLocking(AccessController):
     def before_write(self, txn: Transaction, page: Page) -> None:
         self._acquire(txn, page, LockMode.EXCLUSIVE)
 
-    def on_finish(self, txn: Transaction) -> None:
-        self.manager.release_all(txn.txn_id)
 
-    def page_is_dirty(self, page: Page) -> bool:
-        return self.manager.exclusively_locked(page.page_id)
-
-    def write_locked_by_other(self, txn: Transaction, page: Page) -> bool:
-        holders = self.manager.holders_of(page.page_id)
-        return any(holder != txn.txn_id for holder in holders)
-
-
-class OccReadValidation(AccessController):
+class OccReadValidation(_PageLocks):
     """Timestamp-ordered optimistic reads; writers keep page X locks.
 
     Readers never latch: :meth:`before_read` records the page's mutation
@@ -173,9 +176,6 @@ class OccReadValidation(AccessController):
     """
 
     emits_occ_counters = True
-
-    def __init__(self, manager: Optional[LockManager] = None) -> None:
-        self.manager = manager if manager is not None else LockManager()
 
     def _acquire_x(self, txn: Transaction, page: Page) -> None:
         manager = self.manager
@@ -226,16 +226,6 @@ class OccReadValidation(AccessController):
                     f"txn {txn.txn_id} read-set validation failed on {page_id}",
                     reason="occ-conflict",
                 )
-
-    def on_finish(self, txn: Transaction) -> None:
-        self.manager.release_all(txn.txn_id)
-
-    def page_is_dirty(self, page: Page) -> bool:
-        return self.manager.exclusively_locked(page.page_id)
-
-    def write_locked_by_other(self, txn: Transaction, page: Page) -> bool:
-        holders = self.manager.holders_of(page.page_id)
-        return any(holder != txn.txn_id for holder in holders)
 
 
 def make_update_controller(read_concurrency: str = "occ") -> AccessController:

@@ -15,11 +15,13 @@ version at pre-commit; slaves create already-stamped entries eagerly when a
 write-set arrives, while the data pages themselves are still applied
 lazily.  Reads filter entries by their transaction's version tag (or read
 "current state" when untagged, as masters do).
+
+An entry is not an object: a key's bucket is one flat list of immutable
+elements, ``loc, insert_v, delete_v, writer`` per entry (DESIGN.md §2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.counters import Counters
@@ -34,39 +36,29 @@ Loc = Tuple[PageId, int]
 Key = Tuple
 
 
-@dataclass
-class IndexEntry:
-    """One (key -> row location) fact with its version validity window."""
-
-    loc: Loc
-    insert_v: Optional[int]  # None = pending insert
-    delete_v: object = None  # None | PENDING | int
-    writer: Optional[TxnId] = None  # txn that created / is deleting it
-
-    def visible(self, reader: Optional[TxnId], tag_v: Optional[int]) -> bool:
-        """Is this entry part of the state the reader should observe?
-
-        ``tag_v is None`` means a current-state read (master side):
-        committed deletes are invisible, pending inserts are visible (the
-        reader will block on the page lock and re-check the slot), and a
-        pending delete is invisible only to the deleting transaction.
-        """
-        if tag_v is None:
-            if isinstance(self.delete_v, int):
-                return False
-            if self.delete_v is PENDING and self.writer == reader:
-                return False
-            return True
-        if self.insert_v is None or self.insert_v > tag_v:
-            return False
-        if isinstance(self.delete_v, int) and self.delete_v <= tag_v:
-            return False
-        return True
+#: Elements per entry of a flat bucket: ``[loc, insert_v, delete_v, writer, loc, ...]``.
+STRIDE = 4
+_INSERT_V, _DELETE_V, _WRITER = 1, 2, 3
 
 
-def _copy_bucket(bucket: List[IndexEntry]) -> List[IndexEntry]:
-    """Entries are mutated in place (delete stamps), so a copy owns its own."""
-    return [IndexEntry(e.loc, e.insert_v, e.delete_v, e.writer) for e in bucket]
+def entries(bucket: List) -> Iterator[Tuple[Loc, Optional[int], object, Optional[TxnId]]]:
+    """A flat bucket's entries as ``(loc, insert_v, delete_v, writer)``."""
+    it = iter(bucket)
+    return zip(it, it, it, it)
+
+
+def visible(entry: Tuple, reader: Optional[TxnId], tag_v: Optional[int]) -> bool:
+    """Is this entry part of the state the reader should observe?  (The
+    definition the read loops inline.)  ``tag_v is None`` is a current-state
+    read (master side): committed deletes are invisible, pending inserts
+    visible (the reader blocks on the page lock and re-checks the slot), and
+    a pending delete invisible only to the deleting transaction.
+    """
+    _loc, insert_v, delete_v, writer = entry
+    if tag_v is None:
+        return delete_v is None or (delete_v is PENDING and writer != reader)
+    live_at_tag = not (isinstance(delete_v, int) and delete_v <= tag_v)
+    return insert_v is not None and insert_v <= tag_v and live_at_tag
 
 
 #: The encoded NULL key component; sorts before every typed one.
@@ -140,137 +132,114 @@ class _BucketOps:
 
     # Subclasses provide _bucket(key, create) and _drop_bucket(key) (encoded keys).
 
-    def _find(self, bucket, loc: Loc, state: str, undo: bool = False) -> Optional[IndexEntry]:
-        """Find the entry at ``loc`` in the given lifecycle state.
+    def _find(self, key: Key, loc: Loc, field: int, value, what: str, undo: bool = False):
+        """``(bucket, position)`` of the entry at ``loc`` whose ``field`` is
+        ``value``; raises naming ``what`` when there is none.
 
         Slot reuse means several entries (dead, live, pending) can share a
-        location, so lookups must also match on state:
-
-        * ``"pending-insert"`` — insert_v is None,
-        * ``"pending-delete"`` — delete_v is PENDING,
-        * ``"live"`` — committed insert, no delete in progress.
-
-        One transaction can leave two entries in the *same* state (delete,
-        reuse the slot under the same key, delete again): forward steps run
-        in journal order and consume the oldest match, ``undo`` steps run
-        in reverse and take the newest.
+        location, so lookups also match on state: a pending insert has
+        ``insert_v`` None, a pending delete ``delete_v`` PENDING, a live
+        entry ``delete_v`` None (a pending insert counts: a txn may delete a
+        row it inserted), a discarded one its version.  One transaction can
+        leave two entries in the *same* state (delete, reuse the slot under
+        the same key, delete again): forward steps run in journal order and
+        consume the oldest match, ``undo`` steps the newest.
         """
-        for entry in reversed(bucket or ()) if undo else bucket or ():
-            if entry.loc != loc:
-                continue
-            if state == "pending-insert" and entry.insert_v is None:
-                return entry
-            if state == "pending-delete" and entry.delete_v is PENDING:
-                return entry
-            if state == "live" and entry.delete_v is None:
-                # "live" = no delete in progress; a pending insert counts
-                # (a txn may delete a row it inserted itself).
-                return entry
-        return None
-
-    # -- master write path (pending entries) ---------------------------------
-    def add_pending(self, key: Key, loc: Loc, writer: TxnId) -> None:
-        bucket = self._bucket(key, create=True)
-        bucket.append(IndexEntry(loc, None, None, writer))
-        self.entry_count += 1
-
-    def mark_delete_pending(self, key: Key, loc: Loc, writer: TxnId) -> None:
-        entry = self._live_entry(key, loc)
-        entry.delete_v = PENDING
-        entry.writer = writer
-
-    # -- commit stamping / abort revert ---------------------------------------
-    def stamp_insert(self, key: Key, loc: Loc, version: int) -> None:
-        entry = self._find(self._bucket(key, create=False), loc, "pending-insert")
-        if entry is None:
-            raise SchemaError(f"{self.name}: no pending insert for {key}/{loc}")
-        entry.insert_v = version
-        entry.writer = None
-
-    def stamp_delete(self, key: Key, loc: Loc, version: int) -> None:
-        entry = self._find(self._bucket(key, create=False), loc, "pending-delete")
-        if entry is None:
-            raise SchemaError(f"{self.name}: no pending delete for {key}/{loc}")
-        entry.delete_v = version
-        entry.writer = None
-        self.committed_deletes += 1
-
-    def revert_insert(self, key: Key, loc: Loc) -> None:
         bucket = self._bucket(key, create=False)
-        entry = self._find(bucket, loc, "pending-insert", undo=True)
-        if entry is None:
-            raise SchemaError(f"{self.name}: no entry to revert for {key}/{loc}")
-        bucket.remove(entry)
+        positions = range(0, len(bucket or ()), STRIDE)
+        for i in reversed(positions) if undo else positions:
+            if bucket[i + field] == value and bucket[i] == loc:
+                return bucket, i
+        raise SchemaError(f"{self.name}: no {what} for {key}/{loc}")
+
+    def _remove(self, key: Key, bucket: List, i: int) -> None:
+        del bucket[i:i + STRIDE]
         self.entry_count -= 1
         if not bucket:
             self._drop_bucket(key)
 
+    # -- master write path (pending entries) ---------------------------------
+    def add_pending(self, key: Key, loc: Loc, writer: TxnId) -> None:
+        self._bucket(key, create=True).extend((loc, None, None, writer))
+        self.entry_count += 1
+
+    def mark_delete_pending(self, key: Key, loc: Loc, writer: TxnId) -> None:
+        bucket, i = self._find(key, loc, _DELETE_V, None, "live entry")
+        bucket[i + _DELETE_V] = PENDING
+        bucket[i + _WRITER] = writer
+
+    # -- commit stamping / abort revert ---------------------------------------
+    def stamp_insert(self, key: Key, loc: Loc, version: int) -> None:
+        bucket, i = self._find(key, loc, _INSERT_V, None, "pending insert")
+        bucket[i + _INSERT_V] = version
+        bucket[i + _WRITER] = None
+
+    def stamp_delete(self, key: Key, loc: Loc, version: int) -> None:
+        bucket, i = self._find(key, loc, _DELETE_V, PENDING, "pending delete")
+        bucket[i + _DELETE_V] = version
+        bucket[i + _WRITER] = None
+        self.committed_deletes += 1
+
+    def revert_insert(self, key: Key, loc: Loc) -> None:
+        bucket, i = self._find(key, loc, _INSERT_V, None, "pending insert to revert", undo=True)
+        self._remove(key, bucket, i)
+
     def revert_delete(self, key: Key, loc: Loc) -> None:
-        entry = self._find(self._bucket(key, create=False), loc, "pending-delete", undo=True)
-        if entry is None:
-            raise SchemaError(f"{self.name}: no pending delete to revert for {key}/{loc}")
-        entry.delete_v = None
-        entry.writer = None
+        bucket, i = self._find(key, loc, _DELETE_V, PENDING, "pending delete to revert", undo=True)
+        bucket[i + _DELETE_V] = None
+        bucket[i + _WRITER] = None
 
     # -- slave apply path (already committed) ----------------------------------
     def add_committed(self, key: Key, loc: Loc, version: int) -> None:
-        bucket = self._bucket(key, create=True)
-        bucket.append(IndexEntry(loc, version, None, None))
+        self._bucket(key, create=True).extend((loc, version, None, None))
         self.entry_count += 1
 
     def mark_delete_committed(self, key: Key, loc: Loc, version: int) -> None:
-        entry = self._live_entry(key, loc)
-        entry.delete_v = version
+        bucket, i = self._find(key, loc, _DELETE_V, None, "live entry")
+        bucket[i + _DELETE_V] = version
         self.committed_deletes += 1
 
     def remove_committed(self, key: Key, loc: Loc, version: int) -> None:
         """Undo an :meth:`add_committed` (master-failure write-set discard)."""
-        bucket = self._bucket(key, create=False)
-        for entry in reversed(bucket or ()):  # an undo step: newest first (see _find)
-            if entry.loc == loc and entry.insert_v == version:
-                bucket.remove(entry)
-                self.entry_count -= 1
-                if not bucket:
-                    self._drop_bucket(key)
-                return
-        raise SchemaError(f"{self.name}: no committed entry v{version} for {key}/{loc}")
+        bucket, i = self._find(key, loc, _INSERT_V, version, "committed entry", undo=True)
+        self._remove(key, bucket, i)
 
     def unmark_delete_committed(self, key: Key, loc: Loc, version: int) -> None:
         """Undo a :meth:`mark_delete_committed` (write-set discard)."""
-        bucket = self._bucket(key, create=False)
-        for entry in reversed(bucket or ()):
-            if entry.loc == loc and entry.delete_v == version:
-                entry.delete_v = None
-                self.committed_deletes -= 1
-                return
-        raise SchemaError(f"{self.name}: no committed delete v{version} for {key}/{loc}")
-
-    def _live_entry(self, key: Key, loc: Loc) -> IndexEntry:
-        entry = self._find(self._bucket(key, create=False), loc, "live")
-        if entry is None:
-            raise SchemaError(f"{self.name}: no live entry for {key} at {loc}")
-        return entry
+        bucket, i = self._find(key, loc, _DELETE_V, version, "committed delete", undo=True)
+        bucket[i + _DELETE_V] = None
+        self.committed_deletes -= 1
 
     # -- reads -------------------------------------------------------------------
     def lookup(self, key: Key, reader: Optional[TxnId], tag_v: Optional[int]) -> List[Loc]:
+        """Visible locations under ``key``: :func:`visible`, inlined per case."""
         self.counters.add("index.lookups")
         bucket = self._bucket(encode_key(key), create=False)
         if not bucket:
             return []
-        return [e.loc for e in bucket if e.visible(reader, tag_v)]
+        it = iter(bucket)
+        if tag_v is None:
+            return [
+                loc for loc, _i, d, w in zip(it, it, it, it)
+                if d is None or (d is PENDING and w != reader)
+            ]
+        return [
+            loc for loc, i, d, _w in zip(it, it, it, it)
+            if i is not None and i <= tag_v and (d is None or d is PENDING or d > tag_v)
+        ]
 
     def has_live(self, key: Key, reader: Optional[TxnId], tag_v: Optional[int]) -> bool:
         return bool(self.lookup(key, reader, tag_v))
 
     # -- garbage collection --------------------------------------------------------
-    def _gc_bucket(self, bucket: List[IndexEntry], watermark: int) -> int:
-        before = len(bucket)
-        bucket[:] = [
-            e
-            for e in bucket
-            if not (isinstance(e.delete_v, int) and e.delete_v <= watermark)
-        ]
-        removed = before - len(bucket)
+    def _gc_bucket(self, bucket: List, watermark: int) -> int:
+        kept: List = []
+        for entry in entries(bucket):
+            delete_v = entry[_DELETE_V]
+            if delete_v is None or delete_v is PENDING or delete_v > watermark:
+                kept += entry
+        removed = (len(bucket) - len(kept)) // STRIDE
+        bucket[:] = kept
         self.entry_count -= removed
         self.committed_deletes -= removed
         return removed
@@ -281,9 +250,9 @@ class VersionedHashIndex(_BucketOps):
 
     def __init__(self, name: str, table: str, counters: Optional[Counters] = None) -> None:
         super().__init__(name, table, counters if counters is not None else Counters())
-        self._buckets: Dict[Key, List[IndexEntry]] = {}
+        self._buckets: Dict[Key, List] = {}
 
-    def _bucket(self, key: Key, create: bool) -> Optional[List[IndexEntry]]:
+    def _bucket(self, key: Key, create: bool) -> Optional[List]:
         if create:
             return self._buckets.setdefault(key, [])
         return self._buckets.get(key)
@@ -293,7 +262,7 @@ class VersionedHashIndex(_BucketOps):
 
     def copy_from(self, source: "VersionedHashIndex") -> None:
         """Become a copy of ``source``: same buckets in the same order."""
-        self._buckets = {key: _copy_bucket(b) for key, b in source._buckets.items()}
+        self._buckets = {key: bucket[:] for key, bucket in source._buckets.items()}
         self.entry_count = source.entry_count
         self.committed_deletes = source.committed_deletes
 
@@ -301,8 +270,7 @@ class VersionedHashIndex(_BucketOps):
         if not self.committed_deletes:
             return 0
         removed = 0
-        for key in list(self._buckets):
-            bucket = self._buckets[key]
+        for key, bucket in list(self._buckets.items()):
             removed += self._gc_bucket(bucket, watermark)
             if not bucket:
                 del self._buckets[key]
@@ -321,7 +289,7 @@ class VersionedTreeIndex(_BucketOps):
         super().__init__(name, table, counters if counters is not None else Counters())
         self._tree = RedBlackTree()
 
-    def _bucket(self, key: Key, create: bool) -> Optional[List[IndexEntry]]:
+    def _bucket(self, key: Key, create: bool) -> Optional[List]:
         before = self._tree.rotations
         if create:
             bucket = self._tree.setdefault(key, list)
@@ -346,7 +314,7 @@ class VersionedTreeIndex(_BucketOps):
         here would have charged them.
         """
         rotations = source._tree.rotations - self._tree.rotations
-        self._tree = source._tree.copy(_copy_bucket)
+        self._tree = source._tree.copy(list.copy)
         self.entry_count = source.entry_count
         self.committed_deletes = source.committed_deletes
         if rotations:
@@ -380,27 +348,25 @@ class VersionedTreeIndex(_BucketOps):
     ) -> Iterator[Loc]:
         """Range scan with pre-encoded bounds (see :func:`prefix_bounds`).
 
-        The per-entry test is :meth:`IndexEntry.visible` inlined — this is
-        the one loop that runs per row of every listing.  Which of its two
-        cases applies is fixed for the scan, and ``delete_v`` is None,
-        PENDING or an int, so "is an int" needs no ``isinstance``.
+        The per-entry test is :func:`visible` inlined — this is the one
+        loop that runs per row of every listing.  Which of its two cases
+        applies is fixed for the scan, and ``delete_v`` is None, PENDING or
+        an int, so "is an int" needs no ``isinstance``.
         """
         self.counters.add("index.range_scans")
         buckets = self._tree.range_items(lo_enc, hi_enc, reverse=reverse)
         if tag_v is None:
             for _key, bucket in buckets:
-                for e in bucket:
-                    if e.delete_v is None or (e.delete_v is PENDING and e.writer != reader):
-                        yield e.loc
+                it = iter(bucket)
+                for loc, _i, d, w in zip(it, it, it, it):
+                    if d is None or (d is PENDING and w != reader):
+                        yield loc
         else:
             for _key, bucket in buckets:
-                for e in bucket:
-                    if (
-                        e.insert_v is not None
-                        and e.insert_v <= tag_v
-                        and (e.delete_v is None or e.delete_v is PENDING or e.delete_v > tag_v)
-                    ):
-                        yield e.loc
+                it = iter(bucket)
+                for loc, i, d, _w in zip(it, it, it, it):
+                    if i is not None and i <= tag_v and (d is None or d is PENDING or d > tag_v):
+                        yield loc
 
     def scan_all(
         self, reader: Optional[TxnId], tag_v: Optional[int], reverse: bool = False

@@ -214,6 +214,11 @@ class LockManager:
         state = self._states.get(resource)
         return dict(state.holders) if state else {}
 
+    def held_by_other(self, resource: Hashable, txn_id: TxnId) -> bool:
+        """Does a transaction other than ``txn_id`` hold ``resource``, in any mode?"""
+        holders = self._states[resource].holders if resource in self._states else ()
+        return len(holders) > 1 or (bool(holders) and txn_id not in holders)
+
     def is_locked(self, resource: Hashable) -> bool:
         state = self._states.get(resource)
         return bool(state and (state.holders or state.queue))

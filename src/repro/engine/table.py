@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.common.errors import SchemaError, TransactionAborted
-from repro.common.ids import PageId
 from repro.engine.indexes import Key, Loc, VersionedHashIndex, VersionedTreeIndex, encode_key
 from repro.engine.indexes import _BucketOps as _Index
 from repro.engine.schema import TableSchema, key_at
@@ -170,11 +169,10 @@ class Table:
     ) -> None:
         """Journal one row change, queue its redo op, add its pending index entries."""
         delta = self.index_delta(op)
-        loc: Loc = (op.page_id, op.slot)
         txn.journal.append(UndoRecord(self.name, op.page_id, op.slot, before, after, delta))
         txn.redo.append(op)
         txn.tables_written.add(self.name)
-        self._each_key(delta, _Index.mark_delete_pending, _Index.add_pending, loc, txn.txn_id)
+        self._each_key(delta, _Index.mark_delete_pending, _Index.add_pending, op.loc, txn.txn_id)
 
     def _each_key(self, delta, on_old, on_new, loc: Loc, *arg) -> None:
         """Walk an :meth:`index_delta`: ``on_old(index, key, loc, *arg)`` for
@@ -195,15 +193,15 @@ class Table:
     def _allocate_slot(self, txn: Transaction) -> Tuple[Page, int]:
         self._nonfull = [p for p in self._nonfull if not p.full]
         candidates = self._nonfull
-        if candidates:
-            start = txn.txn_id % len(candidates)
-            rotated = candidates[start:] + candidates[:start]
-            unlocked = [
-                p for p in rotated
-                if not self.engine.controller.write_locked_by_other(txn, p)
-            ]
-            # Prefer a page no other transaction holds exclusively.
-            for page in unlocked:
+        count = len(candidates)
+        if count:
+            # Prefer a page no other transaction holds, from the txn's own
+            # stripe on (touching a page locks only that page: probe lazily).
+            start = txn.txn_id % count
+            for position in range(start, start + count):
+                page = candidates[position % count]
+                if self.engine.controller.write_locked_by_other(txn, page):
+                    continue
                 self.engine.touch_write(txn, page)
                 slot = page.first_free_slot()
                 if slot is not None:
@@ -305,9 +303,8 @@ class Table:
     # -- slave apply path -----------------------------------------------------------
     def index_apply_committed(self, op: PageOp, version: int) -> None:
         """Eager index maintenance for one committed replicated op."""
-        loc: Loc = (op.page_id, op.slot)
         delta = self.index_delta(op)
-        self._each_key(delta, _Index.mark_delete_committed, _Index.add_committed, loc, version)
+        self._each_key(delta, _Index.mark_delete_committed, _Index.add_committed, op.loc, version)
         if op.kind is OpKind.INSERT:
             self.row_count += 1
         elif op.kind is OpKind.DELETE:
@@ -315,9 +312,10 @@ class Table:
 
     def index_revert_committed(self, op: PageOp, version: int) -> None:
         """Inverse of :meth:`index_apply_committed` (master-failure discard)."""
-        loc: Loc = (op.page_id, op.slot)
         delta = self.index_delta(op)
-        self._each_key(delta, _Index.unmark_delete_committed, _Index.remove_committed, loc, version)
+        self._each_key(
+            delta, _Index.unmark_delete_committed, _Index.remove_committed, op.loc, version
+        )
         if op.kind is OpKind.INSERT:
             self.row_count -= 1
         elif op.kind is OpKind.DELETE:

@@ -45,6 +45,7 @@ class ConflictAwareScheduler:
 
     def remove_replica(self, node_id: NodeId) -> None:
         self.replicas.pop(node_id, None)
+        self.query_log.unregister(node_id)
 
     def active_replicas(self) -> List[DiskReplicaState]:
         return [r for r in self.replicas.values() if not r.passive]

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.counters import Counters
 from repro.common.errors import CorruptCheckpoint
-from repro.common.ids import PageId
+from repro.common.ids import PageId, page_id_of
 from repro.storage.page import Page, PageStore
 
 
@@ -225,7 +225,7 @@ class StableStore:
                         payload = json.dumps(record, sort_keys=True)
                         if crc != zlib.crc32(payload.encode("utf-8")):
                             raise ValueError("line checksum mismatch")
-                    page_id = PageId(record["table"], record["number"])
+                    page_id = page_id_of(record["table"], record["number"])
                     page = Page(page_id, capacity=record["capacity"], version=record["version"])
                     for slot, row in enumerate(record["slots"]):
                         if row is not None:

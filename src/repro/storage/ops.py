@@ -18,7 +18,7 @@ base image on every replica.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.common.errors import SchemaError
@@ -61,6 +61,12 @@ class PageOp:
     delta_mask: int = 0
     delta: Optional[Tuple] = None
     index_before: Optional[Tuple] = None
+    #: ``(page_id, slot)``, built once: the index entries the op makes on
+    #: the master and on every slave share this one tuple.
+    loc: Tuple[PageId, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "loc", (self.page_id, self.slot))
 
     @property
     def is_delta(self) -> bool:

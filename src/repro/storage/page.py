@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import SchemaError
-from repro.common.ids import PageId
+from repro.common.ids import PageId, page_id_of
 
 #: Default number of row slots per page.  The paper's pages are fixed-size
 #: memory pages; 64 rows/page keeps page counts realistic at our scale.
@@ -146,7 +146,7 @@ class PageStore:
     def allocate(self, table: str) -> Page:
         """Create and register the next page of ``table``."""
         pages = self._per_table.setdefault(table, [])
-        page = Page(PageId(table, len(pages)), self.rows_per_page)
+        page = Page(page_id_of(table, len(pages)), self.rows_per_page)
         pages.append(page)
         self._pages[page.page_id] = page
         return page
@@ -172,7 +172,8 @@ class PageStore:
 
         Replicas applying write-sets may see operations for pages their
         local table has not grown yet; allocation is deterministic so the
-        same page numbers exist on every replica.
+        same page numbers exist on every replica — and, allocated through
+        :func:`~repro.common.ids.page_id_of`, the same id objects.
         """
         while page_id not in self._pages:
             self.allocate(page_id.table)

@@ -241,7 +241,7 @@ class TestGroupCommitBatching:
 
         def driver():
             yield cluster.sim.spawn(
-                cluster.pipeline.commit_update(node, txn, [("UPDATE ...", ())]), name="commit"
+                cluster.pipeline.commit_update(node, txn), name="commit"
             )
 
         cluster.sim.spawn(driver(), name="driver")

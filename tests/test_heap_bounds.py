@@ -1,0 +1,130 @@
+"""Heap ratchet: what a full garbage collection has to walk.  No timing.
+
+The sibling of ``test_write_path_calls.py`` for the other half of the host
+cost: CPython's cyclic collector walks every GC-tracked object each time the
+tracked heap grows by a quarter, so what the simulator keeps alive — not
+just what it does per op — is paid for again and again.  A short, quiesced
+ordering-mix run on two masters and four slaves pins:
+
+* nothing is retained for history alone: the replication channels hold no
+  acked sends and the scheduler's query log (which no simulated consumer
+  reads) holds no entries;
+* a page has one id object cluster-wide, which every replica keys it by;
+* an index bucket is a flat list whose only tracked elements are location
+  tuples (no per-entry object);
+* tracked objects per row: per bulk-loaded row replica, and per row replica
+  inserted between a run of T and a run of 2T sim-s — so the heap grows with
+  the data, not with run length.  Measured on CPython 3.11: 3.09 and 4.45
+  (5.47 and 12.3 with an entry object per index fact, a ``PageId`` per page
+  per replica, a queue tuple per op per slave, and every write-set sent and
+  update query logged kept alive).
+"""
+
+import gc
+
+import pytest
+
+from repro.cluster.simcluster import SimDmvCluster
+from repro.engine.indexes import entries
+from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale, tpcw_conflict_map
+
+SCALE = TpcwScale(num_items=40, num_customers=144)
+RUN_SIM_S = 15.0
+SETTLE_SIM_S = 25.0
+BULK_BUDGET = 3.5  # tracked objects per bulk-loaded row, per replica
+GROWTH_BUDGET = 5.0  # tracked objects per inserted row, per replica
+
+
+def tracked_heap() -> int:
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def build() -> SimDmvCluster:
+    cluster = SimDmvCluster(
+        TPCW_SCHEMAS,
+        num_slaves=4,
+        multi_master=True,
+        num_masters=2,
+        conflict_map=tpcw_conflict_map(multi_master=True),
+        seed=0,
+    )
+    cluster.load(TpcwDataGenerator(SCALE, seed=11))
+    return cluster
+
+
+def run_quiesced(cluster: SimDmvCluster, sim_s: float) -> SimDmvCluster:
+    cluster.start_browsers(40, MIXES["ordering"], SCALE, think_time_mean=0.3)
+    cluster.sim.schedule(sim_s, cluster.stop_browsers)
+    cluster.run(until=sim_s + SETTLE_SIM_S)
+    assert cluster.metrics.completed > 1000 and cluster.metrics.failed == 0
+    return cluster
+
+
+def row_replicas(cluster: SimDmvCluster) -> int:
+    """Rows summed over every replica of every table."""
+    return sum(sum(node.engine.row_counts().values()) for node in cluster.nodes.values())
+
+
+def index_buckets(engine):
+    for table in engine.tables.values():
+        yield from table.pk_index._buckets.values()
+        for index in table.indexes.values():
+            for _key, bucket in index._tree.items():
+                yield bucket
+
+
+@pytest.fixture(scope="module")
+def quiesced():
+    return run_quiesced(build(), RUN_SIM_S)
+
+
+def test_nothing_is_retained_for_history(quiesced):
+    assert quiesced.pipeline.channels
+    for channel in quiesced.pipeline.channels.values():
+        assert not any(pending.ack.triggered for pending in channel._unacked)
+        assert not channel._unacked  # and, quiesced, nothing in flight
+    for agent in quiesced.schedulers:
+        assert agent.scheduler.query_log._entries == []
+
+
+def test_every_replica_keys_a_page_by_one_id_object(quiesced):
+    nodes = list(quiesced.nodes.values())
+    masters = [node for node in nodes if node.master is not None]
+    assert len(masters) == 2 and len(nodes) == 6
+    keys = [{key: key for key in node.engine.store.page_map()} for node in nodes]
+    for master in masters:
+        pages = master.engine.store.page_map()
+        assert len(pages) > 50
+        for page_id in pages:
+            for node, node_keys in zip(nodes, keys):
+                assert node_keys[page_id] is page_id
+                assert node.engine.store.get(page_id).page_id is page_id
+
+
+def test_bucket_elements_are_immutable_but_for_locations(quiesced):
+    gc.collect()
+    for node in quiesced.nodes.values():
+        for bucket in index_buckets(node.engine):
+            assert bucket and len(bucket) % 4 == 0
+            for loc, insert_v, delete_v, writer in entries(bucket):
+                assert type(loc) is tuple and len(loc) == 2
+                assert not any(gc.is_tracked(v) for v in (insert_v, delete_v, writer))
+
+
+def test_tracked_objects_grow_with_rows_not_with_run_length():
+    base = tracked_heap()
+    cluster = build()
+    loaded = row_replicas(cluster)
+    bulk = tracked_heap() - base
+    assert bulk <= loaded * BULK_BUDGET, f"{bulk} tracked for {loaded} row replicas"
+
+    run_quiesced(cluster, RUN_SIM_S)
+    after_t, rows_t = tracked_heap() - base, row_replicas(cluster)
+    cluster = None
+    cluster = run_quiesced(build(), 2 * RUN_SIM_S)
+    after_2t, rows_2t = tracked_heap() - base, row_replicas(cluster)
+    inserted = rows_2t - rows_t
+    assert inserted > 1000
+    grown = after_2t - after_t
+    assert grown <= inserted * GROWTH_BUDGET, f"{grown} tracked for {inserted} inserted"

@@ -1,7 +1,10 @@
 """Unit tests for version-aware index visibility semantics.
 
 The indexes' write-side methods take encoded keys (what ``Table.index_delta``
-hands them); lookups take the plain key.
+hands them); lookups take the plain key.  Visibility is driven through the
+public write and read methods only, so these tests hold whatever a bucket
+looks like inside; :func:`visible` is the one definition every probe is
+checked against.
 """
 
 import pytest
@@ -10,73 +13,149 @@ from repro.common.errors import SchemaError
 from repro.common.ids import PageId
 from repro.engine.indexes import (
     PENDING,
-    IndexEntry,
     VersionedHashIndex,
     VersionedTreeIndex,
     encode_key,
     prefix_bounds,
+    visible,
 )
 
 LOC = (PageId("item", 0), 0)
 LOC2 = (PageId("item", 0), 1)
+KEY = encode_key(("k",))
+READERS = (None, 7, 9)
+TAGS = (None, 0, 2, 3, 4, 5, 6, 9, 100)
+
+
+# -- every entry state the write API can reach, and the entry it must leave -----------
+def pending_insert(writer):
+    return (None, None, writer), lambda ix, key, loc: ix.add_pending(key, loc, writer)
+
+
+def pending_insert_deleted(writer):
+    def build(ix, key, loc):
+        ix.add_pending(key, loc, writer)
+        ix.mark_delete_pending(key, loc, writer)
+    return (None, PENDING, writer), build
+
+
+def committed(version, stamped=False):
+    def build(ix, key, loc):
+        if stamped:  # the master's way: pending, then stamped at commit
+            ix.add_pending(key, loc, 99)
+            ix.stamp_insert(key, loc, version)
+        else:  # the slave's way
+            ix.add_committed(key, loc, version)
+    return (version, None, None), build
+
+
+def pending_delete(version, writer):
+    def build(ix, key, loc):
+        ix.add_committed(key, loc, version)
+        ix.mark_delete_pending(key, loc, writer)
+    return (version, PENDING, writer), build
+
+
+def committed_delete(version, deleted, stamped=False):
+    def build(ix, key, loc):
+        ix.add_committed(key, loc, version)
+        if stamped:
+            ix.mark_delete_pending(key, loc, 99)
+            ix.stamp_delete(key, loc, deleted)
+        else:
+            ix.mark_delete_committed(key, loc, deleted)
+    return (version, deleted, None), build
+
+
+STATES = (
+    [pending_insert(w) for w in (7, 9)]
+    + [pending_insert_deleted(w) for w in (7, 9)]
+    + [committed(v, stamped) for v in (0, 3, 5) for stamped in (False, True)]
+    + [pending_delete(v, w) for v in (0, 3, 5) for w in (7, 9)]
+    + [committed_delete(v, d, stamped)
+       for v in (0, 3, 5) for d in (3, 5, 8) if d >= v for stamped in (False, True)]
+)
+
+
+def probes(builds, reader, tag_v):
+    """What every read path returns over indexes built by ``builds``
+    (``(loc, build)`` pairs, all under one key, so a reverse scan keeps the
+    bucket's order): hash lookup, tree lookup, and the tree's range scan,
+    unbounded and prefix-bounded, both ways."""
+    pk, tree = VersionedHashIndex("pk", "item"), VersionedTreeIndex("ix", "item")
+    for index in (pk, tree):
+        for loc, build in builds:
+            build(index, KEY, loc)
+    lo, hi = prefix_bounds(("k",))
+    return [
+        pk.lookup(("k",), reader, tag_v),
+        tree.lookup(("k",), reader, tag_v),
+        list(tree.range_lookup_encoded(None, None, reader, tag_v)),
+        list(tree.range_lookup_encoded(lo, hi, reader, tag_v)),
+        list(tree.range_lookup_encoded(lo, hi, reader, tag_v, reverse=True)),
+    ]
+
+
+def seen(state, reader, tag_v):
+    """Does a reader find the one entry in ``state``?  Every probe agrees,
+    and agrees with :func:`visible`."""
+    fields, build = state
+    expected = [LOC] if visible((LOC, *fields), reader, tag_v) else []
+    for found in probes([(LOC, build)], reader, tag_v):
+        assert found == expected, (fields, reader, tag_v)
+    return bool(expected)
 
 
 class TestVisibility:
     def test_committed_entry_visible_at_or_after_insert(self):
-        e = IndexEntry(LOC, insert_v=5)
-        assert not e.visible(None, 4)
-        assert e.visible(None, 5)
-        assert e.visible(None, 9)
+        for state in (committed(5), committed(5, stamped=True)):
+            assert not seen(state, None, 4)
+            assert seen(state, None, 5)
+            assert seen(state, None, 9)
 
     def test_committed_delete_invisible_from_delete_version(self):
-        e = IndexEntry(LOC, insert_v=2, delete_v=6)
-        assert e.visible(None, 5)
-        assert not e.visible(None, 6)
+        for state in (committed_delete(2, 6), committed_delete(2, 6, stamped=True)):
+            assert seen(state, None, 5)
+            assert not seen(state, None, 6)
 
     def test_pending_insert_invisible_to_tagged_reads(self):
-        e = IndexEntry(LOC, insert_v=None, writer=9)
-        assert not e.visible(7, 100)
+        assert not seen(pending_insert(9), 7, 100)
+        assert not seen(pending_insert(9), 9, 100)
 
     def test_pending_insert_visible_to_current_reads(self):
-        e = IndexEntry(LOC, insert_v=None, writer=9)
-        assert e.visible(9, None)
-        assert e.visible(7, None)  # others block on the page lock instead
+        assert seen(pending_insert(9), 9, None)
+        assert seen(pending_insert(9), 7, None)  # others block on the page lock instead
 
     def test_pending_delete_invisible_only_to_deleter(self):
-        e = IndexEntry(LOC, insert_v=1, delete_v=PENDING, writer=9)
-        assert not e.visible(9, None)
-        assert e.visible(7, None)
+        assert not seen(pending_delete(1, 9), 9, None)
+        assert seen(pending_delete(1, 9), 7, None)
+        assert not seen(pending_insert_deleted(9), 9, None)
 
     def test_committed_delete_invisible_to_current_reads(self):
-        e = IndexEntry(LOC, insert_v=1, delete_v=3)
-        assert not e.visible(7, None)
+        assert not seen(committed_delete(1, 3), 7, None)
+        assert not seen(committed_delete(1, 3), None, None)
 
     def test_pending_delete_still_visible_to_tagged_reads(self):
-        e = IndexEntry(LOC, insert_v=1, delete_v=PENDING, writer=9)
-        assert e.visible(7, 5)
-
+        assert seen(pending_delete(1, 9), 7, 5)
+        assert seen(pending_delete(1, 9), 9, 5)
 
     def test_range_scan_filter_agrees_with_visible_in_every_state(self):
-        # Range scans inline the visibility test; the method above stays
-        # the definition they must agree with.
-        states = [
-            (insert_v, delete_v, writer)
-            for insert_v in (None, 0, 3, 5)
-            for delete_v in (None, PENDING, 0, 3, 5, 8)
-            for writer in (None, 7, 9)
-        ]
-        idx = VersionedTreeIndex("ix", "item")
-        entries = []
-        for slot, state in enumerate(states):
-            entry = IndexEntry((PageId("item", 0), slot), *state)
-            idx._tree.setdefault(encode_key((slot % 5,)), list).append(entry)
-            entries.append(entry)
-        for reader in (None, 7, 9):
-            for tag_v in (None, 0, 2, 3, 4, 5, 9):
-                expected = {e.loc for e in entries if e.visible(reader, tag_v)}
-                for reverse in (False, True):
-                    found = list(idx.range_lookup(None, None, reader, tag_v, reverse=reverse))
-                    assert len(found) == len(expected) and set(found) == expected, (reader, tag_v)
+        # Each state alone, then all of them side by side in one bucket (one
+        # slot each), in both tag cases: the inlined filters of every read
+        # path against the one definition.
+        for state in STATES:
+            for reader in READERS:
+                for tag_v in TAGS:
+                    seen(state, reader, tag_v)
+        locs = [(PageId("item", slot // 4), slot % 4) for slot in range(len(STATES))]
+        for reader in READERS:
+            for tag_v in TAGS:
+                expected = [
+                    loc for loc, (fields, _build) in zip(locs, STATES)
+                    if visible((loc, *fields), reader, tag_v)
+                ]
+                for found in probes(list(zip(locs, (b for _f, b in STATES))), reader, tag_v):
+                    assert found == expected, (reader, tag_v)
 
 
 class TestEncodeKey:

@@ -79,6 +79,15 @@ def test_one_master_concurrency_control_above_the_engine():
             assert "read_concurrency" not in path.read_text(), path
 
 
+def test_no_garbage_collector_tuning_in_the_program():
+    # What a full collection walks is cut by layout (see test_heap_bounds.py),
+    # not by switching the collector off or down.
+    for path in (REPO / "src").rglob("*.py"):
+        source = path.read_text()
+        for call in ("gc.disable", "gc.freeze", "gc.set_threshold"):
+            assert call not in source, (path, call)
+
+
 def test_replica_node_replaced_the_per_driver_node_classes():
     assert not hasattr(repro.cluster.sync, "NodeHandle")
     assert not hasattr(repro.cluster.threaded, "ThreadedNode")

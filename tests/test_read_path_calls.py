@@ -12,6 +12,7 @@ would drown it in noise.
 """
 
 import cProfile
+import gc
 import pstats
 
 import pytest
@@ -52,6 +53,7 @@ def calls_per_row(slave, statement, params_of):
         executor.execute(txn, statement, params_of(run))
     rows_before = slave.counters.get("engine.rows_read")
     profile = cProfile.Profile()
+    gc.collect()  # no earlier garbage's finalizers inside the profile
     profile.enable()
     for run in range(RUNS):
         executor.execute(txn, statement, params_of(run))

@@ -17,6 +17,7 @@ from repro.common.ids import PageId
 from repro.common.versions import VersionVector
 from repro.core import MasterReplica, SlaveReplica
 from repro.engine import Column, HeapEngine, IndexDef, Table, TableSchema, bulk_load_replicas
+from repro.engine.indexes import entries
 from repro.storage.checkpoint import FuzzyCheckpointer, StableStore
 from repro.tpcw import TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
 
@@ -49,7 +50,7 @@ def describe_page(page):
 
 
 def describe_bucket(bucket):
-    return [(e.loc, e.insert_v, e.delete_v, e.writer) for e in bucket]
+    return list(entries(bucket))
 
 
 def describe_tree(tree):
@@ -121,9 +122,7 @@ def mutable_parts(replica):
                     parts.add(id(node))
                     buckets.append(node.value)
                     stack += [node.left, node.right]
-        for bucket in buckets:
-            parts.add(id(bucket))
-            parts.update(id(entry) for entry in bucket)
+        parts.update(id(bucket) for bucket in buckets)  # their elements are immutable
     for generation in (replica.stable._images, replica.stable._previous):
         parts.update(id(image) for image in generation.values())
     return parts

@@ -116,16 +116,18 @@ class TestVersionAwareFailover:
 
     def test_commit_logs_queries(self):
         sched = make_sched()
+        sched.query_log.set_cursor("disk0", 0)  # the log keeps only what a consumer will read
         sched.on_master_commit(
             "m0", {"item": 1}, queries=[("UPDATE item SET i_stock = 1", ())], txn_id=7
         )
         assert len(sched.query_log) == 1
-        assert sched.query_log.since(0)[0].txn_id == 7
+        assert [entry.txn_id for entry in sched.query_log.pending_for("disk0")] == [7]
 
 
 class TestQueryLog:
     def test_cursors(self):
         log = QueryLog()
+        log.set_cursor("backup", 0)
         for i in range(5):
             log.append(LoggedUpdate(i, (("q", ()),)))
         assert log.lag_of("backup") == 5
@@ -133,6 +135,27 @@ class TestQueryLog:
         assert len(batch) == 5
         log.advance("backup", len(batch))
         assert log.lag_of("backup") == 0
+
+    def test_keeps_only_what_a_registered_consumer_has_not_passed(self):
+        log = QueryLog()
+        log.append(LoggedUpdate(0, ()))  # nobody registered: nothing kept
+        assert len(log) == 1 and log._entries == []
+        log.set_cursor("slow", 1)
+        log.set_cursor("fast", 1)
+        for i in range(1, 6):
+            log.append(LoggedUpdate(i, ()))
+        log.advance("fast", 5)
+        log.advance("slow", 2)
+        assert len(log) == 6  # indices stay absolute
+        assert [e.txn_id for e in log.pending_for("slow")] == [3, 4, 5]
+        assert len(log._entries) == 3  # 0..2 passed by every consumer: dropped
+        assert log.pending_for("fast") == [] and log.lag_of("slow") == 3
+        with pytest.raises(ValueError):
+            log.set_cursor("late", 0)  # never silently skips dropped entries
+        with pytest.raises(KeyError):
+            log.pending_for("unregistered")
+        log.unregister("slow")
+        assert log._entries == [] and log.lag_of("fast") == 0
 
     def test_set_cursor_clamped(self):
         log = QueryLog()

@@ -5,6 +5,7 @@ import pytest
 from repro.common.versions import VersionVector
 from repro.core import MasterReplica, SlaveReplica
 from repro.engine import Column, IndexDef, TableSchema
+from repro.engine.indexes import entries
 from repro.sql import SqlExecutor
 
 ITEM = TableSchema(
@@ -129,13 +130,10 @@ def check_delete_counts(engine):
     total = 0
     for table in engine.tables.values():
         for index in [table.pk_index, *table.indexes.values()]:
-            truth = sum(
-                isinstance(entry.delete_v, int)
-                for bucket in index_buckets(index)
-                for entry in bucket
-            )
+            decoded = [entry for bucket in index_buckets(index) for entry in entries(bucket)]
+            truth = sum(isinstance(delete_v, int) for _loc, _i, delete_v, _w in decoded)
             assert index.committed_deletes == truth, index.name
-            assert index.entry_count == sum(len(b) for b in index_buckets(index)), index.name
+            assert index.entry_count == len(decoded), index.name
             total += truth
     return total
 
