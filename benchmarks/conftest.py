@@ -1,7 +1,7 @@
 """Shared benchmark fixtures: figure-report collection and output files.
 
 Each benchmark regenerates one paper table/figure and registers a textual
-report.  Reports are written to ``benchmarks/results/`` and echoed in the
+report; every simulated DMV run it makes is audited (:func:`audit`).  Reports are written to ``benchmarks/results/`` and echoed in the
 pytest terminal summary so ``pytest benchmarks/ --benchmark-only`` shows
 the reproduced rows/series directly.
 """
@@ -36,6 +36,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, text in _REPORTS:
         terminalreporter.write_line(text)
         terminalreporter.write_line(f"[saved to benchmarks/results/{name}.txt]")
+
+
+def audit(report) -> None:
+    """Fail — never xfail — unless the settled cluster of ``report`` (a
+    :class:`repro.chaos.RunReport`) passed every invariant."""
+    failed = [str(result) for result in report.invariants if not result.ok]
+    if failed:
+        pytest.fail("invariants failed once the cluster settled:\n" + "\n".join(failed))
 
 
 def quick_mode() -> bool:

@@ -13,15 +13,16 @@ predicts:
   full in the Figure 7-9 benchmarks; summarised here via cache hit ratios).
 """
 
-from repro.bench.calibration import BENCH_COST, BENCH_ROWS_PER_PAGE, BENCH_SCALE
-from repro.bench.harness import cached_rows
+from conftest import audit
+
+from repro.bench.harness import THROUGHPUT, bench_cluster, measured, steady_wips
 from repro.bench.report import format_table
-from repro.cluster.simcluster import SimDmvCluster
+from repro.chaos import run_plan
 from repro.common.versions import VersionVector
 from repro.core import MasterReplica, SlaveReplica
 from repro.engine import bulk_load_replicas
 from repro.sql import SqlExecutor
-from repro.tpcw import MIXES, TPCW_SCHEMAS, tpcw_conflict_map
+from repro.tpcw import tpcw_conflict_map
 
 
 def _run_with_affinity(enabled: bool, rounds: int = 200):
@@ -190,20 +191,16 @@ def test_ablation_multi_master_conflict_classes(benchmark, figure_report):
     """
 
     def run_one(multi: bool) -> float:
-        cluster = SimDmvCluster(
-            TPCW_SCHEMAS,
+        shape = bench_cluster(
             num_slaves=4,
             conflict_map=tpcw_conflict_map(multi_master=multi),
             multi_master=multi,
-            cost_config=BENCH_COST,
-            rows_per_page=BENCH_ROWS_PER_PAGE,
-            seed=7,
         )
-        cluster.load_tables(cached_rows(BENCH_SCALE))
-        cluster.warm_all_caches()
-        cluster.start_browsers(220, MIXES["ordering"], BENCH_SCALE, think_time_mean=1.0)
-        cluster.run(until=60.0)
-        return cluster.metrics.wips.series(end=60.0).between(20.0, 60.0).mean()
+        plan = measured(THROUGHPUT, 60.0, mix="ordering", browsers=220, seed=7, cluster=shape)
+        report = run_plan(plan)
+        audit(report)
+        # The two 20 s buckets after the first (the window's last 40 s).
+        return steady_wips(report.window)
 
     def run():
         return run_one(False), run_one(True)

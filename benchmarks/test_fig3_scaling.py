@@ -7,14 +7,31 @@ saturation (index rebalancing + lock waits).  Section 6.1 also reports
 version-inconsistency aborts below 2.5 % of transactions.
 """
 
-from conftest import quick_mode
+from conftest import audit, quick_mode
 
-from repro.bench.harness import ThroughputRun, find_peak, run_dmv_throughput, run_innodb_throughput
+from repro.bench.harness import (
+    THROUGHPUT,
+    bench_cluster,
+    find_peak,
+    measured,
+    run_innodb,
+    steady_wips,
+)
 from repro.bench.report import format_table
+from repro.chaos import run_plan
 
 MIX_NAMES = ("browsing", "shopping", "ordering")
 PAPER_FACTORS = {"browsing": 14.6, "shopping": 17.6, "ordering": 6.5}
 SLAVE_COUNTS = (1, 2, 4, 8)
+
+
+def _dmv(mix, slaves, clients, duration):
+    plan = measured(
+        THROUGHPUT, duration, mix=mix, browsers=clients, cluster=bench_cluster(num_slaves=slaves)
+    )
+    report = run_plan(plan)
+    audit(report)
+    return report.window
 
 
 def _run_fig3():
@@ -26,20 +43,15 @@ def _run_fig3():
             steps = [45 * n, 65 * n] if not quick_mode() else [45 * n]
             steps = [min(s, 420) for s in steps]
             peak = find_peak(
-                f"dmv/{mix}/{n}",
-                lambda clients, n=n, mix=mix: run_dmv_throughput(
-                    mix, n, clients, duration=duration
-                ),
-                steps,
+                lambda clients, n=n, mix=mix: _dmv(mix, n, clients, duration), steps
             )
-            results[(mix, n)] = peak.peak_wips
-            aborts[(mix, n)] = peak.peak_step.abort_rate
+            results[(mix, n)] = steady_wips(peak)
+            aborts[(mix, n)] = peak.metrics.abort_rate()
         innodb = find_peak(
-            f"innodb/{mix}",
-            lambda clients, mix=mix: run_innodb_throughput(mix, clients, duration=duration),
+            lambda clients, mix=mix: run_innodb(mix, clients, duration),
             [10, 25, 50] if not quick_mode() else [25],
         )
-        results[(mix, "innodb")] = innodb.peak_wips
+        results[(mix, "innodb")] = steady_wips(innodb)
     return results, aborts
 
 

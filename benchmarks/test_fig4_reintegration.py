@@ -9,31 +9,48 @@ start of the run must be transferred) in ~5 s of catch-up, followed by
 All wall-clock quantities here are scaled with the rest of the model.
 """
 
-from conftest import quick_mode
+from conftest import audit, quick_mode
 
-from repro.bench.harness import run_reintegration
+from repro.bench.harness import (
+    THROUGHPUT,
+    bench_cluster,
+    mean_before,
+    mean_during,
+    measured,
+    wips_series,
+)
 from repro.bench.report import format_series, format_table
+from repro.chaos import CrashNode, FaultPlan, ReintegrateNode, run_plan
+
+KILL_AT = 100.0
+REBOOT_AT = KILL_AT + 60.0
 
 
 def _run():
     duration = 220.0 if quick_mode() else 340.0
-    return run_reintegration(
-        mix_name="shopping",
-        num_slaves=4,
-        clients=100,
-        kill_at=100.0,
-        reboot_delay=60.0,
-        duration=duration,
-        checkpoint_period=1e9,  # worst case: only the initial image exists
+    # No checkpoint daemon — the worst case: only the initial image exists,
+    # so every page modified since the run began must be transferred.
+    plan = measured(
+        THROUGHPUT,
+        duration,
+        browsers=100,
+        cluster=bench_cluster(num_slaves=4),
+        faults=FaultPlan.fixed(
+            CrashNode(at=KILL_AT, node_id="m0"), ReintegrateNode(at=REBOOT_AT, node_id="m0")
+        ),
     )
+    report = run_plan(plan)
+    audit(report)
+    return report.window
 
 
 def test_fig4_node_reintegration(benchmark, figure_report):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    window = benchmark.pedantic(_run, rounds=1, iterations=1)
 
-    baseline = result.mean_before(80.0)
-    degraded = result.mean_during(5.0, 55.0)
-    timeline = result.timeline
+    series = wips_series(window)
+    baseline = mean_before(series, KILL_AT, 80.0)
+    degraded = mean_during(series, KILL_AT, 5.0, 55.0)
+    timeline = next((t for t in window.timelines if t.migration_pages > 0), None)
     catchup = timeline.migration_duration() if timeline else float("nan")
     report = format_table(
         "Figure 4 — master kill at t=100s, reboot 60s, reintegration",
@@ -47,12 +64,10 @@ def test_fig4_node_reintegration(benchmark, figure_report):
             ["cache warm-up tail", "visible in series below", "50-60 s"],
         ],
     )
-    report += format_series(
-        "Figure 4 series — WIPS (20 s buckets)", result.series, unit=" wips"
-    )
+    report += format_series("Figure 4 series — WIPS (20 s buckets)", series, unit=" wips")
     report += format_series(
         "Figure 4 series — client latency (s, 20 s buckets; paper plots both panels)",
-        result.latency_series,
+        window.metrics.latency_series.bucketed(20.0),
         unit=" s",
     )
     figure_report("fig4_reintegration", report)

@@ -8,35 +8,51 @@ catch-up, and a cache warm-up phase of similar length to InnoDB's — so the
 in-memory tier wins by eliminating log replay.
 """
 
-from conftest import quick_mode
+from conftest import audit
 
-from repro.bench.harness import run_dmv_failover, run_innodb_failover
+from repro.bench.harness import (
+    THROUGHPUT,
+    bench_cluster,
+    measured,
+    recovery_point,
+    run_innodb,
+    wips_series,
+)
 from repro.bench.report import format_table
+from repro.chaos import CrashNode, FaultPlan, StaleBackup, run_plan
+
+INNODB_KILL_AT = 300.0
+DMV_KILL_AT = 120.0
 
 
 def _run():
     # Cheap experiment; quick mode does not shrink it (see Fig. 5 bench).
-    innodb = run_innodb_failover(
-        clients=24, kill_at=300.0, duration=900.0, refresh_interval=280.0
+    innodb = run_innodb("shopping", 24, 900.0, kill_at=INNODB_KILL_AT)
+    plan = measured(
+        THROUGHPUT,
+        420.0,
+        browsers=60,
+        cluster=bench_cluster(num_spares=1),
+        faults=FaultPlan.fixed(
+            StaleBackup(at=0.0, node_id="spare0"), CrashNode(at=DMV_KILL_AT, node_id="m0")
+        ),
     )
-    dmv = run_dmv_failover(
-        "m0", num_slaves=2, num_spares=1, stale_backup=True,
-        clients=60, kill_at=120.0, duration=420.0,
-    )
-    return innodb, dmv
+    report = run_plan(plan)
+    audit(report)
+    return innodb, report.window
 
 
 def test_fig6_failover_stage_weights(benchmark, figure_report):
     innodb, dmv = benchmark.pedantic(_run, rounds=1, iterations=1)
 
-    dmv_t = dmv.timeline
-    innodb_t = innodb.timeline
+    dmv_t = dmv.timelines[0]
+    innodb_t = innodb.timelines[0]
     dmv_recovery = dmv_t.recovery_duration()
     dmv_migration = dmv_t.migration_duration()
-    dmv_total = dmv.recovery_point(threshold=0.85)
+    dmv_total = recovery_point(wips_series(dmv), DMV_KILL_AT, threshold=0.85)
     dmv_warmup = max(0.0, dmv_total - dmv_recovery - dmv_migration)
     innodb_update = innodb_t.db_update_duration()
-    innodb_total = innodb.recovery_point(threshold=0.85)
+    innodb_total = recovery_point(wips_series(innodb), INNODB_KILL_AT, threshold=0.85)
     innodb_warmup = max(0.0, innodb_total - innodb_update)
 
     report = format_table(

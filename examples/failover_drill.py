@@ -9,39 +9,33 @@ timelines — a miniature version of the paper's Section 6.2 experiments.
 Run:  python examples/failover_drill.py
 """
 
-from repro.bench.calibration import BENCH_COST, BENCH_ROWS_PER_PAGE, BENCH_SCALE
-from repro.bench.harness import cached_rows
-from repro.cluster.simcluster import SimDmvCluster
-from repro.tpcw import MIXES, TPCW_SCHEMAS
+from repro.bench.harness import THROUGHPUT, bench_cluster, measured, wips_series
+from repro.chaos import CrashNode, FaultPlan, run_plan
+
+#: Master + 3 slaves + 1 spare under 80 shopping-mix browsers for 300 s.
+DRILL = measured(
+    THROUGHPUT,
+    300.0,
+    browsers=80,
+    cluster=bench_cluster(num_slaves=3, num_spares=1, checkpoint_period=30.0),
+    faults=FaultPlan.fixed(CrashNode(at=60.0, node_id="s1"), CrashNode(at=150.0, node_id="m0")),
+)
 
 
 def main() -> None:
-    cluster = SimDmvCluster(
-        TPCW_SCHEMAS,
-        num_slaves=3,
-        num_spares=1,
-        cost_config=BENCH_COST,
-        rows_per_page=BENCH_ROWS_PER_PAGE,
-        checkpoint_period=30.0,
-    )
-    cluster.load_tables(cached_rows(BENCH_SCALE))
-    cluster.warm_all_caches()
-
-    cluster.start_browsers(80, MIXES["shopping"], BENCH_SCALE, think_time_mean=1.0)
     print("drill: slave s1 dies at t=60s, master m0 dies at t=150s")
-    cluster.kill_node_at("s1", 60.0)
-    cluster.kill_node_at("m0", 150.0)
-    cluster.run(until=300.0)
+    report = run_plan(DRILL)
+    window = report.window
 
     print("\nthroughput (web interactions per second, 20 s buckets):")
-    series = cluster.metrics.wips.series(end=300.0)
+    series = wips_series(window)
     peak = max(series.values) or 1.0
     for t, value in zip(series.times, series.values):
         bar = "#" * int(40 * value / peak)
         print(f"  t={t:6.1f}s {value:7.2f} |{bar}")
 
     print("\nreconfiguration timelines:")
-    for timeline in cluster.timelines:
+    for timeline in window.timelines:
         print(
             f"  failure@{timeline.failure_time:7.1f}s  detected +"
             f"{timeline.detection_time - timeline.failure_time:4.1f}s  "
@@ -50,11 +44,10 @@ def main() -> None:
             f"({timeline.migration_pages} pages)"
         )
 
-    print("\ninteractions completed:", cluster.metrics.completed)
-    print("retried after aborts/failures:", cluster.metrics.retried)
-    print("active topology:", sorted(s.node_id for s in cluster.scheduler.active_slaves()),
-          "master:", sorted(n.node_id for n in cluster.nodes.values()
-                            if n.master is not None and n.alive))
+    print("\ninteractions completed:", window.metrics.completed)
+    print("retried after aborts/failures:", window.metrics.retried)
+    print("active topology:", sorted(n for n, role in report.roles.items() if role == "slave"),
+          "master:", sorted(n for n, role in report.roles.items() if role == "master"))
 
 
 if __name__ == "__main__":

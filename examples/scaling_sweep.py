@@ -10,23 +10,27 @@ Run:  python examples/scaling_sweep.py [mix]          (default: shopping)
 
 import sys
 
-from repro.bench.harness import run_dmv_throughput, run_innodb_throughput
+from repro.bench.harness import THROUGHPUT, bench_cluster, measured, run_innodb, steady_wips
 from repro.bench.report import format_retries
+from repro.chaos import run_plan
 
 
 def main() -> None:
     mix = sys.argv[1] if len(sys.argv) > 1 else "shopping"
     print(f"mix: {mix}\n")
-    innodb = max(
-        run_innodb_throughput(mix, clients, duration=40.0).wips for clients in (10, 25)
-    )
+    innodb = max(steady_wips(run_innodb(mix, clients, 40.0)) for clients in (10, 25))
     print(f"stand-alone on-disk baseline: {innodb:6.1f} WIPS\n")
     print(f"{'slaves':>7} {'clients':>8} {'WIPS':>8} {'factor':>8} {'p95 (s)':>9}")
     for n in (1, 2, 4, 8):
-        run = run_dmv_throughput(mix, n, clients=55 * n, duration=40.0)
-        factor = run.wips / innodb if innodb else float("nan")
-        print(f"{n:>7} {run.clients:>8} {run.wips:>8.1f} {'x%.1f' % factor:>8} "
-              f"{run.latency_p95:>9.2f}  {format_retries(run.retries_by_reason)}")
+        plan = measured(
+            THROUGHPUT, 40.0, mix=mix, browsers=55 * n, cluster=bench_cluster(num_slaves=n)
+        )
+        window = run_plan(plan).window
+        wips = steady_wips(window)
+        factor = wips / innodb if innodb else float("nan")
+        print(f"{n:>7} {55 * n:>8} {wips:>8.1f} {'x%.1f' % factor:>8} "
+              f"{window.metrics.latency.percentile(95):>9.2f}  "
+              f"{format_retries(window.metrics.aborts_by_reason)}")
 
 
 if __name__ == "__main__":

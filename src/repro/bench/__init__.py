@@ -1,8 +1,12 @@
-"""Benchmark harness: experiment assembly, calibration and reporting.
+"""The paper's experiments: calibration, figure plans and report formatting.
 
-Each paper table/figure has one target in ``benchmarks/`` that calls into
-:mod:`repro.bench.harness` and prints the same rows/series the paper
-reports.  Calibration constants live in :mod:`repro.bench.calibration`.
+Each paper table/figure has one target in ``benchmarks/`` that
+``dataclasses.replace``-s a base plan of :mod:`repro.bench.harness`, runs
+it with :func:`repro.chaos.run_plan` — the one runner of every simulated
+DMV experiment — and prints the same rows/series the paper reports with
+:mod:`repro.bench.report`.  Calibration constants live in
+:mod:`repro.bench.calibration`.  The repository benchmark imports the
+calibration, and with it this module, so neither imports :mod:`repro.chaos`.
 """
 
 from repro.bench.calibration import (
@@ -13,17 +17,6 @@ from repro.bench.calibration import (
     INNODB_POOL_FRACTION,
     bench_cost,
 )
-from repro.bench.harness import (
-    FailoverResult,
-    PeakResult,
-    ThroughputRun,
-    find_peak,
-    run_dmv_failover,
-    run_dmv_throughput,
-    run_innodb_failover,
-    run_innodb_throughput,
-    run_reintegration,
-)
 from repro.bench.report import format_retries, format_series, format_table
 
 __all__ = [
@@ -33,15 +26,6 @@ __all__ = [
     "FAILOVER_SCALE",
     "INNODB_POOL_FRACTION",
     "bench_cost",
-    "ThroughputRun",
-    "PeakResult",
-    "FailoverResult",
-    "run_dmv_throughput",
-    "run_innodb_throughput",
-    "find_peak",
-    "run_dmv_failover",
-    "run_innodb_failover",
-    "run_reintegration",
     "format_table",
     "format_series",
     "format_retries",

@@ -6,11 +6,10 @@ transaction-lifecycle spans: the per-stage p50/p95/p99 latency table (the
 shape of the paper's Fig. 6 breakdown) is printed and a Chrome-trace JSON
 is written for Perfetto / ``chrome://tracing``.
 
-This is the one thing the module does.  Host-time measurement is
-``benchmarks/perf/run.py``; named fault scenarios are ``python -m
-repro.chaos --plan NAME``; the capacity sweep and the overload comparison
-are functions (:mod:`repro.bench.capacity`, :mod:`repro.bench.overload`)
-that tests call.
+This is the one thing the module does: it is :data:`repro.bench.harness.THROUGHPUT`
+with the flags replaced, run by :func:`repro.chaos.run_plan`.  Host-time
+measurement is ``benchmarks/perf/run.py``; named fault scenarios are
+``python -m repro.chaos --plan NAME``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.harness import run_dmv_throughput
+from repro.bench.harness import THROUGHPUT, bench_cluster, measured, steady_wips
+from repro.chaos.scenario import run_plan
 from repro.obs import write_chrome_trace
 from repro.tpcw.mixes import MIXES
 
@@ -48,24 +48,25 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    run = run_dmv_throughput(
-        args.mix,
-        num_slaves=args.slaves,
-        clients=args.clients,
-        duration=args.duration,
-        seed=args.seed,
-        trace=args.trace,
+    plan = measured(
+        THROUGHPUT,
+        args.duration,
+        mix=args.mix,
+        browsers=args.clients,
+        cluster=bench_cluster(num_slaves=args.slaves),
     )
+    report = run_plan(plan, seed=args.seed, trace=args.trace)
+    metrics = report.window.metrics
     print(
-        f"dmv mix={args.mix} slaves={args.slaves} clients={run.clients}: "
-        f"wips={run.wips:.2f} p95={run.latency_p95 * 1e3:.1f}ms "
-        f"commit_p99={run.commit_p99 * 1e3:.2f}ms "
-        f"aborts={run.abort_rate * 100:.2f}% completed={run.completed}"
+        f"dmv mix={args.mix} slaves={args.slaves} clients={args.clients}: "
+        f"wips={steady_wips(report.window):.2f} p95={metrics.latency.percentile(95) * 1e3:.1f}ms "
+        f"commit_p99={metrics.commit_latency.percentile(99) * 1e3:.2f}ms "
+        f"aborts={metrics.abort_rate() * 100:.2f}% completed={metrics.completed}"
     )
     if args.trace:
         print("per-stage latency breakdown (virtual clock):")
-        print(run.stage_table())
-        events = write_chrome_trace(args.trace_out, run.tracer)
+        print(report.stage_table())
+        events = write_chrome_trace(args.trace_out, report.tracer)
         print(f"trace: {events} events -> {args.trace_out}")
     return 0
 

@@ -1,45 +1,42 @@
-"""Experiment runners shared by all benchmark targets.
+"""The paper's experiments as plans: calibrated bases and the reductions a
+figure reads off a run.
 
-Throughput experiments follow the paper's methodology: a step function over
-client counts, reporting the peak WIPS per configuration with warm caches
-and the initial warm-up window excluded.  Failover experiments run a fixed
-client population, inject one fault and report the 20-second-bucketed
-throughput/latency series plus the reconfiguration timeline.
+Every simulated DMV experiment is a :class:`~repro.chaos.plans.Plan` run by
+:func:`~repro.chaos.scenario.run_plan`.  This module holds the bases the
+figures ``dataclasses.replace`` — :data:`THROUGHPUT`, the paper's
+closed-loop TPC-W client at the benchmark scale, and :data:`COLD_SPARE`,
+its warm-up failover — and the pure functions that reduce a run's
+:class:`~repro.chaos.scenario.Window` the way the paper does: steady-state
+WIPS after warm-up, the step-function peak search of Fig. 3, and the
+mean-before / mean-during / recovery-point readings of the failover
+figures (20-second buckets).
+
+The on-disk baseline is a different system, without the DMV protocol or
+its invariants; :func:`run_innodb` is its own small runner and returns the
+same kind of window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.calibration import (
     BENCH_COST,
     BENCH_ROWS_PER_PAGE,
     BENCH_SCALE,
     BENCH_THINK_TIME,
+    FAILOVER_SCALE,
     INNODB_POOL_FRACTION,
 )
-from repro.cluster.costs import CostConfig
-from repro.cluster.simcluster import SimDmvCluster
+from repro.chaos.faults import ColdCache, CrashNode, FaultPlan
+from repro.chaos.plans import PLANS, Plan
+from repro.chaos.scenario import RunReport, Window, run_plan
 from repro.cluster.simdisk import SimDiskCluster
-from repro.cluster.sync import datagen_tables
 from repro.sim.stats import TimeSeries
-from repro.tpcw.datagen import TpcwDataGenerator
+from repro.tpcw.datagen import cached_rows
 from repro.tpcw.mixes import MIXES
 from repro.tpcw.schema import TPCW_SCHEMAS, TpcwScale
-
-# Generated row sets are deterministic per (scale, seed): cache them so a
-# parameter sweep does not regenerate the database for every step.
-_ROW_CACHE: Dict[Tuple[int, int, int], List[Tuple[str, list]]] = {}
-
-
-def cached_rows(scale: TpcwScale, seed: int = 42) -> List[Tuple[str, list]]:
-    key = (scale.num_items, scale.num_customers, seed)
-    rows = _ROW_CACHE.get(key)
-    if rows is None:
-        rows = [(t, list(r)) for t, r in datagen_tables(TpcwDataGenerator(scale, seed))]
-        _ROW_CACHE[key] = rows
-    return rows
 
 
 def total_pages(scale: TpcwScale, seed: int = 42) -> int:
@@ -48,377 +45,161 @@ def total_pages(scale: TpcwScale, seed: int = 42) -> int:
     return max(1, rows // BENCH_ROWS_PER_PAGE + 10)
 
 
-@dataclass
-class ThroughputRun:
-    """One (configuration, client count) measurement."""
-
-    clients: int
-    wips: float
-    latency_p95: float
-    abort_rate: float
-    completed: int
-    #: Cluster-wide replication-pipeline totals (``net.*`` / ``slave.*``
-    #: counters summed over all nodes); empty for configurations that do
-    #: not replicate (stand-alone InnoDB).
-    replication: Dict[str, float] = field(default_factory=dict)
-    #: Client-side retries broken down by abort reason (deadlock,
-    #: node-failure, reconfig-deadline, ...).
-    retries_by_reason: Dict[str, int] = field(default_factory=dict)
-    #: The run's tracer when measured with ``trace=True`` (else None).
-    tracer: Optional[object] = None
-    #: Update-commit latency percentiles in seconds (pre-commit through
-    #: ack barrier); zero for configurations without the DMV commit path.
-    commit_p50: float = 0.0
-    commit_p95: float = 0.0
-    commit_p99: float = 0.0
-
-    def stage_table(self) -> str:
-        """Per-stage p50/p95/p99 table (empty string without tracing)."""
-        return self.tracer.stage_table() if self.tracer is not None else ""
-
-    @property
-    def bytes_shipped(self) -> float:
-        return self.replication.get("net.bytes_shipped", 0.0)
-
-    @property
-    def delta_savings_fraction(self) -> float:
-        """Fraction of would-be write-set bytes removed by delta encoding."""
-        shipped = self.replication.get("net.bytes_shipped", 0.0)
-        saved = self.replication.get("net.bytes_saved_delta", 0.0)
-        total = shipped + saved
-        return saved / total if total else 0.0
+def bench_cluster(**shape) -> Callable[[float], Dict[str, object]]:
+    """A plan's ``cluster`` for a benchmark shape: two slaves behind one
+    scheduler at the calibrated page size, overridden by ``shape``."""
+    shape = {"num_slaves": 2, "num_schedulers": 1, "rows_per_page": BENCH_ROWS_PER_PAGE, **shape}
+    return lambda duration: dict(shape)
 
 
-REPLICATION_COUNTERS = (
-    "net.batches",
-    "net.write_sets_sent",
-    "net.bytes_shipped",
-    "net.bytes_saved_delta",
-    "slave.ops_buffered",
-    "slave.ops_applied",
-    "slave.ops_coalesced",
-    # Chaos / fault-path counters: all zero on a healthy run, so they
-    # double as a "nothing went wrong" assertion in bench output.
-    "net.drops",
-    "net.retransmits",
-    "net.dups_ignored",
-    "net.suspicions",
-    "sched.queued_updates",
-    "sched.deadline_rejects",
-    # Commit epochs sealed / update commits that rode them (every update
-    # commit is an epoch member; equal when no epoch batched).
-    "engine.epochs",
-    "engine.epoch_batched_commits",
-    # Dynamic conflict-class counters: all zero with static classes.
-    "sched.class_rehomes",
-    "sched.class_splits",
-    "sched.class_merges",
-    "sched.rehome_aborts",
-    # Overload-robustness counters: zero unless admission control, request
-    # deadlines or retry budgets are configured on.
-    "sched.admission_rejects",
-    "sched.deadline_cancels",
-    "bench.retries_exhausted",
-    "traffic.retry_budget_exhausted",
+def measured(plan: Plan, seconds: float, **changes) -> Plan:
+    """``plan`` with ``changes``, its clients running ``seconds`` before the
+    cluster settles (the window a figure measures is ``[0, seconds]``)."""
+    plan = replace(plan, **changes)
+    return replace(plan, duration=seconds + plan.settle)
+
+
+#: The paper's methodology on a fault-free cluster: 30 closed-loop browsers
+#: of the shopping mix at the benchmark scale, cost model and think time,
+#: measured for 60 s.  Figures replace the mix, the browsers, the cluster
+#: shape and the faults.
+THROUGHPUT = measured(
+    Plan(
+        name="throughput",
+        faults=FaultPlan.fixed(),
+        cluster=bench_cluster(),
+        cost=BENCH_COST,
+        seed=0,
+        browsers=30,
+        mix="shopping",
+        think_time=BENCH_THINK_TIME,
+        scale=BENCH_SCALE,
+        dataset_seed=42,
+        must_fire=(),
+    ),
+    60.0,
+)
+
+#: When the active slave dies in :data:`COLD_SPARE`.
+SPARE_KILL_AT = 480.0
+
+#: The paper's §6.3 warm-up experiments (Figures 7–9): the larger database,
+#: a master, one active slave and one up-to-date spare whose buffer cache
+#: starts cold; the active slave dies at :data:`SPARE_KILL_AT` and the spare
+#: takes over.  Figures 8 and 9 warm the spare through the cluster shape
+#: (``spare_read_fraction`` / ``pageid_ship_every``).
+COLD_SPARE = measured(
+    THROUGHPUT,
+    840.0,
+    browsers=40,
+    scale=FAILOVER_SCALE,
+    cluster=bench_cluster(num_slaves=1, num_spares=1),
+    faults=FaultPlan.fixed(
+        ColdCache(at=0.0, node_id="spare0"), CrashNode(at=SPARE_KILL_AT, node_id="s0")
+    ),
 )
 
 
-def replication_totals(cluster) -> Dict[str, float]:
-    """Sum the replication fast-path counters over every node of a run."""
-    from repro.common.counters import Counters
-
-    sources = [node.counters for node in cluster.nodes.values()]
-    cluster_counters = getattr(cluster, "counters", None)
-    if cluster_counters is not None:
-        sources.append(cluster_counters)
-    merged = Counters.merged(sources)
-    return {name: merged.get(name) for name in REPLICATION_COUNTERS}
+# -- reading a window ------------------------------------------------------------------
+def wips_series(window: Window) -> TimeSeries:
+    """Throughput per 20-second bucket up to the moment the clients stopped."""
+    return window.metrics.wips.series(end=window.stopped_at)
 
 
-@dataclass
-class PeakResult:
-    """Step-function outcome for one configuration."""
-
-    label: str
-    steps: List[ThroughputRun] = field(default_factory=list)
-
-    @property
-    def peak_wips(self) -> float:
-        return max((s.wips for s in self.steps), default=0.0)
-
-    @property
-    def peak_step(self) -> Optional[ThroughputRun]:
-        return max(self.steps, key=lambda s: s.wips) if self.steps else None
+def steady_wips(window: Window) -> float:
+    """Mean WIPS once the first third of the window (the warm-up) is over."""
+    end = window.stopped_at
+    return wips_series(window).between(end * 0.33, end).mean()
 
 
-def _measure(cluster, duration: float, warmup_fraction: float = 0.33) -> Tuple[float, float]:
-    """(steady-state WIPS, p95 latency) over the post-warm-up window."""
-    cluster.run(until=duration)
-    start = duration * warmup_fraction
-    series = cluster.metrics.wips.series(end=duration).between(start, duration)
-    wips = series.mean()
-    lat = cluster.metrics.latency.percentile(95)
-    return wips, lat
-
-
-# -- DMV throughput -----------------------------------------------------------------
-def run_dmv_throughput(
-    mix_name: str,
-    num_slaves: int,
-    clients: int,
-    duration: float = 60.0,
-    scale: TpcwScale = BENCH_SCALE,
-    cost: CostConfig = BENCH_COST,
-    think_time: float = BENCH_THINK_TIME,
-    seed: int = 0,
-    trace: bool = False,
-    **cluster_kwargs,
-) -> ThroughputRun:
-    """One DMV throughput step.
-
-    ``cluster_kwargs`` go to :class:`SimDmvCluster` verbatim —
-    ``multi_master``/``num_masters``/``conflict_map`` select the write
-    scale-out shape (the write-path scaling figure); the defaults keep the
-    legacy single-master cluster.
-    """
-    cluster = SimDmvCluster(
-        TPCW_SCHEMAS,
-        num_slaves=num_slaves,
-        cost_config=cost,
-        rows_per_page=BENCH_ROWS_PER_PAGE,
-        seed=seed,
-        trace=trace,
-        **cluster_kwargs,
-    )
-    cluster.load_tables(cached_rows(scale))
-    cluster.warm_all_caches()
-    cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
-    wips, lat = _measure(cluster, duration)
-    commits = cluster.metrics.commit_latency
-    return ThroughputRun(
-        clients, wips, lat, cluster.metrics.abort_rate(), cluster.metrics.completed,
-        replication=replication_totals(cluster),
-        retries_by_reason=dict(cluster.metrics.aborts_by_reason),
-        tracer=cluster.tracer if trace else None,
-        commit_p50=commits.percentile(50),
-        commit_p95=commits.percentile(95),
-        commit_p99=commits.percentile(99),
-    )
-
-
-def run_innodb_throughput(
-    mix_name: str,
-    clients: int,
-    duration: float = 60.0,
-    scale: TpcwScale = BENCH_SCALE,
-    cost: CostConfig = BENCH_COST,
-    think_time: float = BENCH_THINK_TIME,
-    pool_fraction: float = INNODB_POOL_FRACTION,
-    seed: int = 0,
-) -> ThroughputRun:
-    pool = max(8, int(total_pages(scale) * pool_fraction))
-    cluster = SimDiskCluster(
-        TPCW_SCHEMAS,
-        num_active=1,
-        pool_pages=pool,
-        rows_per_page=BENCH_ROWS_PER_PAGE,
-        cost_config=cost,
-        seed=seed,
-    )
-    cluster.load_tables(cached_rows(scale))
-    cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
-    wips, lat = _measure(cluster, duration)
-    return ThroughputRun(
-        clients, wips, lat, cluster.metrics.abort_rate(), cluster.metrics.completed,
-        retries_by_reason=dict(cluster.metrics.aborts_by_reason),
-    )
-
-
-def find_peak(
-    label: str,
-    runner: Callable[[int], ThroughputRun],
-    client_steps: List[int],
-    improvement: float = 1.05,
-) -> PeakResult:
-    """Step-function search: stop once adding clients stops helping."""
-    result = PeakResult(label)
+def find_peak(runner: Callable[[int], Window], client_steps: Sequence[int]) -> Optional[Window]:
+    """Step-function search: add clients until a step gains less than 5 %
+    over the best so far; the best step's window."""
+    steps: List[Window] = []
     best = 0.0
     for clients in client_steps:
-        step = runner(clients)
-        result.steps.append(step)
-        if step.wips < best * improvement:
+        steps.append(runner(clients))
+        wips = steady_wips(steps[-1])
+        if wips < best * 1.05:
             break
-        best = max(best, step.wips)
-    return result
+        best = max(best, wips)
+    return max(steps, key=steady_wips, default=None)
 
 
-# -- failover experiments --------------------------------------------------------------
-@dataclass
-class FailoverResult:
-    """Series + timeline of one fault-injection experiment."""
-
-    label: str
-    series: TimeSeries
-    latency_series: TimeSeries
-    kill_time: float
-    timeline: Optional[object] = None
-    metrics: Optional[object] = None
-
-    def mean_before(self, window: float = 60.0) -> float:
-        return self.series.between(max(0.0, self.kill_time - window), self.kill_time).mean()
-
-    def mean_during(self, start_offset: float, end_offset: float) -> float:
-        return self.series.between(
-            self.kill_time + start_offset, self.kill_time + end_offset
-        ).mean()
-
-    def recovery_point(self, threshold: float = 0.9, window: float = 20.0) -> float:
-        """Offset after the failure at which service stays recovered.
-
-        "Recovered" = two consecutive buckets at or above ``threshold`` of
-        the pre-failure baseline (one bucket alone is too noisy).  Returns
-        the measurement horizon if the series never recovers.
-        """
-        baseline = self.mean_before()
-        if baseline <= 0:
-            return 0.0
-        post = self.series.between(self.kill_time, self.series.times[-1] + 1)
-        values = post.values
-        for i, (t, value) in enumerate(zip(post.times, values)):
-            next_ok = i + 1 >= len(values) or values[i + 1] >= threshold * baseline
-            if value >= threshold * baseline and next_ok:
-                return max(0.0, t - self.kill_time)
-        horizon = self.series.times[-1] - self.kill_time if self.series.times else 0.0
-        return max(0.0, horizon)
+def mean_before(series: TimeSeries, kill_at: float, span: float = 60.0) -> float:
+    """Mean of the ``span`` seconds before the failure."""
+    return series.between(max(0.0, kill_at - span), kill_at).mean()
 
 
-def run_dmv_failover(
-    victim: str,
-    mix_name: str = "shopping",
-    num_slaves: int = 2,
-    num_spares: int = 0,
-    stale_backup: bool = False,
-    spare_read_fraction: float = 0.0,
-    pageid_ship_every: float = 0.0,
-    warm_spares: bool = True,
-    clients: int = 60,
-    kill_at: float = 120.0,
-    duration: float = 420.0,
-    scale: TpcwScale = BENCH_SCALE,
-    cost: CostConfig = BENCH_COST,
-    checkpoint_period: float = 1e9,
-    think_time: float = BENCH_THINK_TIME,
-    seed: int = 0,
-) -> FailoverResult:
-    """Kill one in-memory node at ``kill_at`` and watch the reconfiguration."""
-    cluster = SimDmvCluster(
-        TPCW_SCHEMAS,
-        num_slaves=num_slaves,
-        num_spares=num_spares,
-        cost_config=cost,
-        rows_per_page=BENCH_ROWS_PER_PAGE,
-        seed=seed,
-        spare_read_fraction=spare_read_fraction,
-        pageid_ship_every=pageid_ship_every,
-        checkpoint_period=checkpoint_period,
-    )
-    cluster.load_tables(cached_rows(scale))
-    cluster.warm_all_caches()
-    for i in range(num_spares):
-        spare_id = f"spare{i}"
-        if stale_backup:
-            cluster.make_stale_backup(spare_id)
-        if not warm_spares:
-            cluster.chill_cache(spare_id)
-    cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
-    cluster.kill_node_at(victim, kill_at)
-    cluster.run(until=duration)
-    timeline = cluster.timelines[0] if cluster.timelines else None
-    return FailoverResult(
-        label=f"dmv/{victim}",
-        series=cluster.metrics.wips.series(end=duration),
-        latency_series=cluster.metrics.latency_series.bucketed(20.0),
-        kill_time=kill_at,
-        timeline=timeline,
-        metrics=cluster.metrics,
-    )
+def mean_during(series: TimeSeries, kill_at: float, start: float, end: float) -> float:
+    """Mean between ``start`` and ``end`` seconds after the failure."""
+    return series.between(kill_at + start, kill_at + end).mean()
 
 
-def run_innodb_failover(
-    mix_name: str = "shopping",
-    clients: int = 20,
-    kill_at: float = 300.0,
-    duration: float = 900.0,
-    refresh_interval: float = 280.0,
-    scale: TpcwScale = BENCH_SCALE,
-    cost: CostConfig = BENCH_COST,
-    think_time: float = BENCH_THINK_TIME,
-    pool_fraction: float = INNODB_POOL_FRACTION,
-    seed: int = 0,
-) -> FailoverResult:
-    """The paper's baseline: 2 active on-disk replicas + 1 stale backup."""
-    pool = max(8, int(total_pages(scale) * pool_fraction))
+def recovery_point(series: TimeSeries, kill_at: float, threshold: float = 0.9) -> float:
+    """Offset after the failure at which service stays recovered.
+
+    "Recovered" = two consecutive buckets at or above ``threshold`` of the
+    pre-failure baseline (one bucket alone is too noisy).  Returns the
+    measurement horizon if the series never recovers.
+    """
+    baseline = mean_before(series, kill_at)
+    if baseline <= 0:
+        return 0.0
+    post = series.between(kill_at, series.times[-1] + 1)
+    values = post.values
+    for i, (t, value) in enumerate(zip(post.times, values)):
+        next_ok = i + 1 >= len(values) or values[i + 1] >= threshold * baseline
+        if value >= threshold * baseline and next_ok:
+            return max(0.0, t - kill_at)
+    horizon = series.times[-1] - kill_at if series.times else 0.0
+    return max(0.0, horizon)
+
+
+# -- the partial-replication capacity sweep ----------------------------------------------
+def run_capacity_sweep(clients: int, duration: float) -> List[Tuple[Optional[int], RunReport]]:
+    """Step the per-slave resident-page budget down under a fixed shopping
+    workload on the ``partial`` plan's cluster shape (interest sets over 3
+    slaves, replication factor 2): one ``(budget, report)`` per point.
+
+    The paper's capacity argument: slaves holding a slice of the database
+    and a bounded resident set serve a dataset larger than any one node's
+    memory; pages spill and re-fault through the LRU, charged by the cost
+    model.  The grid derives from the dataset size (the pages of a
+    1-client, 1-second probe's master): uncapped, 3/4, 1/2 (the 2x
+    acceptance point) and 1/4 of it.
+    """
+
+    def point(budget: Optional[int], browsers: int, seconds: float) -> RunReport:
+        shape = {**PLANS["partial"].cluster(seconds), "num_slaves": 3, "slave_cache_pages": budget}
+        plan = measured(
+            THROUGHPUT, seconds, mix="shopping", browsers=browsers, cluster=bench_cluster(**shape)
+        )
+        return run_plan(plan)
+
+    dataset = point(None, 1, 1.0).window.pages["m0"]
+    budgets = [None, max(2, dataset * 3 // 4), max(2, dataset // 2), max(1, dataset // 4)]
+    return [(budget, point(budget, clients, duration)) for budget in budgets]
+
+
+# -- the on-disk baseline -----------------------------------------------------------------
+def run_innodb(mix: str, clients: int, duration: float, kill_at: Optional[float] = None) -> Window:
+    """Stand-alone InnoDB — or, with ``kill_at``, the paper's replicated
+    baseline: two active replicas and a passive backup refreshed every
+    280 s, with active ``d0`` killed at ``kill_at``."""
+    replicated = kill_at is not None
     cluster = SimDiskCluster(
         TPCW_SCHEMAS,
-        num_active=2,
-        num_passive=1,
-        pool_pages=pool,
+        num_active=2 if replicated else 1,
+        num_passive=1 if replicated else 0,
+        pool_pages=max(8, int(total_pages(BENCH_SCALE) * INNODB_POOL_FRACTION)),
         rows_per_page=BENCH_ROWS_PER_PAGE,
-        cost_config=cost,
-        refresh_interval=refresh_interval,
-        seed=seed,
+        cost_config=BENCH_COST,
+        refresh_interval=280.0,
     )
-    cluster.load_tables(cached_rows(scale))
-    cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
-    cluster.kill_node_at("d0", kill_at)
+    cluster.load_tables(cached_rows(BENCH_SCALE))
+    cluster.start_browsers(clients, MIXES[mix], BENCH_SCALE, think_time_mean=BENCH_THINK_TIME)
+    if replicated:
+        cluster.kill_node_at("d0", kill_at)
     cluster.run(until=duration)
-    timeline = cluster.timelines[0] if cluster.timelines else None
-    return FailoverResult(
-        label="innodb/stale-backup",
-        series=cluster.metrics.wips.series(end=duration),
-        latency_series=cluster.metrics.latency_series.bucketed(20.0),
-        kill_time=kill_at,
-        timeline=timeline,
-        metrics=cluster.metrics,
-    )
-
-
-def run_reintegration(
-    mix_name: str = "shopping",
-    num_slaves: int = 4,
-    clients: int = 60,
-    kill_at: float = 120.0,
-    reboot_delay: float = 60.0,
-    duration: float = 420.0,
-    scale: TpcwScale = BENCH_SCALE,
-    cost: CostConfig = BENCH_COST,
-    checkpoint_period: float = 1e9,
-    think_time: float = BENCH_THINK_TIME,
-    seed: int = 0,
-) -> FailoverResult:
-    """The Figure 4 experiment: kill the master, reboot, reintegrate."""
-    cluster = SimDmvCluster(
-        TPCW_SCHEMAS,
-        num_slaves=num_slaves,
-        cost_config=cost,
-        rows_per_page=BENCH_ROWS_PER_PAGE,
-        seed=seed,
-        checkpoint_period=checkpoint_period,
-    )
-    cluster.load_tables(cached_rows(scale))
-    cluster.warm_all_caches()
-    cluster.start_browsers(clients, MIXES[mix_name], scale, think_time_mean=think_time)
-    cluster.kill_node_at("m0", kill_at)
-    cluster.sim.schedule(kill_at + reboot_delay, cluster.reintegrate, "m0")
-    cluster.run(until=duration)
-    reintegration = next(
-        (t for t in cluster.timelines if t.migration_pages > 0), None
-    )
-    return FailoverResult(
-        label="dmv/reintegration",
-        series=cluster.metrics.wips.series(end=duration),
-        latency_series=cluster.metrics.latency_series.bucketed(20.0),
-        kill_time=kill_at,
-        timeline=reintegration,
-        metrics=cluster.metrics,
-    )
+    return Window(cluster.sim.now(), cluster.metrics, tuple(cluster.timelines))

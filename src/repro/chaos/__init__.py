@@ -8,20 +8,23 @@ under *messy* failures, not just clean scheduled kills.  This package adds:
   channels and scheduler RPCs;
 * :mod:`repro.chaos.faults` — seeded, declarative fault plans that schedule
   node crashes, reintegrations, scheduler kills, link faults, healed
-  partitions, storage faults (torn writes, fsync lies, bit flips), flash
-  crowds and forced conflict-class re-homes against a running cluster;
+  partitions, storage faults (torn writes, fsync lies, bit flips), stale or
+  cold spare backups, flash crowds and forced conflict-class re-homes
+  against a running cluster;
 * :mod:`repro.chaos.invariants` — Jepsen-lite post-quiescence checkers
   (durability, version convergence, snapshot consistency, write-set
   conservation, durable-prefix / no-ghost-commits on durable clusters);
 * :mod:`repro.chaos.plans` — the registry of named scenarios: each plan's
   fault schedule, cluster shape, cost configuration and expectations,
   declared once;
-* :mod:`repro.chaos.scenario` — the seeded end-to-end chaos scenario runner
+* :mod:`repro.chaos.scenario` — :func:`run_plan`, the one runner of every
+  simulated DMV experiment (chaos soaks and the paper's figures alike),
   whose metric fingerprint replays identically from its printed seed.
 """
 
 from repro.chaos.faults import (
     BitFlip,
+    ColdCache,
     CrashNode,
     CrashScheduler,
     FaultPlan,
@@ -33,6 +36,7 @@ from repro.chaos.faults import (
     ReintegrateNode,
     RestartNode,
     Slowdown,
+    StaleBackup,
     TornWrite,
 )
 from repro.chaos.invariants import (
@@ -62,12 +66,12 @@ from repro.chaos.plans import (
     straggler_chaos_plan,
     write_scaleout_chaos_plan,
 )
-from repro.chaos.scenario import ChaosReport, run_chaos_scenario, run_plan
+from repro.chaos.scenario import RunReport, Window, run_plan
 
 __all__ = [
     "ANY",
     "BitFlip",
-    "ChaosReport",
+    "ColdCache",
     "CrashNode",
     "CrashScheduler",
     "FaultPlan",
@@ -83,8 +87,11 @@ __all__ = [
     "Rehome",
     "ReintegrateNode",
     "RestartNode",
+    "RunReport",
     "Slowdown",
+    "StaleBackup",
     "TornWrite",
+    "Window",
     "check_all_invariants",
     "check_buffer_bounds",
     "check_class_ownership_unique",
@@ -102,7 +109,6 @@ __all__ = [
     "overload_chaos_plan",
     "partial_chaos_plan",
     "partial_interest_sets",
-    "run_chaos_scenario",
     "run_plan",
     "straggler_chaos_plan",
     "write_scaleout_chaos_plan",

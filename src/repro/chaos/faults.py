@@ -14,7 +14,7 @@ from a seed via :mod:`repro.common.rng` for soak testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.common.rng import RngStream
 from repro.chaos.network import ANY
@@ -73,6 +73,40 @@ class RestartNode:
 
     def describe(self) -> str:
         return f"t={self.at:g}s restart node {self.node_id} from local disk"
+
+
+@dataclass(frozen=True)
+class StaleBackup:
+    """Unsubscribe spare ``node_id`` from replication at ``at``: from then on
+    it falls behind, the stale backup a failover onto it must first catch up."""
+
+    at: float
+    node_id: str
+
+    def install(self, cluster) -> None:
+        cluster.sim.schedule(
+            max(0.0, self.at - cluster.sim.now()), cluster.make_stale_backup, self.node_id
+        )
+
+    def describe(self) -> str:
+        return f"t={self.at:g}s stop replicating to {self.node_id}"
+
+
+@dataclass(frozen=True)
+class ColdCache:
+    """Empty ``node_id``'s buffer cache at ``at``: the cold backup whose
+    working set must be faulted back in once it takes over."""
+
+    at: float
+    node_id: str
+
+    def install(self, cluster) -> None:
+        cluster.sim.schedule(
+            max(0.0, self.at - cluster.sim.now()), cluster.chill_cache, self.node_id
+        )
+
+    def describe(self) -> str:
+        return f"t={self.at:g}s empty the cache of {self.node_id}"
 
 
 @dataclass(frozen=True)
@@ -335,6 +369,12 @@ class FaultPlan:
         for event in self.events:
             event.install(cluster)
         return self
+
+    @classmethod
+    def fixed(cls, *events) -> Callable[[int, float], "FaultPlan"]:
+        """A :class:`~repro.chaos.plans.Plan` schedule that is the same
+        ``events`` at the same absolute times whatever the run's seed and length."""
+        return lambda seed, duration: cls(seed=seed, events=events)
 
     def describe(self) -> str:
         lines = [f"fault plan (seed={self.seed}, {len(self.events)} events)"]

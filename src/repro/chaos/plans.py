@@ -5,10 +5,11 @@ configuration it needs, an optional open-loop traffic scenario, the seed /
 length / commit floor CI runs it at, and what a run of it must show (the
 counters that must fire or stay zero, the invariants that must be audited,
 the one it exists to violate).  :data:`PLANS` is the registry the CLI
-(``python -m repro.chaos --plan NAME``), the CI ``soak`` matrix, the bench
-comparisons and the tests all look plans up in;
-:func:`repro.chaos.scenario.run_plan` runs one.  A variant is
-``dataclasses.replace(PLANS[name], ...)``, not a new flag.
+(``python -m repro.chaos --plan NAME``), the CI ``soak`` matrix and the
+tests look plans up in; :func:`repro.chaos.scenario.run_plan` runs one —
+and every other experiment too: a variant, a paper figure or a sweep point
+is ``dataclasses.replace`` of a plan (the figures' bases are in
+:mod:`repro.bench.harness`), not a new flag or a new runner.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.chaos.faults import (
     TornWrite,
 )
 from repro.cluster.costs import CostConfig
-from repro.tpcw.schema import tpcw_conflict_map
+from repro.tpcw.schema import TpcwScale, tpcw_conflict_map
 from repro.traffic.scenario import (
     TrafficScenario,
     diurnal_scenario,
@@ -307,20 +308,28 @@ class Plan:
     name: str
     #: ``(seed, duration) -> FaultPlan``: the fault schedule, scaled to the run.
     faults: Callable[[int, float], FaultPlan]
-    #: ``duration -> SimDmvCluster keyword arguments`` beyond the runner's
-    #: 3-slave, 2-scheduler topology.  A function because one value
-    #: scales with the run (the checkpoint period) and one is mutable and
-    #: must be fresh per cluster (the conflict map re-homing rewrites).
+    #: ``duration -> SimDmvCluster keyword arguments`` (node counts, page
+    #: size, daemon periods, ...) over the runner's 3-slave, 2-scheduler
+    #: default.  A function because one value scales with the run (the
+    #: checkpoint period) and one is mutable and must be fresh per cluster
+    #: (the conflict map re-homing rewrites).
     cluster: Callable[[float], Dict[str, object]] = _full_replication
     cost: CostConfig = CostConfig()
     #: ``duration -> TrafficScenario``: open-loop load replacing the
-    #: closed-loop browser pool (None = ``browsers`` ordering-mix browsers).
+    #: closed-loop browser pool (None = ``browsers`` browsers of ``mix``).
     traffic: Optional[Callable[[float], TrafficScenario]] = None
-    #: The setting CI runs the plan at; ``run_plan`` defaults to it.
+    #: The setting CI runs the plan at; ``run_plan`` defaults to it.  The
+    #: clients stop ``settle`` seconds before ``duration``.
     seed: int = 7
     duration: float = 200.0
     settle: float = 25.0
+    #: The workload: closed-loop browsers of one TPC-W mix and mean think
+    #: time, over the database ``TpcwDataGenerator(scale, dataset_seed)``.
     browsers: int = 16
+    mix: str = "ordering"
+    think_time: float = 0.3
+    scale: TpcwScale = TpcwScale(num_items=80, num_customers=230)
+    dataset_seed: int = 11
     #: Expectations at the declared duration (a much shorter run may
     #: legitimately miss them): completed interactions, counters that must
     #: be nonzero, counters that must be zero, invariants that must have
@@ -332,7 +341,7 @@ class Plan:
     must_violate: Tuple[str, ...] = ()
 
     def failures(self, report) -> List[str]:
-        """What ``report`` (a :class:`~repro.chaos.scenario.ChaosReport`)
+        """What ``report`` (a :class:`~repro.chaos.scenario.RunReport`)
         failed to show, one line each; empty when the plan passed."""
         out = []
         audited = {result.name for result in report.invariants}

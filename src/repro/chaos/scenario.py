@@ -1,12 +1,15 @@
-"""Seeded end-to-end chaos scenarios: workload + fault plan + invariants.
+"""The one experiment runner: a plan in, one report out.
 
-A scenario builds a TPC-W-driven :class:`SimDmvCluster`, installs a
-:class:`~repro.chaos.faults.FaultPlan`, runs the workload through the fault
-schedule, quiesces the browsers, and audits the cluster with the
+:func:`run_plan` builds a TPC-W-driven :class:`SimDmvCluster` from a
+:class:`~repro.chaos.plans.Plan`, installs its fault schedule and drives
+its workload (closed-loop browsers or an open-loop traffic scenario) until
+the clients stop, ``settle`` seconds before the end.  What the clients saw
+up to then is copied into a :class:`Window` — the interval a paper figure
+measures.  The cluster then drains to quiescence and is audited by the
 :mod:`~repro.chaos.invariants` checkers.  Everything is derived from one
-seed, and the report carries a fingerprint over every counter: rerunning
-``run_chaos_scenario(seed=S)`` must reproduce the fingerprint bit-for-bit,
-which is what the seeded soak test and the CI smoke job assert.
+seed, and the report carries a fingerprint over every counter: rerunning a
+plan at the same seed must reproduce it bit-for-bit, which is what the
+fingerprint suite and the CI soak assert.
 
 Run a named one (:data:`repro.chaos.plans.PLANS`) from the command line::
 
@@ -15,78 +18,49 @@ Run a named one (:data:`repro.chaos.plans.PLANS`) from the command line::
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from itertools import groupby
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.chaos.faults import FaultPlan
 from repro.chaos.invariants import InvariantResult, check_all_invariants
-from repro.chaos.plans import Plan, default_chaos_plan
+from repro.chaos.plans import Plan
 from repro.common.counters import Counters
+from repro.common.errors import NodeUnavailable
+from repro.tpcw.datagen import cached_rows
+from repro.tpcw.mixes import MIXES
+from repro.tpcw.schema import TPCW_SCHEMAS
 
-#: Counters surfaced in the report (and by the bench harness summary).
-CHAOS_COUNTERS = (
-    "net.write_sets_sent",
-    "slave.write_sets_received",
-    "net.drops",
-    "net.retransmits",
-    "net.dups_ignored",
-    "net.bytes_dropped",
-    "net.sched_state_drops",
-    "net.suspicions",
-    "sched.queued_updates",
-    "sched.deadline_rejects",
-    "net.quorum_commits",
-    "net.quorum_saves",
-    "net.acks_skipped_demoted",
-    "slave.demotions",
-    "slave.rejoins",
-    "slave.replay_write_sets",
-    "slave.forced_drains",
-    "sched.shed_requests",
-    "wal.records",
-    "wal.replayed",
-    "wal.torn_tail_records",
-    "wal.ghost_records_skipped",
-    "wal.ghost_ops_discarded",
-    "checkpoint.corrupt_pages",
-    "checkpoint.fallback_pages",
-    "disk.restart_recoveries",
-    # Commit epochs sealed / update commits that rode them (every update
-    # commit is an epoch member; equal when no epoch batched).
-    "engine.epochs",
-    "engine.epoch_batched_commits",
-    # Dynamic conflict-class counters: all zero with static classes.
-    "sched.class_rehomes",
-    "sched.class_splits",
-    "sched.class_merges",
-    "sched.rehome_aborts",
-    # Partial replication + tiering counters: all zero on full-replication
-    # runs (interest filtering, coverage routing and resident-budget
-    # eviction only fire when configured on).
-    "net.bytes_saved_partial",
-    "net.write_sets_filtered",
-    "sched.coverage_rejects",
-    "sched.partial_master_fallbacks",
-    "cache.evictions",
-    # Overload-robustness counters: all zero unless admission control,
-    # request deadlines or retry budgets are configured on (or an
-    # open-loop traffic engine drives the cluster).
-    "sched.admission_rejects",
-    "sched.deadline_cancels",
-    "bench.retries_exhausted",
-    "traffic.requests_injected",
-    "traffic.retry_budget_exhausted",
-    "traffic.breaker_short_circuits",
-)
+if TYPE_CHECKING:  # a runtime import would cycle: the cluster uses repro.chaos.network
+    from repro.cluster.clients import Metrics
+
+
+@dataclass(frozen=True)
+class Window:
+    """What a run's clients saw, copied the moment they stopped."""
+
+    #: Virtual time the clients stopped; the window is ``[0, stopped_at]``.
+    stopped_at: float
+    #: Client-side measurements: throughput, latency, commits, retries.
+    metrics: Metrics
+    #: Reconfiguration timelines recorded so far, oldest first.
+    timelines: tuple = ()
+    #: Every counter, summed over the nodes and the cluster.
+    counters: Dict[str, float] = field(default_factory=dict)
+    #: Pages each node held.
+    pages: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
-class ChaosReport:
-    """Everything one chaos run produced (printable, assertable)."""
+class RunReport:
+    """Everything one run produced (printable, assertable): the window the
+    clients measured, and the settled end state the invariants audited."""
 
     seed: int
     plan: FaultPlan
     duration: float
+    window: Window
     completed: int
     retried: int
     failed: int
@@ -102,6 +76,9 @@ class ChaosReport:
     #: Per-tenant open-loop traffic stats when the run was driven by an
     #: :class:`~repro.traffic.engine.OpenLoopEngine` (else None).
     traffic: Optional[object] = None
+    #: Each node's role at the end: master, slave, spare, demoted, detached
+    #: (alive, routed nothing) or down.
+    roles: Dict[str, str] = field(default_factory=dict)
 
     def ok(self) -> bool:
         return all(result.ok for result in self.invariants)
@@ -126,10 +103,10 @@ class ChaosReport:
                 for reason, count in sorted(self.retries_by_reason.items())
             )
             lines.append(f"retries by reason: {reasons}")
-        lines.append(
-            "chaos counters: "
-            + " ".join(f"{name}={self.counters.get(name, 0):g}" for name in CHAOS_COUNTERS)
-        )
+        lines.append("counters:")
+        for layer, names in groupby(sorted(self.counters), lambda name: name.split(".")[0]):
+            values = " ".join(f"{name[len(layer) + 1:]}={self.counters[name]:g}" for name in names)
+            lines.append(f"  {layer}: {values}")
         if self.traffic is not None:
             lines.append("open-loop traffic (per tenant):")
             lines.append(self.traffic.table())
@@ -141,86 +118,99 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def run_chaos_scenario(
-    seed: int = 0,
-    plan: Optional[FaultPlan] = None,
-    duration: float = 200.0,
-    settle: float = 25.0,
-    browsers: int = 16,
-    mix_name: str = "ordering",
-    think_time: float = 0.3,
-    num_slaves: int = 3,
-    num_schedulers: int = 2,
-    scale=None,
+def _merged_counters(cluster) -> Counters:
+    return Counters.merged(
+        [node.counters for node in cluster.nodes.values()] + [cluster.counters]
+    )
+
+
+def _window(cluster) -> Window:
+    metrics, timelines = copy.deepcopy((cluster.metrics, cluster.timelines))
+    return Window(
+        stopped_at=cluster.sim.now(),
+        metrics=metrics,
+        timelines=tuple(timelines),
+        counters=_merged_counters(cluster).snapshot(),
+        pages={node_id: node.engine.store.page_count() for node_id, node in cluster.nodes.items()},
+    )
+
+
+def _roles(cluster) -> Dict[str, str]:
+    try:
+        slaves = cluster.scheduler.slaves
+    except NodeUnavailable:  # every scheduler agent is down
+        slaves = {}
+    roles = {}
+    for node_id, node in cluster.nodes.items():
+        state = slaves.get(node_id)
+        if not node.alive:
+            roles[node_id] = "down"
+        elif node.master is not None:
+            roles[node_id] = "master"
+        elif state is None:
+            roles[node_id] = "detached"
+        elif state.demoted:
+            roles[node_id] = "demoted"
+        else:
+            roles[node_id] = "spare" if state.spare else "slave"
+    return roles
+
+
+def run_plan(
+    plan: Plan,
+    seed: Optional[int] = None,
+    duration: Optional[float] = None,
     trace: bool = False,
-    traffic=None,
-    **cluster_kwargs,
-) -> ChaosReport:
-    """Run one seeded chaos scenario end to end and audit the wreckage.
+) -> RunReport:
+    """Run one registered (or ``dataclasses.replace``-d) plan end to end and
+    audit the wreckage; ``seed`` and ``duration`` default to the setting the
+    plan declares.
 
-    The browsers stop ``settle`` seconds before ``duration``; the remaining
-    window drains in-flight interactions, retransmissions and
+    The clients stop ``plan.settle`` seconds before ``duration``; the
+    remaining span drains in-flight interactions, retransmissions and
     reconfigurations so the invariant checkers observe a quiescent cluster.
-    ``cluster_kwargs`` go to :class:`SimDmvCluster` verbatim (``cost_config``,
-    ``ack_policy``, ``interest_sets``, ...).
-
-    With ``traffic`` set to a :class:`~repro.traffic.scenario.TrafficScenario`
-    the closed-loop browser pool is replaced by an open-loop
-    :class:`~repro.traffic.engine.OpenLoopEngine`: the scenario's own
-    ``duration``/``settle`` override the arguments, its ``faults`` plan is
-    used when no explicit ``plan`` is given, and the report additionally
-    carries per-tenant traffic stats (audited by the per-tenant-slo,
-    shed-fairness and burst-recovery invariants).
     """
     # Imported lazily: the cluster module itself uses repro.chaos.network,
     # so importing it at module scope would cycle through the package init.
     from repro.cluster.simcluster import SimDmvCluster
-    from repro.tpcw.datagen import TpcwDataGenerator
-    from repro.tpcw.mixes import MIXES
-    from repro.tpcw.schema import TPCW_SCHEMAS, TpcwScale
+    from repro.traffic.engine import OpenLoopEngine
 
-    if scale is None:
-        scale = TpcwScale(num_items=80, num_customers=230)
-    if traffic is not None:
-        duration = traffic.duration
-        settle = traffic.settle
-        if plan is None and traffic.faults is not None:
-            plan = traffic.faults
-    if plan is None:
-        plan = default_chaos_plan(seed, duration)
+    seed = plan.seed if seed is None else seed
+    duration = plan.duration if duration is None else duration
+    stop_at = max(0.0, duration - plan.settle)
     cluster = SimDmvCluster(
         TPCW_SCHEMAS,
-        num_slaves=num_slaves,
-        num_schedulers=num_schedulers,
         seed=seed,
         trace=trace,
-        **cluster_kwargs,
+        cost_config=plan.cost,
+        **{"num_slaves": 3, "num_schedulers": 2, **plan.cluster(duration)},
     )
-    cluster.load(TpcwDataGenerator(scale, seed=11))
+    cluster.load_tables(cached_rows(plan.scale, plan.dataset_seed))
     cluster.warm_all_caches()
-    plan.schedule(cluster)
-    if traffic is not None:
-        from repro.traffic.engine import OpenLoopEngine
-
-        engine = OpenLoopEngine(cluster, traffic, seed=seed, scale=scale)
-        engine.start(inject_until=max(0.0, duration - settle))
+    faults = plan.faults(seed, duration).schedule(cluster)
+    if plan.traffic is not None:
+        engine = OpenLoopEngine(cluster, plan.traffic(duration), seed=seed, scale=plan.scale)
+        engine.start(inject_until=stop_at)
     else:
-        cluster.start_browsers(browsers, MIXES[mix_name], scale, think_time_mean=think_time)
-        cluster.sim.schedule(max(0.0, duration - settle), cluster.stop_browsers)
+        cluster.start_browsers(
+            plan.browsers, MIXES[plan.mix], plan.scale, think_time_mean=plan.think_time
+        )
+    cluster.run(until=stop_at)
+    window = _window(cluster)
+    cluster.stop_browsers()
     cluster.run(until=duration)
 
     invariants = check_all_invariants(cluster)
-    merged = Counters.merged(
-        [node.counters for node in cluster.nodes.values()] + [cluster.counters]
-    )
+    merged = _merged_counters(cluster)
     metrics = cluster.metrics
     merged.add("metrics.completed", metrics.completed)
     merged.add("metrics.retried", metrics.retried)
     merged.add("metrics.failed", metrics.failed)
-    return ChaosReport(
+    return RunReport(
         seed=seed,
-        plan=plan,
+        plan=faults,
         duration=duration,
+        window=window,
         completed=metrics.completed,
         retried=metrics.retried,
         failed=metrics.failed,
@@ -230,27 +220,5 @@ def run_chaos_scenario(
         retries_by_reason=dict(metrics.aborts_by_reason),
         tracer=cluster.tracer if trace else None,
         traffic=cluster.traffic_stats,
-    )
-
-
-def run_plan(
-    plan: Plan,
-    seed: Optional[int] = None,
-    duration: Optional[float] = None,
-    trace: bool = False,
-) -> ChaosReport:
-    """Run one registered (or ``dataclasses.replace``-d) plan; ``seed`` and
-    ``duration`` default to the setting the plan declares."""
-    seed = plan.seed if seed is None else seed
-    duration = plan.duration if duration is None else duration
-    return run_chaos_scenario(
-        seed=seed,
-        plan=plan.faults(seed, duration),
-        duration=duration,
-        settle=plan.settle,
-        browsers=plan.browsers,
-        trace=trace,
-        traffic=plan.traffic(duration) if plan.traffic is not None else None,
-        cost_config=plan.cost,
-        **plan.cluster(duration),
+        roles=_roles(cluster),
     )

@@ -314,7 +314,7 @@ class BrowserPool:
     def stop(self) -> None:
         """Ask every browser loop to exit at its next interaction boundary.
 
-        Used by the chaos harness to quiesce the workload before running
+        Used by ``run_plan`` to quiesce the workload before running
         invariant checks: in-flight interactions finish (or exhaust their
         retries), then the cluster drains to a stable state.
         """

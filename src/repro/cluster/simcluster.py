@@ -42,13 +42,13 @@ from repro.cluster.rebalancer import Rebalancer
 from repro.cluster.routing import UpdateRouter
 from repro.cluster.simnodes import InMemoryDbNode
 from repro.cluster.straggler import LaggardMonitor
-from repro.cluster.sync import datagen_tables
 from repro.core.conflictclass import ConflictClassMap
 from repro.engine.engine import bulk_load_replicas
 from repro.engine.schema import TableSchema
 from repro.obs import Tracer
 from repro.scheduler.versionaware import VersionAwareScheduler
 from repro.sim.kernel import Simulator
+from repro.tpcw.datagen import datagen_tables
 from repro.tpcw.interactions import SharedSequences
 from repro.tpcw.mixes import Mix
 from repro.tpcw.schema import TpcwScale

@@ -26,7 +26,6 @@ from repro.cluster.clients import BrowserPool, Metrics
 from repro.cluster.costs import CostConfig, CostModel
 from repro.cluster.failover import HEARTBEAT_INTERVAL, HEARTBEAT_MISSES
 from repro.cluster.simnodes import DiskDbNode
-from repro.cluster.sync import datagen_tables
 from repro.engine.engine import bulk_load_replicas
 from repro.engine.schema import TableSchema
 from repro.scheduler.conflictaware import ConflictAwareScheduler
@@ -34,6 +33,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 from repro.sql import is_write_statement
 from repro.tpcw.connection import Connection
+from repro.tpcw.datagen import datagen_tables
 from repro.tpcw.interactions import SharedSequences
 from repro.tpcw.mixes import Mix
 from repro.tpcw.schema import TpcwScale

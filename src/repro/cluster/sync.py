@@ -42,6 +42,7 @@ from repro.scheduler.versionaware import VersionAwareScheduler
 from repro.sql.executor import ResultSet, is_write_statement
 from repro.storage.checkpoint import FuzzyCheckpointer, StableStore
 from repro.tpcw.connection import Connection, Immediate
+from repro.tpcw.datagen import datagen_tables
 
 
 class SyncConnection(Connection):
@@ -422,16 +423,3 @@ class SyncDmvCluster:
             if h.slave is not None and h.master is None and h.alive
         )
 
-
-def datagen_tables(datagen):
-    """Yield (table, rows-iterable) pairs from a TPC-W data generator."""
-    yield ("country", list(datagen.countries()))
-    yield ("author", list(datagen.authors()))
-    yield ("address", list(datagen.addresses()))
-    yield ("customer", list(datagen.customers()))
-    yield ("item", list(datagen.items()))
-    yield ("orders", list(datagen.orders()))
-    yield ("order_line", list(datagen.order_lines()))
-    yield ("cc_xacts", list(datagen.cc_xacts()))
-    yield ("shopping_cart", [])
-    yield ("shopping_cart_line", [])

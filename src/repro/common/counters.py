@@ -64,9 +64,9 @@ class Counters:
     def merged(cls, many: Iterable["Counters"]) -> "Counters":
         """Cluster-wide totals: one bag summing every node's counters.
 
-        The bench harness uses this to report replication-pipeline totals
-        (``net.batches``, ``net.bytes_shipped``, ``net.bytes_saved_delta``,
-        ``slave.ops_coalesced``, ...) across all nodes of a run.
+        ``run_plan`` reports a run's counters this way (``net.batches``,
+        ``net.bytes_shipped``, ``net.bytes_saved_delta``,
+        ``slave.ops_coalesced``, ...), summed across all its nodes.
         """
         total = cls()
         for counters in many:
@@ -77,7 +77,7 @@ class Counters:
         """Stable short hash of every counter value (order-independent).
 
         Two runs of the same seeded experiment must produce the same
-        fingerprint; the chaos harness prints it so a soak failure can be
+        fingerprint; ``run_plan`` reports it so a soak failure can be
         replayed bit-for-bit from the seed and checked for drift.
         """
         import hashlib

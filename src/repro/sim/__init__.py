@@ -2,9 +2,9 @@
 
 The kernel is intentionally SimPy-flavoured (generator processes yielding
 ``Timeout``/``Event`` objects) but self-contained, since this reproduction
-must run offline.  All cluster experiments in :mod:`repro.bench` execute the
-*real* database and replication code under this kernel; only time is
-virtual.
+must run offline.  Every simulated cluster experiment
+(:func:`repro.chaos.run_plan`) executes the *real* database and
+replication code under this kernel; only time is virtual.
 """
 
 from repro.sim.kernel import Event, Interrupt, Process, Simulator, Timeout

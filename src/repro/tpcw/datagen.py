@@ -9,7 +9,7 @@ paper's replicas all mmap the same initial on-disk database image).
 from __future__ import annotations
 
 import string
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 from repro.common.rng import RngStream
 from repro.tpcw.schema import SUBJECTS, TPCW_SCHEMAS, TpcwScale
@@ -211,3 +211,30 @@ class TpcwDataGenerator:
                 "cx_xact_date": now - rng.randint(0, 60) * _DAY,
                 "cx_co_id": rng.randint(1, self.scale.num_countries),
             }
+
+
+def datagen_tables(datagen):
+    """Yield (table, rows-iterable) pairs from a TPC-W data generator."""
+    yield ("country", list(datagen.countries()))
+    yield ("author", list(datagen.authors()))
+    yield ("address", list(datagen.addresses()))
+    yield ("customer", list(datagen.customers()))
+    yield ("item", list(datagen.items()))
+    yield ("orders", list(datagen.orders()))
+    yield ("order_line", list(datagen.order_lines()))
+    yield ("cc_xacts", list(datagen.cc_xacts()))
+    yield ("shopping_cart", [])
+    yield ("shopping_cart_line", [])
+
+
+# Generated row sets are deterministic per (scale, seed): cache them so a
+# sweep of runs does not regenerate the database for every run.
+_ROW_CACHE: Dict[Tuple[TpcwScale, int], List[Tuple[str, list]]] = {}
+
+
+def cached_rows(scale: TpcwScale, seed: int = 42) -> List[Tuple[str, list]]:
+    """:func:`datagen_tables` of ``TpcwDataGenerator(scale, seed)``, generated once."""
+    rows = _ROW_CACHE.get((scale, seed))
+    if rows is None:
+        rows = _ROW_CACHE[scale, seed] = list(datagen_tables(TpcwDataGenerator(scale, seed)))
+    return rows

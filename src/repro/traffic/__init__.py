@@ -11,8 +11,8 @@ cluster with client-side retry budgets and circuit breaking.
 Entry points:
 
 * :mod:`repro.traffic.arrivals` — rate shapes and arrival processes.
-* :mod:`repro.traffic.scenario` — the scenario DSL (tenants + shapes +
-  an optional chaos :class:`~repro.chaos.faults.FaultPlan`).
+* :mod:`repro.traffic.scenario` — the scenario DSL (tenants + shapes; a
+  :class:`~repro.chaos.plans.Plan` adds the fault schedule).
 * :mod:`repro.traffic.engine` — the open-loop injector.
 * ``python -m repro.chaos --plan overload`` (or ``overload-undefended``,
   ``diurnal``, ``multi-tenant``) — run one of the named scenarios.

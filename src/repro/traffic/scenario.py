@@ -1,13 +1,12 @@
-"""The traffic scenario DSL: tenants x rate shapes x chaos fault plans.
+"""The traffic scenario DSL: tenants x rate shapes.
 
 A :class:`TrafficScenario` is declarative data: a tuple of
 :class:`TenantSpec` (each a named workload with its own rate shape,
-arrival process, TPC-W mix, key skew, deadline and SLO) plus an optional
-chaos :class:`~repro.chaos.faults.FaultPlan`, so "flash crowd on a hot
-conflict class while a slave is demoted" is one literal::
+arrival process, TPC-W mix, key skew, deadline and SLO), so "a flash crowd
+on a hot conflict class beside a steady batch tenant" is one literal::
 
     TrafficScenario(
-        name="crowd-while-demoted",
+        name="crowd-beside-batch",
         duration=200.0,
         tenants=(
             TenantSpec(
@@ -18,18 +17,17 @@ conflict class while a slave is demoted" is one literal::
             ),
             TenantSpec("batch", shape=ConstantRate(2.0), mix="shopping", process="uniform"),
         ),
-        faults=FaultPlan(seed=7, events=(Slowdown(at=40.0, node_id="s2", factor=12.0),)),
     )
 
 The builders below are the load shapes of the open-loop entries of
-:data:`repro.chaos.plans.PLANS` (which pair each with a fault schedule and
-a cost configuration); they carry no fault plan of their own.
+:data:`repro.chaos.plans.PLANS`; a plan pairs each with a fault schedule
+and a cost configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.traffic.arrivals import (
     BurstRate,
@@ -37,9 +35,6 @@ from repro.traffic.arrivals import (
     DiurnalRate,
     RateShape,
 )
-
-if TYPE_CHECKING:  # a runtime import would cycle: repro.chaos.plans imports this module
-    from repro.chaos.faults import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -71,13 +66,11 @@ class TenantSpec:
 
 @dataclass(frozen=True)
 class TrafficScenario:
-    """A composed load shape: tenants + duration + optional fault plan."""
+    """A composed load shape: tenants + duration."""
 
     name: str
     duration: float
     tenants: Tuple[TenantSpec, ...]
-    #: Chaos fault plan to run alongside the load (None = clean fabric).
-    faults: Optional[FaultPlan] = None
     #: Injection stops this many seconds before ``duration`` so in-flight
     #: requests and retransmissions drain before the invariant audit.
     settle: float = 25.0

@@ -1,18 +1,28 @@
-"""Unit tests for the benchmark harness utilities."""
+"""Unit tests for the benchmark harness: calibration, the reductions a
+figure reads off a run's window, and parity of the figure shapes run by
+``run_plan`` with the hand-built runners they replaced."""
 
 import pytest
 
 from repro.bench.calibration import BENCH_SCALE, bench_cost
 from repro.bench.harness import (
-    FailoverResult,
-    PeakResult,
-    ThroughputRun,
-    cached_rows,
+    THROUGHPUT,
+    bench_cluster,
     find_peak,
+    mean_before,
+    mean_during,
+    measured,
+    recovery_point,
+    steady_wips,
     total_pages,
+    wips_series,
 )
 from repro.bench.report import format_series, format_table
+from repro.chaos import ColdCache, CrashNode, FaultPlan, ReintegrateNode, StaleBackup, Window, run_plan
+from repro.cluster.clients import Metrics
 from repro.sim.stats import TimeSeries
+from repro.tpcw import TpcwScale
+from repro.tpcw.datagen import cached_rows
 
 
 class TestCalibration:
@@ -39,30 +49,38 @@ class TestCachedRows:
         assert total_pages(BENCH_SCALE) > 100
 
 
+def steady_window(wips: float, end: float = 60.0) -> Window:
+    """A 60 s window whose two post-warm-up 20 s buckets both run at ``wips``."""
+    metrics = Metrics()
+    for t in (30.0, 50.0):
+        metrics.wips.mark(t, count=round(wips * 20))
+    return Window(end, metrics)
+
+
 class TestFindPeak:
     def test_stops_when_flat(self):
         calls = []
 
         def runner(clients):
             calls.append(clients)
-            wips = min(clients, 50)  # saturates at 50
-            return ThroughputRun(clients, wips, 0.1, 0.0, wips * 10)
+            return steady_window(min(clients, 50))  # saturates at 50
 
-        result = find_peak("x", runner, [10, 40, 80, 160, 320])
-        assert result.peak_wips == 50
+        peak = find_peak(runner, [10, 40, 80, 160, 320])
+        assert steady_wips(peak) == 50
         # 160 showed no improvement over 80, so 320 is never run.
         assert calls == [10, 40, 80, 160]
 
     def test_peak_step(self):
-        def runner(clients):
-            return ThroughputRun(clients, 100 - abs(clients - 50), 0.1, 0.0, 1)
+        windows = {}
 
-        result = find_peak("x", runner, [25, 50, 75])
-        assert result.peak_step.clients == 50
+        def runner(clients):
+            windows[clients] = steady_window(100 - abs(clients - 50))
+            return windows[clients]
+
+        assert find_peak(runner, [25, 50, 75]) is windows[50]
 
     def test_empty(self):
-        assert PeakResult("x").peak_wips == 0.0
-        assert PeakResult("x").peak_step is None
+        assert find_peak(steady_window, []) is None
 
 
 def synthetic_failover(kill=100.0, baseline=50.0, dip=25.0, recover_at=160.0):
@@ -75,36 +93,35 @@ def synthetic_failover(kill=100.0, baseline=50.0, dip=25.0, recover_at=160.0):
         else:
             value = baseline
         series.record(float(t), value)
-    return FailoverResult("x", series, TimeSeries("lat"), kill)
+    return series
 
 
 class TestFailoverResult:
+    """The failover figures' readings of a WIPS series around a kill."""
+
     def test_mean_before(self):
-        result = synthetic_failover()
-        assert result.mean_before(60.0) == pytest.approx(50.0)
+        assert mean_before(synthetic_failover(), 100.0, 60.0) == pytest.approx(50.0)
 
     def test_mean_during(self):
-        result = synthetic_failover()
-        assert result.mean_during(0.0, 50.0) == pytest.approx(25.0)
+        assert mean_during(synthetic_failover(), 100.0, 0.0, 50.0) == pytest.approx(25.0)
 
     def test_recovery_point(self):
-        result = synthetic_failover(kill=100.0, recover_at=160.0)
+        series = synthetic_failover(kill=100.0, recover_at=160.0)
         # First post-kill bucket at baseline with a confirming successor.
-        assert result.recovery_point(threshold=0.9) == pytest.approx(70.0)
+        assert recovery_point(series, 100.0, threshold=0.9) == pytest.approx(70.0)
 
     def test_recovery_point_never_recovers(self):
-        result = synthetic_failover(recover_at=10_000.0)
-        horizon = result.series.times[-1] - 100.0
-        assert result.recovery_point(threshold=0.9) == pytest.approx(horizon)
+        series = synthetic_failover(recover_at=10_000.0)
+        horizon = series.times[-1] - 100.0
+        assert recovery_point(series, 100.0, threshold=0.9) == pytest.approx(horizon)
 
     def test_recovery_point_ignores_single_spike(self):
         series = TimeSeries("wips")
         values = [50, 50, 50, 50, 50, 10, 52, 9, 11, 50, 50, 50]
         for i, v in enumerate(values):
             series.record(10.0 + 20 * i, float(v))
-        result = FailoverResult("x", series, TimeSeries("lat"), 100.0)
         # The lone 52 at t=130 has a bad successor; recovery is at t=190.
-        assert result.recovery_point(threshold=0.9) == pytest.approx(90.0)
+        assert recovery_point(series, 100.0, threshold=0.9) == pytest.approx(90.0)
 
 
 class TestReport:
@@ -127,3 +144,85 @@ class TestReport:
         series.record(1.0, 0.0)
         out = format_series("Z", series)
         assert "0.00" in out
+
+
+# -- the figure shapes on run_plan, pinned to the deleted runners' numbers -------------------
+#: A small database keeps the three shapes under a few seconds together.
+SMALL = TpcwScale(num_items=80, num_customers=230)
+
+
+class TestFigureShapesMatchTheDeletedRunners:
+    """Each shape was recorded with ``repro.bench.harness``'s own runners
+    (``run_dmv_throughput``, ``run_dmv_failover``, ``run_reintegration``)
+    before they were deleted; the same experiment as a plan must measure
+    exactly the same numbers in its window, and settle to a cluster that
+    passes every invariant."""
+
+    def test_throughput_step(self):
+        plan = measured(THROUGHPUT, 30.0, mix="ordering", browsers=40, scale=SMALL)
+        report = run_plan(plan)
+        assert report.ok(), report.summary()
+        window = report.window
+        assert window.stopped_at == 30.0
+        assert steady_wips(window) == 40.45
+        assert window.metrics.latency.percentile(95) == 0.3392725902573801
+        assert window.metrics.completed == 1179
+        assert window.metrics.abort_rate() == 0.03360655737704918
+        assert window.metrics.commit_latency.percentile(95) == 0.03942434000000017
+        assert window.metrics.aborts_by_reason == {"occ-conflict": 41}
+
+    def test_master_failover_onto_a_stale_cold_spare(self):
+        plan = measured(
+            THROUGHPUT,
+            30.0,
+            browsers=40,
+            scale=SMALL,
+            cluster=bench_cluster(num_spares=1),
+            faults=FaultPlan.fixed(
+                StaleBackup(at=0.0, node_id="spare0"),
+                ColdCache(at=0.0, node_id="spare0"),
+                CrashNode(at=10.0, node_id="m0"),
+            ),
+        )
+        report = run_plan(plan)
+        assert report.ok(), report.summary()
+        window = report.window
+        assert wips_series(window).values == [36.75, 19.15]
+        assert (window.metrics.completed, window.metrics.retried) == (1118, 0)
+        assert window.metrics.latency.percentile(95) == 0.21783072
+        assert window.metrics.commit_latency.percentile(95) == 0.09891904000000551
+        assert vars(window.timelines[0]) == dict(
+            failure_time=10.0,
+            detection_time=11.0,
+            recovery_done=15.14221024,
+            migration_done=15.351560180000002,
+            migration_pages=174,
+            migration_bytes=12497,
+        )
+
+    def test_master_kill_and_reintegration(self):
+        plan = measured(
+            THROUGHPUT,
+            30.0,
+            browsers=40,
+            scale=SMALL,
+            faults=FaultPlan.fixed(
+                CrashNode(at=6.0, node_id="m0"), ReintegrateNode(at=12.0, node_id="m0")
+            ),
+        )
+        report = run_plan(plan)
+        assert report.ok(), report.summary()
+        window = report.window
+        assert wips_series(window).values == [37.85, 19.1]
+        assert (window.metrics.completed, window.metrics.retried) == (1139, 1)
+        assert window.metrics.latency.percentile(95) == 0.2059409599999995
+        assert window.metrics.commit_latency.percentile(95) == 0.05891904000000103
+        reintegration = next(t for t in window.timelines if t.migration_pages > 0)
+        assert vars(reintegration) == dict(
+            failure_time=6.0,
+            detection_time=12.0,
+            recovery_done=12.018171025,
+            migration_done=12.231127044999997,
+            migration_pages=177,
+            migration_bytes=12801,
+        )

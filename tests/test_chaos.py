@@ -21,7 +21,6 @@ from repro.chaos import (
     check_durable_commits,
     default_chaos_plan,
     invariants,
-    run_chaos_scenario,
     run_plan,
 )
 from repro.cluster.channel import ACK_TIMEOUT_BASE, RETRANSMIT_BACKOFF_CAP, RETRANSMIT_LIMIT
@@ -355,24 +354,27 @@ class TestRepeatFailureDetection:
         assert "s0" in cluster.failover.handled_failures
 
 
+def short_default(seed, duration, settle):
+    """The ``default`` plan with 8 browsers at a short length."""
+    plan = replace(PLANS["default"], settle=settle, browsers=8)
+    return run_plan(plan, seed=seed, duration=duration)
+
+
 class TestChaosScenario:
     def test_seeded_scenario_reproduces_exactly(self):
-        runs = [
-            run_chaos_scenario(seed=3, duration=40.0, settle=10.0, browsers=8)
-            for _ in range(2)
-        ]
+        runs = [short_default(3, 40.0, 10.0) for _ in range(2)]
         assert runs[0].fingerprint == runs[1].fingerprint
         assert runs[0].counters == runs[1].counters
         assert runs[0].completed == runs[1].completed
         assert runs[0].ok(), runs[0].summary()
 
     def test_different_seeds_diverge(self):
-        a = run_chaos_scenario(seed=3, duration=30.0, settle=10.0, browsers=8)
-        b = run_chaos_scenario(seed=4, duration=30.0, settle=10.0, browsers=8)
+        a = short_default(3, 30.0, 10.0)
+        b = short_default(4, 30.0, 10.0)
         assert a.fingerprint != b.fingerprint
 
     def test_default_plan_exercises_loss_retransmit_and_dedup(self):
-        report = run_chaos_scenario(seed=7, duration=60.0, settle=15.0, browsers=8)
+        report = short_default(7, 60.0, 15.0)
         assert report.ok(), report.summary()
         assert report.counters.get("net.drops", 0) > 0
         assert report.counters.get("net.retransmits", 0) > 0

@@ -6,7 +6,8 @@ keep DESIGN.md §4's module tree and the code from drifting apart, keep
 policy constants out of ``CostConfig`` and unread knobs off the cluster
 constructors, and keep one master concurrency control.  The surface
 ratchets at the end keep "what is plan X" in one place: few CLI flags, no
-per-plan CI shell, and a README table that lists exactly the registry.
+per-plan CI shell, a README table that lists exactly the registry, and one
+runner — ``run_plan`` — under every paper figure, sweep and example.
 """
 
 import dataclasses
@@ -132,3 +133,28 @@ def test_readme_plan_table_matches_the_registry():
     assert sorted(rows) == sorted(PLANS)
     for name, plan in PLANS.items():
         assert rows[name] == set(plan.must_fire) - set(FABRIC_COUNTERS), name
+
+
+def test_figures_sweeps_and_examples_build_no_cluster_of_their_own():
+    # Each replaces a base plan and calls run_plan; only the on-disk
+    # baseline keeps a runner of its own.
+    bench = REPO / "benchmarks"
+    files = [
+        *(REPO / "src" / "repro" / "bench").glob("*.py"),
+        *bench.glob("test_fig*.py"),
+        bench / "test_ablations.py",
+        bench / "test_restart_mttr.py",
+        *(REPO / "examples").glob("*.py"),
+    ]
+    assert [p.name for p in files if "SimDmvCluster(" in p.read_text()] == []
+
+
+#: ``src/repro/bench`` once its five hand-built runners were deleted (974 before).
+BENCH_BUDGET = 418
+
+
+def test_bench_package_line_budget():
+    lines = sum(
+        len(p.read_text().splitlines()) for p in (REPO / "src" / "repro" / "bench").glob("*.py")
+    )
+    assert lines <= BENCH_BUDGET, lines

@@ -13,7 +13,8 @@ import pytest
 
 from repro.chaos.faults import FaultPlan, LinkFault
 from repro.chaos.invariants import check_trace_hygiene
-from repro.chaos.scenario import run_chaos_scenario
+from repro.chaos.plans import PLANS, Plan
+from repro.chaos.scenario import run_plan
 from repro.cluster.costs import CostConfig
 from repro.cluster.clients import SimConnection
 from repro.cluster.simcluster import SimDmvCluster
@@ -34,6 +35,17 @@ EPOCH_SIZES = pytest.mark.parametrize("epoch_max_txns", [1, 8])
 
 def epoch_cost(epoch_max_txns):
     return replace(CostConfig(), epoch_max_txns=epoch_max_txns, epoch_ms=5.0)
+
+
+#: A quarter of all frames dropped for the first 40 of 60 s.
+LOSSY = Plan(
+    name="lossy",
+    faults=FaultPlan.fixed(LinkFault(at=0.0, drop_p=0.25, until=40.0)),
+    seed=5,
+    duration=60.0,
+    settle=15.0,
+    browsers=8,
+)
 
 
 def build_cluster(**kwargs):
@@ -144,14 +156,7 @@ class TestRetransmitNesting:
         """Under a lossy link, every retransmit span is a child of the
         broadcast span whose ack never arrived — and sits inside its
         parent's time window."""
-        plan = FaultPlan(
-            seed=5, events=(LinkFault(at=0.0, drop_p=0.25, until=40.0),)
-        )
-        report = run_chaos_scenario(
-            seed=5, plan=plan, duration=60.0, settle=15.0, browsers=8,
-            mix_name="ordering", trace=True,
-            cost_config=epoch_cost(epoch_max_txns),
-        )
+        report = run_plan(replace(LOSSY, cost=epoch_cost(epoch_max_txns)), trace=True)
         assert report.counters.get("net.retransmits", 0) > 0
         tracer = report.tracer
         assert tracer.log.dropped == 0
@@ -181,13 +186,7 @@ class TestRetransmitNesting:
             assert len(acks) > len(barrier_end), "no epoch had a second member"
 
     def test_trace_hygiene_invariant_in_report(self):
-        plan = FaultPlan(
-            seed=5, events=(LinkFault(at=0.0, drop_p=0.25, until=40.0),)
-        )
-        report = run_chaos_scenario(
-            seed=5, plan=plan, duration=60.0, settle=15.0, browsers=8,
-            mix_name="ordering", trace=True,
-        )
+        report = run_plan(LOSSY, trace=True)
         hygiene = next(r for r in report.invariants if r.name == "trace-hygiene")
         assert hygiene.ok, hygiene.detail
         assert "per-stage latency breakdown" in report.summary()
@@ -259,10 +258,9 @@ class TestTracingDeterminism:
     def test_fingerprint_identical_with_tracing_on_and_off(self):
         """The tracer never schedules events and never touches counters, so
         a traced chaos run reproduces the untraced fingerprint exactly."""
-        off = run_chaos_scenario(seed=11, duration=60.0, settle=15.0, browsers=6)
-        on = run_chaos_scenario(
-            seed=11, duration=60.0, settle=15.0, browsers=6, trace=True
-        )
+        plan = replace(PLANS["default"], settle=15.0, browsers=6)
+        off = run_plan(plan, seed=11, duration=60.0)
+        on = run_plan(plan, seed=11, duration=60.0, trace=True)
         assert on.fingerprint == off.fingerprint
         assert on.completed == off.completed
         assert off.tracer is None and on.tracer is not None

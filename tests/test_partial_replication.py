@@ -351,13 +351,16 @@ class TestPartialChaosPlan:
 )
 class TestCapacitySweep:
     def test_acceptance_point_serves_twice_its_budget(self):
-        from repro.bench.capacity import run_capacity_sweep
+        from repro.bench.harness import run_capacity_sweep
 
-        sweep = run_capacity_sweep(duration=20.0, clients=16)
-        assert sweep.ok
-        accept = sweep.acceptance_point
-        assert accept is not None
-        assert accept.capacity_ratio >= 2.0
-        assert accept.completed > 0
-        assert accept.counters["cache.evictions"] > 0
-        assert accept.counters["net.bytes_saved_partial"] > 0
+        points = run_capacity_sweep(duration=20.0, clients=16)
+        for _budget, report in points:
+            assert report.ok(), report.summary()
+            assert report.window.metrics.completed > 0
+        # The tightest budget the master's dataset exceeds twice over.
+        budget, report = min(
+            ((b, r) for b, r in points if b and r.window.pages["m0"] >= 2 * b),
+            key=lambda point: point[0],
+        )
+        assert report.window.counters["cache.evictions"] > 0
+        assert report.window.counters["net.bytes_saved_partial"] > 0

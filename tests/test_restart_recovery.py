@@ -24,7 +24,6 @@ from repro.chaos import (
     check_all_invariants,
     check_durable_prefix,
     check_no_ghost_commits,
-    run_chaos_scenario,
     run_plan,
 )
 from repro.cluster.costs import CostConfig
@@ -183,7 +182,8 @@ class TestLegacyCompatibility:
     """The durability machinery must be invisible with the flag off."""
 
     def test_default_scenario_moves_no_durability_counters(self):
-        report = run_chaos_scenario(seed=3, duration=40.0, settle=10.0, browsers=8)
+        plan = replace(PLANS["default"], settle=10.0, browsers=8)
+        report = run_plan(plan, seed=3, duration=40.0)
         for name in (
             "wal.records",
             "wal.fsyncs",

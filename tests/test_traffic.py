@@ -12,8 +12,8 @@ from dataclasses import replace
 import pytest
 
 from repro.chaos.faults import FaultPlan
-from repro.chaos.plans import OVERLOAD_BASE_COST, OVERLOAD_DEFENSE_COST
-from repro.chaos.scenario import run_chaos_scenario
+from repro.chaos.plans import OVERLOAD_BASE_COST, OVERLOAD_DEFENSE_COST, Plan
+from repro.chaos.scenario import run_plan
 from repro.cluster.costs import CostConfig
 from repro.common.rng import RngStream
 from repro.traffic.arrivals import (
@@ -148,20 +148,27 @@ class TestCircuitBreaker:
 
 
 def _quiet_scenario(rate=6.0, duration=40.0, **tenant_kwargs):
-    """One-tenant scenario on a clean fabric (fast to simulate)."""
+    """One-tenant scenario (fast to simulate)."""
     return TrafficScenario(
         name="unit",
         duration=duration,
         tenants=(
             TenantSpec("web", shape=ConstantRate(rate), mix="shopping", **tenant_kwargs),
         ),
-        faults=FaultPlan(seed=1, events=()),
         settle=10.0,
     )
 
 
-def _run(scenario, seed=3, cost_config=None):
-    return run_chaos_scenario(seed=seed, cost_config=cost_config, traffic=scenario)
+def _run(scenario, seed=3, cost_config=CostConfig()):
+    """``scenario`` on a clean fabric."""
+    plan = Plan(
+        name="unit",
+        faults=FaultPlan.fixed(),
+        cost=cost_config,
+        traffic=lambda duration: scenario,
+        settle=scenario.settle,
+    )
+    return run_plan(plan, seed=seed, duration=scenario.duration)
 
 
 class TestOpenLoopEngine:
