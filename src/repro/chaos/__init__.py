@@ -13,7 +13,7 @@ under *messy* failures, not just clean scheduled kills.  This package adds:
   against a running cluster;
 * :mod:`repro.chaos.invariants` — Jepsen-lite post-quiescence checkers
   (durability, version convergence, snapshot consistency, write-set
-  conservation, durable-prefix / no-ghost-commits on durable clusters);
+  conservation, durable-prefix / no-ghost-commits, interest coverage);
 * :mod:`repro.chaos.plans` — the registry of named scenarios: each plan's
   fault schedule, cluster shape, cost configuration and expectations,
   declared once;

@@ -14,9 +14,10 @@ after a chaos run has stopped its workload and drained in-flight work:
 * **counter-conservation** — every write-set transmission is accounted
   for exactly once: ``net.write_sets_sent == slave.write_sets_received +
   net.dups_ignored + net.drops`` over the merged per-node counters.
-* **durable-prefix** / **no-ghost-commits** (durable-WAL clusters only) —
-  restart-from-own-disk recovered everything confirmed before the crash,
-  and no never-acknowledged WAL record resurfaced through recovery.
+* **durable-prefix** / **no-ghost-commits** — restart-from-own-disk
+  recovered everything confirmed before the crash, and no
+  never-acknowledged WAL record resurfaced through recovery (nothing to
+  audit without durable WALs).
 
 Checkers only inspect *alive* replicas: the fail-stop model (an
 unreachable node is a failed node, and is killed by suspicion) means dead
@@ -61,15 +62,11 @@ def _checked_nodes(cluster) -> List:
 def _covers(cluster, node, table: str) -> bool:
     """Does ``node`` carry replication obligations for ``table``?
 
-    Full replication (no interest registry, or an all-full one) covers
-    everything; under partial replication a pure slave is only obliged to
-    hold tables inside its interest set.  Masters always cover — they
-    execute the updates themselves.
+    Under partial replication a pure slave is only obliged to hold tables
+    inside its interest set; a full one (the default) covers everything.
+    Masters always cover — they execute the updates themselves.
     """
-    registry = getattr(cluster, "interest", None)
-    if registry is None or node.master is not None:
-        return True
-    return registry.covers_table(node.node_id, table)
+    return node.master is not None or cluster.interest.covers_table(node.node_id, table)
 
 
 def _table_watermark(node, table: str) -> int:
@@ -220,8 +217,7 @@ def check_buffer_bounds(cluster) -> InvariantResult:
       buffered frame, so a single in-flight write-set is the only
       permitted overshoot).
     """
-    cfg = cluster.cost.config
-    cap = getattr(cfg, "slave_buffer_max_ops", 0)
+    cap = cluster.cost.config.slave_buffer_max_ops
     slack = cluster.pipeline.max_ws_ops
     problems: List[str] = []
     audited = 0
@@ -269,7 +265,7 @@ def check_rejoin_convergence(cluster) -> InvariantResult:
         if node is None or not node.alive:
             excused += 1  # crashed while demoted: reintegration owns it
             continue
-        if getattr(node, "slowdown", 1.0) > 1.0:
+        if node.slowdown > 1.0:
             excused += 1  # still degraded: staying demoted is correct
             continue
         if cluster.is_demoted(node_id):
@@ -345,8 +341,8 @@ def check_trace_hygiene(cluster) -> InvariantResult:
     * while the ring has not evicted anything, no finished span references
       a parent that never existed (orphans).
     """
-    tracer = getattr(cluster, "tracer", None)
-    if tracer is None or not tracer.enabled:
+    tracer = cluster.tracer
+    if not tracer.enabled:
         return InvariantResult("trace-hygiene", True, "tracing disabled")
     problems: List[str] = []
     open_spans = tracer.open_spans()
@@ -470,9 +466,7 @@ def check_class_ownership_unique(cluster) -> InvariantResult:
     legacy single-master cluster.
     """
     name = "class-ownership-unique"
-    conflict_map = getattr(cluster, "conflict_map", None)
-    if conflict_map is None:
-        return InvariantResult(name, True, "no conflict map")
+    conflict_map = cluster.conflict_map
     try:
         conflict_map.validate_disjoint()
     except Exception as exc:  # ConfigError carries the violated invariant
@@ -481,8 +475,7 @@ def check_class_ownership_unique(cluster) -> InvariantResult:
     problems: List[str] = []
     owned_by: Dict[str, str] = {}
     for node in cluster.nodes.values():
-        owned = getattr(getattr(node, "engine", None), "controller", None)
-        owned = getattr(owned, "owned", None)
+        owned = getattr(node.engine.controller, "owned", None)
         if not (node.alive and node.master is not None and owned is not None):
             continue
         for table in owned:
@@ -537,10 +530,11 @@ def check_interest_coverage(cluster) -> InvariantResult:
       are.)
     """
     name = "interest-coverage"
-    registry = getattr(cluster, "interest", None)
-    if registry is None or not registry.partial_active:
+    registry = cluster.interest
+    partial_nodes = len(registry.as_dict())
+    if not partial_nodes:
         return InvariantResult(name, True, "full replication (no interest sets)")
-    min_rf = getattr(cluster, "min_replication_factor", 1)
+    min_rf = cluster.min_replication_factor
     tables = sorted({schema.name for schema in cluster.schemas})
     problems: List[str] = []
     thin = 0
@@ -591,7 +585,6 @@ def check_interest_coverage(cluster) -> InvariantResult:
         shown = "; ".join(problems[:5])
         extra = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
         return InvariantResult(name, False, f"{shown}{extra}")
-    partial_nodes = len(registry.as_dict())
     return InvariantResult(
         name,
         True,
@@ -617,7 +610,7 @@ def check_tenant_slo_accounting(cluster) -> InvariantResult:
     that the accounting of *how* they missed is exact.
     """
     name = "per-tenant-slo"
-    stats = getattr(cluster, "traffic_stats", None)
+    stats = cluster.traffic_stats
     if stats is None:
         return InvariantResult(name, True, "no open-loop traffic")
     problems: List[str] = []
@@ -656,7 +649,7 @@ def check_shed_fairness(cluster) -> InvariantResult:
     tiny denominators are noise).
     """
     name = "shed-fairness"
-    stats = getattr(cluster, "traffic_stats", None)
+    stats = cluster.traffic_stats
     if stats is None:
         return InvariantResult(name, True, "no open-loop traffic")
     scenario = stats.scenario
@@ -711,7 +704,7 @@ def check_burst_recovery(cluster) -> InvariantResult:
     which is exactly the red/green contrast the overload bench commits.
     """
     name = "burst-recovery"
-    stats = getattr(cluster, "traffic_stats", None)
+    stats = cluster.traffic_stats
     if stats is None:
         return InvariantResult(name, True, "no open-loop traffic")
     recovery = stats.burst_recovery()
@@ -748,9 +741,9 @@ def check_all_invariants(
 ) -> List[InvariantResult]:
     """Run every checker; returns all results (failures included).
 
-    The trace-hygiene checker is appended only when the cluster ran with
-    tracing enabled — on an untraced run it has nothing to audit.  The
-    durability checkers likewise only run on durable-WAL clusters.
+    A checker whose feature never ran says so and passes.  Only the
+    open-loop and trace checkers are left out when there is no traffic
+    engine or tracer to audit.
     """
     results = [
         check_durable_commits(cluster),
@@ -761,18 +754,14 @@ def check_all_invariants(
         check_rejoin_convergence(cluster),
         check_quorum_durability(cluster),
         check_class_ownership_unique(cluster),
+        check_durable_prefix(cluster),
+        check_no_ghost_commits(cluster),
+        check_interest_coverage(cluster),
     ]
-    if getattr(cluster, "durability_active", False):
-        results.append(check_durable_prefix(cluster))
-        results.append(check_no_ghost_commits(cluster))
-    registry = getattr(cluster, "interest", None)
-    if registry is not None and registry.partial_active:
-        results.append(check_interest_coverage(cluster))
-    if getattr(cluster, "traffic_stats", None) is not None:
+    if cluster.traffic_stats is not None:
         results.append(check_tenant_slo_accounting(cluster))
         results.append(check_shed_fairness(cluster))
         results.append(check_burst_recovery(cluster))
-    tracer = getattr(cluster, "tracer", None)
-    if tracer is not None and tracer.enabled:
+    if cluster.tracer.enabled:
         results.append(check_trace_hygiene(cluster))
     return results

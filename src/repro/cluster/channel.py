@@ -105,14 +105,7 @@ class ReplicationChannel:
         )
         self._outbox.append(pending)
         self._unacked.append(pending)
-        if self.cluster.straggler_active:
-            # Backlog watermark: an outbox this deep means the target is not
-            # keeping up with the broadcast rate — demote it rather than let
-            # the unacked queue (and every commit's ack wait) grow unbounded.
-            entries = len(self._outbox)
-            nbytes = sum(p.write_set.byte_size() for p in self._outbox)
-            if self.cluster.stragglers.detector.backlog_verdict(entries, nbytes):
-                self.cluster.stragglers.demote(self.target.node_id, reason="backlog")
+        self.cluster.stragglers.note_backlog(self.target.node_id, self._outbox)
         self._kick()
         return pending.ack
 
@@ -170,15 +163,14 @@ class ReplicationChannel:
                     # attempts count as sent-and-dropped so conservation
                     # holds.  A demoted laggard catches up via page
                     # migration at rejoin, not via this stream.
-                    demoted_alive = (
-                        target.alive and stragglers.is_demoted(target.node_id)
-                    )
-                    restartable_dead = (
-                        cluster.durability_active and not target.alive
+                    retain = (
+                        target.node_id in stragglers.gapped()
+                        if target.alive
+                        else target.durable
                     )
                     for pending in batch:
                         counters.add("net.write_sets_sent")
-                        if demoted_alive or restartable_dead:
+                        if retain:
                             # Enqueued before the demotion (or crash): the
                             # broadcast site never logged it, so retain it
                             # here or the rejoin/restart gap replay would
@@ -203,7 +195,7 @@ class ReplicationChannel:
                         # Demoted mid-batch (buffer cap tripped on an
                         # earlier frame): the remainder fast-fails, but is
                         # retained for the rejoin gap replay.
-                        if target.alive:
+                        if target.alive and target.node_id in stragglers.gapped():
                             cluster.pipeline.retain(pending.write_set)
                         self._drop(pending, counters)
                         self._finish(pending, False)
@@ -219,7 +211,7 @@ class ReplicationChannel:
                         break
                     outcome = target.deliver_write_set(pending.write_set)
                     if outcome == "dead":
-                        if cluster.durability_active and not target.alive:
+                        if target.durable and not target.alive:
                             # Crashed mid-batch: retain for restart gap replay.
                             cluster.pipeline.retain(pending.write_set)
                         self._drop(pending, counters)
@@ -231,12 +223,7 @@ class ReplicationChannel:
                         counters.add("net.write_sets_sent")
                         target.deliver_write_set(pending.write_set)
                     if outcome == "ok":
-                        if (
-                            cluster.straggler_active
-                            and cfg.slave_buffer_max_ops
-                            and target.slave is not None
-                            and target.slave.pending_ops > cfg.slave_buffer_max_ops
-                        ):
+                        if stragglers.over_buffer_cap(target):
                             # Slave-side buffer cap: the write-set IS
                             # buffered (counted received), but crossing the
                             # high watermark demotes the replica so the
@@ -245,8 +232,7 @@ class ReplicationChannel:
                             if (
                                 not stragglers.is_demoted(target.node_id)
                                 and not target.slave.catching_up
-                                and target.slave.pending_ops
-                                > cfg.slave_buffer_max_ops
+                                and stragglers.over_buffer_cap(target)
                             ):
                                 # Demotion vetoed (last subscribed slave):
                                 # shed load by eagerly applying the
@@ -295,17 +281,7 @@ class ReplicationChannel:
                     else:
                         for pending in delivered:
                             self._finish(pending, True)
-                        if cluster.straggler_active:
-                            now = sim.now()
-                            detector = stragglers.detector
-                            for pending in delivered:
-                                detector.observe_ack(
-                                    target.node_id, now - pending.enqueued_at
-                                )
-                            if detector.ack_latency_verdict(target.node_id):
-                                stragglers.demote(
-                                    target.node_id, reason="ack-latency"
-                                )
+                        stragglers.note_acks(target.node_id, sim.now(), delivered)
                 if requeue:
                     yield from self._backoff_and_requeue(requeue)
         finally:

@@ -214,10 +214,9 @@ class CommitPipeline:
             node.log_write_set(write_set)
             if node.durable:
                 yield self.sim.timeout(WAL_FSYNC_TIME)
-            retain = (cluster.straggler_active and cluster.stragglers.demoted) or (
-                cluster.durability_active and cluster.any_node_down()
-            )
-            if retain:
+            if cluster.stragglers.gapped() or any(
+                not n.alive and n.durable for n in cluster.nodes.values()
+            ):
                 # Demoted (or crashed-but-restartable) nodes miss this
                 # broadcast entirely; retain it for gap replay at their
                 # rejoin/restart.
@@ -226,14 +225,14 @@ class CommitPipeline:
                 self.replay_log.clear()
             sends = self.broadcast(node, write_set, parent_span=first_root)
             acks = [ack for _target, _frame, ack in sends]
-            if cluster.straggler_active and cluster.stragglers.demoted:
-                excluded = sum(
-                    1
-                    for node_id in cluster.stragglers.demoted
-                    if (peer := cluster.nodes.get(node_id)) is not None and peer.alive
-                )
-                if excluded:
-                    self.counters.add("net.acks_skipped_demoted", excluded)
+            # The broadcast may itself have demoted a target (backlog).
+            excluded = sum(
+                1
+                for node_id in cluster.stragglers.gapped()
+                if (peer := cluster.nodes.get(node_id)) is not None and peer.alive
+            )
+            if excluded:
+                self.counters.add("net.acks_skipped_demoted", excluded)
             if acks:
                 # Every member waits out the same barrier, so each root
                 # gets its own ``ack`` span over it.
@@ -268,8 +267,7 @@ class CommitPipeline:
             if cluster.interest.partial_active:
                 self._note_partial_freshness(sends)
             self._replicate_scheduler_state(primary)
-            if cluster.rebalancer_active:
-                cluster.rebalancer.note_commits(epoch.versions, len(epoch.members))
+            cluster.rebalancer.note_commits(epoch.versions, len(epoch.members))
             ok = True
         finally:
             if not epoch.done.triggered:

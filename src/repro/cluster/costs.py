@@ -57,7 +57,7 @@ class CostConfig:
     #: queue per master before further arrivals are shed with a retryable
     #: ``queue-shed`` rejection (0 = unbounded, today's behaviour).
     update_queue_limit: int = 0
-    # -- straggler tolerance (laggard demotion; active when ack_policy != "all") ------
+    # -- straggler tolerance (laggard demotion, under a non-"all" ack policy) ----------
     #: Slave-side buffer cap: pending (buffered, unapplied) ops on one
     #: replica before it is demoted to catch-up mode (0 = unbounded).
     slave_buffer_max_ops: int = 0
@@ -103,14 +103,10 @@ class CostConfig:
     # -- durability (in-memory tier) --------------------------------------------------------------
     #: When True every in-memory node appends write-sets to a local
     #: content-carrying WAL and forces it before acking, enabling
-    #: restart-from-own-disk recovery and the storage-fault model.  Off by
-    #: default: the durable path moves extra counters and sim events, so
-    #: legacy seeded fingerprints require it disabled.
+    #: restart-from-own-disk recovery and the storage-fault model (each
+    #: node's ``durable`` flag).
     durable_wal: bool = False
     # -- overload robustness (admission control, deadlines, retry budgets) --------------------
-    # All default-off: the admission controller, deadline propagation and
-    # client retry budgets move counters when active, so legacy seeded
-    # fingerprints require every knob at its zero value.
     #: Per-tenant admission token-bucket refill rate (requests/second at
     #: the scheduler entry).  0 disables per-tenant rate limiting.
     admission_rate: float = 0.0

@@ -68,7 +68,7 @@ class FailureManager:
         was_alive = node.alive
         node.failed_at = self.sim.now()
         node.fail()
-        if was_alive and self.cluster.durability_active and node.durable:
+        if was_alive and node.durable:
             self._record_crash_state(node)
 
     def _record_crash_state(self, node: "InMemoryDbNode") -> None:
@@ -188,8 +188,7 @@ class FailureManager:
             dropped = cleanup_after_master_failure(
                 [n.slave for n in survivors if n.subscribed], cleanup_vector
             )
-            if cluster.straggler_active or cluster.durability_active:
-                cluster.pipeline.drop_replay_above(cleanup_vector)
+            cluster.pipeline.drop_replay_above(cleanup_vector)
             yield self.sim.timeout(self.cost.apply_cpu(dropped) + cfg.recovery_overhead)
             # Elect + promote the lowest-id active (non-spare) slave.
             candidates = successor_candidates(
@@ -214,29 +213,7 @@ class FailureManager:
             yield new_node.job(self._promotion_job(new_node, confirmed, owned), "promote")
             for agent in cluster.alive_scheduler_agents():
                 agent.scheduler.on_master_failure(failed_id, new_slave.node_id)
-            if cluster.straggler_active:
-                # Under quorum acks a survivor outside the quorum may be
-                # missing confirmed commits of the failed master (its
-                # truncated watermark sits below ``confirmed``).  Serving
-                # fresh-version reads from it would violate the snapshot
-                # contract, so it is demoted and re-fetches the gap via
-                # page migration at rejoin.  Never fires under ``all``:
-                # every survivor acked every confirmed commit.
-                for peer in list(cluster.nodes.values()):
-                    if (
-                        peer.alive
-                        and peer.slave is not None
-                        and peer.master is None
-                        and peer.subscribed
-                        and not peer.slave.catching_up
-                        and any(
-                            peer.slave.received_versions.get(t) < confirmed.get(t)
-                            for t in failed_tables
-                        )
-                    ):
-                        cluster.stragglers.demote(
-                            peer.node_id, reason="stale-after-failover"
-                        )
+            cluster.stragglers.demote_stale_survivors(confirmed, failed_tables)
         timeline.recovery_done = self.sim.now()
         self.dead_ends.discard(failed_id)
         # Spare promotion: backfill active capacity from the spare pool.

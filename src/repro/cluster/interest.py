@@ -18,9 +18,8 @@ compose cleanly with the DMV machinery already here:
   interest, so a partial replica never ships — or holds — confirmed state
   for pages outside its subscription.
 
-Everything here is pure bookkeeping: a registry whose entries are all
-:meth:`InterestSet.full` behaves bit-for-bit like no registry at all,
-which is what keeps the legacy chaos fingerprints stable.
+Everything here is pure bookkeeping; under full interest (every node's
+default) each filter above is the identity.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.cluster.protocol import rejoin_support
 from repro.failover.reintegration import (
     integrate_stale_node,
     recover_from_local_disk,
@@ -67,44 +68,14 @@ class Migrator:
         cluster = self.cluster
         cfg = self.cost.config
         joiner_interest = cluster.interest.get(node.node_id)
-        candidates = [
-            n
-            for n in cluster.nodes.values()
-            if n.alive and n.slave is not None and n.subscribed and n.node_id != node.node_id
-        ]
-        if cluster.interest.partial_active:
-            # Partial replication: only a support whose interest covers the
-            # joiner's can serve every page (and in-flight frame) the
-            # joiner subscribes to.  With none, fall through to the
-            # degenerate master-source branch — masters hold everything.
-            candidates = [
-                n
-                for n in candidates
-                if cluster.interest.get(n.node_id).superset_of(joiner_interest)
-            ]
-        if cluster.straggler_active and candidates:
-            # Quorum acks: a commit confirms with k slave acks, so an
-            # arbitrary subscribed slave may still be missing confirmed
-            # write-sets (they are in flight / being retransmitted to it).
-            # Channels deliver in global enqueue order, so per-slave
-            # histories are nested prefixes and the slave with the highest
-            # received total provably holds every confirmed commit —
-            # migrate from it, or the joiner would permanently miss the
-            # gap (it subscribed after those broadcasts went out).
-            support_node = max(
-                (n for n in candidates if not n.slave.catching_up),
-                key=lambda n: (n.slave.received_versions.total(), n.node_id),
-                default=None,
-            )
-        else:
-            # All-slave acks: every subscribed slave has every confirmed
-            # write-set, so the first candidate is as good as any (and
-            # keeps the default path's schedule byte-stable).
-            support_node = candidates[0] if candidates else None
+        support_node = rejoin_support(
+            cluster.nodes, node.node_id, cluster.interest, cluster.ack_policy
+        )
         if support_node is None:
             master = next(n for n in cluster.nodes.values() if n.alive and n.master is not None)
-            # Degenerate single-survivor case: migrate from the master's
-            # engine state via a temporary slave view.
+            # Degenerate case (no covering slave survives): migrate from the
+            # master's engine state, which holds everything, via a
+            # temporary slave view.
             node.subscribed = True
             node.slave.catching_up = True
             images = [
@@ -124,16 +95,15 @@ class Migrator:
         node.slave.catching_up = True
         replay_ops = 0
         replay_bytes = 0
-        if (cluster.straggler_active or cluster.durability_active) and cluster.pipeline.replay_log:
+        if cluster.pipeline.replay_log:
             # Gap replay: write-sets broadcast while this node was demoted
             # (or down, under durable restart) never entered its channel,
-            # and the support may not hold them
-            # all either (under quorum acks a commit confirms before every
-            # slave has its data).  Re-deliver them in stream order; the
-            # duplicate filter skips what the node already has, and any op
-            # the support's page images do cover is pruned when those
-            # images land (receive_page keeps only ops above each image's
-            # version).
+            # and the support may not hold them all either (under quorum
+            # acks a commit confirms before every slave has its data).
+            # Re-deliver them in stream order; the duplicate filter skips
+            # what the node already has, and any op the support's page
+            # images do cover is pruned when those images land
+            # (receive_page keeps only ops above each image's version).
             replica = node.slave
             for write_set in sorted(
                 cluster.pipeline.replay_log.values(), key=lambda w: (w.master_id, w.seq)

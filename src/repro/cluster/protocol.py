@@ -2,8 +2,9 @@
 
 The simulated cluster adds virtual time and a transport around these, the
 synchronous cluster calls them inline, the threaded cluster calls them
-under its mutex — but who becomes what, who receives a broadcast and what
-a master failure cleans up, elects and promotes is decided here, once.
+under its mutex — but who becomes what, who receives a broadcast, what
+a master failure cleans up, elects and promotes, and which replica feeds a
+joiner's data migration is decided here, once.
 """
 
 from __future__ import annotations
@@ -165,17 +166,17 @@ def successor_candidates(
 ) -> List[SlaveReplica]:
     """Slaves eligible to replace a failed master (for ``elect_new_master``).
 
-    Subscribed pure slaves; active ones before spares.  Under partial
-    replication only a slave whose interest covers the failed master's
-    tables can serve as its successor: a non-covering replica never
-    received those tables' write-sets, so promoting it would resurrect the
-    version-0 base as current state.
+    Subscribed pure slaves; active ones before spares.  Only a slave whose
+    interest covers the failed master's tables can serve as its successor:
+    a non-covering (partial) replica never received those tables'
+    write-sets, so promoting it would resurrect the version-0 base as
+    current state.
     """
-    pure_slaves = [n for n in survivors if n.master is None]
-    if interest.partial_active:
-        pure_slaves = [
-            n for n in pure_slaves if interest.covers(n.node_id, failed_tables)
-        ]
+    pure_slaves = [
+        n
+        for n in survivors
+        if n.master is None and interest.covers(n.node_id, failed_tables)
+    ]
     return [
         n.slave for n in pure_slaves if not is_spare(n.node_id) and n.subscribed
     ] or [n.slave for n in pure_slaves if n.subscribed]
@@ -210,3 +211,38 @@ def promote(
         node.engine.set_controller(DualController(set(inherited), slave))
     else:
         node.slave = None
+
+
+# -- data migration (paper §4.4) -----------------------------------------------------------
+def rejoin_support(
+    nodes: Dict[str, ReplicaNode],
+    joiner_id: str,
+    interest: InterestRegistry,
+    ack_policy: str,
+) -> Optional[ReplicaNode]:
+    """The slave that feeds ``joiner_id``'s data migration (``None``: the
+    master is the source of last resort).
+
+    Candidates are alive, subscribed slave roles whose interest covers the
+    joiner's.  Under ``all`` acks each holds every confirmed write-set, so
+    the first will do; under a weaker policy per-slave histories are nested
+    prefixes of the broadcast order, so the caught-up one with the highest
+    received total (then node id) holds every confirmed commit.
+    """
+    wanted = interest.get(joiner_id)
+    candidates = [
+        n
+        for n in nodes.values()
+        if n.alive
+        and n.slave is not None
+        and n.subscribed
+        and n.node_id != joiner_id
+        and interest.get(n.node_id).superset_of(wanted)
+    ]
+    if ack_policy == "all":
+        return candidates[0] if candidates else None
+    return max(
+        (n for n in candidates if not n.slave.catching_up),
+        key=lambda n: (n.slave.received_versions.total(), n.node_id),
+        default=None,
+    )

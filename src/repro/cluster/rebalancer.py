@@ -43,9 +43,7 @@ class ClassWriteRates:
     The rebalancer daemon samples per-class commit counts on a fixed
     period and feeds the rates through the same EWMA machinery the
     laggard detector uses for ack latencies.  Pure bookkeeping — no
-    events, no RNG, no counters — so instantiating it never perturbs a
-    seeded run; only the cluster's *reaction* (a re-home) touches the
-    kernel, and that is gated on ``dynamic_classes``.
+    events, no RNG, no counters; only a re-home touches the kernel.
     """
 
     def __init__(self, alpha: float = CLASS_RATE_ALPHA) -> None:
@@ -98,18 +96,24 @@ class Rebalancer:
         #: Conflict classes mid-re-home: updates routed to one of these park
         #: on the waiter queue until the ownership flip (drain barrier).
         self.rehoming_classes: set = set()
+        #: Whether the load-driven daemon runs (forced re-homes through
+        #: :meth:`rehome_table_to` work either way).
+        cfg = self.cost.config
+        self.enabled = cfg.dynamic_classes and cfg.rebalance_interval > 0
         #: Per-class commit counts since the last rebalancer tick, and the
-        #: write-rate EWMAs fed from them.  Pure bookkeeping (no events, no
-        #: RNG, no counters), so constructing them never perturbs a seeded
-        #: run; the rebalancer daemon that acts on them is spawned only when
-        #: dynamic classes are enabled.
+        #: write-rate EWMAs fed from them (pure bookkeeping).
         self._class_commits: Dict[int, int] = {}
         self.class_rates = ClassWriteRates()
         self._last_rehome_at = float("-inf")
 
+    def start(self) -> None:
+        """Spawn the rebalancer daemon (when dynamic classes are on)."""
+        if self.enabled:
+            self.sim.spawn(self.loop(), name="class-rebalancer")
+
     def note_commits(self, versions, count: int) -> None:
         """Feed per-class commit counts to the rebalancer's rate tracker."""
-        if not versions:
+        if not self.enabled or not versions:
             return
         try:
             cls = self.conflict_map.class_of(next(iter(versions)))

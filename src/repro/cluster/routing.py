@@ -35,12 +35,13 @@ class UpdateRouter:
         #: Per-master update-admission semaphores (``update_mpl > 0`` only;
         #: created lazily so the legacy configuration allocates nothing).
         self.update_slots: Dict[str, Resource] = {}
-        #: Overload-robustness state.  The admission controller is a pure
-        #: state machine (no events, no RNG, no counters until it rejects),
-        #: created only when its knobs are on so default runs stay
-        #: bit-identical.
+        #: The admission controller (a pure state machine: no events, no
+        #: RNG), when either of its knobs is set.
+        cfg = self.config
         self.admission = (
-            AdmissionController(self.config) if cluster.overload_active else None
+            AdmissionController(cfg)
+            if cfg.admission_rate > 0 or cfg.admission_queue_watermark > 0
+            else None
         )
 
     # -- update admission (graceful degradation) ---------------------------------------------

@@ -97,8 +97,8 @@ class SimDmvCluster:
         #: Pre-commit acknowledgement policy: ``all`` (paper behaviour —
         #: every subscribed slave must ack), ``quorum`` (any ``quorum_k``
         #: slave acks suffice) or ``all-healthy`` (all non-demoted slaves).
-        #: Laggard demotion runs only under the non-default policies, so an
-        #: ``all`` cluster is event-for-event identical to the seed.
+        #: Read by the ack barrier, the laggard monitor (demotion runs only
+        #: under the last two) and the rejoin-support choice.
         self.ack_policy = ack_policy
         self.quorum_k = max(1, quorum_k)
         self.sim = Simulator()
@@ -162,9 +162,8 @@ class SimDmvCluster:
             conflict_map, table_names, master_ids, num_slaves, num_spares, make_node,
             [agent.scheduler for agent in self.schedulers],
         )
-        #: Interest registry (partial replication).  All-full — the default
-        #: — is indistinguishable from no registry: no filtering, no new
-        #: counters, no routing changes, bit-identical fingerprints.
+        #: Interest registry (partial replication); every node is full
+        #: unless ``interest_sets`` says otherwise.
         self.interest = InterestRegistry()
         self.min_replication_factor = max(1, min_replication_factor)
         if interest_sets:
@@ -186,11 +185,12 @@ class SimDmvCluster:
         #: Attached by an :class:`~repro.traffic.engine.OpenLoopEngine` when
         #: one drives this cluster (the overload invariants key off it).
         self.traffic_stats = None
-        #: Durable-WAL mode state.  The storage RNG child is created only
-        #: when the mode is on: ``RngStream.child`` consumes a parent draw,
-        #: so an unconditional child would shift every later stream (the
-        #: browsers') and break legacy seeded fingerprints.
-        self.storage_rng = self.rng.child("storage") if self.durability_active else None
+        #: Chooses the bit a storage fault flips.  Drawn only when nodes keep
+        #: durable WALs: ``RngStream.child`` consumes a parent draw, so an
+        #: unconditional child would shift every later (browser) stream.
+        self.storage_rng = (
+            self.rng.child("storage") if self.cost.config.durable_wal else None
+        )
         # The components construct no events and draw no randomness; each
         # reaches its siblings through this root when it runs.
         self.pipeline = CommitPipeline(self)
@@ -206,43 +206,14 @@ class SimDmvCluster:
         # Daemon spawn order is behaviour: the kernel fires same-time
         # events in schedule order.
         self.sim.spawn(self.failover.detector_loop(), name="failure-detector")
-        if self.straggler_active:
-            self.sim.spawn(self.stragglers.monitor_loop(), name="laggard-monitor")
-        if self.rebalancer_active:
-            self.sim.spawn(self.rebalancer.loop(), name="class-rebalancer")
+        self.stragglers.start()
+        self.rebalancer.start()
         if checkpoint_period > 0:
             self.sim.spawn(self._checkpoint_daemon(checkpoint_period), name="checkpointer")
         if pageid_ship_every > 0:
             self.sim.spawn(self._pageid_shipper(pageid_ship_every), name="pageid-shipper")
         if gc_period > 0:
             self.sim.spawn(self._gc_daemon(gc_period), name="version-gc")
-
-    # -- feature gates (default-off features must leave default runs untouched) ----------------
-    @property
-    def partial_active(self) -> bool:
-        return self.interest.partial_active
-
-    @property
-    def straggler_active(self) -> bool:
-        """True when laggard demotion machinery may act (non-``all`` policy)."""
-        return self.ack_policy != "all"
-
-    @property
-    def rebalancer_active(self) -> bool:
-        """True when the dynamic conflict-class rebalancer daemon runs."""
-        cfg = self.cost.config
-        return cfg.dynamic_classes and cfg.rebalance_interval > 0
-
-    @property
-    def durability_active(self) -> bool:
-        """True when nodes keep durable WALs (restart-from-own-disk mode)."""
-        return self.cost.config.durable_wal
-
-    @property
-    def overload_active(self) -> bool:
-        """True when scheduler-side admission control may shed requests."""
-        cfg = self.cost.config
-        return cfg.admission_rate > 0 or cfg.admission_queue_watermark > 0
 
     # -- scheduler group -----------------------------------------------------------------
     @property
@@ -283,9 +254,6 @@ class SimDmvCluster:
     def is_spare(self, node_id: str) -> bool:
         state = self.scheduler.slaves.get(node_id)
         return bool(state and state.spare)
-
-    def any_node_down(self) -> bool:
-        return any(not node.alive for node in self.nodes.values())
 
     def confirmed_vector(self) -> VersionVector:
         """The cluster-confirmed per-table versions (scheduler's view)."""
@@ -414,10 +382,10 @@ class SimDmvCluster:
             yield self.sim.timeout(period)
             for node in self.nodes.values():
                 has_role = node.slave is not None or (
-                    # Durable mode checkpoints masters too: their WALs hold
-                    # their own pre-commit records and need the checkpoint
-                    # floor to advance for truncation.
-                    self.durability_active and node.master is not None
+                    # Durable masters checkpoint too: their WALs hold their
+                    # own pre-commit records and need the checkpoint floor
+                    # to advance for truncation.
+                    node.durable and node.master is not None
                 )
                 if node.alive and has_role:
                     node.checkpoint()

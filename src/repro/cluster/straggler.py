@@ -17,12 +17,11 @@ for two symptoms and flags the target for demotion to catch-up mode:
   cluster-wide average would be contaminated by the straggler's own
   samples and could mask it entirely.
 
-The detector is pure bookkeeping — no events, no RNG, no counters — so
-instantiating it never perturbs a seeded run; only the *reaction* to a
-verdict touches the kernel, and that is gated on a non-default ack
-policy.  The reaction is the :class:`LaggardMonitor`'s: it demotes the
+The detector is pure bookkeeping — no events, no RNG, no counters.  The
+reaction to a verdict is the :class:`LaggardMonitor`'s: it demotes the
 laggard out of the ack set, probes it while demoted and re-integrates it
-through a drain barrier + data migration once it is healthy again.
+through a drain barrier + data migration once it is healthy again — under
+a non-``all`` ack policy only.
 """
 
 from __future__ import annotations
@@ -136,8 +135,10 @@ class LaggardDetector:
 class LaggardMonitor:
     """Demotes stragglers out of the ack set, probes them, rejoins them.
 
-    Owns the demoted set, the audit set of every node ever demoted and the
-    detector; the probe daemon runs only under a non-default ack policy.
+    Owns the demoted set, the audit set of every node ever demoted, the
+    detector, and :attr:`enabled`: the channel triggers, the probe daemon,
+    the post-failover stale check and gap retention for demoted nodes run
+    only when it is on.  An explicit :meth:`demote` is honoured either way.
     """
 
     def __init__(self, cluster: "SimDmvCluster") -> None:
@@ -145,18 +146,76 @@ class LaggardMonitor:
         self.sim = cluster.sim
         self.cost = cluster.cost
         self.counters = cluster.counters
-        #: Laggard bookkeeping.  The detector is pure state (no events, no
-        #: counters), so constructing it never perturbs a seeded run; the
-        #: monitor daemon that acts on it is spawned only for non-default
-        #: ack policies to keep the ``all`` event stream bit-identical.
+        #: Only a non-``all`` ack policy confirms a commit without every
+        #: slave, so only then may a laggard leave the ack set.
+        self.enabled = cluster.ack_policy != "all"
         self.detector = LaggardDetector()
         #: node_id -> open ``demote`` span for currently demoted slaves.
         self.demoted: Dict[str, object] = {}
         #: Every node that was ever demoted (rejoin-convergence invariant).
         self.ever_demoted: set = set()
 
+    def start(self) -> None:
+        """Spawn the probe daemon (when demotion runs)."""
+        if self.enabled:
+            self.sim.spawn(self.monitor_loop(), name="laggard-monitor")
+
     def is_demoted(self, node_id: str) -> bool:
         return node_id in self.demoted
+
+    def gapped(self) -> Dict[str, object]:
+        """The demoted nodes whose missed broadcasts are kept for their
+        rejoin gap replay (none while demotion is off)."""
+        return self.demoted if self.enabled else {}
+
+    # -- channel triggers ------------------------------------------------------------------
+    def note_backlog(self, target_id: str, outbox) -> None:
+        """Demote a target whose unacked outbox crossed the watermark, rather
+        than let every commit's ack wait grow with it."""
+        if self.enabled and self.detector.backlog_verdict(
+            len(outbox), sum(p.write_set.byte_size() for p in outbox)
+        ):
+            self.demote(target_id, reason="backlog")
+
+    def note_acks(self, target_id: str, now: float, sends) -> None:
+        """Feed ``sends``' enqueue-to-ack latencies; demote a sustained outlier."""
+        if not self.enabled:
+            return
+        for pending in sends:
+            self.detector.observe_ack(target_id, now - pending.enqueued_at)
+        if self.detector.ack_latency_verdict(target_id):
+            self.demote(target_id, reason="ack-latency")
+
+    def over_buffer_cap(self, node) -> bool:
+        """Has ``node`` buffered past the slave-side cap?"""
+        return self.enabled and (
+            0 < self.cost.config.slave_buffer_max_ops < node.slave.pending_ops
+        )
+
+    def demote_stale_survivors(self, confirmed, failed_tables) -> None:
+        """After a master failover, demote each caught-up survivor below
+        ``confirmed`` on the failed tables (outside the quorum, it would
+        serve stale fresh-version reads); it re-fetches the gap at rejoin.
+
+        Kept off under ``all``, where it can still fire: a slave
+        reintegrated since the last write to a table has received nothing
+        of it, and would be demoted with no probe daemon to bring it back.
+        """
+        if not self.enabled:
+            return
+        for peer in list(self.cluster.nodes.values()):
+            if (
+                peer.alive
+                and peer.slave is not None
+                and peer.master is None
+                and peer.subscribed
+                and not peer.slave.catching_up
+                and any(
+                    peer.slave.received_versions.get(t) < confirmed.get(t)
+                    for t in failed_tables
+                )
+            ):
+                self.demote(peer.node_id, reason="stale-after-failover")
 
     def demote(self, node_id: str, reason: str = "laggard") -> bool:
         """Demote a laggard slave to catch-up mode (out of the ack set).

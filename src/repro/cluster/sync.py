@@ -30,6 +30,7 @@ from repro.cluster.protocol import (
     fan_out,
     inherited_tables,
     promote,
+    rejoin_support,
     successor_candidates,
 )
 from repro.core.conflictclass import ConflictClassMap
@@ -336,7 +337,11 @@ class SyncDmvCluster:
         if not handle.subscribed:
             return
         if not any(
-            h.node_id != node_id and h.master is None and self._is_support(h)
+            h.node_id != node_id
+            and h.master is None
+            and h.alive
+            and h.slave is not None
+            and h.subscribed
             for h in self.nodes.values()
         ):
             raise NodeUnavailable(f"cannot demote {node_id}: no other slave remains")
@@ -351,26 +356,22 @@ class SyncDmvCluster:
         is unsubscribed is a demoted one."""
         return node.alive and node.slave is not None and not node.subscribed
 
-    @staticmethod
-    def _is_support(node: ReplicaNode) -> bool:
-        """Holds the full replication stream: can feed a data migration."""
-        return node.alive and node.slave is not None and node.subscribed
-
-    def _support(self, support_id: Optional[str], joiner_id: str) -> ReplicaNode:
-        if support_id is None:
-            support_id = next(
-                h.node_id
-                for h in self.nodes.values()
-                if h.node_id != joiner_id and self._is_support(h)
-            )
-        return self.node(support_id)
+    def _migration_source(self, support_id: Optional[str], joiner_id: str) -> ReplicaNode:
+        """The named support, else the shared rule's ``all`` pick: inline
+        replication leaves every subscribed slave holding every commit."""
+        if support_id is not None:
+            return self.node(support_id)
+        support = rejoin_support(self.nodes, joiner_id, self.interest, "all")
+        if support is None:
+            raise NodeUnavailable(f"no replica can feed {joiner_id}'s data migration")
+        return support
 
     def rejoin_slave(self, node_id: str, support_id: Optional[str] = None) -> None:
         """Re-integrate a demoted slave via §4.4 data migration."""
         handle = self.node(node_id)
         if not self._is_demoted(handle):
             return
-        support = self._support(support_id, node_id)
+        support = self._migration_source(support_id, node_id)
         handle.subscribed = True
         handle.slave.catching_up = True
         integrate_stale_node(handle.slave, support.slave)
@@ -380,7 +381,7 @@ class SyncDmvCluster:
     def reintegrate(self, node_id: str, support_id: Optional[str] = None, spare: bool = False):
         """Bring a failed node back as a slave via data migration."""
         handle = self.nodes[node_id]
-        support = self._support(support_id, node_id)
+        support = self._migration_source(support_id, node_id)
         handle.alive = True
         # Reboot: fresh engine state rebuilt from the node's checkpoint.
         handle.make_slave()

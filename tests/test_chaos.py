@@ -235,8 +235,19 @@ class TestInvariants:
             "rejoin-convergence",
             "quorum-no-lost-commits",
             "class-ownership-unique",
+            "durable-prefix",
+            "no-ghost-commits",
+            "interest-coverage",
         ]
         assert all(r.ok for r in results), [str(r) for r in results]
+
+    def test_default_plan_audits_the_feature_checkers_as_ok(self):
+        # Audited on every run, not only when their feature is on: each
+        # says it had nothing to audit and passes.
+        report = run_plan(PLANS["default"], duration=30.0)
+        by_name = {r.name: r for r in report.invariants}
+        for name in ("durable-prefix", "no-ghost-commits", "interest-coverage"):
+            assert by_name[name].ok, str(by_name[name])
 
     def test_durability_checker_catches_lost_commit(self):
         cluster = build_tpcw_cluster()

@@ -87,7 +87,7 @@ class TestStaticClusterNeverPaysRehome:
         cluster.warm_all_caches()
         cluster.start_browsers(8, MIXES["ordering"], scale, think_time_mean=0.3)
         cluster.run(until=15.0)
-        assert not cluster.rebalancer_active
+        assert not cluster.rebalancer.enabled
         assert cluster.router.update_slots == {}           # no MPL admission
         snap = cluster.counters.snapshot()
         assert snap.get("sched.class_rehomes", 0) == 0

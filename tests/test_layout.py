@@ -43,7 +43,18 @@ def test_sim_cluster_is_a_composition_root():
         for name, member in vars(SimDmvCluster).items()
         if inspect.isfunction(member) or isinstance(member, property)
     ]
-    assert len(methods) <= 45, sorted(methods)
+    assert len(methods) <= 33, sorted(methods)
+
+
+def test_no_feature_switchboard_on_the_cluster():
+    # Each protocol fork is decided by the component that owns it (DESIGN.md
+    # §2, "Who decides each fork"), not by asking the composition root.
+    cluster = SimDmvCluster([])
+    assert [name for name in dir(cluster) if name.endswith("_active")] == []
+    reads = re.compile(r"cluster\.(\w+_active)\b|getattr\(\s*cluster,\s*\"(\w+_active)\"")
+    for path in (REPO / "src" / "repro").rglob("*.py"):
+        assert reads.findall(path.read_text()) == [], path
+    assert "_support" not in vars(SyncDmvCluster)
 
 
 def test_design_doc_module_tree_matches_the_code():

@@ -112,7 +112,7 @@ class TestRestartFromDisk:
 
     def test_restart_on_nondurable_cluster_degrades_to_reintegration(self):
         cluster = build_cluster(cost_config=None, checkpoint_period=0.0)
-        assert not cluster.durability_active
+        assert not any(node.durable for node in cluster.nodes.values())
         cluster.kill_node_at("s0", 20.0)
         cluster.restart_node_at("s0", 40.0)
         run_with_browsers(cluster, until=80.0, stop_at=60.0)

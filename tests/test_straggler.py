@@ -288,6 +288,66 @@ class TestQuorumCorrectness:
         assert a.counters.get("slave.demotions", 0) >= 1
 
 
+class TestAllPolicyCorners:
+    """Corners of the ``all`` policy no fingerprint pin reaches."""
+
+    def test_reintegrated_slave_survives_a_master_failover_undemoted(self):
+        # s2 comes back with an empty received vector; under the browsing
+        # mix some table sees no write before m0 dies.  The post-failover
+        # stale-survivor check would demote it, and under ``all`` no probe
+        # daemon would ever rejoin it — so the check stays off there.
+        cluster = build_cluster(seed=1)
+        cluster.kill_node_at("s2", 10.0)
+        cluster.sim.schedule(20.0, cluster.reintegrate, "s2")
+        cluster.kill_node_at("m0", 30.0)
+        cluster.sim.schedule(45.0, cluster.reintegrate, "m0")
+        run_workload(cluster, duration=70.0, settle=15.0, mix="browsing")
+        assert merged_counter(cluster, "slave.demotions") == 0
+        assert len(cluster.timelines) == 4  # two failures, two reintegrations
+        results = check_all_invariants(cluster)
+        assert all(r.ok for r in results), [str(r) for r in results]
+
+    @pytest.mark.parametrize(
+        "durable, log_while_down, replayed",
+        [(False, 0, (0, 0)), (True, 120, (2, 1465))],
+    )
+    def test_operator_demotion_then_kill_and_reintegrate(
+        self, durable, log_while_down, replayed
+    ):
+        # s1 is slowed so frames are in flight to it when it is demoted,
+        # then killed and reintegrated; then the master fails over and
+        # rejoins too.  Under ``all`` demotion keeps no replay log; only a
+        # durable cluster keeps one while a node is down, and replays it
+        # at reintegration.
+        cost = CostConfig(durable_wal=True) if durable else None
+        cluster = build_cluster(
+            seed=5, cost_config=cost, checkpoint_period=10.0 if durable else 0.0
+        )
+        cluster.sim.schedule(5.0, cluster.set_slowdown, "s1", 30.0)
+        cluster.sim.schedule(10.0, cluster.demote_slave, "s1")
+        cluster.sim.schedule(10.5, cluster.set_slowdown, "s1", 1.0)
+        cluster.kill_node_at("s1", 10.002)
+        cluster.sim.schedule(25.0, cluster.reintegrate, "s1")
+        cluster.kill_node_at("m0", 40.0)
+        cluster.sim.schedule(55.0, cluster.reintegrate, "m0")
+        log_sizes = []
+        cluster.sim.schedule(
+            20.0, lambda: log_sizes.append(len(cluster.pipeline.replay_log))
+        )
+        run_workload(cluster, duration=80.0, settle=15.0)
+        assert merged_counter(cluster, "slave.demotions") == 1
+        assert merged_counter(cluster, "net.acks_skipped_demoted") == 0
+        assert log_sizes == [log_while_down]
+        assert (
+            merged_counter(cluster, "slave.replay_write_sets"),
+            merged_counter(cluster, "slave.replay_ops"),
+        ) == replayed
+        assert not cluster.pipeline.replay_log
+        assert not cluster.is_demoted("s1")
+        results = check_all_invariants(cluster)
+        assert all(r.ok for r in results), [str(r) for r in results]
+
+
 class TestSyncParity:
     def test_sync_demote_rejoin_roundtrip(self):
         cluster = SyncDmvCluster(TPCW_SCHEMAS, num_slaves=3, seed=1)
