@@ -32,6 +32,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.counters import Counters
+from repro.traffic.engine import RECOVERY_EPSILON
+
+#: Shed-rate fairness: a non-bursting tenant's shed ratio may not exceed
+#: ``max(FAIRNESS_FLOOR, FAIRNESS_RATIO * worst aggressor)``.
+FAIRNESS_RATIO = 0.5
+FAIRNESS_FLOOR = 0.10
+#: Burst recovery: seconds after the last burst ends by which goodput must
+#: be back within ``RECOVERY_EPSILON`` of the pre-burst level.
+RECOVERY_WINDOW = 40.0
 
 
 @dataclass(frozen=True)
@@ -640,7 +649,7 @@ def check_shed_fairness(cluster) -> InvariantResult:
     """Shedding lands on the tenants causing the overload, not the victims.
 
     With bursting (aggressor) tenants present, every non-bursting tenant's
-    shed ratio must stay within ``max(fairness_floor, fairness_ratio *
+    shed ratio must stay within ``max(FAIRNESS_FLOOR, FAIRNESS_RATIO *
     worst aggressor ratio)`` — the per-tenant token buckets exist exactly
     so one tenant's flash crowd does not consume the others' admission
     capacity.  Without aggressors the check degrades to a spread bound:
@@ -664,7 +673,7 @@ def check_shed_fairness(cluster) -> InvariantResult:
     problems: List[str] = []
     if aggressors & set(sized):
         worst_aggressor = max(sized[tenant_name].shed_ratio() for tenant_name in sized if tenant_name in aggressors)
-        bound = max(scenario.fairness_floor, scenario.fairness_ratio * worst_aggressor)
+        bound = max(FAIRNESS_FLOOR, FAIRNESS_RATIO * worst_aggressor)
         for tenant_name in sorted(set(sized) - aggressors):
             ratio = sized[tenant_name].shed_ratio()
             if ratio > bound:
@@ -681,7 +690,7 @@ def check_shed_fairness(cluster) -> InvariantResult:
         ratios = {tenant_name: tenant.shed_ratio() for tenant_name, tenant in sized.items()}
         for tenant_name in sorted(ratios):
             others = [r for other, r in ratios.items() if other != tenant_name]
-            bound = scenario.fairness_floor + 3.0 * max(others)
+            bound = FAIRNESS_FLOOR + 3.0 * max(others)
             if ratios[tenant_name] > bound:
                 problems.append(
                     f"{tenant_name} shed {100.0 * ratios[tenant_name]:.1f}% > "
@@ -697,8 +706,8 @@ def check_burst_recovery(cluster) -> InvariantResult:
     """Goodput returned to within epsilon of pre-burst inside the window.
 
     The metastability audit: after the scenario's last deliberate burst
-    ends, aggregate goodput must climb back to ``(1 - recovery_epsilon)``
-    of the pre-burst level within ``recovery_window`` seconds of virtual
+    ends, aggregate goodput must climb back to ``(1 - RECOVERY_EPSILON)``
+    of the pre-burst level within ``RECOVERY_WINDOW`` seconds of virtual
     time.  A cluster with the defenses off typically fails this — the
     retry storm and bufferbloated admission queue outlive the burst —
     which is exactly the red/green contrast the overload bench commits.
@@ -713,26 +722,25 @@ def check_burst_recovery(cluster) -> InvariantResult:
     pre_rate, recovered_at, degraded = recovery
     if pre_rate <= 0:
         return InvariantResult(name, True, "no pre-burst goodput to recover to")
-    window = stats.scenario.recovery_window
     if recovered_at is None:
         return InvariantResult(
             name,
             False,
-            f"goodput never recovered to {100.0 * (1.0 - stats.scenario.recovery_epsilon):.0f}% "
+            f"goodput never recovered to {100.0 * (1.0 - RECOVERY_EPSILON):.0f}% "
             f"of pre-burst {pre_rate:.2f}/s ({degraded:.1f}s degraded)",
         )
-    if degraded > window:
+    if degraded > RECOVERY_WINDOW:
         return InvariantResult(
             name,
             False,
-            f"recovered after {degraded:.1f}s > window {window:g}s "
+            f"recovered after {degraded:.1f}s > window {RECOVERY_WINDOW:g}s "
             f"(pre-burst {pre_rate:.2f}/s)",
         )
     return InvariantResult(
         name,
         True,
         f"recovered {degraded:.1f}s after burst end (pre-burst {pre_rate:.2f}/s, "
-        f"window {window:g}s)",
+        f"window {RECOVERY_WINDOW:g}s)",
     )
 
 

@@ -291,7 +291,6 @@ OPT_IN_COUNTERS = (
     "net.write_sets_filtered",
     "sched.coverage_rejects",
     "sched.partial_master_fallbacks",
-    "bench.retries_exhausted",
     "traffic.requests_injected",
     "traffic.breaker_short_circuits",
 ) + DEFENSE_COUNTERS

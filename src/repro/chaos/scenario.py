@@ -19,7 +19,7 @@ Run a named one (:data:`repro.chaos.plans.PLANS`) from the command line::
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -189,8 +189,10 @@ def run_plan(
     cluster.warm_all_caches()
     faults = plan.faults(seed, duration).schedule(cluster)
     if plan.traffic is not None:
-        engine = OpenLoopEngine(cluster, plan.traffic(duration), seed=seed, scale=plan.scale)
-        engine.start(inject_until=stop_at)
+        # Injection stops where the clients stop, and burst recovery is
+        # measured up to there: the plan's settle is the scenario's.
+        scenario = replace(plan.traffic(duration), settle=plan.settle)
+        OpenLoopEngine(cluster, scenario, seed=seed, scale=plan.scale).start()
     else:
         cluster.start_browsers(
             plan.browsers, MIXES[plan.mix], plan.scale, think_time_mean=plan.think_time

@@ -4,8 +4,9 @@
 the TPC-W connection protocol into kernel events against the in-memory
 tier, and :class:`BrowserPool` is the closed-loop emulated-browser driver
 both simulated tiers share (the on-disk tier hands it its own connection
-type).  The open-loop :class:`~repro.traffic.engine.OpenLoopEngine` builds
-on the same connection and :func:`drive`.
+type).  :func:`serve` is the one request loop under every simulated
+client: the browsers and the open-loop
+:class:`~repro.traffic.engine.OpenLoopEngine` both hand it one request.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.tpcw.interactions import SharedSequences
 from repro.tpcw.mixes import Mix
 from repro.tpcw.schema import TpcwScale
 from repro.tpcw.session import EmulatedBrowser
-from repro.traffic.budget import RetryBudget
+from repro.traffic.budget import RetryBudget, retry_budget
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.simcluster import SimDmvCluster
@@ -44,9 +45,11 @@ class Metrics:
     #: ack barrier) — the distribution a straggler slave distorts under
     #: all-slave acks and a quorum protects.
     commit_latency: Histogram = field(default_factory=lambda: Histogram("commit"))
+    #: Requests by outcome (:func:`serve`'s rule) and failed attempts.
     completed: int = 0
     retried: int = 0
     failed: int = 0
+    shed: int = 0
     aborts_by_reason: Dict[str, int] = field(default_factory=dict)
 
     def record_completion(self, time: float, latency: float) -> None:
@@ -235,6 +238,74 @@ def drive(gen):
         value = yield effect
 
 
+def serve(
+    sim: Simulator,
+    session: EmulatedBrowser,
+    name: str,
+    connect: Callable[[], Connection],
+    arrived_at: float,
+    config: CostConfig,
+    max_attempts: int,
+    budget: Optional[RetryBudget],
+    metrics: Metrics,
+    counters: Counters,
+):
+    """Drive interaction ``name`` of ``session`` until it completes, fails
+    or is shed, and return ``(outcome, cause, failed_attempts)``; the
+    return is the client ack.  The one outcome rule of every client:
+
+    * **completed** — latency runs from ``arrived_at`` across attempts;
+    * **shed** — refused without being served: an admission reject (never
+      retried: that would defeat the shed) or a drained retry budget;
+    * **failed** — the client gave up: the deadline ``arrived_at +
+      request_deadline`` passed (checked before every dial and after every
+      failed attempt), or ``max_attempts`` attempts failed.
+
+    Retries back off (jittered, exponential) on the session's own stream,
+    so a mass failure does not resynchronise clients into retry waves.
+    """
+    request_deadline = config.request_deadline
+    deadline = arrived_at + request_deadline if request_deadline > 0 else None
+    failed_attempts = 0
+    while True:
+        if deadline is not None and sim.now() >= deadline:
+            # Doomed before we even dialled: cancel client-side.
+            metrics.failed += 1
+            return "failed", "deadline", failed_attempts
+        conn = connect()
+        conn.deadline = deadline
+        gen = session.start(name, conn)
+        try:
+            yield from drive(gen)
+        except (TransactionAborted, NodeUnavailable) as exc:
+            gen.close()
+            conn.cleanup()
+            reason = getattr(exc, "reason", "node-failure")
+            metrics.record_retry(reason)
+            failed_attempts += 1
+        else:
+            metrics.record_completion(sim.now(), sim.now() - arrived_at)
+            return "completed", None, failed_attempts
+        if reason == "admission-reject":
+            metrics.shed += 1
+            return "shed", reason, failed_attempts
+        if reason == "deadline" or (deadline is not None and sim.now() >= deadline):
+            # Retrying doomed work is the metastability amplifier.
+            metrics.failed += 1
+            return "failed", "deadline", failed_attempts
+        if failed_attempts >= max_attempts:
+            metrics.failed += 1
+            return "failed", "attempts", failed_attempts
+        if budget is not None and not budget.try_spend(sim.now()):
+            # Give up instead of retrying in lock-step with every other
+            # client: the retry storm is what turns a burst into a
+            # metastable outage.
+            counters.add("traffic.retry_budget_exhausted")
+            metrics.shed += 1
+            return "shed", "retry-budget", failed_attempts
+        yield sim.timeout(session.retry_backoff(failed_attempts))
+
+
 class BrowserPool:
     """Closed-loop emulated browsers driving one simulated cluster.
 
@@ -265,11 +336,7 @@ class BrowserPool:
         self._profile = None
         #: Pool-wide retry cap; the open-loop engine keeps per-tenant
         #: budgets of its own.
-        self.retry_budget = (
-            RetryBudget(config.retry_budget_rate, config.retry_budget_burst)
-            if config.retry_budget_rate > 0
-            else None
-        )
+        self.retry_budget = retry_budget(config)
 
     def start(
         self,
@@ -294,7 +361,7 @@ class BrowserPool:
                 think_time_mean=think_time_mean,
             )
             self.browsers.append(browser)
-            self.sim.spawn(self._loop(browser, max_retries), name=f"eb{base + i}")
+            self.sim.spawn(self._loop(browser, max_retries + 1), name=f"eb{base + i}")
 
     def flash_crowd(self, count: int) -> None:
         """Add ``count`` browsers mid-run with the last started profile.
@@ -320,55 +387,15 @@ class BrowserPool:
         """
         self._stop = True
 
-    def _loop(self, browser: EmulatedBrowser, max_retries: int):
-        sim, metrics = self.sim, self.metrics
-        request_deadline = self.config.request_deadline
+    def _loop(self, browser: EmulatedBrowser, max_attempts: int):
+        # Latency runs from the moment this browser *wanted* the
+        # interaction.  Closed-loop clients still under-report overload
+        # (they stop offering load while stalled: coordinated omission).
+        sim = self.sim
         while not self._stop:
             name = browser.pick()
-            start = sim.now()
-            # Latency is measured from ``start`` — the moment this browser
-            # *wanted* the interaction — across all retries.  Closed-loop
-            # clients still under-report overload (they stop offering load
-            # while stalled: coordinated omission); the open-loop
-            # :class:`~repro.traffic.engine.OpenLoopEngine` measures from
-            # the scheduled arrival instead.
-            deadline = start + request_deadline if request_deadline > 0 else None
-            attempts = 0
-            while True:
-                conn = self.connect()
-                conn.deadline = deadline
-                gen = browser.start(name, conn)
-                try:
-                    yield from drive(gen)
-                    metrics.record_completion(sim.now(), sim.now() - start)
-                    break
-                except (TransactionAborted, NodeUnavailable) as exc:
-                    gen.close()
-                    conn.cleanup()
-                    reason = getattr(exc, "reason", "node-failure")
-                    metrics.record_retry(reason)
-                    attempts += 1
-                    if reason == "deadline":
-                        # The whole request is past its deadline; retrying
-                        # the doomed interaction would only amplify load.
-                        metrics.failed += 1
-                        break
-                    if attempts > max_retries:
-                        metrics.failed += 1
-                        break
-                    if self.retry_budget is not None and not self.retry_budget.try_spend(
-                        sim.now()
-                    ):
-                        # Budget drained (e.g. a shed storm of
-                        # ``sched.shed_requests`` rejections): give up
-                        # instead of retrying in lock-step with every other
-                        # browser — the retry storm is what turns a burst
-                        # into a metastable outage.
-                        self.counters.add("bench.retries_exhausted")
-                        metrics.failed += 1
-                        break
-                    # Jittered exponential backoff from the browser's own
-                    # stream: a mass failure does not resynchronise every
-                    # browser into retry waves hitting the recovering node.
-                    yield sim.timeout(browser.retry_backoff(attempts))
+            yield from serve(
+                sim, browser, name, self.connect, sim.now(), self.config,
+                max_attempts, self.retry_budget, self.metrics, self.counters,
+            )
             yield sim.timeout(browser.think_time())

@@ -19,7 +19,7 @@ probe succeeds.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque
+from typing import Deque, Optional
 
 #: Rolling outcome-window size (last N request outcomes) the breaker
 #: judges, and the minimum volume before it may open.
@@ -60,6 +60,15 @@ class RetryBudget:
             return True
         self.exhausted += 1
         return False
+
+
+def retry_budget(config) -> Optional[RetryBudget]:
+    """The retry budget a :class:`~repro.cluster.costs.CostConfig` asks
+    for (None while ``retry_budget_rate`` is 0): one per browser pool, one
+    per open-loop tenant."""
+    if config.retry_budget_rate <= 0:
+        return None
+    return RetryBudget(config.retry_budget_rate, config.retry_budget_burst)
 
 
 class CircuitBreaker:
@@ -118,3 +127,15 @@ class CircuitBreaker:
                 self.state = "open"
                 self._opened_at = now
                 self.opens += 1
+
+    def record_shed(self, now: float) -> None:
+        """A request ended shed (admission reject, drained budget).
+
+        It says nothing about the server's health, so a closed breaker
+        ignores it; but a shed half-open probe never tested the server, so
+        the breaker re-opens and probes again after the cooldown instead
+        of waiting forever for a verdict that will not come.
+        """
+        if self.state == "half-open":
+            self.state = "open"
+            self._opened_at = now

@@ -16,15 +16,12 @@ from ``cluster.rng`` — so constructing or running it cannot perturb the
 seeded legacy runs, and two runs of the same (scenario, seed) produce
 identical schedules, identical retries and identical counters.
 
-Request outcome accounting (the per-tenant SLO invariant audits the
-identity ``injected == completed + failed + shed + in_flight``):
-
-* **completed** — the interaction committed; latency from scheduled
-  arrival recorded against the tenant SLO.
-* **failed** — terminal server-side outcome: deadline exceeded or the
-  per-request attempt ceiling hit.
-* **shed** — load intentionally refused cheaply: admission rejects at the
-  scheduler, circuit-breaker short-circuits, or a drained retry budget.
+Each arrival passes the tenant's circuit breaker (an open breaker sheds
+it client-side), picks a session and is driven by
+:func:`repro.cluster.clients.serve` — the browsers' loop, with its one
+outcome rule.  The per-tenant SLO invariant audits the identity
+``injected == completed + failed + shed + in_flight``; completions within
+the tenant's SLO count as goodput.
 """
 
 from __future__ import annotations
@@ -36,17 +33,18 @@ from repro.common.rng import RngStream
 from repro.sim.stats import Histogram, WindowedRate, pretty_table
 from repro.tpcw.interactions import SharedSequences
 from repro.tpcw.mixes import MIXES
+from repro.tpcw.schema import TpcwScale
 from repro.tpcw.session import EmulatedBrowser
 from repro.traffic.arrivals import iter_arrivals
-from repro.traffic.budget import CircuitBreaker, RetryBudget
+from repro.traffic.budget import CircuitBreaker, retry_budget
 from repro.traffic.scenario import TenantSpec, TrafficScenario
 
-#: Client-visible abort reasons that terminate a request instead of
-#: queueing a retry: the deadline has passed (retrying doomed work is the
-#: metastability amplifier) and admission rejects (retrying immediately
-#: would defeat the shed).
-_TERMINAL_FAIL_REASONS = frozenset(["deadline"])
-_SHED_REASONS = frozenset(["admission-reject"])
+#: Concurrent session contexts each tenant's requests draw from.
+SESSIONS = 32
+#: Goodput sampling window (seconds) for the burst-recovery measurement.
+GOODPUT_WINDOW = 5.0
+#: Burst recovery: goodput back within this fraction of the pre-burst level.
+RECOVERY_EPSILON = 0.25
 
 
 @dataclass
@@ -63,7 +61,7 @@ class TenantStats:
     retried: int = 0
     slo_ok: int = 0
     latency: Histogram = field(default_factory=lambda: Histogram("latency"))
-    goodput: WindowedRate = field(default_factory=lambda: WindowedRate(window=5.0, name="goodput"))
+    goodput: WindowedRate = field(default_factory=lambda: WindowedRate(window=GOODPUT_WINDOW, name="goodput"))
     shed_by_cause: Dict[str, int] = field(default_factory=dict)
 
     def note_shed(self, cause: str) -> None:
@@ -89,11 +87,11 @@ class TrafficStats:
             spec.name: TenantStats(
                 name=spec.name,
                 slo_latency=spec.slo_latency,
-                goodput=WindowedRate(window=scenario.goodput_window, name=spec.name),
+                goodput=WindowedRate(window=GOODPUT_WINDOW, name=spec.name),
             )
             for spec in scenario.tenants
         }
-        self.goodput = WindowedRate(window=scenario.goodput_window, name="goodput")
+        self.goodput = WindowedRate(window=GOODPUT_WINDOW, name="goodput")
         self.end_time = scenario.duration
 
     # -- burst recovery ----------------------------------------------------
@@ -104,8 +102,8 @@ class TrafficStats:
         Returns ``(pre_burst_rate, recovered_at, degraded_duration)`` or
         ``None`` when the scenario has no burst windows.  Recovery means
         two consecutive goodput buckets at or above
-        ``(1 - recovery_epsilon) * pre_burst_rate``; ``recovered_at`` is
-        None (and ``degraded_duration`` runs to the end of the run) when
+        ``(1 - RECOVERY_EPSILON) * pre_burst_rate``; ``recovered_at`` is
+        None (and ``degraded_duration`` runs to the end of injection) when
         goodput never gets back — the metastable signature.
         """
         bursts = self.scenario.bursts()
@@ -113,13 +111,14 @@ class TrafficStats:
             return None
         burst_start = min(start for start, _end in bursts)
         burst_end = max(end for _start, end in bursts)
-        window = self.scenario.goodput_window
         series = self.goodput.series(0.0, self.end_time)
-        pre = series.between(max(0.0, burst_start - 6 * window), burst_start - window)
+        pre = series.between(
+            max(0.0, burst_start - 6 * GOODPUT_WINDOW), burst_start - GOODPUT_WINDOW
+        )
         pre_rate = pre.mean()
         if pre_rate <= 0:
             return (0.0, burst_end, 0.0)
-        threshold = (1.0 - self.scenario.recovery_epsilon) * pre_rate
+        threshold = (1.0 - RECOVERY_EPSILON) * pre_rate
         # Measure only while injection is live: after ``inject_until`` the
         # offered load stops, so near-zero goodput there is drain, not
         # degradation.
@@ -129,7 +128,7 @@ class TrafficStats:
         for t, value in zip(post.times, post.values):
             streak = streak + 1 if value >= threshold else 0
             if streak >= 2:
-                recovered_at = max(burst_end, t - 1.5 * window)
+                recovered_at = max(burst_end, t - 1.5 * GOODPUT_WINDOW)
                 return (pre_rate, recovered_at, max(0.0, recovered_at - burst_end))
         return (pre_rate, None, max(0.0, measure_end - burst_end))
 
@@ -209,14 +208,9 @@ class _Tenant:
                 rng=rng.child(f"s{i}"),
                 now=cluster.sim.now,
             )
-            for i in range(spec.sessions)
+            for i in range(SESSIONS)
         ]
-        self.deadline = spec.deadline if spec.deadline > 0 else cfg.request_deadline
-        self.budget = (
-            RetryBudget(cfg.retry_budget_rate, cfg.retry_budget_burst)
-            if cfg.retry_budget_rate > 0
-            else None
-        )
+        self.budget = retry_budget(cfg)
         self.breaker = (
             CircuitBreaker(cfg.breaker_failure_threshold)
             if cfg.breaker_failure_threshold > 0
@@ -239,32 +233,20 @@ class OpenLoopEngine:
     :meth:`start`.
     """
 
-    def __init__(
-        self,
-        cluster,
-        scenario: TrafficScenario,
-        seed: int = 0,
-        scale=None,
-        sequences: Optional[SharedSequences] = None,
-    ) -> None:
-        from repro.tpcw.schema import TpcwScale
-
+    def __init__(self, cluster, scenario: TrafficScenario, seed: int, scale: TpcwScale) -> None:
         self.cluster = cluster
         self.scenario = scenario
-        self.scale = scale if scale is not None else TpcwScale(num_items=80, num_customers=230)
-        self.sequences = sequences if sequences is not None else SharedSequences(self.scale)
+        self.scale = scale
+        self.sequences = SharedSequences(scale)
         self.rng = RngStream(seed, "traffic")
         self.stats = TrafficStats(scenario)
         self.tenants: List[_Tenant] = [
             _Tenant(spec, self, self.rng.child(spec.name), self.stats.tenants[spec.name])
             for spec in scenario.tenants
         ]
-        self._inject_until = scenario.inject_until
 
-    def start(self, inject_until: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Spawn one injector process per tenant (call before ``sim.run``)."""
-        if inject_until is not None:
-            self._inject_until = inject_until
         self.cluster.traffic_stats = self.stats
         for tenant in self.tenants:
             self.cluster.sim.spawn(
@@ -276,7 +258,8 @@ class OpenLoopEngine:
     def _injector(self, tenant: _Tenant):
         sim = self.cluster.sim
         spec = tenant.spec
-        for at in iter_arrivals(spec.process, tenant.arrival_rng, spec.shape, self._inject_until):
+        until = self.scenario.inject_until
+        for at in iter_arrivals(spec.process, tenant.arrival_rng, spec.shape, until):
             now = sim.now()
             if at > now:
                 yield sim.timeout(at - now)
@@ -285,91 +268,56 @@ class OpenLoopEngine:
             )
 
     def _request(self, tenant: _Tenant, scheduled_at: float):
-        from repro.cluster.clients import SimConnection, drive
-        from repro.common.errors import NodeUnavailable, TransactionAborted
+        # Imported here: repro.cluster.clients imports repro.traffic.budget.
+        from repro.cluster.clients import SimConnection, serve
 
         cluster = self.cluster
         sim = cluster.sim
         stats = tenant.stats
-        spec = tenant.spec
+        breaker = tenant.breaker
         stats.injected += 1
         cluster.counters.add("traffic.requests_injected")
-        now = sim.now()
-        if tenant.breaker is not None and not tenant.breaker.allow(now):
+        if breaker is not None and not breaker.allow(sim.now()):
             stats.note_shed("breaker")
+            cluster.metrics.shed += 1
             cluster.counters.add("traffic.breaker_short_circuits")
             return
         session = tenant.pick_session()
         name = session.pick()
-        deadline = scheduled_at + tenant.deadline if tenant.deadline > 0 else None
-        attempts = 0
+
+        def connect():
+            conn = SimConnection(cluster)
+            conn.tenant = tenant.spec.name
+            return conn
+
         stats.in_flight += 1
         try:
-            while True:
-                now = sim.now()
-                if deadline is not None and now >= deadline:
-                    # Doomed before we even dialled: cancel client-side.
-                    self._fail(tenant, now)
-                    return
-                conn = SimConnection(cluster)
-                conn.tenant = spec.name
-                conn.deadline = deadline
-                gen = session.start(name, conn)
-                try:
-                    yield from drive(gen)
-                    done = sim.now()
-                    latency = done - scheduled_at
-                    stats.completed += 1
-                    stats.latency.record(latency)
-                    if latency <= spec.slo_latency:
-                        # Goodput counts only completions within the SLO: a
-                        # request finishing a minute late is throughput, not
-                        # good service, and counting it would let a
-                        # backlog-draining cluster look "recovered".
-                        stats.slo_ok += 1
-                        stats.goodput.mark(done)
-                        self.stats.goodput.mark(done)
-                    # Cluster-level metrics measure from scheduled arrival
-                    # too: the open-loop latency is the honest one.
-                    cluster.metrics.record_completion(done, latency)
-                    if tenant.breaker is not None:
-                        tenant.breaker.record(True, done)
-                    return
-                except (TransactionAborted, NodeUnavailable) as exc:
-                    gen.close()
-                    conn.cleanup()
-                    now = sim.now()
-                    reason = getattr(exc, "reason", "node-failure")
-                    cluster.metrics.record_retry(reason)
-                    stats.retried += 1
-                    attempts += 1
-                    if reason in _SHED_REASONS:
-                        # An admission reject is the server shedding on
-                        # purpose, not failing: feeding it to the breaker
-                        # would amplify a healthy shed into a client-side
-                        # blackout (the breaker latches open, sheds every
-                        # arrival, and never sees the success that would
-                        # close it).
-                        stats.note_shed(reason)
-                        return
-                    if reason in _TERMINAL_FAIL_REASONS or (
-                        deadline is not None and now >= deadline
-                    ):
-                        self._fail(tenant, now)
-                        return
-                    if attempts >= spec.max_attempts:
-                        self._fail(tenant, now)
-                        return
-                    if tenant.budget is not None and not tenant.budget.try_spend(now):
-                        stats.note_shed("retry-budget")
-                        cluster.counters.add("traffic.retry_budget_exhausted")
-                        return
-                    yield sim.timeout(session.retry_backoff(attempts))
+            outcome, cause, failed_attempts = yield from serve(
+                sim, session, name, connect, scheduled_at, cluster.cost.config,
+                tenant.spec.max_attempts, tenant.budget, cluster.metrics, cluster.counters,
+            )
         finally:
             stats.in_flight -= 1
-
-    def _fail(self, tenant: _Tenant, now: float) -> None:
-        tenant.stats.failed += 1
-        self.cluster.metrics.failed += 1
-        if tenant.breaker is not None:
-            tenant.breaker.record(False, now)
+        now = sim.now()
+        stats.retried += failed_attempts
+        if outcome == "completed":
+            latency = now - scheduled_at
+            stats.completed += 1
+            stats.latency.record(latency)
+            if latency <= tenant.spec.slo_latency:
+                # Goodput counts only completions within the SLO: a request
+                # finishing a minute late is throughput, not good service,
+                # and counting it would let a backlog-draining cluster look
+                # "recovered".
+                stats.slo_ok += 1
+                stats.goodput.mark(now)
+                self.stats.goodput.mark(now)
+        elif outcome == "failed":
+            stats.failed += 1
+        else:
+            stats.note_shed(cause)
+        if breaker is not None:
+            if outcome == "shed":
+                breaker.record_shed(now)
+            else:
+                breaker.record(outcome == "completed", now)

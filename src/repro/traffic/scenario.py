@@ -2,8 +2,9 @@
 
 A :class:`TrafficScenario` is declarative data: a tuple of
 :class:`TenantSpec` (each a named workload with its own rate shape,
-arrival process, TPC-W mix, key skew, deadline and SLO), so "a flash crowd
-on a hot conflict class beside a steady batch tenant" is one literal::
+arrival process, TPC-W mix, key skew, SLO and attempt ceiling), so "a
+flash crowd on a hot conflict class beside a steady batch tenant" is one
+literal::
 
     TrafficScenario(
         name="crowd-beside-batch",
@@ -52,12 +53,6 @@ class TenantSpec:
     #: requests on a few hot sessions (hot carts -> hot conflict classes);
     #: 0 picks sessions uniformly.
     key_skew: float = 0.0
-    #: Concurrent session contexts the tenant's requests draw from.
-    sessions: int = 32
-    #: Per-request deadline (seconds after scheduled arrival); 0 defers to
-    #: ``CostConfig.request_deadline`` (so one config swap toggles the
-    #: defense for a whole scenario).
-    deadline: float = 0.0
     #: Latency SLO threshold for per-tenant attainment accounting.
     slo_latency: float = 1.0
     #: Per-request retry ceiling (the budget may cut retries off earlier).
@@ -74,17 +69,6 @@ class TrafficScenario:
     #: Injection stops this many seconds before ``duration`` so in-flight
     #: requests and retransmissions drain before the invariant audit.
     settle: float = 25.0
-    #: Burst-recovery invariant: goodput must return to within this
-    #: fraction of the pre-burst level...
-    recovery_epsilon: float = 0.25
-    #: ...within this many seconds after the last burst ends.
-    recovery_window: float = 40.0
-    #: Goodput sampling window (seconds) for the recovery measurement.
-    goodput_window: float = 5.0
-    #: Shed-rate fairness: a non-bursting tenant's shed ratio may not
-    #: exceed ``max(fairness_floor, fairness_ratio * worst aggressor)``.
-    fairness_ratio: float = 0.5
-    fairness_floor: float = 0.10
 
     @property
     def inject_until(self) -> float:
@@ -115,7 +99,6 @@ def flash_crowd_scenario(
     burst_extra: float = 120.0,
     burst_start_frac: float = 0.3,
     burst_frac: float = 0.15,
-    deadline: float = 0.0,
 ) -> TrafficScenario:
     """The metastability demo: a Zipf-hot web tenant flash-crowds while a
     uniform batch tenant keeps its steady trickle.
@@ -138,7 +121,6 @@ def flash_crowd_scenario(
                 + BurstRate(extra=burst_extra, start=burst_start, duration=burst_len),
                 mix="ordering",
                 key_skew=1.1,
-                deadline=deadline,
                 slo_latency=1.0,
             ),
             TenantSpec(
@@ -146,7 +128,6 @@ def flash_crowd_scenario(
                 shape=ConstantRate(2.0),
                 mix="shopping",
                 process="uniform",
-                deadline=deadline,
                 slo_latency=2.0,
             ),
         ),

@@ -22,6 +22,8 @@ from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
 from repro.cluster.simdisk import SimDiskCluster
 from repro.cluster.sync import SyncDmvCluster
+from repro.traffic.engine import OpenLoopEngine
+from repro.traffic.scenario import TenantSpec, TrafficScenario
 
 REPO = Path(__file__).resolve().parents[1]
 CLUSTER = REPO / "src" / "repro" / "cluster"
@@ -110,6 +112,23 @@ def test_drivers_keep_no_orchestration_of_their_own():
     for call in ("pre_commit(", "slave.receive(", "on_master_commit("):
         assert call not in threaded, call
     assert "_browser_loop" not in (CLUSTER / "simdisk.py").read_text()
+
+
+def test_one_request_loop_for_every_simulated_client():
+    # Browsers and open-loop tenants both go through clients.serve: one
+    # place retries, and the closed loop's own give-up counter is gone.
+    sources = {path: path.read_text() for path in (REPO / "src").rglob("*.py")}
+    calls = [
+        path.name for path, source in sources.items() for _ in re.findall(r"\.retry_backoff\(", source)
+    ]
+    assert calls == ["clients.py"]
+    assert [path for path, source in sources.items() if "bench.retries_exhausted" in source] == []
+
+
+def test_traffic_dsl_keeps_only_the_knobs_callers_set():
+    assert len(dataclasses.fields(TenantSpec)) <= 7
+    assert len(dataclasses.fields(TrafficScenario)) <= 4
+    assert list(inspect.signature(OpenLoopEngine.start).parameters) == ["self"]
 
 
 # -- surface ratchets: one registry of plans, few flags, few CI jobs --------------------

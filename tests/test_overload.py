@@ -15,7 +15,6 @@ from repro.chaos.plans import DEFENSE_COUNTERS, OVERLOAD_BASE_COST
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
-from repro.traffic.scenario import flash_crowd_scenario
 
 SCALE = TpcwScale(num_items=80, num_customers=230)
 
@@ -70,9 +69,9 @@ class TestQueueLimitComposition:
 
     def test_queue_shed_and_browser_retry_budget_compose(self):
         # Same reconfiguration storm, with the closed-loop browsers' own
-        # retry budget turned on: once the bucket drains, further shed
-        # retries give up and surface as bench.retries_exhausted instead
-        # of hammering the recovering scheduler forever.
+        # retry budget turned on: once the bucket drains, further failed
+        # requests are shed (traffic.retry_budget_exhausted) instead of
+        # hammering the recovering scheduler forever.
         cfg = CostConfig(
             update_queue_limit=1,
             retry_budget_rate=0.2,
@@ -82,7 +81,9 @@ class TestQueueLimitComposition:
         cluster.kill_node_at("m0", 15.0)
         run_workload(cluster, duration=70.0, browsers=12)
         assert merged_counter(cluster, "sched.shed_requests") > 0
-        assert merged_counter(cluster, "bench.retries_exhausted") > 0
+        exhausted = merged_counter(cluster, "traffic.retry_budget_exhausted")
+        assert exhausted > 0
+        assert cluster.metrics.shed == exhausted
         assert cluster.metrics.completed > 0
 
 
@@ -95,7 +96,6 @@ class TestDeadlinePropagation:
         plan = replace(
             PLANS["overload-undefended"],
             cost=replace(OVERLOAD_BASE_COST, update_mpl=1, request_deadline=0.4),
-            traffic=lambda duration: flash_crowd_scenario(duration, deadline=0.4),
         )
         report = run_plan(plan, seed=5, duration=60.0)
         assert report.counters.get("sched.deadline_cancels", 0) > 0
@@ -111,7 +111,6 @@ class TestDeadlinePropagation:
         plan = replace(
             PLANS["overload-undefended"],
             cost=replace(OVERLOAD_BASE_COST, request_deadline=1.0),
-            traffic=lambda duration: flash_crowd_scenario(duration, deadline=1.0),
         )
         report = run_plan(plan, seed=2, duration=60.0)
         for stats in report.traffic.tenants.values():

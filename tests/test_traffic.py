@@ -146,6 +146,18 @@ class TestCircuitBreaker:
         assert breaker.state == "open"
         assert not breaker.allow(7.0)
 
+    def test_shed_probe_reopens_and_a_closed_breaker_ignores_sheds(self):
+        breaker = CircuitBreaker(0.5, window=2, cooldown=5.0)
+        breaker.record_shed(1.0)
+        assert breaker.state == "closed"
+        breaker.record(False, 2.0)
+        breaker.record(False, 2.0)
+        assert breaker.allow(7.0)
+        breaker.record_shed(7.2)  # the probe never reached the server
+        assert breaker.state == "open"
+        assert not breaker.allow(12.0)
+        assert breaker.allow(12.5)  # probes again after the cooldown
+
 
 def _quiet_scenario(rate=6.0, duration=40.0, **tenant_kwargs):
     """One-tenant scenario (fast to simulate)."""
@@ -219,6 +231,45 @@ class TestOpenLoopEngine:
         stats = report.traffic.tenants["web"]
         assert stats.failed > 0
         assert stats.accounted() == stats.injected
+
+    def test_half_open_breaker_does_not_latch_when_its_probe_is_shed(self):
+        # A scheduler that admits nothing (burst < one token) and a tenant
+        # breaker forced open at t=0: every probe is an admission reject.
+        # A shed probe re-opens the breaker, so it keeps probing once per
+        # cooldown; it must not stay half-open and short-circuit the rest.
+        from repro.cluster.simcluster import SimDmvCluster
+        from repro.tpcw import TPCW_SCHEMAS, TpcwScale
+        from repro.tpcw.datagen import cached_rows
+        from repro.traffic.engine import OpenLoopEngine
+
+        scale = TpcwScale(num_items=80, num_customers=230)
+        cfg = CostConfig(admission_rate=0.5, admission_burst=0.5, breaker_failure_threshold=0.5)
+        cluster = SimDmvCluster(TPCW_SCHEMAS, num_slaves=1, seed=3, cost_config=cfg)
+        cluster.load_tables(cached_rows(scale, 11))
+        scenario = _quiet_scenario(duration=40.0)
+        engine = OpenLoopEngine(cluster, scenario, seed=3, scale=scale)
+        breaker = engine.tenants[0].breaker
+        for _ in range(breaker.window):
+            breaker.record(False, 0.0)
+        engine.start()
+        cluster.run(until=scenario.duration)
+        stats = engine.stats.tenants["web"]
+        probes = stats.shed_by_cause["admission-reject"]
+        assert probes >= scenario.inject_until // breaker.cooldown - 1
+        assert breaker.state == "open"
+        assert stats.accounted() == stats.injected
+
+    def test_burst_recovery_stops_where_the_plan_stops_injection(self):
+        # The plan's settle is the scenario's: with injection stopping at
+        # 80 s, recovery is measured from the burst's end (54 s) to 80 s,
+        # not to the scenario's own 95 s.
+        from repro.chaos.plans import PLANS
+
+        report = run_plan(replace(PLANS["overload-undefended"], settle=40.0), duration=120.0)
+        assert report.traffic.scenario.inject_until == 80.0
+        _pre_rate, recovered_at, degraded = report.traffic.burst_recovery()
+        assert recovered_at is None
+        assert degraded == pytest.approx(26.0)
 
     def test_defense_configs_default_off(self):
         cfg = CostConfig()
