@@ -20,8 +20,7 @@ page (lazy application).  This is the core of Dynamic Multiversioning:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.counters import Counters
 from repro.common.errors import SchemaError, VersionInconsistency
@@ -73,8 +72,9 @@ class SlaveReplica:
         if engine is None:
             engine = HeapEngine(counters=self.counters, name=f"slave:{node_id}")
         self.engine = engine
-        #: page -> ordered queue of (version, PageOp) not yet applied.
-        self.pending: Dict[PageId, Deque[Tuple[int, object]]] = {}
+        #: page -> the write-sets' shared (version, PageOp) entries not yet
+        #: applied, in version order.
+        self.pending: Dict[PageId, List[Tuple[int, PageOp]]] = {}
         self.engine.set_controller(SlaveController(self))
         #: Highest versions received from masters (per table).
         self.received_versions = VersionVector()
@@ -181,7 +181,7 @@ class SlaveReplica:
                 continue  # checkpoint image already contains this op
             queue = pending.get(page_id)
             if queue is None:
-                queue = pending[page_id] = deque()
+                queue = pending[page_id] = []
             queue.append(entry)
             if table_of is not None:
                 table_of(page_id.table).index_apply_committed(op, version)
@@ -200,22 +200,20 @@ class SlaveReplica:
     # materialisation from O(ops) page writes into O(slots touched).
 
     def _coalesce(
-        self, queue: Deque[Tuple[int, PageOp]], target: Optional[int]
+        self, queue: List[Tuple[int, PageOp]], target: Optional[int]
     ) -> Tuple[Dict[int, Tuple[str, object]], int, int]:
-        """Pop ops at-or-below ``target``; return the per-slot plan.
+        """Plan the queue's prefix at-or-below ``target``, consuming nothing.
 
         The plan maps slot -> ("full", row_or_None) | ("delta", {pos: val}).
-        Returns ``(plan, top_version, popped)``.
+        Returns ``(plan, top_version, count)``: ``count`` ops make the plan.
         """
         plan: Dict[int, Tuple[str, object]] = {}
         top = -1
-        popped = 0
-        while queue:
-            version, op = queue[0]
+        count = 0
+        for version, op in queue:
             if target is not None and version > target:
                 break
-            queue.popleft()
-            popped += 1
+            count += 1
             if version > top:
                 top = version
             if op.kind is OpKind.DELETE:
@@ -234,16 +232,15 @@ class SlaveReplica:
                     )
                 else:
                     plan[op.slot] = ("full", op.apply_delta(state[1]))
-        self.pending_ops -= popped
-        return plan, top, popped
+        return plan, top, count
 
     def _apply_plan(
-        self, page: Page, plan: Dict[int, Tuple[str, object]], top: int, popped: int
+        self, page: Page, plan: Dict[int, Tuple[str, object]], top: int, count: int
     ) -> None:
+        """Resolve every row before the first write: all or nothing."""
+        rows = []
         for slot, (shape, payload) in plan.items():
-            if shape == "full":
-                page.put(slot, payload)
-            else:
+            if shape == "delta":
                 base = page.get(slot)
                 if base is None:
                     raise SchemaError(
@@ -252,28 +249,36 @@ class SlaveReplica:
                 row = list(base)
                 for position, value in payload.items():
                     row[position] = value
-                page.put(slot, tuple(row))
+                payload = tuple(row)
+            rows.append((slot, payload))
+        for slot, row in rows:
+            page.put(slot, row)
         if top > page.version:
             page.version = top
         if plan:
             self.counters.add("slave.ops_applied", len(plan))
-        if popped > len(plan):
-            self.counters.add("slave.ops_coalesced", popped - len(plan))
+        if count > len(plan):
+            self.counters.add("slave.ops_coalesced", count - len(plan))
 
     def _apply_queue(
-        self, page: Page, queue: Deque[Tuple[int, PageOp]], target: Optional[int]
+        self, page: Page, queue: List[Tuple[int, PageOp]], target: Optional[int]
     ) -> Tuple[int, int]:
         """The one apply step: coalesce ``page``'s ``queue`` up to ``target``
-        (``None`` = everything), write the plan, drop the queue once empty.
+        (``None`` = everything), write the plan, then consume its ops and
+        drop the queue once empty.  All or nothing: an op that cannot be
+        applied raises with the queue, :attr:`pending_ops` and the page as
+        they were.
 
         Returns ``(ops consumed, slot writes performed)``.
         """
-        plan, top, popped = self._coalesce(queue, target)
-        if popped:
-            self._apply_plan(page, plan, top, popped)
+        plan, top, count = self._coalesce(queue, target)
+        if count:
+            self._apply_plan(page, plan, top, count)
+            del queue[:count]
+            self.pending_ops -= count
         if not queue:
             del self.pending[page.page_id]
-        return popped, len(plan)
+        return count, len(plan)
 
     def materialize(self, page: Page, txn: Transaction) -> None:
         """Bring ``page`` to the version ``txn`` must read.
@@ -371,13 +376,9 @@ class SlaveReplica:
         discarded = 0
         for page_id in list(self.pending):
             queue = self.pending[page_id]
-            keep: Deque[Tuple[int, object]] = deque()
-            dropped: List[Tuple[int, object]] = []
-            for version, op in queue:
-                if version <= versions.get(page_id.table):
-                    keep.append((version, op))
-                else:
-                    dropped.append((version, op))
+            confirmed = versions.get(page_id.table)
+            keep = [entry for entry in queue if entry[0] <= confirmed]
+            dropped = [entry for entry in queue if entry[0] > confirmed]
             # Undo the eager index maintenance in reverse receive order:
             # an insert-then-delete of the same key (one transaction's
             # write-set) must unmark the delete while the entry still
@@ -448,9 +449,7 @@ class SlaveReplica:
         page.load_from(image.page)
         queue = self.pending.get(image.page_id)
         if queue:
-            kept = deque(
-                (version, op) for version, op in queue if version > image.version
-            )
+            kept = [entry for entry in queue if entry[0] > image.version]
             self.pending_ops -= len(queue) - len(kept)
             if kept:
                 self.pending[image.page_id] = kept

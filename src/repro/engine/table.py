@@ -86,13 +86,13 @@ class Table:
         schema order; keys encoded; immutable, so replicas share it.
 
         The one place that knows the INSERT / DELETE / UPDATE three-way and
-        both UPDATE encodings.  Cached on the op like its wire size (not a
-        field: the size is unchanged): derived by the master when it builds
-        the redo op, or here on first use (WAL restore, hand-built op); the
-        master's pending entries, stamp and revert and every slave's apply
-        and discard loop over the same tuple.
+        both UPDATE encodings.  Cached in the op's ``_index_delta`` slot like
+        its wire size (not shipped: the size is unchanged): derived by the
+        master when it builds the redo op, or here on first use (WAL restore,
+        hand-built op); the master's pending entries, stamp and revert and
+        every slave's apply and discard loop over the same tuple.
         """
-        delta = op.__dict__.get("_index_delta")
+        delta = op._index_delta
         if delta is not None:
             return delta
         ENCODE_STATS["index_deltas"] += 1

@@ -37,7 +37,7 @@ class OpKind(enum.Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageOp:
     """One slot-level modification of one page.
 
@@ -64,6 +64,12 @@ class PageOp:
     #: ``(page_id, slot)``, built once: the index entries the op makes on
     #: the master and on every slave share this one tuple.
     loc: Tuple[PageId, int] = field(init=False, repr=False, compare=False)
+    #: Caches, derived on first use and shared by every replica the op
+    #: reaches: declared slots, outside the op's identity and wire size.
+    _delta_items: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
+    _index_delta: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
+    _full_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _encoded_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "loc", (self.page_id, self.slot))
@@ -74,7 +80,7 @@ class PageOp:
 
     def delta_items(self) -> Tuple[Tuple[int, object], ...]:
         """``(position, new_value)`` pairs of a delta op, ascending."""
-        cached = self.__dict__.get("_delta_items")
+        cached = self._delta_items
         if cached is None:
             cached = tuple(zip(_mask_positions(self.delta_mask), self.delta or ()))
             object.__setattr__(self, "_delta_items", cached)
@@ -170,7 +176,7 @@ def apply_ops(page: Page, ops: Iterable[PageOp]) -> int:
 
 def encoded_size(op: PageOp) -> int:
     """Wire size of one op in bytes (computed once, cached on the op)."""
-    cached = op.__dict__.get("_encoded_size")
+    cached = op._encoded_size
     if cached is None:
         cached = _compute_encoded_size(op)
         object.__setattr__(op, "_encoded_size", cached)
@@ -193,7 +199,7 @@ def _compute_encoded_size(op: PageOp) -> int:
 
 def bytes_saved(op: PageOp) -> int:
     """Bytes delta encoding shaved off this op vs full before/after images."""
-    full = op.__dict__.get("_full_size")
+    full = op._full_size
     return full - encoded_size(op) if full is not None else 0
 
 

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.common.errors import VersionInconsistency
+from repro.common.errors import SchemaError, VersionInconsistency
+from repro.common.ids import page_id_of
 from repro.common.versions import VersionVector
-from repro.core import MasterReplica, SlaveReplica
+from repro.core import MasterReplica, SlaveReplica, WriteSet
 from repro.engine import Column, HeapEngine, IndexDef, TableSchema
 from repro.sql import SqlExecutor
+from repro.storage.ops import OpKind, PageOp, delta_update_op
 
 ITEM = TableSchema(
     "item",
@@ -247,6 +249,50 @@ class TestApplyAllAndDiscard:
         sql = SqlExecutor(slave.engine)
         txn = slave.begin_read_only(VersionVector({"item": 0}))
         assert sql.execute(txn, "SELECT COUNT(*) FROM item WHERE i_id = 5").scalar() == 1
+
+
+class TestApplyIsAllOrNothing:
+    """An op that cannot be applied raises with the slave as it was: the
+    queue keeps every op, ``pending_ops`` still counts them, the page is
+    unwritten.  The ops are hand-built (no master emits them) and buffered
+    in catch-up mode, which skips the eager index maintenance."""
+
+    PAGE = page_id_of("orders", 0)
+
+    def buffered(self, *ops):
+        slave = SlaveReplica("s0")
+        slave.engine.create_table(ORDERS)
+        slave.catching_up = True
+        for version, op in enumerate(ops, 1):
+            slave.receive(WriteSet("m0", version, (op,), {"orders": version}, seq=version))
+        return slave
+
+    def assert_untouched(self, slave, queued):
+        assert slave.pending_ops == slave.pending_op_count() == len(queued)
+        assert [op for _version, op in slave.pending[self.PAGE]] == list(queued)
+        page = slave.engine.store.get(self.PAGE)
+        assert page.version == 0 and page.live_rows == 0
+        assert not any(page.slots)
+
+    def test_delta_update_of_a_deleted_slot(self):
+        ops = (
+            PageOp(self.PAGE, OpKind.DELETE, 0, None, (1, 1.0)),
+            delta_update_op(self.PAGE, 0, (1, 1.0), (1, 2.0)),
+        )
+        slave = self.buffered(*ops)
+        with pytest.raises(SchemaError, match="deleted slot"):
+            slave.materialize_fully(self.PAGE)
+        self.assert_untouched(slave, ops)
+
+    def test_delta_update_of_an_empty_slot_after_a_write(self):
+        ops = (
+            PageOp(self.PAGE, OpKind.INSERT, 0, (1, 1.0)),
+            delta_update_op(self.PAGE, 1, (2, 1.0), (2, 2.0)),
+        )
+        slave = self.buffered(*ops)
+        with pytest.raises(SchemaError, match="empty slot"):
+            slave.materialize_fully(self.PAGE)
+        self.assert_untouched(slave, ops)
 
 
 class TestMigrationSupport:

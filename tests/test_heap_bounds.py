@@ -17,10 +17,17 @@ ordering-mix run on two masters and four slaves pins:
   the data, not with run length.  Measured on CPython 3.11: 3.09 and 4.45
   (5.47 and 12.3 with an entry object per index fact, a ``PageId`` per page
   per replica, a queue tuple per op per slave, and every write-set sent and
-  update query logged kept alive).
+  update query logged kept alive);
+* bytes per inserted row replica, the same T / 2T runs at one row per page
+  (the benchmark's layout, where every inserted row is a page no slave
+  reader touches, so its ops stay buffered) under ``tracemalloc``: object
+  counts cannot tell a pending queue's ``deque`` from its ``list``, bytes
+  can.  Measured on CPython 3.11: 1,198 B (1,807 B with a ``deque`` per
+  pending page); bulk-loaded rows hold 801 B per row replica either way.
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -33,6 +40,7 @@ RUN_SIM_S = 15.0
 SETTLE_SIM_S = 25.0
 BULK_BUDGET = 3.5  # tracked objects per bulk-loaded row, per replica
 GROWTH_BUDGET = 5.0  # tracked objects per inserted row, per replica
+GROWTH_BYTES_BUDGET = 1400  # traced bytes per inserted row, per replica, one row per page
 
 
 def tracked_heap() -> int:
@@ -40,7 +48,12 @@ def tracked_heap() -> int:
     return len(gc.get_objects())
 
 
-def build() -> SimDmvCluster:
+def traced_bytes() -> int:
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def build(**cluster_kwargs) -> SimDmvCluster:
     cluster = SimDmvCluster(
         TPCW_SCHEMAS,
         num_slaves=4,
@@ -48,6 +61,7 @@ def build() -> SimDmvCluster:
         num_masters=2,
         conflict_map=tpcw_conflict_map(multi_master=True),
         seed=0,
+        **cluster_kwargs,
     )
     cluster.load(TpcwDataGenerator(SCALE, seed=11))
     return cluster
@@ -128,3 +142,19 @@ def test_tracked_objects_grow_with_rows_not_with_run_length():
     assert inserted > 1000
     grown = after_2t - after_t
     assert grown <= inserted * GROWTH_BUDGET, f"{grown} tracked for {inserted} inserted"
+
+
+def test_retained_bytes_grow_with_rows_not_with_run_length():
+    tracemalloc.start()
+    try:
+        cluster = run_quiesced(build(rows_per_page=1), RUN_SIM_S)
+        after_t, rows_t = traced_bytes(), row_replicas(cluster)
+        cluster = None
+        cluster = run_quiesced(build(rows_per_page=1), 2 * RUN_SIM_S)
+        after_2t, rows_2t = traced_bytes(), row_replicas(cluster)
+    finally:
+        tracemalloc.stop()
+    inserted = rows_2t - rows_t
+    assert inserted > 1000
+    grown = after_2t - after_t
+    assert grown <= inserted * GROWTH_BYTES_BUDGET, f"{grown} B for {inserted} inserted"

@@ -46,7 +46,7 @@ from tests.test_replica_copy import (
 def fresh(op):
     """``op`` as a log or a wire would hand it over: equal, nothing cached on it."""
     copy = dataclasses.replace(op)
-    assert copy == op and "_index_delta" not in copy.__dict__
+    assert copy == op and copy._index_delta is None
     return copy
 
 
@@ -170,7 +170,7 @@ def test_index_delta_equals_the_keys_of_the_full_rows(history):
         assert ENCODE_STATS["index_deltas"] - derived == len(txn.redo)
         for record, op in zip(txn.journal, txn.redo):
             delta = table.index_delta(op)
-            assert delta is record.index_delta is op.__dict__["_index_delta"]
+            assert delta is record.index_delta is op._index_delta
             assert delta == expected_delta(table, record.before, record.after)
             assert_immutable(delta)
             # An op with nothing cached derives the same delta, delta-encoded
@@ -339,7 +339,7 @@ def test_replicas_fed_the_same_ops_share_nothing_mutable():
         slave.receive(second)
     for write_set in (first, second):
         for op in write_set.ops:
-            assert_immutable(op.__dict__["_index_delta"])
+            assert_immutable(op._index_delta)
 
     class Wrapped:  # what ``mutable_parts`` walks
         def __init__(self, engine):

@@ -12,6 +12,7 @@ The reference oracle below replays a queue sequentially with
 
 from hypothesis import given, settings, strategies as st
 
+from repro.common.counters import Counters
 from repro.common.ids import PageId
 from repro.common.versions import VersionVector
 from repro.core import MasterReplica, SlaveReplica
@@ -87,23 +88,20 @@ def _sequential_reference(base: Page, queue, target):
 
 def _fresh_slave_queue(ops):
     """A bare page + pending queue holding ``ops`` at versions 1..N."""
-    from collections import deque
-
     page = Page(PAGE, CAPACITY)
-    queue = deque((v + 1, op) for v, op in enumerate(ops))
+    queue = [(v + 1, op) for v, op in enumerate(ops)]
     return page, queue
 
 
 def _coalesced(page: Page, queue, target):
-    """Run SlaveReplica's coalesced apply against a standalone page."""
+    """Run SlaveReplica's one apply step on ``queue`` as the page's pending
+    list, against a standalone page; the queue keeps what it left."""
     slave = SlaveReplica.__new__(SlaveReplica)
-    from repro.common.counters import Counters
-
     slave.counters = Counters()
-    slave.pending_ops = 0
-    plan, top, popped = slave._coalesce(queue, target)
-    if popped:
-        slave._apply_plan(page, plan, top, popped)
+    slave.pending = {page.page_id: queue}
+    slave.pending_ops = len(queue)
+    slave._apply_queue(page, queue, target)
+    assert slave.pending_ops == len(queue) == slave.pending_op_count()
     return page
 
 
@@ -133,10 +131,8 @@ def test_coalesced_apply_after_discard_above(draws, keep, target):
 
     expect = _sequential_reference(base, kept, target)
 
-    from collections import deque
-
     page = base.snapshot()
-    _coalesced(page, deque(kept), target)
+    _coalesced(page, kept, target)
     assert page.slots == expect.slots
     assert page.version == expect.version
 
@@ -154,10 +150,8 @@ def test_coalesced_apply_after_receive_page(draws, installed):
 
     expect = _sequential_reference(image, remaining, None)
 
-    from collections import deque
-
     page = image.snapshot()
-    _coalesced(page, deque(remaining), None)
+    _coalesced(page, remaining, None)
     assert page.slots == expect.slots
     assert page.version == expect.version
 
