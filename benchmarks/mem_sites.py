@@ -2,6 +2,7 @@
 """What one benchmark run keeps alive, by allocation site.
 
     python3 benchmarks/mem_sites.py [--workload hot_scaleout] [--seed 0] [--seconds 8] [--top 15]
+                                    [--at settle|setup]
 
 Runs one workload of the repository benchmark through its own
 ``run_workload`` (``benchmarks/perf`` is imported as it is, not copied) with
@@ -12,7 +13,10 @@ run has quiesced — the live cluster with the ops its slaves still buffer,
 which is what the benchmark's ``peak_rss_mb`` mostly is.  ``tracemalloc``
 stores a traceback per block, so the resident set printed here is well above
 the benchmark's: compare sites and traced bytes between checkouts, never
-this ``ru_maxrss`` with ``peak_rss_mb``.  Standard library only.
+this ``ru_maxrss`` with ``peak_rss_mb``.  ``--at setup`` takes the snapshot
+instead when the cluster is set up and its clients started, before the first
+event runs: what a set-up change (loading, copying replicas) leaves behind.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -42,23 +46,30 @@ def site(frame: tracemalloc.Frame) -> str:
     return f"{path}:{frame.lineno}"
 
 
-def measure(workload: str, seed: int, seconds: float):
+def measure(workload: str, seed: int, seconds: float, at: str = "settle"):
     """Run the workload traced; returns ``(run, current, peak, statistics)``.
 
     Current memory and the statistics (largest first) are taken when the
-    settle span ends: the run has quiesced, and the harness's audit, which
-    materialises every page a slave still holds ops for, has not yet run.
+    settle span ends (``at="settle"``): the run has quiesced, and the
+    harness's audit, which materialises every page a slave still holds ops
+    for, has not yet run.  ``at="setup"`` takes them at the first call into
+    the event loop, before it runs: set-up done, clients started.
     The harness's calibration floats are built before tracing starts: they
     are in the benchmark's resident set, but no part of the simulator."""
-    taken = {}
+    taken = {"calls": 0}
+
+    def take():
+        gc.collect()
+        taken["current"] = tracemalloc.get_traced_memory()[0]
+        taken["snapshot"] = tracemalloc.take_snapshot()
 
     def around_run(fn, *args, **kwargs):
+        if at == "setup" and taken["calls"] == 0:
+            take()
         result = fn(*args, **kwargs)
-        taken["calls"] = taken.get("calls", 0) + 1
-        if taken["calls"] == RUN_SLICES + 1:  # the settle span
-            gc.collect()
-            taken["current"] = tracemalloc.get_traced_memory()[0]
-            taken["snapshot"] = tracemalloc.take_snapshot()
+        taken["calls"] += 1
+        if at == "settle" and taken["calls"] == RUN_SLICES + 1:  # the settle span
+            take()
         return result
 
     calibration_pass()
@@ -78,12 +89,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--top", type=int, default=15)
+    parser.add_argument("--at", choices=("settle", "setup"), default="settle",
+                        help="snapshot when the settle span ends, or before the first event")
     args = parser.parse_args(argv)
 
-    run, current, peak, stats = measure(args.workload, args.seed, args.seconds)
+    run, current, peak, stats = measure(args.workload, args.seed, args.seconds, args.at)
     mib = 1024 * 1024
     print(f"{args.workload}  seed={args.seed}  seconds={args.seconds:g}  "
-          f"sim={run.sim_duration:g}s")
+          f"sim={run.sim_duration:g}s  at={args.at}")
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"ru_maxrss {maxrss:.1f} MiB (inflated by tracemalloc: not peak_rss_mb)")
     print(f"traced current {current / mib:.1f} MiB, peak {peak / mib:.1f} MiB")

@@ -18,6 +18,9 @@ lazily.  Reads filter entries by their transaction's version tag (or read
 
 An entry is not an object: a key's bucket is one flat list of immutable
 elements, ``loc, insert_v, delete_v, writer`` per entry (DESIGN.md §2).
+A bucket copied into another replica is frozen into a tuple that both
+share; the write side thaws it back into the writer's own list
+(:meth:`_BucketOps._writable`), the read side iterates either.
 """
 
 from __future__ import annotations
@@ -130,7 +133,10 @@ class _BucketOps:
         #: :meth:`gc` can ever remove, so it walks nothing while this is 0.
         self.committed_deletes = 0
 
-    # Subclasses provide _bucket(key, create) and _drop_bucket(key) (encoded keys).
+    # Subclasses provide, for encoded keys, _bucket(key) to read a bucket (a
+    # list, a frozen tuple or None), _writable(key, create) to get its own
+    # list (thawing a frozen one, creating an absent one only if ``create``)
+    # and _drop_bucket(key).
 
     def _find(self, key: Key, loc: Loc, field: int, value, what: str, undo: bool = False):
         """``(bucket, position)`` of the entry at ``loc`` whose ``field`` is
@@ -145,7 +151,7 @@ class _BucketOps:
         the same key, delete again): forward steps run in journal order and
         consume the oldest match, ``undo`` steps the newest.
         """
-        bucket = self._bucket(key, create=False)
+        bucket = self._writable(key, create=False)
         positions = range(0, len(bucket or ()), STRIDE)
         for i in reversed(positions) if undo else positions:
             if bucket[i + field] == value and bucket[i] == loc:
@@ -160,7 +166,7 @@ class _BucketOps:
 
     # -- master write path (pending entries) ---------------------------------
     def add_pending(self, key: Key, loc: Loc, writer: TxnId) -> None:
-        self._bucket(key, create=True).extend((loc, None, None, writer))
+        self._writable(key, create=True).extend((loc, None, None, writer))
         self.entry_count += 1
 
     def mark_delete_pending(self, key: Key, loc: Loc, writer: TxnId) -> None:
@@ -191,7 +197,7 @@ class _BucketOps:
 
     # -- slave apply path (already committed) ----------------------------------
     def add_committed(self, key: Key, loc: Loc, version: int) -> None:
-        self._bucket(key, create=True).extend((loc, version, None, None))
+        self._writable(key, create=True).extend((loc, version, None, None))
         self.entry_count += 1
 
     def mark_delete_committed(self, key: Key, loc: Loc, version: int) -> None:
@@ -214,7 +220,7 @@ class _BucketOps:
     def lookup(self, key: Key, reader: Optional[TxnId], tag_v: Optional[int]) -> List[Loc]:
         """Visible locations under ``key``: :func:`visible`, inlined per case."""
         self.counters.add("index.lookups")
-        bucket = self._bucket(encode_key(key), create=False)
+        bucket = self._bucket(encode_key(key))
         if not bucket:
             return []
         it = iter(bucket)
@@ -233,6 +239,8 @@ class _BucketOps:
 
     # -- garbage collection --------------------------------------------------------
     def _gc_bucket(self, bucket: List, watermark: int) -> int:
+        """Drop the entries of the list ``bucket`` deleted at or before
+        ``watermark``, in place; returns how many."""
         kept: List = []
         for entry in entries(bucket):
             delete_v = entry[_DELETE_V]
@@ -244,6 +252,16 @@ class _BucketOps:
         self.committed_deletes -= removed
         return removed
 
+    def _collect(self, bucket, watermark: int) -> Tuple[List, int]:
+        """GC one bucket: ``(what replaces it, entries dropped)``.  A frozen
+        bucket is collected in a thawed copy, which replaces it only if it
+        lost entries."""
+        if type(bucket) is not tuple:
+            return bucket, self._gc_bucket(bucket, watermark)
+        thawed = list(bucket)
+        removed = self._gc_bucket(thawed, watermark)
+        return (thawed if removed else bucket), removed
+
 
 class VersionedHashIndex(_BucketOps):
     """Equality-only index (primary keys and unique lookups)."""
@@ -252,17 +270,28 @@ class VersionedHashIndex(_BucketOps):
         super().__init__(name, table, counters if counters is not None else Counters())
         self._buckets: Dict[Key, List] = {}
 
-    def _bucket(self, key: Key, create: bool) -> Optional[List]:
-        if create:
-            return self._buckets.setdefault(key, [])
+    def _bucket(self, key: Key):
         return self._buckets.get(key)
+
+    def _writable(self, key: Key, create: bool) -> Optional[List]:
+        bucket = self._buckets.get(key)
+        if type(bucket) is tuple or (bucket is None and create):
+            bucket = self._buckets[key] = list(bucket or ())
+        return bucket
 
     def _drop_bucket(self, key: Key) -> None:
         self._buckets.pop(key, None)
 
     def copy_from(self, source: "VersionedHashIndex") -> None:
-        """Become a copy of ``source``: same buckets in the same order."""
-        self._buckets = {key: bucket[:] for key, bucket in source._buckets.items()}
+        """Become a copy of ``source``: same buckets in the same order.
+
+        ``source``'s buckets are frozen in place and shared; whichever
+        replica writes one next thaws its own (:meth:`_writable`).
+        """
+        buckets = source._buckets
+        for key, bucket in buckets.items():
+            buckets[key] = tuple(bucket)
+        self._buckets = dict(buckets)
         self.entry_count = source.entry_count
         self.committed_deletes = source.committed_deletes
 
@@ -270,10 +299,14 @@ class VersionedHashIndex(_BucketOps):
         if not self.committed_deletes:
             return 0
         removed = 0
-        for key, bucket in list(self._buckets.items()):
-            removed += self._gc_bucket(bucket, watermark)
+        buckets = self._buckets
+        for key, bucket in list(buckets.items()):
+            bucket, dropped = self._collect(bucket, watermark)
             if not bucket:
-                del self._buckets[key]
+                del buckets[key]
+            elif dropped:
+                buckets[key] = bucket
+            removed += dropped
         return removed
 
 
@@ -289,16 +322,22 @@ class VersionedTreeIndex(_BucketOps):
         super().__init__(name, table, counters if counters is not None else Counters())
         self._tree = RedBlackTree()
 
-    def _bucket(self, key: Key, create: bool) -> Optional[List]:
+    def _bucket(self, key: Key):
+        return self._tree.get(key)
+
+    def _writable(self, key: Key, create: bool) -> Optional[List]:
+        """Thaws through the node the one search found, so a frozen bucket
+        costs no extra tree visits."""
         before = self._tree.rotations
-        if create:
-            bucket = self._tree.setdefault(key, list)
-        else:
-            bucket = self._tree.get(key)
+        node = self._tree.node(key, list if create else None)
         rotations = self._tree.rotations - before
         if rotations:
             self.counters.add("index.rotations", rotations)
-        return bucket
+        if node is None:
+            return None
+        if type(node.value) is tuple:
+            node.value = list(node.value)
+        return node.value
 
     def _drop_bucket(self, key: Key) -> None:
         before = self._tree.rotations
@@ -310,11 +349,13 @@ class VersionedTreeIndex(_BucketOps):
     def copy_from(self, source: "VersionedTreeIndex") -> None:
         """Become a copy of ``source``, tree shape included.
 
-        The rotations that built the tree are charged here as building it
-        here would have charged them.
+        Node for node; ``source``'s buckets are frozen in place and shared,
+        as in :meth:`VersionedHashIndex.copy_from`.  The rotations that
+        built the tree are charged here as building it here would have
+        charged them.
         """
         rotations = source._tree.rotations - self._tree.rotations
-        self._tree = source._tree.copy(list.copy)
+        self._tree = source._tree.copy(tuple)
         self.entry_count = source.entry_count
         self.committed_deletes = source.committed_deletes
         if rotations:
@@ -378,10 +419,13 @@ class VersionedTreeIndex(_BucketOps):
             return 0
         removed = 0
         empty_keys = []
-        for key, bucket in self._tree.items():
-            removed += self._gc_bucket(bucket, watermark)
+        for node in self._tree.nodes():
+            bucket, dropped = self._collect(node.value, watermark)
             if not bucket:
-                empty_keys.append(key)
+                empty_keys.append(node.key)
+            elif dropped:
+                node.value = bucket
+            removed += dropped
         for key in empty_keys:
             self._tree.delete(key)
         return removed

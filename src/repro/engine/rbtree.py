@@ -63,17 +63,25 @@ class RedBlackTree:
 
     def setdefault(self, key: Any, factory: Callable[[], Any]) -> Any:
         """Payload for ``key``; a miss links ``factory()`` where the search ended."""
+        return self.node(key, factory).value
+
+    def node(self, key: Any, factory: Optional[Callable[[], Any]] = None) -> Optional["_Node"]:
+        """The node holding ``key``, whose ``value`` the caller may replace.
+
+        A miss links ``factory()`` where the search ended and returns its
+        node, or returns None without a ``factory``.  One search either way.
+        """
         parent = self.nil
         node = self.root
         while node is not self.nil:
             self.node_visits += 1
             if key == node.key:
-                return node.value
+                return node
             parent = node
             node = node.left if key < node.key else node.right
-        value = factory()
-        self._link(key, value, parent)
-        return value
+        if factory is None:
+            return None
+        return self._link(key, factory(), parent)
 
     # -- rotations ----------------------------------------------------------
     def _rotate_left(self, x: "_Node") -> None:
@@ -122,8 +130,9 @@ class RedBlackTree:
             node = node.left if key < node.key else node.right
         self._link(key, value, parent)
 
-    def _link(self, key: Any, value: Any, parent: "_Node") -> None:
-        """Hang absent ``key`` under ``parent``, where its search ended; rebalance."""
+    def _link(self, key: Any, value: Any, parent: "_Node") -> "_Node":
+        """Hang absent ``key`` under ``parent``, where its search ended;
+        rebalance.  Returns the new node."""
         fresh = _Node(key, value, RED, self.nil)
         fresh.parent = parent
         if parent is self.nil:
@@ -134,6 +143,7 @@ class RedBlackTree:
             parent.right = fresh
         self.size += 1
         self._insert_fixup(fresh)
+        return fresh
 
     def _insert_fixup(self, z: "_Node") -> None:
         while z.parent.color is RED:
@@ -265,18 +275,20 @@ class RedBlackTree:
     # -- iteration ----------------------------------------------------------
     def items(self) -> Iterator[Tuple[Any, Any]]:
         """All (key, value) pairs in key order."""
-        yield from self._inorder(self.root)
+        for node in self.nodes():
+            yield node.key, node.value
 
-    def _inorder(self, node: "_Node") -> Iterator[Tuple[Any, Any]]:
+    def nodes(self) -> Iterator["_Node"]:
+        """All nodes in key order; a caller may replace their ``value``."""
         # Iterative in-order traversal: avoids recursion limits on big tables.
         stack = []
-        current = node
+        current = self.root
         while stack or current is not self.nil:
             while current is not self.nil:
                 stack.append(current)
                 current = current.left
             current = stack.pop()
-            yield current.key, current.value
+            yield current
             current = current.right
 
     def range_items(
@@ -353,12 +365,13 @@ class RedBlackTree:
         return node.key, node.value
 
     # -- structural copy ------------------------------------------------------
-    def copy(self, copy_value: Callable[[Any], Any]) -> "RedBlackTree":
+    def copy(self, freeze: Callable[[Any], Any]) -> "RedBlackTree":
         """A tree of the same shape, colours, ``rotations`` and ``node_visits``.
 
         Node for node, so it behaves from here on exactly like a tree that
-        saw the same insert/delete history.  Keys are shared; every payload
-        goes through ``copy_value``.
+        saw the same insert/delete history.  Keys are shared, and so are
+        payloads: each of this tree's is replaced by ``freeze(payload)``,
+        which both trees then hold.
         """
         twin = RedBlackTree()
         twin.size = self.size
@@ -367,7 +380,8 @@ class RedBlackTree:
         nil, twin_nil = self.nil, twin.nil
 
         def clone(node: "_Node", twin_parent: "_Node") -> "_Node":
-            twin_node = _Node(node.key, copy_value(node.value), node.color, twin_nil)
+            node.value = value = freeze(node.value)
+            twin_node = _Node(node.key, value, node.color, twin_nil)
             twin_node.parent = twin_parent
             return twin_node
 

@@ -349,9 +349,12 @@ class Table:
     def copy_from(self, source: "Table") -> None:
         """Become what ``source`` is: pages, indexes, counts, insert pages.
 
-        Rows, encoded keys and locations are immutable and stay shared;
-        everything a replica mutates later (slot lists, index entries,
-        buckets, tree nodes) is copied, in ``source``'s order and shape.
+        Each replica gets its own pages, dicts and tree nodes, in
+        ``source``'s order and shape.  What those hold — slot lists and
+        index buckets — is frozen into tuples in ``source`` and shared with
+        it; a replica thaws its own list of one only when it first writes
+        it (``Page.put``, the indexes' ``_writable``).  Rows, encoded keys
+        and locations are immutable anyway.
         """
         self.store.copy_table_from(source.store, self.name)
         self.pk_index.copy_from(source.pk_index)

@@ -13,6 +13,7 @@ cost model charges a fault latency for every miss reported here.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Iterable, List, Optional
 
 from repro.common.counters import Counters
@@ -74,7 +75,7 @@ class PageCache:
 
     def hottest(self, limit: int) -> List[PageId]:
         """Most-recently-used page ids, hottest first (page-id shipping)."""
-        return list(reversed(list(self._lru)))[:limit]
+        return list(islice(reversed(self._lru), limit))
 
     def resident_count(self) -> int:
         return len(self._lru)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.counters import Counters
@@ -41,13 +41,17 @@ def _page_checksum(page: Page) -> int:
     return zlib.crc32(payload.encode("utf-8")) or 1
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PageImage:
-    """An atomically flushed copy of one page plus its version."""
+    """An atomically flushed copy of one page plus its version.
+
+    Frozen, and so shared as it is: by the replicas set up as copies of
+    one node, and by a support slave and the joiner it ships pages to.
+    """
 
     page_id: PageId
     version: int
-    page: Page  # snapshot, never aliased with the live page
+    page: Page  # a snapshot: its slots are a frozen tuple, and nobody writes it
     checksum: int = 0  # 0 = unchecked (legacy image); else CRC32 of content
 
     def verify(self) -> bool:
@@ -87,18 +91,16 @@ class StableStore:
     def copy_from(self, source: "StableStore") -> int:
         """An empty store adopts ``source``'s images as if it had flushed them.
 
-        For a replica set up as a copy of ``source``'s node: images are
-        copied (``corrupt_page`` mutates them) around shared page snapshots
-        (never mutated), in ``source``'s order, and this store's counters
-        move as ``source``'s flushes moved its own.  Returns the flush count.
+        For a replica set up as a copy of ``source``'s node: the image
+        objects themselves are shared (they are frozen; ``corrupt_page``
+        replaces one rather than changing it), in ``source``'s order, and
+        this store's counters move as ``source``'s flushes moved its own.
+        Returns the flush count.
         """
         if self._images or self._previous or self.flushes:
             raise ValueError("only an empty stable store can adopt another's images")
-        for ours, theirs in ((self._images, source._images), (self._previous, source._previous)):
-            ours.update(
-                (pid, PageImage(pid, image.version, image.page, image.checksum))
-                for pid, image in theirs.items()
-            )
+        self._images.update(source._images)
+        self._previous.update(source._previous)
         self.flushes = source.flushes
         if self.flushes:
             for name in ("checkpoint.pages_flushed", "checkpoint.bytes"):
@@ -121,7 +123,7 @@ class StableStore:
         image = self._images.get(page_id)
         if image is None:
             return False
-        image.checksum = (image.checksum ^ 0xA5) or 1
+        self._images[page_id] = replace(image, checksum=(image.checksum ^ 0xA5) or 1)
         return True
 
     def restore_into(self, store: PageStore) -> int:
@@ -234,8 +236,9 @@ class StableStore:
                     raise CorruptCheckpoint(
                         f"corrupt checkpoint file {path} at line {line_no}: {exc}"
                     ) from exc
+                image = page.snapshot()
                 store._images[page_id] = PageImage(
-                    page_id, page.version, page, _page_checksum(page)
+                    page_id, image.version, image, _page_checksum(image)
                 )
         return store
 

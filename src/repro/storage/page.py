@@ -9,7 +9,7 @@ its version-aware page migration both key off this single integer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SchemaError
 from repro.common.ids import PageId, page_id_of
@@ -29,7 +29,9 @@ class Page:
     def __init__(self, page_id: PageId, capacity: int = ROWS_PER_PAGE, version: int = 0) -> None:
         self.page_id = page_id
         self.capacity = capacity
-        self.slots: List[Optional[Row]] = [None] * capacity
+        #: A private list, or a tuple frozen by :meth:`snapshot` /
+        #: :meth:`load_from` and possibly shared; only :meth:`put` writes it.
+        self.slots: Sequence[Optional[Row]] = [None] * capacity
         self.version = version
         #: Monotonic mutation stamp, bumped on *every* content change —
         #: including uncommitted writes and undo reverts, unlike ``version``
@@ -47,16 +49,26 @@ class Page:
         return self.slots[slot]
 
     def put(self, slot: int, row: Optional[Row]) -> None:
-        """Set a slot's contents, maintaining the live-row count."""
+        """Set a slot's contents, maintaining the live-row count.
+
+        The only writer of ``slots``: a frozen slot tuple, shared with a
+        snapshot or with other replicas, is thawed into this page's own
+        list on its first write.
+        """
         self.stamp += 1
-        before = self.slots[slot]
+        slots = self.slots
+        before = slots[slot]
         if before is None and row is not None:
             self.live_rows += 1
         elif before is not None and row is None:
             self.live_rows -= 1
             if slot < self._free_hint:
                 self._free_hint = slot
-        self.slots[slot] = row
+        try:
+            slots[slot] = row
+        except TypeError:  # frozen
+            self.slots = slots = list(slots)
+            slots[slot] = row
 
     def first_free_slot(self) -> Optional[int]:
         if self.live_rows >= self.capacity:
@@ -86,11 +98,18 @@ class Page:
 
     # -- whole-page operations (migration / checkpoint) -----------------------
     def snapshot(self) -> "Page":
-        """Exact copy: rows are immutable tuples, so a slot-list copy suffices."""
+        """Exact copy that shares this page's slots, frozen.
+
+        Rows are immutable tuples, so once the slot list is a tuple both
+        pages can hold it; whichever is written next thaws its own list
+        (:meth:`put`).  A page that is not written again costs its copies
+        a ``Page`` each and no slot storage.
+        """
+        slots = self.slots = tuple(self.slots)
         copy = Page.__new__(Page)
         copy.page_id = self.page_id
         copy.capacity = self.capacity
-        copy.slots = self.slots[:]
+        copy.slots = slots
         copy.version = self.version
         copy.stamp = self.stamp
         copy.live_rows = self.live_rows
@@ -98,11 +117,15 @@ class Page:
         return copy
 
     def load_from(self, other: "Page") -> None:
-        """Overwrite this page's contents with another image of it."""
+        """Overwrite this page's contents with another image of it.
+
+        Adopts the image's frozen slots (freezing a copy of a page whose
+        slots are still a private list): the next :meth:`put` thaws.
+        """
         if other.page_id != self.page_id:
             raise SchemaError(f"page image mismatch: {other.page_id} into {self.page_id}")
         self.capacity = other.capacity
-        self.slots = list(other.slots)
+        self.slots = tuple(other.slots)
         self.version = other.version
         self.stamp += 1  # contents changed: invalidate optimistic readers
         self.live_rows = other.live_rows
@@ -182,9 +205,11 @@ class PageStore:
     def copy_table_from(self, source: "PageStore", table: str) -> None:
         """Make this store's pages of ``table`` exact copies of ``source``'s.
 
-        The caller guarantees both stores held the same pages of ``table``
-        before ``source`` grew, so new pages land in ``_pages`` in the order
-        an independent load here would have allocated them.
+        One :meth:`Page.snapshot` per page: the copies share the source's
+        slots, frozen, until either side writes a page.  The caller
+        guarantees both stores held the same pages of ``table`` before
+        ``source`` grew, so new pages land in ``_pages`` in the order an
+        independent load here would have allocated them.
         """
         pages = [page.snapshot() for page in source.pages_of(table)]
         if pages:

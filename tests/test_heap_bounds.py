@@ -14,16 +14,22 @@ ordering-mix run on two masters and four slaves pins:
   tuples (no per-entry object);
 * tracked objects per row: per bulk-loaded row replica, and per row replica
   inserted between a run of T and a run of 2T sim-s — so the heap grows with
-  the data, not with run length.  Measured on CPython 3.11: 3.09 and 4.45
-  (5.47 and 12.3 with an entry object per index fact, a ``PageId`` per page
-  per replica, a queue tuple per op per slave, and every write-set sent and
-  update query logged kept alive);
+  the data, not with run length.  Measured on CPython 3.11: 1.52 and 4.45
+  (3.09 per bulk-loaded row replica with every replica's slot lists and
+  buckets copied instead of frozen and shared; 5.47 and 12.3 with an entry
+  object per index fact, a ``PageId`` per page per replica, a queue tuple
+  per op per slave, and every write-set sent and update query logged kept
+  alive);
+* bytes per bulk-loaded row replica at one row per page, under
+  ``tracemalloc``: a copied replica shares the loaded one's frozen slots,
+  buckets and checkpoint images and pays only for its own pages, dicts and
+  tree nodes.  Measured on CPython 3.11: 483 B (799 B copying them);
 * bytes per inserted row replica, the same T / 2T runs at one row per page
   (the benchmark's layout, where every inserted row is a page no slave
   reader touches, so its ops stay buffered) under ``tracemalloc``: object
   counts cannot tell a pending queue's ``deque`` from its ``list``, bytes
   can.  Measured on CPython 3.11: 1,198 B (1,807 B with a ``deque`` per
-  pending page); bulk-loaded rows hold 801 B per row replica either way.
+  pending page).
 """
 
 import gc
@@ -38,7 +44,8 @@ from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale, tpcw_c
 SCALE = TpcwScale(num_items=40, num_customers=144)
 RUN_SIM_S = 15.0
 SETTLE_SIM_S = 25.0
-BULK_BUDGET = 3.5  # tracked objects per bulk-loaded row, per replica
+BULK_BUDGET = 2.0  # tracked objects per bulk-loaded row, per replica
+BULK_BYTES_BUDGET = 600  # traced bytes per bulk-loaded row, per replica, one row per page
 GROWTH_BUDGET = 5.0  # tracked objects per inserted row, per replica
 GROWTH_BYTES_BUDGET = 1400  # traced bytes per inserted row, per replica, one row per page
 
@@ -142,6 +149,17 @@ def test_tracked_objects_grow_with_rows_not_with_run_length():
     assert inserted > 1000
     grown = after_2t - after_t
     assert grown <= inserted * GROWTH_BUDGET, f"{grown} tracked for {inserted} inserted"
+
+
+def test_bulk_loaded_rows_share_what_no_replica_wrote():
+    tracemalloc.start()
+    try:
+        base = traced_bytes()
+        cluster = build(rows_per_page=1)
+        bulk, loaded = traced_bytes() - base, row_replicas(cluster)
+    finally:
+        tracemalloc.stop()
+    assert bulk <= loaded * BULK_BYTES_BUDGET, f"{bulk} B for {loaded} row replicas"
 
 
 def test_retained_bytes_grow_with_rows_not_with_run_length():

@@ -16,9 +16,12 @@ from repro.common.errors import SchemaError
 from repro.common.ids import PageId
 from repro.common.versions import VersionVector
 from repro.core import MasterReplica, SlaveReplica
-from repro.engine import Column, HeapEngine, IndexDef, Table, TableSchema, bulk_load_replicas
+from repro.engine import (
+    Column, HeapEngine, IndexDef, Table, TableSchema, bulk_load_replicas, make_update_controller,
+)
 from repro.engine.indexes import entries
-from repro.storage.checkpoint import FuzzyCheckpointer, StableStore
+from repro.storage.checkpoint import FuzzyCheckpointer, PageImage, StableStore
+from repro.storage.page import PageStore
 from repro.tpcw import TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
 
 COLUMNS = [
@@ -105,27 +108,65 @@ def describe(replica):
     return describe_engine(replica.engine), describe_checkpoint(replica.checkpointer)
 
 
-def mutable_parts(replica):
-    """``id()`` of everything a replica may mutate in place later."""
-    parts = set()
-    for page in replica.engine.store._pages.values():
-        parts.update((id(page), id(page.slots)))
-    parts.update(id(pages) for pages in replica.engine.store._per_table.values())
+def reachable_parts(replica):
+    """Every container a replica reaches, by ``id()``: pages and their
+    slots, page lists and dicts, buckets, tree nodes, checkpoint images.
+
+    An image is frozen as a whole, so the walk stops at it (a shared image's
+    snapshot page is reached through it alone and has frozen slots).
+    """
+    parts = {}
+
+    def reach(*objects):
+        parts.update((id(obj), obj) for obj in objects)
+
+    store = replica.engine.store
+    reach(store._pages, store._per_table, *store._per_table.values())
+    for page in store._pages.values():
+        reach(page, page.slots)
     for table in replica.engine.tables.values():
-        parts.add(id(table._nonfull))
-        buckets = list(table.pk_index._buckets.values())
+        reach(table._nonfull, table.pk_index._buckets, *table.pk_index._buckets.values())
         for index in table.indexes.values():
             stack = [index._tree.root]
             while stack:
                 node = stack.pop()
                 if node is not index._tree.nil:
-                    parts.add(id(node))
-                    buckets.append(node.value)
+                    reach(node, node.value)  # a bucket's elements are immutable
                     stack += [node.left, node.right]
-        parts.update(id(bucket) for bucket in buckets)  # their elements are immutable
     for generation in (replica.stable._images, replica.stable._previous):
-        parts.update(id(image) for image in generation.values())
+        reach(generation, *generation.values())
+        assert all(type(image.page.slots) is tuple for image in generation.values())
     return parts
+
+
+def is_frozen(obj):
+    """A tuple (frozen slots or bucket) or a frozen dataclass (``PageImage``)."""
+    if type(obj) is tuple:
+        return True
+    params = getattr(type(obj), "__dataclass_params__", None)
+    return params is not None and params.frozen
+
+
+def mutable_parts(replica):
+    """``id()`` of everything a replica may mutate in place later.
+
+    Frozen slots, buckets and images are not: replicas set up by copy share
+    them by design (see :func:`assert_only_frozen_is_shared`).
+    """
+    return {key for key, obj in reachable_parts(replica).items() if not is_frozen(obj)}
+
+
+def assert_only_frozen_is_shared(*replicas):
+    """Every object reachable from two of ``replicas`` is immutable."""
+    seen = {}
+    for replica in replicas:
+        for key, obj in reachable_parts(replica).items():
+            seen.setdefault(key, [obj, 0])[1] += 1
+    shared = [obj for obj, holders in seen.values() if holders > 1]
+    assert all(is_frozen(obj) for obj in shared), [
+        type(obj).__name__ for obj in shared if not is_frozen(obj)
+    ]
+    return shared
 
 
 # -- (a) equivalence --------------------------------------------------------------------
@@ -178,6 +219,7 @@ def test_copied_replica_equals_an_independently_loaded_one(load):
     assert alone.checkpoint() == copy.checkpointer.copy_from(source.checkpointer) == flushed
     assert describe(copy) == describe(alone) == describe(source)
     assert not mutable_parts(copy) & mutable_parts(source)
+    assert_only_frozen_is_shared(copy, source)
     # ... and it stays equal: same tree walks, rotations, slot choices, flushes.
     for replica in (copy, alone):
         mutate(replica, fresh_id=1000)
@@ -203,6 +245,7 @@ def test_copy_of_the_tpcw_dataset_through_the_cluster_loader():
         assert describe(node) == reference
     for node, other in zip(nodes, nodes[1:]):
         assert not mutable_parts(node) & mutable_parts(other)
+    assert assert_only_frozen_is_shared(*nodes)  # and the image is shared, not copied
 
 
 # -- (b) isolation ------------------------------------------------------------------------
@@ -263,6 +306,120 @@ def test_mutating_one_replica_leaves_source_and_siblings_untouched():
     s1.checkpoint()
     assert describe(s1) != pristine
     assert describe(m0) == source_now and describe(s0) == s0_now
+
+
+def copied_holders(rows_per_page):
+    """A master and three slaves set up by copy, checkpoint included, plus
+    a feeding master loaded on its own (its write-sets drive a slave)."""
+    def master_of(node_id):
+        controller = make_update_controller()
+        return MasterReplica(node_id, HeapEngine(controller, rows_per_page=rows_per_page))
+
+    master = master_of("m0")
+    slaves = [SlaveReplica(f"s{i}", HeapEngine(rows_per_page=rows_per_page)) for i in range(3)]
+    holders = [Replica(ITEM, engine=r.engine) for r in [master] + slaves]
+    rows = [{"i_id": i, "i_title": f"b{i % 5}", "i_stock": i % 3} for i in range(24)]
+    bulk_load_replicas([r.engine for r in holders], "item", rows)
+    holders[0].checkpoint()
+    for replica in holders[1:]:
+        replica.checkpointer.copy_from(holders[0].checkpointer)
+    feeder = master_of("f")
+    feeder.engine.create_table(ITEM)
+    feeder.engine.bulk_load("item", rows)
+    return master, slaves, holders, feeder
+
+
+def write_some(engine, txn, live, data, next_id):
+    """Random inserts, indexed and unindexed updates and deletes in ``txn``."""
+    table = engine.table("item")
+    for _ in range(data.draw(st.integers(1, 4), label="statements")):
+        kind = data.draw(st.sampled_from(["insert", "update", "delete"]), label="kind")
+        if kind == "insert" or not live:
+            table.insert_row(txn, {"i_id": next_id[0], "i_title": "new", "i_stock": 1})
+            live.add(next_id[0])
+            next_id[0] += 1
+            continue
+        i_id = data.draw(st.sampled_from(sorted(live)), label="row")
+        (loc,) = table.pk_lookup(txn, (i_id,))
+        if kind == "update":
+            changes = data.draw(st.sampled_from(
+                [{"i_stock": 7}, {"i_title": "retitled"}, {"i_title": "b1", "i_stock": 0}]
+            ), label="changes")
+            table.update_row(txn, loc, changes)
+        else:
+            table.delete_row(txn, loc)
+            live.discard(i_id)
+
+
+MASTER_WRITERS = ["commit", "revert", "gc", "flush", "corrupt-recover"]
+SLAVE_WRITERS = ["receive", "materialize", "discard", "gc", "flush", "corrupt-recover",
+                 "receive-page"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 4, 64]), st.booleans(), st.data())
+def test_every_writer_on_one_holder_leaves_the_others_untouched(rows_per_page, on_slave, data):
+    """Replicas set up by copy share frozen slots, buckets and images; each
+    writer must thaw its own before it writes.  One holder takes a random
+    sequence of every writer it has; the others must not move at all."""
+    master, slaves, holders, feeder = copied_holders(rows_per_page)
+    target = holders[1] if on_slave else holders[0]
+    witnesses = [replica for replica in holders if replica is not target]
+    pristine = [describe(replica) for replica in witnesses]
+    engine, stable = target.engine, target.stable
+    live = set(range(24))  # rows of the holder (master) or of the feeder (slave)
+    next_id = [100]
+    history = [feeder.current_versions()]
+    fed = True  # until a discard: the slave has received all the feeder wrote
+
+    steps = data.draw(st.lists(
+        st.sampled_from(SLAVE_WRITERS if on_slave else MASTER_WRITERS), min_size=1, max_size=12,
+    ), label="writers")
+    for step in steps:
+        if step in ("commit", "revert"):
+            txn = engine.begin()
+            written = set(live)
+            write_some(engine, txn, written, data, next_id)
+            if step == "commit":
+                engine.commit(txn)
+                live = written
+            else:
+                engine.abort(txn)
+        elif step == "receive" and fed:
+            txn = feeder.begin_update()
+            write_some(feeder.engine, txn, live, data, next_id)
+            write_set = feeder.pre_commit(txn)
+            feeder.finalize(txn)
+            slaves[0].receive(write_set)
+            history.append(feeder.current_versions())
+        elif step == "materialize" and slaves[0].pending:
+            page_id = data.draw(st.sampled_from(sorted(slaves[0].pending)), label="page")
+            slaves[0].materialize_fully(page_id)
+        elif step == "discard":
+            confirmed = data.draw(st.sampled_from(history), label="confirmed")
+            slaves[0].discard_above(confirmed)
+            fed = False
+        elif step == "gc" and on_slave:
+            slaves[0].gc_versions(feeder.current_versions())
+        elif step == "gc":
+            master.engine.gc_index_entries(master.current_versions())
+        elif step == "flush":
+            page = data.draw(st.sampled_from(list(engine.store.all_pages())), label="flush")
+            if not engine.page_is_dirty(page):
+                stable.flush_page(page)
+        elif step == "corrupt-recover":
+            page_id = data.draw(st.sampled_from(sorted(stable._images)), label="corrupt")
+            assert stable.corrupt_page(page_id)
+            restarted = PageStore(engine.store.rows_per_page)
+            stable.recover_into(restarted)
+            for page in restarted.all_pages():  # writes land in the restarted copy only
+                if page.live_rows:
+                    page.put(next(slot for slot, _row in page.iter_live()), None)
+        elif step == "receive-page" and fed:
+            page = data.draw(st.sampled_from(list(feeder.engine.store.all_pages())), label="page")
+            slaves[0].receive_page(PageImage(page.page_id, page.version, page.snapshot()))
+        assert [describe(replica) for replica in witnesses] == pristine, step
+    assert_only_frozen_is_shared(*witnesses)
 
 
 # -- (c) the work is done once ----------------------------------------------------------------

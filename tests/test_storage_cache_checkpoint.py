@@ -60,6 +60,15 @@ class TestPageCache:
             cache.touch(pid(n))
         assert cache.hottest(2) == [pid(3), pid(2)]
 
+    @pytest.mark.parametrize("limit", [0, 1, 4, 5, 9])
+    def test_hottest_equals_the_reversed_lru_cut_at_limit(self, limit):
+        cache = PageCache(8)
+        for n in (4, 1, 3, 2, 1, 5):
+            cache.touch(pid(n))
+        assert cache.resident_count() == 5
+        assert cache.hottest(limit) == list(reversed(list(cache.lru_order())))[:limit]
+        assert cache.hottest(limit) == [pid(n) for n in (5, 1, 2, 3, 4)][:limit]
+
     def test_hit_ratio(self):
         cache = PageCache(4)
         assert cache.hit_ratio() == 0.0
