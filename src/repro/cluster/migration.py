@@ -219,11 +219,7 @@ class Migrator:
         return timeline
 
     def _migration_cpu(self, node: "InMemoryDbNode", work_units: int):
-        yield from node.cpu.acquire()
-        try:
-            yield self.sim.timeout(self.cost.config.cpu_per_op_apply * work_units)
-        finally:
-            node.cpu.release()
+        yield from node.cpu.hold(self.cost.config.cpu_per_op_apply * work_units)
 
     def restart_node(self, node_id: str):
         """Spawn restart-from-own-disk recovery; returns the process."""

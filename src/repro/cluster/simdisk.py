@@ -171,7 +171,6 @@ class SimDiskCluster:
         cost_config: Optional[CostConfig] = None,
         seed: int = 0,
         refresh_interval: float = 1800.0,
-        serialize_updates: Optional[bool] = None,
     ) -> None:
         self.sim = Simulator()
         self.schemas = list(schemas)
@@ -184,9 +183,9 @@ class SimDiskCluster:
             self._add_node(f"d{i}", passive=False, pool_pages=pool_pages)
         for i in range(num_passive):
             self._add_node(f"backup{i}", passive=True, pool_pages=pool_pages)
-        if serialize_updates is None:
-            serialize_updates = num_active + num_passive > 1
-        self.update_ticket = Resource(self.sim, 1) if serialize_updates else None
+        #: Replicated tiers serialise update transactions (see
+        #: :meth:`DiskConnection.begin_update`); a stand-alone node needs no ticket.
+        self.update_ticket = Resource(self.sim, 1) if num_active + num_passive > 1 else None
         self.refresh_interval = refresh_interval
         self.metrics = Metrics()
         #: Cluster-level counters (client retry-budget exhaustion).

@@ -2,9 +2,11 @@
 
 Every node owns a capacity-``cores`` CPU resource; statement execution runs
 the *real* engine code and then holds the CPU for the service time the cost
-model derives from the instrumented work.  In-memory nodes additionally pay
-page-fault time for cache misses; on-disk nodes serialise their I/O through
-a capacity-1 disk resource.
+model derives from the instrumented work.  One statement loop
+(:meth:`SimNode.exec_statement`) serves both tiers; each tier only says what
+a statement's counter delta costs (:meth:`~SimNode.statement_cost`).
+In-memory nodes pay page-fault time for cache misses on the core; on-disk
+nodes pay their I/O afterwards on a capacity-1 disk resource.
 
 Failure injection marks the node dead, interrupts its in-flight jobs
 (delivered to clients as :class:`NodeUnavailable`) and — for in-memory
@@ -14,7 +16,7 @@ path.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import NodeUnavailable, TransactionAborted
 from repro.cluster.costs import CostModel
@@ -62,56 +64,39 @@ class SimNode:
             raise NodeUnavailable(f"node {self.node_id} failed mid-request")
 
     def fail(self) -> None:
-        """Fail-stop: kill in-flight work, stop accepting jobs."""
+        """Fail-stop: kill in-flight work, stop accepting jobs.
+
+        Rolling in-flight transactions back keeps the (reused) Python
+        objects consistent for reintegration.
+        """
         self.alive = False
         for process in list(self._jobs):
             process.interrupt("node-failure")
         self._jobs.clear()
+        self.engine.abort_all_active(reason="node-failure")
 
     def restart_resources(self) -> None:
         """Fresh CPU after a reboot (old grants died with the node)."""
         self.cpu = Resource(self.sim, self.cost.config.cores_per_node)
         self.alive = True
 
+    # -- the statement step ---------------------------------------------------------------
+    def statement_cost(self, delta: Mapping[str, float]) -> Tuple[float, float]:
+        """``(cpu_seconds, disk_seconds)`` the counter ``delta`` of one step costs.
 
-class InMemoryDbNode(SimNode, ReplicaNode):
-    """One replica of the in-memory DMV tier: a :class:`ReplicaNode` with a
-    CPU, a cache model, a durable log and failure semantics."""
+        The CPU part is paid on the core that did the work (a statement's
+        times :attr:`slowdown`); the disk part, if any, after that core is
+        released.  The one place the two tiers differ.
+        """
+        raise NotImplementedError
 
-    def __init__(
-        self,
-        sim: Simulator,
-        node_id: str,
-        cost: CostModel,
-        schemas: Sequence[TableSchema],
-        cache_pages: int = 1 << 30,
-        rows_per_page: int = 64,
-        tracer: Tracer = NULL_TRACER,
-        durable: bool = False,
-    ) -> None:
-        SimNode.__init__(self, sim, node_id, cost)
-        ReplicaNode.__init__(
-            self, node_id, schemas, now=sim.now, cache_pages=cache_pages,
-            rows_per_page=rows_per_page,
-        )
-        self.tracer = tracer
-        #: Durable-WAL mode: write-sets this node broadcasts or receives are
-        #: appended to a local content-carrying redo log and forced before
-        #: the ack, enabling restart-from-own-disk recovery.  The log object
-        #: always exists (it moves no counters until used) so fault hooks
-        #: and recovery helpers need no None checks.
-        self.durable = durable
-        self.wal = WriteAheadLog(self.counters, tracer=tracer)
-        #: Set by the cluster's failure injection (for timeline reporting).
-        self.failed_at: Optional[float] = None
-
-    # -- statement execution (job generator) -----------------------------------------------
     def exec_statement(self, txn, sql: str, params: Sequence):
         """Execute one statement: real work, then virtual service time.
 
         Lock waits release the CPU, wait for the grant and retry the
         statement from its savepoint — the blocking the paper's master
-        experiences under the ordering mix.
+        experiences under the ordering mix.  A lock-wait attempt is charged
+        its :meth:`CostModel.statement_cpu` only: no fault, disk or slowdown.
 
         When the transaction carries a trace root (``txn.obs_span``), every
         attempt gets its own ``execute`` span; the root is swapped to the
@@ -163,9 +148,12 @@ class InMemoryDbNode(SimNode, ReplicaNode):
                     )
                     yield granted
                     continue
-                delta = self.counters.delta_since(snapshot)
-                service = self.cost.statement_cpu(delta) + self.cost.fault_time(delta)
-                yield self.sim.timeout(service * self.slowdown)
+                cpu, disk = self.statement_cost(self.counters.delta_since(snapshot))
+                yield self.sim.timeout(cpu * self.slowdown)
+                holding = False
+                self.cpu.release()
+                if disk > 0:
+                    yield from self.disk.hold(disk)
                 span.finish(status="ok")
                 return result
             finally:
@@ -173,6 +161,42 @@ class InMemoryDbNode(SimNode, ReplicaNode):
                     self.cpu.release()
                 if not span.closed:
                     span.finish(status="interrupted")
+
+
+class InMemoryDbNode(SimNode, ReplicaNode):
+    """One replica of the in-memory DMV tier: a :class:`ReplicaNode` with a
+    CPU, a cache model, a durable log and failure semantics."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        node_id: str,
+        cost: CostModel,
+        schemas: Sequence[TableSchema],
+        cache_pages: int = 1 << 30,
+        rows_per_page: int = 64,
+        tracer: Tracer = NULL_TRACER,
+        durable: bool = False,
+    ) -> None:
+        SimNode.__init__(self, sim, node_id, cost)
+        ReplicaNode.__init__(
+            self, node_id, schemas, now=sim.now, cache_pages=cache_pages,
+            rows_per_page=rows_per_page,
+        )
+        self.tracer = tracer
+        #: Durable-WAL mode: write-sets this node broadcasts or receives are
+        #: appended to a local content-carrying redo log and forced before
+        #: the ack, enabling restart-from-own-disk recovery.  The log object
+        #: always exists (it moves no counters until used) so fault hooks
+        #: and recovery helpers need no None checks.
+        self.durable = durable
+        self.wal = WriteAheadLog(self.counters, tracer=tracer)
+        #: Set by the cluster's failure injection (for timeline reporting).
+        self.failed_at: Optional[float] = None
+
+    def statement_cost(self, delta: Mapping[str, float]) -> Tuple[float, float]:
+        """CPU plus page-fault time, all on the core."""
+        return self.cost.statement_cpu(delta) + self.cost.fault_time(delta), 0.0
 
     def deliver_write_set(self, write_set: WriteSet) -> str:
         """Synchronous receive bookkeeping: returns ``ok``/``dup``/``dead``.
@@ -233,12 +257,6 @@ class InMemoryDbNode(SimNode, ReplicaNode):
         """CPU charge for eagerly applying buffered ops (forced drain)."""
         yield self.sim.timeout(self.cost.apply_cpu(op_count) * self.slowdown)
 
-    def fail(self) -> None:
-        super().fail()
-        # Memory is lost with the node; rolling in-flight transactions back
-        # keeps the (reused) Python objects consistent for reintegration.
-        self.engine.abort_all_active(reason="node-failure")
-
     # -- maintenance ----------------------------------------------------------------------
     def checkpoint(self) -> int:
         with self.tracer.span("flush", node=self.node_id, kind="checkpoint") as span:
@@ -287,69 +305,27 @@ class DiskDbNode(SimNode):
     ) -> None:
         super().__init__(sim, node_id, cost)
         self.db = DiskDatabase(
-            node_id, pool_pages=pool_pages, disk=cost.config.disk, now=sim.now,
-            rows_per_page=rows_per_page,
+            node_id, pool_pages=pool_pages, now=sim.now, rows_per_page=rows_per_page
         )
         for schema in schemas:
             self.db.create_table(schema)
         self.counters = self.db.counters
+        self.engine = self.db.engine
+        self.sql = self.db.sql
         self.disk = Resource(sim, 1)
         #: Log replays (periodic refresh, failover catch-up) must not
         #: interleave or entries would apply out of commit order.
         self.replay_mutex = Resource(sim, 1)
 
-    def fail(self) -> None:
-        super().fail()
-        self.db.engine.abort_all_active(reason="node-failure")
-
-    def restart_resources(self) -> None:
-        super().restart_resources()
-        self.disk = Resource(self.sim, 1)
-
-    def exec_statement(self, txn, sql: str, params: Sequence):
-        """CPU work, then any implied random I/O through the disk."""
-        while True:
-            if not txn.active:
-                raise TransactionAborted(
-                    f"txn {txn.txn_id} aborted by reconfiguration", reason="node-failure"
-                )
-            yield from self.cpu.acquire()
-            holding = True
-            try:
-                snapshot = self.counters.snapshot()
-                savepoint = txn.savepoint()
-                try:
-                    result = self.db.sql.execute(txn, sql, tuple(params))
-                except LockWait as wait:
-                    self.db.engine.rollback_to(txn, savepoint)
-                    delta = self.counters.delta_since(snapshot)
-                    yield self.sim.timeout(self.cost.statement_cpu(delta))
-                    holding = False
-                    self.cpu.release()
-                    granted = self.sim.event()
-                    wait.request.on_grant(
-                        lambda _r: None if granted.triggered else granted.succeed(None)
-                    )
-                    yield granted
-                    continue
-                delta = self.counters.delta_since(snapshot)
-                yield self.sim.timeout(self.cost.statement_cpu(delta))
-                holding = False
-                self.cpu.release()
-                io_time = self.cost.disk_time(delta)
-                if io_time > 0:
-                    yield from self.disk.acquire()
-                    try:
-                        yield self.sim.timeout(io_time)
-                    finally:
-                        self.disk.release()
-                return result
-            finally:
-                if holding:
-                    self.cpu.release()
+    def statement_cost(self, delta: Mapping[str, float]) -> Tuple[float, float]:
+        """CPU on the core, then random I/O, write-back and log forces on the disk."""
+        return self.cost.statement_cpu(delta), self.cost.disk_time(delta)
 
     def commit_job(self, txn):
-        """Commit: engine commit + WAL fsync through the disk resource."""
+        """Commit: engine commit + WAL fsync through the disk resource.
+
+        The commit's CPU is not charged, only its disk time.
+        """
         yield from self.cpu.acquire()
         try:
             snapshot = self.counters.snapshot()
@@ -359,11 +335,7 @@ class DiskDbNode(SimNode):
             self.cpu.release()
         io_time = self.cost.disk_time(delta)
         if io_time > 0:
-            yield from self.disk.acquire()
-            try:
-                yield self.sim.timeout(io_time)
-            finally:
-                self.disk.release()
+            yield from self.disk.hold(io_time)
 
     def replay_job(self, entries, log_bytes: int = 0):
         """Replay logged updates (backup refresh / failover DB-update)."""
@@ -375,25 +347,17 @@ class DiskDbNode(SimNode):
         return len(entries)
 
     def _replay_locked(self, entries, log_bytes: int):
+        """Read the log sequentially, then charge each entry like a statement."""
         if log_bytes:
-            yield from self.disk.acquire()
-            try:
-                yield self.sim.timeout(self.cost.sequential_disk(log_bytes))
-            finally:
-                self.disk.release()
+            yield from self.disk.hold(self.cost.sequential_disk(log_bytes))
         for entry in entries:
             yield from self.cpu.acquire()
             try:
                 snapshot = self.counters.snapshot()
                 self.db.apply_logged_update(entry)
-                delta = self.counters.delta_since(snapshot)
-                yield self.sim.timeout(self.cost.statement_cpu(delta))
+                cpu, disk = self.statement_cost(self.counters.delta_since(snapshot))
+                yield self.sim.timeout(cpu)
             finally:
                 self.cpu.release()
-            io_time = self.cost.disk_time(delta)
-            if io_time > 0:
-                yield from self.disk.acquire()
-                try:
-                    yield self.sim.timeout(io_time)
-                finally:
-                    self.disk.release()
+            if disk > 0:
+                yield from self.disk.hold(disk)

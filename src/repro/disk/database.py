@@ -9,12 +9,11 @@ calibration knob).  Recovery/refresh replays logged queries.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.common.counters import Counters
 from repro.common.ids import NodeId
 from repro.common.versions import VersionVector
-from repro.disk.diskmodel import DiskModel
 from repro.disk.wal import WriteAheadLog
 from repro.engine.engine import HeapEngine, TwoPhaseLocking
 from repro.engine.locks import LockManager
@@ -48,7 +47,6 @@ class DiskDatabase:
         self,
         node_id: NodeId,
         pool_pages: int = 2048,
-        disk: Optional[DiskModel] = None,
         counters: Optional[Counters] = None,
         now: Optional[Callable[[], float]] = None,
         rows_per_page: int = 64,
@@ -56,7 +54,6 @@ class DiskDatabase:
     ) -> None:
         self.node_id = node_id
         self.counters = counters if counters is not None else Counters()
-        self.disk = disk if disk is not None else DiskModel()
         self.pool = PageCache(pool_pages, self.counters)
         self.engine = HeapEngine(
             controller=DiskController(self.pool),
@@ -123,25 +120,6 @@ class DiskDatabase:
         self.commit(txn)
         self.counters.add("disk.log_replays")
 
-    def replay_batch(self, entries: Sequence[LoggedUpdate]) -> int:
-        for entry in entries:
-            self.apply_logged_update(entry)
-        return len(entries)
-
     def current_versions(self) -> VersionVector:
         return self.engine.versions.copy()
 
-    # -- cost accounting helpers -------------------------------------------------------------
-    def snapshot_counters(self) -> Dict[str, float]:
-        return self.counters.snapshot()
-
-    def io_cost_since(self, snapshot: Dict[str, float]) -> float:
-        """Disk seconds implied by counter movement since ``snapshot``.
-
-        Buffer-pool misses are random page reads; fsyncs are log forces;
-        WAL bytes stream sequentially (folded into the fsync cost here).
-        """
-        delta = self.counters.delta_since(snapshot)
-        cost = self.disk.random_read_cost(int(delta.get("cache.misses", 0)))
-        cost += self.disk.fsync_cost(int(delta.get("wal.fsyncs", 0)))
-        return cost

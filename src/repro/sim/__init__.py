@@ -8,7 +8,7 @@ replication code under this kernel; only time is virtual.
 """
 
 from repro.sim.kernel import Event, Interrupt, Process, Simulator, Timeout
-from repro.sim.resources import Resource, Server, Store
+from repro.sim.resources import Resource
 from repro.sim.stats import Histogram, TimeSeries, WindowedRate
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "Resource",
-    "Server",
-    "Store",
     "TimeSeries",
     "Histogram",
     "WindowedRate",

@@ -1,16 +1,14 @@
-"""Capacity-limited resources and queues for the simulation kernel.
+"""Capacity-limited resources for the simulation kernel.
 
 ``Resource`` models a counted resource (CPU cores, disk channels).
-``Server`` wraps a resource with a convenience generator that acquires a
-slot, holds it for a service duration and releases it — the standard
-"charge service time" pattern used by every simulated node.
-``Store`` is an unbounded FIFO used for mailboxes and work queues.
+:meth:`Resource.hold` is the "charge service time" idiom every simulated
+node uses: acquire a slot, hold it for a duration, release it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List
+from typing import Deque
 
 from repro.sim.kernel import Event, Simulator
 
@@ -18,14 +16,9 @@ from repro.sim.kernel import Event, Simulator
 class Resource:
     """A counted resource with FIFO granting.
 
-    Usage from a process::
-
-        grant = resource.request()
-        yield grant
-        try:
-            yield sim.timeout(duration)
-        finally:
-            resource.release()
+    Usage from a process: ``yield from resource.hold(duration)``, or
+    ``yield from resource.acquire()`` ... ``resource.release()`` around
+    work done while the slot is held.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
@@ -71,6 +64,18 @@ class Resource:
                 grant.cancel("acquire interrupted")
             raise
 
+    def hold(self, seconds: float):
+        """Hold one slot for ``seconds``: ``yield from resource.hold(t)``.
+
+        Acquires through :meth:`acquire`, so an interrupt while queued or
+        while holding never leaks the slot.
+        """
+        yield from self.acquire()
+        try:
+            yield self.sim.timeout(seconds)
+        finally:
+            self.release()
+
     def release(self) -> None:
         """Release one held slot, waking the oldest waiter if any."""
         if self.in_use <= 0:
@@ -96,63 +101,3 @@ class Resource:
     @property
     def queue_length(self) -> int:
         return len(self._waiters)
-
-
-class Server:
-    """A resource plus the acquire/hold/release idiom as one generator."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "server") -> None:
-        self.sim = sim
-        self.name = name
-        self.resource = Resource(sim, capacity)
-        self.jobs_done = 0
-
-    def serve(self, duration: float) -> Generator[Event, Any, None]:
-        """Hold one slot for ``duration`` virtual time units."""
-        grant = self.resource.request()
-        yield grant
-        try:
-            if duration > 0:
-                yield self.sim.timeout(duration)
-        finally:
-            self.resource.release()
-            self.jobs_done += 1
-
-    def utilization(self, elapsed: float) -> float:
-        return self.resource.utilization(elapsed)
-
-
-class Store:
-    """Unbounded FIFO channel between processes (mailbox semantics)."""
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item: Any) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event yielding the next item (immediately if queued)."""
-        event = self.sim.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def drain(self) -> List[Any]:
-        """Remove and return all currently queued items."""
-        items = list(self._items)
-        self._items.clear()
-        return items
-
-    def __len__(self) -> int:
-        return len(self._items)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.costs import CostConfig, CostModel
 from repro.disk import DiskDatabase, DiskModel, WriteAheadLog
 from repro.engine import Column, LockWait, TableSchema
 from repro.scheduler.querylog import LoggedUpdate
@@ -91,12 +92,13 @@ class TestDiskDatabase:
         assert db.counters.get("cache.misses") >= 3
 
     def test_io_cost_since(self):
+        # The on-disk tier's one disk-cost formula prices the counter delta.
         db = make_db(pool_pages=1)
-        snap = db.snapshot_counters()
+        snap = db.counters.snapshot()
         txn = db.begin()
         db.execute(txn, "UPDATE item SET i_stock = 1 WHERE i_id = 99")
         db.commit(txn)
-        assert db.io_cost_since(snap) > 0
+        assert CostModel(CostConfig()).disk_time(db.counters.delta_since(snap)) > 0
 
     def test_reader_blocks_on_writer(self):
         db = make_db()
@@ -115,16 +117,6 @@ class TestDiskDatabase:
         txn = db.begin(read_only=True)
         assert db.execute(txn, "SELECT i_stock FROM item WHERE i_id = 1").scalar() == 3
         assert db.counters.get("disk.log_replays") == 1
-
-    def test_replay_batch(self):
-        db = make_db()
-        entries = [
-            LoggedUpdate(i, (("UPDATE item SET i_stock = ? WHERE i_id = ?", (i, i)),))
-            for i in range(5)
-        ]
-        assert db.replay_batch(entries) == 5
-        txn = db.begin(read_only=True)
-        assert db.execute(txn, "SELECT i_stock FROM item WHERE i_id = 4").scalar() == 4
 
     def test_abort_discards_queries(self):
         db = make_db()

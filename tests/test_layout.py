@@ -17,10 +17,12 @@ from pathlib import Path
 
 import repro.cluster.sync
 import repro.cluster.threaded
+import repro.sim
 from repro.chaos.plans import FABRIC_COUNTERS, PLANS
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
 from repro.cluster.simdisk import SimDiskCluster
+from repro.cluster.simnodes import DiskDbNode, InMemoryDbNode
 from repro.cluster.sync import SyncDmvCluster
 from repro.traffic.engine import OpenLoopEngine
 from repro.traffic.scenario import TenantSpec, TrafficScenario
@@ -79,7 +81,7 @@ def test_cost_config_is_a_cost_model_not_a_policy_bag():
 
 
 def test_cluster_constructor_parameter_budgets():
-    budgets = {SimDmvCluster: 21, SyncDmvCluster: 8, SimDiskCluster: 9}
+    budgets = {SimDmvCluster: 21, SyncDmvCluster: 8, SimDiskCluster: 8}
     for cls, budget in budgets.items():
         params = list(inspect.signature(cls.__init__).parameters)[1:]  # drop self
         assert len(params) <= budget, (cls.__name__, params)
@@ -105,6 +107,23 @@ def test_no_garbage_collector_tuning_in_the_program():
 def test_replica_node_replaced_the_per_driver_node_classes():
     assert not hasattr(repro.cluster.sync, "NodeHandle")
     assert not hasattr(repro.cluster.threaded, "ThreadedNode")
+
+
+def test_one_statement_step_for_both_tiers():
+    # SimNode.exec_statement is the one loop that runs a statement and
+    # waits out its locks; a tier only prices a counter delta.
+    assert (CLUSTER / "simnodes.py").read_text().count("except LockWait") == 1
+    assert "exec_statement" not in vars(InMemoryDbNode)
+    assert "exec_statement" not in vars(DiskDbNode)
+
+
+def test_every_timed_hold_goes_through_resource_hold():
+    # acquire / timeout / release is written once, interrupt-safe, in
+    # Resource.hold; the leaky Server.serve and the unused Store are gone.
+    assert not hasattr(repro.sim, "Server") and not hasattr(repro.sim, "Store")
+    for path in (REPO / "src").rglob("*.py"):
+        assert ".disk.acquire()" not in path.read_text(), path
+    assert "cpu.acquire()" not in (CLUSTER / "migration.py").read_text()
 
 
 def test_drivers_keep_no_orchestration_of_their_own():

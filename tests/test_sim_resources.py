@@ -1,8 +1,8 @@
-"""Unit tests for simulation resources, servers, stores and stats."""
+"""Unit tests for simulation resources and stats."""
 
 import pytest
 
-from repro.sim import Histogram, Resource, Server, Simulator, Store, TimeSeries, WindowedRate
+from repro.sim import Histogram, Resource, Simulator, TimeSeries, WindowedRate
 from repro.sim.stats import pretty_table
 
 
@@ -13,11 +13,11 @@ class TestResource:
 
     def test_serializes_when_capacity_one(self):
         sim = Simulator()
-        server = Server(sim, capacity=1)
+        res = Resource(sim, capacity=1)
         done = []
 
         def job(tag, duration):
-            yield from server.serve(duration)
+            yield from res.hold(duration)
             done.append((tag, sim.now()))
 
         sim.spawn(job("a", 5.0))
@@ -27,11 +27,11 @@ class TestResource:
 
     def test_parallel_when_capacity_two(self):
         sim = Simulator()
-        server = Server(sim, capacity=2)
+        res = Resource(sim, capacity=2)
         done = []
 
         def job(tag, duration):
-            yield from server.serve(duration)
+            yield from res.hold(duration)
             done.append((tag, sim.now()))
 
         for tag in ("a", "b", "c"):
@@ -39,20 +39,27 @@ class TestResource:
         sim.run()
         assert done == [("a", 4.0), ("b", 4.0), ("c", 8.0)]
 
+    def test_hold_interrupted_queued_or_holding_leaks_no_slot(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        holder = sim.spawn(res.hold(5.0))
+        queued = sim.spawn(res.hold(5.0))
+        sim.schedule(1.0, queued.interrupt, "die while queued")
+        sim.schedule(2.0, holder.interrupt, "die while holding")
+        sim.run()
+        assert holder.triggered and queued.triggered
+        assert res.in_use == 0 and res.queue_length == 0
+
     def test_release_without_request_raises(self):
         with pytest.raises(RuntimeError):
             Resource(Simulator()).release()
 
     def test_utilization(self):
         sim = Simulator()
-        server = Server(sim, capacity=1)
-
-        def job():
-            yield from server.serve(5.0)
-
-        sim.spawn(job())
+        res = Resource(sim, capacity=1)
+        sim.spawn(res.hold(5.0))
         sim.run(until=10.0)
-        assert server.utilization(10.0) == pytest.approx(0.5)
+        assert res.utilization(10.0) == pytest.approx(0.5)
 
     def test_queue_length(self):
         sim = Simulator()
@@ -75,48 +82,6 @@ class TestResource:
         res.release()
         sim.run(until=1.0)
         assert live.triggered and live.ok
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-        evt = store.get()
-        assert evt.triggered and evt.value == "x"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now()))
-
-        def producer():
-            yield sim.timeout(3.0)
-            store.put("msg")
-
-        sim.spawn(consumer())
-        sim.spawn(producer())
-        sim.run()
-        assert got == [("msg", 3.0)]
-
-    def test_fifo_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(3):
-            store.put(i)
-        assert [store.get().value for _ in range(3)] == [0, 1, 2]
-
-    def test_drain(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert store.drain() == [1, 2]
-        assert len(store) == 0
 
 
 class TestTimeSeries:
