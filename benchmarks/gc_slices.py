@@ -11,6 +11,10 @@ CPU seconds it took, and how many collections of each generation ran inside
 it and how long they took (``gc.callbacks``).  A full (generation 2)
 collection walks every tracked object, so the slices it lands in stand out;
 the tracked heap printed at the end is what such a collection has to walk.
+Beside it is the tracked heap when the run started (set-up done, clients
+started): a full collection runs once the objects that survived younger
+collections reach a quarter of the heap the last one left, so how many land
+in the run follows the ratio of the final heap to the starting one.
 Standard library only.
 """
 
@@ -51,12 +55,17 @@ class GcClock:
 
 
 def measure(workload: str, seed: int, seconds: float):
-    """Run the workload; returns ``(run, slices)``, one dict per event-loop
-    call (the timed slices, then the settle span)."""
+    """Run the workload; returns ``(run, slices, started)``: one dict per
+    event-loop call (the timed slices, then the settle span), and the tracked
+    heap at the first call, counted without a collection so that the run's
+    own collections fall where they would."""
     clock = GcClock()
     slices = []
+    started = []
 
     def around_run(fn, *args, **kwargs):
+        if not started:
+            started.append(len(gc.get_objects()))
         counts, gc_seconds = clock.snapshot()
         cpu = time.process_time()
         try:
@@ -73,7 +82,7 @@ def measure(workload: str, seed: int, seconds: float):
         run = run_workload(BY_NAME[workload], seed, seconds, around_run=around_run)
     finally:
         gc.callbacks.remove(clock)
-    return run, slices
+    return run, slices, started[0]
 
 
 def main(argv=None) -> int:
@@ -83,7 +92,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     args = parser.parse_args(argv)
 
-    run, slices = measure(args.workload, args.seed, args.seconds)
+    run, slices, started = measure(args.workload, args.seed, args.seconds)
     print(f"{args.workload}  seed={args.seed}  seconds={args.seconds:g}  "
           f"sim={run.sim_duration:g}s")
     print(f"{'slice':>5} {'rate/cpu-s':>11} {'cpu-s':>7} "
@@ -100,7 +109,9 @@ def main(argv=None) -> int:
           f"collector {gc_s:.2f} of {cpu:.2f} cpu-s; "
           f"full collections in {full} of {len(timed)} slices")
     gc.collect()
-    print(f"tracked heap after the quiesced run: {len(gc.get_objects())} objects")
+    final = len(gc.get_objects())
+    print(f"tracked heap after the quiesced run: {final} objects; "
+          f"{started} when the run started (x{final / started:.2f})")
     return 0
 
 

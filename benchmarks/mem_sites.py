@@ -2,7 +2,7 @@
 """What one benchmark run keeps alive, by allocation site.
 
     python3 benchmarks/mem_sites.py [--workload hot_scaleout] [--seed 0] [--seconds 8] [--top 15]
-                                    [--at settle|setup]
+                                    [--at settle|setup|growth]
 
 Runs one workload of the repository benchmark through its own
 ``run_workload`` (``benchmarks/perf`` is imported as it is, not copied) with
@@ -16,6 +16,8 @@ the benchmark's: compare sites and traced bytes between checkouts, never
 this ``ru_maxrss`` with ``peak_rss_mb``.  ``--at setup`` takes the snapshot
 instead when the cluster is set up and its clients started, before the first
 event runs: what a set-up change (loading, copying replicas) leaves behind.
+``--at growth`` takes both and prints, by site, what the settle snapshot
+holds beyond the set-up one: what the run itself added.
 Standard library only.
 """
 
@@ -54,22 +56,27 @@ def measure(workload: str, seed: int, seconds: float, at: str = "settle"):
     harness's audit, which materialises every page a slave still holds ops
     for, has not yet run.  ``at="setup"`` takes them at the first call into
     the event loop, before it runs: set-up done, clients started.
+    ``at="growth"`` takes both; its statistics are the settle snapshot's
+    growth over the set-up one per site, largest first, and ``current`` is
+    ``(setup, settle)``.
     The harness's calibration floats are built before tracing starts: they
     are in the benchmark's resident set, but no part of the simulator."""
     taken = {"calls": 0}
 
-    def take():
+    def take(point):
         gc.collect()
-        taken["current"] = tracemalloc.get_traced_memory()[0]
-        taken["snapshot"] = tracemalloc.take_snapshot()
+        snapshot = tracemalloc.take_snapshot()
+        taken[point] = tracemalloc.get_traced_memory()[0], snapshot.filter_traces(
+            (tracemalloc.Filter(False, tracemalloc.__file__),)
+        )
 
     def around_run(fn, *args, **kwargs):
-        if at == "setup" and taken["calls"] == 0:
-            take()
+        if at in ("setup", "growth") and taken["calls"] == 0:
+            take("setup")
         result = fn(*args, **kwargs)
         taken["calls"] += 1
-        if at == "settle" and taken["calls"] == RUN_SLICES + 1:  # the settle span
-            take()
+        if at in ("settle", "growth") and taken["calls"] == RUN_SLICES + 1:  # the settle span
+            take("settle")
         return result
 
     calibration_pass()
@@ -79,8 +86,13 @@ def measure(workload: str, seed: int, seconds: float, at: str = "settle"):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    snapshot = taken["snapshot"].filter_traces((tracemalloc.Filter(False, tracemalloc.__file__),))
-    return run, taken["current"], peak, snapshot.statistics("lineno")
+    if at != "growth":
+        current, snapshot = taken[at]
+        return run, current, peak, snapshot.statistics("lineno")
+    (before, setup), (after, settle) = taken["setup"], taken["settle"]
+    grown = [stat for stat in settle.compare_to(setup, "lineno") if stat.size_diff > 0]
+    grown.sort(key=lambda stat: stat.size_diff, reverse=True)
+    return run, (before, after), peak, grown
 
 
 def main(argv=None) -> int:
@@ -89,8 +101,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--top", type=int, default=15)
-    parser.add_argument("--at", choices=("settle", "setup"), default="settle",
-                        help="snapshot when the settle span ends, or before the first event")
+    parser.add_argument("--at", choices=("settle", "setup", "growth"), default="settle",
+                        help="snapshot when the settle span ends, before the first event, "
+                             "or the first's growth over the second by site")
     args = parser.parse_args(argv)
 
     run, current, peak, stats = measure(args.workload, args.seed, args.seconds, args.at)
@@ -99,10 +112,16 @@ def main(argv=None) -> int:
           f"sim={run.sim_duration:g}s  at={args.at}")
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"ru_maxrss {maxrss:.1f} MiB (inflated by tracemalloc: not peak_rss_mb)")
-    print(f"traced current {current / mib:.1f} MiB, peak {peak / mib:.1f} MiB")
-    print(f"{'KiB':>9} {'blocks':>8}  site")
+    growth = args.at == "growth"
+    if growth:
+        setup, current = current
+    print(f"traced current {current / mib:.1f} MiB"
+          + (f" ({setup / mib:.1f} at set-up)" if growth else "") + f", peak {peak / mib:.1f} MiB")
+    sign = "+" if growth else ""
+    print(f"{sign + 'KiB':>9} {sign + 'blocks':>8}  site")
     for stat in stats[: args.top]:
-        print(f"{stat.size / 1024:>9.0f} {stat.count:>8}  {site(stat.traceback[0])}")
+        size, count = (stat.size_diff, stat.count_diff) if growth else (stat.size, stat.count)
+        print(f"{size / 1024:>9.0f} {count:>8}  {site(stat.traceback[0])}")
     return 0
 
 

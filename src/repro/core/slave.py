@@ -20,7 +20,7 @@ page (lazy application).  This is the core of Dynamic Multiversioning:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.counters import Counters
 from repro.common.errors import SchemaError, VersionInconsistency
@@ -73,8 +73,9 @@ class SlaveReplica:
             engine = HeapEngine(counters=self.counters, name=f"slave:{node_id}")
         self.engine = engine
         #: page -> the write-sets' shared (version, PageOp) entries not yet
-        #: applied, in version order.
-        self.pending: Dict[PageId, List[Tuple[int, PageOp]]] = {}
+        #: applied, in version order: a write-set's shared one-entry tuple
+        #: until a second op for the page arrives, then this slave's list.
+        self.pending: Dict[PageId, Sequence[Tuple[int, PageOp]]] = {}
         self.engine.set_controller(SlaveController(self))
         #: Highest versions received from masters (per table).
         self.received_versions = VersionVector()
@@ -163,16 +164,21 @@ class SlaveReplica:
     def _buffer(self, write_set: WriteSet, skip_covered: bool) -> int:
         """The receive funnel; returns ops buffered.  What is fixed for a
         write-set (store, pending map, table lookup, catch-up flag) is
-        resolved once; per op there is the page, its queue (which takes the
-        write-set's shared ``(version, op)`` entry) and a loop over the op's
-        shared index delta — none while catching up (``finish_catchup``
-        rebuilds the indexes from pages)."""
+        resolved once; per op there is the page, its queue and a loop over
+        the op's shared index delta — none while catching up
+        (``finish_catchup`` rebuilds the indexes from pages).
+
+        What the op gives is built once and shared by every slave: a page
+        with nothing queued takes the write-set's one-entry queue head
+        itself, and a second op thaws it into this slave's list; a new index
+        key takes the op's one committed entry as its bucket."""
         self._seen_write_sets.add(write_set.dedup_key())
         get_or_allocate = self.engine.store.get_or_allocate
         pending = self.pending
         table_of = None if self.catching_up else self.engine.table
         buffered = 0
-        for entry in write_set.queue_entries:
+        for head in write_set.queue_heads:
+            entry = head[0]
             version, op = entry
             page_id = op.page_id
             # Allocated on receipt so scans see the page before materialisation.
@@ -181,8 +187,11 @@ class SlaveReplica:
                 continue  # checkpoint image already contains this op
             queue = pending.get(page_id)
             if queue is None:
-                queue = pending[page_id] = []
-            queue.append(entry)
+                pending[page_id] = head
+            elif type(queue) is tuple:
+                pending[page_id] = [*queue, entry]
+            else:
+                queue.append(entry)
             if table_of is not None:
                 table_of(page_id.table).index_apply_committed(op, version)
             buffered += 1
@@ -200,7 +209,7 @@ class SlaveReplica:
     # materialisation from O(ops) page writes into O(slots touched).
 
     def _coalesce(
-        self, queue: List[Tuple[int, PageOp]], target: Optional[int]
+        self, queue: Sequence[Tuple[int, PageOp]], target: Optional[int]
     ) -> Tuple[Dict[int, Tuple[str, object]], int, int]:
         """Plan the queue's prefix at-or-below ``target``, consuming nothing.
 
@@ -261,7 +270,7 @@ class SlaveReplica:
             self.counters.add("slave.ops_coalesced", count - len(plan))
 
     def _apply_queue(
-        self, page: Page, queue: List[Tuple[int, PageOp]], target: Optional[int]
+        self, page: Page, queue: Sequence[Tuple[int, PageOp]], target: Optional[int]
     ) -> Tuple[int, int]:
         """The one apply step: coalesce ``page``'s ``queue`` up to ``target``
         (``None`` = everything), write the plan, then consume its ops and
@@ -274,8 +283,11 @@ class SlaveReplica:
         plan, top, count = self._coalesce(queue, target)
         if count:
             self._apply_plan(page, plan, top, count)
-            del queue[:count]
             self.pending_ops -= count
+            if type(queue) is tuple:  # a write-set's shared head: replaced, never written
+                queue = self.pending[page.page_id] = queue[count:]
+            else:
+                del queue[:count]
         if not queue:
             del self.pending[page.page_id]
         return count, len(plan)
@@ -377,8 +389,10 @@ class SlaveReplica:
         for page_id in list(self.pending):
             queue = self.pending[page_id]
             confirmed = versions.get(page_id.table)
-            keep = [entry for entry in queue if entry[0] <= confirmed]
             dropped = [entry for entry in queue if entry[0] > confirmed]
+            if not dropped:
+                continue
+            keep = [entry for entry in queue if entry[0] <= confirmed]
             # Undo the eager index maintenance in reverse receive order:
             # an insert-then-delete of the same key (one transaction's
             # write-set) must unmark the delete while the entry still
@@ -447,9 +461,9 @@ class SlaveReplica:
         """Joining-node side: install a migrated page, drop covered ops."""
         page = self.engine.store.get_or_allocate(image.page_id)
         page.load_from(image.page)
-        queue = self.pending.get(image.page_id)
-        if queue:
-            kept = [entry for entry in queue if entry[0] > image.version]
+        queue = self.pending.get(image.page_id, ())
+        kept = [entry for entry in queue if entry[0] > image.version]
+        if len(kept) < len(queue):
             self.pending_ops -= len(queue) - len(kept)
             if kept:
                 self.pending[image.page_id] = kept

@@ -34,13 +34,15 @@ class WriteSet:
     #: versions it keys the slaves' duplicate filter, so retransmitted and
     #: link-duplicated write-sets are received idempotently.
     seq: int = 0
-    #: ``(commit version of its table, op)`` per op: what a slave queues per
-    #: page, built once here and shared by every slave's queue.
-    queue_entries: Tuple = field(init=False, repr=False, compare=False)
+    #: ``((commit version of its table, op),)`` per op: the one-entry
+    #: pending queue a slave with nothing queued for the op's page takes as
+    #: it is, and whose entry a slave with a queue appends.  Built once here
+    #: and shared by every slave's queue.
+    queue_heads: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = tuple((self.versions[op.page_id.table], op) for op in self.ops)
-        object.__setattr__(self, "queue_entries", entries)
+        heads = tuple(((self.versions[op.page_id.table], op),) for op in self.ops)
+        object.__setattr__(self, "queue_heads", heads)
 
     def dedup_key(self) -> Tuple:
         """Identity of this broadcast for the slave-side duplicate filter.

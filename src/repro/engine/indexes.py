@@ -19,8 +19,10 @@ lazily.  Reads filter entries by their transaction's version tag (or read
 An entry is not an object: a key's bucket is one flat list of immutable
 elements, ``loc, insert_v, delete_v, writer`` per entry (DESIGN.md §2).
 A bucket copied into another replica is frozen into a tuple that both
-share; the write side thaws it back into the writer's own list
-(:meth:`_BucketOps._writable`), the read side iterates either.
+share, and a key's first committed entry is its bucket as it stands: the
+one tuple of :func:`committed_entry`, which every replica applying the
+same op holds.  The write side thaws a tuple back into the writer's own
+list (:meth:`_BucketOps._writable`), the read side iterates either.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ Key = Tuple
 #: Elements per entry of a flat bucket: ``[loc, insert_v, delete_v, writer, loc, ...]``.
 STRIDE = 4
 _INSERT_V, _DELETE_V, _WRITER = 1, 2, 3
+
+
+def committed_entry(loc: Loc, version: int) -> Tuple:
+    """The live entry a committed write adds at ``loc``: immutable, so every
+    index and replica that adds it holds this one tuple — as the whole
+    bucket of a key that had none (:meth:`_BucketOps.add_committed`)."""
+    return (loc, version, None, None)
 
 
 def entries(bucket: List) -> Iterator[Tuple[Loc, Optional[int], object, Optional[TxnId]]]:
@@ -134,9 +143,10 @@ class _BucketOps:
         self.committed_deletes = 0
 
     # Subclasses provide, for encoded keys, _bucket(key) to read a bucket (a
-    # list, a frozen tuple or None), _writable(key, create) to get its own
-    # list (thawing a frozen one, creating an absent one only if ``create``)
-    # and _drop_bucket(key).
+    # list, a frozen tuple or None), _writable(key, fresh=None) to get its
+    # own list (thawing a frozen one; an absent key gets ``fresh`` linked as
+    # its bucket and returned as is, or None without one) and
+    # _drop_bucket(key).
 
     def _find(self, key: Key, loc: Loc, field: int, value, what: str, undo: bool = False):
         """``(bucket, position)`` of the entry at ``loc`` whose ``field`` is
@@ -151,7 +161,7 @@ class _BucketOps:
         the same key, delete again): forward steps run in journal order and
         consume the oldest match, ``undo`` steps the newest.
         """
-        bucket = self._writable(key, create=False)
+        bucket = self._writable(key)
         positions = range(0, len(bucket or ()), STRIDE)
         for i in reversed(positions) if undo else positions:
             if bucket[i + field] == value and bucket[i] == loc:
@@ -164,10 +174,17 @@ class _BucketOps:
         if not bucket:
             self._drop_bucket(key)
 
+    def _add(self, key: Key, entry) -> None:
+        """Append one entry under ``key``; a key with no bucket takes
+        ``entry`` itself as its bucket."""
+        bucket = self._writable(key, entry)
+        if bucket is not entry:
+            bucket += entry
+        self.entry_count += 1
+
     # -- master write path (pending entries) ---------------------------------
     def add_pending(self, key: Key, loc: Loc, writer: TxnId) -> None:
-        self._writable(key, create=True).extend((loc, None, None, writer))
-        self.entry_count += 1
+        self._add(key, [loc, None, None, writer])  # a list: stamping writes it
 
     def mark_delete_pending(self, key: Key, loc: Loc, writer: TxnId) -> None:
         bucket, i = self._find(key, loc, _DELETE_V, None, "live entry")
@@ -196,9 +213,11 @@ class _BucketOps:
         bucket[i + _WRITER] = None
 
     # -- slave apply path (already committed) ----------------------------------
-    def add_committed(self, key: Key, loc: Loc, version: int) -> None:
-        self._writable(key, create=True).extend((loc, version, None, None))
-        self.entry_count += 1
+    def add_committed(self, key: Key, entry: Tuple) -> None:
+        """Add a :func:`committed_entry`.  A key with no bucket links the
+        tuple itself, frozen: the replicas applying one op, and the indexes
+        of one row, share it until one of them writes that key."""
+        self._add(key, entry)
 
     def mark_delete_committed(self, key: Key, loc: Loc, version: int) -> None:
         bucket, i = self._find(key, loc, _DELETE_V, None, "live entry")
@@ -273,10 +292,14 @@ class VersionedHashIndex(_BucketOps):
     def _bucket(self, key: Key):
         return self._buckets.get(key)
 
-    def _writable(self, key: Key, create: bool) -> Optional[List]:
+    def _writable(self, key: Key, fresh=None):
         bucket = self._buckets.get(key)
-        if type(bucket) is tuple or (bucket is None and create):
-            bucket = self._buckets[key] = list(bucket or ())
+        if bucket is None:
+            if fresh is not None:
+                self._buckets[key] = fresh
+            return fresh
+        if type(bucket) is tuple:
+            bucket = self._buckets[key] = list(bucket)
         return bucket
 
     def _drop_bucket(self, key: Key) -> None:
@@ -325,17 +348,17 @@ class VersionedTreeIndex(_BucketOps):
     def _bucket(self, key: Key):
         return self._tree.get(key)
 
-    def _writable(self, key: Key, create: bool) -> Optional[List]:
-        """Thaws through the node the one search found, so a frozen bucket
-        costs no extra tree visits."""
+    def _writable(self, key: Key, fresh=None):
+        """Links ``fresh`` or thaws through the node the one search found,
+        so neither costs extra tree visits."""
         before = self._tree.rotations
-        node = self._tree.node(key, list if create else None)
+        node = self._tree.node(key, fresh)
         rotations = self._tree.rotations - before
         if rotations:
             self.counters.add("index.rotations", rotations)
         if node is None:
             return None
-        if type(node.value) is tuple:
+        if type(node.value) is tuple and node.value is not fresh:
             node.value = list(node.value)
         return node.value
 

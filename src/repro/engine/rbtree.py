@@ -62,14 +62,15 @@ class RedBlackTree:
         return self.size
 
     def setdefault(self, key: Any, factory: Callable[[], Any]) -> Any:
-        """Payload for ``key``; a miss links ``factory()`` where the search ended."""
-        return self.node(key, factory).value
+        """Payload for ``key``; a miss links ``factory()``, called either way,
+        where the search ended."""
+        return self.node(key, factory()).value
 
-    def node(self, key: Any, factory: Optional[Callable[[], Any]] = None) -> Optional["_Node"]:
+    def node(self, key: Any, fresh: Any = None) -> Optional["_Node"]:
         """The node holding ``key``, whose ``value`` the caller may replace.
 
-        A miss links ``factory()`` where the search ended and returns its
-        node, or returns None without a ``factory``.  One search either way.
+        A miss links ``fresh`` where the search ended and returns its node,
+        or returns None when ``fresh`` is None.  One search either way.
         """
         parent = self.nil
         node = self.root
@@ -79,9 +80,9 @@ class RedBlackTree:
                 return node
             parent = node
             node = node.left if key < node.key else node.right
-        if factory is None:
+        if fresh is None:
             return None
-        return self._link(key, factory(), parent)
+        return self._link(key, fresh, parent)
 
     # -- rotations ----------------------------------------------------------
     def _rotate_left(self, x: "_Node") -> None:

@@ -12,7 +12,9 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.common.errors import SchemaError, TransactionAborted
-from repro.engine.indexes import Key, Loc, VersionedHashIndex, VersionedTreeIndex, encode_key
+from repro.engine.indexes import (
+    Key, Loc, VersionedHashIndex, VersionedTreeIndex, committed_entry, encode_key,
+)
 from repro.engine.indexes import _BucketOps as _Index
 from repro.engine.schema import TableSchema, key_at
 from repro.engine.txn import Transaction, UndoRecord
@@ -302,9 +304,23 @@ class Table:
 
     # -- slave apply path -----------------------------------------------------------
     def index_apply_committed(self, op: PageOp, version: int) -> None:
-        """Eager index maintenance for one committed replicated op."""
-        delta = self.index_delta(op)
-        self._each_key(delta, _Index.mark_delete_committed, _Index.add_committed, op.loc, version)
+        """Eager index maintenance for one committed replicated op.
+
+        Every key the op adds gets the op's one :func:`committed_entry`,
+        cached in its ``_committed_entry`` slot like its index delta: every
+        replica applying the op, and each of its indexes, links that tuple
+        as the bucket of a key it had none for."""
+        loc = op.loc
+        entry = op._committed_entry
+        for slot, old_key, new_key in self.index_delta(op):
+            index = self._by_slot[slot]
+            if old_key is not None:
+                index.mark_delete_committed(old_key, loc, version)
+            if new_key is not None:
+                if entry is None or entry[1] != version:
+                    entry = committed_entry(loc, version)
+                    object.__setattr__(op, "_committed_entry", entry)
+                index.add_committed(new_key, entry)
         if op.kind is OpKind.INSERT:
             self.row_count += 1
         elif op.kind is OpKind.DELETE:
@@ -334,9 +350,9 @@ class Table:
             page, slot = self._bulk_slot()
             page.put(slot, row)
             page.version = max(page.version, version)
-            loc: Loc = (page.page_id, slot)
+            entry = committed_entry((page.page_id, slot), version)
             for index, key in zip(self._by_slot, self.index_keys(row)):
-                index.add_committed(key, loc, version)
+                index.add_committed(key, entry)
             count += 1
         self.row_count += count
         return count
@@ -383,9 +399,9 @@ class Table:
         self._reset_indexes()
         for page in self.store.pages_of(self.name):
             for slot, row in page.iter_live():
-                loc: Loc = (page.page_id, slot)
+                entry = committed_entry((page.page_id, slot), 0)
                 for index, key in zip(self._by_slot, self.index_keys(row)):
-                    index.add_committed(key, loc, 0)
+                    index.add_committed(key, entry)
                 self.row_count += 1
             if not page.full:
                 self._nonfull.append(page)

@@ -68,6 +68,7 @@ class PageOp:
     #: reaches: declared slots, outside the op's identity and wire size.
     _delta_items: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
     _index_delta: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
+    _committed_entry: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
     _full_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _encoded_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 

@@ -9,6 +9,7 @@ its version-aware page migration both key off this single integer.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SchemaError
@@ -21,17 +22,30 @@ ROWS_PER_PAGE = 64
 Row = Tuple
 
 
+@cache
+def empty_slots(capacity: int) -> Tuple[None, ...]:
+    """The one frozen all-empty slot image of ``capacity`` slots."""
+    return (None,) * capacity
+
+
 class Page:
     """A fixed-capacity slotted page holding rows of one table."""
 
     __slots__ = ("page_id", "capacity", "slots", "version", "stamp", "live_rows", "_free_hint")
 
-    def __init__(self, page_id: PageId, capacity: int = ROWS_PER_PAGE, version: int = 0) -> None:
+    def __init__(
+        self,
+        page_id: PageId,
+        capacity: int = ROWS_PER_PAGE,
+        version: int = 0,
+        slots: Optional[Sequence[Optional[Row]]] = None,
+    ) -> None:
         self.page_id = page_id
         self.capacity = capacity
         #: A private list, or a tuple frozen by :meth:`snapshot` /
-        #: :meth:`load_from` and possibly shared; only :meth:`put` writes it.
-        self.slots: Sequence[Optional[Row]] = [None] * capacity
+        #: :meth:`load_from` or given (:func:`empty_slots`) and possibly
+        #: shared; only :meth:`put` writes it.
+        self.slots: Sequence[Optional[Row]] = [None] * capacity if slots is None else slots
         self.version = version
         #: Monotonic mutation stamp, bumped on *every* content change —
         #: including uncommitted writes and undo reverts, unlike ``version``
@@ -166,10 +180,12 @@ class PageStore:
         self._pages: Dict[PageId, Page] = {}
         self._per_table: Dict[str, List[Page]] = {}
 
-    def allocate(self, table: str) -> Page:
-        """Create and register the next page of ``table``."""
+    def allocate(self, table: str, slots: Optional[Tuple[None, ...]] = None) -> Page:
+        """Create and register the next page of ``table``: with a private
+        slot list for a caller about to write it, or the given frozen
+        ``slots``."""
         pages = self._per_table.setdefault(table, [])
-        page = Page(page_id_of(table, len(pages)), self.rows_per_page)
+        page = Page(page_id_of(table, len(pages)), self.rows_per_page, slots=slots)
         pages.append(page)
         self._pages[page.page_id] = page
         return page
@@ -196,10 +212,12 @@ class PageStore:
         Replicas applying write-sets may see operations for pages their
         local table has not grown yet; allocation is deterministic so the
         same page numbers exist on every replica — and, allocated through
-        :func:`~repro.common.ids.page_id_of`, the same id objects.
+        :func:`~repro.common.ids.page_id_of`, the same id objects.  Nothing
+        here writes the page, so it starts from the shared
+        :func:`empty_slots` image, which its first :meth:`Page.put` thaws.
         """
         while page_id not in self._pages:
-            self.allocate(page_id.table)
+            self.allocate(page_id.table, empty_slots(self.rows_per_page))
         return self._pages[page_id]
 
     def copy_table_from(self, source: "PageStore", table: str) -> None:

@@ -5,6 +5,7 @@ what the harness calls would break it quietly; this runs it once, short, in
 its own process, and reads its table back.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,4 +27,11 @@ def test_gc_slices_prints_one_row_per_timed_slice():
         rate, cpu, gen0, gen1, gen2, gc_s, full_s = map(float, row[1:])
         assert rate > 0 and cpu > 0 and min(gen0, gen1, gen2, gc_s, full_s) >= 0
     assert lines[-2].startswith("median rate ")
-    assert lines[-1].startswith("tracked heap after the quiesced run: ")
+    final = re.fullmatch(
+        r"tracked heap after the quiesced run: (\d+) objects; (\d+) when the run started "
+        r"\(x(\d+\.\d\d)\)",
+        lines[-1],
+    )
+    assert final, lines[-1]
+    after, started, ratio = int(final[1]), int(final[2]), float(final[3])
+    assert after > 0 and started > 0 and ratio == round(after / started, 2)

@@ -14,22 +14,27 @@ ordering-mix run on two masters and four slaves pins:
   tuples (no per-entry object);
 * tracked objects per row: per bulk-loaded row replica, and per row replica
   inserted between a run of T and a run of 2T sim-s — so the heap grows with
-  the data, not with run length.  Measured on CPython 3.11: 1.52 and 4.45
-  (3.09 per bulk-loaded row replica with every replica's slot lists and
-  buckets copied instead of frozen and shared; 5.47 and 12.3 with an entry
-  object per index fact, a ``PageId`` per page per replica, a queue tuple
-  per op per slave, and every write-set sent and update query logged kept
-  alive);
+  the data, not with run length.  Measured on CPython 3.11: 1.39 and 3.05
+  (1.52 and 4.29 with a bucket list, a queue list and a slot list built per
+  slave for every key and page a write-set gives it; 3.09 per bulk-loaded row
+  replica with every replica's slot lists and buckets copied instead of
+  frozen and shared; 5.47 and 12.3 with an entry object per index fact, a
+  ``PageId`` per page per replica, a queue tuple per op per slave, and every
+  write-set sent and update query logged kept alive);
 * bytes per bulk-loaded row replica at one row per page, under
   ``tracemalloc``: a copied replica shares the loaded one's frozen slots,
   buckets and checkpoint images and pays only for its own pages, dicts and
-  tree nodes.  Measured on CPython 3.11: 483 B (799 B copying them);
+  tree nodes.  Measured on CPython 3.11: 448 B (483 B with a bucket list per
+  key; 799 B copying them);
 * bytes per inserted row replica, the same T / 2T runs at one row per page
   (the benchmark's layout, where every inserted row is a page no slave
   reader touches, so its ops stay buffered) under ``tracemalloc``: object
   counts cannot tell a pending queue's ``deque`` from its ``list``, bytes
-  can.  Measured on CPython 3.11: 1,198 B (1,807 B with a ``deque`` per
-  pending page).
+  can.  Measured on CPython 3.11: 985 B (1,201 B with the per-slave lists
+  above; 1,807 B with a ``deque`` per pending page);
+* what a write-set gives the slaves is built once and shared: slaves fed one
+  insert hold one bucket object for its new keys, one queue head for its page
+  and one empty slot image for the page they allocated on receipt.
 """
 
 import gc
@@ -38,7 +43,10 @@ import tracemalloc
 import pytest
 
 from repro.cluster.simcluster import SimDmvCluster
-from repro.engine.indexes import entries
+from repro.core import MasterReplica, SlaveReplica
+from repro.engine import Column, HeapEngine, IndexDef, TableSchema, make_update_controller
+from repro.engine.indexes import encode_key, entries
+from repro.storage.page import empty_slots
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale, tpcw_conflict_map
 
 SCALE = TpcwScale(num_items=40, num_customers=144)
@@ -46,8 +54,8 @@ RUN_SIM_S = 15.0
 SETTLE_SIM_S = 25.0
 BULK_BUDGET = 2.0  # tracked objects per bulk-loaded row, per replica
 BULK_BYTES_BUDGET = 600  # traced bytes per bulk-loaded row, per replica, one row per page
-GROWTH_BUDGET = 5.0  # tracked objects per inserted row, per replica
-GROWTH_BYTES_BUDGET = 1400  # traced bytes per inserted row, per replica, one row per page
+GROWTH_BUDGET = 3.75  # tracked objects per inserted row, per replica
+GROWTH_BYTES_BUDGET = 1100  # traced bytes per inserted row, per replica, one row per page
 
 
 def tracked_heap() -> int:
@@ -176,3 +184,41 @@ def test_retained_bytes_grow_with_rows_not_with_run_length():
     assert inserted > 1000
     grown = after_2t - after_t
     assert grown <= inserted * GROWTH_BYTES_BUDGET, f"{grown} B for {inserted} inserted"
+
+
+def slaves_fed_one_write_set(num_slaves, write):
+    """``num_slaves`` slaves (one row per page, holding row 1 of a small
+    indexed table like their master) that received the one write-set
+    ``write(table, txn)`` made on the master; returns ``(slaves, write_set)``."""
+    schema = TableSchema(
+        "item", [Column("i_id", "int", nullable=False), Column("i_title", "str")],
+        primary_key=("i_id",), indexes=[IndexDef("ix_title", ("i_title",))],
+    )
+    master = MasterReplica("m0", HeapEngine(make_update_controller(), rows_per_page=1))
+    slaves = [SlaveReplica(f"s{i}", HeapEngine(rows_per_page=1)) for i in range(num_slaves)]
+    for engine in [master.engine] + [slave.engine for slave in slaves]:
+        engine.create_table(schema)
+        engine.bulk_load("item", [{"i_id": 1, "i_title": "old"}])
+    txn = master.begin_update()
+    write(master.engine.table("item"), txn)
+    write_set = master.pre_commit(txn)
+    master.finalize(txn)
+    for slave in slaves:
+        slave.receive(write_set)
+    return slaves, write_set
+
+
+def test_slaves_fed_one_insert_share_what_it_gave_them():
+    slaves, write_set = slaves_fed_one_write_set(
+        3, lambda table, txn: table.insert_row(txn, {"i_id": 7, "i_title": "t"})
+    )
+    (op,) = write_set.ops
+    tables = [slave.engine.table("item") for slave in slaves]
+    pk_buckets = {id(table.pk_index._bucket(encode_key((7,)))) for table in tables}
+    title_buckets = {id(table.index("ix_title")._bucket(encode_key(("t",)))) for table in tables}
+    assert len(pk_buckets) == 1 and pk_buckets == title_buckets  # one object, every slave and index
+    bucket = tables[0].pk_index._bucket(encode_key((7,)))
+    assert list(entries(bucket)) == [(op.loc, write_set.versions["item"], None, None)]
+    assert {id(slave.pending[op.page_id]) for slave in slaves} == {id(write_set.queue_heads[0])}
+    for slave in slaves:  # received, never read: the one empty image
+        assert slave.engine.store.get(op.page_id).slots is empty_slots(1)

@@ -342,14 +342,15 @@ def test_replicas_fed_the_same_ops_share_nothing_mutable():
             assert_immutable(op._index_delta)
 
     class Wrapped:  # what ``mutable_parts`` walks
-        def __init__(self, engine):
-            self.engine = engine
+        def __init__(self, slave):
+            self.engine = slave.engine
+            self.slave = slave
             self.stable = type("NoImages", (), {"_images": {}, "_previous": {}})
 
     s0, s1, s2 = slaves
     states = [indexes_of(slave.engine) for slave in slaves]
     assert states[0] == states[1] == states[2]
-    parts = [mutable_parts(Wrapped(slave.engine)) for slave in slaves]
+    parts = [mutable_parts(Wrapped(slave)) for slave in slaves]
     assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
 
     def only_changed(*mutated):

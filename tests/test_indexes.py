@@ -15,6 +15,7 @@ from repro.engine.indexes import (
     PENDING,
     VersionedHashIndex,
     VersionedTreeIndex,
+    committed_entry,
     encode_key,
     prefix_bounds,
     visible,
@@ -45,20 +46,20 @@ def committed(version, stamped=False):
             ix.add_pending(key, loc, 99)
             ix.stamp_insert(key, loc, version)
         else:  # the slave's way
-            ix.add_committed(key, loc, version)
+            ix.add_committed(key, committed_entry(loc, version))
     return (version, None, None), build
 
 
 def pending_delete(version, writer):
     def build(ix, key, loc):
-        ix.add_committed(key, loc, version)
+        ix.add_committed(key, committed_entry(loc, version))
         ix.mark_delete_pending(key, loc, writer)
     return (version, PENDING, writer), build
 
 
 def committed_delete(version, deleted, stamped=False):
     def build(ix, key, loc):
-        ix.add_committed(key, loc, version)
+        ix.add_committed(key, committed_entry(loc, version))
         if stamped:
             ix.mark_delete_pending(key, loc, 99)
             ix.stamp_delete(key, loc, deleted)
@@ -162,7 +163,7 @@ class TestEncodeKey:
     def test_upper_bounded_range_starts_past_the_nulls(self):
         idx = VersionedTreeIndex("ix", "item")
         for slot, key in enumerate([(None,), (1,), (5,), (9,)]):
-            idx.add_committed(encode_key(key), (PageId("item", 0), slot), 0)
+            idx.add_committed(encode_key(key), committed_entry((PageId("item", 0), slot), 0))
         lo, hi = prefix_bounds((), None, (5, True))
         assert [slot for _page, slot in idx.range_lookup_encoded(lo, hi, None, None)] == [1, 2]
         lo, hi = prefix_bounds((), (1, False), None)
@@ -196,7 +197,7 @@ class TestHashIndexLifecycle:
 
     def test_master_delete_commit_cycle(self):
         idx = VersionedHashIndex("pk", "item")
-        idx.add_committed(encode_key(("k",)), LOC, 3)
+        idx.add_committed(encode_key(("k",)), committed_entry(LOC, 3))
         idx.mark_delete_pending(encode_key(("k",)), LOC, writer=5)
         assert idx.lookup(("k",), 5, None) == []
         idx.stamp_delete(encode_key(("k",)), LOC, 8)
@@ -205,7 +206,7 @@ class TestHashIndexLifecycle:
 
     def test_master_delete_abort_restores(self):
         idx = VersionedHashIndex("pk", "item")
-        idx.add_committed(encode_key(("k",)), LOC, 3)
+        idx.add_committed(encode_key(("k",)), committed_entry(LOC, 3))
         idx.mark_delete_pending(encode_key(("k",)), LOC, writer=5)
         idx.revert_delete(encode_key(("k",)), LOC)
         assert idx.lookup(("k",), 5, None) == [LOC]
@@ -214,20 +215,20 @@ class TestHashIndexLifecycle:
         idx = VersionedHashIndex("pk", "item")
         with pytest.raises(SchemaError):
             idx.stamp_insert(encode_key(("k",)), LOC, 1)
-        idx.add_committed(encode_key(("k",)), LOC, 1)
+        idx.add_committed(encode_key(("k",)), committed_entry(LOC, 1))
         with pytest.raises(SchemaError):
             idx.stamp_delete(encode_key(("k",)), LOC, 2)
 
     def test_multiple_locs_per_key(self):
         idx = VersionedHashIndex("ix", "item")
-        idx.add_committed(encode_key(("k",)), LOC, 1)
-        idx.add_committed(encode_key(("k",)), LOC2, 2)
+        idx.add_committed(encode_key(("k",)), committed_entry(LOC, 1))
+        idx.add_committed(encode_key(("k",)), committed_entry(LOC2, 2))
         assert set(idx.lookup(("k",), 9, 2)) == {LOC, LOC2}
         assert idx.lookup(("k",), 9, 1) == [LOC]
 
     def test_gc_removes_dead_entries(self):
         idx = VersionedHashIndex("pk", "item")
-        idx.add_committed(encode_key(("k",)), LOC, 1)
+        idx.add_committed(encode_key(("k",)), committed_entry(LOC, 1))
         idx.mark_delete_committed(encode_key(("k",)), LOC, 4)
         assert idx.gc(3) == 0
         assert idx.gc(4) == 1
@@ -236,7 +237,7 @@ class TestHashIndexLifecycle:
     def test_has_live(self):
         idx = VersionedHashIndex("pk", "item")
         assert not idx.has_live(("k",), 1, None)
-        idx.add_committed(encode_key(("k",)), LOC, 1)
+        idx.add_committed(encode_key(("k",)), committed_entry(LOC, 1))
         assert idx.has_live(("k",), 1, None)
 
 
@@ -244,7 +245,9 @@ class TestTreeIndex:
     def make(self):
         idx = VersionedTreeIndex("ix", "item")
         for i in range(10):
-            idx.add_committed(encode_key((i,)), (PageId("item", i // 4), i % 4), version=i + 1)
+            idx.add_committed(
+                encode_key((i,)), committed_entry((PageId("item", i // 4), i % 4), i + 1)
+            )
         return idx
 
     def test_range_respects_versions(self):
@@ -281,9 +284,9 @@ class TestTreeIndex:
 
     def test_prefix_range(self):
         idx = VersionedTreeIndex("ix", "t")
-        idx.add_committed(encode_key(("a", 1)), LOC, 1)
-        idx.add_committed(encode_key(("a", 2)), LOC2, 1)
-        idx.add_committed(encode_key(("b", 1)), (PageId("t", 9), 0), 1)
+        idx.add_committed(encode_key(("a", 1)), committed_entry(LOC, 1))
+        idx.add_committed(encode_key(("a", 2)), committed_entry(LOC2, 1))
+        idx.add_committed(encode_key(("b", 1)), committed_entry((PageId("t", 9), 0), 1))
         # Prefix bound: everything with first component == "a".
         locs = list(idx.range_lookup(("a",), ("a", 999999), 9, 10))
         assert len(locs) == 2

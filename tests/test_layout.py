@@ -24,8 +24,10 @@ from repro.cluster.simcluster import SimDmvCluster
 from repro.cluster.simdisk import SimDiskCluster
 from repro.cluster.simnodes import DiskDbNode, InMemoryDbNode
 from repro.cluster.sync import SyncDmvCluster
+from repro.engine.indexes import encode_key
 from repro.traffic.engine import OpenLoopEngine
 from repro.traffic.scenario import TenantSpec, TrafficScenario
+from tests.test_heap_bounds import slaves_fed_one_write_set
 
 REPO = Path(__file__).resolve().parents[1]
 CLUSTER = REPO / "src" / "repro" / "cluster"
@@ -102,6 +104,25 @@ def test_no_garbage_collector_tuning_in_the_program():
         source = path.read_text()
         for call in ("gc.disable", "gc.freeze", "gc.set_threshold"):
             assert call not in source, (path, call)
+
+
+def test_the_receive_funnel_builds_no_list_for_what_it_sees_first():
+    # A page or index key a write-set gives a slave for the first time takes
+    # the write-set's shared queue head and the op's shared committed entry
+    # (DESIGN.md §2 item 8); a slave builds a list of its own only when it
+    # writes one a second time.
+    def insert_and_move_a_key(table, txn):
+        table.insert_row(txn, {"i_id": 7, "i_title": "new"})
+        (loc,) = table.pk_lookup(txn, (1,))
+        table.update_row(txn, loc, {"i_title": "moved"})
+
+    (slave,), _write_set = slaves_fed_one_write_set(1, insert_and_move_a_key)
+    received = slave.engine.table("item")
+    assert len(slave.pending) == 2
+    assert [type(queue) for queue in slave.pending.values()] == [tuple, tuple]
+    buckets = [received.pk_index._bucket(encode_key((7,)))]
+    buckets += [received.index("ix_title")._bucket(encode_key((title,))) for title in ("new", "moved")]
+    assert [type(bucket) for bucket in buckets] == [tuple, tuple, tuple]
 
 
 def test_replica_node_replaced_the_per_driver_node_classes():

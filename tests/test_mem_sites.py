@@ -40,3 +40,7 @@ def test_mem_sites_prints_the_largest_retained_sites():
 
 def test_mem_sites_at_setup_snapshots_before_the_first_event():
     assert mem_sites("--at", "setup").endswith("  at=setup")
+
+
+def test_mem_sites_at_growth_prints_what_the_run_added_by_site():
+    assert mem_sites("--at", "growth").endswith("  at=growth")

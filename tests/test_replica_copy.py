@@ -4,7 +4,9 @@ Every multi-replica loader bulk-loads (and checkpoints) its first replica
 and copies the result into the others.  These tests pin what makes that
 safe: a copy *equals* an independent load down to tree shape and counters
 (and goes on behaving like one), it *shares nothing mutable* with its source
-or siblings, and the loaders really do the row-by-row work once.
+or siblings, and the loaders really do the row-by-row work once.  Slaves fed
+the same write-sets share what those give them (queue heads, index entries,
+empty page images) under the same rule.
 """
 
 import pytest
@@ -34,7 +36,10 @@ INDEX_CHOICES = [("a",), ("b",), ("b", "a"), ("c", "id")]
 
 
 class Replica:
-    """An engine with its stable store, as every cluster node pairs them."""
+    """An engine with its stable store, as every cluster node pairs them,
+    and the slave that owns the engine, if one does."""
+
+    slave = None
 
     def __init__(self, schema, rows_per_page=64, engine=None):
         self.engine = engine if engine is not None else HeapEngine(rows_per_page=rows_per_page)
@@ -104,13 +109,28 @@ def describe_checkpoint(checkpointer):
             list(checkpointer._cursor))
 
 
+def describe_slave(slave):
+    """Pending queues by value, the counts kept beside them, what was received."""
+    if slave is None:
+        return None
+    return (
+        [(page_id, list(queue)) for page_id, queue in slave.pending.items()],
+        slave.pending_ops,
+        slave.received_versions.as_dict(),
+        sorted(slave._seen_write_sets),
+        slave.catching_up,
+    )
+
+
 def describe(replica):
-    return describe_engine(replica.engine), describe_checkpoint(replica.checkpointer)
+    return (describe_engine(replica.engine), describe_checkpoint(replica.checkpointer),
+            describe_slave(replica.slave))
 
 
 def reachable_parts(replica):
     """Every container a replica reaches, by ``id()``: pages and their
-    slots, page lists and dicts, buckets, tree nodes, checkpoint images.
+    slots, page lists and dicts, buckets, tree nodes, checkpoint images and
+    a slave's pending queues.
 
     An image is frozen as a whole, so the walk stops at it (a shared image's
     snapshot page is reached through it alone and has frozen slots).
@@ -136,11 +156,13 @@ def reachable_parts(replica):
     for generation in (replica.stable._images, replica.stable._previous):
         reach(generation, *generation.values())
         assert all(type(image.page.slots) is tuple for image in generation.values())
+    if replica.slave is not None:  # a queue's (version, op) entries are immutable
+        reach(replica.slave.pending, *replica.slave.pending.values())
     return parts
 
 
 def is_frozen(obj):
-    """A tuple (frozen slots or bucket) or a frozen dataclass (``PageImage``)."""
+    """A tuple (frozen slots, bucket or queue) or a frozen dataclass (``PageImage``)."""
     if type(obj) is tuple:
         return True
     params = getattr(type(obj), "__dataclass_params__", None)
@@ -150,8 +172,9 @@ def is_frozen(obj):
 def mutable_parts(replica):
     """``id()`` of everything a replica may mutate in place later.
 
-    Frozen slots, buckets and images are not: replicas set up by copy share
-    them by design (see :func:`assert_only_frozen_is_shared`).
+    Frozen slots, buckets, images and queue heads are not: replicas set up by
+    copy or fed the same write-sets share them by design (see
+    :func:`assert_only_frozen_is_shared`).
     """
     return {key for key, obj in reachable_parts(replica).items() if not is_frozen(obj)}
 
@@ -239,10 +262,10 @@ def test_copy_of_the_tpcw_dataset_through_the_cluster_loader():
         return cluster
 
     loaded_itself = cluster_of(1).nodes["m0"]  # the first node always does
-    reference = describe(loaded_itself)
+    reference = describe(loaded_itself)[:2]  # engine and checkpoint: a master has no queues
     nodes = list(cluster_of(3).nodes.values())
     for node in nodes:
-        assert describe(node) == reference
+        assert describe(node)[:2] == reference
     for node, other in zip(nodes, nodes[1:]):
         assert not mutable_parts(node) & mutable_parts(other)
     assert assert_only_frozen_is_shared(*nodes)  # and the image is shared, not copied
@@ -310,7 +333,7 @@ def test_mutating_one_replica_leaves_source_and_siblings_untouched():
 
 def copied_holders(rows_per_page):
     """A master and three slaves set up by copy, checkpoint included, plus
-    a feeding master loaded on its own (its write-sets drive a slave)."""
+    a feeding master loaded on its own (its write-sets drive the slaves)."""
     def master_of(node_id):
         controller = make_update_controller()
         return MasterReplica(node_id, HeapEngine(controller, rows_per_page=rows_per_page))
@@ -318,6 +341,8 @@ def copied_holders(rows_per_page):
     master = master_of("m0")
     slaves = [SlaveReplica(f"s{i}", HeapEngine(rows_per_page=rows_per_page)) for i in range(3)]
     holders = [Replica(ITEM, engine=r.engine) for r in [master] + slaves]
+    for holder, slave in zip(holders[1:], slaves):
+        holder.slave = slave
     rows = [{"i_id": i, "i_title": f"b{i % 5}", "i_stock": i % 3} for i in range(24)]
     bulk_load_replicas([r.engine for r in holders], "item", rows)
     holders[0].checkpoint()
@@ -352,29 +377,46 @@ def write_some(engine, txn, live, data, next_id):
 
 
 MASTER_WRITERS = ["commit", "revert", "gc", "flush", "corrupt-recover"]
-SLAVE_WRITERS = ["receive", "materialize", "discard", "gc", "flush", "corrupt-recover",
-                 "receive-page"]
+SLAVE_WRITERS = ["receive", "materialize", "drain", "discard", "gc", "flush",
+                 "corrupt-recover", "receive-page", "catch-up"]
+
+
+def feed(feeder, slaves, live, data, next_id):
+    """One write-set of random writes from ``feeder``, received by ``slaves``."""
+    txn = feeder.begin_update()
+    write_some(feeder.engine, txn, live, data, next_id)
+    write_set = feeder.pre_commit(txn)
+    feeder.finalize(txn)
+    for slave in slaves:
+        slave.receive(write_set)
+    return feeder.current_versions()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 4, 64]), st.booleans(), st.data())
 def test_every_writer_on_one_holder_leaves_the_others_untouched(rows_per_page, on_slave, data):
-    """Replicas set up by copy share frozen slots, buckets and images; each
-    writer must thaw its own before it writes.  One holder takes a random
+    """Replicas set up by copy share frozen slots, buckets and images, and
+    slaves fed the same write-sets share the queue heads, index entries and
+    empty page images those give them; each writer must thaw its own before
+    it writes.  The slaves are fed alike, then one holder takes a random
     sequence of every writer it has; the others must not move at all."""
     master, slaves, holders, feeder = copied_holders(rows_per_page)
+    live = set(range(24))  # rows of the holder (master) or of the feeder (slave)
+    next_id = [100]
+    history = [feeder.current_versions()]
+    for _ in range(data.draw(st.integers(0, 3), label="fed alike")):
+        history.append(feed(feeder, slaves, live, data, next_id))
+    if not on_slave:
+        live = set(range(24))
     target = holders[1] if on_slave else holders[0]
     witnesses = [replica for replica in holders if replica is not target]
     pristine = [describe(replica) for replica in witnesses]
     engine, stable = target.engine, target.stable
-    live = set(range(24))  # rows of the holder (master) or of the feeder (slave)
-    next_id = [100]
-    history = [feeder.current_versions()]
     fed = True  # until a discard: the slave has received all the feeder wrote
-    # A slave collects up to versions the cluster has confirmed, and the
-    # confirmed vector a discard is given never falls below them: a discard
-    # draws only from history at or after the last collection.
-    collected = 0
+    # A slave collects or drains up to versions the cluster has confirmed,
+    # and the confirmed vector a discard is given never falls below them: a
+    # discard draws only from history at or after the last of those.
+    confirmed_floor = 0
 
     steps = data.draw(st.lists(
         st.sampled_from(SLAVE_WRITERS if on_slave else MASTER_WRITERS), min_size=1, max_size=12,
@@ -390,22 +432,25 @@ def test_every_writer_on_one_holder_leaves_the_others_untouched(rows_per_page, o
             else:
                 engine.abort(txn)
         elif step == "receive" and fed:
-            txn = feeder.begin_update()
-            write_some(feeder.engine, txn, live, data, next_id)
-            write_set = feeder.pre_commit(txn)
-            feeder.finalize(txn)
-            slaves[0].receive(write_set)
-            history.append(feeder.current_versions())
+            history.append(feed(feeder, slaves[:1], live, data, next_id))
         elif step == "materialize" and slaves[0].pending:
             page_id = data.draw(st.sampled_from(sorted(slaves[0].pending)), label="page")
             slaves[0].materialize_fully(page_id)
+        elif step == "drain":
+            drained = data.draw(st.integers(confirmed_floor, len(history) - 1), label="drain")
+            slaves[0].drain_to(history[drained])
+            confirmed_floor = drained
         elif step == "discard":
-            confirmed = data.draw(st.sampled_from(history[collected:]), label="confirmed")
+            confirmed = data.draw(st.sampled_from(history[confirmed_floor:]), label="confirmed")
             slaves[0].discard_above(confirmed)
             fed = False
         elif step == "gc" and on_slave:
             slaves[0].gc_versions(feeder.current_versions())
-            collected = len(history) - 1
+            confirmed_floor = len(history) - 1
+        elif step == "catch-up" and slaves[0].catching_up:
+            slaves[0].finish_catchup()  # rebuilds indexes, re-applies what is queued
+        elif step == "catch-up":
+            slaves[0].catching_up = True  # receives skip the indexes until finished
         elif step == "gc":
             master.engine.gc_index_entries(master.current_versions())
         elif step == "flush":
