@@ -9,7 +9,7 @@ ratios and failover timelines then *emerge* from the model structure.
 Scaling summary (paper -> here):
 
 * database: 100K items / 288K customers (~610 MB) -> 500 items / 1440
-  customers, 16 rows per page (so page counts stay meaningful);
+  customers, 1 row per page (``BENCH_ROWS_PER_PAGE``, see below);
 * clients: 100..1000 emulated browsers @ 7 s think time -> 10..360 @ 1 s;
 * per-statement costs inflated ~10x so each node peaks at tens (not
   thousands) of interactions per second — ratios are preserved.

@@ -252,12 +252,12 @@ class ReplicationChannel:
                                         counters.add(
                                             "slave.ops_force_drained", drained
                                         )
-                                        yield target.job(
-                                            target.apply_cost(drained), "drain"
+                                        yield from target.run_job(
+                                            target.apply_cost(drained)
                                         )
                         try:
-                            yield target.job(
-                                target.receive_cost(len(pending.write_set.ops)), "recv"
+                            yield from target.run_job(
+                                target.receive_cost(len(pending.write_set.ops))
                             )
                         except (NodeUnavailable, TransactionAborted):
                             # Died during the receive charge; the write-set

@@ -164,14 +164,12 @@ class SimConnection(Connection):
             # Doomed mid-transaction: stop executing statements for it.
             # State stays attached so ``cleanup`` rolls the txn back.
             raise self.cluster.router.deadline_cancel("execute")
-        cfg = self.cluster.cost.config
+        return self.cluster.sim.spawn(self._execute(node, txn, sql, params), name="query")
 
-        def effect():
-            yield self.cluster.sim.timeout(cfg.rtt())
-            result = yield node.job(node.exec_statement(txn, sql, params), "stmt")
-            return result
-
-        return self.cluster.sim.spawn(effect(), name="query")
+    def _execute(self, node: "InMemoryDbNode", txn, sql: str, params: Sequence):
+        """The query process (kept: DESIGN.md §11.6): round trip, then the statement."""
+        yield self.cluster.sim.timeout(self.cluster.cost.config.rtt())
+        return (yield from node.run_job(node.exec_statement(txn, sql, params)))
 
     def commit(self):
         node, txn = self._node, self._txn
@@ -226,18 +224,6 @@ class SimConnection(Connection):
             self.cluster.scheduler.note_read_done(node.node_id)
 
 
-def drive(gen):
-    """Run one interaction generator to completion inside a kernel process,
-    forwarding every effect it yields to the event loop."""
-    value = None
-    while True:
-        try:
-            effect = gen.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = yield effect
-
-
 def serve(
     sim: Simulator,
     session: EmulatedBrowser,
@@ -276,9 +262,8 @@ def serve(
         conn.deadline = deadline
         gen = session.start(name, conn)
         try:
-            yield from drive(gen)
+            yield from gen  # it holds no try/with: a failed effect ends it at once
         except (TransactionAborted, NodeUnavailable) as exc:
-            gen.close()
             conn.cleanup()
             reason = getattr(exc, "reason", "node-failure")
             metrics.record_retry(reason)

@@ -25,6 +25,10 @@ NET_FRAME_BYTES = 24
 #: Disk I/Os charged per page *written* on the on-disk tier (dirty-page
 #: write-back competing with reads for the spindle).
 DISK_WRITEBACK_FACTOR = 1.0
+COST_COUNTERS = (  # every counter CostModel prices: all a statement step tallies
+    "engine.rows_read", "engine.pages_read", "engine.pages_written", "engine.rows_inserted",
+    "engine.rows_updated", "engine.rows_deleted", "index.rotations", "locks.waits",
+    "slave.ops_applied", "cache.misses", "wal.fsyncs")
 
 
 def batch_bytes(payload_bytes: int, messages: int) -> int:

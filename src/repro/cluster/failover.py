@@ -210,7 +210,7 @@ class FailureManager:
                 agent.scheduler.remove_node(new_slave.node_id)
             new_node = cluster.nodes[new_slave.node_id]
             owned = inherited_tables(cluster.nodes, self.conflict_map, failed_id)
-            yield new_node.job(self._promotion_job(new_node, confirmed, owned), "promote")
+            yield from new_node.run_job(self._promotion_job(new_node, confirmed, owned))
             for agent in cluster.alive_scheduler_agents():
                 agent.scheduler.on_master_failure(failed_id, new_slave.node_id)
             cluster.stragglers.demote_stale_survivors(confirmed, failed_tables)

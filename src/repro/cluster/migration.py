@@ -172,12 +172,12 @@ class Migrator:
             node.slave, support_node.slave, wanted=wanted, page_filter=page_filter
         )
         work = stats.pages_sent + stats.ops_index_applied + replay_ops
-        yield support_node.job(self._migration_cpu(support_node, work), "migrate-src")
+        yield from support_node.run_job(self._migration_cpu(support_node, work))
         # Only the page images and replayed gap ops cross the wire here;
         # the index-applied ops (also in stats.bytes_sent) already
         # traversed the replication stream during catch-up buffering.
         yield self.sim.timeout(cfg.net_delay(stats.bytes_page_images + replay_bytes))
-        yield node.job(self._migration_cpu(node, work), "migrate-dst")
+        yield from node.run_job(self._migration_cpu(node, work))
         # Migrated pages were just written into memory: they are resident.
         node.cache.warm(stats.page_ids)
         timeline.migration_pages += stats.pages_sent
@@ -275,7 +275,7 @@ class Migrator:
             self.cost.sequential_disk(recovery.checkpoint_bytes + recovery.wal_bytes)
         )
         if recovery.ops_buffered:
-            yield node.job(self._migration_cpu(node, recovery.ops_buffered), "wal-redo")
+            yield from node.run_job(self._migration_cpu(node, recovery.ops_buffered))
         # Belt and braces: nothing above the cluster-confirmed vector may
         # survive the restart (the ghost filter above already skipped
         # unconfirmed records; this enforces the invariant structurally).

@@ -240,7 +240,7 @@ class SimDiskCluster:
                 batch = self.scheduler.refresh_batch(state.node_id)
                 if batch:
                     log_bytes = sum(e.byte_size() for e in batch)
-                    yield node.job(node.replay_job(batch, log_bytes), "refresh")
+                    yield from node.run_job(node.replay_job(batch, log_bytes))
 
     def _failure_detector(self):
         missed: Dict[str, int] = {}
@@ -280,7 +280,7 @@ class SimDiskCluster:
                 break
             timeline.replay_entries += len(batch)
             log_bytes = sum(e.byte_size() for e in batch)
-            yield backup.job(backup.replay_job(list(batch), log_bytes), "failover-replay")
+            yield from backup.run_job(backup.replay_job(list(batch), log_bytes))
             self.scheduler.query_log.advance(backup_id, len(batch))
         self.scheduler.promote_backup(backup_id)
         timeline.replay_done = self.sim.now()

@@ -16,10 +16,10 @@ path.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import NodeUnavailable, TransactionAborted
-from repro.cluster.costs import CostModel
+from repro.cluster.costs import COST_COUNTERS, CostModel
 from repro.cluster.node import ReplicaNode
 from repro.core.writeset import WriteSet
 from repro.disk.database import DiskDatabase
@@ -45,23 +45,46 @@ class SimNode:
         #: charges are multiplied by this, which keeps heartbeats alive —
         #: a gray failure, not a fail-stop one.
         self.slowdown = 1.0
-        self._jobs: Set[Process] = set()
+        self._jobs: Dict[Process, None] = {}
+
+    def run_job(self, gen):
+        """``result = yield from node.run_job(gen)``: timed work on this node in
+        the calling process, started and handed back where a job process of
+        its own would have been (DESIGN.md §11.6): at once if that is the
+        very next dispatch, else behind what is queued."""
+        if not self.alive:
+            raise NodeUnavailable(f"node {self.node_id} is down")
+        sim = self.sim
+        if not sim.idle():
+            yield sim.succeeded
+        try:
+            result = yield from self._guard(gen)
+        except Exception:
+            if not sim.idle():
+                yield sim.succeeded
+            raise
+        if not sim.idle():
+            yield sim.succeeded
+        return result
 
     def job(self, gen, name: str = "job") -> Process:
-        """Spawn a tracked job; interrupts surface as NodeUnavailable."""
+        """``gen`` in a job process of its own (a fan-out branch); unawaited, it fails quietly."""
         if not self.alive:
             raise NodeUnavailable(f"node {self.node_id} is down")
         process = self.sim.spawn(self._guard(gen), name=f"{self.node_id}/{name}")
-        self._jobs.add(process)
-        process.add_callback(lambda _e: self._jobs.discard(process))
+        process.defused = True
         return process
 
     def _guard(self, gen):
+        """``gen`` as a job of :attr:`Simulator.active`: :meth:`fail` interrupts it."""
+        process = self.sim.active
+        self._jobs[process] = None
         try:
-            result = yield from gen
-            return result
+            return (yield from gen)
         except Interrupt:
             raise NodeUnavailable(f"node {self.node_id} failed mid-request")
+        finally:
+            self._jobs.pop(process, None)
 
     def fail(self) -> None:
         """Fail-stop: kill in-flight work, stop accepting jobs.
@@ -125,7 +148,7 @@ class SimNode:
                 )
             attempt += 1
             try:
-                snapshot = self.counters.snapshot()
+                before = self.counters.tally(COST_COUNTERS)
                 savepoint = txn.savepoint()
                 try:
                     if span.recording:
@@ -137,7 +160,7 @@ class SimNode:
                             txn.obs_span = root
                 except LockWait as wait:
                     self.engine.rollback_to(txn, savepoint)
-                    delta = self.counters.delta_since(snapshot)
+                    delta = self.counters.delta_of(COST_COUNTERS, before)
                     yield self.sim.timeout(self.cost.statement_cpu(delta))
                     span.finish(status="lock-wait")
                     holding = False
@@ -148,7 +171,7 @@ class SimNode:
                     )
                     yield granted
                     continue
-                cpu, disk = self.statement_cost(self.counters.delta_since(snapshot))
+                cpu, disk = self.statement_cost(self.counters.delta_of(COST_COUNTERS, before))
                 yield self.sim.timeout(cpu * self.slowdown)
                 holding = False
                 self.cpu.release()
@@ -328,9 +351,9 @@ class DiskDbNode(SimNode):
         """
         yield from self.cpu.acquire()
         try:
-            snapshot = self.counters.snapshot()
+            before = self.counters.tally(COST_COUNTERS)
             self.db.commit(txn)
-            delta = self.counters.delta_since(snapshot)
+            delta = self.counters.delta_of(COST_COUNTERS, before)
         finally:
             self.cpu.release()
         io_time = self.cost.disk_time(delta)
@@ -353,9 +376,9 @@ class DiskDbNode(SimNode):
         for entry in entries:
             yield from self.cpu.acquire()
             try:
-                snapshot = self.counters.snapshot()
+                before = self.counters.tally(COST_COUNTERS)
                 self.db.apply_logged_update(entry)
-                cpu, disk = self.statement_cost(self.counters.delta_since(snapshot))
+                cpu, disk = self.statement_cost(self.counters.delta_of(COST_COUNTERS, before))
                 yield self.sim.timeout(cpu)
             finally:
                 self.cpu.release()

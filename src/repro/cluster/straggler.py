@@ -292,7 +292,7 @@ class LaggardMonitor:
                 baseline = self.cost.receive_cpu(LAGGARD_PROBE_OPS)
                 start = self.sim.now()
                 try:
-                    yield node.job(node.receive_cost(LAGGARD_PROBE_OPS), "probe")
+                    yield from node.run_job(node.receive_cost(LAGGARD_PROBE_OPS))
                 except (NodeUnavailable, TransactionAborted):
                     healthy.pop(node_id, None)
                     continue

@@ -10,7 +10,7 @@ cache hit ratios, and so on.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, Mapping
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
 
 
 class Counters:
@@ -47,6 +47,15 @@ class Counters:
             if name not in self._values and old:
                 out[name] = -old
         return out
+
+    def tally(self, names: Sequence[str]) -> List[float]:
+        """Values of ``names`` now: a :meth:`snapshot` of just those."""
+        return [self._values.get(name, 0.0) for name in names]
+
+    def delta_of(self, names: Sequence[str], tally: Sequence[float]) -> Dict[str, float]:
+        """:meth:`delta_since` of just ``names``, from their :meth:`tally`."""
+        get = self._values.get
+        return {name: diff for name, old in zip(names, tally) if (diff := get(name, 0.0) - old)}
 
     def reset(self) -> None:
         self._values.clear()

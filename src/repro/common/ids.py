@@ -39,8 +39,9 @@ def page_id_of(table: str, number: int) -> PageId:
     """The one :class:`PageId` object for ``(table, number)``: page stores
     allocate through it, so every replica keys a page by the same object
     whatever order it allocates pages in.  Ids are values, so sharing them
-    process-wide changes identity only (``setdefault``: thread-safe)."""
-    return _PAGE_IDS.setdefault((table, number), PageId(table, number))
+    process-wide changes identity only (looked up, then ``setdefault``: thread-safe)."""
+    key = (table, number)
+    return _PAGE_IDS.get(key) or _PAGE_IDS.setdefault(key, PageId(table, number))
 
 
 class IdAllocator:

@@ -77,6 +77,8 @@ class VersionVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VersionVector):
             return NotImplemented
+        if self._entries == other._entries:
+            return True
         # Compare semantically: missing entries equal zero entries.
         keys = set(self._entries) | set(other._entries)
         return all(self.get(k) == other.get(k) for k in keys)

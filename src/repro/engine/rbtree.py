@@ -42,14 +42,16 @@ class RedBlackTree:
         self.node_visits = 0
 
     # -- search ---------------------------------------------------------------
+    # Searches count their visits in a local and add them once.
     def _find(self, key: Any) -> "_Node":
-        node = self.root
-        while node is not self.nil:
-            self.node_visits += 1
+        nil, node, visits = self.nil, self.root, 0
+        while node is not nil:
+            visits += 1
             if key == node.key:
-                return node
+                break
             node = node.left if key < node.key else node.right
-        return self.nil
+        self.node_visits += visits
+        return node
 
     def get(self, key: Any, default: Any = None) -> Any:
         node = self._find(key)
@@ -72,14 +74,17 @@ class RedBlackTree:
         A miss links ``fresh`` where the search ended and returns its node,
         or returns None when ``fresh`` is None.  One search either way.
         """
-        parent = self.nil
-        node = self.root
-        while node is not self.nil:
-            self.node_visits += 1
+        nil = parent = self.nil
+        node, visits = self.root, 0
+        while node is not nil:
+            visits += 1
             if key == node.key:
-                return node
+                break
             parent = node
             node = node.left if key < node.key else node.right
+        self.node_visits += visits
+        if node is not nil:
+            return node
         if fresh is None:
             return None
         return self._link(key, fresh, parent)

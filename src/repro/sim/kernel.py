@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 ProcessGen = Generator["Event", Any, Any]
@@ -55,14 +56,14 @@ class Event:
         self.triggered = True
         self.ok = True
         self.value = value
-        self.sim._ready(self)
+        if self._callbacks:
+            self.sim._ready(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
         if self.triggered:
             raise RuntimeError("event already triggered")
         self.triggered = True
-        self.ok = False
         self.value = exc
         self.sim._ready(self)
         return self
@@ -85,28 +86,37 @@ class Event:
         else:
             self._callbacks.append(fn)
 
-    # Internal: deliver outcome to registered callbacks.
-    def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
-
 
 class Timeout(Event):
     """An event that succeeds after a fixed virtual delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout: {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        sim.schedule(delay, self._fire)
+        self.sim, self._callbacks, self.value = sim, [], None
+        self.triggered = self.ok = self.defused = False
+        when = sim._now + delay
+        if when > sim._now:
+            sim._seq += 1
+            heapq.heappush(sim._heap, (when, sim._seq, self._fire, ()))
+        else:  # zero, or below float resolution: now
+            sim.fast_resumes += 1
+            sim._ready_q.append((self._fire, ()))
 
     def _fire(self) -> None:
-        if not self.triggered:
-            self.succeed(None)
+        if self.triggered:
+            return
+        self.triggered = self.ok = True
+        callbacks = self._callbacks
+        if len(callbacks) == 1 and self.sim.idle():
+            # The delivery would be the very next dispatch: run it now.  A
+            # lone waiter keeps every process step a dispatch of its own.
+            self._callbacks = ()
+            callbacks[0](self)
+        else:
+            self.sim._ready(self)
 
 
 class AnyOf(Event):
@@ -170,17 +180,14 @@ class AllOf(Event):
 class Process(Event):
     """A running generator; doubles as its own completion event."""
 
-    __slots__ = ("name", "_gen", "_target", "_interrupts", "_started", "dead")
+    __slots__ = ("name", "_gen", "_target", "_interrupts", "dead")
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = "proc") -> None:
-        super().__init__(sim)
-        self.name = name
-        self._gen = gen
-        self._target: Optional[Event] = None
-        self._interrupts: List[Interrupt] = []
-        self._started = False
-        self.dead = False
-        sim.schedule(0.0, self._step, None)
+        self.sim, self._callbacks, self.value = sim, [], None
+        self.triggered = self.ok = self.defused = self.dead = False
+        self.name, self._gen, self._target, self._interrupts = name, gen, None, []
+        sim.fast_resumes += 1
+        sim._ready_q.append((self._step, (None,)))
 
     @property
     def alive(self) -> bool:
@@ -199,26 +206,20 @@ class Process(Event):
         self.sim.schedule(0.0, self._step, None)
 
     # -- generator stepping -------------------------------------------------
-    def _on_target(self, event: Event) -> None:
-        if self._target is event:
-            self._target = None
-            self._step(event)
-
     def _step(self, event: Optional[Event]) -> None:
-        if self.triggered:
+        """Resume with the awaited ``event``'s outcome (None: first step or
+        interrupt).  A stale target or an already-delivered interrupt is a no-op."""
+        interrupts = self._interrupts
+        if event is None:
+            if self.triggered or (not interrupts and self._target is not None):
+                return
+        elif self._target is not event:
             return
-        if event is None and self._interrupts:
-            # Interrupt delivery: abandon the current wait target.
-            self._target = None
-        elif event is None and self._started and self._target is not None:
-            # Spurious wake-up (e.g. interrupt scheduled then resolved);
-            # still waiting on a live target.
-            return
-        self._started = True
+        self._target = None
+        self.sim.active = self
         try:
-            if self._interrupts:
-                exc = self._interrupts.pop(0)
-                yielded = self._gen.throw(exc)
+            if interrupts:
+                yielded = self._gen.throw(interrupts.pop(0))
             elif event is None:
                 yielded = next(self._gen)
             elif event.ok:
@@ -227,20 +228,22 @@ class Process(Event):
                 yielded = self._gen.throw(event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
         except Interrupt as exc:
             # Interrupt escaped the generator: treat as cancellation.
             self.dead = True
             self.succeed(exc.cause)
-            return
         except BaseException as exc:  # noqa: BLE001 - must forward all
             self.fail(exc)
-            return
-        if not isinstance(yielded, Event):
-            self.fail(TypeError(f"process {self.name} yielded {yielded!r}"))
-            return
-        self._target = yielded
-        yielded.add_callback(self._on_target)
+        else:
+            if not isinstance(yielded, Event):
+                self.fail(TypeError(f"process {self.name} yielded {yielded!r}"))
+                return
+            self._target = yielded
+            if yielded.triggered:
+                self.sim.fast_resumes += 1
+                self.sim._ready_q.append((self._step, (yielded,)))
+            else:
+                yielded._callbacks.append(self._step)
 
 
 class Simulator:
@@ -263,58 +266,54 @@ class Simulator:
         self._ready_q: Deque[Tuple[Callable, tuple]] = deque()
         self._seq = 0
         self._unhandled: List[BaseException] = []
-        #: Zero-delay dispatches that bypassed the heap.  Deliberately a
-        #: plain attribute, not a :class:`Counters` entry: fingerprints hash
-        #: every counter and this must not perturb legacy fingerprints.
+        self.active: Optional[Process] = None  #: the running process (a node job's owner)
+        #: Dispatches queued on the ready queue, not the heap: a plain
+        #: attribute, not a :class:`Counters` entry, so no fingerprint hashes it.
         self.fast_resumes = 0
+        #: An event that has already succeeded: a process that yields it
+        #: resumes behind whatever is queued now.
+        self.succeeded = Event(self).succeed(None)
+        # Bound constructors, no Python frame per call: event(), timeout(delay),
+        # any_of(events), all_of(events), spawn(gen, name="proc") starts a process.
+        self.event = partial(Event, self)
+        self.timeout = partial(Timeout, self)
+        self.any_of = partial(AnyOf, self)
+        self.all_of = partial(AllOf, self)
+        self.spawn = partial(Process, self)
 
     def now(self) -> float:
         return self._now
 
+    def idle(self) -> bool:
+        """Nothing queued and no heap entry due now: whatever is queued next
+        is the very next dispatch."""
+        return not self._ready_q and not (self._heap and self._heap[0][0] <= self._now)
+
     # -- scheduling ----------------------------------------------------------
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` units of virtual time."""
-        if delay == 0.0:
-            self.fast_resumes += 1
-            self._ready_q.append((fn, args))
-            return
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         when = self._now + delay
-        if when <= self._now:  # delay below float resolution: treat as now
+        if when <= self._now:  # zero, or below float resolution: now
             self.fast_resumes += 1
             self._ready_q.append((fn, args))
             return
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, fn, args))
 
-    def event(self) -> Event:
-        return Event(self)
-
-    def timeout(self, delay: float) -> Timeout:
-        return Timeout(self, delay)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def spawn(self, gen: ProcessGen, name: str = "proc") -> Process:
-        """Start a new process from a generator."""
-        return Process(self, gen, name=name)
-
     # -- event outcome delivery ----------------------------------------------
     def _ready(self, event: Event) -> None:
-        self.fast_resumes += 1
-        self._ready_q.append((self._deliver, (event,)))
-
-    def _deliver(self, event: Event) -> None:
-        if not event.ok and not event._callbacks and not event.defused:
-            # Nobody is waiting: surface the error from run().
-            if not isinstance(event, Process) or not event.dead:
-                self._unhandled.append(event.value)
-        event._dispatch()
+        """Queue each waiter of a triggered event, or an undefused failure
+        nobody waits on, which :meth:`run` raises."""
+        callbacks, event._callbacks = event._callbacks, ()  # takes no more waiters
+        if callbacks:
+            self.fast_resumes += len(callbacks)
+            for fn in callbacks:
+                self._ready_q.append((fn, (event,)))
+        elif not (event.ok or event.defused):
+            self.fast_resumes += 1
+            self._ready_q.append((self._unhandled.append, (event.value,)))
 
     # -- main loop -------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
@@ -330,9 +329,8 @@ class Simulator:
         while True:
             # Due heap entries (pushed before now, so smaller seq) first.
             if heap and heap[0][0] <= self._now:
-                entry = pop(heap)
-                fn = entry[2]
-                fn(*entry[3])
+                _when, _seq, fn, args = pop(heap)
+                fn(*args)
             elif ready:
                 fn, args = ready.popleft()
                 fn(*args)
@@ -341,10 +339,9 @@ class Simulator:
                 if until is not None and when > until:
                     self._now = until
                     break
-                entry = pop(heap)
+                _when, _seq, fn, args = pop(heap)
                 self._now = when
-                fn = entry[2]
-                fn(*entry[3])
+                fn(*args)
             else:
                 if until is not None and until > self._now:
                     self._now = until

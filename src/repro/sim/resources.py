@@ -39,13 +39,12 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that succeeds when a slot is granted."""
-        event = self.sim.event()
         if self.in_use < self.capacity and not self._waiters:
             self._account()
             self.in_use += 1
-            event.succeed(None)
-        else:
-            self._waiters.append(event)
+            return self.sim.succeeded  # uncontended: granted already
+        event = Event(self.sim)
+        self._waiters.append(event)
         return event
 
     def acquire(self):
@@ -86,8 +85,7 @@ class Resource:
             waiter = self._waiters.popleft()
             if waiter.triggered:
                 continue  # waiter was cancelled/interrupted
-            self._account()
-            self.in_use += 1
+            self.in_use += 1  # handed over at the same instant: nothing to account
             waiter.succeed(None)
             break
 

@@ -13,7 +13,7 @@ and dual-role masters included, runs OCC read validation.
 
 import pytest
 
-from repro.cluster.clients import SimConnection, drive
+from repro.cluster.clients import SimConnection
 from repro.cluster.simcluster import SimDmvCluster
 from repro.cluster.sync import SyncDmvCluster
 from repro.common.rng import RngStream
@@ -86,7 +86,7 @@ def run_on_sim(stream, seed, multi_master, kill_at):
                 # Sit out detection + cleanup + promotion, as the inline
                 # driver's kill_master() does by returning only when done.
                 yield cluster.sim.timeout(15.0)
-            yield from drive(INTERACTIONS[name](SimConnection(cluster), ctx))
+            yield from INTERACTIONS[name](SimConnection(cluster), ctx)
         finished.append(cluster.sim.now())
 
     cluster.sim.spawn(scripted_client(), name="scripted-client")

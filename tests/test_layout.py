@@ -19,7 +19,7 @@ import repro.cluster.sync
 import repro.cluster.threaded
 import repro.sim
 from repro.chaos.plans import FABRIC_COUNTERS, PLANS
-from repro.cluster.costs import CostConfig
+from repro.cluster.costs import COST_COUNTERS, CostConfig
 from repro.cluster.simcluster import SimDmvCluster
 from repro.cluster.simdisk import SimDiskCluster
 from repro.cluster.simnodes import DiskDbNode, InMemoryDbNode
@@ -136,6 +136,21 @@ def test_one_statement_step_for_both_tiers():
     assert (CLUSTER / "simnodes.py").read_text().count("except LockWait") == 1
     assert "exec_statement" not in vars(InMemoryDbNode)
     assert "exec_statement" not in vars(DiskDbNode)
+
+
+def test_sequential_node_work_runs_in_the_waiting_process():
+    # A job that the caller waits out alone runs inside the caller
+    # (SimNode.run_job); spawning one (SimNode.job) is the on-disk tier's
+    # parallel fan-out only.
+    for name in ("clients.py", "channel.py", "migration.py", "failover.py", "straggler.py"):
+        assert ".job(" not in (CLUSTER / name).read_text(), name
+
+
+def test_the_statement_step_tallies_every_counter_the_cost_model_prices():
+    # exec_statement hands CostModel the delta of COST_COUNTERS only; a
+    # counter priced but not tallied would silently cost nothing.
+    priced = re.findall(r'delta\.get\(\s*"([\w.]+)"', (CLUSTER / "costs.py").read_text())
+    assert set(priced) == set(COST_COUNTERS)
 
 
 def test_every_timed_hold_goes_through_resource_hold():

@@ -50,6 +50,12 @@ class TestBasics:
         assert VersionVector({"item": 0}) == VersionVector()
         assert VersionVector({"item": 1}) != VersionVector()
 
+    def test_equality_with_an_extra_zero_entry_in_either_order(self):
+        one, padded = VersionVector({"a": 1}), VersionVector({"a": 1, "b": 0})
+        assert one == padded and padded == one
+        assert VersionVector({"a": 1}) == VersionVector({"a": 1})
+        assert VersionVector({"a": 1, "b": 2}) != VersionVector({"a": 1, "b": 0})
+
     def test_hash_consistent_with_eq(self):
         assert hash(VersionVector({"item": 0})) == hash(VersionVector())
         assert hash(VersionVector({"item": 2})) == hash(VersionVector({"item": 2}))
