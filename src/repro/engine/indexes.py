@@ -350,7 +350,7 @@ class VersionedTreeIndex(_BucketOps):
 
     def _writable(self, key: Key, fresh=None):
         """Links ``fresh`` or thaws through the node the one search found,
-        so neither costs extra tree visits."""
+        so neither costs a second search."""
         before = self._tree.rotations
         node = self._tree.node(key, fresh)
         rotations = self._tree.rotations - before

@@ -3,8 +3,8 @@
 The paper attributes master saturation under the ordering mix to "costly
 index updates ... due to rebalancing for inserts in the RB-tree index data
 structure", so the index substrate here is a genuine red–black tree with
-rotation accounting (the cost model charges per rotation and per node
-visited).
+rotation accounting (the cost model prices ``index.rotations``, see
+:data:`repro.cluster.costs.COST_COUNTERS`).
 
 Keys must be mutually comparable (the engine uses tuples); each key maps to
 one payload object, typically an index bucket.
@@ -39,18 +39,14 @@ class RedBlackTree:
         self.root = self.nil
         self.size = 0
         self.rotations = 0
-        self.node_visits = 0
 
     # -- search ---------------------------------------------------------------
-    # Searches count their visits in a local and add them once.
     def _find(self, key: Any) -> "_Node":
-        nil, node, visits = self.nil, self.root, 0
+        nil, node = self.nil, self.root
         while node is not nil:
-            visits += 1
             if key == node.key:
                 break
             node = node.left if key < node.key else node.right
-        self.node_visits += visits
         return node
 
     def get(self, key: Any, default: Any = None) -> Any:
@@ -75,14 +71,12 @@ class RedBlackTree:
         or returns None when ``fresh`` is None.  One search either way.
         """
         nil = parent = self.nil
-        node, visits = self.root, 0
+        node = self.root
         while node is not nil:
-            visits += 1
             if key == node.key:
                 break
             parent = node
             node = node.left if key < node.key else node.right
-        self.node_visits += visits
         if node is not nil:
             return node
         if fresh is None:
@@ -128,7 +122,6 @@ class RedBlackTree:
         parent = self.nil
         node = self.root
         while node is not self.nil:
-            self.node_visits += 1
             parent = node
             if key == node.key:
                 node.value = value
@@ -228,7 +221,6 @@ class RedBlackTree:
 
     def _minimum(self, node: "_Node") -> "_Node":
         while node.left is not self.nil:
-            self.node_visits += 1
             node = node.left
         return node
 
@@ -312,49 +304,39 @@ class RedBlackTree:
         nil = self.nil
         stack = []
         current = node
-        visits = 0
-        try:
-            while stack or current is not nil:
-                while current is not nil:
-                    visits += 1
-                    if lo is not None and current.key < lo:
-                        current = current.right
-                        continue
-                    stack.append(current)  # only nodes at or above lo get here
-                    current = current.left
-                if not stack:
-                    return
-                current = stack.pop()
-                if hi is not None and not current.key < hi:
-                    return
-                yield current.key, current.value
-                current = current.right
-        finally:
-            self.node_visits += visits  # once per scan, however it ends
+        while stack or current is not nil:
+            while current is not nil:
+                if lo is not None and current.key < lo:
+                    current = current.right
+                    continue
+                stack.append(current)  # only nodes at or above lo get here
+                current = current.left
+            if not stack:
+                return
+            current = stack.pop()
+            if hi is not None and not current.key < hi:
+                return
+            yield current.key, current.value
+            current = current.right
 
     def _range_desc(self, node: "_Node", lo: Any, hi: Any) -> Iterator[Tuple[Any, Any]]:
         nil = self.nil
         stack = []
         current = node
-        visits = 0
-        try:
-            while stack or current is not nil:
-                while current is not nil:
-                    visits += 1
-                    if hi is not None and not current.key < hi:
-                        current = current.left
-                        continue
-                    stack.append(current)
-                    current = current.right
-                if not stack:
-                    return
-                current = stack.pop()
-                if lo is not None and current.key < lo:
-                    return
-                yield current.key, current.value
-                current = current.left
-        finally:
-            self.node_visits += visits
+        while stack or current is not nil:
+            while current is not nil:
+                if hi is not None and not current.key < hi:
+                    current = current.left
+                    continue
+                stack.append(current)
+                current = current.right
+            if not stack:
+                return
+            current = stack.pop()
+            if lo is not None and current.key < lo:
+                return
+            yield current.key, current.value
+            current = current.left
 
     def min_item(self) -> Optional[Tuple[Any, Any]]:
         if self.root is self.nil:
@@ -372,7 +354,7 @@ class RedBlackTree:
 
     # -- structural copy ------------------------------------------------------
     def copy(self, freeze: Callable[[Any], Any]) -> "RedBlackTree":
-        """A tree of the same shape, colours, ``rotations`` and ``node_visits``.
+        """A tree of the same shape, colours and ``rotations``.
 
         Node for node, so it behaves from here on exactly like a tree that
         saw the same insert/delete history.  Keys are shared, and so are
@@ -382,7 +364,6 @@ class RedBlackTree:
         twin = RedBlackTree()
         twin.size = self.size
         twin.rotations = self.rotations
-        twin.node_visits = self.node_visits
         nil, twin_nil = self.nil, twin.nil
 
         def clone(node: "_Node", twin_parent: "_Node") -> "_Node":

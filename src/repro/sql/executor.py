@@ -1,24 +1,28 @@
 """Statement compilation and execution over the heap engine.
 
 :class:`SqlExecutor` parses + plans each distinct SQL string once (cached),
-then executes the compiled plan against a transaction.  Expressions compile
-to closures ``fn(env, ctx)``; ``env`` maps table bindings to row tuples,
-``ctx`` carries parameters and the clock.
+then executes the compiled plan against a transaction.  A plan is one
+generated Python function, named after its statement: a SELECT's
+nested-loop join, each step's conjuncts as one boolean expression, its
+probe keys, and its projection with its ORDER BY keys or its GROUP BY
+capture are inline source (:class:`_Writer` renders them), and UPDATE and
+DELETE select their rows with the same step source.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from types import CodeType, FunctionType
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SqlError
 from repro.engine.engine import HeapEngine
-from repro.engine.indexes import Loc, prefix_bounds
-from repro.engine.table import Table
+from repro.engine.indexes import prefix_bounds
 from repro.engine.txn import Transaction
 from repro.sql.ast_nodes import (
     AGGREGATE_FUNCS,
@@ -37,11 +41,12 @@ from repro.sql.ast_nodes import (
     Select,
     SelectItem,
     Statement,
+    TableRef,
     UnaryOp,
     Update,
     is_aggregate,
 )
-from repro.sql.functions import like_match, like_range, sql_arith, sql_compare
+from repro.sql.functions import like_match, like_range, sql_arith
 from repro.sql.parser import parse_statement
 from repro.sql.planner import (
     Binding,
@@ -52,17 +57,6 @@ from repro.sql.planner import (
     order_tables,
     split_conjuncts,
 )
-
-Env = Dict[str, tuple]
-EvalFn = Callable[[Env, "ExecContext"], object]
-
-
-@dataclass
-class ExecContext:
-    """Per-execution state available to compiled expressions."""
-
-    params: Sequence[object]
-    now: Callable[[], float]
 
 
 @dataclass
@@ -88,153 +82,290 @@ class ResultSet:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
-# -- expression compilation --------------------------------------------------------
-def _truthy(value: object) -> bool:
-    """SQL three-valued logic collapsed for filtering: NULL is not true."""
-    return value is True
+# -- code generation -------------------------------------------------------------------
+#: SQL's comparison operators, as Python spells them.
+_COMPARE = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
-def compile_expr(expr: Expr, resolver: Resolver) -> EvalFn:
-    """Compile a non-aggregate expression to a closure."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda env, ctx: value
-    if isinstance(expr, Param):
-        index = expr.index
-        def param_fn(env, ctx):
-            try:
-                return ctx.params[index]
-            except IndexError:
-                raise SqlError(f"missing parameter {index}") from None
-        return param_fn
-    if isinstance(expr, ColumnRef):
-        binding, position = resolver.resolve(expr)
-        return lambda env, ctx: env[binding][position]
-    if isinstance(expr, BinOp):
-        left = compile_expr(expr.left, resolver)
-        right = compile_expr(expr.right, resolver)
-        op = expr.op
-        if op == "and":
-            def and_fn(env, ctx):
-                l = left(env, ctx)
-                if l is False:
-                    return False
-                r = right(env, ctx)
-                if r is False:
-                    return False
-                if l is None or r is None:
-                    return None
-                return True
-            return and_fn
-        if op == "or":
-            def or_fn(env, ctx):
-                l = left(env, ctx)
-                if l is True:
-                    return True
-                r = right(env, ctx)
-                if r is True:
-                    return True
-                if l is None or r is None:
-                    return None
-                return False
-            return or_fn
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return lambda env, ctx: sql_compare(op, left(env, ctx), right(env, ctx))
-        return lambda env, ctx: sql_arith(op, left(env, ctx), right(env, ctx))
-    if isinstance(expr, UnaryOp):
-        operand = compile_expr(expr.operand, resolver)
-        if expr.op == "-":
-            def neg_fn(env, ctx):
-                value = operand(env, ctx)
-                return None if value is None else -value
-            return neg_fn
-        if expr.op == "not":
-            def not_fn(env, ctx):
-                value = operand(env, ctx)
-                return None if value is None else (not value)
-            return not_fn
-        raise SqlError(f"unknown unary operator {expr.op}")
-    if isinstance(expr, Like):
-        value_fn = compile_expr(expr.expr, resolver)
-        pattern_fn = compile_expr(expr.pattern, resolver)
-        negated = expr.negated
-        def like_fn(env, ctx):
-            result = like_match(value_fn(env, ctx), pattern_fn(env, ctx))
-            if result is None:
-                return None
-            return (not result) if negated else result
-        return like_fn
-    if isinstance(expr, InList):
-        value_fn = compile_expr(expr.expr, resolver)
-        item_fns = [compile_expr(item, resolver) for item in expr.items]
-        negated = expr.negated
-        def in_fn(env, ctx):
-            value = value_fn(env, ctx)
-            if value is None:
-                return None
-            found = any(value == fn(env, ctx) for fn in item_fns)
-            return (not found) if negated else found
-        return in_fn
-    if isinstance(expr, Between):
-        value_fn = compile_expr(expr.expr, resolver)
-        low_fn = compile_expr(expr.low, resolver)
-        high_fn = compile_expr(expr.high, resolver)
-        negated = expr.negated
-        def between_fn(env, ctx):
-            value = value_fn(env, ctx)
-            low, high = low_fn(env, ctx), high_fn(env, ctx)
-            if value is None or low is None or high is None:
-                return None
-            result = low <= value <= high
-            return (not result) if negated else result
-        return between_fn
-    if isinstance(expr, IsNull):
-        value_fn = compile_expr(expr.expr, resolver)
-        negated = expr.negated
-        return lambda env, ctx: (value_fn(env, ctx) is not None) if negated else (
-            value_fn(env, ctx) is None
+class _Params(tuple):
+    """The parameters of a call that bound fewer than its statement reads:
+    reading a missing one raises where the plan reads it."""
+
+    def __getitem__(self, index):
+        if index < len(self):
+            return tuple.__getitem__(self, index)
+        raise SqlError(f"missing parameter {index}")
+
+
+def _index_locs(index, eq, low, high, like, in_vals, txn_id, tag_v):
+    """Locations an index probe with a range, LIKE or IN component visits,
+    in visit order, once its equality prefix ``eq`` is known to hold no NULL.
+
+    ``low``/``high`` are ``(value, inclusive)`` on the next key component;
+    a LIKE pattern's literal prefix replaces them.  An IN list is a union of
+    point prefixes, its values deduplicated so no row is visited twice.
+    """
+    if in_vals is not None:
+        values = dict.fromkeys(in_vals)
+        values.pop(None, None)
+        return chain.from_iterable(
+            index.range_lookup_encoded(*prefix_bounds(eq + (value,)), txn_id, tag_v)
+            for value in values
         )
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATE_FUNCS:
-            raise SqlError(f"aggregate {expr.name} not allowed here")
-        if expr.name == "now":
-            return lambda env, ctx: ctx.now()
-        raise SqlError(f"unknown function {expr.name}")
-    raise SqlError(f"cannot compile expression {expr!r}")
+    if (low and low[0] is None) or (high and high[0] is None):
+        return ()  # comparing with NULL is never true: nothing to visit
+    bounds = like_range(like)
+    if bounds is not None:
+        low, high = (bounds[0], True), (bounds[1], True)
+    return index.range_lookup_encoded(*prefix_bounds(eq, low, high), txn_id, tag_v)
 
 
-# -- aggregate machinery --------------------------------------------------------------
-@dataclass
-class _AggSpec:
-    node: FuncCall
-    arg_fn: Optional[EvalFn]  # None for COUNT(*)
+@lru_cache(maxsize=4096)
+def _plan_code(source: str, name: str) -> CodeType:
+    """Code of the one function ``source`` defines, named ``name``.
 
-    def compute(self, envs: List[Env], ctx: ExecContext) -> object:
-        name = self.node.name
-        if self.node.star:
-            return len(envs)
-        values = [self.arg_fn(env, ctx) for env in envs]
-        values = [v for v in values if v is not None]
-        if self.node.distinct:
-            values = list(dict.fromkeys(values))
-        if name == "count":
-            return len(values)
-        if not values:
+    Filed under this module, so profiles count it in the SQL layer.  One
+    object per distinct source and name: the plans every engine compiles
+    from one statement share it, and profilers, which key a function by
+    (file, line, name) and keep one of those that collide, see each plan
+    under its own statement.
+    """
+    with warnings.catch_warnings():
+        # ``5 is None`` is what a literal operand renders to; it is meant.
+        warnings.simplefilter("ignore", SyntaxWarning)
+        module = compile(source, __file__, "exec")
+    (code,) = [const for const in module.co_consts if isinstance(const, CodeType)]
+    return code.replace(co_name=name)
+
+
+class _Writer:
+    """Renders one plan as the source of one function, and builds it.
+
+    ``rows`` names the local that holds each in-scope binding's row, and
+    ``aggs`` the local that holds each aggregate's value; whatever else the
+    source reads (tables, constants without a literal, the helpers) is
+    bound in ``namespace``.  Expressions follow SQL's three-valued logic, NULL being
+    None.  Every operand that can raise (a parameter, a comparison,
+    arithmetic, LIKE) is read exactly when, and as often as, SQL's
+    evaluation order reads it, so an error surfaces at the same row; only
+    column references, literals and aggregate values, which cannot raise,
+    are read freely.
+    """
+
+    def __init__(self, resolver: Resolver) -> None:
+        self.resolver = resolver
+        self.rows: Dict[str, str] = {}
+        self.aggs: Dict[FuncCall, str] = {}
+        self.namespace: Dict[str, object] = {
+            "partial": partial, "prefix_bounds": prefix_bounds, "index_locs": _index_locs,
+            "like_match": like_match, "sql_arith": sql_arith,
+        }
+        #: How many parameters the plan reads: one past the highest ``?``.
+        self.param_count = 0
+        self._temps = count()
+
+    def bind(self, value: object, prefix: str) -> str:
+        name = f"{prefix}{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def temp(self) -> str:
+        return f"t{next(self._temps)}"
+
+    def function(self, name: str, body: List[str]) -> Callable:
+        """``plan(engine, txn, P, now)`` running ``body``, named ``name``."""
+        source = "def plan(engine, txn, P, now):\n" + "".join(f"    {line}\n" for line in body)
+        return FunctionType(_plan_code(source, name), self.namespace)
+
+    # -- expressions -----------------------------------------------------------------
+    def operand(self, expr: Expr) -> Tuple[str, bool]:
+        """``expr``'s value source, and whether reading it can never raise."""
+        pure = isinstance(expr, (Literal, ColumnRef)) or (
+            isinstance(expr, FuncCall) and expr in self.aggs
+        )
+        return self.value(expr), pure
+
+    def value(self, expr: Expr) -> str:
+        """Source of ``expr``'s SQL value."""
+        if isinstance(expr, Literal):
+            value = expr.value
+            if value is None or type(value) in (bool, int, str) or (
+                type(value) is float and math.isfinite(value)
+            ):
+                return f"({value!r})" if repr(value).startswith("-") else repr(value)
+            return self.bind(value, "const")
+        if isinstance(expr, ColumnRef):
+            binding, position = self.resolver.resolve(expr)
+            if binding not in self.rows:
+                raise SqlError(f"column {expr.column!r} is not available here")
+            return f"{self.rows[binding]}[{position}]"
+        if isinstance(expr, Param):
+            self.param_count = max(self.param_count, expr.index + 1)
+            return f"P[{expr.index}]"
+        if isinstance(expr, BinOp) and expr.op in _COMPARE:
+            null, (left, right) = self.operands((expr.left, expr.right))
+            compare = f"{left} {_COMPARE[expr.op]} {right}"
+            return f"(None if {null} else {compare})" if null else f"({compare})"
+        if isinstance(expr, BinOp) and expr.op in ("and", "or"):
+            # AND: FALSE decides, else NULL; OR: TRUE decides, else NULL.
+            # The right side is read unless the left one decided.
+            decides, other = ("False", "True") if expr.op == "and" else ("True", "False")
+            left, right = self.temp(), self.temp()
+            return (
+                f"({decides} if ({left} := {self.value(expr.left)}) is {decides}"
+                f" or ({right} := {self.value(expr.right)}) is {decides}"
+                f" else None if {left} is None or {right} is None else {other})"
+            )
+        if isinstance(expr, BinOp):
+            return f"sql_arith({expr.op!r}, {self.value(expr.left)}, {self.value(expr.right)})"
+        if isinstance(expr, UnaryOp):
+            if expr.op not in ("-", "not"):
+                raise SqlError(f"unknown unary operator {expr.op}")
+            value = self.temp()
+            return f"(None if ({value} := {self.value(expr.operand)}) is None else {expr.op} {value})"
+        if isinstance(expr, Like):
+            match = f"like_match({self.value(expr.expr)}, {self.value(expr.pattern)})"
+            if not expr.negated:
+                return match
+            value = self.temp()
+            return f"(None if ({value} := {match}) is None else not {value})"
+        if isinstance(expr, Between):
+            null, (value, low, high) = self.operands((expr.expr, expr.low, expr.high))
+            test = f"{'not ' if expr.negated else ''}{low} <= {value} <= {high}"
+            return f"(None if {null} else {test})" if null else f"({test})"
+        if isinstance(expr, InList):
+            return self._in_list(expr)
+        if isinstance(expr, IsNull):
+            return f"({self.value(expr.expr)} is {'not ' if expr.negated else ''}None)"
+        if isinstance(expr, FuncCall):
+            if expr in self.aggs:
+                return self.aggs[expr]
+            if expr.name in AGGREGATE_FUNCS:
+                raise SqlError(f"aggregate {expr.name} not allowed here")
+            if expr.name == "now":
+                return "now()"
+            raise SqlError(f"unknown function {expr.name}")
+        raise SqlError(f"cannot compile expression {expr!r}")
+
+    def _in_list(self, expr: InList) -> str:
+        """TRUE on a match, else NULL if the value or a list item is NULL,
+        else FALSE (negated: FALSE, NULL, TRUE).  The list is read up to the
+        first match, and not at all for a NULL value."""
+        value, pure = self.operand(expr.expr)
+        if pure:
+            null = f"{value} is None"
+        else:
+            value, read = self.temp(), value
+            null = f"({value} := {read}) is None"
+        matches, unknown = [], []
+        for item in expr.items:
+            source, pure = self.operand(item)
+            if not pure:
+                source, read = self.temp(), source
+                matches.append(f"{value} == ({source} := {read})")
+            else:
+                matches.append(f"{value} == {source}")
+            if not (isinstance(item, Literal) and item.value is not None):
+                unknown.append(f"{source} is None")
+        found, missing = ("False", "True") if expr.negated else ("True", "False")
+        if unknown:
+            missing = f"None if {' or '.join(unknown)} else {missing}"
+        return f"(None if {null} else {found} if {' or '.join(matches)} else {missing})"
+
+    def operands(self, exprs: Sequence[Expr], known: bool = False) -> Tuple[str, List[str]]:
+        """A NULL check over operands SQL reads all of, and their sources.
+
+        The check reads every operand that can raise exactly once, left to
+        right, into a temporary, and is true when any operand is NULL
+        (``known``: when none is); the sources then re-read the values.
+        Non-NULL literals are left out, so the check may be empty.
+        """
+        test = "is not None" if known else "is None"
+        reads, rest, sources = [], [], []
+        for expr in exprs:
+            source, pure = self.operand(expr)
+            if not pure:
+                source, read = self.temp(), source
+                reads.append(f"(({source} := {read}) {test})")
+            elif not (isinstance(expr, Literal) and expr.value is not None):
+                rest.append(f"{source} {test}")
+            sources.append(source)
+        checks = [(" & " if known else " | ").join(reads)] if reads else []
+        return (" and " if known else " or ").join(checks + rest), sources
+
+    def test(self, expr: Expr) -> str:
+        """Source that is true exactly when ``expr`` is TRUE: a filter, where
+        NULL and FALSE both reject."""
+        if isinstance(expr, BinOp) and expr.op in _COMPARE:
+            known, (left, right) = self.operands((expr.left, expr.right), known=True)
+            compare = f"{left} {_COMPARE[expr.op]} {right}"
+            return f"({known} and {compare})" if known else f"({compare})"
+        if isinstance(expr, IsNull):
+            return self.value(expr)
+        return f"({self.value(expr)} is True)"
+
+    def conjunction(self, exprs: Sequence[Expr]) -> str:
+        """One test for conjuncts checked in order, each only if all before
+        it held; empty for none."""
+        return " and ".join(self.test(expr) for expr in exprs)
+
+    def tuple(self, exprs: Sequence[Expr]) -> str:
+        """Source of the tuple of ``exprs``' values, read left to right."""
+        parts = [self.value(expr) for expr in exprs]
+        return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+
+    def entry(self, items: Sequence[Expr], orders: Sequence[Tuple[Optional[int], Expr]]) -> str:
+        """Source of an output entry ``(row, key, ...)``: the row of
+        ``items``, then per ORDER BY item ``(value is None, value)`` (NULLs
+        sort last ascending) of the row's column at its position, or of its
+        own expression."""
+        if not orders:
+            return f"({self.tuple(items)},)"
+        row, keys = self.temp(), []
+        for position, expr in orders:
+            if position is not None:
+                keys.append(f"({row}[{position}] is None, {row}[{position}])")
+                continue
+            value, pure = self.operand(expr)
+            if not pure:
+                value, read = self.temp(), value
+                keys.append(f"(({value} := {read}) is None, {value})")
+            else:
+                keys.append(f"({value} is None, {value})")
+        if any(position is not None for position, _expr in orders):
+            return f"(({row} := {self.tuple(items)}), {', '.join(keys)})"
+        return f"({self.tuple(items)}, {', '.join(keys)})"
+
+    # -- access paths ------------------------------------------------------------------
+    def probe(self, step: int, table: str, access: object) -> Optional[str]:
+        """Source of the locations step ``step`` visits, in visit order;
+        None for a full scan.  Read once per row of the steps outside it,
+        whose rows the probe keys may use.  ``table`` names the step's
+        table; its indexes are read at each probe, because rebuilding them
+        (``Table.rebuild_indexes``) replaces them."""
+        if isinstance(access, PkEqAccess):
+            return f"{table}.pk_index.lookup({self.tuple(access.key_exprs)}, txn_id, tag{step})"
+        if not isinstance(access, IndexAccess):
             return None
-        if name == "sum":
-            return sum(values)
-        if name == "avg":
-            return sum(values) / len(values)
-        if name == "min":
-            return min(values)
-        if name == "max":
-            return max(values)
-        raise SqlError(f"unknown aggregate {name}")
+        index = f"{table}.indexes[{access.index_name!r}]"
+        key = f"key{step}"
+        if access.low is access.high is access.like_pattern is access.in_exprs is None:
+            visit = f"{index}.range_lookup_encoded(*prefix_bounds({key}), txn_id, tag{step})"
+        else:
+            low, high = (
+                "None" if bound is None else f"({self.value(bound[0])}, {bound[1]})"
+                for bound in (access.low, access.high)
+            )
+            like = "None" if access.like_pattern is None else self.value(access.like_pattern)
+            in_vals = "None" if access.in_exprs is None else self.tuple(access.in_exprs)
+            visit = f"index_locs({index}, {key}, {low}, {high}, {like}, {in_vals}, txn_id, tag{step})"
+        # Comparing with NULL is never true: a NULL key visits nothing.
+        return f"() if None in ({key} := {self.tuple(access.eq_exprs)}) else {visit}"
 
 
 def _collect_aggregates(expr: Expr, out: List[FuncCall]) -> None:
     if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCS:
-        if not any(existing is expr for existing in out):
+        if expr not in out:
             out.append(expr)
         return
     if isinstance(expr, BinOp):
@@ -244,176 +375,33 @@ def _collect_aggregates(expr: Expr, out: List[FuncCall]) -> None:
         _collect_aggregates(expr.operand, out)
 
 
-def compile_agg_expr(expr: Expr, resolver: Resolver, agg_slots: Dict[int, int]) -> EvalFn:
-    """Compile an expression that may reference aggregate results.
-
-    Aggregate sub-nodes read slot values from ``env['__agg__']``; plain
-    column refs read the group's representative row.
-    """
-    if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCS:
-        slot = agg_slots[id(expr)]
-        return lambda env, ctx: env["__agg__"][slot]
-    if isinstance(expr, BinOp) and is_aggregate(expr):
-        left = compile_agg_expr(expr.left, resolver, agg_slots)
-        right = compile_agg_expr(expr.right, resolver, agg_slots)
-        op = expr.op
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return lambda env, ctx: sql_compare(op, left(env, ctx), right(env, ctx))
-        return lambda env, ctx: sql_arith(op, left(env, ctx), right(env, ctx))
-    if isinstance(expr, UnaryOp) and is_aggregate(expr):
-        operand = compile_agg_expr(expr.operand, resolver, agg_slots)
-        return lambda env, ctx: (lambda v: None if v is None else -v)(operand(env, ctx))
-    return compile_expr(expr, resolver)
+#: An aggregate's value from the list ``{v}`` of its argument's non-NULL
+#: values in row order (made distinct first for ``DISTINCT``).
+_FOLDS = {
+    "count": "len({v})",
+    "sum": "(sum({v}) if {v} else None)",
+    "avg": "(sum({v}) / len({v}) if {v} else None)",
+    "min": "(min({v}) if {v} else None)",
+    "max": "(max({v}) if {v} else None)",
+}
 
 
 # -- compiled plans --------------------------------------------------------------------
-@dataclass
-class _TableStep:
-    """One table of a plan: how its rows are found, what they must pass."""
-
-    binding: str
-    table: Table
-    filter_fns: List[EvalFn]
-    # Compiled access inputs; all None means a full scan.
-    key_fns: Optional[List[EvalFn]] = None
-    index_name: Optional[str] = None
-    eq_fns: Optional[List[EvalFn]] = None
-    low: Optional[Tuple[EvalFn, bool]] = None
-    high: Optional[Tuple[EvalFn, bool]] = None
-    like_fn: Optional[EvalFn] = None
-    in_fns: Optional[List[EvalFn]] = None
-
-    @classmethod
-    def compile(
-        cls, engine: HeapEngine, binding: Binding, access: object,
-        filters: Sequence[Expr], resolver: Resolver,
-    ) -> "_TableStep":
-        step = cls(
-            binding=binding.name,
-            table=engine.table(binding.ref.table),
-            filter_fns=[compile_expr(f, resolver) for f in filters],
-        )
-        if isinstance(access, PkEqAccess):
-            step.key_fns = [compile_expr(e, resolver) for e in access.key_exprs]
-        elif isinstance(access, IndexAccess):
-            step.index_name = access.index_name
-            step.eq_fns = [compile_expr(e, resolver) for e in access.eq_exprs]
-            if access.low is not None:
-                step.low = (compile_expr(access.low[0], resolver), access.low[1])
-            if access.high is not None:
-                step.high = (compile_expr(access.high[0], resolver), access.high[1])
-            if access.like_pattern is not None:
-                step.like_fn = compile_expr(access.like_pattern, resolver)
-            if access.in_exprs is not None:
-                step.in_fns = [compile_expr(e, resolver) for e in access.in_exprs]
-        return step
-
-    def locs(
-        self, txn_id: int, tag_v: Optional[int], env: Env, ctx: ExecContext
-    ) -> Optional[Iterable[Loc]]:
-        """Locations this probe visits, in visit order; None for a full scan.
-
-        The one access dispatch, shared by SELECT joins and UPDATE/DELETE
-        row selection.  ``env`` holds the rows of the steps outside this
-        one, which the key expressions of a join probe read.
-        """
-        if self.key_fns is not None:
-            key = tuple([fn(env, ctx) for fn in self.key_fns])
-            return self.table.pk_index.lookup(key, txn_id, tag_v)
-        if self.index_name is None:
-            return None
-        index = self.table.index(self.index_name)
-        eq_vals = tuple([fn(env, ctx) for fn in self.eq_fns])
-        if None in eq_vals:
-            return ()  # comparing with NULL is never true: nothing to visit
-        if self.in_fns is not None:
-            # IN-list: a union of point prefixes.  Dedup the evaluated
-            # values — repeated list members must not emit a row twice.
-            in_vals = dict.fromkeys([fn(env, ctx) for fn in self.in_fns])
-            in_vals.pop(None, None)
-            return chain.from_iterable(
-                index.range_lookup_encoded(*prefix_bounds(eq_vals + (value,)), txn_id, tag_v)
-                for value in in_vals
-            )
-        low = high = None
-        if self.low is not None:
-            low = (self.low[0](env, ctx), self.low[1])
-        if self.high is not None:
-            high = (self.high[0](env, ctx), self.high[1])
-        if (low and low[0] is None) or (high and high[0] is None):
-            return ()
-        if self.like_fn is not None:
-            bounds = like_range(self.like_fn(env, ctx))
-            if bounds is not None:
-                low, high = (bounds[0], True), (bounds[1], True)
-        lo_enc, hi_enc = prefix_bounds(eq_vals, low, high)
-        return index.range_lookup_encoded(lo_enc, hi_enc, txn_id, tag_v)
-
-
-def _tuple_source(
-    exprs: Sequence[Optional[Expr]],
-    compile_one: Callable[[Expr], EvalFn],
-    resolver: Resolver,
-    namespace: Dict[str, EvalFn],
-) -> str:
-    """Source of a tuple display that evaluates ``exprs`` on ``env, ctx``.
-
-    A column reference is read in place and ``None`` stays None; anything
-    else calls its own compiled closure, which is put into ``namespace``.
-    Inside one :func:`_lambda`, the display builds a whole projection row
-    or GROUP BY key in a single frame.
-    """
-    parts = []
-    for expr in exprs:
-        if expr is None:
-            parts.append("None")
-        elif isinstance(expr, ColumnRef):
-            binding, position = resolver.resolve(expr)
-            parts.append(f"env[{binding!r}][{position}]")
-        else:
-            name = f"fn{len(namespace)}"
-            namespace[name] = compile_one(expr)
-            parts.append(f"{name}(env, ctx)")
-    return "(" + "".join(part + ", " for part in parts) + ")"
-
-
-@lru_cache(maxsize=4096)
-def _lambda_code(source: str) -> CodeType:
-    """Code of ``lambda env, ctx: <source>``: one object per distinct source.
-
-    Filed under this module and named after its source.  Profilers key a
-    function by (file, line, name) and keep one of those that collide, so
-    the plans every engine compiles from one statement share a code object
-    and different sources never share a name.
-    """
-    code = eval(compile(f"lambda env, ctx: {source}", __file__, "eval")).__code__
-    return code.replace(co_name=f"<{source}>")
-
-
-def _lambda(source: str, namespace: Dict[str, EvalFn]) -> EvalFn:
-    """``lambda env, ctx: <source>`` with ``namespace`` as its globals."""
-    return FunctionType(_lambda_code(source), namespace)
-
-
-#: The row of a ``(loc, row)`` pair, as a table scan yields them.
-_ROW = itemgetter(1)
-
-
 class _CompiledSelect:
-    def __init__(self, engine: HeapEngine, stmt: Select) -> None:
+    """A SELECT: one generated function runs the join and captures each
+    joined row's output (or its group's key and aggregate arguments); the
+    plan then deduplicates, sorts and cuts the rows."""
+
+    def __init__(self, engine: HeapEngine, stmt: Select, name: str) -> None:
         bindings = []
         for ref in stmt.tables:
             table = engine.table(ref.table)
             bindings.append(Binding(ref, table.schema))
-        self.resolver = Resolver(bindings)
+        resolver = Resolver(bindings)
         conjuncts = split_conjuncts(stmt.where)
         row_counts = {b.ref.table: engine.table(b.ref.table).row_count for b in bindings}
-        ordered = order_tables(bindings, conjuncts, self.resolver, row_counts)
-        per_step_filters = assign_filters(ordered, conjuncts, self.resolver)
-        self.steps: List[_TableStep] = [
-            _TableStep.compile(engine, binding, access, filters, self.resolver)
-            for (binding, access), filters in zip(ordered, per_step_filters)
-        ]
+        ordered = order_tables(bindings, conjuncts, resolver, row_counts)
+        per_step_filters = assign_filters(ordered, conjuncts, resolver)
 
         # Projections.
         if stmt.star:
@@ -434,41 +422,17 @@ class _CompiledSelect:
             self.select_items = stmt.items
             self.columns = [self._column_name(item) for item in stmt.items]
 
-        self.is_aggregate = bool(stmt.group_by) or stmt.having is not None or any(
+        grouped = bool(stmt.group_by) or stmt.having is not None or any(
             is_aggregate(item.expr) for item in self.select_items
         ) or any(is_aggregate(o.expr) for o in stmt.order_by)
-
-        if self.is_aggregate:
-            agg_nodes: List[FuncCall] = []
-            for item in self.select_items:
-                _collect_aggregates(item.expr, agg_nodes)
-            for order in stmt.order_by:
-                _collect_aggregates(order.expr, agg_nodes)
-            if stmt.having is not None:
-                _collect_aggregates(stmt.having, agg_nodes)
-            self.agg_specs = [
-                _AggSpec(node, compile_expr(node.args[0], self.resolver) if node.args else None)
-                for node in agg_nodes
-            ]
-            agg_slots = {id(node): i for i, node in enumerate(agg_nodes)}
-            self.has_group_by = bool(stmt.group_by)
-            self.having_fn = (
-                compile_agg_expr(stmt.having, self.resolver, agg_slots)
-                if stmt.having is not None
-                else None
-            )
-            compile_output = lambda e: compile_agg_expr(e, self.resolver, agg_slots)
-        else:
-            compile_output = lambda e: compile_expr(e, self.resolver)
 
         # ORDER BY: resolve select-alias references to output positions; the
         # other keys are computed beside the output row.
         alias_pos = {
             item.alias: i for i, item in enumerate(self.select_items) if item.alias
         }
-        #: Per ORDER BY item: (output position or None, descending).
-        self.order_by: List[Tuple[Optional[int], bool]] = []
-        key_exprs: List[Optional[Expr]] = []
+        #: Per ORDER BY item: (output position or None, its expression).
+        orders: List[Tuple[Optional[int], Expr]] = []
         for order in stmt.order_by:
             position = None
             if isinstance(order.expr, ColumnRef) and order.expr.table is None:
@@ -479,42 +443,105 @@ class _CompiledSelect:
                         if item.expr == order.expr:
                             position = i
                             break
-            self.order_by.append((position, order.descending))
-            key_exprs.append(order.expr if position is None else None)
+            orders.append((position, order.expr))
+        self.descending = [order.descending for order in stmt.order_by]
 
-        # What the innermost loop captures of a joined row, and what becomes
-        # of it: ``(output row, sort keys)`` straight away, or — under
-        # aggregation — ``(group key, the row's env)`` first and the same
-        # pair per group afterwards.  One closure, one frame, each.
-        namespace: Dict[str, EvalFn] = {}
-        output = "({}, {})".format(
-            _tuple_source(
-                [item.expr for item in self.select_items], compile_output,
-                self.resolver, namespace,
-            ),
-            _tuple_source(key_exprs, compile_output, self.resolver, namespace),
-        )
-        group_key = _tuple_source(
-            stmt.group_by, lambda e: compile_expr(e, self.resolver), self.resolver, namespace
-        )
-        self.output_fn = _lambda(output, namespace)
-        self.capture = (
-            _lambda(f"({group_key}, dict(env))", namespace)
-            if self.is_aggregate
-            else self.output_fn
-        )
+        # The join: one loop per step, outermost first.  A probed step reads
+        # its rows lazily through the engine's read funnel, so an outer
+        # row's inner probes run between two reads of the outer step.
+        w = _Writer(resolver)
+        body: List[str] = []
+        loops: List[str] = []
+        for depth, ((binding, access), filters) in enumerate(zip(ordered, per_step_filters)):
+            table = engine.table(binding.ref.table)
+            tbl, row, pad = w.bind(table, "tbl"), f"r{depth}", "    " * depth
+            locs = w.probe(depth, tbl, access)
+            if locs is None:
+                loops.append(f"{pad}for _loc, {row} in {tbl}.scan(txn):")
+                skip = []
+            else:
+                if not body:
+                    body += ["txn_id = txn.txn_id", "read_row = engine.read_row"]
+                body.append(f"tag{depth} = {tbl}.tag_v(txn)")
+                body.append(f"read{depth} = partial(read_row, txn, tag{depth})")
+                loops.append(f"{pad}for {row} in map(read{depth}, {locs}):")
+                skip = [f"{row} is None"]  # dead slot behind a stale index entry
+            w.rows[binding.name] = row
+            test = w.conjunction(filters)
+            if test:
+                skip.append(f"not {test}" if len(filters) == 1 else f"not ({test})")
+            if skip:
+                loops += [f"{pad}    if {' or '.join(skip)}:", f"{pad}        continue"]
+        pad = "    " * len(ordered)
+        items = [item.expr for item in self.select_items]
+        if not grouped:
+            body += ["out = []", "keep = out.append"] + loops
+            body.append(f"{pad}keep({w.entry(items, orders)})")
+        else:
+            # Per group, in first-seen order: the first joined row's rows,
+            # the row count if COUNT(*) is asked for, and per other aggregate
+            # the list of its argument's non-NULL values, in row order.
+            agg_nodes: List[FuncCall] = []
+            for expr in items + [o.expr for o in stmt.order_by] + [stmt.having]:
+                if expr is not None:
+                    _collect_aggregates(expr, agg_nodes)
+            rows = [w.rows[binding.name] for binding, _access in ordered]
+            fields, appends, folds = list(rows), [], []
+            for slot, node in enumerate(agg_nodes):
+                if node.star:  # one at most: the nodes are distinct
+                    appends.append(f"g[{len(fields)}] += 1")
+                    fields.append("n")
+                    continue
+                if not node.args:
+                    raise SqlError(f"aggregate {node.name} needs an argument")
+                values, arg = f"v{slot}", w.temp()
+                appends += [
+                    f"if ({arg} := {w.value(node.args[0])}) is not None:",
+                    f"    g[{len(fields)}].append({arg})",
+                ]
+                fields.append(values)
+                if node.distinct:
+                    folds.append(f"    {values} = list(dict.fromkeys({values}))")
+                folds.append(f"    a{slot} = {_FOLDS[node.name].format(v=values)}")
+            empty = ["0" if field == "n" else "[]" for field in fields[len(rows):]]
+            body += ["groups = {}"] + loops + [
+                f"{pad}key = {w.tuple(stmt.group_by)}",
+                f"{pad}try:",
+                f"{pad}    g = groups[key]",
+                f"{pad}except KeyError:",
+                f"{pad}    g = groups[key] = [{', '.join(rows + empty)}]",
+            ] + [pad + line for line in appends]
+            if not stmt.group_by:
+                # A global aggregate over no rows is one group, of NULL rows.
+                nulls = [
+                    w.bind((None,) * len(binding.schema.columns), "const")
+                    for binding, _access in ordered
+                ]
+                body += ["if not groups:", f"    groups[()] = [{', '.join(nulls + empty)}]"]
+            w.aggs = {node: "n" if node.star else f"a{slot}" for slot, node in enumerate(agg_nodes)}
+            body += ["out = []", f"for {', '.join(fields)}, in groups.values():"] + folds
+            if stmt.having is not None:
+                body += [f"    if not {w.test(stmt.having)}:", "        continue"]
+            body.append(f"    out.append({w.entry(items, orders)})")
+        # LIMIT and OFFSET read no row.
+        w.rows, w.aggs = {}, {}
+        offset = f"int({w.value(stmt.offset)})" if stmt.offset else "0"
+        limit = f"int({w.value(stmt.limit)})" if stmt.limit else "None"
+        body.append(f"return out, {offset}, {limit}")
+        if len(ordered) > 1:
+            name = f"{name[:-1]} | {' > '.join(binding.name for binding, _ in ordered)}>"
+        self.plan = w.function(name, body)
+        self.param_count = w.param_count
         self.distinct = stmt.distinct
-        self.limit_fn = compile_expr(stmt.limit, self.resolver) if stmt.limit else None
-        self.offset_fn = compile_expr(stmt.offset, self.resolver) if stmt.offset else None
-        self.minmax = self._minmax_shortcut(stmt)
+        self.minmax = self._minmax_shortcut(engine, stmt)
 
-    def _minmax_shortcut(self, stmt: Select):
+    def _minmax_shortcut(self, engine: HeapEngine, stmt: Select):
         """Detect ``SELECT MAX(col) FROM t`` answerable from an index edge.
 
         Returns ``(table, index_name, column_position, reverse)`` or None.
         """
         if (
-            len(self.steps) != 1
+            len(stmt.tables) != 1
             or stmt.group_by
             or stmt.where is not None
             or len(self.select_items) != 1
@@ -529,10 +556,7 @@ class _CompiledSelect:
             and not expr.distinct
         ):
             return None
-        step = self.steps[0]
-        if step.filter_fns or step.key_fns is not None or step.index_name is not None:
-            return None  # not a bare full scan
-        table = step.table
+        table = engine.table(stmt.tables[0].table)
         column = expr.args[0].column
         if not table.schema.has_column(column):
             return None
@@ -552,211 +576,101 @@ class _CompiledSelect:
         return "expr"
 
     # -- runtime -----------------------------------------------------------------
-    def _nested_loops(
-        self, depth: int, bound: list, txn: Transaction, env: Env, ctx: ExecContext,
-        joined: list,
-    ) -> None:
-        """Join the steps from ``depth`` inward under the rows ``env`` holds.
-
-        Plain nested loops: one call per probe, none per row but the read
-        and the filters.  The inner probes of an outer row run between two
-        reads of the outer step, so pages are touched in exactly the order
-        the rows of the join come out.
-        """
-        step, tag_v, read = bound[depth]
-        locs = step.locs(txn.txn_id, tag_v, env, ctx)
-        rows = map(read, locs) if locs is not None else map(_ROW, step.table.scan(txn))
-        binding = step.binding
-        filters = step.filter_fns
-        inner = depth + 1
-        innermost = inner == len(bound)
-        keep = joined.append
-        capture = self.capture
-        for row in rows:
-            if row is None:
-                continue  # dead slot behind a stale index entry
-            env[binding] = row
-            for passes in filters:
-                if passes(env, ctx) is not True:  # NULL is not true
-                    break
-            else:
-                if innermost:
-                    keep(capture(env, ctx))
-                else:
-                    self._nested_loops(inner, bound, txn, env, ctx, joined)
-
-    def run(self, engine: HeapEngine, txn: Transaction, ctx: ExecContext) -> ResultSet:
-        read_row = engine.read_row
+    def run(
+        self, engine: HeapEngine, txn: Transaction, params: Sequence[object],
+        now: Callable[[], float],
+    ) -> ResultSet:
         if self.minmax is not None:
             table, index_name, position, reverse = self.minmax
             tag_v = table.tag_v(txn)
             for loc in table.index(index_name).range_lookup_encoded(
                 None, None, txn.txn_id, tag_v, reverse=reverse
             ):
-                row = read_row(txn, tag_v, loc)
+                row = engine.read_row(txn, tag_v, loc)
                 if row is not None and row[position] is not None:
                     return ResultSet(self.columns, [(row[position],)], rowcount=1)
             return ResultSet(self.columns, [(None,)], rowcount=1)
-        # Per statement and step: the version the step's table is read at,
-        # and the engine's row read bound to it.
-        bound = []
-        for step in self.steps:
-            tag_v = step.table.tag_v(txn)
-            bound.append((step, tag_v, partial(read_row, txn, tag_v)))
-        outputs: List[Tuple[tuple, tuple]] = []
-        self._nested_loops(0, bound, txn, {}, ctx, outputs)
-        if self.is_aggregate:
-            outputs = self._run_aggregate(outputs, ctx)
+        entries, offset, limit = self.plan(engine, txn, params, now)
         if self.distinct:
             seen = set()
             deduped = []
-            for row, keys in outputs:
-                if row not in seen:
-                    seen.add(row)
-                    deduped.append((row, keys))
-            outputs = deduped
-        outputs = self._sort(outputs)
-        rows = [row for row, _keys in outputs]
-        rows = self._apply_limit(rows, ctx)
-        return ResultSet(self.columns, rows, rowcount=len(rows))
-
-    def _run_aggregate(
-        self, joined: List[Tuple[tuple, Env]], ctx: ExecContext
-    ) -> List[Tuple[tuple, tuple]]:
-        groups: Dict[tuple, List[Env]] = {}
-        for key, env in joined:
-            groups.setdefault(key, []).append(env)
-        if not groups and not self.has_group_by:
-            groups[()] = []  # global aggregate over empty input
-        outputs = []
-        for group_envs in groups.values():
-            agg_values = [spec.compute(group_envs, ctx) for spec in self.agg_specs]
-            rep = dict(group_envs[0]) if group_envs else {}
-            rep["__agg__"] = agg_values
-            if self.having_fn is not None and not _truthy(self.having_fn(rep, ctx)):
-                continue
-            outputs.append(self.output_fn(rep, ctx))
-        return outputs
-
-    def _sort(self, outputs: List[Tuple[tuple, tuple]]) -> List[Tuple[tuple, tuple]]:
-        # Stable multi-key sort: apply keys right-to-left.
-        for key_index in range(len(self.order_by) - 1, -1, -1):
-            position, descending = self.order_by[key_index]
-
-            def sort_key(item, position=position, key_index=key_index):
-                row, keys = item
-                value = row[position] if position is not None else keys[key_index]
-                return (value is None, value)  # NULLs last ascending
-
-            outputs.sort(key=sort_key, reverse=descending)
-        return outputs
-
-    def _apply_limit(self, rows: List[tuple], ctx: ExecContext) -> List[tuple]:
-        offset = int(self.offset_fn({}, ctx)) if self.offset_fn else 0
+            for entry in entries:
+                if entry[0] not in seen:
+                    seen.add(entry[0])
+                    deduped.append(entry)
+            entries = deduped
+        # Stable multi-key sort: apply the keys right to left.
+        for index in range(len(self.descending), 0, -1):
+            entries.sort(key=itemgetter(index), reverse=self.descending[index - 1])
+        rows = [entry[0] for entry in entries]
         if offset:
             rows = rows[offset:]
-        if self.limit_fn is not None:
-            rows = rows[: int(self.limit_fn({}, ctx))]
-        return rows
+        if limit is not None:
+            rows = rows[:limit]
+        return ResultSet(self.columns, rows, rowcount=len(rows))
 
 
-class _CompiledInsert:
-    def __init__(self, engine: HeapEngine, stmt: Insert) -> None:
+class _CompiledWrite:
+    """An INSERT, UPDATE or DELETE: one generated function that does the
+    writes and returns how many rows it wrote.
+
+    UPDATE and DELETE select their rows before they change any: the
+    probe's locations are fetched with the write lock taken at once
+    (lock-for-update, so two statements on one page cannot deadlock
+    upgrading S to X), then filtered by the step's test, as a SELECT's.
+    """
+
+    def __init__(self, engine: HeapEngine, stmt: Statement, name: str) -> None:
         table = engine.table(stmt.table)
-        self.table_name = stmt.table
-        for col in stmt.columns:
-            table.schema.position(col)  # validate
-        self.columns = stmt.columns
-        resolver = Resolver([])
-        self.row_fns = [
-            [compile_expr(e, resolver) for e in row] for row in stmt.rows
-        ]
-
-    def run(self, engine: HeapEngine, txn: Transaction, ctx: ExecContext) -> ResultSet:
-        table = engine.table(self.table_name)
-        count = 0
-        for row_fn in self.row_fns:
-            values = {col: fn({}, ctx) for col, fn in zip(self.columns, row_fn)}
-            table.insert_row(txn, values)
-            count += 1
-        return ResultSet([], [], rowcount=count)
-
-
-class _CompiledDml:
-    """Shared row-selection machinery for UPDATE and DELETE."""
-
-    def __init__(self, engine: HeapEngine, table_name: str, where: Optional[Expr]) -> None:
-        table = engine.table(table_name)
-        ref_binding = Binding(
-            ref=_table_ref(table_name), schema=table.schema
-        )
-        self.resolver = Resolver([ref_binding])
-        conjuncts = split_conjuncts(where)
-        ordered = order_tables([ref_binding], conjuncts, self.resolver, {table_name: table.row_count})
-        filters = assign_filters(ordered, conjuncts, self.resolver)
-        (binding, access), step_filters = ordered[0], filters[0]
-        self.step = _TableStep.compile(engine, binding, access, step_filters, self.resolver)
-        self.binding = binding.name
-        self.table = table
-
-    def matching_locs(self, txn: Transaction, ctx: ExecContext) -> List[Tuple[Loc, tuple]]:
-        """Materialise (loc, row) matches before mutating anything.
-
-        Rows are fetched with the write lock held from the start
-        (lock-for-update), preventing S->X upgrade deadlocks between
-        concurrent DML statements.
-        """
-        table = self.table
-        env: Env = {}
-        locs = self.step.locs(txn.txn_id, table.tag_v(txn), env, ctx)
-        if locs is None:
-            candidates = list(table.scan(txn))
+        if isinstance(stmt, Insert):
+            for col in stmt.columns:
+                table.schema.position(col)  # validate
+            w = _Writer(Resolver([]))
+            body = [f"insert_row = engine.table({stmt.table!r}).insert_row"]
+            for row in stmt.rows:
+                values = ", ".join(f"{col!r}: {w.value(e)}" for col, e in zip(stmt.columns, row))
+                body.append(f"insert_row(txn, {{{values}}})")
+            body.append(f"return {len(stmt.rows)}")
         else:
-            candidates = [(loc, table.fetch_for_update(txn, loc)) for loc in list(locs)]
-        matches: List[Tuple[Loc, tuple]] = []
-        for loc, row in candidates:
-            if row is None:
-                continue
-            env[self.binding] = row
-            for passes in self.step.filter_fns:
-                if passes(env, ctx) is not True:
-                    break
+            binding = Binding(TableRef(stmt.table, None), table.schema)
+            resolver = Resolver([binding])
+            conjuncts = split_conjuncts(stmt.where)
+            ordered = order_tables([binding], conjuncts, resolver, {stmt.table: table.row_count})
+            (filters,) = assign_filters(ordered, conjuncts, resolver)
+            w = _Writer(resolver)
+            tbl = w.bind(table, "tbl")
+            locs = w.probe(0, tbl, ordered[0][1])
+            if locs is None:
+                body = [f"found = list({tbl}.scan(txn))"]
             else:
-                matches.append((loc, row))
-        return matches
+                body = [
+                    "txn_id = txn.txn_id",
+                    f"tag0 = {tbl}.tag_v(txn)",
+                    f"locs0 = list({locs})",
+                    f"found = [(loc, {tbl}.fetch_for_update(txn, loc)) for loc in locs0]",
+                ]
+            w.rows[binding.name] = "r0"
+            test = w.conjunction(filters)
+            body += [
+                "matches = []",
+                "for loc, r0 in found:",
+                f"    if r0 is not None{' and ' + test if test else ''}:",
+                "        matches.append((loc, r0))",
+            ]
+            if isinstance(stmt, Update):
+                changes = ", ".join(f"{col!r}: {w.value(e)}" for col, e in stmt.assignments)
+                body += ["for loc, r0 in matches:", f"    {tbl}.update_row(txn, loc, {{{changes}}})"]
+            else:
+                body += ["for loc, _row in matches:", f"    {tbl}.delete_row(txn, loc)"]
+            body.append("return len(matches)")
+        self.plan = w.function(name, body)
+        self.param_count = w.param_count
 
-
-class _CompiledUpdate(_CompiledDml):
-    def __init__(self, engine: HeapEngine, stmt: Update) -> None:
-        super().__init__(engine, stmt.table, stmt.where)
-        self.assign_fns = [
-            (column, compile_expr(expr, self.resolver)) for column, expr in stmt.assignments
-        ]
-
-    def run(self, engine: HeapEngine, txn: Transaction, ctx: ExecContext) -> ResultSet:
-        matches = self.matching_locs(txn, ctx)
-        for loc, row in matches:
-            env = {self.binding: row}
-            changes = {column: fn(env, ctx) for column, fn in self.assign_fns}
-            self.table.update_row(txn, loc, changes)
-        return ResultSet([], [], rowcount=len(matches))
-
-
-class _CompiledDelete(_CompiledDml):
-    def __init__(self, engine: HeapEngine, stmt: Delete) -> None:
-        super().__init__(engine, stmt.table, stmt.where)
-
-    def run(self, engine: HeapEngine, txn: Transaction, ctx: ExecContext) -> ResultSet:
-        matches = self.matching_locs(txn, ctx)
-        for loc, _row in matches:
-            self.table.delete_row(txn, loc)
-        return ResultSet([], [], rowcount=len(matches))
-
-
-def _table_ref(name: str):
-    from repro.sql.ast_nodes import TableRef
-
-    return TableRef(name, None)
+    def run(
+        self, engine: HeapEngine, txn: Transaction, params: Sequence[object],
+        now: Callable[[], float],
+    ) -> ResultSet:
+        return ResultSet([], [], rowcount=self.plan(engine, txn, params, now))
 
 
 #: Process-wide parsed-statement cache, keyed by statement identity (the
@@ -815,30 +729,27 @@ class SqlExecutor:
             engine = self.engine
             if engine.controller.emits_occ_counters:
                 engine.counters.add("engine.plan_cache_hits")
-        ctx = ExecContext(params, self.now)
+        if len(params) < plan.param_count:
+            params = _Params(params)
         try:
-            return plan.run(self.engine, txn, ctx)
+            return plan.run(self.engine, txn, params, self.now)
         finally:
             # The statement's read counts reach the counter bag before the
             # caller can take a delta, whether it returns or raises.
             self.engine.flush_reads()
 
     def _compile(self, sql: str):
-        stmt = parse_cached(sql)
-        return compile_statement(self.engine, stmt)
+        return compile_statement(self.engine, parse_cached(sql), sql)
 
     def invalidate_plans(self) -> None:
         """Drop cached plans (row-count heuristics change after bulk loads)."""
         self._plans.clear()
 
 
-def compile_statement(engine: HeapEngine, stmt: Statement):
+def compile_statement(engine: HeapEngine, stmt: Statement, sql: str):
+    """The plan of ``stmt`` (parsed from ``sql``, which names it) on ``engine``."""
     if isinstance(stmt, Select):
-        return _CompiledSelect(engine, stmt)
-    if isinstance(stmt, Insert):
-        return _CompiledInsert(engine, stmt)
-    if isinstance(stmt, Update):
-        return _CompiledUpdate(engine, stmt)
-    if isinstance(stmt, Delete):
-        return _CompiledDelete(engine, stmt)
+        return _CompiledSelect(engine, stmt, f"<{sql}>")
+    if isinstance(stmt, (Insert, Update, Delete)):
+        return _CompiledWrite(engine, stmt, f"<{sql}>")
     raise SqlError(f"unsupported statement {type(stmt).__name__}")

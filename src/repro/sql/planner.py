@@ -11,15 +11,15 @@ into a :class:`SelectPlan` (or DML plan).  Strategy:
   path and attach the remaining conjuncts as filters at the earliest step
   where all their column references are bound.
 
-Expressions are compiled to Python closures ``fn(env, ctx)`` where ``env``
-maps table bindings to row tuples and ``ctx`` supplies parameters and the
-clock; see :mod:`repro.sql.executor`.
+The executor renders the ordered steps, their access paths and filters
+as one generated Python function per statement; see
+:mod:`repro.sql.executor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SchemaError, SqlError
 from repro.engine.schema import TableSchema
@@ -33,8 +33,6 @@ from repro.sql.ast_nodes import (
     TableRef,
     column_refs,
 )
-
-EvalFn = Callable[["dict", "object"], object]  # (env, ctx) -> value
 
 
 # -- conjunct analysis ----------------------------------------------------------

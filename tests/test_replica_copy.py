@@ -69,7 +69,7 @@ def describe_tree(tree):
         return (node.key, node.color, describe_bucket(node.value),
                 walk(node.left, node), walk(node.right, node))
 
-    return (walk(tree.root, tree.nil), tree.size, tree.rotations, tree.node_visits)
+    return (walk(tree.root, tree.nil), tree.size, tree.rotations)
 
 
 def describe_engine(engine):

@@ -170,6 +170,24 @@ class TestSelect:
         )
         assert sorted(r[0] for r in rs.rows) == [1, 2, 25]
 
+    def test_in_list_with_a_null_item_follows_three_valued_logic(self, db):
+        # 5 NOT IN (1, NULL) is NULL, not TRUE: 5 might equal the unknown
+        # item.  A match still decides, whatever else the list holds.
+        engine, sql = db
+        txn = ro(engine)
+        for where, params in [
+            ("i_id NOT IN (1, NULL)", ()),
+            ("i_id NOT IN (1, ?)", (None,)),
+            ("NOT (i_id IN (1, NULL))", ()),
+            ("i_stock NOT IN (?, 3)", (None,)),
+        ]:
+            assert sql.execute(txn, f"SELECT i_id FROM item WHERE {where}", params).rows == []
+        rs = sql.execute(txn, "SELECT i_id FROM item WHERE i_stock IN (NULL, 10) AND i_id < 3")
+        assert sorted(rs.rows) == [(0,), (1,), (2,)]
+        rs = sql.execute(txn, "SELECT i_id FROM item WHERE NOT (i_id IN (NULL, 1, 2)) OR i_id = 1")
+        assert rs.rows == [(1,)]
+        assert len(sql.execute(txn, "SELECT i_id FROM item WHERE i_id NOT IN (1, 2)").rows) == 28
+
     def test_between(self, db):
         engine, sql = db
         rs = sql.execute(
