@@ -91,6 +91,9 @@ def test_fig5_failover_stale_backup(benchmark, figure_report):
     # of the InnoDB log-replay phase.
     innodb_t, dmv_t = innodb.timelines[0], dmv.timelines[0]
     assert innodb_t.replay_entries > 0
+    # The promoted backup replayed exactly what the surviving active committed.
+    assert set(innodb.digests) == {"d1", "backup0"}
+    assert innodb.digests["backup0"] == innodb.digests["d1"]
     dmv_reconf = dmv_t.recovery_duration() + dmv_t.migration_duration()
     assert dmv_reconf < innodb_t.db_update_duration() / 2
     # InnoDB service visibly degraded while replaying.

@@ -12,7 +12,6 @@ calibration, and with it this module, so neither imports :mod:`repro.chaos`.
 from repro.bench.calibration import (
     BENCH_COST,
     BENCH_SCALE,
-    FAILOVER_COST,
     FAILOVER_SCALE,
     INNODB_POOL_FRACTION,
     bench_cost,
@@ -22,7 +21,6 @@ from repro.bench.report import format_retries, format_series, format_table
 __all__ = [
     "BENCH_COST",
     "BENCH_SCALE",
-    "FAILOVER_COST",
     "FAILOVER_SCALE",
     "INNODB_POOL_FRACTION",
     "bench_cost",

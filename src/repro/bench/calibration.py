@@ -66,6 +66,3 @@ def bench_cost(**overrides) -> CostConfig:
 
 
 BENCH_COST = bench_cost()
-
-#: Failover experiments: identical constants (nothing is tuned per figure).
-FAILOVER_COST = bench_cost()

@@ -18,6 +18,7 @@ same kind of window.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -186,7 +187,7 @@ def run_capacity_sweep(clients: int, duration: float) -> List[Tuple[Optional[int
 def run_innodb(mix: str, clients: int, duration: float, kill_at: Optional[float] = None) -> Window:
     """Stand-alone InnoDB — or, with ``kill_at``, the paper's replicated
     baseline: two active replicas and a passive backup refreshed every
-    280 s, with active ``d0`` killed at ``kill_at``."""
+    280 s, with active ``d0`` killed at ``kill_at``, then settled for digests."""
     replicated = kill_at is not None
     cluster = SimDiskCluster(
         TPCW_SCHEMAS,
@@ -202,4 +203,5 @@ def run_innodb(mix: str, clients: int, duration: float, kill_at: Optional[float]
     if replicated:
         cluster.kill_node_at("d0", kill_at)
     cluster.run(until=duration)
-    return Window(cluster.sim.now(), cluster.metrics, tuple(cluster.timelines))
+    window = Window(cluster.sim.now(), copy.deepcopy(cluster.metrics), tuple(cluster.timelines))
+    return replace(window, digests=cluster.settle(duration + 30.0)) if replicated else window

@@ -50,6 +50,8 @@ class Window:
     counters: Dict[str, float] = field(default_factory=dict)
     #: Pages each node held.
     pages: Dict[str, int] = field(default_factory=dict)
+    #: Replicated on-disk runs: each live node's digest (``SimDiskCluster.settle``).
+    digests: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass

@@ -36,6 +36,19 @@ HEARTBEAT_INTERVAL = 1.0
 HEARTBEAT_MISSES = 2
 
 
+def declare_failed(missed: Dict[str, int], handled: set, name: str, alive: bool) -> bool:
+    """One heartbeat of ``name``: True on the ``HEARTBEAT_MISSES``-th miss in
+    a row, which adds it to ``handled`` (whose failures count no misses)."""
+    if alive:
+        missed[name] = 0
+    elif name not in handled:
+        missed[name] = missed.get(name, 0) + 1
+        if missed[name] >= HEARTBEAT_MISSES:
+            handled.add(name)
+            return True
+    return False
+
+
 class FailureManager:
     """Detects fail-stop failures and reconfigures the cluster around them."""
 
@@ -106,25 +119,11 @@ class FailureManager:
         while True:
             yield self.sim.timeout(HEARTBEAT_INTERVAL)
             for node_id, node in list(self.cluster.nodes.items()):
-                if node.alive:
-                    missed[node_id] = 0
-                    continue
-                if node_id in self.handled_failures:
-                    continue
-                missed[node_id] = missed.get(node_id, 0) + 1
-                if missed[node_id] >= HEARTBEAT_MISSES:
-                    self.handled_failures.add(node_id)
+                if declare_failed(missed, self.handled_failures, node_id, node.alive):
                     self.sim.spawn(self._reconfigure(node_id), name="reconfigure")
             # Peer schedulers watch each other (paper §4.1).
             for index, agent in enumerate(self.cluster.schedulers):
-                if agent.alive:
-                    missed[agent.agent_id] = 0
-                    continue
-                if agent.agent_id in self.handled_failures:
-                    continue
-                missed[agent.agent_id] = missed.get(agent.agent_id, 0) + 1
-                if missed[agent.agent_id] >= HEARTBEAT_MISSES:
-                    self.handled_failures.add(agent.agent_id)
+                if declare_failed(missed, self.handled_failures, agent.agent_id, agent.alive):
                     was_primary = all(not a.alive for a in self.cluster.schedulers[:index])
                     successor = next((a for a in self.cluster.schedulers if a.alive), None)
                     if was_primary and successor is not None:

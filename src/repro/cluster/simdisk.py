@@ -10,11 +10,13 @@ Two configurations, exactly as the paper evaluates them:
   concurrency control and applied write-all) plus one passive backup
   refreshed from the update log every ``refresh_interval`` (the Figures
   5(a,b)/6 baseline).  Failover promotes the backup after replaying its
-  log lag — the long "DB update" phase.
+  log lag — the long "DB update" phase.  Refresh and failover consume the
+  backup's log cursor through one step, :meth:`SimDiskCluster._catch_up`.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,7 +26,7 @@ from repro.common.errors import NodeUnavailable
 from repro.common.rng import RngStream
 from repro.cluster.clients import BrowserPool, Metrics
 from repro.cluster.costs import CostConfig, CostModel
-from repro.cluster.failover import HEARTBEAT_INTERVAL, HEARTBEAT_MISSES
+from repro.cluster.failover import HEARTBEAT_INTERVAL, declare_failed
 from repro.cluster.simnodes import DiskDbNode
 from repro.engine.engine import bulk_load_replicas
 from repro.engine.schema import TableSchema
@@ -225,40 +227,62 @@ class SimDiskCluster:
         for node in self.nodes.values():
             node.db.sql.invalidate_plans()
 
+    def content_digest(self, node_id: str) -> str:
+        """Hash of the rows ``node_id`` holds per table, wherever they sit."""
+        pages = self.nodes[node_id].db.engine.store.all_pages()
+        rows = sorted((p.page_id.table, repr(row)) for p in pages for _slot, row in p.iter_live())
+        return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+    def settle(self, until: float) -> Dict[str, str]:
+        """Stop the clients and run to ``until`` so every update in flight
+        lands; then each live replica's :meth:`content_digest`."""
+        self.clients.stop()
+        self.run(until=until)
+        return {i: self.content_digest(i) for i, node in self.nodes.items() if node.alive}
+
     def warm_all_pools(self) -> None:
         for node in self.nodes.values():
             node.db.pool.warm(p.page_id for p in node.db.engine.store.all_pages())
 
-    # -- background daemons --------------------------------------------------------------------
+    # -- the backup's log cursor ----------------------------------------------------------------
+    def _catch_up(self, backup: DiskDbNode):
+        """The one consumer of a backup's log cursor: replay what is pending,
+        then advance past it, under the backup's ``replay_mutex`` throughout.
+        Returns the entries applied; none once the backup is promoted."""
+        log = self.scheduler.query_log
+        yield from backup.replay_mutex.acquire()
+        try:
+            state = self.scheduler.replicas.get(backup.node_id)
+            if state is None or not state.passive:
+                return 0
+            batch = log.pending_for(backup.node_id)
+            if batch:
+                yield from backup.run_job(backup.replay(batch))
+                log.advance(backup.node_id, len(batch))
+            return len(batch)
+        finally:
+            backup.replay_mutex.release()
+
     def _refresh_daemon(self):
+        """The paper's periodic refresh: every ``refresh_interval``, each live
+        backup replays the batch pending when its refresh starts."""
         while True:
             yield self.sim.timeout(self.refresh_interval)
             for state in self.scheduler.passive_replicas():
                 node = self.nodes[state.node_id]
-                if not node.alive:
-                    continue
-                batch = self.scheduler.refresh_batch(state.node_id)
-                if batch:
-                    log_bytes = sum(e.byte_size() for e in batch)
-                    yield from node.run_job(node.replay_job(batch, log_bytes))
+                if node.alive:
+                    yield from self._catch_up(node)
 
     def _failure_detector(self):
         missed: Dict[str, int] = {}
         while True:
             yield self.sim.timeout(HEARTBEAT_INTERVAL)
             for node_id, node in list(self.nodes.items()):
-                if node.alive:
-                    missed[node_id] = 0
-                    continue
-                if node_id in self._handled_failures:
-                    continue
-                missed[node_id] = missed.get(node_id, 0) + 1
-                if missed[node_id] >= HEARTBEAT_MISSES:
-                    self._handled_failures.add(node_id)
+                if declare_failed(missed, self._handled_failures, node_id, node.alive):
                     self.sim.spawn(self._failover(node_id), name="disk-failover")
 
     def _failover(self, failed_id: str):
-        """Promote the passive backup: replay its log lag, then activate."""
+        """Promote the passive backup once it has replayed its log lag."""
         failed = self.nodes[failed_id]
         timeline = DiskFailoverTimeline(
             failure_time=failed.failed_at or self.sim.now(),
@@ -270,19 +294,20 @@ class SimDiskCluster:
         if not passives:
             timeline.replay_done = self.sim.now()
             return
-        backup_id = passives[0].node_id
-        backup = self.nodes[backup_id]
-        # Replay rounds until the backup has caught up with the log —
-        # commits keep flowing on the surviving active during the replay.
-        while True:
-            batch = self.scheduler.query_log.pending_for(backup_id)
-            if not batch:
-                break
-            timeline.replay_entries += len(batch)
-            log_bytes = sum(e.byte_size() for e in batch)
-            yield from backup.run_job(backup.replay_job(list(batch), log_bytes))
-            self.scheduler.query_log.advance(backup_id, len(batch))
-        self.scheduler.promote_backup(backup_id)
+        backup = self.nodes[passives[0].node_id]
+        # Catch up until nothing is pending; commits keep flowing on the
+        # surviving active meanwhile.
+        while applied := (yield from self._catch_up(backup)):
+            timeline.replay_entries += applied
+        # An update in flight now targets the survivor alone and logs after
+        # the promotion has dropped the backup's cursor, so the backup would
+        # never see it: promote with no update in flight.
+        yield from self.update_ticket.acquire()
+        try:
+            timeline.replay_entries += yield from self._catch_up(backup)
+            self.scheduler.promote_backup(backup.node_id)
+        finally:
+            self.update_ticket.release()
         timeline.replay_done = self.sim.now()
 
     # -- failure injection ---------------------------------------------------------------------------

@@ -336,8 +336,8 @@ class DiskDbNode(SimNode):
         self.engine = self.db.engine
         self.sql = self.db.sql
         self.disk = Resource(sim, 1)
-        #: Log replays (periodic refresh, failover catch-up) must not
-        #: interleave or entries would apply out of commit order.
+        #: Held from reading a backup's log cursor to advancing it
+        #: (``SimDiskCluster._catch_up``), so no entry applies twice.
         self.replay_mutex = Resource(sim, 1)
 
     def statement_cost(self, delta: Mapping[str, float]) -> Tuple[float, float]:
@@ -360,19 +360,11 @@ class DiskDbNode(SimNode):
         if io_time > 0:
             yield from self.disk.hold(io_time)
 
-    def replay_job(self, entries, log_bytes: int = 0):
-        """Replay logged updates (backup refresh / failover DB-update)."""
-        yield from self.replay_mutex.acquire()
-        try:
-            yield from self._replay_locked(entries, log_bytes)
-        finally:
-            self.replay_mutex.release()
-        return len(entries)
-
-    def _replay_locked(self, entries, log_bytes: int):
-        """Read the log sequentially, then charge each entry like a statement."""
-        if log_bytes:
-            yield from self.disk.hold(self.cost.sequential_disk(log_bytes))
+    def replay(self, entries):
+        """Replay logged updates in order (backup refresh, failover DB-update):
+        read them off the log sequentially, then charge each like a statement.
+        The caller holds :attr:`replay_mutex`."""
+        yield from self.disk.hold(self.cost.sequential_disk(sum(e.byte_size() for e in entries)))
         for entry in entries:
             yield from self.cpu.acquire()
             try:

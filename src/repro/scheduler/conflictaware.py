@@ -7,7 +7,7 @@ scheduler serialises update routing), plus a *passive* backup that is
 refreshed from the update log only every ``refresh_interval`` (30 minutes
 in the paper).  On failover the backup must replay its entire log lag
 before serving reads — which is exactly the long "DB update" phase in
-Figures 5(a,b) and 6.
+Figures 5(a,b) and 6.  Only passive backups have log cursors.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class ConflictAwareScheduler:
     # -- topology --------------------------------------------------------------
     def add_replica(self, node_id: NodeId, passive: bool = False) -> None:
         self.replicas[node_id] = DiskReplicaState(node_id, passive=passive)
-        self.query_log.set_cursor(node_id, len(self.query_log) if not passive else 0)
+        if passive:
+            self.query_log.set_cursor(node_id, 0)
 
     def remove_replica(self, node_id: NodeId) -> None:
         self.replicas.pop(node_id, None)
@@ -52,16 +53,6 @@ class ConflictAwareScheduler:
 
     def passive_replicas(self) -> List[DiskReplicaState]:
         return [r for r in self.replicas.values() if r.passive]
-
-    @property
-    def routing_epoch(self) -> int:
-        """API parity with ``VersionAwareScheduler.routing_epoch``.
-
-        The on-disk baseline routes every update to every active replica
-        (write-all, one total order), so its routing table never changes
-        shape: the epoch is constant 0.
-        """
-        return 0
 
     # -- routing -----------------------------------------------------------------
     def route_read(self) -> NodeId:
@@ -83,33 +74,21 @@ class ConflictAwareScheduler:
         self.counters.add("casched.updates_routed")
         return [r.node_id for r in self.active_replicas()]
 
-    # -- update logging / backup refresh --------------------------------------------
+    # -- update logging ---------------------------------------------------------------
     def log_update(self, queries: Sequence[Tuple[str, Tuple]]) -> LoggedUpdate:
+        """Log one update the active replicas committed, for the backups."""
         self._txn_counter += 1
         entry = LoggedUpdate(self._txn_counter, tuple(queries))
         self.query_log.append(entry)
-        for replica in self.active_replicas():
-            # Active replicas applied it synchronously; advance their cursor.
-            self.query_log.set_cursor(replica.node_id, len(self.query_log))
         return entry
 
-    def backup_lag(self, node_id: NodeId) -> int:
-        return self.query_log.lag_of(node_id)
-
-    def refresh_batch(self, node_id: NodeId) -> List[LoggedUpdate]:
-        """Everything the passive backup is missing (periodic refresh)."""
-        batch = self.query_log.pending_for(node_id)
-        self.query_log.advance(node_id, len(batch))
-        self.counters.add("casched.refresh_batches")
-        return batch
-
     # -- failover ---------------------------------------------------------------------
-    def promote_backup(self, node_id: NodeId) -> int:
-        """Activate a passive backup; returns the log lag it must replay."""
+    def promote_backup(self, node_id: NodeId) -> None:
+        """Activate a passive backup that has replayed the log: from now on it
+        takes every update write-all and consumes the log no more."""
         state = self.replicas.get(node_id)
         if state is None:
             raise NodeUnavailable(f"unknown backup {node_id}")
-        lag = self.backup_lag(node_id)
         state.passive = False
+        self.query_log.unregister(node_id)
         self.counters.add("casched.promotions")
-        return lag

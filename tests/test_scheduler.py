@@ -192,21 +192,24 @@ class TestConflictAware:
 
     def test_backup_lags_until_refresh(self):
         sched = self.make()
+        log = sched.query_log
         for i in range(4):
             sched.log_update([("UPDATE x", ())])
-        assert sched.backup_lag("backup") == 4
-        assert sched.backup_lag("d0") == 0  # actives applied synchronously
-        batch = sched.refresh_batch("backup")
-        assert len(batch) == 4
-        assert sched.backup_lag("backup") == 0
+        assert log.lag_of("backup") == 4
+        with pytest.raises(KeyError):
+            log.cursor("d0")  # actives apply every update as it commits: no cursor
+        log.advance("backup", len(log.pending_for("backup")))
+        assert log.lag_of("backup") == 0
 
-    def test_promote_backup_returns_lag(self):
+    def test_promote_backup_unregisters_its_cursor(self):
         sched = self.make()
         for _ in range(3):
             sched.log_update([("UPDATE x", ())])
-        lag = sched.promote_backup("backup")
-        assert lag == 3
+        sched.promote_backup("backup")
         assert "backup" in [r.node_id for r in sched.active_replicas()]
+        with pytest.raises(KeyError):
+            sched.query_log.cursor("backup")
+        assert sched.query_log._entries == []  # no consumer left: nothing kept
 
     def test_failover_after_active_death(self):
         sched = self.make()
