@@ -12,9 +12,15 @@ both sides must print the same fingerprint: same seed, same simulated
 cluster.  It prints each pair, then each side's median and interquartile
 range, the change's win count and whether the medians lie further apart
 than the parent's interquartile range (the test a host-time claim has to
-pass), and appends one JSON line with all of it, and every end-to-end
-metric of every run, to ``benchmarks/history.jsonl``.  Exits 1 if a fingerprint differs or a run
-fails.  Standard library only.
+pass).  Then, for every end-to-end metric ``BENCHMARK.json`` declares, one
+line: both sides' medians, the change, the metric's bound and a verdict —
+``worse`` when the change's median is worse than the parent's by more than
+the bound, ``better`` when it is better by more than the parent's
+interquartile range, ``same`` otherwise — so one command shows that, say,
+``setup_s`` and ``peak_rss_mb`` held while the claimed metric moved.  It
+appends one JSON line with all of it, and every end-to-end metric of every
+run, to ``benchmarks/history.jsonl``.  Exits 1 if a fingerprint differs or
+a run fails.  Standard library only.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -39,6 +46,14 @@ def quartiles(values):
     return q1, median, q3
 
 
+def relative(parent: float, change: float) -> float:
+    """``change / parent - 1``; a parent of 0 gives 0 when the change is 0
+    too, and an infinity of the change's sign otherwise."""
+    if parent:
+        return change / parent - 1
+    return 0.0 if change == parent else math.copysign(math.inf, change - parent)
+
+
 def summarise(parent, change, higher_is_better=True):
     """The verdict figures of paired runs ``parent[i]`` / ``change[i]``."""
     sign = 1 if higher_is_better else -1
@@ -48,9 +63,32 @@ def summarise(parent, change, higher_is_better=True):
         "parent": {"median": p_median, "q1": p_q1, "q3": p_q3, "values": parent},
         "change": {"median": c_median, "q1": c_q1, "q3": c_q3, "values": change},
         "wins": sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0),
-        "median_change": c_median / p_median - 1,
+        "median_change": relative(p_median, c_median),
         "beyond_parent_iqr": sign * (c_median - p_median) > p_q3 - p_q1,
     }
+
+
+def end_to_end_table(runs, declared):
+    """One row per metric of ``declared`` (``BENCHMARK.json``'s ``end_to_end``
+    entries) that both sides of ``runs`` measured: the medians, the relative
+    change, the bound and the verdict."""
+    rows = []
+    for metric in declared:
+        name = metric["name"]
+        if name not in runs["parent"] or name not in runs["change"]:
+            continue
+        higher = metric["better"] == "higher"
+        verdict = summarise(runs["parent"][name], runs["change"][name], higher)
+        delta = verdict["median_change"]
+        worse_by = -delta if higher else delta
+        rows.append({
+            "metric": name, "parent": verdict["parent"]["median"],
+            "change": verdict["change"]["median"], "delta": delta,
+            "bound": metric["bound"],
+            "verdict": "worse" if worse_by > metric["bound"]
+            else "better" if verdict["beyond_parent_iqr"] else "same",
+        })
+    return rows
 
 
 def run_once(checkout: Path, args) -> dict:
@@ -114,12 +152,18 @@ def main() -> int:
           f"beyond the parent's IQR: {'yes' if verdict['beyond_parent_iqr'] else 'no'}")
     same = len(fingerprints) == 1
     print(f"fingerprint {'identical: ' + next(iter(fingerprints)) if same else 'DIFFERS'}")
+    table = end_to_end_table(runs, spec["end_to_end"])
+    print(f"{'metric':24s} {'parent':>12s} {'change':>12s} {'delta':>8s} {'bound':>6s}  verdict")
+    for row in table:
+        print(f"{row['metric']:24s} {row['parent']:12.4g} {row['change']:12.4g} "
+              f"{row['delta']:+8.1%} {row['bound']:6.0%}  {row['verdict']}")
     record = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "metric": args.metric, "pairs": args.pairs,
         "parent_rev": revision(sides["parent"]), "change_rev": revision(sides["change"]),
-        "fingerprints": sorted(fingerprints), "end_to_end": runs, **verdict,
+        "fingerprints": sorted(fingerprints), "end_to_end": runs,
+        "end_to_end_verdicts": table, **verdict,
     }
     with args.history.open("a") as history:
         history.write(json.dumps(record, sort_keys=True) + "\n")

@@ -155,6 +155,8 @@ class DiskFailoverTimeline:
     detection_time: float = 0.0
     replay_entries: int = 0
     replay_done: float = 0.0
+    #: The backup promoted; None when every passive one died first.
+    promoted: Optional[str] = None
 
     def db_update_duration(self) -> float:
         return max(0.0, self.replay_done - self.detection_time)
@@ -248,7 +250,8 @@ class SimDiskCluster:
     def _catch_up(self, backup: DiskDbNode):
         """The one consumer of a backup's log cursor: replay what is pending,
         then advance past it, under the backup's ``replay_mutex`` throughout.
-        Returns the entries applied; none once the backup is promoted."""
+        Returns the entries applied; none once the backup is promoted or
+        retired, or if it fails mid-replay (the detector retires it)."""
         log = self.scheduler.query_log
         yield from backup.replay_mutex.acquire()
         try:
@@ -257,7 +260,10 @@ class SimDiskCluster:
                 return 0
             batch = log.pending_for(backup.node_id)
             if batch:
-                yield from backup.run_job(backup.replay(batch))
+                try:
+                    yield from backup.run_job(backup.replay(batch))
+                except NodeUnavailable:
+                    return 0
                 log.advance(backup.node_id, len(batch))
             return len(batch)
         finally:
@@ -279,10 +285,15 @@ class SimDiskCluster:
             yield self.sim.timeout(HEARTBEAT_INTERVAL)
             for node_id, node in list(self.nodes.items()):
                 if declare_failed(missed, self._handled_failures, node_id, node.alive):
-                    self.sim.spawn(self._failover(node_id), name="disk-failover")
+                    state = self.scheduler.replicas.get(node_id)
+                    if state is not None and state.passive:
+                        self.scheduler.remove_replica(node_id)  # a backup: retire it
+                    else:
+                        self.sim.spawn(self._failover(node_id), name="disk-failover")
 
     def _failover(self, failed_id: str):
-        """Promote the passive backup once it has replayed its log lag."""
+        """Promote a passive backup once it has replayed its log lag: the
+        first that lives through its catch-up, or none."""
         failed = self.nodes[failed_id]
         timeline = DiskFailoverTimeline(
             failure_time=failed.failed_at or self.sim.now(),
@@ -290,24 +301,24 @@ class SimDiskCluster:
         )
         self.timelines.append(timeline)
         self.scheduler.remove_replica(failed_id)
-        passives = self.scheduler.passive_replicas()
-        if not passives:
-            timeline.replay_done = self.sim.now()
-            return
-        backup = self.nodes[passives[0].node_id]
-        # Catch up until nothing is pending; commits keep flowing on the
-        # surviving active meanwhile.
-        while applied := (yield from self._catch_up(backup)):
-            timeline.replay_entries += applied
-        # An update in flight now targets the survivor alone and logs after
-        # the promotion has dropped the backup's cursor, so the backup would
-        # never see it: promote with no update in flight.
-        yield from self.update_ticket.acquire()
-        try:
-            timeline.replay_entries += yield from self._catch_up(backup)
-            self.scheduler.promote_backup(backup.node_id)
-        finally:
-            self.update_ticket.release()
+        for state in self.scheduler.passive_replicas():
+            backup = self.nodes[state.node_id]
+            # Catch up until nothing is pending; commits keep flowing on the
+            # surviving active meanwhile.
+            while applied := (yield from self._catch_up(backup)):
+                timeline.replay_entries += applied
+            # An update in flight now targets the survivor alone and logs
+            # after the promotion has dropped the backup's cursor, so the
+            # backup would never see it: promote with no update in flight.
+            yield from self.update_ticket.acquire()
+            try:
+                timeline.replay_entries += yield from self._catch_up(backup)
+                if backup.alive:
+                    self.scheduler.promote_backup(backup.node_id)
+                    timeline.promoted = backup.node_id
+                    break
+            finally:
+                self.update_ticket.release()
         timeline.replay_done = self.sim.now()
 
     # -- failure injection ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ class SlaveReplica:
                 pending[page_id] = [*queue, entry]
             else:
                 queue.append(entry)
-            if table_of is not None:
+            if table_of is not None and op._index_delta != ():  # () moves no key
                 table_of(page_id.table).index_apply_committed(op, version)
             buffered += 1
         self.received_versions.merge(VersionVector(write_set.versions))

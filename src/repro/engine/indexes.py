@@ -23,6 +23,8 @@ share, and a key's first committed entry is its bucket as it stands: the
 one tuple of :func:`committed_entry`, which every replica applying the
 same op holds.  The write side thaws a tuple back into the writer's own
 list (:meth:`_BucketOps._writable`), the read side iterates either.
+A key is one flat tuple (:func:`encode_key`); a primary-key probe encodes
+it and tests a one-entry bucket inline (:meth:`VersionedHashIndex.lookup`).
 """
 
 from __future__ import annotations
@@ -73,6 +75,18 @@ def visible(entry: Tuple, reader: Optional[TxnId], tag_v: Optional[int]) -> bool
     return insert_v is not None and insert_v <= tag_v and live_at_tag
 
 
+def _visible_locs(bucket, reader: Optional[TxnId], tag_v: Optional[int]) -> List[Loc]:
+    """The locations of ``bucket``'s :func:`visible` entries, inlined per case."""
+    if not bucket:
+        return []
+    it = iter(bucket)
+    if tag_v is None:
+        return [loc for loc, _i, d, w in zip(it, it, it, it)
+                if d is None or (d is PENDING and w != reader)]
+    return [loc for loc, i, d, _w in zip(it, it, it, it)
+            if i is not None and i <= tag_v and (d is None or d is PENDING or d > tag_v)]
+
+
 #: The encoded NULL key component; sorts before every typed one.
 _NULL = (0, "")
 
@@ -80,16 +94,24 @@ _NULL = (0, "")
 def encode_key(key: Key) -> Key:
     """Make keys totally ordered even when components are NULL.
 
-    Each component becomes ``(0, '')`` for NULL or ``(1, value)`` otherwise,
-    so NULLs sort first and never get compared against typed values.
-    :data:`COMPONENT_MAX` sorts after every encoded component, which lets
-    range planners build exclusive/inclusive prefix bounds.
+    One flat tuple ``(tag, value, tag, value, ...)``: each component becomes
+    ``0, ''`` for NULL or ``1, value`` otherwise, so NULLs sort first and
+    never get compared against typed values — the order of a tuple of such
+    pairs, at one tuple per key.  :data:`COMPONENT_MAX` in a tag position
+    sorts after every component, which lets range planners build
+    exclusive/inclusive prefix bounds.
     """
-    return tuple([_NULL if v is None else (1, v) for v in key])
+    if len(key) == 1:
+        value = key[0]
+        return _NULL if value is None else (1, value)
+    flat: List = []
+    for value in key:
+        flat += _NULL if value is None else (1, value)
+    return tuple(flat)
 
 
-#: Sorts after every encoded key component; used to build prefix bounds.
-COMPONENT_MAX = (2,)
+#: A tag that sorts after every encoded component; used to build prefix bounds.
+COMPONENT_MAX = 2
 
 
 def prefix_bounds(
@@ -101,28 +123,29 @@ def prefix_bounds(
 
     ``low``/``high`` are ``(value, inclusive)`` pairs applying to the key
     component right after the equality prefix.  The returned bounds follow
-    the tree's half-open ``lo <= key < hi`` convention.
+    the tree's half-open ``lo <= key < hi`` convention; each concatenates
+    encoded components, then :data:`COMPONENT_MAX` to pass every longer key.
     """
     prefix_enc = encode_key(eq_prefix)
     if low is None:
         if high is not None:
             # Bounded above only: start past the NULLs of the range
             # component, which sort first and satisfy no comparison.
-            lo = prefix_enc + (_NULL, COMPONENT_MAX)
+            lo = prefix_enc + _NULL + (COMPONENT_MAX,)
         else:
             lo = prefix_enc if eq_prefix else None
     else:
         value, inclusive = low
-        lo = prefix_enc + (encode_key((value,))[0],)
+        lo = prefix_enc + encode_key((value,))
         if not inclusive:
-            lo = lo + (COMPONENT_MAX,)
+            lo += (COMPONENT_MAX,)
     if high is None:
         hi = prefix_enc + (COMPONENT_MAX,) if eq_prefix or low is not None else None
     else:
         value, inclusive = high
-        hi = prefix_enc + (encode_key((value,))[0],)
+        hi = prefix_enc + encode_key((value,))
         if inclusive:
-            hi = hi + (COMPONENT_MAX,)
+            hi += (COMPONENT_MAX,)
     return lo, hi
 
 
@@ -137,16 +160,17 @@ class _BucketOps:
         self.name = name
         self.table = table
         self.counters = counters
+        self._tally = counters._values  # cleared in place by reset: probes count inline
         self.entry_count = 0
         #: Entries whose ``delete_v`` is a commit version — the only ones
         #: :meth:`gc` can ever remove, so it walks nothing while this is 0.
         self.committed_deletes = 0
 
     # Subclasses provide, for encoded keys, _bucket(key) to read a bucket (a
-    # list, a frozen tuple or None), _writable(key, fresh=None) to get its
-    # own list (thawing a frozen one; an absent key gets ``fresh`` linked as
-    # its bucket and returned as is, or None without one) and
-    # _drop_bucket(key).
+    # list, a frozen tuple or None; the hash index's lookup reads its dict),
+    # _writable(key, fresh=None) to get its own list (thawing a frozen one; an
+    # absent key gets ``fresh`` linked as its bucket and returned as is, or
+    # None without one) and _drop_bucket(key).
 
     def _find(self, key: Key, loc: Loc, field: int, value, what: str, undo: bool = False):
         """``(bucket, position)`` of the entry at ``loc`` whose ``field`` is
@@ -237,21 +261,9 @@ class _BucketOps:
 
     # -- reads -------------------------------------------------------------------
     def lookup(self, key: Key, reader: Optional[TxnId], tag_v: Optional[int]) -> List[Loc]:
-        """Visible locations under ``key``: :func:`visible`, inlined per case."""
-        self.counters.add("index.lookups")
-        bucket = self._bucket(encode_key(key))
-        if not bucket:
-            return []
-        it = iter(bucket)
-        if tag_v is None:
-            return [
-                loc for loc, _i, d, w in zip(it, it, it, it)
-                if d is None or (d is PENDING and w != reader)
-            ]
-        return [
-            loc for loc, i, d, _w in zip(it, it, it, it)
-            if i is not None and i <= tag_v and (d is None or d is PENDING or d > tag_v)
-        ]
+        """Visible locations under ``key``."""
+        self._tally["index.lookups"] += 1
+        return _visible_locs(self._bucket(encode_key(key)), reader, tag_v)
 
     def has_live(self, key: Key, reader: Optional[TxnId], tag_v: Optional[int]) -> bool:
         return bool(self.lookup(key, reader, tag_v))
@@ -289,8 +301,23 @@ class VersionedHashIndex(_BucketOps):
         super().__init__(name, table, counters if counters is not None else Counters())
         self._buckets: Dict[Key, List] = {}
 
-    def _bucket(self, key: Key):
-        return self._buckets.get(key)
+    def lookup(self, key: Key, reader: Optional[TxnId], tag_v: Optional[int]) -> List[Loc]:
+        """The primary-key probe, with no helper call on its common path: a
+        one-column key is encoded here and a one-entry bucket is tested
+        without a loop (:func:`visible`, inlined per case)."""
+        self._tally["index.lookups"] += 1
+        if len(key) == 1:
+            value = key[0]
+            bucket = self._buckets.get(_NULL if value is None else (1, value))
+        else:
+            bucket = self._buckets.get(encode_key(key))
+        if bucket is None or len(bucket) != STRIDE:
+            return _visible_locs(bucket, reader, tag_v)
+        loc, i, d, w = bucket
+        if tag_v is None:
+            return [loc] if d is None or (d is PENDING and w != reader) else []
+        seen = i is not None and i <= tag_v and (d is None or d is PENDING or d > tag_v)
+        return [loc] if seen else []
 
     def _writable(self, key: Key, fresh=None):
         bucket = self._buckets.get(key)

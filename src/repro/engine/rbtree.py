@@ -7,7 +7,8 @@ rotation accounting (the cost model prices ``index.rotations``, see
 :data:`repro.cluster.costs.COST_COUNTERS`).
 
 Keys must be mutually comparable (the engine uses tuples); each key maps to
-one payload object, typically an index bucket.
+one payload object, typically an index bucket.  A key above every other one
+(ascending ids) links under the kept max node without a search.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ class RedBlackTree:
         self.root = self.nil
         self.size = 0
         self.rotations = 0
+        #: The max node (``nil`` when empty); None until :meth:`node` finds it.
+        self._top: Optional[_Node] = None
 
     # -- search ---------------------------------------------------------------
     def _find(self, key: Any) -> "_Node":
@@ -68,10 +71,16 @@ class RedBlackTree:
         """The node holding ``key``, whose ``value`` the caller may replace.
 
         A miss links ``fresh`` where the search ended and returns its node,
-        or returns None when ``fresh`` is None.  One search either way.
+        or returns None when ``fresh`` is None.  One search either way, none
+        for a key above the max node: that node is where it would end.
         """
         nil = parent = self.nil
         node = self.root
+        top = self._top
+        if top is None:
+            top = self._top = self._maximum(node)
+        if top is not nil and top.key < key:
+            node, parent = nil, top
         while node is not nil:
             if key == node.key:
                 break
@@ -135,11 +144,13 @@ class RedBlackTree:
         fresh = _Node(key, value, RED, self.nil)
         fresh.parent = parent
         if parent is self.nil:
-            self.root = fresh
+            self.root = self._top = fresh
         elif key < parent.key:
             parent.left = fresh
         else:
             parent.right = fresh
+            if parent is self._top:
+                self._top = fresh
         self.size += 1
         self._insert_fixup(fresh)
         return fresh
@@ -183,6 +194,8 @@ class RedBlackTree:
         z = self._find(key)
         if z is self.nil:
             return False
+        if z is self._top:
+            self._top = None
         self.size -= 1
         y = z
         y_color = y.color
@@ -222,6 +235,11 @@ class RedBlackTree:
     def _minimum(self, node: "_Node") -> "_Node":
         while node.left is not self.nil:
             node = node.left
+        return node
+
+    def _maximum(self, node: "_Node") -> "_Node":
+        while node.right is not self.nil:
+            node = node.right
         return node
 
     def _delete_fixup(self, x: "_Node") -> None:
@@ -339,18 +357,12 @@ class RedBlackTree:
             current = current.left
 
     def min_item(self) -> Optional[Tuple[Any, Any]]:
-        if self.root is self.nil:
-            return None
         node = self._minimum(self.root)
-        return node.key, node.value
+        return None if node is self.nil else (node.key, node.value)
 
     def max_item(self) -> Optional[Tuple[Any, Any]]:
-        node = self.root
-        if node is self.nil:
-            return None
-        while node.right is not self.nil:
-            node = node.right
-        return node.key, node.value
+        node = self._maximum(self.root)
+        return None if node is self.nil else (node.key, node.value)
 
     # -- structural copy ------------------------------------------------------
     def copy(self, freeze: Callable[[Any], Any]) -> "RedBlackTree":

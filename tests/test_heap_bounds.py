@@ -14,8 +14,9 @@ ordering-mix run on two masters and four slaves pins:
   tuples (no per-entry object);
 * tracked objects per row: per bulk-loaded row replica, and per row replica
   inserted between a run of T and a run of 2T sim-s — so the heap grows with
-  the data, not with run length.  Measured on CPython 3.11: 1.39 and 3.05
-  (1.52 and 4.29 with a bucket list, a queue list and a slot list built per
+  the data, not with run length.  Measured on CPython 3.11: 1.38 and 3.00
+  with one flat tuple per index key (1.39 and 3.04 with a tuple per key
+  column and one around them; 1.52 and 4.29 with a bucket list, a queue list and a slot list built per
   slave for every key and page a write-set gives it; 3.09 per bulk-loaded row
   replica with every replica's slot lists and buckets copied instead of
   frozen and shared; 5.47 and 12.3 with an entry object per index fact, a
@@ -24,14 +25,16 @@ ordering-mix run on two masters and four slaves pins:
 * bytes per bulk-loaded row replica at one row per page, under
   ``tracemalloc``: a copied replica shares the loaded one's frozen slots,
   buckets and checkpoint images and pays only for its own pages, dicts and
-  tree nodes.  Measured on CPython 3.11: 448 B (483 B with a bucket list per
-  key; 799 B copying them);
+  tree nodes.  Measured on CPython 3.11: 455 B with one flat tuple per index
+  key (473 B with a tuple per key column and one around them; 483 B with a
+  bucket list per key; 799 B copying them);
 * bytes per inserted row replica, the same T / 2T runs at one row per page
   (the benchmark's layout, where every inserted row is a page no slave
   reader touches, so its ops stay buffered) under ``tracemalloc``: object
   counts cannot tell a pending queue's ``deque`` from its ``list``, bytes
-  can.  Measured on CPython 3.11: 985 B (1,201 B with the per-slave lists
-  above; 1,807 B with a ``deque`` per pending page);
+  can.  Measured on CPython 3.11: 942 B with one flat tuple per index key
+  (984 B with a tuple per key column and one around them; 1,201 B with the
+  per-slave lists above; 1,807 B with a ``deque`` per pending page);
 * what a write-set gives the slaves is built once and shared: slaves fed one
   insert hold one bucket object for its new keys, one queue head for its page
   and one empty slot image for the page they allocated on receipt.
@@ -53,9 +56,9 @@ SCALE = TpcwScale(num_items=40, num_customers=144)
 RUN_SIM_S = 15.0
 SETTLE_SIM_S = 25.0
 BULK_BUDGET = 2.0  # tracked objects per bulk-loaded row, per replica
-BULK_BYTES_BUDGET = 600  # traced bytes per bulk-loaded row, per replica, one row per page
+BULK_BYTES_BUDGET = 580  # traced bytes per bulk-loaded row, per replica, one row per page
 GROWTH_BUDGET = 3.75  # tracked objects per inserted row, per replica
-GROWTH_BYTES_BUDGET = 1100  # traced bytes per inserted row, per replica, one row per page
+GROWTH_BYTES_BUDGET = 1050  # traced bytes per inserted row, per replica, one row per page
 
 
 def tracked_heap() -> int:
@@ -214,10 +217,10 @@ def test_slaves_fed_one_insert_share_what_it_gave_them():
     )
     (op,) = write_set.ops
     tables = [slave.engine.table("item") for slave in slaves]
-    pk_buckets = {id(table.pk_index._bucket(encode_key((7,)))) for table in tables}
+    pk_buckets = {id(table.pk_index._buckets.get(encode_key((7,)))) for table in tables}
     title_buckets = {id(table.index("ix_title")._bucket(encode_key(("t",)))) for table in tables}
     assert len(pk_buckets) == 1 and pk_buckets == title_buckets  # one object, every slave and index
-    bucket = tables[0].pk_index._bucket(encode_key((7,)))
+    bucket = tables[0].pk_index._buckets.get(encode_key((7,)))
     assert list(entries(bucket)) == [(op.loc, write_set.versions["item"], None, None)]
     assert {id(slave.pending[op.page_id]) for slave in slaves} == {id(write_set.queue_heads[0])}
     for slave in slaves:  # received, never read: the one empty image

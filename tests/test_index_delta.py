@@ -219,7 +219,7 @@ def answers(slave, tag):
     txn = slave.begin_read_only(tag)
     found = {}
     for name, table in slave.engine.tables.items():
-        keys = [tuple(part[1] if part[0] else None for part in key)
+        keys = [tuple(value if tag else None for tag, value in zip(key[::2], key[1::2]))
                 for key in table.pk_index._buckets]
         lookups = {key: sorted(table.pk_lookup(txn, key), key=str) for key in keys}
         found[name] = (

@@ -8,6 +8,7 @@ checked against.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SchemaError
 from repro.common.ids import PageId
@@ -176,6 +177,82 @@ class TestEncodeKey:
 
     def test_plain_order_preserved(self):
         assert encode_key((1, "a")) < encode_key((1, "b")) < encode_key((2, "a"))
+
+
+# -- flat keys: the order of the nested pairs they replace --------------------------------
+def nested_key(key):
+    """The pair encoding flat keys replaced: one ``(tag, value)`` per column."""
+    return tuple((0, "") if value is None else (1, value) for value in key)
+
+
+def nested_prefix_bounds(eq_prefix, low=None, high=None):
+    """:func:`prefix_bounds` over :func:`nested_key`, whose maximum component was ``(2,)``."""
+    top, prefix = (2,), nested_key(eq_prefix)
+    if low is None:
+        lo = (prefix + ((0, ""), top) if high is not None else prefix if eq_prefix else None)
+    else:
+        lo = prefix + nested_key((low[0],)) + (() if low[1] else (top,))
+    if high is None:
+        hi = prefix + (top,) if eq_prefix or low is not None else None
+    else:
+        hi = prefix + nested_key((high[0],)) + ((top,) if high[1] else ())
+    return lo, hi
+
+
+def sign(a, b):
+    """-1, 0 or 1 as ``a`` sorts before, with or after ``b``; TypeError as Python's."""
+    return (a > b) - (a < b)
+
+
+NUMBERS = st.integers(-3, 3) | st.floats(-3, 3, allow_nan=False).map(lambda x: round(x, 1))
+TEXT = st.sampled_from(["", "a", "ab", "b"])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.none() | NUMBERS | TEXT, min_size=1, max_size=3), min_size=2, max_size=2))
+def test_flat_keys_compare_like_the_nested_pairs(pair):
+    """Any two keys of 1-3 columns, NULLs, ints, floats and strs mixed: the
+    flat encoding orders them as the pairs did, or both refuse to."""
+    a, b = map(tuple, pair)
+    assert (encode_key(a) == encode_key(b)) == (nested_key(a) == nested_key(b))
+    try:
+        expected = sign(nested_key(a), nested_key(b))
+    except TypeError:
+        with pytest.raises(TypeError):
+            sign(encode_key(a), encode_key(b))
+        return
+    assert sign(encode_key(a), encode_key(b)) == expected
+
+
+@st.composite
+def keys_and_bounds(draw):
+    """Keys of one index (a numeric or text type per column, NULLs anywhere),
+    an equality prefix and optional low/high bounds on the next column."""
+    columns = draw(st.lists(st.sampled_from([NUMBERS, TEXT]), min_size=1, max_size=3))
+    key = st.tuples(*(st.none() | column for column in columns))
+    keys = draw(st.lists(key, max_size=12))
+    width = draw(st.integers(0, len(columns)))
+    eq = draw(st.tuples(*(st.none() | column for column in columns[:width])))
+    bound = st.none()
+    if width < len(columns):
+        bound |= st.tuples(st.none() | columns[width], st.booleans())
+    return keys, eq, draw(bound), draw(bound)
+
+
+@settings(max_examples=300)
+@given(keys_and_bounds())
+def test_prefix_bounds_admit_the_keys_the_nested_bounds_did(case):
+    """Equality prefixes (NULL ones, and the one-value prefixes an IN list
+    probes) with inclusive or exclusive low and high bounds: the flat bounds
+    let through exactly the keys the nested ones did."""
+    keys, eq, low, high = case
+
+    def admitted(encode, bounds):
+        lo, hi = bounds(eq, low, high)
+        return {key for key in keys
+                if (lo is None or lo <= encode(key)) and (hi is None or encode(key) < hi)}
+
+    assert admitted(encode_key, prefix_bounds) == admitted(nested_key, nested_prefix_bounds)
 
 
 class TestHashIndexLifecycle:

@@ -120,7 +120,7 @@ def test_the_receive_funnel_builds_no_list_for_what_it_sees_first():
     received = slave.engine.table("item")
     assert len(slave.pending) == 2
     assert [type(queue) for queue in slave.pending.values()] == [tuple, tuple]
-    buckets = [received.pk_index._bucket(encode_key((7,)))]
+    buckets = [received.pk_index._buckets.get(encode_key((7,)))]
     buckets += [received.index("ix_title")._bucket(encode_key((title,))) for title in ("new", "moved")]
     assert [type(bucket) for bucket in buckets] == [tuple, tuple, tuple]
 

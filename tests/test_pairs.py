@@ -24,3 +24,37 @@ def test_lower_is_better_counts_drops_as_wins_and_needs_more_than_the_iqr():
     )
     assert verdict["wins"] == 4
     assert not verdict["beyond_parent_iqr"]  # 1.0 apart, the parent's IQR is 1.5
+
+
+DECLARED = [
+    {"name": "rate", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+    {"name": "rss", "better": "lower", "bound": 0.1},
+    {"name": "unmeasured", "better": "lower", "bound": 0.1},
+]
+
+
+def test_every_end_to_end_metric_gets_medians_its_bound_and_a_verdict():
+    runs = {
+        "parent": {"rate": [10.0, 11.0, 12.0, 13.0], "setup_s": [1.0, 1.0, 1.1, 1.1],
+                   "rss": [100.0, 100.0, 101.0, 101.0]},
+        "change": {"rate": [12.0, 13.0, 14.0, 15.0], "setup_s": [1.5, 1.5, 1.4, 1.4],
+                   "rss": [100.0, 101.0, 100.0, 101.0]},
+    }
+    rows = {row["metric"]: row for row in pairs.end_to_end_table(runs, DECLARED)}
+    assert set(rows) == {"rate", "setup_s", "rss"}  # what neither side measured is left out
+    assert (rows["rate"]["parent"], rows["rate"]["change"], rows["rate"]["bound"]) == (11.5, 13.5, 0.25)
+    assert rows["rate"]["verdict"] == "better"
+    assert abs(rows["setup_s"]["delta"] - (1.45 / 1.05 - 1)) < 1e-12
+    assert rows["setup_s"]["verdict"] == "worse"  # 38 % slower: beyond its 25 % bound
+    assert rows["rss"]["verdict"] == "same"
+
+
+def test_a_drop_within_the_bound_is_not_worse_and_a_zero_parent_has_a_verdict():
+    runs = {
+        "parent": {"rate": [10.0, 10.0, 10.0], "rss": [0.0, 0.0, 0.0]},
+        "change": {"rate": [8.0, 8.0, 8.0], "rss": [0.0, 0.0, 0.0]},
+    }
+    rows = {row["metric"]: row for row in pairs.end_to_end_table(runs, DECLARED)}
+    assert rows["rate"]["verdict"] == "same"  # -20 %, inside the 25 % bound
+    assert (rows["rss"]["delta"], rows["rss"]["verdict"]) == (0.0, "same")

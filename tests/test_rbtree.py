@@ -171,3 +171,58 @@ def test_setdefault_builds_the_tree_find_then_insert_builds(steps):
     assert (once.rotations, len(once)) == (twice.rotations, len(twice))
     assert list(once.items()) == list(twice.items())
     assert list(once.range_items(reverse=True)) == list(twice.range_items(reverse=True))
+
+
+class SearchingTree(RedBlackTree):
+    """The tree without its max-node shortcut: every :meth:`node` searches
+    from the root, as every insert did before the tree kept its max node."""
+
+    def node(self, key, fresh=None):
+        nil = parent = self.nil
+        node = self.root
+        while node is not nil:
+            if key == node.key:
+                return node
+            parent = node
+            node = node.left if key < node.key else node.right
+        return None if fresh is None else self._link(key, fresh, parent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["ascending", "ascending", "random", "duplicate", "probe", "delete",
+                     "delete-max", "copy", "copy-keep"]),
+    st.integers(0, 40),
+)))
+def test_linking_above_the_max_node_builds_the_searched_tree(steps):
+    """Inserts above the maximum link under the kept max node with no search:
+    the tree is still the one every-insert-searches builds — same in-order
+    keys, colours, parent links, payloads, size and rotations — through
+    deletes (of the max node too) and copies (which find their max lazily)."""
+    tree, reference = RedBlackTree(), SearchingTree()
+    for step, n in steps:
+        keys = [key for key, _ in reference.items()]
+        if step in ("ascending", "random", "duplicate", "probe"):
+            if step == "ascending":
+                key = (keys[-1] if keys else 0) + 1 + n % 3
+            elif step == "duplicate" and keys:
+                key = keys[n % len(keys)]
+            else:
+                key = n * 2
+            fresh = None if step == "probe" else f"v{key}"
+            found, expected = tree.node(key, fresh), reference.node(key, fresh)
+            assert (found is None) == (expected is None)
+            if found is not None:
+                assert (found.key, found.value) == (expected.key, expected.value)
+        elif step.startswith("delete"):
+            key = keys[-1] if step == "delete-max" and keys else n
+            assert tree.delete(key) == reference.delete(key)
+        else:  # a copy behaves like the tree it copied; so does the original
+            twin, reference_twin = tree.copy(lambda value: value), reference.copy(lambda value: value)
+            reference_twin.__class__ = SearchingTree
+            if step == "copy":
+                tree, reference = twin, reference_twin
+        tree.check_invariants()
+        assert shape(tree) == shape(reference)
+        assert (len(tree), tree.rotations) == (len(reference), reference.rotations)
+    assert [key for key, _ in tree.items()] == [key for key, _ in reference.items()]

@@ -159,3 +159,38 @@ def test_failover_leaves_the_promoted_backup_identical_to_the_survivor(mix, kill
     digests = cluster.settle(120.0)
     assert {r.node_id for r in cluster.scheduler.active_replicas()} == {"d1", "backup0"}
     assert digests["backup0"] == digests["d1"]
+
+
+@pytest.mark.parametrize("kill_at", [25.05, 25.3, 26.0])
+def test_a_backup_killed_mid_refresh_is_retired_and_the_run_goes_on(kill_at):
+    """The refresh at 25 s is replaying when the backup dies: the daemon
+    moves on, the detector retires the backup, and no failover starts."""
+    cluster = build(num_active=2, num_passive=1, refresh_interval=25.0)
+    cluster.start_browsers(8, MIXES["ordering"], SCALE, think_time_mean=0.5)
+    cluster.kill_node_at("backup0", kill_at)
+    cluster.run(until=60.0)
+    digests = cluster.settle(70.0)
+    assert set(cluster.scheduler.replicas) == {"d0", "d1"}
+    assert cluster.timelines == [] and cluster.metrics.failed == 0
+    assert set(digests) == {"d0", "d1"} and digests["d0"] == digests["d1"]
+
+
+@pytest.mark.parametrize("num_passive, promoted", [(1, None), (2, "backup1")])
+def test_a_backup_killed_during_the_failovers_catch_up(num_passive, promoted):
+    """``d0`` dies at 30 s; the failover is replaying ``backup0``'s lag when
+    that backup dies too at 36 s.  The failover moves on to the next backup,
+    or records that it promoted none."""
+    cluster = build(num_active=2, num_passive=num_passive, refresh_interval=10_000.0)
+    cluster.start_browsers(8, MIXES["ordering"], SCALE, think_time_mean=0.5)
+    cluster.kill_node_at("d0", 30.0)
+    cluster.kill_node_at("backup0", 36.0)
+    cluster.run(until=80.0)
+    digests = cluster.settle(90.0)
+    [timeline] = cluster.timelines
+    assert timeline.detection_time < 36.0 < timeline.replay_done
+    assert timeline.promoted == promoted
+    survivors = {"d1"} if promoted is None else {"d1", promoted}
+    assert {r.node_id for r in cluster.scheduler.active_replicas()} == survivors
+    assert set(cluster.scheduler.replicas) == survivors
+    assert set(digests) == survivors and len(set(digests.values())) == 1
+    assert cluster.metrics.failed == 0

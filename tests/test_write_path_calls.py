@@ -9,8 +9,10 @@ function of the code and the stream, so it is asserted as a number: 37.2
 calls per op-delivery when every slave re-derived every op's index keys
 from the row images and ran the duplicate filter twice, 23.1 once the
 master derived one index delta per op for all eight slaves to loop over,
-21.8 now that an index entry is four elements of a flat bucket instead of
-an object built per slave (CPython 3.11).  A change that puts key
+21.8 once an index entry was four elements of a flat bucket instead of
+an object built per slave, 19.6 with shared queue heads and committed
+entries, 18.8 now that a key is one flat tuple and an op that moves no key
+does no index work (CPython 3.11).  A change that puts key
 derivation, a sort or a second filter pass back on the per-replica path
 moves the number by whole units.
 """
@@ -55,5 +57,5 @@ def test_calls_per_op_delivery():
     calls, delivered, derived_on_slaves = deliver_to_fresh_slaves(write_sets)
     assert delivered == ops * SLAVES
     assert derived_on_slaves == 0  # ... and none on the slaves
-    assert calls / delivered <= 23.0, f"{calls} calls / {delivered} op-deliveries"
+    assert calls / delivered <= 20.0, f"{calls} calls / {delivered} op-deliveries"
     assert deliver_to_fresh_slaves(write_sets) == (calls, delivered, 0)  # repeats exactly
