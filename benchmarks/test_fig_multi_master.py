@@ -46,8 +46,6 @@ SCALEOUT_COST = replace(
     update_mpl=4,
     epoch_max_txns=8,
     epoch_ms=5.0,
-    dynamic_classes=True,
-    rebalance_interval=5.0,
 )
 
 
@@ -147,8 +145,6 @@ def test_fig_multi_master_scaling(benchmark, figure_report):
                 "update_mpl": SCALEOUT_COST.update_mpl,
                 "epoch_max_txns": SCALEOUT_COST.epoch_max_txns,
                 "epoch_ms": SCALEOUT_COST.epoch_ms,
-                "dynamic_classes": SCALEOUT_COST.dynamic_classes,
-                "rebalance_interval": SCALEOUT_COST.rebalance_interval,
             },
         },
         "points": records,

@@ -466,10 +466,9 @@ def check_no_ghost_commits(cluster) -> InvariantResult:
 def check_class_ownership_unique(cluster) -> InvariantResult:
     """Conflict classes partition the tables with exactly one owner each.
 
-    Post-quiescence, after any sequence of splits, merges, re-homes and
-    master failovers: (a) the conflict map still partitions the tables
-    along atom boundaries (no co-written template straddles classes),
-    (b) no table is claimed by two alive masters' lock controllers, and
+    Post-quiescence, after any sequence of re-homes and master
+    failovers: (a) every table still has a class and every class a
+    master, (b) no table is claimed by two alive masters' lock controllers, and
     (c) for every class whose assigned master is alive, that master's
     controller owns exactly the class's tables.  Trivially green on a
     legacy single-master cluster.

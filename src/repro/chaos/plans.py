@@ -131,8 +131,8 @@ def durability_chaos_plan(seed: int = 0, duration: float = 200.0) -> FaultPlan:
 def write_scaleout_chaos_plan(seed: int = 0, duration: float = 200.0) -> FaultPlan:
     """Write scale-out soak: flash write load, forced re-homes, master kill.
 
-    Requires a two-master cluster with dynamic classes enabled (the
-    ``write-scaleout`` entry of :data:`PLANS` builds one):
+    Requires a two-master cluster (the ``write-scaleout`` entry of
+    :data:`PLANS` builds one):
 
     * mild fabric loss/duplication throughout (cleared at 75 %);
     * a flash crowd at 10 % doubles the ordering-mix write load, pushing
@@ -226,15 +226,8 @@ def partial_chaos_plan(seed: int = 0, duration: float = 200.0) -> FaultPlan:
 
 
 # -- cost configurations ---------------------------------------------------------------
-#: Write scale-out server shape: bounded update MPL, batching epochs, the
-#: class rebalancer on.
-SCALEOUT_COST = CostConfig(
-    update_mpl=4,
-    epoch_max_txns=4,
-    epoch_ms=5.0,
-    dynamic_classes=True,
-    rebalance_interval=5.0,
-)
+#: Write scale-out server shape: bounded update MPL and batching epochs.
+SCALEOUT_COST = CostConfig(update_mpl=4, epoch_max_txns=4, epoch_ms=5.0)
 
 #: Server shape shared by both arms of the overload comparison: bounded
 #: update MPL + epoch commit, on a deliberately *slow* cost model (~30x the

@@ -267,7 +267,6 @@ class CommitPipeline:
             if cluster.interest.partial_active:
                 self._note_partial_freshness(sends)
             self._replicate_scheduler_state(primary)
-            cluster.rebalancer.note_commits(epoch.versions, len(epoch.members))
             ok = True
         finally:
             if not epoch.done.triggered:

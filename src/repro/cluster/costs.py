@@ -82,12 +82,9 @@ class CostConfig:
     #: master, which collapses OCC validation aborts under write overload.
     #: 0 = unbounded (legacy).
     update_mpl: int = 0
-    #: Enable load-driven split/merge/re-home of conflict classes across
-    #: masters.  Off by default: the rebalancer daemon moves counters and
-    #: sim events, so legacy seeded fingerprints require it disabled.
+    #: Accepted for old configurations; no effect (classes are static).
     dynamic_classes: bool = False
-    #: Rebalancer sampling period (seconds of virtual time); 0 disables the
-    #: daemon even when ``dynamic_classes`` is set.
+    #: Accepted for old configurations; no effect (classes are static).
     rebalance_interval: float = 0.0
     #: Fixed coordination overhead of one class re-home (ownership flip
     #: broadcast + scheduler table update).  The historical model priced

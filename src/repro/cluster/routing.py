@@ -61,7 +61,7 @@ class UpdateRouter:
         deadline = self.sim.now() + UPDATE_QUEUE_DEADLINE
         queued = False
         while True:
-            if cluster.rebalancer.rehoming_classes and tables:
+            if cluster.rehomer.rehoming_classes and tables:
                 # Drain barrier of an in-flight class re-home: updates for
                 # the moving class park here until the ownership flip, so no
                 # transaction ever straddles old and new owner.
@@ -69,7 +69,7 @@ class UpdateRouter:
                     moving = cluster.conflict_map.class_of_tables(list(tables))
                 except ConfigError:
                     moving = None
-                if moving is not None and moving in cluster.rebalancer.rehoming_classes:
+                if moving is not None and moving in cluster.rehomer.rehoming_classes:
                     if not queued:
                         queued = True
                         self.counters.add("sched.queued_updates")

@@ -10,7 +10,7 @@ state:
   scheduler takeover, crash bookkeeping;
 * :mod:`~repro.cluster.migration` — data migration, reintegration, restart;
 * :mod:`~repro.cluster.straggler` — laggard demotion, probing, rejoin;
-* :mod:`~repro.cluster.rebalancer` — conflict-class split/merge/re-home;
+* :mod:`~repro.cluster.rehome` — the forced conflict-class re-home;
 * :mod:`~repro.cluster.clients` — connection, metrics, browser pool.
 
 What stays here is the topology, the housekeeping daemons, the run records
@@ -38,7 +38,7 @@ from repro.cluster.failover import FailureManager
 from repro.cluster.interest import InterestRegistry, InterestSet
 from repro.cluster.migration import FailoverTimeline, Migrator
 from repro.cluster.protocol import assign_masters, assign_roles
-from repro.cluster.rebalancer import Rebalancer
+from repro.cluster.rehome import Rehomer
 from repro.cluster.routing import UpdateRouter
 from repro.cluster.simnodes import InMemoryDbNode
 from repro.cluster.straggler import LaggardMonitor
@@ -198,7 +198,7 @@ class SimDmvCluster:
         self.failover = FailureManager(self)
         self.migration = Migrator(self)
         self.stragglers = LaggardMonitor(self)
-        self.rebalancer = Rebalancer(self)
+        self.rehomer = Rehomer(self)
         self.clients = BrowserPool(
             self.sim, self.rng, self.cost.config, self.metrics, self.counters,
             connect=partial(SimConnection, self),
@@ -207,7 +207,6 @@ class SimDmvCluster:
         # events in schedule order.
         self.sim.spawn(self.failover.detector_loop(), name="failure-detector")
         self.stragglers.start()
-        self.rebalancer.start()
         if checkpoint_period > 0:
             self.sim.spawn(self._checkpoint_daemon(checkpoint_period), name="checkpointer")
         if pageid_ship_every > 0:
@@ -328,7 +327,7 @@ class SimDmvCluster:
 
     def rehome_table_to(self, table: str, dst_id: str):
         """Spawn a re-home of ``table``'s class onto ``dst_id`` (chaos hook)."""
-        return self.rebalancer.rehome_table_to(table, dst_id)
+        return self.rehomer.rehome_table_to(table, dst_id)
 
     # -- node-level fault hooks (chaos events) ---------------------------------------------------
     def set_slowdown(self, node_id: str, factor: float) -> None:

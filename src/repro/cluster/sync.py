@@ -87,6 +87,7 @@ class SyncConnection(Connection):
         transaction back so its locks are released."""
         if self._txn is None:
             raise RuntimeError("no open transaction")
+        self._raise_if_aborted()
         savepoint = self._txn.savepoint()
         try:
             result = self._node.sql.execute(self._txn, sql, tuple(params))
@@ -114,6 +115,7 @@ class SyncConnection(Connection):
     def commit(self) -> Immediate:
         if self._txn is None:
             raise RuntimeError("no open transaction")
+        self._raise_if_aborted()
         node, txn = self._node, self._txn
         self._node = self._txn = None
         if not self._is_update:
@@ -146,6 +148,16 @@ class SyncConnection(Connection):
     def abort(self) -> Immediate:
         self._abort_silently()
         return Immediate(None)
+
+    def _raise_if_aborted(self) -> None:
+        """A transaction aborted under this connection (e.g. by a master
+        failover) fails its next call with the abort's reason and leaves
+        the connection free."""
+        reason = self._txn.abort_reason
+        if reason is not None:
+            txn_id = self._txn.txn_id
+            self._abort_silently()
+            raise TransactionAborted(f"txn {txn_id} was aborted: {reason}", reason=reason)
 
     def _abort_silently(self, reason: str = "abort") -> None:
         if self._txn is None:

@@ -9,21 +9,18 @@ connected components of the "co-written" relation, computed by union-find.
 Each class is assigned one master.  If templates are unknown, everything
 collapses into a single class on a single master — the paper's fallback.
 
-Dynamic sharding: the union-find components are kept as immutable *atoms*
-(the finest partition any template allows), and a conflict class is a
-grouping of whole atoms.  ``split_class`` / ``merge_classes`` regroup
-atoms and ``rehome_class`` repoints a class at a new master; every
-mutation bumps ``assignment_epoch``, the stamp the scheduler's routing
-table carries so in-flight transactions never straddle a re-home.
-Because splits move whole atoms, no co-written template can ever span two
-classes, and because every table belongs to exactly one atom and every
-atom to exactly one class, disjointness survives any split/merge/re-home
-sequence by construction.
+A class's tables are fixed at construction.  Only its master changes:
+``reassign_master`` repoints a dead master's classes at its successor
+(failover) and ``rehome_class`` repoints one class (a forced re-home).
+Neither lets an update straddle two owners: a failed master's in-flight
+updates die with it, and the cluster's re-home drains the class and
+parks its new updates until the flip (the drain barrier of
+:mod:`repro.cluster.rehome`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set
 
 from repro.common.errors import ConfigError
 
@@ -68,22 +65,10 @@ class ConflictClassMap:
             for other in template_list[1:]:
                 uf.union(template_list[0], other)
         roots = sorted({uf.find(t) for t in self.tables})
-        self._class_of_root = {root: i for i, root in enumerate(roots)}
-        self._class_of_table = {t: self._class_of_root[uf.find(t)] for t in self.tables}
+        class_of_root = {root: i for i, root in enumerate(roots)}
+        self._class_of_table = {t: class_of_root[uf.find(t)] for t in self.tables}
         self.num_classes = len(roots)
         self._master_of_class: Dict[int, str] = {}
-        # Atoms: the union-find components themselves, frozen.  Classes may
-        # later be regrouped, but never below atom granularity.
-        self.atoms: Tuple[FrozenSet[str], ...] = tuple(
-            frozenset(t for t in self.tables if uf.find(t) == root) for root in roots
-        )
-        self._atom_of_table: Dict[str, int] = {
-            t: i for i, atom in enumerate(self.atoms) for t in sorted(atom)
-        }
-        #: Bumped on every split/merge/re-home/reassign; the scheduler's
-        #: class->master routing table is stamped with this epoch.
-        self.assignment_epoch: int = 0
-        self._next_class_id: int = self.num_classes
 
     @classmethod
     def single_class(cls, tables: Iterable[str]) -> "ConflictClassMap":
@@ -111,14 +96,7 @@ class ConflictClassMap:
         return sorted(t for t, c in self._class_of_table.items() if c == class_id)
 
     def class_ids(self) -> List[int]:
-        """The current class ids, sorted (ids may be sparse after merges)."""
-        return sorted(set(self._class_of_table.values()))
-
-    def atoms_of_class(self, class_id: int) -> List[int]:
-        """Atom indices grouped under ``class_id``, sorted."""
-        return sorted(
-            {self._atom_of_table[t] for t, c in self._class_of_table.items() if c == class_id}
-        )
+        return list(range(self.num_classes))
 
     # -- master assignment ------------------------------------------------------------
     def assign_masters(self, master_ids: Sequence[str]) -> None:
@@ -159,74 +137,26 @@ class ConflictClassMap:
             if master == old:
                 self._master_of_class[class_id] = new
                 moved += 1
-        if moved:
-            self.assignment_epoch += 1
         return moved
-
-    # -- dynamic sharding ---------------------------------------------------------
-    def split_class(self, class_id: int) -> Optional[int]:
-        """Split ``class_id`` along atom boundaries into two classes.
-
-        The class's atoms (sorted by index) are divided in half; the first
-        half stays, the second half becomes a new class on the *same*
-        master (re-home it separately).  Returns the new class id, or
-        ``None`` when the class is a single atom — the floor below which
-        a co-written template would straddle classes.
-        """
-        atom_ids = self.atoms_of_class(class_id)
-        if len(atom_ids) < 2:
-            return None
-        moving = set(atom_ids[(len(atom_ids) + 1) // 2 :])
-        new_id = self._next_class_id
-        self._next_class_id += 1
-        for table, cls in self._class_of_table.items():
-            if cls == class_id and self._atom_of_table[table] in moving:
-                self._class_of_table[table] = new_id
-        if class_id in self._master_of_class:
-            self._master_of_class[new_id] = self._master_of_class[class_id]
-        self.num_classes += 1
-        self.assignment_epoch += 1
-        return new_id
-
-    def merge_classes(self, keep: int, absorb: int) -> int:
-        """Fold class ``absorb`` into ``keep`` (which keeps its master)."""
-        if keep == absorb:
-            return keep
-        if absorb not in set(self._class_of_table.values()):
-            raise ConfigError(f"unknown conflict class {absorb}")
-        for table, cls in self._class_of_table.items():
-            if cls == absorb:
-                self._class_of_table[table] = keep
-        self._master_of_class.pop(absorb, None)
-        self.num_classes -= 1
-        self.assignment_epoch += 1
-        return keep
 
     def rehome_class(self, class_id: int, new_master: str) -> None:
         """Atomically repoint one class at a new master (drained handoff)."""
-        if class_id not in set(self._class_of_table.values()):
+        if class_id not in range(self.num_classes):
             raise ConfigError(f"unknown conflict class {class_id}")
         self._master_of_class[class_id] = new_master
-        self.assignment_epoch += 1
 
     def validate_disjoint(self) -> None:
-        """Raise unless classes partition the tables along atom boundaries.
+        """Raise unless every table is in a class and every class has a master.
 
-        Checks the two disjointness invariants the paper depends on: every
-        table is in exactly one class, and no atom (co-written template
-        component) is split across classes.
+        The paper depends on classes being disjoint; a table in exactly one
+        class holds by construction, so what a run can break is coverage:
+        a table dropped from the map, or a class left without a master.
         """
         for table in self.tables:
             if table not in self._class_of_table:
                 raise ConfigError(f"table {table!r} lost its conflict class")
-        for i, atom in enumerate(self.atoms):
-            classes = {self._class_of_table[t] for t in atom}
-            if len(classes) != 1:
-                raise ConfigError(
-                    f"atom {i} ({sorted(atom)}) split across classes {sorted(classes)}"
-                )
         assigned = set(self._master_of_class)
-        live = set(self._class_of_table.values())
+        live = set(self.class_ids())
         if assigned and not live <= assigned:
             raise ConfigError(f"classes without a master: {sorted(live - assigned)}")
 

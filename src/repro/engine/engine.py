@@ -360,6 +360,7 @@ class HeapEngine:
             # have acquired locks after the first release.
             self.controller.on_finish(txn)
             return
+        txn.abort_reason = reason
         if txn.state is TxnState.PREPARED:
             txn.state = TxnState.ABORTED
             self._active.pop(txn.txn_id, None)

@@ -153,7 +153,8 @@ class _BucketOps:
     """Shared bucket manipulation for both index flavours.
 
     Write-side methods take the key already encoded (``Table.index_delta`` does
-    it once, for every replica); :meth:`lookup` and ``range_lookup`` a plain key.
+    it once, for every replica); the hash index's ``lookup`` and the tree's
+    ``range_lookup`` take a plain key.
     """
 
     def __init__(self, name: str, table: str, counters: Counters) -> None:
@@ -166,11 +167,10 @@ class _BucketOps:
         #: :meth:`gc` can ever remove, so it walks nothing while this is 0.
         self.committed_deletes = 0
 
-    # Subclasses provide, for encoded keys, _bucket(key) to read a bucket (a
-    # list, a frozen tuple or None; the hash index's lookup reads its dict),
-    # _writable(key, fresh=None) to get its own list (thawing a frozen one; an
-    # absent key gets ``fresh`` linked as its bucket and returned as is, or
-    # None without one) and _drop_bucket(key).
+    # Subclasses provide, for encoded keys, _writable(key, fresh=None) to get
+    # its own bucket list (thawing a frozen one; an absent key gets ``fresh``
+    # linked as its bucket and returned as is, or None without one) and
+    # _drop_bucket(key).
 
     def _find(self, key: Key, loc: Loc, field: int, value, what: str, undo: bool = False):
         """``(bucket, position)`` of the entry at ``loc`` whose ``field`` is
@@ -259,15 +259,6 @@ class _BucketOps:
         bucket[i + _DELETE_V] = None
         self.committed_deletes -= 1
 
-    # -- reads -------------------------------------------------------------------
-    def lookup(self, key: Key, reader: Optional[TxnId], tag_v: Optional[int]) -> List[Loc]:
-        """Visible locations under ``key``."""
-        self._tally["index.lookups"] += 1
-        return _visible_locs(self._bucket(encode_key(key)), reader, tag_v)
-
-    def has_live(self, key: Key, reader: Optional[TxnId], tag_v: Optional[int]) -> bool:
-        return bool(self.lookup(key, reader, tag_v))
-
     # -- garbage collection --------------------------------------------------------
     def _gc_bucket(self, bucket: List, watermark: int) -> int:
         """Drop the entries of the list ``bucket`` deleted at or before
@@ -318,6 +309,9 @@ class VersionedHashIndex(_BucketOps):
             return [loc] if d is None or (d is PENDING and w != reader) else []
         seen = i is not None and i <= tag_v and (d is None or d is PENDING or d > tag_v)
         return [loc] if seen else []
+
+    def has_live(self, key: Key, reader: Optional[TxnId], tag_v: Optional[int]) -> bool:
+        return bool(self.lookup(key, reader, tag_v))
 
     def _writable(self, key: Key, fresh=None):
         bucket = self._buckets.get(key)
@@ -371,9 +365,6 @@ class VersionedTreeIndex(_BucketOps):
     def __init__(self, name: str, table: str, counters: Optional[Counters] = None) -> None:
         super().__init__(name, table, counters if counters is not None else Counters())
         self._tree = RedBlackTree()
-
-    def _bucket(self, key: Key):
-        return self._tree.get(key)
 
     def _writable(self, key: Key, fresh=None):
         """Links ``fresh`` or thaws through the node the one search found,

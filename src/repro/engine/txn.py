@@ -61,6 +61,9 @@ class Transaction:
     #: "read current state" (masters, stand-alone engines, the disk baseline).
     tag: Optional[VersionVector] = None
     state: TxnState = TxnState.ACTIVE
+    #: Why the transaction was aborted (the ``reason`` passed to
+    #: ``HeapEngine.abort``); ``None`` until then.
+    abort_reason: Optional[str] = None
     #: Tables this transaction intends to write (declared at begin).  2PL
     #: controllers take X locks even for *reads* of these tables, killing
     #: S->X upgrade deadlocks on read-modify-write patterns.

@@ -335,22 +335,12 @@ class VersionAwareScheduler:
     def on_class_rehome(self, class_id: int, new_master: NodeId) -> None:
         """One conflict class moved to a new (already serving) master.
 
-        The shared conflict map carries the new assignment (and its bumped
-        ``assignment_epoch``); this hook only keeps the scheduler's master
-        set — used to veto master-local reads on owned tables — in step.
+        The shared conflict map carries the new assignment; this hook only
+        keeps the scheduler's master set — used to veto master-local reads
+        on owned tables — in step.
         """
         self.masters.add(new_master)
         self.counters.add("sched.class_rehomes")
-
-    @property
-    def routing_epoch(self) -> int:
-        """The epoch stamp of the class→master table routes go through.
-
-        Bumped by every split/merge/re-home/failover reassignment; a
-        router comparing epochs across a parked update's wait detects that
-        its earlier routing decision went stale.
-        """
-        return self.conflict_map.assignment_epoch
 
     # -- peer replication (scheduler failover) ----------------------------------------------
     def export_state(self) -> Dict[str, int]:

@@ -70,22 +70,3 @@ def sql_arith(op: str, left: object, right: object) -> object:
             return None
         return left % right
     raise SqlError(f"unknown arithmetic operator {op}")
-
-
-def sql_compare(op: str, left: object, right: object) -> Optional[bool]:
-    """Three-valued comparison: NULL operands yield NULL (None)."""
-    if left is None or right is None:
-        return None
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise SqlError(f"unknown comparison operator {op}")

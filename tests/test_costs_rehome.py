@@ -1,15 +1,20 @@
 """Cost-model regression: re-home pricing must not perturb the static path.
 
 The historical cost model priced class->master assignment as free because
-it could never change.  Dynamic sharding makes handoffs a real cost
+it could never change.  Forced re-homes make handoffs a real cost
 (``CostModel.rehome_cost``); these tests pin down that (a) the new knobs
 default to the legacy configuration, (b) the static-path cost formulas
-return exactly the values the seed shipped with, and (c) a legacy cluster
-never charges a re-home or spawns the rebalancer machinery.
+return exactly the values the seed shipped with, (c) a legacy cluster
+never charges a re-home, and (d) the two fields that once drove a
+load-driven rebalancer, ``dynamic_classes`` and ``rebalance_interval``,
+are accepted and change nothing.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.chaos import PLANS, run_plan
 from repro.cluster.costs import CostConfig, CostModel
 from repro.cluster.simcluster import SimDmvCluster
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
@@ -86,13 +91,25 @@ class TestStaticClusterNeverPaysRehome:
         cluster.load(TpcwDataGenerator(scale, seed=3))
         cluster.warm_all_caches()
         cluster.start_browsers(8, MIXES["ordering"], scale, think_time_mean=0.3)
+        cmap = cluster.conflict_map
+        owners = {c: cmap.master_of_class(c) for c in cmap.class_ids()}
         cluster.run(until=15.0)
-        assert not cluster.rebalancer.enabled
         assert cluster.router.update_slots == {}           # no MPL admission
         snap = cluster.counters.snapshot()
         assert snap.get("sched.class_rehomes", 0) == 0
-        assert snap.get("sched.class_splits", 0) == 0
-        assert snap.get("sched.class_merges", 0) == 0
         assert snap.get("sched.rehome_aborts", 0) == 0
-        # The conflict map never moved: assignment epoch still zero.
-        assert cluster.conflict_map.assignment_epoch == 0
+        # The conflict map never moved.
+        assert {c: cmap.master_of_class(c) for c in owners} == owners
+
+
+class TestInertRebalancerFields:
+    def test_dynamic_classes_and_rebalance_interval_change_nothing(self):
+        # A short two-master run with both forced re-homes of the
+        # ``write-scaleout`` plan: the fingerprint hashes every counter.
+        plan = PLANS["write-scaleout"]
+        legacy_knobs = replace(plan, cost=replace(
+            plan.cost, dynamic_classes=True, rebalance_interval=5.0
+        ))
+        default = run_plan(plan, duration=20.0)
+        assert default.counters.get("sched.class_rehomes", 0) > 0
+        assert run_plan(legacy_knobs, duration=20.0).fingerprint == default.fingerprint

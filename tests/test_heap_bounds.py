@@ -218,7 +218,7 @@ def test_slaves_fed_one_insert_share_what_it_gave_them():
     (op,) = write_set.ops
     tables = [slave.engine.table("item") for slave in slaves]
     pk_buckets = {id(table.pk_index._buckets.get(encode_key((7,)))) for table in tables}
-    title_buckets = {id(table.index("ix_title")._bucket(encode_key(("t",)))) for table in tables}
+    title_buckets = {id(table.index("ix_title")._tree.get(encode_key(("t",)))) for table in tables}
     assert len(pk_buckets) == 1 and pk_buckets == title_buckets  # one object, every slave and index
     bucket = tables[0].pk_index._buckets.get(encode_key((7,)))
     assert list(entries(bucket)) == [(op.loc, write_set.versions["item"], None, None)]

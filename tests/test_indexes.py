@@ -82,8 +82,8 @@ STATES = (
 def probes(builds, reader, tag_v):
     """What every read path returns over indexes built by ``builds``
     (``(loc, build)`` pairs, all under one key, so a reverse scan keeps the
-    bucket's order): hash lookup, tree lookup, and the tree's range scan,
-    unbounded and prefix-bounded, both ways."""
+    bucket's order): hash lookup, and the tree's range scan, unbounded and
+    prefix-bounded, both ways."""
     pk, tree = VersionedHashIndex("pk", "item"), VersionedTreeIndex("ix", "item")
     for index in (pk, tree):
         for loc, build in builds:
@@ -91,7 +91,6 @@ def probes(builds, reader, tag_v):
     lo, hi = prefix_bounds(("k",))
     return [
         pk.lookup(("k",), reader, tag_v),
-        tree.lookup(("k",), reader, tag_v),
         list(tree.range_lookup_encoded(None, None, reader, tag_v)),
         list(tree.range_lookup_encoded(lo, hi, reader, tag_v)),
         list(tree.range_lookup_encoded(lo, hi, reader, tag_v, reverse=True)),

@@ -42,6 +42,16 @@ def test_no_cluster_module_over_650_lines():
     assert {name: n for name, n in sizes.items() if n > 650} == {}
 
 
+#: ``src/repro/cluster`` once the load-driven class rebalancer was deleted
+#: (5,049 before): the package must not grow.
+CLUSTER_BUDGET = 4870
+
+
+def test_cluster_package_line_budget():
+    lines = sum(len(p.read_text().splitlines()) for p in CLUSTER.glob("*.py"))
+    assert lines <= CLUSTER_BUDGET, lines
+
+
 def test_sim_cluster_is_a_composition_root():
     assert SimDmvCluster.__bases__ == (object,)
     methods = [
@@ -121,7 +131,7 @@ def test_the_receive_funnel_builds_no_list_for_what_it_sees_first():
     assert len(slave.pending) == 2
     assert [type(queue) for queue in slave.pending.values()] == [tuple, tuple]
     buckets = [received.pk_index._buckets.get(encode_key((7,)))]
-    buckets += [received.index("ix_title")._bucket(encode_key((title,))) for title in ("new", "moved")]
+    buckets += [received.index("ix_title")._tree.get(encode_key((title,))) for title in ("new", "moved")]
     assert [type(bucket) for bucket in buckets] == [tuple, tuple, tuple]
 
 
