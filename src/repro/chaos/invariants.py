@@ -214,20 +214,12 @@ def check_counter_conservation(cluster) -> InvariantResult:
 
 
 def check_buffer_bounds(cluster) -> InvariantResult:
-    """Slave write-set buffers stayed bounded and their accounting is exact.
+    """Slave write-set buffer accounting is exact.
 
-    Two properties per alive replica:
-
-    * the running ``pending_ops`` counter matches a full recount of the
-      per-page queues (the O(1) watermark checks demotion relies on never
-      drifted from the truth);
-    * when a buffer cap is configured, the lifetime peak never exceeded
-      the cap by more than one write-set (the cap is checked after each
-      buffered frame, so a single in-flight write-set is the only
-      permitted overshoot).
+    Per alive replica, the running ``pending_ops`` counter matches a full
+    recount of the per-page queues and is never negative (the O(1)
+    watermark checks demotion relies on never drifted from the truth).
     """
-    cap = cluster.cost.config.slave_buffer_max_ops
-    slack = cluster.pipeline.max_ws_ops
     problems: List[str] = []
     audited = 0
     for node in cluster.nodes.values():
@@ -243,15 +235,9 @@ def check_buffer_bounds(cluster) -> InvariantResult:
             )
         if slave.pending_ops < 0:
             problems.append(f"{node.node_id}: negative pending_ops")
-        if cap and slave.pending_ops_peak > cap + slack:
-            problems.append(
-                f"{node.node_id}: peak {slave.pending_ops_peak} ops exceeded "
-                f"cap {cap} (+{slack} slack)"
-            )
     if problems:
         return InvariantResult("buffer-bounds", False, "; ".join(problems[:5]))
-    detail = f"{audited} replicas audited" + (f", cap={cap}" if cap else ", uncapped")
-    return InvariantResult("buffer-bounds", True, detail)
+    return InvariantResult("buffer-bounds", True, f"{audited} replicas audited")
 
 
 def check_rejoin_convergence(cluster) -> InvariantResult:

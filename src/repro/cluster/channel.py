@@ -192,9 +192,9 @@ class ReplicationChannel:
                 for idx, pending in enumerate(batch):
                     counters.add("net.write_sets_sent")
                     if stragglers.is_demoted(target.node_id):
-                        # Demoted mid-batch (buffer cap tripped on an
-                        # earlier frame): the remainder fast-fails, but is
-                        # retained for the rejoin gap replay.
+                        # Demoted mid-batch (while an earlier frame paid
+                        # its receive cost): the remainder fast-fails, but
+                        # is retained for the rejoin gap replay.
                         if target.alive and target.node_id in stragglers.gapped():
                             cluster.pipeline.retain(pending.write_set)
                         self._drop(pending, counters)
@@ -223,38 +223,6 @@ class ReplicationChannel:
                         counters.add("net.write_sets_sent")
                         target.deliver_write_set(pending.write_set)
                     if outcome == "ok":
-                        if stragglers.over_buffer_cap(target):
-                            # Slave-side buffer cap: the write-set IS
-                            # buffered (counted received), but crossing the
-                            # high watermark demotes the replica so the
-                            # backlog stops growing here.
-                            stragglers.demote(target.node_id, reason="buffer-cap")
-                            if (
-                                not stragglers.is_demoted(target.node_id)
-                                and not target.slave.catching_up
-                                and stragglers.over_buffer_cap(target)
-                            ):
-                                # Demotion vetoed (last subscribed slave):
-                                # shed load by eagerly applying the
-                                # confirmed prefix instead of buffering
-                                # deeper.  The residue is the unconfirmed
-                                # in-flight tail, which cannot be applied.
-                                try:
-                                    confirmed = cluster.scheduler.latest
-                                except NodeUnavailable:
-                                    confirmed = None
-                                if confirmed is not None:
-                                    drained = target.slave.drain_to(confirmed)
-                                    if drained:
-                                        counters.add(
-                                            "slave.forced_drains"
-                                        )
-                                        counters.add(
-                                            "slave.ops_force_drained", drained
-                                        )
-                                        yield from target.run_job(
-                                            target.apply_cost(drained)
-                                        )
                         try:
                             yield from target.run_job(
                                 target.receive_cost(len(pending.write_set.ops))

@@ -66,9 +66,6 @@ class CommitPipeline:
         #: data) — replaying this log at rejoin closes that gap.  Cleared
         #: as soon as no node is demoted.
         self.replay_log: Dict[Tuple, "WriteSet"] = {}
-        #: Largest write-set (ops) ever broadcast — the slack the buffer
-        #: bound invariant allows above the configured cap.
-        self.max_ws_ops = 0
 
     def commit_update(self, node: "InMemoryDbNode", txn, mpl_slot=None, deadline=None):
         """Master pre-commit (Figure 2): join an epoch, seal it, wait for it.
@@ -278,31 +275,28 @@ class CommitPipeline:
         ``all`` and ``all-healthy`` both wait for every ack in the list —
         they differ upstream: under ``all-healthy`` demoted slaves never
         enter the list (they are unsubscribed), so the barrier covers
-        exactly the healthy replicas.  ``quorum`` resolves as soon as
-        ``quorum_k`` positive acks arrive; acks always trigger (success or
-        failure), so the barrier also resolves when every ack is in — no
-        deadlock even if the quorum is unreachable (the post-barrier
-        liveness checks and reconfiguration take over then).
+        exactly the healthy replicas.  ``quorum`` resolves at the first
+        positive ack; acks always trigger (success or failure), so the
+        barrier also resolves when every ack is in — no deadlock even if
+        every ack fails (the post-barrier liveness checks and
+        reconfiguration take over then).
         """
         if self.cluster.ack_policy != "quorum":
             yield self.sim.all_of(acks)
             return
         self.counters.add("net.quorum_commits")
-        need = min(len(acks), self.cluster.quorum_k)
         done = self.sim.event()
-        state = [0, 0]  # positive acks, resolved acks
+        resolved = [0]
 
         def on_ack(event) -> None:
-            state[1] += 1
-            if event.value:
-                state[0] += 1
-            if not done.triggered and (state[0] >= need or state[1] == len(acks)):
+            resolved[0] += 1
+            if not done.triggered and (event.value or resolved[0] == len(acks)):
                 done.succeed(None)
 
         for ack in acks:
             ack.add_callback(on_ack)
         yield done
-        if state[1] < len(acks):
+        if resolved[0] < len(acks):
             # The quorum released this commit while at least one ack was
             # still outstanding — the headline straggler win.
             self.counters.add("net.quorum_saves")
@@ -360,9 +354,6 @@ class CommitPipeline:
         for target, frame in fan_out(
             cluster.nodes, source.node_id, write_set, cluster.interest
         ):
-            ops = len(frame.ops)
-            if ops > self.max_ws_ops:
-                self.max_ws_ops = ops
             ack = self.channel(source.node_id, target).send(frame, parent_span=parent_span)
             sends.append((target, frame, ack))
         return sends

@@ -56,15 +56,6 @@ class CostConfig:
     # -- network ----------------------------------------------------------------------------
     net_latency: float = 0.0002          # one-way LAN latency
     net_bandwidth: float = 100e6         # bytes/second
-    # -- graceful degradation (updates queue through reconfigurations) ------------------------
-    #: Backpressure: maximum updates parked on the reconfiguration waiter
-    #: queue per master before further arrivals are shed with a retryable
-    #: ``queue-shed`` rejection (0 = unbounded, today's behaviour).
-    update_queue_limit: int = 0
-    # -- straggler tolerance (laggard demotion, under a non-"all" ack policy) ----------
-    #: Slave-side buffer cap: pending (buffered, unapplied) ops on one
-    #: replica before it is demoted to catch-up mode (0 = unbounded).
-    slave_buffer_max_ops: int = 0
     # -- node shape --------------------------------------------------------------------------
     cores_per_node: int = 2
     # -- write-path scale-out (epoch commit + dynamic conflict classes) -----------------------

@@ -223,11 +223,13 @@ def rejoin_support(
     """The slave that feeds ``joiner_id``'s data migration (``None``: the
     master is the source of last resort).
 
-    Candidates are alive, subscribed slave roles whose interest covers the
-    joiner's.  Under ``all`` acks each holds every confirmed write-set, so
-    the first will do; under a weaker policy per-slave histories are nested
-    prefixes of the broadcast order, so the caught-up one with the highest
-    received total (then node id) holds every confirmed commit.
+    Candidates are alive, subscribed pure slaves whose interest covers the
+    joiner's (a dual master's slave role shares the master's engine, whose
+    pages hold uncommitted writes in place).  Under ``all`` acks each holds
+    every confirmed write-set, so the first will do; under a weaker policy
+    per-slave histories are nested prefixes of the broadcast order, so the
+    caught-up one with the highest received total (then node id) holds
+    every confirmed commit.
     """
     wanted = interest.get(joiner_id)
     candidates = [
@@ -235,6 +237,7 @@ def rejoin_support(
         for n in nodes.values()
         if n.alive
         and n.slave is not None
+        and n.master is None
         and n.subscribed
         and n.node_id != joiner_id
         and interest.get(n.node_id).superset_of(wanted)

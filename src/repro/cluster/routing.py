@@ -87,19 +87,6 @@ class UpdateRouter:
             if not self._may_recover(master_id):
                 raise unavailable
             if not queued:
-                limit = self.config.update_queue_limit
-                if limit and len(self._waiters) >= limit:
-                    # Bounded waiter queue: beyond the cap new arrivals are
-                    # shed immediately with a retryable rejection instead of
-                    # parking — the browser backs off and retries, and the
-                    # queue cannot grow without bound through a long
-                    # reconfiguration.
-                    self.counters.add("sched.shed_requests")
-                    shed = NodeUnavailable(
-                        "update admission queue full during reconfiguration"
-                    )
-                    shed.reason = "queue-shed"
-                    raise shed
                 queued = True
                 self.counters.add("sched.queued_updates")
             yield from self._park(deadline, "reconfiguration")

@@ -40,7 +40,7 @@ from repro.cluster.migration import FailoverTimeline, Migrator
 from repro.cluster.protocol import assign_masters, assign_roles
 from repro.cluster.rehome import Rehomer
 from repro.cluster.routing import UpdateRouter
-from repro.cluster.simnodes import InMemoryDbNode
+from repro.cluster.simnodes import ALL_RESIDENT, InMemoryDbNode
 from repro.cluster.straggler import LaggardMonitor
 from repro.core.conflictclass import ConflictClassMap
 from repro.engine.engine import bulk_load_replicas
@@ -78,7 +78,6 @@ class SimDmvCluster:
         multi_master: bool = False,
         num_masters: Optional[int] = None,
         cost_config: Optional[CostConfig] = None,
-        cache_pages: int = 1 << 30,
         rows_per_page: int = 64,
         seed: int = 0,
         spare_read_fraction: float = 0.0,
@@ -87,7 +86,6 @@ class SimDmvCluster:
         gc_period: float = 60.0,
         trace: bool = False,
         ack_policy: str = "all",
-        quorum_k: int = 1,
         interest_sets: Optional[Dict[str, Optional[Sequence[str]]]] = None,
         min_replication_factor: int = 1,
         slave_cache_pages: Optional[int] = None,
@@ -95,12 +93,11 @@ class SimDmvCluster:
         if ack_policy not in ("all", "quorum", "all-healthy"):
             raise ValueError(f"unknown ack policy {ack_policy!r}")
         #: Pre-commit acknowledgement policy: ``all`` (paper behaviour —
-        #: every subscribed slave must ack), ``quorum`` (any ``quorum_k``
-        #: slave acks suffice) or ``all-healthy`` (all non-demoted slaves).
+        #: every subscribed slave must ack), ``quorum`` (the first positive
+        #: slave ack suffices) or ``all-healthy`` (all non-demoted slaves).
         #: Read by the ack barrier, the laggard monitor (demotion runs only
         #: under the last two) and the rejoin-support choice.
         self.ack_policy = ack_policy
-        self.quorum_k = max(1, quorum_k)
         self.sim = Simulator()
         #: Transaction-lifecycle tracer on the virtual clock.  Disabled by
         #: default: the null fast path adds no events to the kernel, so a
@@ -147,14 +144,14 @@ class SimDmvCluster:
         # cache and is re-faulted from the disk-tier model on access
         # (``cache.evictions`` / ``cache.misses`` + per-statement fault time).
         if slave_cache_pages is None:
-            slave_cache_pages = cache_pages
+            slave_cache_pages = ALL_RESIDENT
 
         def make_node(node_id: str, role: str) -> InMemoryDbNode:
             if role == "spare":
                 self.spare_ids.add(node_id)
             return InMemoryDbNode(
                 self.sim, node_id, self.cost, self.schemas,
-                slave_cache_pages if role == "slave" else cache_pages,
+                slave_cache_pages if role == "slave" else ALL_RESIDENT,
                 rows_per_page, tracer=self.tracer, durable=self.cost.config.durable_wal,
             )
 

@@ -242,10 +242,6 @@ class SimDiskCluster:
         self.run(until=until)
         return {i: self.content_digest(i) for i, node in self.nodes.items() if node.alive}
 
-    def warm_all_pools(self) -> None:
-        for node in self.nodes.values():
-            node.db.pool.warm(p.page_id for p in node.db.engine.store.all_pages())
-
     # -- the backup's log cursor ----------------------------------------------------------------
     def _catch_up(self, backup: DiskDbNode):
         """The one consumer of a backup's log cursor: replay what is pending,

@@ -186,6 +186,11 @@ class SimNode:
                     span.finish(status="interrupted")
 
 
+#: Resident-page budget of a node without hot/cold tiering: larger than any
+#: dataset, so its LRU cache never evicts.
+ALL_RESIDENT = 1 << 30
+
+
 class InMemoryDbNode(SimNode, ReplicaNode):
     """One replica of the in-memory DMV tier: a :class:`ReplicaNode` with a
     CPU, a cache model, a durable log and failure semantics."""
@@ -196,7 +201,7 @@ class InMemoryDbNode(SimNode, ReplicaNode):
         node_id: str,
         cost: CostModel,
         schemas: Sequence[TableSchema],
-        cache_pages: int = 1 << 30,
+        cache_pages: int = ALL_RESIDENT,
         rows_per_page: int = 64,
         tracer: Tracer = NULL_TRACER,
         durable: bool = False,

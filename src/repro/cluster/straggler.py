@@ -186,12 +186,6 @@ class LaggardMonitor:
         if self.detector.ack_latency_verdict(target_id):
             self.demote(target_id, reason="ack-latency")
 
-    def over_buffer_cap(self, node) -> bool:
-        """Has ``node`` buffered past the slave-side cap?"""
-        return self.enabled and (
-            0 < self.cost.config.slave_buffer_max_ops < node.slave.pending_ops
-        )
-
     def demote_stale_survivors(self, confirmed, failed_tables) -> None:
         """After a master failover, demote each caught-up survivor below
         ``confirmed`` on the failed tables (outside the quorum, it would

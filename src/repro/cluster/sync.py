@@ -64,10 +64,7 @@ class SyncConnection(Connection):
         node = self.cluster.node(routed.node_id)
         self._node = node
         self._is_update = False
-        if node.slave is not None:
-            self._txn = node.slave.begin_read_only(routed.tag)
-        else:  # read allowed on a master outside its conflict classes
-            self._txn = node.master.begin_read_only()
+        self._txn = node.slave.begin_read_only(routed.tag)
         return Immediate(None)
 
     def begin_update(self, tables: Sequence[str]) -> Immediate:

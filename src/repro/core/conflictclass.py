@@ -159,12 +159,3 @@ class ConflictClassMap:
         live = set(self.class_ids())
         if assigned and not live <= assigned:
             raise ConfigError(f"classes without a master: {sorted(live - assigned)}")
-
-    def conflicts_with_master(self, master_id: str, tables: Iterable[str]) -> bool:
-        """Would a read of ``tables`` on this master touch its own classes?
-
-        The paper allows read-only transactions on a master only when the
-        tables they access are *not* in the master's conflict classes.
-        """
-        owned = {c for c, m in self._master_of_class.items() if m == master_id}
-        return any(self.class_of(t) in owned for t in tables)

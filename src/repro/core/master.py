@@ -62,7 +62,8 @@ class MasterReplica:
         return self.engine.begin(TxnMode.UPDATE, write_intent=write_tables)
 
     def begin_read_only(self) -> Transaction:
-        """Reads on the master see current state (tables outside its class)."""
+        """Reads on the master see current state (the partial-replication
+        fallback when no covering slave is fresh)."""
         return self.engine.begin(TxnMode.READ_ONLY)
 
     def join_epoch(self, txn: Transaction, epoch_versions: Dict[str, int]):

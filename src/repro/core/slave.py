@@ -92,11 +92,6 @@ class SlaveReplica:
         #: queue mutation so the buffer-bound invariant can audit it in O(1)
         #: (``pending_op_count()`` recomputes the truth for drift checks).
         self.pending_ops = 0
-        #: Steady-state high-water mark of :attr:`pending_ops`.  Growth
-        #: during catch-up mode is excused: buffering while pages migrate
-        #: is the *point* of catch-up, and the migration prunes the queue
-        #: when the covering images land.
-        self.pending_ops_peak = 0
 
     # -- replication receive path ---------------------------------------------------
     def is_duplicate(self, write_set: WriteSet) -> bool:
@@ -140,8 +135,6 @@ class SlaveReplica:
         """:meth:`receive` for a caller that ran :meth:`is_duplicate` itself and
         got False (the cluster node, reporting to the channel): one filter pass."""
         buffered = self._buffer(write_set, skip_covered=False)
-        if not self.catching_up and self.pending_ops > self.pending_ops_peak:
-            self.pending_ops_peak = self.pending_ops
         self.counters.add("slave.write_sets_received")
         self.counters.add("slave.ops_buffered", buffered)
 

@@ -176,9 +176,6 @@ class WriteAheadLog:
     def records_since(self, index: int) -> List[WalRecord]:
         return self._records[index:]
 
-    def bytes_since(self, index: int) -> int:
-        return sum(r.nbytes for r in self._records[index:])
-
     def truncate(self, keep_from: int) -> int:
         """Drop records before ``keep_from`` (checkpoint advanced).
 

@@ -450,11 +450,6 @@ class VersionedTreeIndex(_BucketOps):
                     if i is not None and i <= tag_v and (d is None or d is PENDING or d > tag_v):
                         yield loc
 
-    def scan_all(
-        self, reader: Optional[TxnId], tag_v: Optional[int], reverse: bool = False
-    ) -> Iterator[Loc]:
-        return self.range_lookup(None, None, reader, tag_v, reverse=reverse)
-
     def gc(self, watermark: int) -> int:
         if not self.committed_deletes:
             return 0

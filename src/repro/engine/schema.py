@@ -125,9 +125,6 @@ class TableSchema:
             for name, stored, check in self._row_plan
         ])
 
-    def row_to_dict(self, row: Sequence) -> Dict[str, object]:
-        return {col.name: row[i] for i, col in enumerate(self.columns)}
-
     def updated_row(self, row: Sequence, changes: Dict[str, object]) -> Tuple:
         """Copy of ``row`` with ``changes`` applied (validated)."""
         out = list(row)

@@ -7,8 +7,6 @@ Routing rules:
 * read-only transactions are tagged with the latest merged version vector
   and sent to a replica already serving that exact version if one exists,
   otherwise to the least-loaded active slave;
-* optionally, reads whose tables do not intersect a master's conflict
-  classes may run on that master;
 * a configurable fraction of reads is diverted to warm spare backups
   (the Figure 8 warm-up strategy);
 * under partial replication (any slave with a declared interest set),
@@ -75,14 +73,12 @@ class VersionAwareScheduler:
         scheduler_id: NodeId,
         conflict_map: ConflictClassMap,
         rng: Optional[RngStream] = None,
-        reads_on_master: bool = False,
         spare_read_fraction: float = 0.0,
         counters: Optional[Counters] = None,
     ) -> None:
         self.scheduler_id = scheduler_id
         self.conflict_map = conflict_map
         self.rng = rng if rng is not None else RngStream(0, "scheduler", scheduler_id)
-        self.reads_on_master = reads_on_master
         self.spare_read_fraction = spare_read_fraction
         self.counters = counters if counters is not None else Counters()
         #: Set by the cluster when tracing is enabled; routing decisions
@@ -137,9 +133,6 @@ class VersionAwareScheduler:
 
     def spare_slaves(self) -> List[SlaveState]:
         return [s for s in self.slaves.values() if s.spare and not s.demoted]
-
-    def demoted_slaves(self) -> List[SlaveState]:
-        return [s for s in self.slaves.values() if s.demoted]
 
     # -- partial replication (interest sets) ------------------------------------------
     def set_interest(
@@ -216,16 +209,6 @@ class VersionAwareScheduler:
         candidates = self.active_slaves()
         if self._interest:
             return self._route_read_partial(tables, tag, candidates)
-        if self.reads_on_master and not candidates:
-            for master in sorted(self.masters):
-                if not self.conflict_map.conflicts_with_master(master, tables):
-                    self.counters.add("sched.reads_on_master")
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            "route", kind="read", node=master,
-                            scheduler=self.scheduler_id, reason="read-on-master",
-                        )
-                    return RoutedRead(master, tag)
         if not candidates:
             raise NodeUnavailable("no active slaves available for read routing")
         # Prefer replicas already serving exactly this version.
@@ -336,8 +319,8 @@ class VersionAwareScheduler:
         """One conflict class moved to a new (already serving) master.
 
         The shared conflict map carries the new assignment; this hook only
-        keeps the scheduler's master set — used to veto master-local reads
-        on owned tables — in step.
+        keeps the scheduler's master set — the partial-routing fallback's
+        candidates — in step.
         """
         self.masters.add(new_master)
         self.counters.add("sched.class_rehomes")

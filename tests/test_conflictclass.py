@@ -74,9 +74,3 @@ class TestMasterAssignment:
         assert moved == 1
         assert ccm.master_of_class(0) == "m9"
         assert ccm.master_of_class(1) == "m1"
-
-    def test_conflicts_with_master(self):
-        ccm = ConflictClassMap(["a", "b"])
-        ccm.assign_masters(["m0", "m1"])
-        assert ccm.conflicts_with_master("m0", ["a"])
-        assert not ccm.conflicts_with_master("m0", ["b"])

@@ -47,7 +47,7 @@ class TestWal:
         wal = WriteAheadLog()
         wal.append_commit(1, [])
         wal.append_commit(2, [])
-        assert wal.bytes_since(1) == 48
+        assert sum(r.nbytes for r in wal.records_since(1)) == 48
         assert wal.total_bytes == 96
 
     def test_truncate(self):

@@ -345,7 +345,7 @@ class TestTreeIndex:
 
     def test_scan_all(self):
         idx = self.make()
-        assert len(list(idx.scan_all(99, 100))) == 10
+        assert len(list(idx.range_lookup(None, None, 99, 100))) == 10
 
     def test_rotations_recorded(self):
         idx = self.make()

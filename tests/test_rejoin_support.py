@@ -18,7 +18,9 @@ from repro.common.versions import VersionVector
 from repro.tpcw import TPCW_SCHEMAS
 
 
-def node(node_id, received=0, alive=True, subscribed=True, catching_up=False, slave=True):
+def node(
+    node_id, received=0, alive=True, subscribed=True, catching_up=False, slave=True, master=False
+):
     replica = SimpleNamespace(
         catching_up=catching_up, received_versions=VersionVector({"item": received})
     )
@@ -27,6 +29,7 @@ def node(node_id, received=0, alive=True, subscribed=True, catching_up=False, sl
         alive=alive,
         subscribed=subscribed,
         slave=replica if slave else None,
+        master=SimpleNamespace() if master else None,
     )
 
 
@@ -62,7 +65,7 @@ class TestRejoinSupport:
 
     def test_dead_unsubscribed_and_masters_without_slave_role_are_skipped(self):
         members = (
-            node("m0", slave=False),
+            node("m0", slave=False, master=True),
             node("j"),
             node("s0", 9, alive=False),
             node("s1", 9, subscribed=False),
@@ -70,6 +73,14 @@ class TestRejoinSupport:
         )
         for policy in ("all", "quorum"):
             assert pick(members, policy=policy) == "s2"
+
+    def test_a_dual_master_is_never_a_support(self):
+        # Its slave role shares the master's engine, whose pages hold the
+        # master's uncommitted writes in place.
+        members = (node("m0", 9, master=True), node("j"), node("s0", 1))
+        for policy in ("all", "quorum"):
+            assert pick(members, policy=policy) == "s0"
+        assert pick(members[:2]) is None
 
     def test_partial_joiner_gets_only_a_superset_support(self):
         interest = InterestRegistry()

@@ -1,5 +1,5 @@
-"""Straggler tolerance: ack quorums, laggard demotion, bounded buffers,
-end-to-end backpressure, and correctness under quorum acks.
+"""Straggler tolerance: ack quorums, laggard demotion, exact buffer
+accounting, and correctness under quorum acks.
 
 One slow-but-alive replica (a gray failure) must not drag every update
 commit: under ``quorum`` acks the laggard is demoted out of the ack set,
@@ -101,7 +101,7 @@ class TestDetectorUnits:
 
 class TestQuorumAcks:
     def test_quorum_saves_commits_from_straggler(self):
-        cluster = build_cluster(seed=3, ack_policy="quorum", quorum_k=1)
+        cluster = build_cluster(seed=3, ack_policy="quorum")
         cluster.sim.schedule(10.0, cluster.set_slowdown, "s2", 12.0)
         run_workload(cluster, duration=50.0)
         assert merged_counter(cluster, "net.quorum_commits") > 0
@@ -145,7 +145,7 @@ class TestQuorumAcks:
 
 class TestDemotionAndRejoin:
     def test_laggard_demoted_then_rejoins_after_recovery(self):
-        cluster = build_cluster(seed=5, ack_policy="quorum", quorum_k=1)
+        cluster = build_cluster(seed=5, ack_policy="quorum")
         cluster.sim.schedule(10.0, cluster.set_slowdown, "s2", 12.0)
         cluster.sim.schedule(45.0, cluster.set_slowdown, "s2", 1.0)
         run_workload(cluster, duration=80.0, settle=20.0)
@@ -169,7 +169,8 @@ class TestDemotionAndRejoin:
         assert cluster.demote_slave("s1")
         active = {s.node_id for s in cluster.scheduler.active_slaves()}
         assert "s1" not in active
-        assert {s.node_id for s in cluster.scheduler.demoted_slaves()} == {"s1"}
+        demoted = {s.node_id for s in cluster.scheduler.slaves.values() if s.demoted}
+        assert demoted == {"s1"}
 
     def test_rejoin_convergence_checker_catches_wedged_laggard(self):
         cluster = build_cluster(seed=2, ack_policy="quorum")
@@ -185,7 +186,7 @@ class TestDemotionAndRejoin:
 
 class TestHeartbeatsWhileDemoted:
     def test_demoted_alive_node_is_never_declared_failstop(self):
-        cluster = build_cluster(seed=4, ack_policy="quorum", quorum_k=1)
+        cluster = build_cluster(seed=4, ack_policy="quorum")
         # Hold it demoted for the whole run: the slowdown keeps the rejoin
         # probes failing, so the node stays in the demoted set.
         cluster.sim.schedule(8.0, cluster.set_slowdown, "s2", 16.0)
@@ -199,7 +200,7 @@ class TestHeartbeatsWhileDemoted:
         assert merged_counter(cluster, "net.suspicions") == 0
 
     def test_demoted_node_that_crashes_still_reconfigures(self):
-        cluster = build_cluster(seed=4, ack_policy="quorum", quorum_k=1)
+        cluster = build_cluster(seed=4, ack_policy="quorum")
         cluster.sim.schedule(8.0, cluster.set_slowdown, "s2", 16.0)
         cluster.kill_node_at("s2", 35.0)
         run_workload(cluster, duration=70.0)
@@ -213,61 +214,29 @@ class TestHeartbeatsWhileDemoted:
 
 
 class TestBoundedBuffers:
-    def test_buffer_cap_triggers_demotion_and_bounds_hold(self):
-        cfg = CostConfig(slave_buffer_max_ops=24)
-        cluster = build_cluster(
-            seed=6, ack_policy="quorum", quorum_k=1, cost_config=cfg
-        )
-        cluster.sim.schedule(10.0, cluster.set_slowdown, "s2", 20.0)
-        run_workload(cluster, duration=60.0)
-        assert merged_counter(cluster, "slave.demotions") >= 1
-        result = check_buffer_bounds(cluster)
-        assert result.ok, str(result)
-        for node in cluster.nodes.values():
-            if node.alive and node.slave is not None:
-                assert node.slave.pending_ops_peak <= 24 + cluster.pipeline.max_ws_ops
-
-    def test_buffer_over_cap_plus_slack_is_caught(self):
-        """Planted violation: the slack is the pipeline's real audit value,
-        so a peak one op beyond cap + slack must fail the checker."""
-        cfg = CostConfig(slave_buffer_max_ops=24)
-        cluster = build_cluster(
-            seed=6, ack_policy="quorum", quorum_k=1, cost_config=cfg
-        )
-        run_workload(cluster, duration=20.0, settle=8.0)
-        slack = cluster.pipeline.max_ws_ops
-        assert slack > 0
-        slave = cluster.nodes["s1"].slave
-        slave.pending_ops_peak = 24 + slack
-        assert check_buffer_bounds(cluster).ok
-        slave.pending_ops_peak = 24 + slack + 1
-        result = check_buffer_bounds(cluster)
-        assert not result.ok and "exceeded cap 24" in result.detail
-
     def test_pending_ops_counter_never_drifts(self):
-        cluster = build_cluster(seed=9, ack_policy="quorum", quorum_k=1)
+        cluster = build_cluster(seed=9, ack_policy="quorum")
         cluster.sim.schedule(10.0, cluster.set_slowdown, "s1", 10.0)
         run_workload(cluster, duration=40.0)
         for node in cluster.nodes.values():
             if node.alive and node.slave is not None:
                 assert node.slave.pending_ops == node.slave.pending_op_count()
 
-    def test_update_queue_shedding_is_retryable(self):
-        cfg = CostConfig(update_queue_limit=1)
-        cluster = build_cluster(seed=8, cost_config=cfg)
-        cluster.kill_node_at("m0", 15.0)
-        run_workload(cluster, duration=70.0, browsers=12)
-        assert cluster.counters.get("sched.shed_requests") > 0
-        # Shed updates were retried, not lost: the run still completes
-        # work after the reconfiguration and nothing failed permanently.
-        assert "queue-shed" in cluster.metrics.aborts_by_reason
-        assert cluster.metrics.failed == 0
-        assert cluster.metrics.completed > 0
+    def test_planted_pending_ops_drift_is_caught(self):
+        """Planted violation: one op of drift between the running counter
+        and the queues turns the buffer-bounds checker red."""
+        cluster = build_cluster(seed=6, ack_policy="quorum")
+        run_workload(cluster, duration=20.0, settle=8.0)
+        assert check_buffer_bounds(cluster).ok
+        slave = cluster.nodes["s1"].slave
+        slave.pending_ops += 1
+        result = check_buffer_bounds(cluster)
+        assert not result.ok and "s1: pending_ops=" in result.detail
 
 
 class TestQuorumCorrectness:
     def test_master_failover_under_quorum_promotes_fresh_survivor(self):
-        cluster = build_cluster(seed=12, ack_policy="quorum", quorum_k=1)
+        cluster = build_cluster(seed=12, ack_policy="quorum")
         cluster.sim.schedule(8.0, cluster.set_slowdown, "s2", 16.0)
         cluster.kill_node_at("m0", 30.0)
         run_workload(cluster, duration=90.0, settle=25.0)
