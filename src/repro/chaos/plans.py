@@ -283,7 +283,6 @@ OPT_IN_COUNTERS = (
     "net.bytes_saved_partial",
     "net.write_sets_filtered",
     "sched.coverage_rejects",
-    "sched.partial_master_fallbacks",
     "traffic.requests_injected",
     "traffic.breaker_short_circuits",
 ) + DEFENSE_COUNTERS

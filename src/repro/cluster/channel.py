@@ -132,6 +132,12 @@ class ReplicationChannel:
     def _finish(self, pending: PendingSend, ok: bool) -> None:
         if not pending.ack.triggered:
             pending.ack.succeed(ok)
+            if ok:
+                # Clears what a commit confirmed ahead of this ack made the
+                # target owe (CommitPipeline._seal_epoch).
+                versions = pending.write_set.versions
+                for agent in self.cluster.schedulers:
+                    agent.scheduler.note_acked(self.target.node_id, versions)
         pending.retry_span.finish(status="acked" if ok else "failed")
         pending.span.finish(status="acked" if ok else "failed",
                             attempts=pending.attempts + 1)

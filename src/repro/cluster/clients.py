@@ -108,8 +108,8 @@ class SimConnection(Connection):
         if node.slave is not None:
             self._txn = node.slave.begin_read_only(routed.tag)
         else:
-            # Coverage fallback routed this read to a pure master (partial
-            # replication, no fresh covering slave): the master's engine
+            # The router's master fallback (every covering slave owed an
+            # ack, or none was active): the master's engine
             # is current by construction, so no version tag is needed.
             self._txn = node.master.begin_read_only()
         if root.recording:

@@ -261,8 +261,15 @@ class CommitPipeline:
                 # Scheduler-confirmed == fully replicated: this is the durable
                 # history the chaos durability invariant audits survivors for.
                 cluster.commit_log.append((node.node_id, txn_id, dict(versions)))
-            if cluster.interest.partial_active:
-                self._note_partial_freshness(sends)
+            # A target whose positive ack is still out may lack these
+            # versions: no read of their tables goes to it until the ack
+            # (ReplicationChannel._finish) or its rejoin clears the debt.
+            # Same event as the version-vector merge, so no read tagged with
+            # the new versions can slip in between.
+            for target, frame, ack in sends:
+                if not (ack.triggered and ack.value):
+                    for agent in cluster.alive_scheduler_agents():
+                        agent.scheduler.note_owed(target.node_id, frame.versions)
             self._replicate_scheduler_state(primary)
             ok = True
         finally:
@@ -272,11 +279,8 @@ class CommitPipeline:
     def _ack_barrier(self, acks):
         """Wait out the pre-commit acks according to the ack policy.
 
-        ``all`` and ``all-healthy`` both wait for every ack in the list —
-        they differ upstream: under ``all-healthy`` demoted slaves never
-        enter the list (they are unsubscribed), so the barrier covers
-        exactly the healthy replicas.  ``quorum`` resolves at the first
-        positive ack; acks always trigger (success or failure), so the
+        ``all`` waits for every ack in the list.  ``quorum`` resolves at the
+        first positive ack; acks always trigger (success or failure), so the
         barrier also resolves when every ack is in — no deadlock even if
         every ack fails (the post-barrier liveness checks and
         reconfiguration take over then).
@@ -357,25 +361,6 @@ class CommitPipeline:
             ack = self.channel(source.node_id, target).send(frame, parent_span=parent_span)
             sends.append((target, frame, ack))
         return sends
-
-    def _note_partial_freshness(self, sends) -> None:
-        """Mark acked write-set versions known-fresh on every scheduler.
-
-        Runs synchronously after the ack barrier, in the same event as the
-        scheduler's version-vector merge, so there is no window in which a
-        read tagged with the new versions could be routed to a slave whose
-        ack has not been recorded yet.  Targets that died or were demoted
-        during the barrier are skipped — their acks never arrived.
-        """
-        agents = self.cluster.alive_scheduler_agents()
-        for target, frame, _ack in sends:
-            if (
-                target.alive
-                and target.subscribed
-                and target.node_id not in self.cluster.stragglers.demoted
-            ):
-                for agent in agents:
-                    agent.scheduler.note_slave_versions(target.node_id, frame.versions)
 
     def _replicate_scheduler_state(self, source: VersionAwareScheduler) -> None:
         """Replicate the version vector to peer schedulers (one-way delay).

@@ -226,7 +226,7 @@ def rejoin_support(
     Candidates are alive, subscribed pure slaves whose interest covers the
     joiner's (a dual master's slave role shares the master's engine, whose
     pages hold uncommitted writes in place).  Under ``all`` acks each holds
-    every confirmed write-set, so the first will do; under a weaker policy
+    every confirmed write-set, so the first will do; under ``quorum``
     per-slave histories are nested prefixes of the broadcast order, so the
     caught-up one with the highest received total (then node id) holds
     every confirmed commit.

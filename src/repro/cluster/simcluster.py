@@ -90,13 +90,13 @@ class SimDmvCluster:
         min_replication_factor: int = 1,
         slave_cache_pages: Optional[int] = None,
     ) -> None:
-        if ack_policy not in ("all", "quorum", "all-healthy"):
+        if ack_policy not in ("all", "quorum"):
             raise ValueError(f"unknown ack policy {ack_policy!r}")
         #: Pre-commit acknowledgement policy: ``all`` (paper behaviour —
-        #: every subscribed slave must ack), ``quorum`` (the first positive
-        #: slave ack suffices) or ``all-healthy`` (all non-demoted slaves).
-        #: Read by the ack barrier, the laggard monitor (demotion runs only
-        #: under the last two) and the rejoin-support choice.
+        #: every subscribed slave must ack) or ``quorum`` (the first
+        #: positive slave ack suffices).  Read by the ack barrier, the
+        #: laggard monitor (demotion runs only under ``quorum``) and the
+        #: rejoin-support choice.
         self.ack_policy = ack_policy
         self.sim = Simulator()
         #: Transaction-lifecycle tracer on the virtual clock.  Disabled by
@@ -133,9 +133,9 @@ class SimDmvCluster:
         ]
         for agent in self.schedulers:
             agent.scheduler.tracer = self.tracer
-            # Partial-routing counters feed the cluster's fingerprinted
-            # set (they never fire under full replication).
-            agent.scheduler.partial_counters = self.counters
+            # Coverage rejects and master fallbacks feed the cluster's
+            # fingerprinted set.
+            agent.scheduler.cluster_counters = self.counters
         self.rows_per_page = rows_per_page
         self.spare_ids: set = set()
         # ``slave_cache_pages`` is the resident-page budget for non-spare

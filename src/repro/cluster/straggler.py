@@ -21,7 +21,7 @@ The detector is pure bookkeeping — no events, no RNG, no counters.  The
 reaction to a verdict is the :class:`LaggardMonitor`'s: it demotes the
 laggard out of the ack set, probes it while demoted and re-integrates it
 through a drain barrier + data migration once it is healthy again — under
-a non-``all`` ack policy only.
+``quorum`` acks only.
 """
 
 from __future__ import annotations
@@ -146,9 +146,9 @@ class LaggardMonitor:
         self.sim = cluster.sim
         self.cost = cluster.cost
         self.counters = cluster.counters
-        #: Only a non-``all`` ack policy confirms a commit without every
-        #: slave, so only then may a laggard leave the ack set.
-        self.enabled = cluster.ack_policy != "all"
+        #: Only ``quorum`` confirms a commit without every slave, so only
+        #: then may a laggard leave the ack set.
+        self.enabled = cluster.ack_policy == "quorum"
         self.detector = LaggardDetector()
         #: node_id -> open ``demote`` span for currently demoted slaves.
         self.demoted: Dict[str, object] = {}

@@ -64,7 +64,13 @@ class SyncConnection(Connection):
         node = self.cluster.node(routed.node_id)
         self._node = node
         self._is_update = False
-        self._txn = node.slave.begin_read_only(routed.tag)
+        # The router's master fallback (no slave to serve the read): the
+        # master's engine is current by construction.
+        self._txn = (
+            node.slave.begin_read_only(routed.tag)
+            if node.slave is not None
+            else node.master.begin_read_only()
+        )
         return Immediate(None)
 
     def begin_update(self, tables: Sequence[str]) -> Immediate:

@@ -62,8 +62,8 @@ class MasterReplica:
         return self.engine.begin(TxnMode.UPDATE, write_intent=write_tables)
 
     def begin_read_only(self) -> Transaction:
-        """Reads on the master see current state (the partial-replication
-        fallback when no covering slave is fresh)."""
+        """Reads on the master see current state (the read-routing
+        fallback when every covering slave owes an ack, or none is active)."""
         return self.engine.begin(TxnMode.READ_ONLY)
 
     def join_epoch(self, txn: Transaction, epoch_versions: Dict[str, int]):

@@ -80,9 +80,9 @@ class SlaveReplica:
         #: Highest versions received from masters (per table).
         self.received_versions = VersionVector()
         #: Duplicate filter over write-set identities (idempotent receive).
-        #: Keys of discarded write-sets are kept: a retransmission of a
-        #: broadcast that master-failure cleanup already dropped must not be
-        #: re-buffered after its producer is gone.
+        #: :meth:`discard_above` drops the keys of the write-sets it
+        #: discards: their effects were reverted, so a re-delivery (rejoin
+        #: gap replay, late retransmission) must be applied again.
         self._seen_write_sets: set = set()
         #: While True (node catching up after a restart), received write-sets
         #: are buffered WITHOUT index maintenance — the indexes will be

@@ -5,17 +5,21 @@ Routing rules:
 * update transactions go to the master of their conflict class (single
   master fallback when classes are unknown);
 * read-only transactions are tagged with the latest merged version vector
-  and sent to a replica already serving that exact version if one exists,
-  otherwise to the least-loaded active slave;
+  and sent to an active slave whose interest covers every table they
+  touch and which owes no ack on those tables: one already serving that
+  exact version if possible, otherwise the least-loaded one.  Uncovering
+  slaves count ``sched.coverage_rejects``.  With no such slave the read
+  falls back to the first covering master (``sched.read_master_fallbacks``),
+  which always holds current state;
 * a configurable fraction of reads is diverted to warm spare backups
-  (the Figure 8 warm-up strategy);
-* under partial replication (any slave with a declared interest set),
-  routing goes coverage-then-version: a slave is a candidate only if its
-  interest covers every table the read touches (``sched.coverage_rejects``
-  counts the shed candidates) *and* its acked versions are fresh enough
-  for the read's tag; with no fresh covering slave the read falls back to
-  a master (``sched.partial_master_fallbacks``), which always holds
-  current state.
+  (the Figure 8 warm-up strategy), skipping a spare that owes an ack.
+
+A slave *owes* the versions of every write-set sent to it whose positive
+ack had not arrived when the commit was confirmed (the ledger is fed by
+the cluster's commit path and its replication channels; a driver that
+replicates inline before confirm never feeds it).  Such a slave may be
+missing a write at or below the read's tag, so it serves no read of
+those tables until the ack arrives or it rejoins.
 
 The scheduler's only hard state is the version vector (plus the query log
 for the persistence tier), which is why scheduler failover is nearly free:
@@ -60,11 +64,6 @@ class RoutedRead:
     tag: VersionVector
 
 
-#: Shared all-zeroes vector for freshness checks on slaves with no acked
-#: history yet (every ``get`` returns 0 — fresh only against a zero tag).
-_EMPTY_VECTOR = VersionVector()
-
-
 class VersionAwareScheduler:
     """Pure routing + version bookkeeping for the in-memory tier."""
 
@@ -89,33 +88,25 @@ class VersionAwareScheduler:
         self.slaves: Dict[NodeId, SlaveState] = {}
         self.masters: Set[NodeId] = set(conflict_map.masters_in_use())
         self.query_log = QueryLog()
-        #: Partial-replication routing state, kept OUT of SlaveState so it
-        #: survives the slave-pool rebuilds of scheduler takeover and
-        #: crash/rejoin cycles.  ``_interest`` holds only the partial
-        #: entries (a full subscriber is simply absent); its emptiness is
-        #: the legacy fast path — no entry, no partial routing, no new
-        #: counters, bit-identical fingerprints.  ``_known`` tracks the
-        #: per-slave acked version vector the coverage router's freshness
-        #: check consults (fed by the cluster after each ack barrier).
+        #: Declared partial interest sets (a full replica is simply
+        #: absent), kept out of SlaveState so they survive the slave-pool
+        #: rebuilds of scheduler takeover and crash/rejoin cycles.
         self._interest: Dict[NodeId, FrozenSet[str]] = {}
-        self._known: Dict[NodeId, VersionVector] = {}
-        #: Where the partial-routing counters (``sched.coverage_rejects``,
-        #: ``sched.partial_master_fallbacks``) are recorded.  The cluster
-        #: repoints this at its own merged-and-fingerprinted counters so
-        #: chaos reports surface them; the legacy counters stay on the
-        #: scheduler's private object, keeping full-replication
-        #: fingerprints byte-identical.
-        self.partial_counters = self.counters
+        #: node -> table -> highest version the node owes an ack for (see
+        #: the module docstring); a node with no debt is absent.
+        self._owed: Dict[NodeId, Dict[str, int]] = {}
+        #: Where ``sched.coverage_rejects`` and ``sched.read_master_fallbacks``
+        #: are recorded: the cluster points this at its own fingerprinted
+        #: counters, so a run's report shows them.
+        self.cluster_counters = self.counters
 
     # -- topology -----------------------------------------------------------------
     def add_slave(self, node_id: NodeId, spare: bool = False) -> None:
         self.slaves[node_id] = SlaveState(node_id, spare=spare)
-        if self._interest:
-            # A slave (re)joining the pool is current: initial construction
-            # happens before any commit, and a rejoin completes data
-            # migration before re-adding.  Seed its acked vector so the
-            # freshness check does not shed it until it actually lags.
-            self._known[node_id] = self.latest.copy()
+        # A slave (re)joining the pool is current: initial construction
+        # happens before any commit, and a rejoin completes data migration
+        # before re-adding.
+        self._owed.pop(node_id, None)
 
     def remove_node(self, node_id: NodeId) -> None:
         self.slaves.pop(node_id, None)
@@ -138,28 +129,11 @@ class VersionAwareScheduler:
     def set_interest(
         self, node_id: NodeId, tables: Optional[Iterable[str]]
     ) -> None:
-        """Declare one replica's interest set (``None`` = full replication).
-
-        Declaring everything full empties the partial state entirely and
-        restores legacy routing.
-        """
+        """Declare one replica's interest set (``None`` = full replication)."""
         if tables is None:
             self._interest.pop(node_id, None)
-            if not self._interest:
-                self._known.clear()
         else:
             self._interest[node_id] = frozenset(tables)
-
-    @property
-    def partial_routing(self) -> bool:
-        return bool(self._interest)
-
-    def note_slave_versions(self, node_id: NodeId, versions: Dict[str, int]) -> None:
-        """Record versions a slave positively acknowledged (freshness input)."""
-        known = self._known.get(node_id)
-        if known is None:
-            known = self._known[node_id] = VersionVector()
-        known.merge(VersionVector(versions))
 
     def _covers(self, node_id: NodeId, tables: Sequence[str]) -> bool:
         interest = self._interest.get(node_id)
@@ -167,24 +141,42 @@ class VersionAwareScheduler:
             return True
         return all(table in interest for table in tables)
 
-    def _fresh_enough(
-        self, node_id: NodeId, tag: VersionVector, tables: Sequence[str]
-    ) -> bool:
-        known = self._known.get(node_id)
-        if known is None:
-            known = _EMPTY_VECTOR
-        return all(known.get(table) >= tag.get(table) for table in tables)
+    # -- the ack ledger ----------------------------------------------------------------
+    def note_owed(self, node_id: NodeId, versions: Dict[str, int]) -> None:
+        """A commit was confirmed before ``node_id`` acked ``versions``."""
+        owed = self._owed.setdefault(node_id, {})
+        for table, version in versions.items():
+            if version > owed.get(table, 0):
+                owed[table] = version
+
+    def note_acked(self, node_id: NodeId, versions: Dict[str, int]) -> None:
+        """``node_id`` positively acked ``versions``: clear the debts they cover."""
+        owed = self._owed.get(node_id)
+        if owed is None:
+            return
+        for table, version in versions.items():
+            if table in owed and owed[table] <= version:
+                del owed[table]
+        if not owed:
+            del self._owed[node_id]
+
+    def _owes(self, node_id: NodeId, tables: Sequence[str]) -> bool:
+        owed = self._owed.get(node_id)
+        return owed is not None and any(table in owed for table in tables)
 
     def set_demoted(self, node_id: NodeId, demoted: bool) -> None:
         """Mark a laggard replica demoted (or restore it after rejoin).
 
         A demoted replica stays in the pool — it is alive and heartbeating
         — but no fresh-version reads are routed to it and the cluster's
-        commit path excludes it from the ack barrier.
+        commit path excludes it from the ack barrier.  Restoring it comes
+        after its rejoin's data migration, which leaves it owing nothing.
         """
         state = self.slaves.get(node_id)
         if state is not None:
             state.demoted = demoted
+        if not demoted:
+            self._owed.pop(node_id, None)
 
     # -- routing --------------------------------------------------------------------
     def route_update(self, tables: Iterable[str]) -> NodeId:
@@ -197,69 +189,46 @@ class VersionAwareScheduler:
         return master
 
     def route_read(self, tables: Sequence[str]) -> RoutedRead:
-        """Tag with the latest version vector and pick a replica."""
+        """Tag with the latest version vector and pick a replica.
+
+        Coverage is checked before the ledger: an uncovering slave cannot
+        answer the query at all, and each one shed counts one
+        ``sched.coverage_rejects``.  A covering slave that owes an ack on
+        ``tables`` is passed over for the master fallback rather than
+        serve a write it may not have.  Masters hold current state for
+        their own classes (and, as dual nodes or the single master, for
+        everything), so the fallback is always safe — just unscalable,
+        which is why it has its own counter.
+        """
         tag = self.latest.copy()
         self.counters.add("sched.reads_routed")
         spares = self.spare_slaves()
         if spares and self.spare_read_fraction > 0:
             if self.rng.random() < self.spare_read_fraction:
-                spare = min(spares, key=lambda s: (s.outstanding, s.node_id))
-                self.counters.add("sched.reads_to_spares")
-                return self._assign(spare, tag, reason="spare-diversion")
-        candidates = self.active_slaves()
-        if self._interest:
-            return self._route_read_partial(tables, tag, candidates)
-        if not candidates:
-            raise NodeUnavailable("no active slaves available for read routing")
-        # Prefer replicas already serving exactly this version.
-        same_version = [s for s in candidates if s.last_tag == tag]
-        pool = same_version if same_version else candidates
-        if same_version:
-            self.counters.add("sched.reads_version_affinity")
-        chosen = min(pool, key=lambda s: (s.outstanding, s.node_id))
-        return self._assign(
-            chosen, tag,
-            reason="version-affinity" if same_version else "least-loaded",
-        )
-
-    def _route_read_partial(
-        self, tables: Sequence[str], tag: VersionVector, candidates: List[SlaveState]
-    ) -> RoutedRead:
-        """Coverage-then-version routing (partial replication).
-
-        Coverage is checked first: a fresh-but-uncovering slave is never a
-        candidate (it cannot answer the query at all), and every shed
-        candidate counts one ``sched.coverage_rejects``.  Freshness is
-        checked second: a stale-but-covering slave is passed over for the
-        master fallback rather than serving a stale tag.  Masters always
-        hold current state for their own classes (and, as dual nodes or
-        the single legacy master, for everything), so the fallback is
-        always safe — just unscalable, which is why it has its own
-        counter.
-        """
-        covering = []
+                spares = [s for s in spares if not self._owes(s.node_id, tables)]
+                if spares:
+                    spare = min(spares, key=lambda s: (s.outstanding, s.node_id))
+                    self.counters.add("sched.reads_to_spares")
+                    return self._assign(spare, tag, reason="spare-diversion")
+        candidates = []
         rejects = 0
-        for state in candidates:
-            if self._covers(state.node_id, tables):
-                covering.append(state)
-            else:
+        for state in self.active_slaves():
+            if not self._covers(state.node_id, tables):
                 rejects += 1
+            elif not self._owes(state.node_id, tables):
+                candidates.append(state)
         if rejects:
-            self.partial_counters.add("sched.coverage_rejects", rejects)
-        fresh = [
-            state
-            for state in covering
-            if self._fresh_enough(state.node_id, tag, tables)
-        ]
-        if fresh:
-            same_version = [s for s in fresh if s.last_tag == tag]
-            pool = same_version if same_version else fresh
+            self.cluster_counters.add("sched.coverage_rejects", rejects)
+        if candidates:
+            # Prefer replicas already serving exactly this version.
+            same_version = [s for s in candidates if s.last_tag == tag]
+            pool = same_version if same_version else candidates
             if same_version:
                 self.counters.add("sched.reads_version_affinity")
             chosen = min(pool, key=lambda s: (s.outstanding, s.node_id))
             return self._assign(
                 chosen, tag,
-                reason="version-affinity" if same_version else "coverage-fresh",
+                reason="version-affinity" if same_version else "least-loaded",
             )
         for master in sorted(self.masters):
             # An original master holds everything; a promoted ex-partial
@@ -267,14 +236,14 @@ class VersionAwareScheduler:
             # — fall back to the first master that actually covers.
             if not self._covers(master, tables):
                 continue
-            self.partial_counters.add("sched.partial_master_fallbacks")
+            self.cluster_counters.add("sched.read_master_fallbacks")
             if self.tracer.enabled:
                 self.tracer.instant(
                     "route", kind="read", node=master,
-                    scheduler=self.scheduler_id, reason="partial-master-fallback",
+                    scheduler=self.scheduler_id, reason="master-fallback",
                 )
             return RoutedRead(master, tag)
-        raise NodeUnavailable("no covering replica or master for read routing")
+        raise NodeUnavailable("no replica or master covers the read")
 
     def _assign(
         self, state: SlaveState, tag: VersionVector, reason: str = "least-loaded"
@@ -319,8 +288,8 @@ class VersionAwareScheduler:
         """One conflict class moved to a new (already serving) master.
 
         The shared conflict map carries the new assignment; this hook only
-        keeps the scheduler's master set — the partial-routing fallback's
-        candidates — in step.
+        keeps the scheduler's master set — the read fallback's candidates —
+        in step.
         """
         self.masters.add(new_master)
         self.counters.add("sched.class_rehomes")

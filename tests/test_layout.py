@@ -44,7 +44,7 @@ def test_no_cluster_module_over_650_lines():
 
 
 #: ``src/repro/cluster`` after its last deletion: the package must not grow.
-CLUSTER_BUDGET = 4799
+CLUSTER_BUDGET = 4796
 
 
 def test_cluster_package_line_budget():
@@ -71,6 +71,14 @@ def test_no_feature_switchboard_on_the_cluster():
     for path in (REPO / "src" / "repro").rglob("*.py"):
         assert reads.findall(path.read_text()) == [], path
     assert "_support" not in vars(SyncDmvCluster)
+
+
+def test_one_read_routing_rule():
+    # Full and partial replication share one route_read body and one
+    # freshness ledger, kept under every ack policy and interest setup.
+    for name in ("_route_read_partial", "partial_routing", "note_slave_versions"):
+        assert not hasattr(VersionAwareScheduler, name), name
+    assert "partial_active" not in (CLUSTER / "commit.py").read_text()
 
 
 def test_design_doc_module_tree_matches_the_code():

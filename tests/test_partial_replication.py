@@ -164,44 +164,60 @@ class TestPartialRouting:
         for _ in range(4):
             routed = sched.route_read(["item"])
             assert routed.node_id != "s1"
-        assert sched.partial_counters.get("sched.coverage_rejects") == 4
+        assert sched.cluster_counters.get("sched.coverage_rejects") == 4
 
     def test_reject_count_is_per_candidate(self):
         sched = make_sched(n_slaves=3)
         sched.set_interest("s1", ["orders"])
         sched.set_interest("s2", ["orders"])
         sched.route_read(["item"])
-        assert sched.partial_counters.get("sched.coverage_rejects") == 2
+        assert sched.cluster_counters.get("sched.coverage_rejects") == 2
 
     def test_fresh_covering_slave_wins(self):
         sched = make_sched(n_slaves=2)
         sched.set_interest("s1", ["item"])
         sched.on_master_commit("m0", {"item": 3})
-        # Only s1 positively acked version 3; s0 (full interest, never
-        # acked anything since partial mode began) is stale for this tag.
-        sched.note_slave_versions("s1", {"item": 3})
+        # Version 3 was confirmed before s0 acked it: s0 owes, s1 does not.
+        sched.note_owed("s0", {"item": 3})
         assert sched.route_read(["item"]).node_id == "s1"
+        # The ack clears the debt: s0 serves again once s1 owes instead.
+        sched.note_acked("s0", {"item": 3})
+        sched.note_owed("s1", {"item": 3})
+        assert sched.route_read(["item"]).node_id == "s0"
 
     def test_stale_but_covering_falls_back_to_master(self):
         sched = make_sched(n_slaves=2)
         sched.set_interest("s1", ["item"])
         sched.on_master_commit("m0", {"item": 3})
+        for node_id in ("s0", "s1"):
+            sched.note_owed(node_id, {"item": 3})
         routed = sched.route_read(["item"])
         assert routed.node_id == "m0"
         assert routed.tag == VersionVector({"item": 3})
-        assert sched.partial_counters.get("sched.partial_master_fallbacks") == 1
+        assert sched.cluster_counters.get("sched.read_master_fallbacks") == 1
 
     def test_fresh_but_uncovering_never_beats_coverage(self):
-        """Coverage first: a fresh slave that lacks the table is shed even
-        when every covering slave is stale (master fallback instead)."""
+        """Coverage first: a slave that owes nothing but lacks the table is
+        shed even when every covering slave owes (master fallback instead)."""
         sched = make_sched(n_slaves=2)
         sched.set_interest("s1", ["orders"])
         sched.on_master_commit("m0", {"item": 5})
-        sched.note_slave_versions("s1", {"item": 5})  # fresh, but uncovering
+        sched.note_owed("s0", {"item": 5})
         routed = sched.route_read(["item"])
         assert routed.node_id == "m0"
-        assert sched.partial_counters.get("sched.coverage_rejects") == 1
-        assert sched.partial_counters.get("sched.partial_master_fallbacks") == 1
+        assert sched.cluster_counters.get("sched.coverage_rejects") == 1
+        assert sched.cluster_counters.get("sched.read_master_fallbacks") == 1
+
+    def test_a_debt_on_another_table_does_not_shed(self):
+        sched = make_sched(n_slaves=1)
+        sched.note_owed("s0", {"orders": 4})
+        assert sched.route_read(["item"]).node_id == "s0"
+        assert sched.route_read(["orders"]).node_id == "m0"
+        # An ack of an older version covers nothing.
+        sched.note_acked("s0", {"orders": 3})
+        assert sched.route_read(["orders"]).node_id == "m0"
+        sched.note_acked("s0", {"orders": 4})
+        assert sched.route_read(["orders"]).node_id == "s0"
 
     def test_no_covering_replica_or_master_raises(self):
         sched = make_sched(n_slaves=1)
@@ -210,23 +226,30 @@ class TestPartialRouting:
         with pytest.raises(NodeUnavailable):
             sched.route_read(["item"])
 
-    def test_clearing_all_interest_restores_legacy_routing(self):
+    def test_slave_owing_an_ack_is_skipped_under_full_replication(self):
+        # The same rule with no interest set declared anywhere.
         sched = make_sched(n_slaves=2)
-        sched.set_interest("s1", ["orders"])
-        assert sched.partial_routing
-        sched.set_interest("s1", None)
-        assert not sched.partial_routing
-        assert sched._known == {}
         sched.on_master_commit("m0", {"item": 1})
-        # Legacy path again: never-acked slaves are routable.
-        assert sched.route_read(["item"]).node_id in ("s0", "s1")
+        sched.note_owed("s0", {"item": 1})
+        assert [sched.route_read(["item"]).node_id for _ in range(3)] == ["s1"] * 3
+        sched.note_owed("s1", {"item": 1})
+        assert sched.route_read(["item"]).node_id == "m0"
+        assert sched.cluster_counters.get("sched.coverage_rejects") == 0
 
     def test_slave_added_under_partial_mode_starts_fresh(self):
         sched = make_sched(n_slaves=1)
         sched.set_interest("s0", ["orders"])
         sched.on_master_commit("m0", {"item": 7})
+        sched.note_owed("s9", {"item": 7})
         sched.add_slave("s9")  # rejoin completes migration before re-add
         assert sched.route_read(["item"]).node_id == "s9"
+
+    def test_rejoin_after_demotion_clears_the_debt(self):
+        sched = make_sched(n_slaves=1)
+        sched.note_owed("s0", {"item": 2})
+        sched.set_demoted("s0", True)
+        sched.set_demoted("s0", False)  # after the rejoin's data migration
+        assert sched.route_read(["item"]).node_id == "s0"
 
 
 class TestClusterPartial:
@@ -296,7 +319,7 @@ class TestClusterPartial:
         # covers them, so those reads complete on the master.
         assert cluster.metrics.completed > 100
         assert cluster.metrics.failed == 0
-        assert cluster.counters.get("sched.partial_master_fallbacks") > 0
+        assert cluster.counters.get("sched.read_master_fallbacks") > 0
         assert check_interest_coverage(cluster).ok
 
     def test_tiering_budget_spills_and_refaults(self):

@@ -47,12 +47,12 @@ class TestRejoinSupport:
         members = (node("j"), node("s0", 3), node("s1", 9), node("s2", 5))
         assert pick(members) == "s0"
 
-    @pytest.mark.parametrize("policy", ["quorum", "all-healthy"])
+    @pytest.mark.parametrize("policy", ["quorum"])
     def test_weaker_policies_pick_the_freshest(self, policy):
         members = (node("j"), node("s0", 3), node("s1", 9), node("s2", 5))
         assert pick(members, policy=policy) == "s1"
 
-    @pytest.mark.parametrize("policy", ["quorum", "all-healthy"])
+    @pytest.mark.parametrize("policy", ["quorum"])
     def test_freshness_ties_go_to_the_highest_node_id(self, policy):
         members = (node("j"), node("s0", 9), node("s2", 9), node("s1", 9))
         assert pick(members, policy=policy) == "s2"
@@ -94,7 +94,7 @@ class TestRejoinSupport:
         interest.declare("j", InterestSet.full())
         assert pick(members, interest=interest) == "s2"
 
-    @pytest.mark.parametrize("policy", ["all", "quorum", "all-healthy"])
+    @pytest.mark.parametrize("policy", ["all", "quorum"])
     def test_no_candidate_means_the_master_fallback(self, policy):
         members = (node("m0", slave=False), node("j"), node("s0", alive=False))
         assert pick(members, policy=policy) is None

@@ -67,9 +67,20 @@ class TestVersionAwareRouting:
         assert routed.tag.get("item") == 2
 
     def test_no_slaves_raises(self):
+        # With no slave the read falls back to a master; with no master
+        # either, nothing can serve it.
         sched = make_sched(n_slaves=0)
+        assert sched.route_read(["item"]).node_id == "m0"
+        sched.remove_node("m0")
         with pytest.raises(NodeUnavailable):
             sched.route_read(["item"])
+
+    def test_spare_owing_an_ack_is_skipped(self):
+        sched = make_sched(n_slaves=1, spare_read_fraction=1.0)
+        sched.add_slave("spare0", spare=True)
+        sched.note_owed("spare0", {"item": 1})
+        assert sched.route_read(["item"]).node_id == "s0"
+        assert sched.counters.get("sched.reads_to_spares") == 0
 
     def test_spare_fraction_routes_to_spare(self):
         sched = make_sched(n_slaves=1, spare_read_fraction=1.0)

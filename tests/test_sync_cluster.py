@@ -254,6 +254,14 @@ class TestFailover:
         rs = cluster.run_read("SELECT COUNT(*) FROM item", tables=["item"])
         assert rs.scalar() == SCALE.num_items
 
+    def test_reads_fall_back_to_the_master_with_no_slave_left(self):
+        cluster = self.build(num_slaves=1)
+        self.run_some_updates(cluster)
+        expected = cluster.run_read("SELECT SUM(i_stock) FROM item", tables=["item"])
+        cluster.kill_slave("s0")
+        rs = cluster.run_read("SELECT SUM(i_stock) FROM item", tables=["item"])
+        assert rs.scalar() == expected.scalar()
+
 
     def test_multi_master_promotee_keeps_its_slave_role(self):
         """Two conflict classes on two masters: the slave promoted in place
