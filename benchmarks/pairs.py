@@ -3,6 +3,8 @@
 
     python3 benchmarks/pairs.py --parent DIR [--change DIR] [--workload order_writes]
         [--pairs 10] [--seed 0] [--seconds 8] [--metric host_interactions_per_s]
+    python3 benchmarks/pairs.py --parent DIR [--change DIR] [--workload W]
+        --seeds 0,1,2,3,4 [--seconds 8]
 
 Runs ``benchmarks/perf/run.py --workload W --seed N --seconds S --trace 0``
 in the parent checkout and in the change checkout (default: the one holding
@@ -20,7 +22,17 @@ interquartile range, ``same`` otherwise — so one command shows that, say,
 ``setup_s`` and ``peak_rss_mb`` held while the claimed metric moved.  It
 appends one JSON line with all of it, and every end-to-end metric of every
 run, to ``benchmarks/history.jsonl``.  Exits 1 if a fingerprint differs or
-a run fails.  Standard library only.
+a run fails.
+
+With ``--seeds 0,1,2,3,4`` it measures a change to the simulated
+behaviour instead, where fingerprints are expected to differ: one parent
+run and one change run per seed, the side that goes first alternating
+from seed to seed.  It prints both sides' fingerprint for each seed, the
+per-seed change of every end-to-end metric, and a verdict per metric
+against its bound — ``better`` only when every seed beats the bound,
+``worse`` when the median per-seed change is worse than the bound,
+``same`` otherwise — and appends one JSON line with all of it.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -91,12 +103,56 @@ def end_to_end_table(runs, declared):
     return rows
 
 
-def run_once(checkout: Path, args) -> dict:
+def seed_sweep_table(runs, declared):
+    """One row per metric of ``declared`` that both sides of ``runs``
+    measured, where ``runs[side][metric][i]`` is seed ``i``'s value: the
+    per-seed relative changes, their median, the bound and the verdict."""
+    rows = []
+    for metric in declared:
+        name = metric["name"]
+        if name not in runs["parent"] or name not in runs["change"]:
+            continue
+        sign = 1 if metric["better"] == "higher" else -1
+        deltas = [relative(p, c) for p, c in zip(runs["parent"][name], runs["change"][name])]
+        median = statistics.median(deltas)
+        bound = metric["bound"]
+        rows.append({
+            "metric": name, "deltas": deltas, "median_delta": median, "bound": bound,
+            "verdict": "better" if all(sign * d > bound for d in deltas)
+            else "worse" if -sign * median > bound else "same",
+        })
+    return rows
+
+
+def sweep_seeds(sides, seeds, args, spec):
+    """``--seeds``: one run per side and seed, then the per-seed table."""
+    runs = {"parent": {}, "change": {}}
+    fingerprints = {"parent": [], "change": []}
+    for index, seed in enumerate(seeds):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], args, seed)
+            for name, value in result["metrics"].items():
+                runs[side].setdefault(name, []).append(value)
+            fingerprints[side].append(result["fingerprint"])
+        print(f"seed {seed:3d}  parent {fingerprints['parent'][-1]}  "
+              f"change {fingerprints['change'][-1]}", flush=True)
+    table = seed_sweep_table(runs, spec["end_to_end"])
+    print(f"{'metric':24s} " + " ".join(f"{'seed ' + str(s):>8s}" for s in seeds)
+          + f" {'median':>8s} {'bound':>6s}  verdict")
+    for row in table:
+        print(f"{row['metric']:24s} " + " ".join(f"{d:+8.1%}" for d in row["deltas"])
+              + f" {row['median_delta']:+8.1%} {row['bound']:6.0%}  {row['verdict']}")
+    return {"seeds": seeds, "fingerprints": fingerprints, "end_to_end": runs,
+            "end_to_end_verdicts": table}
+
+
+def run_once(checkout: Path, args, seed: int) -> dict:
     """One untraced run in ``checkout``: its metrics and fingerprint."""
     with tempfile.TemporaryDirectory(prefix="pairs-") as out:
         done = subprocess.run(
             [sys.executable, "benchmarks/perf/run.py", "--workload", args.workload,
-             "--seed", str(args.seed), "--seconds", repr(args.seconds), "--trace", "0",
+             "--seed", str(seed), "--seconds", repr(args.seconds), "--trace", "0",
              "--out", out],
             cwd=checkout, capture_output=True, text=True,
         )
@@ -124,18 +180,31 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--metric", default="host_interactions_per_s")
+    parser.add_argument("--seeds", help="comma-separated seeds: one run per side and seed")
     parser.add_argument("--history", type=Path, default=HERE / "history.jsonl")
     args = parser.parse_args()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     higher = next(m for m in spec["end_to_end"] if m["name"] == args.metric)["better"] == "higher"
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    header = {
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "workload": args.workload, "seconds": args.seconds,
+        "parent_rev": revision(sides["parent"]), "change_rev": revision(sides["change"]),
+    }
+    if args.seeds:
+        seeds = [int(seed) for seed in args.seeds.split(",")]
+        record = {**header, "mode": "seeds", **sweep_seeds(sides, seeds, args, spec)}
+        with args.history.open("a") as history:
+            history.write(json.dumps(record, sort_keys=True) + "\n")
+        return 0
+
     runs = {"parent": {}, "change": {}}  # every end-to-end metric, run by run
     fingerprints = set()
     for index in range(args.pairs):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args)
+            result = run_once(sides[side], args, args.seed)
             for name, value in result["metrics"].items():
                 runs[side].setdefault(name, []).append(value)
             fingerprints.add(result["fingerprint"])
@@ -158,10 +227,7 @@ def main() -> int:
         print(f"{row['metric']:24s} {row['parent']:12.4g} {row['change']:12.4g} "
               f"{row['delta']:+8.1%} {row['bound']:6.0%}  {row['verdict']}")
     record = {
-        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "metric": args.metric, "pairs": args.pairs,
-        "parent_rev": revision(sides["parent"]), "change_rev": revision(sides["change"]),
+        **header, "seed": args.seed, "metric": args.metric, "pairs": args.pairs,
         "fingerprints": sorted(fingerprints), "end_to_end": runs,
         "end_to_end_verdicts": table, **verdict,
     }

@@ -18,7 +18,6 @@ from conftest import audit
 from repro.bench.harness import THROUGHPUT, bench_cluster, measured, steady_wips
 from repro.bench.report import format_table
 from repro.chaos import run_plan
-from repro.common.versions import VersionVector
 from repro.core import MasterReplica, SlaveReplica
 from repro.engine import bulk_load_replicas
 from repro.sql import SqlExecutor
@@ -31,11 +30,16 @@ def _run_with_affinity(enabled: bool, rounds: int = 200):
     A master streams single-row updates to two slaves.  Each round opens a
     reader at the OLD version, commits an update, opens a reader at the NEW
     version, and only then lets the old reader touch the shared page — the
-    exact interleaving Section 2.2 discusses.  The version-aware scheduler
-    separates the two tags onto different replicas; blind round-robin does
-    not.
+    exact interleaving Section 2.2 discusses.  With ``enabled`` both
+    readers are placed by the shipped :class:`VersionAwareScheduler`
+    (``route_read`` / ``note_read_done``), which separates the two tags
+    onto different replicas; blind random placement does not.
     """
+    from repro.common.errors import VersionInconsistency
+    from repro.common.rng import RngStream
+    from repro.core import ConflictClassMap
     from repro.engine import Column, TableSchema
+    from repro.scheduler import VersionAwareScheduler
 
     schema = TableSchema(
         "item",
@@ -43,67 +47,58 @@ def _run_with_affinity(enabled: bool, rounds: int = 200):
         primary_key=("i_id",),
     )
     master = MasterReplica("m0")
-    slaves = [SlaveReplica(f"s{i}") for i in range(2)]
+    slaves = {node_id: SlaveReplica(node_id) for node_id in ("s0", "s1")}
     rows = [{"i_id": i, "i_stock": 10} for i in range(64)]
-    engines = [master.engine] + [s.engine for s in slaves]
+    engines = [master.engine] + [s.engine for s in slaves.values()]
     for engine in engines:
         engine.create_table(schema)
     bulk_load_replicas(engines, "item", rows)
     msql = SqlExecutor(master.engine)
-    ssqls = {s.node_id: SqlExecutor(s.engine) for s in slaves}
-    last_tag = {s.node_id: VersionVector() for s in slaves}
-
-    from repro.common.rng import RngStream
-
+    ssqls = {node_id: SqlExecutor(s.engine) for node_id, s in slaves.items()}
+    conflict_map = ConflictClassMap.single_class(["item"])
+    conflict_map.assign_masters(["m0"])
+    scheduler = VersionAwareScheduler("sched0", conflict_map)
+    for node_id in slaves:
+        scheduler.add_slave(node_id)
     rng = RngStream(99, "ablation", "blind")
 
-    def pick(tag: VersionVector, avoid=None) -> str:
+    def begin_read():
         if enabled:
-            # Version-aware: same tag -> same replica; otherwise a replica
-            # not currently serving a conflicting version.
-            for s in slaves:
-                if last_tag[s.node_id] == tag:
-                    return s.node_id
-            for s in slaves:
-                if s.node_id != avoid:
-                    return s.node_id
-            return slaves[0].node_id
+            routed = scheduler.route_read(["item"])
+            return routed.node_id, routed.tag
         # Blind: plain load balancing with no version knowledge.
-        return rng.choice(slaves).node_id
-    aborts = reads = 0
-    from repro.common.errors import VersionInconsistency
+        return rng.choice(sorted(slaves)), master.current_versions()
 
+    def finish_read(node_id, reader):
+        slaves[node_id].engine.commit(reader)
+        scheduler.note_read_done(node_id)
+
+    aborts = reads = 0
     for round_no in range(rounds):
-        old_tag = master.current_versions()
-        old_node = pick(old_tag)
-        last_tag[old_node] = old_tag.copy()
-        old_reader = slaves_by(slaves, old_node).begin_read_only(old_tag)
+        old_node, old_tag = begin_read()
+        old_reader = slaves[old_node].begin_read_only(old_tag)
         # Commit an update to the shared row while the old reader is open.
         txn = master.begin_update(write_tables=["item"])
         msql.execute(txn, "UPDATE item SET i_stock = ? WHERE i_id = 1", (round_no,))
         ws = master.pre_commit(txn)
-        for s in slaves:
+        for s in slaves.values():
             s.receive(ws)
         master.finalize(txn)
-        new_tag = master.current_versions()
-        new_node = pick(new_tag, avoid=old_node)
-        last_tag[new_node] = new_tag.copy()
-        new_reader = slaves_by(slaves, new_node).begin_read_only(new_tag)
+        scheduler.on_master_commit("m0", ws.versions)
+        new_node, new_tag = begin_read()
+        new_reader = slaves[new_node].begin_read_only(new_tag)
         ssqls[new_node].execute(new_reader, "SELECT i_stock FROM item WHERE i_id = 1")
-        slaves_by(slaves, new_node).engine.commit(new_reader)
+        finish_read(new_node, new_reader)
         # Now the old reader touches the same row.
         reads += 1
         try:
             ssqls[old_node].execute(old_reader, "SELECT i_stock FROM item WHERE i_id = 1")
-            slaves_by(slaves, old_node).engine.commit(old_reader)
+            finish_read(old_node, old_reader)
         except VersionInconsistency:
             aborts += 1
-            slaves_by(slaves, old_node).engine.abort(old_reader)
+            slaves[old_node].engine.abort(old_reader)
+            scheduler.note_read_done(old_node)
     return aborts / reads
-
-
-def slaves_by(slaves, node_id):
-    return next(s for s in slaves if s.node_id == node_id)
 
 
 def test_ablation_version_aware_scheduling(benchmark, figure_report):

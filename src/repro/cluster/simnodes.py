@@ -121,11 +121,11 @@ class SimNode:
         experiences under the ordering mix.  A lock-wait attempt is charged
         its :meth:`CostModel.statement_cpu` only: no fault, disk or slowdown.
 
-        When the transaction carries a trace root (``txn.obs_span``), every
-        attempt gets its own ``execute`` span; the root is swapped to the
-        attempt span for the duration of the engine call so ``apply`` spans
-        raised by lazy version materialisation nest under the statement
-        that triggered them.
+        With a trace root on the transaction (``txn.obs_span``), each attempt
+        gets an ``execute`` span, opened at the CPU grant and tagged with
+        the wait for it (``cpu_wait_ms``); the root is swapped to it for the
+        engine call so ``apply`` spans raised by lazy materialisation nest
+        under the statement that triggered them.
         """
         root = getattr(txn, "obs_span", NULL_SPAN)
         attempt = 0
@@ -136,15 +136,15 @@ class SimNode:
                 raise TransactionAborted(
                     f"txn {txn.txn_id} aborted by reconfiguration", reason="node-failure"
                 )
+            requested = self.sim.now() if root.recording else 0.0
             yield from self.cpu.acquire()
             holding = True
             span = NULL_SPAN
             if root.recording:
                 span = root.child(
-                    "execute",
-                    node=self.node_id,
+                    "execute", node=self.node_id, attempt=attempt,
                     verb=sql.split(None, 1)[0].upper() if sql else "",
-                    attempt=attempt,
+                    cpu_wait_ms=(self.sim.now() - requested) * 1000.0,
                 )
             attempt += 1
             try:

@@ -6,11 +6,11 @@ Routing rules:
   master fallback when classes are unknown);
 * read-only transactions are tagged with the latest merged version vector
   and sent to an active slave whose interest covers every table they
-  touch and which owes no ack on those tables: one already serving that
-  exact version if possible, otherwise the least-loaded one.  Uncovering
-  slaves count ``sched.coverage_rejects``.  With no such slave the read
-  falls back to the first covering master (``sched.read_master_fallbacks``),
-  which always holds current state;
+  touch and which owes no ack on those tables: the least-loaded one that
+  cannot mix versions (idle, or already serving exactly that tag), else
+  the least-loaded one.  Uncovering slaves count ``sched.coverage_rejects``.
+  With no such slave the read falls back to the first covering master
+  (``sched.read_master_fallbacks``), which always holds current state;
 * a configurable fraction of reads is diverted to warm spare backups
   (the Figure 8 warm-up strategy), skipping a spare that owes an ack.
 
@@ -220,16 +220,14 @@ class VersionAwareScheduler:
         if rejects:
             self.cluster_counters.add("sched.coverage_rejects", rejects)
         if candidates:
-            # Prefer replicas already serving exactly this version.
-            same_version = [s for s in candidates if s.last_tag == tag]
-            pool = same_version if same_version else candidates
-            if same_version:
+            # Prefer replicas that cannot mix versions: idle ones (no reader
+            # at any version) or ones already serving exactly this tag.
+            safe = [s for s in candidates if not s.outstanding or s.last_tag == tag]
+            chosen = min(safe or candidates, key=lambda s: (s.outstanding, s.node_id))
+            if chosen.last_tag == tag:
                 self.counters.add("sched.reads_version_affinity")
-            chosen = min(pool, key=lambda s: (s.outstanding, s.node_id))
-            return self._assign(
-                chosen, tag,
-                reason="version-affinity" if same_version else "least-loaded",
-            )
+                return self._assign(chosen, tag, reason="version-affinity")
+            return self._assign(chosen, tag)
         for master in sorted(self.masters):
             # An original master holds everything; a promoted ex-partial
             # dual master only its inherited classes plus its old interest

@@ -164,12 +164,12 @@ class TestFigureShapesMatchTheDeletedRunners:
         assert report.ok(), report.summary()
         window = report.window
         assert window.stopped_at == 30.0
-        assert steady_wips(window) == 40.45
-        assert window.metrics.latency.percentile(95) == 0.3392725902573801
-        assert window.metrics.completed == 1179
-        assert window.metrics.abort_rate() == 0.03360655737704918
-        assert window.metrics.commit_latency.percentile(95) == 0.03942434000000017
-        assert window.metrics.aborts_by_reason == {"occ-conflict": 41}
+        assert steady_wips(window) == 40.25
+        assert window.metrics.latency.percentile(95) == 0.36965613124703367
+        assert window.metrics.completed == 1163
+        assert window.metrics.abort_rate() == 0.037251655629139076
+        assert window.metrics.commit_latency.percentile(95) == 0.040206172602337276
+        assert window.metrics.aborts_by_reason == {"occ-conflict": 45}
 
     def test_master_failover_onto_a_stale_cold_spare(self):
         plan = measured(
@@ -187,10 +187,10 @@ class TestFigureShapesMatchTheDeletedRunners:
         report = run_plan(plan)
         assert report.ok(), report.summary()
         window = report.window
-        assert wips_series(window).values == [36.75, 19.15]
-        assert (window.metrics.completed, window.metrics.retried) == (1118, 0)
-        assert window.metrics.latency.percentile(95) == 0.21783072
-        assert window.metrics.commit_latency.percentile(95) == 0.09891904000000551
+        assert wips_series(window).values == [36.8, 19.15]
+        assert (window.metrics.completed, window.metrics.retried) == (1119, 0)
+        assert window.metrics.latency.percentile(95) == 0.2289409599999992
+        assert window.metrics.commit_latency.percentile(95) == 0.0990190399999964
         assert vars(window.timelines[0]) == dict(
             failure_time=10.0,
             detection_time=11.0,
@@ -213,10 +213,10 @@ class TestFigureShapesMatchTheDeletedRunners:
         report = run_plan(plan)
         assert report.ok(), report.summary()
         window = report.window
-        assert wips_series(window).values == [37.85, 19.1]
-        assert (window.metrics.completed, window.metrics.retried) == (1139, 1)
-        assert window.metrics.latency.percentile(95) == 0.2059409599999995
-        assert window.metrics.commit_latency.percentile(95) == 0.05891904000000103
+        assert wips_series(window).values == [38.2, 19.15]
+        assert (window.metrics.completed, window.metrics.retried) == (1147, 0)
+        assert window.metrics.latency.percentile(95) == 0.17156320321473162
+        assert window.metrics.commit_latency.percentile(95) == 0.05741903999999742
         reintegration = next(t for t in window.timelines if t.migration_pages > 0)
         assert vars(reintegration) == dict(
             failure_time=6.0,

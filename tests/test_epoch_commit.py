@@ -21,8 +21,10 @@ import pytest
 
 from repro.chaos import PLANS, run_plan
 from repro.chaos.invariants import check_all_invariants
+from repro.cluster import routing
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
+from repro.sim.resources import Resource
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
 
 SCALE = TpcwScale(num_items=40, num_customers=96)
@@ -67,9 +69,24 @@ def _quiesce_and_check(cluster):
         assert results[name].ok, str(results[name])
 
 
+def _record_epochs(cluster):
+    """Every commit epoch the cluster opens, in opening order."""
+    opened = {}
+    open_epoch = cluster.pipeline._open_epoch
+
+    def recording(node):
+        epoch = open_epoch(node)
+        opened.setdefault(id(epoch), epoch)
+        return epoch
+
+    cluster.pipeline._open_epoch = recording
+    return opened.values()
+
+
 class TestEpochBatching:
     def test_loaded_epochs_batch_multiple_commits(self):
         cluster = _make_cluster(EPOCH_COST)
+        opened = _record_epochs(cluster)
         cluster.start_browsers(32, MIXES["ordering"], SCALE, think_time_mean=0.2)
         cluster.run(until=20.0)
         epochs, batched = _epoch_totals(cluster)
@@ -78,8 +95,16 @@ class TestEpochBatching:
         # average epoch carried more than one member.
         assert batched > epochs
         assert batched <= epochs * EPOCH_COST.epoch_max_txns
-        assert len(cluster.commit_log) == batched
+        # A commit counts as batched when it joins its epoch and enters the
+        # log when the epoch is confirmed, so mid-run the two differ by the
+        # members of epochs still in flight.  No epoch with members failed
+        # (one whose only joiner failed validation seals empty, unconfirmed).
+        assert all(epoch.done.value for epoch in opened if epoch.done.triggered and epoch.members)
+        in_flight = sum(len(epoch.members) for epoch in opened if not epoch.done.triggered)
+        assert len(cluster.commit_log) + in_flight == batched
         _quiesce_and_check(cluster)
+        epochs, batched = _epoch_totals(cluster)
+        assert len(cluster.commit_log) == batched
 
     def test_trickle_load_timer_seals_part_filled_epochs(self):
         # One browser can never fill a 64-member epoch; only the epoch_ms
@@ -110,18 +135,30 @@ class TestEpochBatching:
 
 
 class TestAdmissionControl:
-    def test_update_mpl_bound_holds_throughout(self):
+    def test_update_mpl_bound_holds_throughout(self, monkeypatch):
+        grants = []
+
+        class RecordingSlot(Resource):
+            """An update slot that checks the bound at every grant."""
+
+            def request(self):
+                event = super().request()
+                grants.append((self.capacity, self.in_use))
+                return event
+
+            def release(self):
+                super().release()
+                grants.append((self.capacity, self.in_use))
+
+        monkeypatch.setattr(routing, "Resource", RecordingSlot)
         cluster = _make_cluster(EPOCH_COST)
         cluster.start_browsers(32, MIXES["ordering"], SCALE, think_time_mean=0.2)
-        peak = 0
-        for step in range(1, 81):
-            cluster.run(until=step * 0.25)
-            for slot in cluster.router.update_slots.values():
-                assert slot.capacity == EPOCH_COST.update_mpl
-                assert slot.in_use <= slot.capacity
-                peak = max(peak, slot.in_use)
+        cluster.run(until=20.0)
+        assert cluster.router.update_slots
+        assert all(capacity == EPOCH_COST.update_mpl for capacity, _ in grants)
+        assert all(in_use <= capacity for capacity, in_use in grants)
         # The load was heavy enough that the bound actually bit.
-        assert peak == EPOCH_COST.update_mpl
+        assert max(in_use for _, in_use in grants) == EPOCH_COST.update_mpl
         _quiesce_and_check(cluster)
 
 

@@ -12,9 +12,11 @@ already ran the epoch path and kept its hash; it moved once on its own
 when the load-driven class rebalancer was deleted, which had merged one
 class and re-homed one in those 60 s.  ``straggler-60s`` moved once on its
 own when reads stopped going to a slave that still owed the ack of a
-commit its quorum had confirmed.  The ``partial`` and
-open-loop pins were added with the registry (PR 21): until then CI only
-ever compared those plans to themselves.
+commit its quorum had confirmed.  Every pin moved when a read stopped
+preferring a busy slave at its tag over an idle one (CHANGES.md has the
+old -> new table).  The ``partial`` and open-loop pins were added with
+the registry (PR 21): until then CI only ever compared those plans to
+themselves.
 """
 
 from dataclasses import replace
@@ -26,20 +28,20 @@ from repro.chaos.__main__ import main as chaos_main
 
 # plan name -> fingerprint of a 60 sim-s run at the plan's declared seed
 PINS_60S = {
-    "default": "a4dcf51e3c0dd9c8",
-    "straggler": "112e70013871b8a1",
-    "durability": "fed99d8418d4b146",
-    "write-scaleout": "55392f29fb4326a7",
-    "partial": "164198733d664e59",
-    "overload": "743a15572deba302",
-    "overload-undefended": "abffc6b3ea5d0da4",
-    "diurnal": "45b08ef84d086911",
-    "multi-tenant": "bcc19dae85eb7da4",
+    "default": "8beac76e4bc86fb6",
+    "straggler": "e7e557e96d38f915",
+    "durability": "856e855026b08be6",
+    "write-scaleout": "f1ab03031a663b50",
+    "partial": "c44ba387611c7b67",
+    "overload": "d5ee2b132a7cf755",
+    "overload-undefended": "3fd34b1f74b52d99",
+    "diurnal": "e824bd43f03f6259",
+    "multi-tenant": "041e2f70582c5cb9",
 }
 
 # (plan, duration or None for the declared one, fingerprint)
 BASELINES = {f"{name}-60s": (PLANS[name], 60.0, PINS_60S[name]) for name in PLANS}
-BASELINES["occ-200s"] = (PLANS["default"], None, "7e64d31772f0a2b1")
+BASELINES["occ-200s"] = (PLANS["default"], None, "172b28e350ec52c9")
 
 
 def test_every_registered_plan_is_pinned():

@@ -150,6 +150,33 @@ class TestLazyApplyTiming:
         assert root.tags["kind"] == "read"
 
 
+class TestCpuWait:
+    def test_execute_spans_carry_the_cpu_queueing_before_them(self):
+        """Eight reads land on one two-core slave at the same instant: the
+        first two statements start at once, the rest queue for a core, and
+        each ``execute`` span says how long, ending where its span opens."""
+        cluster = build_cluster()
+        readers = []
+        for item_id in range(1, 9):
+            cluster.sim.spawn(scripted_read(cluster, item_id, sink=readers), name="rd")
+        cluster.run(until=10.0)
+        assert len(readers) == 8
+        executes = [
+            s for s in cluster.tracer.spans_named("execute") if s.tags["node"] == "s0"
+        ]
+        assert len(executes) == 8
+        waits = sorted(s.tags["cpu_wait_ms"] for s in executes)
+        cores = cluster.cost.config.cores_per_node
+        assert waits[:cores] == [0.0] * cores
+        assert all(w > 0 for w in waits[cores:])
+        assert waits[-1] > waits[cores]  # queued behind more than one statement
+        # The wait ends at the grant, which is where the span opens.
+        for span in executes:
+            root = spans_for_txn(cluster.tracer, span.txn_id, node="s0")[0]
+            queued_at = span.start - span.tags["cpu_wait_ms"] / 1000.0
+            assert root.start <= queued_at + 1e-9
+
+
 class TestRetransmitNesting:
     @EPOCH_SIZES
     def test_retransmit_spans_nest_under_their_broadcast(self, epoch_max_txns):

@@ -58,3 +58,27 @@ def test_a_drop_within_the_bound_is_not_worse_and_a_zero_parent_has_a_verdict():
     rows = {row["metric"]: row for row in pairs.end_to_end_table(runs, DECLARED)}
     assert rows["rate"]["verdict"] == "same"  # -20 %, inside the 25 % bound
     assert (rows["rss"]["delta"], rows["rss"]["verdict"]) == (0.0, "same")
+
+
+def test_a_seed_sweep_is_better_only_when_every_seed_beats_the_bound():
+    runs = {
+        "parent": {"rate": [10.0, 10.0, 10.0], "setup_s": [1.0, 1.0, 1.0],
+                   "rss": [100.0, 100.0, 100.0]},
+        "change": {"rate": [13.0, 13.0, 12.0], "setup_s": [0.5, 0.6, 0.7],
+                   "rss": [120.0, 100.0, 115.0]},
+    }
+    rows = {row["metric"]: row for row in pairs.seed_sweep_table(runs, DECLARED)}
+    assert set(rows) == {"rate", "setup_s", "rss"}
+    # +30 %, +30 %, +20 %: one seed inside the 25 % bound is enough to deny it.
+    assert [round(d, 12) for d in rows["rate"]["deltas"]] == [0.3, 0.3, 0.2]
+    assert rows["rate"]["verdict"] == "same"
+    assert rows["setup_s"]["verdict"] == "better"  # -50, -40, -30 %: all beyond 25 %
+    # +20, 0, +15 %: the median (+15 %) is worse than the 10 % bound.
+    assert abs(rows["rss"]["median_delta"] - 0.15) < 1e-12
+    assert rows["rss"]["verdict"] == "worse"
+
+
+def test_a_seed_sweep_gain_on_every_seed_is_better():
+    runs = {"parent": {"rate": [10.0, 20.0]}, "change": {"rate": [13.0, 26.0]}}
+    (row,) = pairs.seed_sweep_table(runs, DECLARED)
+    assert row["verdict"] == "better"

@@ -58,6 +58,43 @@ class TestVersionAwareRouting:
         assert second.node_id == first.node_id
         assert sched.counters.get("sched.reads_version_affinity") >= 1
 
+    def test_idle_slave_at_an_older_tag_beats_a_busy_slave_at_the_tag(self):
+        sched = make_sched(n_slaves=2)
+        sched.on_master_commit("m0", {"item": 1})
+        assert sched.route_read(["item"]).node_id == "s0"
+        # s0 serves the tag with one read open; s1 is idle at the empty
+        # (older) tag.  An idle replica runs no reader at any version, so
+        # the read cannot mix versions there and goes to the idler slave.
+        assert sched.slaves["s1"].last_tag != sched.latest
+        routed = sched.route_read(["item"])
+        assert routed.node_id == "s1"
+        assert sched.counters.get("sched.reads_version_affinity") == 0
+
+    def test_busy_slave_at_an_older_tag_loses_to_idle_or_same_tag_slaves(self):
+        sched = make_sched(n_slaves=3)
+        sched.on_master_commit("m0", {"item": 1})
+        assert sched.route_read(["item"]).node_id == "s0"
+        sched.on_master_commit("m0", {"item": 2})
+        # s0 has one reader open at item=1; s1 and s2 are idle.  However
+        # many readers arrive at item=2, none lands on s0, though s0 soon
+        # has the fewest open reads.
+        nodes = [sched.route_read(["item"]).node_id for _ in range(8)]
+        assert "s0" not in nodes
+        assert sorted(set(nodes)) == ["s1", "s2"]
+        assert sched.slaves["s0"].outstanding < min(
+            sched.slaves["s1"].outstanding, sched.slaves["s2"].outstanding
+        )
+
+    def test_least_loaded_wins_when_every_slave_is_busy_at_an_older_tag(self):
+        sched = make_sched(n_slaves=2)
+        sched.on_master_commit("m0", {"item": 1})
+        assert [sched.route_read(["item"]).node_id for _ in range(3)] == ["s0", "s1", "s0"]
+        sched.on_master_commit("m0", {"item": 2})
+        routed = sched.route_read(["item"])
+        assert routed.node_id == "s1"  # one open read against s0's two
+        assert routed.tag.get("item") == 2
+        assert sched.counters.get("sched.reads_version_affinity") == 1  # the third read
+
     def test_new_version_breaks_affinity_preference(self):
         sched = make_sched(n_slaves=2)
         sched.on_master_commit("m0", {"item": 1})

@@ -278,7 +278,7 @@ class TestAllPolicyCorners:
 
     @pytest.mark.parametrize(
         "durable, log_while_down, replayed",
-        [(False, 0, (0, 0)), (True, 120, (2, 1465))],
+        [(False, 0, (0, 0)), (True, 120, (2, 1454))],
     )
     def test_operator_demotion_then_kill_and_reintegrate(
         self, durable, log_while_down, replayed
