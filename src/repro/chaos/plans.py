@@ -141,8 +141,8 @@ def write_scaleout_chaos_plan(seed: int = 0, duration: float = 200.0) -> FaultPl
       50 % — two drain-barrier handoffs under full load;
     * the re-home destination master is killed shortly after the second
       handoff begins (mid-drain for slow drains, just post-flip for fast
-      ones); either way its classes fail over and the parked updates
-      re-route, never straddling owners;
+      ones); either way its classes fail over and their queued updates
+      are handed to the new owner, never straddling owners;
     * the dead master reintegrates at 75 %, before quiescence.
     """
     t = lambda fraction: round(duration * fraction, 3)

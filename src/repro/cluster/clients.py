@@ -20,7 +20,6 @@ from repro.common.rng import RngStream
 from repro.cluster.costs import CostConfig
 from repro.obs import NULL_SPAN
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource
 from repro.sim.stats import Histogram, TimeSeries, WindowedRate
 from repro.tpcw.connection import Connection
 from repro.tpcw.interactions import SharedSequences
@@ -78,10 +77,10 @@ class SimConnection(Connection):
         self._node: Optional["InMemoryDbNode"] = None
         self._txn = None
         self._is_update = False
-        #: Update-admission slot held while an update executes
-        #: (``update_mpl > 0`` only); ownership moves to ``commit_update``
-        #: at commit, otherwise :meth:`cleanup` releases it.
-        self._mpl_slot: Optional[Resource] = None
+        #: Update-admission slot held while an update executes (see
+        #: :meth:`UpdateRouter.admit_update`); ownership moves to
+        #: ``commit_update`` at commit, otherwise :meth:`cleanup` releases it.
+        self._mpl_slot: Optional[str] = None
         #: Root span of the current transaction attempt.  Ownership moves
         #: to :meth:`CommitPipeline.commit_update` for update commits; any
         #: span still held here is closed as aborted by :meth:`cleanup`.
@@ -207,7 +206,7 @@ class SimConnection(Connection):
     def _release_mpl_slot(self) -> None:
         slot, self._mpl_slot = self._mpl_slot, None
         if slot is not None:
-            slot.release()
+            self.cluster.router.release(slot)
 
     def cleanup(self) -> None:
         """Roll back whatever is still open (safe to call repeatedly)."""

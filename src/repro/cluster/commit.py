@@ -82,7 +82,7 @@ class CommitPipeline:
         connection spawns it: whatever path the commit takes (success,
         master death mid-broadcast, interrupt), the root is closed here
         with a terminal ``status`` tag.  It also owns the update-admission
-        slot (``update_mpl > 0``), released on every exit path.
+        slot, if the router gave one, released on every exit path.
         """
         cfg = self.cost.config
         root = getattr(txn, "obs_span", NULL_SPAN)
@@ -160,7 +160,7 @@ class CommitPipeline:
             return None
         finally:
             if mpl_slot is not None:
-                mpl_slot.release()
+                self.cluster.router.release(mpl_slot)
             root.finish(status="committed" if committed else "aborted")
 
     def _open_epoch(self, node: "InMemoryDbNode") -> _CommitEpoch:

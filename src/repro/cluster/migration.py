@@ -215,7 +215,6 @@ class Migrator:
             cluster.spare_ids.add(node_id)
         for agent in cluster.alive_scheduler_agents():
             agent.scheduler.add_slave(node_id, spare=spare)
-        cluster.router.wake()
         return timeline
 
     def _migration_cpu(self, node: "InMemoryDbNode", work_units: int):
@@ -314,5 +313,4 @@ class Migrator:
         )
         for agent in cluster.alive_scheduler_agents():
             agent.scheduler.add_slave(node_id, spare=False)
-        cluster.router.wake()
         return timeline

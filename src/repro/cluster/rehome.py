@@ -36,8 +36,8 @@ class Rehomer:
         self.cost = cluster.cost
         self.counters = cluster.counters
         self.conflict_map = cluster.conflict_map
-        #: Conflict classes mid-re-home: updates routed to one of these park
-        #: on the waiter queue until the ownership flip (drain barrier).
+        #: Conflict classes mid-re-home: the router does not serve their
+        #: update queues until the ownership flip (drain barrier).
         self.rehoming_classes: set = set()
 
     def rehome_table_to(self, table: str, dst_id: str):
@@ -67,14 +67,14 @@ class Rehomer:
     def _rehome_class(self, class_id: int, dst_id: str):
         """Drain-barrier handoff of one conflict class to a new master.
 
-        State machine (DESIGN.md §13): PARK new updates for the class →
+        State machine (DESIGN.md §13): PARK the class's update queue →
         DRAIN in-flight transactions, the open epoch and the replication
         channels → ADOPT on the destination (apply buffered ops, continue
         the version sequences) → FLIP ownership atomically (conflict map +
-        dual-controller owned sets + scheduler master set) → WAKE
-        parked updates.  Every abort path leaves ownership untouched and
-        wakes the parked updates, so a master kill mid-handoff degrades to
-        the ordinary failover path.
+        dual-controller owned sets + scheduler master set) → WAKE: the
+        queue is handed to the owner.  Every abort path leaves ownership
+        untouched and wakes the queue too, so a master kill mid-handoff
+        degrades to the ordinary failover path.
         """
         try:
             src_id = self.conflict_map.master_of_class(class_id)

@@ -5,7 +5,7 @@ the components that run the protocol in virtual time, each owning its own
 state:
 
 * :mod:`~repro.cluster.commit` — epochs, replication channels, gap-replay log;
-* :mod:`~repro.cluster.routing` — update routing, MPL slots, admission;
+* :mod:`~repro.cluster.routing` — update admission: one queue per conflict class;
 * :mod:`~repro.cluster.failover` — failure detection, reconfiguration,
   scheduler takeover, crash bookkeeping;
 * :mod:`~repro.cluster.migration` — data migration, reintegration, restart;

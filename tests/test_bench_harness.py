@@ -156,7 +156,9 @@ class TestFigureShapesMatchTheDeletedRunners:
     (``run_dmv_throughput``, ``run_dmv_failover``, ``run_reintegration``)
     before they were deleted; the same experiment as a plan must measure
     exactly the same numbers in its window, and settle to a cluster that
-    passes every invariant."""
+    passes every invariant.  The two master-kill shapes moved once since,
+    with their timelines unchanged, when updates queued through the
+    failover stopped reaching the promoted master all at once."""
 
     def test_throughput_step(self):
         plan = measured(THROUGHPUT, 30.0, mix="ordering", browsers=40, scale=SMALL)
@@ -187,10 +189,10 @@ class TestFigureShapesMatchTheDeletedRunners:
         report = run_plan(plan)
         assert report.ok(), report.summary()
         window = report.window
-        assert wips_series(window).values == [36.8, 19.15]
-        assert (window.metrics.completed, window.metrics.retried) == (1119, 0)
-        assert window.metrics.latency.percentile(95) == 0.2289409599999992
-        assert window.metrics.commit_latency.percentile(95) == 0.0990190399999964
+        assert wips_series(window).values == [37.35, 18.85]
+        assert (window.metrics.completed, window.metrics.retried) == (1124, 2)
+        assert window.metrics.latency.percentile(95) == 0.21128794000001605
+        assert window.metrics.commit_latency.percentile(95) == 0.0216454400000001
         assert vars(window.timelines[0]) == dict(
             failure_time=10.0,
             detection_time=11.0,
@@ -213,10 +215,10 @@ class TestFigureShapesMatchTheDeletedRunners:
         report = run_plan(plan)
         assert report.ok(), report.summary()
         window = report.window
-        assert wips_series(window).values == [38.2, 19.15]
-        assert (window.metrics.completed, window.metrics.retried) == (1147, 0)
+        assert wips_series(window).values == [38.35, 19.15]
+        assert (window.metrics.completed, window.metrics.retried) == (1150, 0)
         assert window.metrics.latency.percentile(95) == 0.17156320321473162
-        assert window.metrics.commit_latency.percentile(95) == 0.05741903999999742
+        assert window.metrics.commit_latency.percentile(95) == 0.021117760000000985
         reintegration = next(t for t in window.timelines if t.migration_pages > 0)
         assert vars(reintegration) == dict(
             failure_time=6.0,

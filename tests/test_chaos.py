@@ -24,7 +24,10 @@ from repro.chaos import (
     run_plan,
 )
 from repro.cluster.channel import ACK_TIMEOUT_BASE, RETRANSMIT_BACKOFF_CAP, RETRANSMIT_LIMIT
+from repro.cluster.costs import CostConfig
+from repro.cluster.routing import UPDATE_QUEUE_DEADLINE
 from repro.cluster.simcluster import SimDmvCluster
+from repro.common.errors import NodeUnavailable
 from repro.common.rng import RngStream
 from repro.core import MasterReplica, SlaveReplica
 from repro.engine import Column, TableSchema
@@ -320,6 +323,29 @@ class TestGracefulDegradation:
         assert cluster.counters.get("sched.deadline_rejects") == 0
         assert cluster.metrics.failed == 0
         assert cluster.metrics.completed > 50
+
+    def test_update_parked_past_the_deadline_fails_with_reconfig_deadline(self):
+        # A reconfiguration slower than the deadline: the failed master's
+        # class stays unserved for a minute, so an update that arrives
+        # after the detection waits UPDATE_QUEUE_DEADLINE and is rejected.
+        cost = CostConfig(recovery_overhead=60.0)
+        cluster = SimDmvCluster(TPCW_SCHEMAS, num_slaves=2, cost_config=cost, seed=3)
+        cluster.kill_node_at("m0", 1.0)
+        outcome = {}
+
+        def one_update():
+            yield cluster.sim.timeout(5.0)
+            assert cluster.failover.reconfiguring == {"m0"}
+            try:
+                yield from cluster.router.admit_update(["item"])
+            except NodeUnavailable as exc:
+                outcome["reason"], outcome["at"] = exc.reason, cluster.sim.now()
+
+        cluster.sim.spawn(one_update())
+        cluster.run(until=40.0)
+        assert outcome == {"reason": "reconfig-deadline", "at": 5.0 + UPDATE_QUEUE_DEADLINE}
+        assert cluster.counters.get("sched.queued_updates") == 1
+        assert cluster.counters.get("sched.deadline_rejects") == 1
 
 
 class TestEdgeCases:

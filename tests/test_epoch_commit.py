@@ -21,10 +21,8 @@ import pytest
 
 from repro.chaos import PLANS, run_plan
 from repro.chaos.invariants import check_all_invariants
-from repro.cluster import routing
 from repro.cluster.costs import CostConfig
 from repro.cluster.simcluster import SimDmvCluster
-from repro.sim.resources import Resource
 from repro.tpcw import MIXES, TPCW_SCHEMAS, TpcwDataGenerator, TpcwScale
 
 SCALE = TpcwScale(num_items=40, num_customers=96)
@@ -135,31 +133,27 @@ class TestEpochBatching:
 
 
 class TestAdmissionControl:
-    def test_update_mpl_bound_holds_throughout(self, monkeypatch):
-        grants = []
-
-        class RecordingSlot(Resource):
-            """An update slot that checks the bound at every grant."""
-
-            def request(self):
-                event = super().request()
-                grants.append((self.capacity, self.in_use))
-                return event
-
-            def release(self):
-                super().release()
-                grants.append((self.capacity, self.in_use))
-
-        monkeypatch.setattr(routing, "Resource", RecordingSlot)
+    def test_update_mpl_bound_holds_throughout(self):
         cluster = _make_cluster(EPOCH_COST)
+        router, admit, grants = cluster.router, cluster.router.admit_update, []
+
+        def recording_admit(tables, tenant="default", deadline=None):
+            """Check the bound at every grant."""
+            node, slot = yield from admit(tables, tenant, deadline)
+            grants.append((slot, router.in_flight[node.node_id]))
+            return node, slot
+
+        router.admit_update = recording_admit
         cluster.start_browsers(32, MIXES["ordering"], SCALE, think_time_mean=0.2)
         cluster.run(until=20.0)
-        assert cluster.router.update_slots
-        assert all(capacity == EPOCH_COST.update_mpl for capacity, _ in grants)
-        assert all(in_use <= capacity for capacity, in_use in grants)
+        # Every update was admitted through a slot of its master.
+        assert grants and all(slot is not None for slot, _ in grants)
+        assert router.bound == EPOCH_COST.update_mpl
+        assert all(in_use <= EPOCH_COST.update_mpl for _, in_use in grants)
         # The load was heavy enough that the bound actually bit.
         assert max(in_use for _, in_use in grants) == EPOCH_COST.update_mpl
         _quiesce_and_check(cluster)
+        assert set(router.in_flight.values()) == {0}  # no slot leaked
 
 
 # test id -> registered plan: every replication feature that used to be

@@ -14,7 +14,10 @@ class and re-homed one in those 60 s.  ``straggler-60s`` moved once on its
 own when reads stopped going to a slave that still owed the ack of a
 commit its quorum had confirmed.  Every pin moved when a read stopped
 preferring a busy slave at its tag over an idle one (CHANGES.md has the
-old -> new table).  The ``partial`` and open-loop pins were added with
+old -> new table).  ``default-60s`` and ``occ-200s`` moved on their
+own when updates parked through a master failover stopped reaching the
+promoted master all at once and were handed over a bounded number at a
+time (CHANGES.md has that table too).  The ``partial`` and open-loop pins were added with
 the registry (PR 21): until then CI only ever compared those plans to
 themselves.
 """
@@ -28,7 +31,7 @@ from repro.chaos.__main__ import main as chaos_main
 
 # plan name -> fingerprint of a 60 sim-s run at the plan's declared seed
 PINS_60S = {
-    "default": "8beac76e4bc86fb6",
+    "default": "3b3cbdb3d0466f26",
     "straggler": "e7e557e96d38f915",
     "durability": "856e855026b08be6",
     "write-scaleout": "f1ab03031a663b50",
@@ -41,7 +44,7 @@ PINS_60S = {
 
 # (plan, duration or None for the declared one, fingerprint)
 BASELINES = {f"{name}-60s": (PLANS[name], 60.0, PINS_60S[name]) for name in PLANS}
-BASELINES["occ-200s"] = (PLANS["default"], None, "172b28e350ec52c9")
+BASELINES["occ-200s"] = (PLANS["default"], None, "695161670b992b2e")
 
 
 def test_every_registered_plan_is_pinned():
